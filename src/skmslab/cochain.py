@@ -130,9 +130,9 @@ def boundary(rho):
                    name="boundary(%s)" % (rho.name or "rho"))
 
 
-def _require_even(sys, xs, tol=1e-10):
+def _require_even(grading, xs, tol=1e-10):
     for i, x in enumerate(xs):
-        if sys.grading.classify(as_matrix(x), tol=tol) is not Parity.EVEN:
+        if grading.classify(as_matrix(x), tol=tol) is not Parity.EVEN:
             raise ParityViolation("argument slot %d is not even" % i)
 
 
@@ -147,7 +147,7 @@ def tau_eval(sys, n, xs, budget=None):
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
     if n % 2 == 1:
         return 0.0 + 0.0j
-    _require_even(sys, xs)
+    _require_even(sys.grading, xs)
     if any(is_scalar_slot(x) for x in xs[1:]):
         return 0.0 + 0.0j
     if n == 0:
@@ -231,8 +231,8 @@ def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest="
     derivative, for j = 1..n with arguments x_0..x_{n+1} on Delta_{n+1}:
     integrating d/ds_j of the chain integrand equals the difference of the
     two contracted chains that merge slots (j, j+1) and (j-1, j).  The left
-    side is evaluated by Gauss quadrature, the right by divided differences,
-    so this doubles as a cross-oracle test.
+    side is evaluated by Gauss quadrature, the right by the block-exponential
+    chain kernel, so this doubles as a cross-oracle test.
     """
     from .kernels import SimplexQuadratureRule, heat_chain_integrand, simplex_quadrature
 

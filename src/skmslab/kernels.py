@@ -1,21 +1,27 @@
-"""Simplex-ordered heat-kernel integrals via confluent divided differences.
+"""Simplex-ordered heat-kernel integrals.
 
-The scalar kernel is
+Chain integrals of the form
+
+    int_{Delta_n} Tr(G x_0 e^{-s_1 H} x_1 e^{-(s_2-s_1) H} ... x_n e^{-(1-s_n) H}) d^n s
+
+are read off one matrix exponential: in the eigenbasis of H, block (0, n)
+of exp of the block-bidiagonal matrix with -diag(evals) on its n+1
+diagonal blocks and x_1, ..., x_n on its superdiagonal is the chain
+without x_0 (Van Loan, IEEE TAC 23, 1978).  `chain_integral` contracts
+that block with G x_0; the cost is that of one ((n+1)d)-square
+exponential.
+
+Two independent routes cross-check it.  `exp_divided_difference` is the
+scalar kernel for diagonal insertions,
 
     E(mu_0, ..., mu_n) = int_{0<=s_1<=...<=s_n<=1}
                          exp(-sum_k (s_{k+1}-s_k) mu_k) d^n s
 
-with s_0 = 0 and s_{n+1} = 1.  By the Hermite-Genocchi formula this equals
-the n-th divided difference of exp at the points (-mu_0, ..., -mu_n), which
-is what `exp_divided_difference` returns.  Chain integrals of the form
-
-    int_{Delta_n} Tr(G x_0 e^{-s_1 H} x_1 e^{-(s_2-s_1) H} ... x_n e^{-(1-s_n) H}) d^n s
-
-reduce, in the eigenbasis of H, to sums of matrix-element products weighted
-by E at eigenvalue chains; `chain_integral` evaluates that sum with the
-weights grouped by eigenvalue multiset.  `simplex_quadrature` provides the
-independent cubature oracles (tensor Gauss-Legendre through the ordered
-Duffy map, and seeded Monte Carlo).
+with s_0 = 0 and s_{n+1} = 1, which by the Hermite-Genocchi formula is
+the n-th divided difference of exp at (-mu_0, ..., -mu_n).
+`heat_chain_integrand` with `simplex_quadrature` integrates the trace
+pointwise (tensor Gauss-Legendre through the ordered Duffy map, or seeded
+Monte Carlo).
 """
 
 import enum
@@ -116,14 +122,9 @@ def _edd_clustered(mu):
 
 
 class Spectrum:
-    """Eigendecomposition of a selfadjoint generator with chain-weight caches.
+    """Eigendecomposition of a selfadjoint generator, eigenvalues ascending."""
 
-    Eigenvalues are deduplicated with `dedup_tol` into classes; the
-    divided-difference weight of a chain depends only on the multiset of
-    classes visited, so weights are memoized per class-count vector.
-    """
-
-    def __init__(self, evals, vecs, dedup_tol=1e-9):
+    def __init__(self, evals, vecs):
         evals = np.asarray(evals, dtype=float)
         vecs = np.asarray(vecs, dtype=complex)
         if evals.ndim != 1 or vecs.shape != (evals.size, evals.size):
@@ -135,109 +136,40 @@ class Spectrum:
         self.evals.setflags(write=False)
         self.vecs.setflags(write=False)
 
-        class_of = np.empty(self.dim, dtype=np.int64)
-        class_pos = np.empty(self.dim, dtype=np.int64)
-        values = []
-        members = []
-        for i, lam in enumerate(self.evals):
-            if values and lam - members[-1][0] <= dedup_tol:
-                c = len(values) - 1
-            else:
-                c = len(values)
-                values.append(0.0)
-                members.append((lam, 0))
-            class_of[i] = c
-            class_pos[i] = members[c][1]
-            members[c] = (lam, members[c][1] + 1)
-            values[c] += lam
-        counts = np.array([m[1] for m in members], dtype=np.int64)
-        self.class_values = np.array(values) / counts
-        self.class_of = class_of
-        self.class_pos = class_pos
-        self.block = int(counts.max())
-        self.n_classes = len(values)
-        self._dd_memo = {}
-
     def to_eigenbasis(self, m):
         return self.vecs.conj().T @ m @ self.vecs
 
     def from_eigenbasis(self, m):
         return self.vecs @ m @ self.vecs.conj().T
 
-    def weight_for_counts(self, counts):
-        """Memoized divided-difference weight for a class-count vector."""
-        key = counts.tobytes()
-        val = self._dd_memo.get(key)
-        if val is None:
-            nodes = np.repeat(self.class_values, counts)
-            val = exp_divided_difference(nodes)
-            self._dd_memo[key] = val
-        return val
-
 
 def chain_budget():
-    """Current chain-term budget; SKMS_CHAIN_BUDGET overrides the default."""
+    """Current chain-cost budget; SKMS_CHAIN_BUDGET overrides the default."""
     raw = os.environ.get("SKMS_CHAIN_BUDGET")
     if raw is None:
         return DEFAULT_CHAIN_BUDGET
     return float(raw)
 
 
-# multiset patterns shared across spectra: for m classes and chain length
-# n+1, maps each flat class tuple to its count-vector id
-_PATTERN_CACHE = {}
+def _heat_chain_blocks(spectrum, ys):
+    """Top block row of the exponential of the block-bidiagonal chain generator.
 
-
-def _chain_pattern(m, n):
-    key = (m, n)
-    hit = _PATTERN_CACHE.get(key)
-    if hit is not None:
-        return hit
-    length = n + 1
-    if m == 1:
-        inv = np.zeros(1, dtype=np.int64)
-        counts = np.array([[length]], dtype=np.int64)
-        _PATTERN_CACHE[key] = (inv, counts)
-        return inv, counts
-    # scalar keys: counts per class are <= n+1, so base n+2 digits encode
-    # the count vector injectively when the top digit fits in int64
-    if (m - 1) * math.log2(n + 2) < 62 - math.log2(length):
-        base = (n + 2) ** np.arange(m, dtype=np.int64)
-        acc = base
-        for _ in range(n):
-            acc = np.add.outer(acc, base)
-        flat = acc.reshape(-1)
-        uniq, inv = np.unique(flat, return_inverse=True)
-        counts = np.zeros((uniq.size, m), dtype=np.int64)
-        rem = uniq.copy()
-        for c in range(m):
-            counts[:, c] = rem % (n + 2)
-            rem //= (n + 2)
-    else:
-        # large class count: sort index rows and deduplicate directly
-        if m > 255:
-            raise ChainBudgetExceeded(
-                "eigenvalue class structure too large for chain grouping")
-        idx = np.indices((m,) * length, dtype=np.uint8).reshape(length, -1).T
-        rows = np.sort(idx, axis=1)
-        uniq, inv = np.unique(rows, axis=0, return_inverse=True)
-        counts = np.zeros((uniq.shape[0], m), dtype=np.int64)
-        for c in range(m):
-            counts[:, c] = (uniq == c).sum(axis=1)
-    inv = inv.astype(np.int64).reshape(-1)
-    _PATTERN_CACHE[key] = (inv, counts)
-    return inv, counts
-
-
-def _padded_blocks(spectrum, m_eig):
-    # scatter a d x d matrix (eigenbasis) into (classes, classes, block, block)
-    m = spectrum.n_classes
-    b = spectrum.block
-    ci = spectrum.class_of
-    pi = spectrum.class_pos
-    out = np.zeros((m, m, b, b), dtype=complex)
-    out[ci[:, None], ci[None, :], pi[:, None], pi[None, :]] = m_eig
-    return out
+    ys are the insertions y_1..y_n in the eigenbasis of H.  The generator
+    has -diag(evals) in each of its n+1 diagonal blocks and y_k in block
+    (k-1, k); block (0, k) of its exponential is the ordered-simplex chain
+    int_{Delta_k} e^{-s_1 H} y_1 e^{-(s_2-s_1) H} ... y_k e^{-(1-s_k) H} d^k s
+    (Van Loan, IEEE TAC 23, 1978).  Returns these blocks stacked with
+    shape (n+1, d, d), k = 0..n.
+    """
+    d = spectrum.dim
+    n = len(ys)
+    size = (n + 1) * d
+    big = np.zeros((size, size), dtype=complex)
+    np.fill_diagonal(big, -np.tile(spectrum.evals, n + 1))
+    for k, y in enumerate(ys):
+        big[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = y
+    top = scipy.linalg.expm(big)[:d]
+    return top.reshape(d, n + 1, d).swapaxes(0, 1)
 
 
 def _grading_matrix(grading):
@@ -260,7 +192,8 @@ def chain_integral(spectrum, xs, grading, budget=None):
     grading : GradingOperator, matrix, or None
         Gamma in the supertrace; None means plain trace.
     budget : float, optional
-        Chain-term budget; defaults to SKMS_CHAIN_BUDGET or 1e8.
+        Cost budget for the ((n+1)d)^3 block exponential behind n >= 1;
+        defaults to SKMS_CHAIN_BUDGET or 1e8.  n = 0 is never refused.
 
     Returns
     -------
@@ -280,38 +213,21 @@ def chain_integral(spectrum, xs, grading, budget=None):
     n = len(mats) - 1
     if budget is None:
         budget = chain_budget()
-    if d ** (n + 1) > budget:
+    size = (n + 1) * d
+    cost = float(size) ** 3
+    if n >= 1 and cost > budget:
         raise ChainBudgetExceeded(
-            "chain with d=%d, n=%d exceeds budget %g" % (d, n, budget))
+            "chain with d=%d, n=%d needs a %dx%d block exponential of cost "
+            "((n+1)d)^3 = %.3g, over budget %g" % (d, n, size, size, cost, budget))
 
     g = _grading_matrix(grading)
     head = mats[0] if g is None else g @ mats[0]
     y0 = spectrum.to_eigenbasis(head)
     if n == 0:
         return complex(np.sum(np.diag(y0) * np.exp(-spectrum.evals)))
-
-    m = spectrum.n_classes
-    b = spectrum.block
-    if (m ** (n + 1)) * b * b > budget:
-        raise ChainBudgetExceeded(
-            "class-space chain with m=%d, b=%d, n=%d exceeds budget %g"
-            % (m, b, n, budget))
-
-    blocks = [_padded_blocks(spectrum, y0)]
-    for k in range(1, n + 1):
-        blocks.append(_padded_blocks(spectrum, spectrum.to_eigenbasis(mats[k])))
-
-    # accumulate R[c_0..c_k, beta_0, beta_k] by absorbing one insertion at a time
-    r = blocks[0]
-    for k in range(1, n):
-        r = np.einsum("...iab,ijbc->...ijac", r, blocks[k])
-    s = np.einsum("i...jab,jiba->i...j", r, blocks[n])
-
-    inv, counts = _chain_pattern(m, n)
-    vals = np.empty(counts.shape[0])
-    for u in range(counts.shape[0]):
-        vals[u] = spectrum.weight_for_counts(counts[u])
-    return complex(np.dot(s.reshape(-1), vals[inv]))
+    ys = [spectrum.to_eigenbasis(m_) for m_ in mats[1:]]
+    chain = _heat_chain_blocks(spectrum, ys)[n]
+    return complex(np.sum(y0 * chain.T))
 
 
 def heat_chain_integrand(spectrum, xs, grading, max_block=None):

@@ -17,13 +17,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .cochain import (Cochain, connes_B, hochschild_b, is_scalar_slot)
+from .cochain import (Cochain, _require_even, connes_B, hochschild_b,
+                      is_scalar_slot)
 from .dynamics import GradedSystem, heisenberg_flow, skms_eval, superderivation
 from .errors import ParityViolation, TruncationUnreachable
 from .graded import AlgebraElement, Parity, as_matrix, graded_commutator, operator_norm
-from .kernels import Spectrum, chain_integral, indefinite_integration_matrix
+from .kernels import (Spectrum, _heat_chain_blocks, chain_integral,
+                      indefinite_integration_matrix)
 from .report import DOCUMENTED, make_report
 
 SERIES_CAP = 40
@@ -242,27 +243,14 @@ def _dyson_gamma_real_at(ctx, t, order, quad_order):
 
 
 def _gamma_imag_term_blocks(ctx, order):
-    # one exponential of the block-bidiagonal generator yields every series
-    # term: block (0, k) of expm([[-H, a_r], [0, -H], ...]) is the ordered
-    # simplex chain with k insertions of a_r against heat factors
+    # series term k, in the eigenbasis of H: the ordered simplex chain with
+    # k insertions of a_r against heat factors (block k of the heat-chain
+    # row with a_r in every slot), times (-1)^k and e^{H}
     spec = ctx.system.spectrum
-    d = ctx.dim
-    lam = spec.evals
     a_eig = spec.to_eigenbasis(ctx.a_r)
-    size = (order + 1) * d
-    big = np.zeros((size, size), dtype=complex)
-    for k in range(order + 1):
-        sl = slice(k * d, (k + 1) * d)
-        big[sl, sl] = -np.diag(lam)
-        if k < order:
-            big[sl, slice((k + 1) * d, (k + 2) * d)] = a_eig
-    exp_big = scipy.linalg.expm(big)
-    grow = np.exp(lam)[None, :]
-    terms = []
-    for k in range(order + 1):
-        blk = exp_big[0:d, k * d:(k + 1) * d]
-        terms.append(((-1.0) ** k) * blk * grow)
-    return terms  # in the eigenbasis of H
+    blocks = _heat_chain_blocks(spec, [a_eig] * order)
+    grow = np.exp(spec.evals)[None, :]
+    return [((-1.0) ** k) * blk * grow for k, blk in enumerate(blocks)]
 
 
 def dyson_gamma_one_info(ctx, t, tol=1e-10, order=None, quad_order=None):
@@ -350,19 +338,13 @@ def F_r_eval(ctx, n, xs, budget=None):
     return complex(val / ctx.system.witten_index)
 
 
-def _require_even(ctx, xs, tol=1e-10):
-    for i, x in enumerate(xs):
-        if ctx.system.grading.classify(as_matrix(x), tol=tol) is not Parity.EVEN:
-            raise ParityViolation("argument slot %d is not even" % i)
-
-
 def tau_r_eval(ctx, n, xs, budget=None):
     """tau^r_n = F^r_n(x_0, delta_r(x_1), ..., delta_r(x_n)) at even arguments."""
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
     if n % 2 == 1:
         return 0.0 + 0.0j
-    _require_even(ctx, xs)
+    _require_even(ctx.system.grading, xs)
     if any(is_scalar_slot(x) for x in xs[1:]):
         return 0.0 + 0.0j
     args = [as_matrix(xs[0])]
@@ -380,7 +362,7 @@ def transgression_G(ctx, m, xs, budget=None):
         raise ValueError("degree %d expects %d arguments" % (m, m + 1))
     if m % 2 == 0:
         return 0.0 + 0.0j
-    _require_even(ctx, xs)
+    _require_even(ctx.system.grading, xs)
     if any(is_scalar_slot(x) for x in xs[1:]):
         return 0.0 + 0.0j
     q = ctx.perturbation.matrix

@@ -101,7 +101,7 @@ def _cmd_verify(args):
 
 
 def _tau_by_quadrature(system, n, xs, kind, num, seed):
-    # dual route to the divided-difference path, driven by --quadrature
+    # quadrature route beside the block-exponential chain, driven by --quadrature
     mats = [as_matrix(xs[0])]
     mats += [as_matrix(superderivation(system, x)) for x in xs[1:]]
     integrand = heat_chain_integrand(system.spectrum, mats, system.grading)

@@ -1,10 +1,11 @@
 """Model specifications, JSON interchange and construction.
 
-Two model kinds cover the test surface: RectangularBlock fixes the
-grading diag(I_p, -I_q) and a supercharge assembled from an explicit or
-seeded q x p block M, so the supertrace of the heat kernel is p - q on
-the nose; RandomGraded draws the block from a seeded Gaussian ensemble
-and rejects draws whose index magnitude falls below a floor.
+A RectangularBlock model fixes the grading diag(I_p, -I_q) and a
+supercharge assembled from an explicit or seeded q x p block M, so the
+supertrace of the heat kernel is p - q on the nose (McKean-Singer); p = q
+is refused because that index is zero.  RandomGraded is a spec alias for
+the same construction, kept so that existing spec files, their digests and
+`skms model gen --kind RandomGraded` still work.
 """
 
 import hashlib
@@ -20,8 +21,6 @@ from ..perturbation import OddPerturbation
 
 MODEL_SCHEMA = "skms-model/1"
 KINDS = ("RectangularBlock", "RandomGraded")
-RANDOM_RETRIES = 8
-WITTEN_FLOOR = 1e-8
 
 
 def matrix_to_json(m):
@@ -146,27 +145,12 @@ def build_model(spec):
     """Construct (GradedSystem, OddPerturbation or None) from a spec."""
     p, q = spec.p, spec.q
     grading = GradingOperator(np.diag([1.0] * p + [-1.0] * q))
-    if spec.kind == "RectangularBlock":
-        if p == q:
-            raise ZeroWittenIndex("square block has index zero")
-        if spec.m is not None:
-            m = matrix_from_json(spec.m)
-        else:
-            m = _draw_block(np.random.default_rng(spec.seed), p, q)
-        system = GradedSystem(grading, _rescale(_block_supercharge(p, q, m),
-                                                spec.scale))
+    if p == q:
+        raise ZeroWittenIndex("square block has index zero")
+    if spec.m is not None:
+        m = matrix_from_json(spec.m)
     else:
-        rng = np.random.default_rng(spec.seed)
-        system = None
-        for _ in range(RANDOM_RETRIES):
-            q0 = _rescale(_block_supercharge(p, q, _draw_block(rng, p, q)),
-                          spec.scale)
-            candidate = GradedSystem(grading, q0, witten_floor=0.0)
-            if abs(candidate.witten_index) >= WITTEN_FLOOR:
-                system = candidate
-                break
-        if system is None:
-            raise ZeroWittenIndex(
-                "no draw with |index| >= %g in %d tries"
-                % (WITTEN_FLOOR, RANDOM_RETRIES))
+        m = _draw_block(np.random.default_rng(spec.seed), p, q)
+    system = GradedSystem(grading, _rescale(_block_supercharge(p, q, m),
+                                            spec.scale))
     return system, _build_perturbation(spec.perturbation, grading, p, q)

@@ -5,6 +5,7 @@ oracle (recursive divided differences and simplex quadrature at 50 digits)
 and are pinned here as literals.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -115,8 +116,6 @@ def test_spectrum_sorts_and_deduplicates():
     evals = np.array([1.5, 0.0, 1.5 + 1e-12, 0.7])
     spec = Spectrum(evals, np.eye(4)[:, [2, 0, 1, 3]])
     np.testing.assert_allclose(spec.evals, [0.0, 0.7, 1.5, 1.5 + 1e-12])
-    assert spec.n_classes == 3
-    assert spec.block == 2
 
 
 def test_spectrum_eigenbasis_roundtrip():
@@ -166,15 +165,17 @@ def test_chain_integral_degree_zero():
 
 
 def test_chain_integral_zero_generator():
-    # H = 0 collapses the kernel to the simplex volume 1/n!
-    rng = np.random.default_rng(8)
-    spec = Spectrum(np.zeros(4), np.eye(4))
-    g = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    xs = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-          for _ in range(4)]
-    got = chain_integral(spec, xs, g)
-    want = np.trace(g @ xs[0] @ xs[1] @ xs[2] @ xs[3]) / math.factorial(3)
-    assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+    # H = 0 collapses the kernel to the simplex volume 1/n!; d = 10, n = 8
+    # is a 90 x 90 exponential, well inside the default budget
+    for d, n in ((4, 3), (10, 8)):
+        rng = np.random.default_rng(8)
+        spec = Spectrum(np.zeros(d), np.eye(d))
+        g = np.diag([1.0] * (d // 2) + [-1.0] * (d - d // 2)).astype(complex)
+        xs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+              for _ in range(n + 1)]
+        got = chain_integral(spec, xs, g)
+        want = np.trace(g @ np.linalg.multi_dot(xs)) / math.factorial(n)
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (d, n)
 
 
 def test_chain_integral_none_grading_is_plain_trace():
@@ -225,6 +226,43 @@ def test_chain_integral_confluent_spectrum():
     approx, err = simplex_quadrature(
         integrand, 2, SimplexQuadratureRule("gauss", 12, vectorized=True))
     assert abs(exact - approx) < max(10 * err, 1e-9)
+
+
+ORACLE_SPECTRA = {
+    "distinct": (0.0, 0.5, 1.5),
+    "confluent": (0.0, 0.0, 1.0),
+    "wide": (0.0, 3.0, 30.0),
+}
+
+
+def chain_by_index_sum(spec, xs, g):
+    # Tr(G x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}) integrated over the
+    # simplex, expanded over eigenbasis index chains i_0 -> i_1 -> ... -> i_0;
+    # each chain is weighted by the divided difference at its eigenvalues
+    ys = [spec.to_eigenbasis(g @ xs[0])] + [spec.to_eigenbasis(x) for x in xs[1:]]
+    n = len(xs) - 1
+    total = 0.0 + 0.0j
+    for chain in itertools.product(range(spec.dim), repeat=n + 1):
+        amp = 1.0 + 0.0j
+        for k in range(n + 1):
+            amp *= ys[k][chain[k], chain[(k + 1) % (n + 1)]]
+        total += amp * exp_divided_difference(spec.evals[list(chain)])
+    return total
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_SPECTRA))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chain_integral_matches_divided_difference_sum(kind, n):
+    rng = np.random.default_rng(np.random.SeedSequence((n, 0xB1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+    spec = Spectrum(np.array(ORACLE_SPECTRA[kind]), basis)
+    g = basis @ np.diag([1.0, -1.0, 1.0]) @ basis.conj().T
+    xs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+          for _ in range(n + 1)]
+    want = chain_by_index_sum(spec, xs, g)
+    got = chain_integral(spec, xs, g)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_chain_integral_errors():

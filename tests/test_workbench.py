@@ -100,6 +100,22 @@ def test_build_random_graded():
     np.testing.assert_array_equal(sys_.supercharge, sys_b.supercharge)
 
 
+@pytest.mark.parametrize("p, q, seed", [(3, 2, 1), (6, 4, 3), (2, 5, 9),
+                                        (3, 2, 7), (3, 3, 1)])
+@pytest.mark.parametrize("scale", [None, 0.6])
+def test_random_graded_is_rectangular_block(p, q, seed, scale):
+    specs = [ModelSpec(kind=kind, p=p, q=q, seed=seed, scale=scale)
+             for kind in ("RectangularBlock", "RandomGraded")]
+    if p == q:
+        for spec in specs:
+            with pytest.raises(ZeroWittenIndex):
+                build_model(spec)
+        return
+    block, alias = (build_model(spec)[0] for spec in specs)
+    np.testing.assert_array_equal(block.supercharge, alias.supercharge)
+    assert alias.witten_index == pytest.approx(p - q, abs=1e-10)
+
+
 def test_build_perturbation_paths():
     spec = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1,
                      perturbation={"seed": 3, "scale": 0.4})
