@@ -21,7 +21,8 @@ with s_0 = 0 and s_{n+1} = 1, which by the Hermite-Genocchi formula is
 the n-th divided difference of exp at (-mu_0, ..., -mu_n).
 `heat_chain_integrand` with `simplex_quadrature` integrates the trace
 pointwise (tensor Gauss-Legendre through the ordered Duffy map, or seeded
-Monte Carlo).
+Monte Carlo).  The integrand takes the points in cache-sized blocks, with
+no block-size option, and spends one GEMM per insertion on each block.
 """
 
 import enum
@@ -37,6 +38,9 @@ from .graded import GradingOperator, as_matrix
 
 DEFAULT_CHAIN_BUDGET = 1e8
 _CLUSTER_SPREAD = 1e-6
+# bytes per (B, d, d) complex accumulator of heat_chain_integrand: about
+# 5k points at d = 5, so a block's working set stays in a 2 MiB L2 cache
+_INTEGRAND_BLOCK_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -143,12 +147,26 @@ class Spectrum:
         return self.vecs @ m @ self.vecs.conj().T
 
 
+def _checked_budget(raw, name):
+    # NaN would switch the guard off silently: cost > nan is never true
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if math.isnan(value):
+        raise ValueError("%s must be a number, got %r" % (name, raw))
+    return value
+
+
 def chain_budget():
-    """Current chain-cost budget; SKMS_CHAIN_BUDGET overrides the default."""
+    """Current chain-cost budget; SKMS_CHAIN_BUDGET overrides the default.
+
+    Raises ValueError when the variable is set to NaN or a non-number.
+    """
     raw = os.environ.get("SKMS_CHAIN_BUDGET")
     if raw is None:
         return DEFAULT_CHAIN_BUDGET
-    return float(raw)
+    return _checked_budget(raw, "SKMS_CHAIN_BUDGET")
 
 
 def _heat_chain_blocks(spectrum, ys):
@@ -194,6 +212,7 @@ def chain_integral(spectrum, xs, grading, budget=None):
     budget : float, optional
         Cost budget for the ((n+1)d)^3 block exponential behind n >= 1;
         defaults to SKMS_CHAIN_BUDGET or 1e8.  n = 0 is never refused.
+        NaN or a non-number, here or in the variable, raises ValueError.
 
     Returns
     -------
@@ -213,6 +232,8 @@ def chain_integral(spectrum, xs, grading, budget=None):
     n = len(mats) - 1
     if budget is None:
         budget = chain_budget()
+    else:
+        budget = _checked_budget(budget, "budget")
     size = (n + 1) * d
     cost = float(size) ** 3
     if n >= 1 and cost > budget:
@@ -230,12 +251,18 @@ def chain_integral(spectrum, xs, grading, budget=None):
     return complex(np.sum(y0 * chain.T))
 
 
-def heat_chain_integrand(spectrum, xs, grading, max_block=None):
+def heat_chain_integrand(spectrum, xs, grading):
     """Vectorized integrand for the chain trace at given simplex points.
 
     Returns f mapping an array of ordered points with shape (B, n) to the
     (B,) complex values Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}).
     Used by the quadrature oracles that cross-check `chain_integral`.
+
+    Points are taken in blocks whose (B, d, d) complex accumulator fits
+    _INTEGRAND_BLOCK_BYTES.  In the eigenbasis each heat factor is a
+    diagonal, so insertion k is one GEMM acc.reshape(B*d, d) @ y_k followed
+    by scaling the columns by e^{-gap_k lambda}; the last insertion and
+    the trace fold into one contraction with y_n^T.
     """
     mats = [as_matrix(x) for x in xs]
     n = len(mats) - 1
@@ -245,8 +272,7 @@ def heat_chain_integrand(spectrum, xs, grading, max_block=None):
     ys = [spectrum.to_eigenbasis(head)]
     ys += [spectrum.to_eigenbasis(mats[k]) for k in range(1, n + 1)]
     lam = spectrum.evals
-    if max_block is None:
-        max_block = max(1, int(4e6 // (d * d)))
+    block = max(1, _INTEGRAND_BLOCK_BYTES // (16 * d * d))
 
     def integrand(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -256,17 +282,16 @@ def heat_chain_integrand(spectrum, xs, grading, max_block=None):
         if pts.shape[1] != n:
             raise ValueError("expected points of dimension %d" % n)
         out = np.empty(pts.shape[0], dtype=complex)
-        for lo in range(0, pts.shape[0], max_block):
-            chunk = pts[lo:lo + max_block]
-            bounds = np.concatenate(
-                [np.zeros((chunk.shape[0], 1)), chunk, np.ones((chunk.shape[0], 1))],
-                axis=1)
-            gaps = np.diff(bounds, axis=1)
-            acc = ys[0][None, :, :] * np.exp(-np.outer(gaps[:, 0], lam))[:, None, :]
-            for k in range(1, n + 1):
-                factor = ys[k][None, :, :] * np.exp(-np.outer(gaps[:, k], lam))[:, None, :]
-                acc = acc @ factor
-            out[lo:lo + max_block] = np.einsum("bii->b", acc)
+        for lo in range(0, pts.shape[0], block):
+            chunk = pts[lo:lo + block]
+            b = chunk.shape[0]
+            gaps = np.diff(chunk, axis=1, prepend=0.0, append=1.0)
+            heat = np.exp(-gaps[:, :, None] * lam)
+            acc = ys[0] * heat[:, 0, None, :]
+            for k in range(1, n):
+                acc = (acc.reshape(b * d, d) @ ys[k]).reshape(b, d, d)
+                acc *= heat[:, k, None, :]
+            out[lo:lo + b] = np.einsum("bij,ji,bi->b", acc, ys[n], heat[:, n])
         return out
 
     return integrand

@@ -7,12 +7,14 @@ and are pinned here as literals.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skmslab import kernels
 from skmslab.errors import ChainBudgetExceeded, DimensionMismatch
 from skmslab.graded import GradingOperator
 from skmslab.kernels import (
@@ -282,6 +284,62 @@ def test_chain_budget_env_override(monkeypatch):
         chain_integral(spec, xs, g)
     monkeypatch.delenv("SKMS_CHAIN_BUDGET")
     chain_integral(spec, xs, g)
+
+
+@pytest.mark.parametrize("raw", ["nan", "NaN", "abc", ""])
+def test_chain_budget_env_rejects_non_numbers(monkeypatch, raw):
+    # cost > nan is never true, so a NaN budget would switch the guard off
+    spec, g, xs = chain_fixture()
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", raw)
+    message = "SKMS_CHAIN_BUDGET must be a number, got %r" % raw
+    with pytest.raises(ValueError, match=re.escape(message)):
+        chain_integral(spec, xs, g)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), "abc", [2.0]])
+def test_chain_budget_argument_rejects_non_numbers(bad):
+    spec, g, xs = chain_fixture()
+    message = "budget must be a number, got %r" % (bad,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        chain_integral(spec, xs, g, budget=bad)
+
+
+def dense_chain_trace(spec, xs, g, point):
+    # Tr(G x_0 V e^{-g_0 L} V* x_1 ... x_n V e^{-g_n L} V*) at one point,
+    # with gaps g_k = s_{k+1} - s_k, s_0 = 0 and s_{n+1} = 1
+    gaps = np.diff(np.concatenate(([0.0], point, [1.0])))
+    prod = g
+    for x, gap in zip(xs, gaps):
+        heat = spec.vecs @ np.diag(np.exp(-gap * spec.evals)) @ spec.vecs.conj().T
+        prod = prod @ x @ heat
+    return np.trace(prod)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_heat_chain_integrand_matches_dense_pointwise(n):
+    d = 5
+    rng = np.random.default_rng(np.random.SeedSequence((n, 0x1E)))
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+    spec = Spectrum(np.sort(rng.random(d) * 3.0), basis)
+    g = basis @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ basis.conj().T
+    xs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+          for _ in range(n + 1)]
+    scale = np.prod([np.linalg.norm(x, 2) for x in xs])
+    integrand = heat_chain_integrand(spec, xs, g)
+    # one full internal block plus a remainder, then a single 1-d point
+    block = kernels._INTEGRAND_BLOCK_BYTES // (16 * d * d)
+    points = np.sort(rng.random((block + 37, n)), axis=1)
+    got = integrand(points)
+    assert got.shape == (points.shape[0],)
+    want = np.array([dense_chain_trace(spec, xs, g, p) for p in points])
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    single = integrand(points[-1])
+    assert single.shape == (1,)
+    assert abs(single[0] - want[-1]) <= 1e-12 * scale
+    if n >= 1:
+        with pytest.raises(ValueError, match="dimension %d" % n):
+            integrand(np.zeros((3, n + 1)))
 
 
 # ---------------------------------------------------------------------------
