@@ -24,10 +24,10 @@ from .kernels import (Spectrum, chain_integral, exp_divided_difference,
 from .perturbation import (DysonInfo, OddPerturbation, PerturbedContext,
                            dyson_alpha, dyson_gamma_one,
                            endpoint_transgression_check, f_identities_check,
-                           flow_r, gamma_cocycle_oracle, homotopy_check,
+                           gamma_cocycle_oracle, homotopy_check,
                            lemma43_check, lemma44_check, lipschitz_check,
-                           perturbed_functional, perturbed_superderivation,
-                           skms_check_perturbed, tau_r_eval, transgression_G,
+                           perturbed_functional, skms_check_perturbed,
+                           tau_r_eval, transgression_G,
                            witten_invariance_check)
 from .report import DOCUMENTED, VerificationReport, make_report
 
@@ -60,7 +60,6 @@ __all__ = [
     "entireness_diagnostic",
     "exp_divided_difference",
     "f_identities_check",
-    "flow_r",
     "gamma_cocycle_oracle",
     "graded_commutator",
     "heisenberg_flow",
@@ -76,7 +75,6 @@ __all__ = [
     "operator_norm",
     "parity_split",
     "perturbed_functional",
-    "perturbed_superderivation",
     "simplex_quadrature",
     "skms_check_perturbed",
     "skms_eval",

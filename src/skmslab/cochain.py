@@ -12,7 +12,9 @@ partial = B + b with
 
 The cocycle is tau_n(x_0..x_n) = (1/Z) int_{Delta_n} supertrace of the
 heat chain with insertions x_0, delta(x_1), ..., delta(x_n), nonzero in
-even degrees only; (B + b) tau = 0.
+even degrees only; (B + b) tau = 0.  The cocycle functions take a
+GradedSystem or a PerturbedContext; with a context they give tau^r, built
+from delta_r and e^{-sH_r} and normalized by the unperturbed Z.
 """
 
 import math
@@ -150,6 +152,11 @@ def tau_eval(sys, n, xs, budget=None):
     _require_even(sys.grading, xs)
     if any(is_scalar_slot(x) for x in xs[1:]):
         return 0.0 + 0.0j
+    return _tau_chain(sys, n, xs, budget)
+
+
+def _tau_chain(sys, n, xs, budget):
+    # tau_n at even n whose slots i >= 1 are known not to be scalar
     if n == 0:
         return skms_eval(sys, xs[0])
     chain = [as_matrix(xs[0])]
@@ -159,9 +166,14 @@ def tau_eval(sys, n, xs, budget=None):
 
 
 def jlo_cochain(sys, max_degree=None, budget=None):
-    """tau as an even Cochain object (for boundary and suite plumbing)."""
+    """tau as an even Cochain object (for boundary and suite plumbing).
+
+    Cochain.__call__ has already returned 0 at odd degrees and at scalar
+    slots, so the evaluator checks parity of the arguments only.
+    """
     def evaluator(n, xs):
-        return tau_eval(sys, n, xs, budget=budget)
+        _require_even(sys.grading, xs)
+        return _tau_chain(sys, n, xs, budget)
     return Cochain(evaluator, Parity.EVEN, max_degree=max_degree, name="tau")
 
 

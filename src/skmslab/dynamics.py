@@ -9,6 +9,11 @@ and the functional is the super-Gibbs normalization
 
 The denominator is the Witten index; systems with vanishing index are
 rejected at construction.
+
+The functions below take either a GradedSystem or a PerturbedContext,
+which carries the same attributes for Q0 + rQ: a context at r = 0 is the
+unperturbed system, and at r > 0 the same code gives delta_r, alpha^r
+and phi^r (normalized by the unperturbed index).
 """
 
 import warnings
@@ -23,6 +28,16 @@ from .report import DOCUMENTED, VerificationReport, make_report
 
 STRIP_TOL = 1e-12
 CONDITIONING_LIMIT = 50.0
+
+
+def _super_gibbs(grading, spectrum):
+    # (Z, Gamma e^{-H}): the Witten index and the weight phi contracts against
+    gamma_eig = spectrum.to_eigenbasis(grading.matrix)
+    # index of a selfadjoint pair is real; discard rounding in Im
+    z = float(np.sum(np.diag(gamma_eig) * np.exp(-spectrum.evals)).real)
+    k = grading.matrix @ spectrum.from_eigenbasis(np.diag(np.exp(-spectrum.evals)))
+    k.setflags(write=False)
+    return z, k
 
 
 class GradedSystem:
@@ -56,18 +71,11 @@ class GradedSystem:
         if evals.min() < -1e-12 * scale * scale:
             raise ValueError("Hamiltonian has a significantly negative eigenvalue")
         self.spectrum = Spectrum(np.clip(evals, 0.0, None), vecs)
-        gamma_eig = self.spectrum.to_eigenbasis(grading.matrix)
-        z = complex(np.sum(np.diag(gamma_eig) * np.exp(-self.spectrum.evals)))
-        # index of a selfadjoint pair is real; discard rounding in Im
-        self.witten_index = float(z.real)
+        self.witten_index, self._weight = _super_gibbs(grading, self.spectrum)
         if abs(self.witten_index) < witten_floor:
             raise ZeroWittenIndex(
                 "|Tr(Gamma e^{-H})| = %.3e below floor %.1e"
                 % (abs(self.witten_index), witten_floor))
-        k = grading.matrix @ self.spectrum.from_eigenbasis(
-            np.diag(np.exp(-self.spectrum.evals)))
-        k.setflags(write=False)
-        self._weight = k
 
     @property
     def dim(self):
@@ -125,7 +133,11 @@ def heisenberg_flow(sys, x, z):
 
 
 def superderivation(sys, x):
-    """delta(x) = Q0 x - gamma(x) Q0."""
+    """delta(x) = Q0 x - gamma(x) Q0.
+
+    For a context the supercharge is Q0 + rQ, which gives
+    delta_r(x) = delta(x) + r (Q x - gamma(x) Q).
+    """
     xm = as_matrix(x)
     out = sys.supercharge @ xm - sys.grading.conjugate(xm) @ sys.supercharge
     if isinstance(x, AlgebraElement):
@@ -134,7 +146,11 @@ def superderivation(sys, x):
 
 
 def skms_eval(sys, x):
-    """phi(x) = Tr(Gamma e^{-H} x) / Z."""
+    """phi(x) = Tr(Gamma e^{-H} x) / Z.
+
+    For a context this is phi^r(x) = Tr(Gamma e^{-H_r} x) / Z, with Z the
+    unperturbed index.
+    """
     return complex(np.trace(sys._weight @ as_matrix(x)) / sys.witten_index)
 
 

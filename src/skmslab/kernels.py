@@ -43,25 +43,12 @@ _CLUSTER_SPREAD = 1e-6
 _INTEGRAND_BLOCK_BYTES = 2 ** 21
 
 
-@dataclass(frozen=True)
-class DividedDifferenceRequest:
-    """Node multiset mu_0..mu_n for one divided-difference evaluation."""
-
-    nodes: tuple
-
-    def __post_init__(self):
-        arr = np.asarray(self.nodes, dtype=float)
-        if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-            raise ValueError("nodes must be a nonempty finite 1-d sequence")
-        object.__setattr__(self, "nodes", tuple(float(v) for v in arr))
-
-
 def exp_divided_difference(nodes):
     """Divided difference of t -> e^{-t} at the given nodes.
 
     Parameters
     ----------
-    nodes : sequence of float or DividedDifferenceRequest
+    nodes : sequence of float
         Points mu_0, ..., mu_n; repetitions allowed (confluent case).
 
     Returns
@@ -79,8 +66,6 @@ def exp_divided_difference(nodes):
     Below a node spread of 1e-6 a centered Taylor expansion in the
     complete homogeneous symmetric polynomials takes over.
     """
-    if isinstance(nodes, DividedDifferenceRequest):
-        nodes = nodes.nodes
     mu = np.asarray(nodes, dtype=float)
     if mu.ndim != 1 or mu.size == 0:
         raise ValueError("nodes must be a nonempty 1-d sequence")

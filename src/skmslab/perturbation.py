@@ -2,9 +2,12 @@
 
 An odd selfadjoint Q deforms the superderivation to delta_r = delta +
 r[Q, .], which squares to ad(H_r) with H_r = H + a_r, a_r = r delta(Q) +
-r^2 Q^2 = (Q0 + rQ)^2 - Q0^2.  The perturbed flow and cocycle identities
-are all evaluated twice: once through the literal Dyson / simplex series
-and once through the exact finite-dimensional conjugation oracles
+r^2 Q^2 = (Q0 + rQ)^2 - Q0^2.  A PerturbedContext carries Q0 + rQ and
+H_r under the attribute names of a GradedSystem, so the dynamics and
+cochain functions evaluate delta_r, alpha^r, phi^r and tau^r when called
+with it; r = 0 is the unperturbed system.  The Dyson series for the flow
+and for the cocycle gamma^r are checked against the exact
+finite-dimensional conjugation oracles
 
     gamma^r_t(1) = e^{itH_r} e^{-itH},   alpha^r_t(x) = e^{itH_r} x e^{-itH_r},
     gamma^r_i(1) = e^{-H_r} e^{H},       phi^r(x) = Tr(Gamma x e^{-H_r}) / Z,
@@ -18,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import (Cochain, _require_even, connes_B, hochschild_b,
-                      is_scalar_slot)
-from .dynamics import GradedSystem, heisenberg_flow, skms_eval, superderivation
+from .cochain import Cochain, _require_even, boundary, is_scalar_slot, tau_eval
+from .dynamics import (GradedSystem, _super_gibbs, heisenberg_flow, skms_eval,
+                       superderivation)
 from .errors import ParityViolation, TruncationUnreachable
-from .graded import AlgebraElement, Parity, as_matrix, graded_commutator, operator_norm
+from .graded import AlgebraElement, Parity, as_matrix
 from .kernels import (Spectrum, _heat_chain_blocks, chain_integral,
                       indefinite_integration_matrix)
 from .report import DOCUMENTED, make_report
@@ -54,19 +57,25 @@ class OddPerturbation:
 class PerturbedContext:
     """Frozen data for one coupling value r in [0, 1].
 
-    Holds a_r, H_r and the eigendecomposition of H_r; tail bounds for the
-    Dyson series are driven by the constant 2*||a_r||.
+    Carries what the dynamics and cochain functions read from a
+    GradedSystem: grading, supercharge Q0 + rQ, hamiltonian H_r = H + a_r,
+    its spectrum, the weight Gamma e^{-H_r}, and witten_index, which is
+    the unperturbed Z that phi^r is normalized by; witten_index_r is
+    Tr(Gamma e^{-H_r}).  Tail bounds for the Dyson series are driven by
+    the constant 2*||a_r||.
     """
 
-    def __init__(self, system, perturbation, r, series_order=None):
+    def __init__(self, system, perturbation, r):
         if not isinstance(system, GradedSystem):
             raise TypeError("system must be a GradedSystem")
         if not isinstance(perturbation, OddPerturbation):
             perturbation = OddPerturbation(perturbation, system.grading)
         self.system = system
+        self.grading = system.grading
         self.perturbation = perturbation
         self.r = float(r)
         q = perturbation.matrix
+        self.supercharge = system.supercharge + self.r * q
         dq = as_matrix(superderivation(system, q))
         self.delta_q = dq
         self.q_squared = q @ q
@@ -76,16 +85,13 @@ class PerturbedContext:
             raise ParityViolation("a_r must be selfadjoint")
         if np.linalg.norm(system.grading.conjugate(self.a_r) - self.a_r) > 1e-12 * scale:
             raise ParityViolation("a_r must be even")
-        self.h_r = system.hamiltonian + self.a_r
-        evals, vecs = np.linalg.eigh(self.h_r)
-        self.spectrum_r = Spectrum(evals, vecs)
-        self.series_order = series_order
+        # the sum the Dyson series expand around; (Q0 + rQ)^2 differs at rounding level
+        self.hamiltonian = system.hamiltonian + self.a_r
+        evals, vecs = np.linalg.eigh(self.hamiltonian)
+        self.spectrum = Spectrum(evals, vecs)
         self.a_norm = float(np.linalg.norm(self.a_r, 2))
-        gamma_eig = self.spectrum_r.to_eigenbasis(system.grading.matrix)
-        self.witten_index_r = float(np.sum(
-            np.diag(gamma_eig) * np.exp(-self.spectrum_r.evals)).real)
-        self._weight_r = system.grading.matrix @ self.spectrum_r.from_eigenbasis(
-            np.diag(np.exp(-self.spectrum_r.evals)))
+        self.witten_index_r, self._weight = _super_gibbs(self.grading, self.spectrum)
+        self.witten_index = system.witten_index
 
     @property
     def dim(self):
@@ -115,48 +121,17 @@ class PerturbedContext:
             "no series order <= %d reaches tolerance %g at t = %s" % (cap, tol, t))
 
 
-def perturbed_superderivation(ctx, x):
-    """delta_r(x) = delta(x) + r (Q x - gamma(x) Q)."""
-    sys = ctx.system
-    base = as_matrix(superderivation(sys, x))
-    bracket = as_matrix(graded_commutator(ctx.perturbation.matrix, x, sys.grading))
-    out = base + ctx.r * bracket
-    if isinstance(x, AlgebraElement):
-        return AlgebraElement(out, sys.grading)
-    return out
-
-
-def flow_r(ctx, x, z):
-    """Exact perturbed flow e^{izH_r} x e^{-izH_r} (oracle path)."""
-    z = complex(z)
-    if z == 0:
-        return x
-    spec = ctx.spectrum_r
-    xm = spec.to_eigenbasis(as_matrix(x))
-    phase = np.exp(1j * z * spec.evals)
-    out = spec.from_eigenbasis((phase[:, None] * xm) * (1.0 / phase)[None, :])
-    if isinstance(x, AlgebraElement):
-        return AlgebraElement(out, ctx.system.grading)
-    return out
-
-
 def gamma_cocycle_oracle(ctx, t):
     """Exact gamma^r_t(1) = e^{itH_r} e^{-itH}; t may be complex (t = i)."""
-    t = complex(t)
-    d = ctx.dim
-    if t == 0:
-        return np.eye(d, dtype=complex)
-    spec_r = ctx.spectrum_r
-    spec = ctx.system.spectrum
-    left = spec_r.from_eigenbasis(np.diag(np.exp(1j * t * spec_r.evals)))
-    right = spec.from_eigenbasis(np.diag(np.exp(-1j * t * spec.evals)))
-    return left @ right
+    if complex(t) == 0:
+        return np.eye(ctx.dim, dtype=complex)
+    return gamma_flow_oracle(ctx, np.eye(ctx.dim), t)
 
 
 def gamma_flow_oracle(ctx, x, t):
     """Exact gamma^r_t(x) = e^{itH_r} x e^{-itH} = gamma^r_t(1) alpha_t(x)."""
     t = complex(t)
-    spec_r = ctx.spectrum_r
+    spec_r = ctx.spectrum
     spec = ctx.system.spectrum
     left = spec_r.from_eigenbasis(np.diag(np.exp(1j * t * spec_r.evals)))
     right = spec.from_eigenbasis(np.diag(np.exp(-1j * t * spec.evals)))
@@ -172,15 +147,11 @@ class DysonInfo:
     quad_error: float
 
 
-def _alpha_base(ctx, x, t):
-    return as_matrix(heisenberg_flow(ctx.system, x, t))
-
-
 def _dyson_alpha_at(ctx, xm, t, order, quad_order):
     u, w, qmat = indefinite_integration_matrix(quad_order)
     upper = w[None, :] - qmat  # row i integrates from node i to 1
-    a_nodes = np.stack([_alpha_base(ctx, ctx.a_r, uj * t) for uj in u])
-    base = _alpha_base(ctx, xm, t)
+    a_nodes = np.stack([heisenberg_flow(ctx.system, ctx.a_r, uj * t) for uj in u])
+    base = heisenberg_flow(ctx.system, xm, t)
     tails = np.broadcast_to(base, a_nodes.shape).copy()
     acc = base.astype(complex).copy()
     coeff = 1.0 + 0.0j
@@ -209,7 +180,7 @@ def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None, quad_order=None):
         raise TruncationUnreachable("requested order %d exceeds cap %d" % (order, SERIES_CAP))
     tail = ctx.tail_bound(t, order, norm_x)
     if ctx.a_norm == 0.0 or t == 0.0 or order == 0:
-        return _alpha_base(ctx, xm, t), DysonInfo(order, tail, 0.0)
+        return heisenberg_flow(ctx.system, xm, t), DysonInfo(order, tail, 0.0)
     g = quad_order if quad_order is not None else max(10, order + 4)
     coarse = _dyson_alpha_at(ctx, xm, t, order, g)
     fine = _dyson_alpha_at(ctx, xm, t, order, g + 4)
@@ -229,7 +200,7 @@ def _dyson_gamma_real_at(ctx, t, order, quad_order):
     d = ctx.dim
     u, w, qmat = indefinite_integration_matrix(quad_order)
     upper = w[None, :] - qmat
-    a_nodes = np.stack([_alpha_base(ctx, ctx.a_r, uj * t) for uj in u])
+    a_nodes = np.stack([heisenberg_flow(ctx.system, ctx.a_r, uj * t) for uj in u])
     eye = np.eye(d, dtype=complex)
     tails = np.broadcast_to(eye, a_nodes.shape).copy()
     acc = eye.copy()
@@ -301,7 +272,7 @@ def perturbed_functional(ctx, x, method="exact", tol=1e-10):
     """
     xm = as_matrix(x)
     if method == "exact":
-        return complex(np.trace(ctx._weight_r @ xm) / ctx.system.witten_index)
+        return skms_eval(ctx, xm)
     if method == "series":
         g = dyson_gamma_one(ctx, 1j, tol=tol)
         return skms_eval(ctx.system, xm @ g)
@@ -318,7 +289,7 @@ def error_term(ctx, t):
     q = ctx.perturbation.matrix
     return (as_matrix(superderivation(ctx.system, g))
             + ctx.r * (q @ g)
-            - ctx.r * (g @ _alpha_base(ctx, q, t)))
+            - ctx.r * (g @ heisenberg_flow(ctx.system, q, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +304,14 @@ def F_r_eval(ctx, n, xs, budget=None):
     """
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    val = chain_integral(ctx.spectrum_r, [as_matrix(x) for x in xs],
-                         ctx.system.grading, budget=budget)
-    return complex(val / ctx.system.witten_index)
+    val = chain_integral(ctx.spectrum, [as_matrix(x) for x in xs],
+                         ctx.grading, budget=budget)
+    return complex(val / ctx.witten_index)
 
 
 def tau_r_eval(ctx, n, xs, budget=None):
-    """tau^r_n = F^r_n(x_0, delta_r(x_1), ..., delta_r(x_n)) at even arguments."""
-    if len(xs) != n + 1:
-        raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    if n % 2 == 1:
-        return 0.0 + 0.0j
-    _require_even(ctx.system.grading, xs)
-    if any(is_scalar_slot(x) for x in xs[1:]):
-        return 0.0 + 0.0j
-    args = [as_matrix(xs[0])]
-    args += [as_matrix(perturbed_superderivation(ctx, x)) for x in xs[1:]]
-    return F_r_eval(ctx, n, args, budget=budget)
+    """tau^r_n = F^r_n(x_0, delta_r(x_1), ..., delta_r(x_n)); see tau_eval."""
+    return tau_eval(ctx, n, xs, budget=budget)
 
 
 def transgression_G(ctx, m, xs, budget=None):
@@ -362,24 +324,17 @@ def transgression_G(ctx, m, xs, budget=None):
         raise ValueError("degree %d expects %d arguments" % (m, m + 1))
     if m % 2 == 0:
         return 0.0 + 0.0j
-    _require_even(ctx.system.grading, xs)
+    _require_even(ctx.grading, xs)
     if any(is_scalar_slot(x) for x in xs[1:]):
         return 0.0 + 0.0j
     q = ctx.perturbation.matrix
-    derived = [as_matrix(perturbed_superderivation(ctx, x)) for x in xs[1:]]
+    derived = [as_matrix(superderivation(ctx, x)) for x in xs[1:]]
     head = as_matrix(xs[0])
     acc = 0.0 + 0.0j
     for k in range(m + 1):
         args = [head] + derived[:k] + [q] + derived[k:]
         acc += (-1) ** k * F_r_eval(ctx, m + 1, args, budget=budget)
     return acc
-
-
-def perturbed_cochain(ctx, max_degree=None, budget=None):
-    """tau^r as an even Cochain."""
-    def evaluator(n, xs):
-        return tau_r_eval(ctx, n, xs, budget=budget)
-    return Cochain(evaluator, Parity.EVEN, max_degree=max_degree, name="tau_r")
 
 
 def transgression_cochain(ctx, max_degree=None, budget=None):
@@ -391,11 +346,7 @@ def transgression_cochain(ctx, max_degree=None, budget=None):
 
 def boundary_of_transgression(ctx, n, xs, budget=None):
     """(B G^r + b G^r)_n at even degree n."""
-    g = transgression_cochain(ctx, budget=budget)
-    val = connes_B(g, n, xs)
-    if n >= 1:
-        val += hochschild_b(g, n, xs)
-    return val
+    return boundary(transgression_cochain(ctx, budget=budget))(n, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +370,22 @@ def lemma43_check(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0, model_diges
             g_t = gamma_cocycle_oracle(ctx, t)
             lhs = gamma_flow_oracle(ctx, x, t)
             inner = gamma_flow_oracle(ctx, x, t - s)
-            rhs = gamma_cocycle_oracle(ctx, s) @ _alpha_base(ctx, inner, s)
+            rhs = gamma_cocycle_oracle(ctx, s) @ heisenberg_flow(sys, inner, s)
             gcomp.append(np.linalg.norm(lhs - rhs, 2))
 
             lhs2 = g_t.conj().T
-            rhs2 = _alpha_base(ctx, gamma_cocycle_oracle(ctx, -t), t)
+            rhs2 = heisenberg_flow(sys, gamma_cocycle_oracle(ctx, -t), t)
             unit = np.eye(ctx.dim)
             gstar.append(max(
                 np.linalg.norm(lhs2 - rhs2, 2),
                 np.linalg.norm(g_t @ g_t.conj().T - unit, 2),
                 np.linalg.norm(g_t.conj().T @ g_t - unit, 2)))
 
-            lhs3 = as_matrix(flow_r(ctx, x, t))
-            rhs3 = g_t @ _alpha_base(ctx, x, t) @ g_t.conj().T
+            lhs3 = heisenberg_flow(ctx, x, t)
+            rhs3 = g_t @ heisenberg_flow(sys, x, t) @ g_t.conj().T
             acomp.append(np.linalg.norm(lhs3 - rhs3, 2))
 
-            lhs4 = as_matrix(flow_r(ctx, x, t)) @ gamma_flow_oracle(ctx, y, t)
+            lhs4 = heisenberg_flow(ctx, x, t) @ gamma_flow_oracle(ctx, y, t)
             rhs4 = gamma_flow_oracle(ctx, x @ y, t)
             gprod.append(np.linalg.norm(lhs4 - rhs4, 2))
     count = samples * len(ts)
@@ -502,28 +453,23 @@ def skms_check_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0,
         x = _draw(sys, rng)
         y = _draw(sys, rng)
         w = _draw(sys, rng)
-        herm.append(abs(perturbed_functional(ctx, x.conj().T)
-                        - np.conj(perturbed_functional(ctx, x))))
-        inv_g.append(abs(perturbed_functional(ctx, as_matrix(sys.gamma(x)))
-                         - perturbed_functional(ctx, x)))
-        deriv.append(abs(perturbed_functional(
-            ctx, as_matrix(perturbed_superderivation(ctx, x)))))
-        dd = as_matrix(perturbed_superderivation(
-            ctx, perturbed_superderivation(ctx, y)))
-        comm = ctx.h_r @ y - y @ ctx.h_r
-        weak.append(abs(perturbed_functional(ctx, x @ dd @ w)
-                        - perturbed_functional(ctx, x @ comm @ w)))
+        herm.append(abs(skms_eval(ctx, x.conj().T) - np.conj(skms_eval(ctx, x))))
+        inv_g.append(abs(skms_eval(ctx, sys.gamma(x)) - skms_eval(ctx, x)))
+        deriv.append(abs(skms_eval(ctx, superderivation(ctx, x))))
+        dd = superderivation(ctx, superderivation(ctx, y))
+        comm = ctx.hamiltonian @ y - y @ ctx.hamiltonian
+        weak.append(abs(skms_eval(ctx, x @ dd @ w) - skms_eval(ctx, x @ comm @ w)))
         for t in ts:
-            inv_a.append(abs(perturbed_functional(ctx, as_matrix(flow_r(ctx, x, t)))
-                             - perturbed_functional(ctx, x)))
-            moved = as_matrix(flow_r(ctx, y, t + 1j))
+            inv_a.append(abs(skms_eval(ctx, heisenberg_flow(ctx, x, t))
+                             - skms_eval(ctx, x)))
+            moved = heisenberg_flow(ctx, y, t + 1j)
             lhs = skms_eval(sys, x @ moved @ gamma_i)
-            rhs = skms_eval(sys, as_matrix(flow_r(ctx, y, t))
+            rhs = skms_eval(sys, heisenberg_flow(ctx, y, t)
                             @ as_matrix(sys.gamma(x)) @ gamma_i)
             bound.append(abs(lhs - rhs))
             err_t.append(abs(skms_eval(sys, w @ error_term(ctx, t))))
     e0_norm = float(np.linalg.norm(error_term(ctx, 0.0), 2))
-    unit_res = abs(perturbed_functional(ctx, np.eye(ctx.dim)) - 1.0)
+    unit_res = abs(skms_eval(ctx, np.eye(ctx.dim)) - 1.0)
     count = samples * len(ts)
     rows = [
         ("skms_r.hermiticity", "S0", samples, max(herm), tol),
@@ -560,14 +506,14 @@ def f_identities_check(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest=""):
 
         for k in range(1, n):
             mod = list(xs)
-            mod[k] = ctx.h_r @ xs[k] - xs[k] @ ctx.h_r
+            mod[k] = ctx.hamiltonian @ xs[k] - xs[k] @ ctx.hamiltonian
             lhs2 = F_r_eval(ctx, n, mod)
             rhs2 = (F_r_eval(ctx, n - 1, xs[:k - 1] + [xs[k - 1] @ xs[k]] + xs[k + 1:])
                     - F_r_eval(ctx, n - 1, xs[:k] + [xs[k] @ xs[k + 1]] + xs[k + 2:]))
             inner.append(abs(lhs2 - rhs2))
 
         mod = list(xs)
-        mod[n] = ctx.h_r @ xs[n] - xs[n] @ ctx.h_r
+        mod[n] = ctx.hamiltonian @ xs[n] - xs[n] @ ctx.hamiltonian
         lhs3 = F_r_eval(ctx, n, mod)
         rhs3 = (F_r_eval(ctx, n - 1, xs[:n - 1] + [xs[n - 1] @ xs[n]])
                 - F_r_eval(ctx, n - 1, [gxs[n] @ xs[0]] + xs[1:n]))
@@ -581,7 +527,7 @@ def f_identities_check(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest=""):
 
         total2 = 0.0 + 0.0j
         for j in range(n + 1):
-            args = gxs[:j] + [as_matrix(perturbed_superderivation(ctx, xs[j]))] + xs[j + 1:]
+            args = gxs[:j] + [superderivation(ctx, xs[j])] + xs[j + 1:]
             total2 += F_r_eval(ctx, n, args)
         cyc.append(abs(total2))
     rows = [
@@ -606,7 +552,7 @@ def witten_invariance_check(system, perturbation, grid=11, tol=1e-10, seed=0,
     for r in rs:
         ctx = PerturbedContext(system, perturbation, r)
         worst_z = max(worst_z, abs(ctx.witten_index_r - z0))
-        worst_unit = max(worst_unit, abs(perturbed_functional(ctx, np.eye(system.dim)) - 1.0))
+        worst_unit = max(worst_unit, abs(skms_eval(ctx, np.eye(system.dim)) - 1.0))
     return [
         make_report("witten.invariance", "phi-r1", grid, worst_z, tol,
                     seed=seed, model_digest=model_digest),
@@ -633,8 +579,8 @@ def lipschitz_check(system, perturbation, samples=100, seed=0, model_digest=""):
         r1, r2 = rng.random(2)
         ctx1 = PerturbedContext(system, perturbation, r1)
         ctx2 = PerturbedContext(system, perturbation, r2)
-        diff = np.linalg.norm(as_matrix(flow_r(ctx1, x, t))
-                              - as_matrix(flow_r(ctx2, x, t)), 2)
+        diff = np.linalg.norm(heisenberg_flow(ctx1, x, t)
+                              - heisenberg_flow(ctx2, x, t), 2)
         bound = 2.0 * abs(r1 - r2) * c * abs(t) * math.exp(2.0 * c)
         worst = max(worst, float(diff - bound))
     return [make_report("alpha_r.lipschitz_in_r", "lipschitz", samples,

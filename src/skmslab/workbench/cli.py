@@ -20,10 +20,9 @@ from ..perturbation import (PerturbedContext, endpoint_transgression_check,
                             homotopy_check, lipschitz_check,
                             skms_check_perturbed, witten_invariance_check)
 from ..report import make_report
-from .models import ModelSpec, build_model, model_digest
+from .models import ModelSpec, build_model, build_perturbed_model, model_digest
 from .reports import emit_report
-from .suites import SUITES, SuiteConfig, default_perturbation_spec, \
-    parse_quadrature, run_suite
+from .suites import SUITES, SuiteConfig, parse_quadrature, run_suite
 
 
 def _add_common(parser):
@@ -141,19 +140,9 @@ def _cmd_tau_eval(args):
     return 0
 
 
-def _resolve_perturbation(spec, system, args):
-    _, pert = build_model(spec)
-    if pert is None:
-        from .models import _build_perturbation
-        pert = _build_perturbation(default_perturbation_spec(_config(args)),
-                                   system.grading, spec.p, spec.q)
-    return pert
-
-
 def _cmd_perturb_sweep(args):
     spec = _load_spec(args.model)
-    system, _ = build_model(spec)
-    pert = _resolve_perturbation(spec, system, args)
+    system, pert = build_perturbed_model(spec, args.seed)
     digest = model_digest(spec)
     tol = args.tol if args.tol is not None else 1e-10
     reports = list(witten_invariance_check(system, pert, grid=args.grid,
@@ -174,8 +163,7 @@ def _cmd_perturb_sweep(args):
 
 def _cmd_homotopy_check(args):
     spec = _load_spec(args.model)
-    system, _ = build_model(spec)
-    pert = _resolve_perturbation(spec, system, args)
+    system, pert = build_perturbed_model(spec, args.seed)
     digest = model_digest(spec)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x48)))
     xs = [as_matrix(system.random_element(rng, parity="even"))

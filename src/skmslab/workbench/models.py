@@ -141,6 +141,19 @@ def _build_perturbation(pert, grading, p, q):
     return OddPerturbation(q0, grading)
 
 
+def build_perturbed_model(spec, seed):
+    """(GradedSystem, OddPerturbation) from a spec.
+
+    A spec without a perturbation gets a deterministic stand-in of scale
+    0.3 drawn from seed.
+    """
+    system, pert = build_model(spec)
+    if pert is None:
+        stand_in = {"seed": (seed ^ 0x5F) & 0xFFFFFFFF, "scale": 0.3}
+        pert = _build_perturbation(stand_in, system.grading, spec.p, spec.q)
+    return system, pert
+
+
 def build_model(spec):
     """Construct (GradedSystem, OddPerturbation or None) from a spec."""
     p, q = spec.p, spec.q

@@ -4,26 +4,18 @@ Field order is pinned so that identical inputs produce byte-identical
 files; floats are written with shortest round-trip repr.
 """
 
+import dataclasses
 import io
 import json
 
+from ..report import VerificationReport
+
 REPORT_SCHEMA = "skms-report/1"
-CSV_COLUMNS = ("identity_name", "paper_anchor", "samples", "max_residual",
-               "tolerance", "passed", "seed", "model_digest", "wall_ms")
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(VerificationReport))
 
 
 def report_row(report):
-    return {
-        "identity_name": report.identity_name,
-        "paper_anchor": report.paper_anchor,
-        "samples": report.samples,
-        "max_residual": report.max_residual,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "seed": report.seed,
-        "model_digest": report.model_digest,
-        "wall_ms": report.wall_ms,
-    }
+    return dataclasses.asdict(report)
 
 
 def to_json_text(reports):

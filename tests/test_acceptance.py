@@ -18,7 +18,8 @@ from skmslab.cochain import (
     jlo_cochain,
     tau_eval,
 )
-from skmslab.dynamics import GradedSystem, skms_eval, verify_skms_axioms
+from skmslab.dynamics import (GradedSystem, heisenberg_flow, skms_eval,
+                              verify_skms_axioms)
 from skmslab.graded import as_matrix
 from skmslab.kernels import (
     SimplexQuadratureRule,
@@ -34,7 +35,6 @@ from skmslab.perturbation import (
     dyson_gamma_one_info,
     endpoint_transgression_check,
     f_identities_check,
-    flow_r,
     gamma_cocycle_oracle,
     homotopy_check,
     lemma43_check,
@@ -164,7 +164,7 @@ def test_criterion_05_dyson_truncation_certificates():
 
         got, info = dyson_alpha_info(ctx, x, t, order=12)
         assert info.order <= 12
-        err = np.linalg.norm(got - as_matrix(flow_r(ctx, x, t)), 2)
+        err = np.linalg.norm(got - as_matrix(heisenberg_flow(ctx, x, t)), 2)
         # the certificate is an exact-arithmetic bound; in double precision
         # it can drop below the noise of the comparison oracle itself, so it
         # is enforced up to the 1e-12 floor all tolerances share

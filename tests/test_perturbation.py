@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from skmslab.dynamics import GradedSystem, heisenberg_flow, superderivation
+from skmslab.dynamics import GradedSystem, heisenberg_flow, skms_eval, superderivation
 from skmslab.errors import ParityViolation, TruncationUnreachable
 from skmslab.graded import as_matrix, graded_commutator
 from skmslab.kernels import chain_integral, gauss_legendre_01
@@ -21,7 +21,6 @@ from skmslab.perturbation import (
     endpoint_transgression_check,
     error_term,
     f_identities_check,
-    flow_r,
     F_r_eval,
     gamma_cocycle_oracle,
     gamma_flow_oracle,
@@ -29,16 +28,14 @@ from skmslab.perturbation import (
     lemma43_check,
     lemma44_check,
     lipschitz_check,
-    perturbed_cochain,
     perturbed_functional,
-    perturbed_superderivation,
     skms_check_perturbed,
     tau_r_eval,
     transgression_G,
     witten_invariance_check,
 )
 from skmslab.report import DOCUMENTED
-from skmslab.cochain import tau_eval
+from skmslab.cochain import boundary, jlo_cochain, tau_eval
 
 
 def block_system(p, q, seed=0, scale=1.0):
@@ -91,13 +88,13 @@ def test_odd_perturbation_validation():
 def test_context_hamiltonian_is_squared_supercharge():
     ctx = make_ctx(r=0.7)
     q_total = ctx.system.supercharge + ctx.r * ctx.perturbation.matrix
-    np.testing.assert_allclose(ctx.h_r, q_total @ q_total, atol=1e-13)
+    np.testing.assert_allclose(ctx.hamiltonian, q_total @ q_total, atol=1e-13)
     np.testing.assert_allclose(
         ctx.a_r,
         ctx.r * ctx.delta_q + ctx.r ** 2 * ctx.q_squared,
         atol=1e-14)
     ctx0 = PerturbedContext(ctx.system, ctx.perturbation, 0.0)
-    np.testing.assert_allclose(ctx0.h_r, ctx.system.hamiltonian, atol=1e-15)
+    np.testing.assert_allclose(ctx0.hamiltonian, ctx.system.hamiltonian, atol=1e-15)
 
 
 def test_tail_bound_matches_exponential_remainder():
@@ -123,18 +120,18 @@ def test_choose_order_minimality_and_cap():
 def test_flow_r_matches_expm():
     ctx = make_ctx(r=0.9)
     x = as_matrix(ctx.system.random_element(np.random.default_rng(1)))
-    assert flow_r(ctx, x, 0.0) is x
+    assert heisenberg_flow(ctx, x, 0.0) is x
     for z in (0.6, 0.3 + 0.4j):
-        u = scipy.linalg.expm(1j * z * ctx.h_r)
-        want = u @ x @ scipy.linalg.expm(-1j * z * ctx.h_r)
-        np.testing.assert_allclose(flow_r(ctx, x, z), want, atol=1e-12)
+        u = scipy.linalg.expm(1j * z * ctx.hamiltonian)
+        want = u @ x @ scipy.linalg.expm(-1j * z * ctx.hamiltonian)
+        np.testing.assert_allclose(heisenberg_flow(ctx, x, z), want, atol=1e-12)
 
 
 def test_gamma_oracles():
     ctx = make_ctx(r=0.8)
     np.testing.assert_array_equal(gamma_cocycle_oracle(ctx, 0.0), np.eye(5))
     for t in (0.7, 1j):
-        want = scipy.linalg.expm(1j * t * ctx.h_r) @ scipy.linalg.expm(
+        want = scipy.linalg.expm(1j * t * ctx.hamiltonian) @ scipy.linalg.expm(
             -1j * t * ctx.system.hamiltonian)
         np.testing.assert_allclose(gamma_cocycle_oracle(ctx, t), want, atol=1e-12)
     # real t gives a unitary
@@ -153,10 +150,10 @@ def test_perturbed_superderivation():
     want = as_matrix(superderivation(ctx.system, x)) + 0.5 * as_matrix(
         graded_commutator(ctx.perturbation.matrix, x, ctx.system.grading))
     np.testing.assert_allclose(
-        as_matrix(perturbed_superderivation(ctx, x)), want, atol=1e-14)
+        as_matrix(superderivation(ctx, x)), want, atol=1e-14)
     # squares to [H_r, .] on the algebra
-    dd = perturbed_superderivation(ctx, perturbed_superderivation(ctx, x))
-    comm = ctx.h_r @ as_matrix(x) - as_matrix(x) @ ctx.h_r
+    dd = superderivation(ctx, superderivation(ctx, x))
+    comm = ctx.hamiltonian @ as_matrix(x) - as_matrix(x) @ ctx.hamiltonian
     np.testing.assert_allclose(as_matrix(dd), comm, atol=1e-12)
 
 
@@ -165,7 +162,7 @@ def test_dyson_alpha_against_oracle():
     x = as_matrix(ctx.system.random_element(np.random.default_rng(4)))
     for t in (0.3, 1.0, -0.8):
         got, info = dyson_alpha_info(ctx, x, t, tol=1e-10)
-        want = as_matrix(flow_r(ctx, x, t))
+        want = as_matrix(heisenberg_flow(ctx, x, t))
         err = np.linalg.norm(got - want, 2)
         assert err <= info.tail_bound + 10 * info.quad_error + 1e-12
         assert info.order <= 40
@@ -174,7 +171,7 @@ def test_dyson_alpha_against_oracle():
 def test_dyson_alpha_fixed_order_improves():
     ctx = make_ctx(r=0.7)
     x = as_matrix(ctx.system.random_element(np.random.default_rng(5)))
-    want = as_matrix(flow_r(ctx, x, 1.0))
+    want = as_matrix(heisenberg_flow(ctx, x, 1.0))
     errs = []
     for order in (1, 3, 6):
         got = dyson_alpha(ctx, x, 1.0, order=order)
@@ -229,7 +226,7 @@ def test_dyson_gamma_imaginary_point():
 def test_perturbed_functional_routes_agree():
     ctx = make_ctx(r=0.9, pert_scale=0.3)
     x = as_matrix(ctx.system.random_element(np.random.default_rng(6)))
-    heat = scipy.linalg.expm(-ctx.h_r)
+    heat = scipy.linalg.expm(-ctx.hamiltonian)
     want = np.trace(ctx.system.grading.matrix @ x @ heat) / ctx.system.witten_index
     exact = perturbed_functional(ctx, x, method="exact")
     assert exact == pytest.approx(want, abs=1e-12)
@@ -257,6 +254,19 @@ def test_tau_r_reduces_to_tau_at_zero_coupling():
     a = tau_r_eval(ctx0, 2, xs)
     b = tau_eval(sys_, 2, xs)
     assert a == pytest.approx(b, abs=1e-13)
+    # every function that takes a context agrees with the system at r = 0
+    x = as_matrix(sys_.random_element(rng))
+    for z in (0.6, 0.3 + 0.4j, 1j):
+        np.testing.assert_allclose(heisenberg_flow(ctx0, x, z),
+                                   heisenberg_flow(sys_, x, z), atol=1e-13)
+    assert skms_eval(ctx0, x) == pytest.approx(skms_eval(sys_, x), abs=1e-13)
+    np.testing.assert_allclose(superderivation(ctx0, x),
+                               superderivation(sys_, x), atol=1e-13)
+    dtau0 = boundary(jlo_cochain(ctx0))
+    dtau = boundary(jlo_cochain(sys_))
+    for n in (0, 1, 3):
+        ys = even_tuple(sys_, rng, n + 1)
+        assert dtau0(n, ys) == pytest.approx(dtau(n, ys), abs=1e-13)
 
 
 def test_tau_r_parity_and_degeneracy():
@@ -275,7 +285,7 @@ def test_transgression_hand_expansion_degree_one():
     rng = np.random.default_rng(10)
     xs = even_tuple(ctx.system, rng, 2)
     q = ctx.perturbation.matrix
-    dx1 = as_matrix(perturbed_superderivation(ctx, xs[1]))
+    dx1 = as_matrix(superderivation(ctx, xs[1]))
     want = (F_r_eval(ctx, 2, [xs[0], q, dx1])
             - F_r_eval(ctx, 2, [xs[0], dx1, q]))
     got = transgression_G(ctx, 1, xs)
@@ -289,7 +299,7 @@ def test_F_r_matches_chain_integral():
     ctx = make_ctx(r=0.4)
     rng = np.random.default_rng(11)
     xs = [as_matrix(ctx.system.random_element(rng)) for _ in range(3)]
-    want = chain_integral(ctx.spectrum_r, xs, ctx.system.grading) / ctx.system.witten_index
+    want = chain_integral(ctx.spectrum, xs, ctx.system.grading) / ctx.system.witten_index
     assert F_r_eval(ctx, 2, xs) == pytest.approx(want, abs=1e-14)
     with pytest.raises(ValueError):
         F_r_eval(ctx, 2, xs[:2])
@@ -297,10 +307,8 @@ def test_F_r_matches_chain_integral():
 
 def test_perturbed_cocycle_identity():
     # (B + b) tau^r = 0 with the perturbed superderivation and heat kernel
-    from skmslab.cochain import boundary
-
     ctx = make_ctx(r=0.8, pert_scale=0.3)
-    dtau = boundary(perturbed_cochain(ctx))
+    dtau = boundary(jlo_cochain(ctx))
     rng = np.random.default_rng(12)
     worst = 0.0
     for n in (1, 3):

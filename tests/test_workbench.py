@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from skmslab.errors import DimensionMismatch, ParityViolation, ZeroWittenIndex
-from skmslab.report import make_report
+from skmslab.errors import ChainBudgetExceeded
+from skmslab.report import DOCUMENTED, make_report
 from skmslab.workbench import ModelSpec, build_model, model_digest, run_suite
 from skmslab.workbench.cli import main
-from skmslab.workbench.models import matrix_from_json, matrix_to_json
+from skmslab.workbench.models import (build_perturbed_model, matrix_from_json,
+                                      matrix_to_json)
 from skmslab.workbench.reports import (
     CSV_COLUMNS,
     emit_report,
@@ -17,11 +19,7 @@ from skmslab.workbench.reports import (
     to_csv_text,
     to_json_text,
 )
-from skmslab.workbench.suites import (
-    BUDGET_SENTINEL,
-    SuiteConfig,
-    parse_quadrature,
-)
+from skmslab.workbench.suites import SuiteConfig, _run_one, parse_quadrature
 
 BLOCK_SPEC = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1)
 
@@ -141,6 +139,17 @@ def test_build_perturbation_paths():
         build_model(ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1,
                               perturbation={"scale": 0.5}))
 
+    # a spec's own perturbation wins; without one a seeded stand-in is drawn
+    np.testing.assert_array_equal(build_perturbed_model(spec, 7)[1].matrix,
+                                  pert.matrix)
+    bare = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1)
+    stand_in = build_perturbed_model(bare, 7)[1]
+    assert stand_in.norm == pytest.approx(0.3, rel=1e-12)
+    np.testing.assert_array_equal(build_perturbed_model(bare, 7)[1].matrix,
+                                  stand_in.matrix)
+    assert not np.array_equal(build_perturbed_model(bare, 8)[1].matrix,
+                              stand_in.matrix)
+
 
 # ---------------------------------------------------------------------------
 # report serialization
@@ -240,9 +249,19 @@ def test_parallel_jobs_preserve_rows():
 def test_budget_exhaustion_reported_not_fatal(monkeypatch):
     monkeypatch.setenv("SKMS_CHAIN_BUDGET", "20")
     rows = run_suite(BLOCK_SPEC, "Cocycle", SuiteConfig(max_degree=3))
-    sentinels = [r for r in rows if r.max_residual == BUDGET_SENTINEL]
+    sentinels = [r for r in rows if r.max_residual == DOCUMENTED]
     assert sentinels, "expected budget-limited rows"
     assert all(not r.passed for r in sentinels)
+
+
+def test_budget_refusal_fails_documented_row():
+    # residual DOCUMENTED <= tolerance DOCUMENTED must not read as a pass
+    def refuse():
+        raise ChainBudgetExceeded("refused")
+
+    rows = _run_one(("doc.row", "norm", DOCUMENTED, refuse), SuiteConfig())
+    assert [(r.identity_name, r.max_residual, r.passed) for r in rows] == [
+        ("doc.row", DOCUMENTED, False)]
 
 
 def test_timing_flag_populates_wall_ms():
