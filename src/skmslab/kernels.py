@@ -4,12 +4,18 @@ Chain integrals of the form
 
     int_{Delta_n} Tr(G x_0 e^{-s_1 H} x_1 e^{-(s_2-s_1) H} ... x_n e^{-(1-s_n) H}) d^n s
 
-are read off one matrix exponential: in the eigenbasis of H, block (0, n)
-of exp of the block-bidiagonal matrix with -diag(evals) on its n+1
-diagonal blocks and x_1, ..., x_n on its superdiagonal is the chain
-without x_0 (Van Loan, IEEE TAC 23, 1978).  `chain_integral` contracts
-that block with G x_0; the cost is that of one ((n+1)d)-square
-exponential.
+are read off one matrix exponential (Van Loan, IEEE TAC 23, 1978).  Its
+generator is given as block edges: in the eigenbasis of H it has
+-diag(evals) on every diagonal block and an insertion on each edge's
+(row, col) block above the diagonal, and block (0, k) of its exponential
+sums the chains along the edge paths from block 0 to block k.
+`chain_integral` passes the bidiagonal edges x_1, ..., x_n and contracts
+block (0, n) with G x_0, at the cost of one ((n+1)d)-square exponential.
+`alternating_chain_integral` passes two copies of the bidiagonal edges
+joined by edges carrying q, and reads the alternating sum over the
+position of q, the transgression value, off one (2(m+1)d)-square
+exponential.  Every exponential is priced against the chain budget where
+it is built.
 
 Two independent routes cross-check it.  `exp_divided_difference` is the
 scalar kernel for diagonal insertions,
@@ -154,25 +160,44 @@ def chain_budget():
     return _checked_budget(raw, "SKMS_CHAIN_BUDGET")
 
 
-def _heat_chain_blocks(spectrum, ys):
-    """Top block row of the exponential of the block-bidiagonal chain generator.
+def _resolved_budget(budget):
+    if budget is None:
+        return chain_budget()
+    return _checked_budget(budget, "budget")
 
-    ys are the insertions y_1..y_n in the eigenbasis of H.  The generator
-    has -diag(evals) in each of its n+1 diagonal blocks and y_k in block
-    (k-1, k); block (0, k) of its exponential is the ordered-simplex chain
-    int_{Delta_k} e^{-s_1 H} y_1 e^{-(s_2-s_1) H} ... y_k e^{-(1-s_k) H} d^k s
-    (Van Loan, IEEE TAC 23, 1978).  Returns these blocks stacked with
-    shape (n+1, d, d), k = 0..n.
+
+def _heat_chain_blocks(spectrum, edges, what, budget=None):
+    """Top block row of the exponential of a block heat-chain generator.
+
+    edges are (row, col, y) with row < col, each on its own block, and y
+    an insertion in the eigenbasis of H; the generator has y in block
+    (row, col) and -diag(evals) in each of its 1 + max(col) diagonal
+    blocks.  Block (0, k) of its exponential is the sum over the
+    edge paths from block 0 to block k of the ordered-simplex chains
+    int e^{-s_1 H} y_1 e^{-(s_2-s_1) H} ... y_j e^{-(1-s_j) H} d^j s
+    along them (Van Loan, IEEE TAC 23, 1978); the bidiagonal edges
+    (k-1, k, y_k) give the plain chain of y_1..y_k in block (0, k).
+    Returns the blocks stacked with shape (blocks, d, d).
+
+    The exponential is priced at (blocks d)^3 against budget (None:
+    SKMS_CHAIN_BUDGET or the default); what names the chain, with its d
+    and degree, in the ChainBudgetExceeded message.
     """
     d = spectrum.dim
-    n = len(ys)
-    size = (n + 1) * d
+    nblocks = 1 + max((col for _, col, _ in edges), default=0)
+    size = nblocks * d
+    budget = _resolved_budget(budget)
+    cost = float(size) ** 3
+    if cost > budget:
+        raise ChainBudgetExceeded(
+            "%s needs a %dx%d block exponential of cost %d^3 = %.3g, over "
+            "budget %g" % (what, size, size, size, cost, budget))
     big = np.zeros((size, size), dtype=complex)
-    np.fill_diagonal(big, -np.tile(spectrum.evals, n + 1))
-    for k, y in enumerate(ys):
-        big[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = y
+    np.fill_diagonal(big, -np.tile(spectrum.evals, nblocks))
+    for row, col, y in edges:
+        big[row * d:(row + 1) * d, col * d:(col + 1) * d] = y
     top = scipy.linalg.expm(big)[:d]
-    return top.reshape(d, n + 1, d).swapaxes(0, 1)
+    return top.reshape(d, nblocks, d).swapaxes(0, 1)
 
 
 def _grading_matrix(grading):
@@ -181,6 +206,22 @@ def _grading_matrix(grading):
     if grading is None:
         return None
     return as_matrix(grading)
+
+
+def _eigen_insertions(spectrum, xs, grading):
+    # Gamma x_0, x_1, .., x_n in the eigenbasis of H, dimensions checked
+    mats = [as_matrix(x) for x in xs]
+    if not mats:
+        raise ValueError("need at least one insertion x_0")
+    d = spectrum.dim
+    for m_ in mats:
+        if m_.shape[0] != d:
+            raise DimensionMismatch(
+                "insertion dimension %d does not match spectrum dimension %d"
+                % (m_.shape[0], d))
+    g = _grading_matrix(grading)
+    head = mats[0] if g is None else g @ mats[0]
+    return [spectrum.to_eigenbasis(m_) for m_ in [head] + mats[1:]]
 
 
 def chain_integral(spectrum, xs, grading, budget=None):
@@ -205,34 +246,43 @@ def chain_integral(spectrum, xs, grading, budget=None):
         int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}) d^n s.
         For n = 0 this is Tr(Gamma x_0 e^{-H}).
     """
-    mats = [as_matrix(x) for x in xs]
-    if not mats:
-        raise ValueError("need at least one insertion x_0")
-    d = spectrum.dim
-    for m_ in mats:
-        if m_.shape[0] != d:
-            raise DimensionMismatch(
-                "insertion dimension %d does not match spectrum dimension %d"
-                % (m_.shape[0], d))
-    n = len(mats) - 1
-    if budget is None:
-        budget = chain_budget()
-    else:
-        budget = _checked_budget(budget, "budget")
-    size = (n + 1) * d
-    cost = float(size) ** 3
-    if n >= 1 and cost > budget:
-        raise ChainBudgetExceeded(
-            "chain with d=%d, n=%d needs a %dx%d block exponential of cost "
-            "((n+1)d)^3 = %.3g, over budget %g" % (d, n, size, size, cost, budget))
-
-    g = _grading_matrix(grading)
-    head = mats[0] if g is None else g @ mats[0]
-    y0 = spectrum.to_eigenbasis(head)
+    y0, *ys = _eigen_insertions(spectrum, xs, grading)
+    budget = _resolved_budget(budget)
+    n = len(ys)
     if n == 0:
         return complex(np.sum(np.diag(y0) * np.exp(-spectrum.evals)))
-    ys = [spectrum.to_eigenbasis(m_) for m_ in mats[1:]]
-    chain = _heat_chain_blocks(spectrum, ys)[n]
+    edges = [(k, k + 1, y) for k, y in enumerate(ys)]
+    what = "chain with d=%d, n=%d" % (spectrum.dim, n)
+    chain = _heat_chain_blocks(spectrum, edges, what, budget)[n]
+    return complex(np.sum(y0 * chain.T))
+
+
+def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
+    """Alternating sum of the chains with q inserted after each slot.
+
+    For xs = x_0, y_1, ..., y_m (m >= 0) returns
+
+        sum_{k=0..m} (-1)^k int_{Delta_{m+1}} Tr(Gamma x_0 e^{-s_1 H} y_1 ...
+            y_k e^{..} q e^{..} y_{k+1} ... y_m e^{-(1-s_{m+1}) H}) d^{m+1} s
+
+    from one exponential of 2(m+1) blocks.  The y_k run on two levels:
+    -y_k on block (k-1, k) before q, +y_k on block (m+k, m+1+k) after it,
+    and q on block (k, m+1+k) steps from the first level to the second
+    after y_k.  Every path from block 0 to block 2m+1 takes exactly one q
+    edge, so block (0, 2m+1) is the whole sum, each term signed by the k
+    first-level edges it took: the derivative of the chain exponential in
+    the direction of q (Van Loan, IEEE TAC 23, 1978; Najfeld & Havel, Adv.
+    Appl. Math. 16, 1995).  The exponential is priced at (2(m+1)d)^3
+    against budget as in chain_integral.
+    """
+    y0, *ys = _eigen_insertions(spectrum, xs, grading)
+    qe, = _eigen_insertions(spectrum, [q], None)
+    m = len(ys)
+    edges = [(k, m + 1 + k, qe) for k in range(m + 1)]
+    for k, y in enumerate(ys, start=1):
+        edges += [(k - 1, k, -y), (m + k, m + 1 + k, y)]
+    what = "alternating chain with d=%d, m=%d" % (spectrum.dim, m)
+    chain = _heat_chain_blocks(spectrum, edges, what, budget)[2 * m + 1]
     return complex(np.sum(y0 * chain.T))
 
 
@@ -249,13 +299,9 @@ def heat_chain_integrand(spectrum, xs, grading):
     by scaling the columns by e^{-gap_k lambda}; the last insertion and
     the trace fold into one contraction with y_n^T.
     """
-    mats = [as_matrix(x) for x in xs]
-    n = len(mats) - 1
+    ys = _eigen_insertions(spectrum, xs, grading)
+    n = len(ys) - 1
     d = spectrum.dim
-    g = _grading_matrix(grading)
-    head = mats[0] if g is None else g @ mats[0]
-    ys = [spectrum.to_eigenbasis(head)]
-    ys += [spectrum.to_eigenbasis(mats[k]) for k in range(1, n + 1)]
     lam = spectrum.evals
     block = max(1, _INTEGRAND_BLOCK_BYTES // (16 * d * d))
 

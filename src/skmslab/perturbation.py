@@ -26,8 +26,8 @@ from .dynamics import (GradedSystem, _super_gibbs, heisenberg_flow, skms_eval,
                        superderivation)
 from .errors import ParityViolation, TruncationUnreachable
 from .graded import AlgebraElement, Parity, as_matrix
-from .kernels import (Spectrum, _heat_chain_blocks, chain_integral,
-                      indefinite_integration_matrix)
+from .kernels import (Spectrum, _heat_chain_blocks, alternating_chain_integral,
+                      chain_integral, indefinite_integration_matrix)
 from .report import DOCUMENTED, make_report
 
 SERIES_CAP = 40
@@ -219,7 +219,9 @@ def _gamma_imag_term_blocks(ctx, order):
     # row with a_r in every slot), times (-1)^k and e^{H}
     spec = ctx.system.spectrum
     a_eig = spec.to_eigenbasis(ctx.a_r)
-    blocks = _heat_chain_blocks(spec, [a_eig] * order)
+    edges = [(k, k + 1, a_eig) for k in range(order)]
+    what = "Dyson series of gamma^r_i(1) with d=%d, order=%d" % (spec.dim, order)
+    blocks = _heat_chain_blocks(spec, edges, what)
     grow = np.exp(spec.evals)[None, :]
     return [((-1.0) ** k) * blk * grow for k, blk in enumerate(blocks)]
 
@@ -319,6 +321,10 @@ def transgression_G(ctx, m, xs, budget=None):
 
     Odd degrees only (even m returns 0); arguments must be even; scalar
     slots i >= 1 return exactly 0 (delta_r kills them in every summand).
+    The m + 1 chains are not formed one by one: the alternating sum over
+    the position of Q is read off one (2(m+1)d)-square block exponential
+    (kernels.alternating_chain_integral), divided by Z.  budget prices
+    that exponential and ChainBudgetExceeded names its size.
     """
     if len(xs) != m + 1:
         raise ValueError("degree %d expects %d arguments" % (m, m + 1))
@@ -327,20 +333,27 @@ def transgression_G(ctx, m, xs, budget=None):
     _require_even(ctx.grading, xs)
     if any(is_scalar_slot(x) for x in xs[1:]):
         return 0.0 + 0.0j
-    q = ctx.perturbation.matrix
+    return _transgression_sum(ctx, xs, budget)
+
+
+def _transgression_sum(ctx, xs, budget):
+    # G^r_m at odd m whose slots i >= 1 are known not to be scalar
     derived = [as_matrix(superderivation(ctx, x)) for x in xs[1:]]
-    head = as_matrix(xs[0])
-    acc = 0.0 + 0.0j
-    for k in range(m + 1):
-        args = [head] + derived[:k] + [q] + derived[k:]
-        acc += (-1) ** k * F_r_eval(ctx, m + 1, args, budget=budget)
-    return acc
+    val = alternating_chain_integral(ctx.spectrum, [as_matrix(xs[0])] + derived,
+                                     ctx.perturbation.matrix, ctx.grading,
+                                     budget=budget)
+    return complex(val / ctx.witten_index)
 
 
 def transgression_cochain(ctx, max_degree=None, budget=None):
-    """G^r as an odd Cochain."""
+    """G^r as an odd Cochain.
+
+    Cochain.__call__ has already returned 0 at even degrees and at scalar
+    slots, so the evaluator checks parity of the arguments only.
+    """
     def evaluator(n, xs):
-        return transgression_G(ctx, n, xs, budget=budget)
+        _require_even(ctx.grading, xs)
+        return _transgression_sum(ctx, xs, budget)
     return Cochain(evaluator, Parity.ODD, max_degree=max_degree, name="G_r")
 
 
@@ -667,12 +680,13 @@ def endpoint_transgression_check(system, perturbation, n, xs, nodes=11, tol=1e-6
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= h / 3.0
+    ctxs = [PerturbedContext(system, perturbation, rv) for rv in rs]
     integral = 0.0 + 0.0j
-    for wgt, rv in zip(weights, rs):
-        ctx = PerturbedContext(system, perturbation, rv)
+    for wgt, ctx in zip(weights, ctxs):
         integral += wgt * boundary_of_transgression(ctx, n, xs, budget=budget)
-    top = tau_r_eval(PerturbedContext(system, perturbation, 1.0), n, xs, budget=budget)
-    bot = tau_r_eval(PerturbedContext(system, perturbation, 0.0), n, xs, budget=budget)
+    # the end nodes are r = 0 and r = 1 exactly
+    top = tau_r_eval(ctxs[-1], n, xs, budget=budget)
+    bot = tau_r_eval(ctxs[0], n, xs, budget=budget)
     sigma = _orientation(top - bot, integral)
     residual = abs(top - bot - sigma * integral)
     return [make_report("transgression.endpoint", "main", nodes, residual, tol,

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from skmslab.dynamics import GradedSystem, heisenberg_flow, skms_eval, superderivation
-from skmslab.errors import ParityViolation, TruncationUnreachable
+from skmslab.errors import ChainBudgetExceeded, ParityViolation, TruncationUnreachable
 from skmslab.graded import as_matrix, graded_commutator
 from skmslab.kernels import chain_integral, gauss_legendre_01
 from skmslab.perturbation import (
@@ -280,19 +280,42 @@ def test_tau_r_parity_and_degeneracy():
 
 
 def test_transgression_hand_expansion_degree_one():
-    # G_1(x0, x1) = F_2(x0, Q, d_r x1) - F_2(x0, d_r x1, Q)
-    ctx = make_ctx(r=0.6)
-    rng = np.random.default_rng(10)
-    xs = even_tuple(ctx.system, rng, 2)
-    q = ctx.perturbation.matrix
-    dx1 = as_matrix(superderivation(ctx, xs[1]))
-    want = (F_r_eval(ctx, 2, [xs[0], q, dx1])
-            - F_r_eval(ctx, 2, [xs[0], dx1, q]))
-    got = transgression_G(ctx, 1, xs)
-    assert got == pytest.approx(want, abs=1e-14)
+    # G_m(x0, ..) = sum_k (-1)^k F_{m+1}(x0, d_r x1, .., d_r xk, Q, ..), formed
+    # term by term; r = 0 has the degenerate spectrum of the block model
+    for r in (0.6, 0.0):
+        ctx = make_ctx(r=r)
+        rng = np.random.default_rng(10)
+        q = ctx.perturbation.matrix
+        for m in (1, 3, 5):
+            xs = even_tuple(ctx.system, rng, m + 1)
+            derived = [as_matrix(superderivation(ctx, x)) for x in xs[1:]]
+            terms = [(-1) ** k * F_r_eval(ctx, m + 1,
+                                          [xs[0]] + derived[:k] + [q] + derived[k:])
+                     for k in range(m + 1)]
+            got = transgression_G(ctx, m, xs)
+            scale = max(abs(t) for t in terms)
+            assert abs(got - sum(terms)) <= 1e-12 * scale, (r, m)
     # even degree returns 0; scalar slots collapse exactly
-    assert transgression_G(ctx, 2, xs + [xs[0]]) == 0.0
+    assert transgression_G(ctx, 2, xs[:3]) == 0.0
     assert transgression_G(ctx, 1, [xs[0], -1.5 * np.eye(5)]) == 0.0
+
+
+def test_block_exponentials_priced_at_their_size(monkeypatch):
+    # m = 3, d = 5: each literal chain is (m+2)d = 25 wide, the one
+    # exponential behind G is 2(m+1)d = 40 wide
+    ctx = make_ctx(r=0.6)
+    xs = even_tuple(ctx.system, np.random.default_rng(12), 4)
+    budget = 30000.0
+    assert 25.0 ** 3 < budget < 40.0 ** 3
+    with pytest.raises(ChainBudgetExceeded, match="d=5, m=3 needs a 40x40"):
+        transgression_G(ctx, 3, xs, budget=budget)
+    assert transgression_G(ctx, 3, xs, budget=40.0 ** 3) != 0.0
+    # the t = i Dyson series of order 8 is one (8+1)d = 45 wide exponential
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(44.0 ** 3))
+    with pytest.raises(ChainBudgetExceeded, match="order=8 needs a 45x45"):
+        dyson_gamma_one_info(ctx, 1j, order=8)
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(45.0 ** 3))
+    dyson_gamma_one_info(ctx, 1j, order=8)
 
 
 def test_F_r_matches_chain_integral():

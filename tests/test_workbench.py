@@ -1,10 +1,15 @@
 """Tests for model specs, report serialization, suites, and the CLI."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import skmslab
 from skmslab.errors import DimensionMismatch, ParityViolation, ZeroWittenIndex
 from skmslab.errors import ChainBudgetExceeded
 from skmslab.report import DOCUMENTED, make_report
@@ -275,6 +280,35 @@ def test_suite_bytes_are_reproducible():
     a = emit_report(run_suite(BLOCK_SPEC, "Perturbation"), format="csv")
     b = emit_report(run_suite(BLOCK_SPEC, "Perturbation"), format="csv")
     assert a.encode() == b.encode()
+
+
+_ALL_REPORT_SCRIPT = """
+import sys
+from skmslab.workbench import ModelSpec, run_suite
+from skmslab.workbench.reports import emit_report
+spec = ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+                 perturbation={"seed": 11, "scale": 0.3})
+with open(sys.argv[1], "w") as out:
+    out.write(emit_report(run_suite(spec, "All"), format="json"))
+"""
+
+
+def test_report_bytes_match_across_processes(tmp_path):
+    # the in-process determinism check shares one hash seed and one import
+    # order between its two runs; fresh interpreters with different hash
+    # seeds do not, and the thread count is pinned as the README asks
+    src = str(pathlib.Path(skmslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / ("all_%s.json" % hash_seed)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", _ALL_REPORT_SCRIPT, str(out)],
+                       env=env, check=True, timeout=600)
+        reports.append(out.read_bytes())
+    assert json.loads(reports[0])
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
