@@ -15,6 +15,15 @@ heat chain with insertions x_0, delta(x_1), ..., delta(x_n), nonzero in
 even degrees only; (B + b) tau = 0.  The cocycle functions take a
 GradedSystem or a PerturbedContext; with a context they give tau^r, built
 from delta_r and e^{-sH_r} and normalized by the unperturbed Z.
+
+Arguments are checked where a caller enters, once.  tau_eval checks that
+every argument is even and tests the slots i >= 1 for scalars.  A Cochain
+built with a grading (jlo_cochain, perturbation.transgression_cochain and
+the boundary of either) does both in __call__, and its evaluator checks
+nothing.  The inner evaluations of rho inside boundary are not checked
+again: a product of even elements is even and so is the unit, and only the
+slots >= 1 that the caller has not tested (x_0 rotated there by B, a
+merged product x_j x_{j+1} from b) are tested for scalars.
 """
 
 import math
@@ -39,21 +48,31 @@ def is_scalar_slot(x, tol=SCALAR_SLOT_TOL):
     return bool(np.linalg.norm(m - mean * np.eye(d)) <= tol * max(1.0, np.linalg.norm(m)))
 
 
+def _require_even(grading, xs, tol=1e-10):
+    for i, x in enumerate(xs):
+        if grading.classify(as_matrix(x), tol=tol) is not Parity.EVEN:
+            raise ParityViolation("argument slot %d is not even" % i)
+
+
 class Cochain:
     """Parity-tagged multilinear family given by an evaluator.
 
-    Calling c(n, xs) returns 0 without evaluation when n has the wrong
-    parity or when any slot i >= 1 is scalar; max_degree (if set) bounds
-    the degrees the evaluator will be asked for.
+    Calling c(n, xs) checks the arity and max_degree (if set).  With a
+    grading, every argument must be even, at any degree: ParityViolation
+    names the first slot that is not.  It then returns 0 without evaluation
+    when n has the wrong parity or when any slot i >= 1 is scalar.  So the
+    evaluator only sees supported degrees and slots i >= 1 that are not
+    scalar, and needs no checks of its own.
     """
 
-    def __init__(self, evaluator, parity, max_degree=None, name=""):
+    def __init__(self, evaluator, parity, max_degree=None, name="", grading=None):
         if parity not in (Parity.EVEN, Parity.ODD):
             raise ValueError("cochain parity must be EVEN or ODD")
         self.evaluator = evaluator
         self.parity = parity
         self.max_degree = max_degree
         self.name = name
+        self.grading = grading
 
     def supports(self, n):
         if n < 0:
@@ -69,6 +88,8 @@ class Cochain:
                              % (n, n + 1, len(xs)))
         if self.max_degree is not None and n > self.max_degree:
             raise ValueError("degree %d exceeds max_degree %d" % (n, self.max_degree))
+        if self.grading is not None:
+            _require_even(self.grading, xs)
         if not self.supports(n):
             return 0.0 + 0.0j
         if any(is_scalar_slot(x) for x in xs[1:]):
@@ -117,25 +138,39 @@ def boundary(rho):
     """partial rho = (B + b) rho as a Cochain of flipped parity.
 
     At degree 0 only the B part contributes (b lowers below degree 0).
-    The max_degree of the result shrinks by one since B looks upward.
+    The max_degree of the result shrinks by one since B looks upward.  The
+    result carries rho's grading, so its __call__ checks the parity of
+    x_0..x_n once and tests x_1..x_n for scalars.  connes_B and
+    hochschild_b then evaluate rho without its checks: they test for a
+    scalar only x_0, once, which B rotates into a slot >= 1, and each
+    merged product x_j x_{j+1} that lands in a slot >= 1.  The value is
+    the one that connes_B and hochschild_b give with rho itself.
     """
     flipped = Parity.ODD if rho.parity is Parity.EVEN else Parity.EVEN
     cap = None if rho.max_degree is None else rho.max_degree - 1
 
     def evaluator(n, xs):
-        val = connes_B(rho, n, xs)
+        # __call__ has tested x_1..x_n; x_0 and the products are new to slots >= 1
+        x0_scalar = is_scalar_slot(xs[0])
+        tested = {id(x) for x in xs[1:]}
+
+        def inner(m, ys):
+            for y in ys[1:]:
+                if y is xs[0]:
+                    scalar = x0_scalar
+                else:
+                    scalar = id(y) not in tested and is_scalar_slot(y)
+                if scalar:
+                    return 0.0 + 0.0j
+            return complex(rho.evaluator(m, ys))
+
+        val = connes_B(inner, n, xs)
         if n >= 1:
-            val += hochschild_b(rho, n, xs)
+            val += hochschild_b(inner, n, xs)
         return val
 
     return Cochain(evaluator, flipped, max_degree=cap,
-                   name="boundary(%s)" % (rho.name or "rho"))
-
-
-def _require_even(grading, xs, tol=1e-10):
-    for i, x in enumerate(xs):
-        if grading.classify(as_matrix(x), tol=tol) is not Parity.EVEN:
-            raise ParityViolation("argument slot %d is not even" % i)
+                   name="boundary(%s)" % (rho.name or "rho"), grading=rho.grading)
 
 
 def tau_eval(sys, n, xs, budget=None):
@@ -143,7 +178,9 @@ def tau_eval(sys, n, xs, budget=None):
 
     tau_n(x_0..x_n) = (1/Z) int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H}
     delta(x_1) ... delta(x_n) e^{-(1-s_n) H}) d^n s for even n; odd n
-    returns 0 without evaluation.  Scalar slots i >= 1 return exactly 0.
+    returns 0 without evaluation.  At even n every argument is checked to
+    be even (ParityViolation names the slot), and scalar slots i >= 1
+    return exactly 0.
     """
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
@@ -168,13 +205,14 @@ def _tau_chain(sys, n, xs, budget):
 def jlo_cochain(sys, max_degree=None, budget=None):
     """tau as an even Cochain object (for boundary and suite plumbing).
 
-    Cochain.__call__ has already returned 0 at odd degrees and at scalar
-    slots, so the evaluator checks parity of the arguments only.
+    Its arguments must be even under sys.grading.  Cochain.__call__ checks
+    that, and returns 0 at odd degrees and at scalar slots, so the
+    evaluator is the bare chain integral.
     """
     def evaluator(n, xs):
-        _require_even(sys.grading, xs)
         return _tau_chain(sys, n, xs, budget)
-    return Cochain(evaluator, Parity.EVEN, max_degree=max_degree, name="tau")
+    return Cochain(evaluator, Parity.EVEN, max_degree=max_degree, name="tau",
+                   grading=sys.grading)
 
 
 @dataclass(frozen=True)
@@ -208,6 +246,10 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     of |tau_n| over the sampled tuples.  Sample draws are keyed by
     (seed, degree, index), so enlarging the sample count only extends the
     set and the estimate is monotone in samples.
+
+    The generators must be even and are checked once, before any chain is
+    evaluated: their combinations are even and graph normalization keeps
+    them even, so each tuple is only tested for scalar slots i >= 1.
     """
     if generators is None:
         gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
@@ -215,6 +257,7 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
                       for _ in range(4)]
     else:
         generators = [as_matrix(g) for g in generators]
+    _require_even(sys.grading, generators)
     out = []
     for n in degrees:
         best = 0.0
@@ -226,7 +269,8 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
                     + 1j * rng.standard_normal(len(generators))
                 m = sum(c * g for c, g in zip(coeff, generators))
                 xs.append(_graph_normalize(sys, m))
-            best = max(best, abs(tau_eval(sys, n, xs, budget=budget)))
+            if n % 2 == 0 and not any(is_scalar_slot(x) for x in xs[1:]):
+                best = max(best, abs(_tau_chain(sys, n, xs, budget)))
         out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples, seed=seed))
     return out
 
@@ -251,7 +295,6 @@ def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest="
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x34)))
     z = sys.witten_index
     rot, slot = [], []
-    quad_floor = 0.0
     for _ in range(samples):
         xs = [as_matrix(sys.random_element(rng)) for _ in range(n + 1)]
         lhs = chain_integral(sys.spectrum, xs, sys.grading) / z
@@ -265,10 +308,9 @@ def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest="
             dys = list(ys)
             dys[j] = ys[j] @ h - h @ ys[j]
             f = heat_chain_integrand(sys.spectrum, dys, sys.grading)
-            val, err = simplex_quadrature(
+            val, _ = simplex_quadrature(
                 f, n + 1, SimplexQuadratureRule("gauss", order, vectorized=True))
             lhs_j = val / z
-            quad_floor = max(quad_floor, err / abs(z))
             rhs_j = (chain_integral(sys.spectrum, _merge(ys, j), sys.grading)
                      - chain_integral(sys.spectrum, _merge(ys, j - 1), sys.grading)) / z
             slot.append(abs(lhs_j - rhs_j))

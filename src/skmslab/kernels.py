@@ -332,6 +332,10 @@ def heat_chain_integrand(spectrum, xs, grading):
 # simplex quadrature
 
 
+# the error estimate compares order k with order max(1, k - 2)
+GAUSS_MIN_ORDER = 2
+
+
 class QuadKind(enum.Enum):
     GaussTensorDuffy = "gauss"
     MonteCarlo = "mc"
@@ -344,7 +348,8 @@ class SimplexQuadratureRule:
     kind 'gauss' uses a tensor Gauss-Legendre rule of the given order mapped
     through the ordered Duffy transform; kind 'mc' averages the integrand
     over seeded sorted-uniform samples.  vectorized marks integrands that
-    accept a (B, n) batch of points.
+    accept a (B, n) batch of points.  A Gauss order below GAUSS_MIN_ORDER
+    is refused: its error estimate would compare the rule with itself.
     """
 
     kind: QuadKind
@@ -359,6 +364,9 @@ class SimplexQuadratureRule:
             object.__setattr__(self, "kind", kind)
         if self.order_or_samples < 1:
             raise ValueError("order_or_samples must be positive")
+        if kind is QuadKind.GaussTensorDuffy and self.order_or_samples < GAUSS_MIN_ORDER:
+            raise ValueError("Gauss order must be at least %d, got %d"
+                             % (GAUSS_MIN_ORDER, self.order_or_samples))
 
 
 def gauss_legendre_01(order):

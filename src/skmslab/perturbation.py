@@ -348,13 +348,14 @@ def _transgression_sum(ctx, xs, budget):
 def transgression_cochain(ctx, max_degree=None, budget=None):
     """G^r as an odd Cochain.
 
-    Cochain.__call__ has already returned 0 at even degrees and at scalar
-    slots, so the evaluator checks parity of the arguments only.
+    Its arguments must be even under ctx.grading.  Cochain.__call__ checks
+    that, and returns 0 at even degrees and at scalar slots, so the
+    evaluator is the bare alternating sum.
     """
     def evaluator(n, xs):
-        _require_even(ctx.grading, xs)
         return _transgression_sum(ctx, xs, budget)
-    return Cochain(evaluator, Parity.ODD, max_degree=max_degree, name="G_r")
+    return Cochain(evaluator, Parity.ODD, max_degree=max_degree, name="G_r",
+                   grading=ctx.grading)
 
 
 def boundary_of_transgression(ctx, n, xs, budget=None):

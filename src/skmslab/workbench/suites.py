@@ -18,6 +18,7 @@ from ..cochain import (boundary, entireness_diagnostic, jlo_cochain,
 from ..dynamics import heisenberg_flow, skms_eval, verify_skms_axioms
 from ..errors import ChainBudgetExceeded
 from ..graded import as_matrix
+from ..kernels import GAUSS_MIN_ORDER
 from ..perturbation import (PerturbedContext, boundary_of_transgression,
                             dyson_alpha_info, dyson_gamma_one_info,
                             endpoint_transgression_check, f_identities_check,
@@ -58,6 +59,9 @@ def parse_quadrature(text):
     kind = kind.strip().lower()
     if kind not in ("gauss", "mc") or not num:
         raise ValueError("quadrature must be gauss:<order> or mc:<samples>")
+    if kind == "gauss" and int(num) < GAUSS_MIN_ORDER:
+        raise ValueError("Gauss order must be at least %d, got %s"
+                         % (GAUSS_MIN_ORDER, num))
     return kind, int(num)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import skmslab.cochain as cochain_module
 from skmslab.cochain import (
     Cochain,
     NormEstimate,
@@ -17,7 +18,7 @@ from skmslab.cochain import (
 )
 from skmslab.dynamics import GradedSystem
 from skmslab.errors import ChainBudgetExceeded, ParityViolation
-from skmslab.graded import Parity, as_matrix
+from skmslab.graded import GradingOperator, Parity, as_matrix
 
 
 def block_system(p, q, seed=0, scale=1.0):
@@ -33,6 +34,32 @@ def block_system(p, q, seed=0, scale=1.0):
 
 def even_tuple(sys_, rng, count):
     return [as_matrix(sys_.random_element(rng, parity="even")) for _ in range(count)]
+
+
+def boundary_inputs(sys_, rng, n):
+    """Even tuples at degree n: random; x_0 scalar only within the slot
+    tolerance; and (n >= 2) x_2 = x_1^-1, so x_1 x_2 is scalar up to rounding."""
+    plain = even_tuple(sys_, rng, n + 1)
+    near = [2.5 * np.eye(sys_.dim) + 1e-14 * plain[0]] + plain[1:]
+    assert is_scalar_slot(near[0]) and np.any(near[0] != 2.5 * np.eye(sys_.dim))
+    if n < 2:
+        return [plain, near]
+    x1 = plain[1] + 3.0 * np.eye(sys_.dim)
+    inverse = [plain[0], x1, np.linalg.inv(x1)] + plain[3:]
+    assert is_scalar_slot(x1 @ inverse[2])
+    return [plain, near, inverse]
+
+
+def count_classify(monkeypatch):
+    calls = []
+    classify = GradingOperator.classify
+
+    def counted(self, x, tol=1e-10):
+        calls.append(1)
+        return classify(self, x, tol=tol)
+
+    monkeypatch.setattr(GradingOperator, "classify", counted)
+    return calls
 
 
 def test_is_scalar_slot():
@@ -193,6 +220,43 @@ def test_boundary_bookkeeping():
     assert "boundary" in repr(d)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_of_tau_names_the_odd_slot(n):
+    # checked at every degree, also at n = 2 where boundary(tau) is 0
+    sys_ = block_system(3, 2, seed=21)
+    dtau = boundary(jlo_cochain(sys_))
+    rng = np.random.default_rng(22)
+    for slot in range(n + 1):
+        xs = even_tuple(sys_, rng, n + 1)
+        xs[slot] = as_matrix(sys_.random_element(rng, parity="odd"))
+        with pytest.raises(ParityViolation, match="slot %d is not even" % slot):
+            dtau(n, xs)
+
+
+def test_boundary_of_tau_equals_B_plus_b_of_checked_tau():
+    # the checked-once inner path gives the bits of the public, checked tau
+    sys_ = block_system(3, 2, seed=23)
+    tau = jlo_cochain(sys_)
+    dtau = boundary(tau)
+    rng = np.random.default_rng(24)
+    for n in (1, 3):
+        for xs in boundary_inputs(sys_, rng, n):
+            want = connes_B(tau, n, xs) + hochschild_b(tau, n, xs)
+            assert dtau(n, xs) == want, n
+
+
+def test_boundary_classifies_each_argument_once(monkeypatch):
+    sys_ = block_system(3, 2, seed=25)
+    dtau = boundary(jlo_cochain(sys_))
+    rng = np.random.default_rng(26)
+    calls = count_classify(monkeypatch)
+    for n in (1, 3):
+        xs = even_tuple(sys_, rng, n + 1)
+        del calls[:]
+        dtau(n, xs)
+        assert len(calls) == n + 1
+
+
 def test_norm_estimate_indicator():
     est = NormEstimate(degree=4, sampled_norm=0.0, samples=8, seed=0)
     assert est.growth_indicator == 0.0
@@ -217,6 +281,19 @@ def test_entireness_diagnostic_custom_generators():
     out = entireness_diagnostic(sys_, generators=gens, degrees=(2,), samples=4, seed=0)
     assert len(out) == 1 and out[0].degree == 2
     assert out[0].sampled_norm > 0.0
+
+
+def test_entireness_diagnostic_rejects_odd_generator_first(monkeypatch):
+    sys_ = block_system(2, 1, seed=18)
+    rng = np.random.default_rng(19)
+    gens = [as_matrix(sys_.random_element(rng, parity="even")),
+            as_matrix(sys_.random_element(rng, parity="odd"))]
+    chains = []
+    monkeypatch.setattr(cochain_module, "chain_integral",
+                        lambda *args, **kwargs: chains.append(args))
+    with pytest.raises(ParityViolation, match="slot 1 is not even"):
+        entireness_diagnostic(sys_, generators=gens, degrees=(2,), samples=2)
+    assert chains == []
 
 
 def test_lemma34_rows_pass():

@@ -371,6 +371,8 @@ def test_quadrature_degree_zero_and_guards():
         simplex_quadrature(lambda p: 1.0, -1, SimplexQuadratureRule("gauss", 4))
     with pytest.raises(ValueError):
         SimplexQuadratureRule("gauss", 0)
+    with pytest.raises(ValueError, match="at least 2"):
+        SimplexQuadratureRule("gauss", 1)  # its error estimate would read 0
     with pytest.raises(ValueError):
         SimplexQuadratureRule("trapezoid", 4)
 

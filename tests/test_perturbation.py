@@ -8,7 +8,7 @@ import scipy.linalg
 
 from skmslab.dynamics import GradedSystem, heisenberg_flow, skms_eval, superderivation
 from skmslab.errors import ChainBudgetExceeded, ParityViolation, TruncationUnreachable
-from skmslab.graded import as_matrix, graded_commutator
+from skmslab.graded import GradingOperator, as_matrix, graded_commutator
 from skmslab.kernels import chain_integral, gauss_legendre_01
 from skmslab.perturbation import (
     OddPerturbation,
@@ -32,10 +32,12 @@ from skmslab.perturbation import (
     skms_check_perturbed,
     tau_r_eval,
     transgression_G,
+    transgression_cochain,
     witten_invariance_check,
 )
 from skmslab.report import DOCUMENTED
-from skmslab.cochain import boundary, jlo_cochain, tau_eval
+from skmslab.cochain import (boundary, connes_B, hochschild_b, is_scalar_slot,
+                             jlo_cochain, tau_eval)
 
 
 def block_system(p, q, seed=0, scale=1.0):
@@ -316,6 +318,61 @@ def test_block_exponentials_priced_at_their_size(monkeypatch):
         dyson_gamma_one_info(ctx, 1j, order=8)
     monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(45.0 ** 3))
     dyson_gamma_one_info(ctx, 1j, order=8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_of_transgression_names_the_odd_slot(n):
+    # checked at every degree, also at odd n where boundary(G) is 0
+    ctx = make_ctx(r=0.6)
+    dG = boundary(transgression_cochain(ctx))
+    rng = np.random.default_rng(31)
+    for slot in range(n + 1):
+        xs = even_tuple(ctx.system, rng, n + 1)
+        xs[slot] = as_matrix(ctx.system.random_element(rng, parity="odd"))
+        with pytest.raises(ParityViolation, match="slot %d is not even" % slot):
+            dG(n, xs)
+
+
+def test_boundary_of_transgression_equals_B_plus_b_of_checked_G():
+    # random tuples; x_0 scalar only within the slot tolerance; x_2 = x_1^-1
+    ctx = make_ctx(r=0.6)
+    g = transgression_cochain(ctx)
+    dG = boundary(g)
+    rng = np.random.default_rng(32)
+    eye = np.eye(ctx.dim)
+    for n in (0, 2):
+        plain = even_tuple(ctx.system, rng, n + 1)
+        near = [2.5 * eye + 1e-14 * plain[0]] + plain[1:]
+        assert is_scalar_slot(near[0]) and np.any(near[0] != 2.5 * eye)
+        inputs = [plain, near]
+        if n == 2:
+            x1 = plain[1] + 3.0 * eye
+            inputs.append([plain[0], x1, np.linalg.inv(x1)])
+            assert is_scalar_slot(x1 @ inputs[-1][2])
+        for xs in inputs:
+            want = connes_B(g, n, xs)
+            if n >= 1:
+                want += hochschild_b(g, n, xs)
+            assert dG(n, xs) == want, n
+
+
+def test_boundary_of_transgression_classifies_each_argument_once(monkeypatch):
+    ctx = make_ctx(r=0.6)
+    dG = boundary(transgression_cochain(ctx))
+    rng = np.random.default_rng(33)
+    calls = []
+    classify = GradingOperator.classify
+
+    def counted(self, x, tol=1e-10):
+        calls.append(1)
+        return classify(self, x, tol=tol)
+
+    monkeypatch.setattr(GradingOperator, "classify", counted)
+    for n in (0, 2):
+        xs = even_tuple(ctx.system, rng, n + 1)
+        del calls[:]
+        dG(n, xs)
+        assert len(calls) == n + 1
 
 
 def test_F_r_matches_chain_integral():

@@ -218,6 +218,8 @@ def test_parse_quadrature():
         parse_quadrature("simpson:4")
     with pytest.raises(ValueError):
         parse_quadrature("gauss")
+    with pytest.raises(ValueError, match="at least 2"):
+        parse_quadrature("gauss:1")
 
 
 def test_axioms_suite_passes():
