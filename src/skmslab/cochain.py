@@ -24,6 +24,14 @@ nothing.  The inner evaluations of rho inside boundary are not checked
 again: a product of even elements is even and so is the unit, and only the
 slots >= 1 that the caller has not tested (x_0 rotated there by B, a
 merged product x_j x_{j+1} from b) are tested for scalars.
+
+Evaluators are stacked: they take a degree and one (K, d, d) array per
+slot, holding that slot of K tuples, and return the K values.  boundary
+evaluates the B terms of all its tuples as one such batch and the b terms
+as another, so each degree costs one call of the block-exponential
+builder (kernels.chain_integral_batch), and entireness_diagnostic
+evaluates the samples of each degree the same way.  A batch gives every
+tuple the bits it would get alone.
 """
 
 import math
@@ -31,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import skms_eval, superderivation
+from .dynamics import _superderivation_stack, skms_eval
 from .errors import ParityViolation
 from .graded import Parity, as_matrix
-from .kernels import chain_integral
+from .kernels import _stacks_of_one, chain_integral, chain_integral_batch
 from .report import make_report
 
 SCALAR_SLOT_TOL = 1e-12
@@ -55,14 +63,17 @@ def _require_even(grading, xs, tol=1e-10):
 
 
 class Cochain:
-    """Parity-tagged multilinear family given by an evaluator.
+    """Parity-tagged multilinear family given by a stacked evaluator.
 
-    Calling c(n, xs) checks the arity and max_degree (if set).  With a
+    evaluator(n, stacks) takes a degree and n + 1 stacks, each a (K, d, d)
+    array holding one slot of K tuples, and returns the K values.  Calling
+    c(n, xs) on one tuple checks the arity and max_degree (if set).  With a
     grading, every argument must be even, at any degree: ParityViolation
     names the first slot that is not.  It then returns 0 without evaluation
-    when n has the wrong parity or when any slot i >= 1 is scalar.  So the
-    evaluator only sees supported degrees and slots i >= 1 that are not
-    scalar, and needs no checks of its own.
+    when n has the wrong parity or when any slot i >= 1 is scalar, and
+    otherwise evaluates the tuple as a batch of one.  So the evaluator only
+    sees supported degrees and slots i >= 1 that are not scalar, and needs
+    no checks of its own.
     """
 
     def __init__(self, evaluator, parity, max_degree=None, name="", grading=None):
@@ -94,7 +105,7 @@ class Cochain:
             return 0.0 + 0.0j
         if any(is_scalar_slot(x) for x in xs[1:]):
             return 0.0 + 0.0j
-        return complex(self.evaluator(n, list(xs)))
+        return complex(self.evaluator(n, _stacks_of_one(xs))[0])
 
     def __repr__(self):
         return "Cochain(%s, parity=%s)" % (self.name or "<evaluator>", self.parity.value)
@@ -108,30 +119,80 @@ def _unit_like(x):
     return np.eye(as_matrix(x).shape[0], dtype=complex)
 
 
+def _merge(xs, j):
+    return list(xs[:j]) + [_mul(xs[j], xs[j + 1])] + list(xs[j + 2:])
+
+
+def _b_terms(n, xs):
+    # (sign, tuple at degree n - 1) of each term of (b rho)_n
+    terms = [((-1) ** j, _merge(xs, j)) for j in range(n)]
+    terms.append(((-1) ** n, [_mul(xs[n], xs[0])] + list(xs[1:n])))
+    return terms
+
+
+def _B_terms(n, xs):
+    # (sign, tuple at degree n + 1) of each term of (B rho)_n
+    unit = _unit_like(xs[0])
+    return [((-1) ** (n * j), [unit] + list(xs[j:]) + list(xs[:j]))
+            for j in range(n + 1)]
+
+
+def _signed_sum(terms, values):
+    acc = 0.0 + 0.0j
+    for (sign, _), val in zip(terms, values):
+        acc += sign * val
+    return acc
+
+
 def hochschild_b(rho, n, xs):
     """(b rho)_n(x_0..x_n); needs rho at degree n-1, so n >= 1."""
     if n < 1:
         raise ValueError("hochschild_b needs degree >= 1")
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    acc = 0.0 + 0.0j
-    for j in range(n):
-        merged = list(xs[:j]) + [_mul(xs[j], xs[j + 1])] + list(xs[j + 2:])
-        acc += (-1) ** j * rho(n - 1, merged)
-    acc += (-1) ** n * rho(n - 1, [_mul(xs[n], xs[0])] + list(xs[1:n]))
-    return acc
+    terms = _b_terms(n, xs)
+    return _signed_sum(terms, [rho(n - 1, args) for _, args in terms])
 
 
 def connes_B(rho, n, xs):
     """(B rho)_n(x_0..x_n) = sum_j (-1)^{nj} rho_{n+1}(1, x_j, .., x_{j-1})."""
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    unit = _unit_like(xs[0])
-    acc = 0.0 + 0.0j
-    for j in range(n + 1):
-        rotated = [unit] + list(xs[j:]) + list(xs[:j])
-        acc += (-1) ** (n * j) * rho(n + 1, rotated)
-    return acc
+    terms = _B_terms(n, xs)
+    return _signed_sum(terms, [rho(n + 1, args) for _, args in terms])
+
+
+def _scalar_filter(xs):
+    # True for a term of (B + b) at xs that vanishes: __call__ has tested
+    # x_1..x_n, so only x_0 and the merged products are new to slots >= 1
+    x0_scalar = is_scalar_slot(xs[0])
+    tested = {id(x) for x in xs[1:]}
+
+    def vanishes(args):
+        for y in args[1:]:
+            if y is xs[0]:
+                scalar = x0_scalar
+            else:
+                scalar = id(y) not in tested and is_scalar_slot(y)
+            if scalar:
+                return True
+        return False
+    return vanishes
+
+
+def _term_sums(rho, make_terms, n, tuples, filters):
+    # the signed sum of make_terms(n, xs) for each tuple xs; the terms of
+    # all tuples that do not vanish go to rho's evaluator as one stack
+    terms = [make_terms(n, xs) for xs in tuples]
+    live = [(k, j) for k, vanishes in enumerate(filters)
+            for j, (_, args) in enumerate(terms[k]) if not vanishes(args)]
+    values = [[0.0 + 0.0j] * len(t) for t in terms]
+    if live:
+        batch = [terms[k][j][1] for k, j in live]
+        got = rho.evaluator(len(batch[0]) - 1, [np.stack(s) for s in zip(*batch)])
+        for (k, j), val in zip(live, got):
+            values[k][j] = complex(val)
+    return [_signed_sum(t, v) for t, v in zip(terms, values)]
 
 
 def boundary(rho):
@@ -140,34 +201,26 @@ def boundary(rho):
     At degree 0 only the B part contributes (b lowers below degree 0).
     The max_degree of the result shrinks by one since B looks upward.  The
     result carries rho's grading, so its __call__ checks the parity of
-    x_0..x_n once and tests x_1..x_n for scalars.  connes_B and
-    hochschild_b then evaluate rho without its checks: they test for a
-    scalar only x_0, once, which B rotates into a slot >= 1, and each
-    merged product x_j x_{j+1} that lands in a slot >= 1.  The value is
-    the one that connes_B and hochschild_b give with rho itself.
+    x_0..x_n once and tests x_1..x_n for scalars.  Its evaluator builds
+    the n + 1 B terms and the n + 1 b terms of each tuple with the term
+    lists of connes_B and hochschild_b, and drops the terms that vanish:
+    it tests for a scalar only x_0, once, which B rotates into a slot >= 1,
+    and each merged product x_j x_{j+1} that lands in a slot >= 1.  The
+    surviving B terms of all tuples go to rho's evaluator as one stack at
+    degree n + 1, the b terms as one at degree n - 1.  The values are the
+    ones that connes_B and hochschild_b give with rho itself, bit for bit.
     """
     flipped = Parity.ODD if rho.parity is Parity.EVEN else Parity.EVEN
     cap = None if rho.max_degree is None else rho.max_degree - 1
 
-    def evaluator(n, xs):
-        # __call__ has tested x_1..x_n; x_0 and the products are new to slots >= 1
-        x0_scalar = is_scalar_slot(xs[0])
-        tested = {id(x) for x in xs[1:]}
-
-        def inner(m, ys):
-            for y in ys[1:]:
-                if y is xs[0]:
-                    scalar = x0_scalar
-                else:
-                    scalar = id(y) not in tested and is_scalar_slot(y)
-                if scalar:
-                    return 0.0 + 0.0j
-            return complex(rho.evaluator(m, ys))
-
-        val = connes_B(inner, n, xs)
+    def evaluator(n, stacks):
+        tuples = [list(t) for t in zip(*stacks)]
+        filters = [_scalar_filter(xs) for xs in tuples]
+        sums = _term_sums(rho, _B_terms, n, tuples, filters)
         if n >= 1:
-            val += hochschild_b(inner, n, xs)
-        return val
+            b_sums = _term_sums(rho, _b_terms, n, tuples, filters)
+            sums = [acc + b for acc, b in zip(sums, b_sums)]
+        return sums
 
     return Cochain(evaluator, flipped, max_degree=cap,
                    name="boundary(%s)" % (rho.name or "rho"), grading=rho.grading)
@@ -189,17 +242,18 @@ def tau_eval(sys, n, xs, budget=None):
     _require_even(sys.grading, xs)
     if any(is_scalar_slot(x) for x in xs[1:]):
         return 0.0 + 0.0j
-    return _tau_chain(sys, n, xs, budget)
+    return _tau_chain(sys, n, _stacks_of_one(xs), budget)[0]
 
 
-def _tau_chain(sys, n, xs, budget):
-    # tau_n at even n whose slots i >= 1 are known not to be scalar
+def _tau_chain(sys, n, stacks, budget):
+    # tau_n at even n of the K tuples in the (K, d, d) stacks, whose slots
+    # i >= 1 are known not to be scalar; one block exponential call
     if n == 0:
-        return skms_eval(sys, xs[0])
-    chain = [as_matrix(xs[0])]
-    chain += [as_matrix(superderivation(sys, x)) for x in xs[1:]]
-    val = chain_integral(sys.spectrum, chain, sys.grading, budget=budget)
-    return complex(val / sys.witten_index)
+        return [skms_eval(sys, x) for x in stacks[0]]
+    derived = _superderivation_stack(sys, np.array(stacks[1:], dtype=complex))
+    vals = chain_integral_batch(sys.spectrum, [stacks[0], *derived], sys.grading,
+                                budget=budget)
+    return [complex(v) / sys.witten_index for v in vals]
 
 
 def jlo_cochain(sys, max_degree=None, budget=None):
@@ -207,10 +261,10 @@ def jlo_cochain(sys, max_degree=None, budget=None):
 
     Its arguments must be even under sys.grading.  Cochain.__call__ checks
     that, and returns 0 at odd degrees and at scalar slots, so the
-    evaluator is the bare chain integral.
+    evaluator is the bare chain integral of a stack of tuples.
     """
-    def evaluator(n, xs):
-        return _tau_chain(sys, n, xs, budget)
+    def evaluator(n, stacks):
+        return _tau_chain(sys, n, stacks, budget)
     return Cochain(evaluator, Parity.EVEN, max_degree=max_degree, name="tau",
                    grading=sys.grading)
 
@@ -232,9 +286,11 @@ class NormEstimate:
         return math.sqrt(self.degree) * self.sampled_norm ** (1.0 / self.degree)
 
 
-def _graph_normalize(sys, m):
-    nrm = np.linalg.norm(m, 2) + np.linalg.norm(as_matrix(superderivation(sys, m)), 2)
-    return m if nrm == 0 else m / nrm
+def _graph_normalize(sys, stack):
+    # each slice over its graph norm ||x|| + ||delta(x)||; a zero slice stays 0
+    nrm = (np.linalg.norm(stack, 2, axis=(1, 2))
+           + np.linalg.norm(_superderivation_stack(sys, stack), 2, axis=(1, 2)))
+    return stack / np.where(nrm == 0, 1.0, nrm)[:, None, None]
 
 
 def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32,
@@ -245,11 +301,14 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     the graph norm ||x|| + ||delta(x)||; the per-degree estimate is the max
     of |tau_n| over the sampled tuples.  Sample draws are keyed by
     (seed, degree, index), so enlarging the sample count only extends the
-    set and the estimate is monotone in samples.
+    set and the estimate is monotone in samples.  Odd degrees read 0.
 
     The generators must be even and are checked once, before any chain is
     evaluated: their combinations are even and graph normalization keeps
-    them even, so each tuple is only tested for scalar slots i >= 1.
+    them even, so each tuple is only tested for scalar slots i >= 1.  The
+    samples of a degree are combined, normalized and evaluated as stacks,
+    with one block exponential call per degree; each gets the bits it
+    would get alone.
     """
     if generators is None:
         gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
@@ -261,22 +320,22 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     out = []
     for n in degrees:
         best = 0.0
-        for i in range(samples):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
-            xs = []
-            for _ in range(n + 1):
-                coeff = rng.standard_normal(len(generators)) \
-                    + 1j * rng.standard_normal(len(generators))
-                m = sum(c * g for c, g in zip(coeff, generators))
-                xs.append(_graph_normalize(sys, m))
-            if n % 2 == 0 and not any(is_scalar_slot(x) for x in xs[1:]):
-                best = max(best, abs(_tau_chain(sys, n, xs, budget)))
+        if n % 2 == 0:
+            draws = []
+            for i in range(samples):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
+                draws += [rng.standard_normal(len(generators))
+                          + 1j * rng.standard_normal(len(generators))
+                          for _ in range(n + 1)]
+            coeffs = np.array(draws).T[:, :, None, None]
+            mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
+            tuples = mats.reshape(samples, n + 1, sys.dim, sys.dim)
+            keep = [t for t in tuples if not any(is_scalar_slot(x) for x in t[1:])]
+            if keep:
+                values = _tau_chain(sys, n, np.stack(keep, axis=1), budget)
+                best = max([best] + [abs(v) for v in values])
         out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples, seed=seed))
     return out
-
-
-def _merge(xs, j):
-    return list(xs[:j]) + [_mul(xs[j], xs[j + 1])] + list(xs[j + 2:])
 
 
 def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest=""):

@@ -138,11 +138,21 @@ def superderivation(sys, x):
     For a context the supercharge is Q0 + rQ, which gives
     delta_r(x) = delta(x) + r (Q x - gamma(x) Q).
     """
-    xm = as_matrix(x)
-    out = sys.supercharge @ xm - sys.grading.conjugate(xm) @ sys.supercharge
+    out = _superderivation_stack(sys, as_matrix(x))
     if isinstance(x, AlgebraElement):
         return AlgebraElement(out, sys.grading)
     return out
+
+
+def _superderivation_stack(sys, xs):
+    """delta on each slice of a (K, d, d) stack, or on one matrix.
+
+    superderivation is this function on one matrix; the matmuls broadcast
+    over the stack, so slice k equals superderivation(sys, xs[k]) bit for
+    bit.
+    """
+    g = sys.grading.matrix
+    return sys.supercharge @ xs - (g @ xs @ g) @ sys.supercharge
 
 
 def skms_eval(sys, x):

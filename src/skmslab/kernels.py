@@ -9,13 +9,20 @@ generator is given as block edges: in the eigenbasis of H it has
 -diag(evals) on every diagonal block and an insertion on each edge's
 (row, col) block above the diagonal, and block (0, k) of its exponential
 sums the chains along the edge paths from block 0 to block k.
-`chain_integral` passes the bidiagonal edges x_1, ..., x_n and contracts
-block (0, n) with G x_0, at the cost of one ((n+1)d)-square exponential.
-`alternating_chain_integral` passes two copies of the bidiagonal edges
-joined by edges carrying q, and reads the alternating sum over the
-position of q, the transgression value, off one (2(m+1)d)-square
-exponential.  Every exponential is priced against the chain budget where
-it is built.
+`chain_integral_batch` passes the bidiagonal edges x_1, ..., x_n and
+contracts block (0, n) with G x_0, at the cost of one ((n+1)d)-square
+exponential per tuple.  `alternating_chain_integral_batch` passes two
+copies of the bidiagonal edges joined by edges carrying q, and reads the
+alternating sum over the position of q, the transgression value, off one
+(2(m+1)d)-square exponential per tuple.
+
+Both take K tuples of one degree as stacks, one (K, d, d) array per slot:
+the builder writes K generators and hands them to one scipy.linalg.expm
+call, and the eigenbasis transforms run as stacked matmuls.  Each tuple
+gets the bits it would get alone.  `chain_integral` and
+`alternating_chain_integral` are the same functions on a batch of one.
+Every exponential is priced against the chain budget where it is built,
+at its own size; the batch size does not enter.
 
 Two independent routes cross-check it.  `exp_divided_difference` is the
 scalar kernel for diagonal insertions,
@@ -167,24 +174,29 @@ def _resolved_budget(budget):
 
 
 def _heat_chain_blocks(spectrum, edges, what, budget=None):
-    """Top block row of the exponential of a block heat-chain generator.
+    """Top block rows of a stack of block heat-chain exponentials.
 
-    edges are (row, col, y) with row < col, each on its own block, and y
-    an insertion in the eigenbasis of H; the generator has y in block
-    (row, col) and -diag(evals) in each of its 1 + max(col) diagonal
-    blocks.  Block (0, k) of its exponential is the sum over the
-    edge paths from block 0 to block k of the ordered-simplex chains
-    int e^{-s_1 H} y_1 e^{-(s_2-s_1) H} ... y_j e^{-(1-s_j) H} d^j s
+    edges are (row, col, y) with row < col, each on its own block, and y a
+    (K, d, d) stack of insertions in the eigenbasis of H (all K alike).
+    Generator k has y[k] in block (row, col) and -diag(evals) in each of
+    its 1 + max(col) diagonal blocks.  Block (0, j) of its exponential is
+    the sum over the edge paths from block 0 to block j of the
+    ordered-simplex chains
+    int e^{-s_1 H} y_1 e^{-(s_2-s_1) H} ... y_i e^{-(1-s_i) H} d^i s
     along them (Van Loan, IEEE TAC 23, 1978); the bidiagonal edges
-    (k-1, k, y_k) give the plain chain of y_1..y_k in block (0, k).
-    Returns the blocks stacked with shape (blocks, d, d).
+    (j-1, j, y_j) give the plain chain of y_1..y_j in block (0, j).  All K
+    generators go to one scipy.linalg.expm call, which exponentiates the
+    slices one by one, each as it would alone.  Returns the blocks with
+    shape (K, blocks, d, d).
 
-    The exponential is priced at (blocks d)^3 against budget (None:
+    Pricing is per exponential: each is (blocks d)^3, and the stack size K
+    does not enter.  The cost is checked against budget (None:
     SKMS_CHAIN_BUDGET or the default); what names the chain, with its d
     and degree, in the ChainBudgetExceeded message.
     """
     d = spectrum.dim
-    nblocks = 1 + max((col for _, col, _ in edges), default=0)
+    k = edges[0][2].shape[0]
+    nblocks = 1 + max(col for _, col, _ in edges)
     size = nblocks * d
     budget = _resolved_budget(budget)
     cost = float(size) ** 3
@@ -192,12 +204,14 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None):
         raise ChainBudgetExceeded(
             "%s needs a %dx%d block exponential of cost %d^3 = %.3g, over "
             "budget %g" % (what, size, size, size, cost, budget))
-    big = np.zeros((size, size), dtype=complex)
-    np.fill_diagonal(big, -np.tile(spectrum.evals, nblocks))
+    big = np.zeros((k, size, size), dtype=complex)
+    # the strided view of every diagonal, split into its blocks
+    diag = big.reshape(k, size * size)[:, ::size + 1].reshape(k, nblocks, d)
+    diag[:] = -spectrum.evals
     for row, col, y in edges:
-        big[row * d:(row + 1) * d, col * d:(col + 1) * d] = y
-    top = scipy.linalg.expm(big)[:d]
-    return top.reshape(d, nblocks, d).swapaxes(0, 1)
+        big[:, row * d:(row + 1) * d, col * d:(col + 1) * d] = y
+    top = scipy.linalg.expm(big)[:, :d]
+    return top.reshape(k, d, nblocks, d).swapaxes(1, 2)
 
 
 def _grading_matrix(grading):
@@ -208,20 +222,55 @@ def _grading_matrix(grading):
     return as_matrix(grading)
 
 
-def _eigen_insertions(spectrum, xs, grading):
-    # Gamma x_0, x_1, .., x_n in the eigenbasis of H, dimensions checked
-    mats = [as_matrix(x) for x in xs]
-    if not mats:
+def _eigen_insertions(spectrum, stacks, grading):
+    # Gamma x_0, x_1, .., x_n in the eigenbasis of H: an (n+1, K, d, d)
+    # array from n + 1 (K, d, d) stacks, transformed in one stacked pass
+    if not len(stacks):
         raise ValueError("need at least one insertion x_0")
-    d = spectrum.dim
-    for m_ in mats:
-        if m_.shape[0] != d:
-            raise DimensionMismatch(
-                "insertion dimension %d does not match spectrum dimension %d"
-                % (m_.shape[0], d))
+    shape = np.shape(stacks[0])
+    if len(shape) != 3 or any(np.shape(s) != shape for s in stacks):
+        raise DimensionMismatch(
+            "insertions must be (K, d, d) stacks of one shape, got %s"
+            % ([np.shape(s) for s in stacks],))
+    if shape[1:] != (spectrum.dim, spectrum.dim):
+        raise DimensionMismatch(
+            "insertion dimension %d does not match spectrum dimension %d"
+            % (shape[2], spectrum.dim))
+    mats = np.array(stacks, dtype=complex)
     g = _grading_matrix(grading)
-    head = mats[0] if g is None else g @ mats[0]
-    return [spectrum.to_eigenbasis(m_) for m_ in [head] + mats[1:]]
+    if g is not None:
+        mats[0] = g @ mats[0]
+    return spectrum.to_eigenbasis(mats)
+
+
+def _stacks_of_one(xs):
+    return [as_matrix(x)[None] for x in xs]
+
+
+def _contract(y0, chain):
+    # Tr(y0 chain) per slice of the two (K, d, d) stacks
+    return (y0 * chain.swapaxes(1, 2)).reshape(len(y0), -1).sum(axis=1)
+
+
+def chain_integral_batch(spectrum, stacks, grading, budget=None):
+    """Ordered-simplex heat chain integrals of K tuples at one degree.
+
+    stacks are x_0, ..., x_n (n >= 0), each a (K, d, d) array holding that
+    slot of the K tuples.  Returns the (K,) complex array of the values
+    that chain_integral gives tuple by tuple, bit for bit: the K
+    ((n+1)d)-square exponentials are one call of the block builder, priced
+    per exponential against budget as in chain_integral.
+    """
+    y0, *ys = _eigen_insertions(spectrum, stacks, grading)
+    budget = _resolved_budget(budget)
+    n = len(ys)
+    if n == 0:
+        heads = np.diagonal(y0, axis1=1, axis2=2)
+        return np.sum(heads * np.exp(-spectrum.evals), axis=1)
+    edges = [(k, k + 1, y) for k, y in enumerate(ys)]
+    what = "chain with d=%d, n=%d" % (spectrum.dim, n)
+    chain = _heat_chain_blocks(spectrum, edges, what, budget)[:, n]
+    return _contract(y0, chain)
 
 
 def chain_integral(spectrum, xs, grading, budget=None):
@@ -244,46 +293,52 @@ def chain_integral(spectrum, xs, grading, budget=None):
     -------
     complex
         int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}) d^n s.
-        For n = 0 this is Tr(Gamma x_0 e^{-H}).
+        For n = 0 this is Tr(Gamma x_0 e^{-H}).  It is chain_integral_batch
+        on a batch of one.
     """
-    y0, *ys = _eigen_insertions(spectrum, xs, grading)
-    budget = _resolved_budget(budget)
-    n = len(ys)
-    if n == 0:
-        return complex(np.sum(np.diag(y0) * np.exp(-spectrum.evals)))
-    edges = [(k, k + 1, y) for k, y in enumerate(ys)]
-    what = "chain with d=%d, n=%d" % (spectrum.dim, n)
-    chain = _heat_chain_blocks(spectrum, edges, what, budget)[n]
-    return complex(np.sum(y0 * chain.T))
+    return complex(chain_integral_batch(spectrum, _stacks_of_one(xs), grading,
+                                        budget)[0])
 
 
-def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
-    """Alternating sum of the chains with q inserted after each slot.
+def alternating_chain_integral_batch(spectrum, stacks, q, grading, budget=None):
+    """Alternating sums of the chains with q inserted after each slot.
 
-    For xs = x_0, y_1, ..., y_m (m >= 0) returns
+    For stacks x_0, y_1, ..., y_m (m >= 0), each a (K, d, d) array holding
+    that slot of K tuples, returns the (K,) complex array of
 
         sum_{k=0..m} (-1)^k int_{Delta_{m+1}} Tr(Gamma x_0 e^{-s_1 H} y_1 ...
             y_k e^{..} q e^{..} y_{k+1} ... y_m e^{-(1-s_{m+1}) H}) d^{m+1} s
 
-    from one exponential of 2(m+1) blocks.  The y_k run on two levels:
+    each from one exponential of 2(m+1) blocks.  The y_k run on two levels:
     -y_k on block (k-1, k) before q, +y_k on block (m+k, m+1+k) after it,
     and q on block (k, m+1+k) steps from the first level to the second
     after y_k.  Every path from block 0 to block 2m+1 takes exactly one q
     edge, so block (0, 2m+1) is the whole sum, each term signed by the k
     first-level edges it took: the derivative of the chain exponential in
     the direction of q (Van Loan, IEEE TAC 23, 1978; Najfeld & Havel, Adv.
-    Appl. Math. 16, 1995).  The exponential is priced at (2(m+1)d)^3
-    against budget as in chain_integral.
+    Appl. Math. 16, 1995).  The K exponentials are one call of the block
+    builder, each priced at (2(m+1)d)^3 against budget as in
+    chain_integral.
     """
-    y0, *ys = _eigen_insertions(spectrum, xs, grading)
-    qe, = _eigen_insertions(spectrum, [q], None)
+    y0, *ys = _eigen_insertions(spectrum, stacks, grading)
+    qe = np.broadcast_to(spectrum.to_eigenbasis(as_matrix(q)), y0.shape)
     m = len(ys)
     edges = [(k, m + 1 + k, qe) for k in range(m + 1)]
     for k, y in enumerate(ys, start=1):
         edges += [(k - 1, k, -y), (m + k, m + 1 + k, y)]
     what = "alternating chain with d=%d, m=%d" % (spectrum.dim, m)
-    chain = _heat_chain_blocks(spectrum, edges, what, budget)[2 * m + 1]
-    return complex(np.sum(y0 * chain.T))
+    chain = _heat_chain_blocks(spectrum, edges, what, budget)[:, 2 * m + 1]
+    return _contract(y0, chain)
+
+
+def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
+    """alternating_chain_integral_batch on the one tuple xs = x_0, y_1..y_m.
+
+    Returns the alternating sum as a complex, from one (2(m+1)d)-square
+    exponential priced against budget as in chain_integral.
+    """
+    return complex(alternating_chain_integral_batch(
+        spectrum, _stacks_of_one(xs), q, grading, budget)[0])
 
 
 def heat_chain_integrand(spectrum, xs, grading):
@@ -299,7 +354,7 @@ def heat_chain_integrand(spectrum, xs, grading):
     by scaling the columns by e^{-gap_k lambda}; the last insertion and
     the trace fold into one contraction with y_n^T.
     """
-    ys = _eigen_insertions(spectrum, xs, grading)
+    ys = list(_eigen_insertions(spectrum, _stacks_of_one(xs), grading)[:, 0])
     n = len(ys) - 1
     d = spectrum.dim
     lam = spectrum.evals

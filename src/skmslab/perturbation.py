@@ -22,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cochain import Cochain, _require_even, boundary, is_scalar_slot, tau_eval
-from .dynamics import (GradedSystem, _super_gibbs, heisenberg_flow, skms_eval,
-                       superderivation)
+from .dynamics import (GradedSystem, _super_gibbs, _superderivation_stack,
+                       heisenberg_flow, skms_eval, superderivation)
 from .errors import ParityViolation, TruncationUnreachable
 from .graded import AlgebraElement, Parity, as_matrix
-from .kernels import (Spectrum, _heat_chain_blocks, alternating_chain_integral,
-                      chain_integral, indefinite_integration_matrix)
+from .kernels import (Spectrum, _heat_chain_blocks, _stacks_of_one,
+                      alternating_chain_integral_batch, chain_integral,
+                      indefinite_integration_matrix)
 from .report import DOCUMENTED, make_report
 
 SERIES_CAP = 40
@@ -218,10 +219,10 @@ def _gamma_imag_term_blocks(ctx, order):
     # k insertions of a_r against heat factors (block k of the heat-chain
     # row with a_r in every slot), times (-1)^k and e^{H}
     spec = ctx.system.spectrum
-    a_eig = spec.to_eigenbasis(ctx.a_r)
+    a_eig = spec.to_eigenbasis(ctx.a_r)[None]
     edges = [(k, k + 1, a_eig) for k in range(order)]
     what = "Dyson series of gamma^r_i(1) with d=%d, order=%d" % (spec.dim, order)
-    blocks = _heat_chain_blocks(spec, edges, what)
+    blocks = _heat_chain_blocks(spec, edges, what)[0]
     grow = np.exp(spec.evals)[None, :]
     return [((-1.0) ** k) * blk * grow for k, blk in enumerate(blocks)]
 
@@ -323,8 +324,9 @@ def transgression_G(ctx, m, xs, budget=None):
     slots i >= 1 return exactly 0 (delta_r kills them in every summand).
     The m + 1 chains are not formed one by one: the alternating sum over
     the position of Q is read off one (2(m+1)d)-square block exponential
-    (kernels.alternating_chain_integral), divided by Z.  budget prices
-    that exponential and ChainBudgetExceeded names its size.
+    (kernels.alternating_chain_integral_batch on a batch of one), divided
+    by Z.  budget prices that exponential and ChainBudgetExceeded names
+    its size.
     """
     if len(xs) != m + 1:
         raise ValueError("degree %d expects %d arguments" % (m, m + 1))
@@ -333,16 +335,17 @@ def transgression_G(ctx, m, xs, budget=None):
     _require_even(ctx.grading, xs)
     if any(is_scalar_slot(x) for x in xs[1:]):
         return 0.0 + 0.0j
-    return _transgression_sum(ctx, xs, budget)
+    return _transgression_sum(ctx, _stacks_of_one(xs), budget)[0]
 
 
-def _transgression_sum(ctx, xs, budget):
-    # G^r_m at odd m whose slots i >= 1 are known not to be scalar
-    derived = [as_matrix(superderivation(ctx, x)) for x in xs[1:]]
-    val = alternating_chain_integral(ctx.spectrum, [as_matrix(xs[0])] + derived,
-                                     ctx.perturbation.matrix, ctx.grading,
-                                     budget=budget)
-    return complex(val / ctx.witten_index)
+def _transgression_sum(ctx, stacks, budget):
+    # G^r_m at odd m of the K tuples in the (K, d, d) stacks, whose slots
+    # i >= 1 are known not to be scalar; one block exponential call
+    derived = _superderivation_stack(ctx, np.array(stacks[1:], dtype=complex))
+    vals = alternating_chain_integral_batch(ctx.spectrum, [stacks[0], *derived],
+                                            ctx.perturbation.matrix, ctx.grading,
+                                            budget=budget)
+    return [complex(v) / ctx.witten_index for v in vals]
 
 
 def transgression_cochain(ctx, max_degree=None, budget=None):
@@ -350,10 +353,10 @@ def transgression_cochain(ctx, max_degree=None, budget=None):
 
     Its arguments must be even under ctx.grading.  Cochain.__call__ checks
     that, and returns 0 at even degrees and at scalar slots, so the
-    evaluator is the bare alternating sum.
+    evaluator is the bare alternating sum of a stack of tuples.
     """
-    def evaluator(n, xs):
-        return _transgression_sum(ctx, xs, budget)
+    def evaluator(n, stacks):
+        return _transgression_sum(ctx, stacks, budget)
     return Cochain(evaluator, Parity.ODD, max_degree=max_degree, name="G_r",
                    grading=ctx.grading)
 

@@ -15,7 +15,8 @@ from ..cochain import tau_eval
 from ..dynamics import superderivation
 from ..errors import ChainBudgetExceeded
 from ..graded import as_matrix
-from ..kernels import SimplexQuadratureRule, heat_chain_integrand, simplex_quadrature
+from ..kernels import (GAUSS_MIN_ORDER, SimplexQuadratureRule,
+                       heat_chain_integrand, simplex_quadrature)
 from ..perturbation import (PerturbedContext, endpoint_transgression_check,
                             homotopy_check, lipschitz_check,
                             skms_check_perturbed, witten_invariance_check)
@@ -25,13 +26,23 @@ from .reports import emit_report
 from .suites import SUITES, SuiteConfig, parse_quadrature, run_suite
 
 
+def _quadrature(text):
+    # checked while the arguments are parsed, so a bad value is a usage error
+    try:
+        parse_quadrature(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
 def _add_common(parser):
     parser.add_argument("--tol", type=float, default=None,
                         help="override the exact-identity tolerance")
     parser.add_argument("--max-degree", type=int, default=5)
     parser.add_argument("--series-order", type=int, default=None)
-    parser.add_argument("--quadrature", default=None,
-                        help="gauss:<order> or mc:<samples>")
+    parser.add_argument("--quadrature", type=_quadrature, default=None,
+                        help="gauss:<order> (order >= %d) or mc:<samples>"
+                        % GAUSS_MIN_ORDER)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write report/output here")
     parser.add_argument("--format", choices=("json", "csv"), default="json")

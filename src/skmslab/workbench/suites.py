@@ -55,10 +55,12 @@ class SuiteConfig:
 
 
 def parse_quadrature(text):
+    """(kind, count) of 'gauss:<order>' or 'mc:<samples>'; ValueError else."""
     kind, _, num = text.partition(":")
     kind = kind.strip().lower()
-    if kind not in ("gauss", "mc") or not num:
-        raise ValueError("quadrature must be gauss:<order> or mc:<samples>")
+    if kind not in ("gauss", "mc") or not num.strip().isdigit() or int(num) < 1:
+        raise ValueError("quadrature must be gauss:<order> or mc:<samples> "
+                         "with a positive count, got %r" % text)
     if kind == "gauss" and int(num) < GAUSS_MIN_ORDER:
         raise ValueError("Gauss order must be at least %d, got %s"
                          % (GAUSS_MIN_ORDER, num))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import skmslab.cochain as cochain_module
 from skmslab.cochain import (
@@ -62,6 +63,19 @@ def count_classify(monkeypatch):
     return calls
 
 
+def count_expm(monkeypatch):
+    # the shape of every scipy.linalg.expm argument, in call order
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
 def test_is_scalar_slot():
     assert is_scalar_slot(np.eye(3))
     assert is_scalar_slot(2.5j * np.eye(4))
@@ -74,9 +88,11 @@ def test_is_scalar_slot():
 def test_cochain_gating():
     calls = []
 
-    def evaluator(n, xs):
+    def evaluator(n, stacks):
+        # one tuple arrives as a batch of one: a (1, d, d) stack per slot
+        assert [s.shape for s in stacks] == [(1, 2, 2)] * (n + 1)
         calls.append(n)
-        return 1.0
+        return [1.0] * len(stacks[0])
 
     c = Cochain(evaluator, Parity.EVEN, max_degree=4)
     x = np.diag([1.0, 2.0])
@@ -257,6 +273,33 @@ def test_boundary_classifies_each_argument_once(monkeypatch):
         assert len(calls) == n + 1
 
 
+def test_boundary_of_tau_makes_one_exponential_call_per_degree(monkeypatch):
+    # n = 1: two B terms at degree 2, b terms at degree 0 need none;
+    # n = 3: four B terms at degree 4 and four b terms at degree 2
+    sys_ = block_system(3, 2, seed=27)
+    dtau = boundary(jlo_cochain(sys_))
+    rng = np.random.default_rng(28)
+    calls = count_expm(monkeypatch)
+    for n, want in ((1, [(2, 15, 15)]), (3, [(4, 25, 25), (4, 15, 15)])):
+        xs = even_tuple(sys_, rng, n + 1)
+        del calls[:]
+        dtau(n, xs)
+        assert calls == want, n
+
+
+def test_boundary_prices_each_exponential_not_the_batch():
+    # the four B terms at n = 3 are four 25x25 exponentials in one call:
+    # the budget sees 25^3, not 4 * 25^3
+    sys_ = block_system(3, 2, seed=29)
+    xs = even_tuple(sys_, np.random.default_rng(30), 4)
+    tight = boundary(jlo_cochain(sys_, budget=25.0 ** 3 - 1.0))
+    with pytest.raises(ChainBudgetExceeded,
+                       match=r"d=5, n=4 needs a 25x25 block exponential of cost 25\^3"):
+        tight(3, xs)
+    enough = boundary(jlo_cochain(sys_, budget=25.0 ** 3))
+    assert abs(enough(3, xs)) < 1e-10
+
+
 def test_norm_estimate_indicator():
     est = NormEstimate(degree=4, sampled_norm=0.0, samples=8, seed=0)
     assert est.growth_indicator == 0.0
@@ -289,11 +332,26 @@ def test_entireness_diagnostic_rejects_odd_generator_first(monkeypatch):
     gens = [as_matrix(sys_.random_element(rng, parity="even")),
             as_matrix(sys_.random_element(rng, parity="odd"))]
     chains = []
-    monkeypatch.setattr(cochain_module, "chain_integral",
-                        lambda *args, **kwargs: chains.append(args))
+    batch = cochain_module.chain_integral_batch
+
+    def spied(*args, **kwargs):
+        chains.append(args)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(cochain_module, "chain_integral_batch", spied)
     with pytest.raises(ParityViolation, match="slot 1 is not even"):
         entireness_diagnostic(sys_, generators=gens, degrees=(2,), samples=2)
     assert chains == []
+    # the spy watches the name the diagnostic calls: an even generator reaches it
+    entireness_diagnostic(sys_, generators=gens[:1], degrees=(2,), samples=2)
+    assert len(chains) == 1
+
+
+def test_entireness_diagnostic_one_exponential_call_per_degree(monkeypatch):
+    sys_ = block_system(3, 2, seed=17, scale=0.8)
+    calls = count_expm(monkeypatch)
+    entireness_diagnostic(sys_, degrees=(2, 4, 6), samples=5, seed=3)
+    assert calls == [(5, 15, 15), (5, 25, 25), (5, 35, 35)]
 
 
 def test_lemma34_rows_pass():

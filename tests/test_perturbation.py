@@ -9,7 +9,9 @@ import scipy.linalg
 from skmslab.dynamics import GradedSystem, heisenberg_flow, skms_eval, superderivation
 from skmslab.errors import ChainBudgetExceeded, ParityViolation, TruncationUnreachable
 from skmslab.graded import GradingOperator, as_matrix, graded_commutator
-from skmslab.kernels import chain_integral, gauss_legendre_01
+from skmslab.kernels import (alternating_chain_integral,
+                             alternating_chain_integral_batch, chain_integral,
+                             chain_integral_batch, gauss_legendre_01)
 from skmslab.perturbation import (
     OddPerturbation,
     PerturbedContext,
@@ -373,6 +375,48 @@ def test_boundary_of_transgression_classifies_each_argument_once(monkeypatch):
         del calls[:]
         dG(n, xs)
         assert len(calls) == n + 1
+
+
+def test_boundary_of_transgression_makes_one_exponential_call_per_degree(monkeypatch):
+    # n = 2: three B terms at degree 3, each 2(3+1)d = 40 wide, and three
+    # b terms at degree 1, each 20 wide
+    ctx = make_ctx(r=0.6)
+    dG = boundary(transgression_cochain(ctx))
+    xs = even_tuple(ctx.system, np.random.default_rng(34), 3)
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    dG(2, xs)
+    assert calls == [(3, 40, 40), (3, 20, 20)]
+
+
+@pytest.mark.parametrize("p, q", [(3, 2), (6, 4)])
+@pytest.mark.parametrize("r", [0.0, 0.6])
+def test_chain_batches_equal_single_calls_bit_for_bit(p, q, r):
+    # r = 0 has the degenerate spectrum of the block model (a kernel and
+    # paired levels); r = 0.6 is a generic point of the context
+    ctx = make_ctx(r=r, p=p, q=q)
+    d = ctx.dim
+    qm = ctx.perturbation.matrix
+    rng = np.random.default_rng(35)
+    for k in (1, 7):
+        for n in (0, 1, 2, 3):
+            tuples = [[rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                       for _ in range(n + 1)] for _ in range(k)]
+            stacks = [np.stack(slot) for slot in zip(*tuples)]
+            chains = chain_integral_batch(ctx.spectrum, stacks, ctx.grading)
+            alts = alternating_chain_integral_batch(ctx.spectrum, stacks, qm,
+                                                    ctx.grading)
+            assert chains.shape == alts.shape == (k,)
+            for xs, c, a in zip(tuples, chains, alts):
+                assert c == chain_integral(ctx.spectrum, xs, ctx.grading), (k, n)
+                assert a == alternating_chain_integral(ctx.spectrum, xs, qm,
+                                                       ctx.grading), (k, n)
 
 
 def test_F_r_matches_chain_integral():

@@ -220,6 +220,9 @@ def test_parse_quadrature():
         parse_quadrature("gauss")
     with pytest.raises(ValueError, match="at least 2"):
         parse_quadrature("gauss:1")
+    for bad in ("gauss:x", "mc:0", "mc:-5"):
+        with pytest.raises(ValueError, match="positive count"):
+            parse_quadrature(bad)
 
 
 def test_axioms_suite_passes():
@@ -393,6 +396,21 @@ def test_cli_tau_eval_dual_route(tmp_path, capsys):
         val = complex(*entry["value"])
         est = complex(*entry["estimate"])
         assert abs(val - est) <= 5 * entry["quadrature_error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "eval", "--quadrature", "gauss:1"],
+    ["tau", "eval", "--quadrature", "simpson:4"],
+    ["tau", "eval", "--quadrature", "gauss:x"],
+    ["verify", "Lemma34", "--quadrature", "gauss:1"],
+])
+def test_cli_bad_quadrature_is_a_usage_error(tmp_path, capsys, argv):
+    model = write_spec(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--model", model])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --quadrature" in err and "Traceback" not in err
 
 
 def test_cli_tau_eval_odd_degree(tmp_path, capsys):
