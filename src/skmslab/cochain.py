@@ -26,11 +26,12 @@ slots >= 1 that the caller has not tested (x_0 rotated there by B, a
 merged product x_j x_{j+1} from b) are tested for scalars.
 
 Evaluators are stacked: they take a degree and one (K, d, d) array per
-slot, holding that slot of K tuples, and return the K values.  boundary
-evaluates the B terms of all its tuples as one such batch and the b terms
-as another, so each degree costs one call of the block-exponential
-builder (kernels.chain_integral_batch), and entireness_diagnostic
-evaluates the samples of each degree the same way.  A batch gives every
+slot, holding that slot of K tuples, and return the K values.  connes_B
+and hochschild_b take such stacks too, with an evaluator for rho, and
+send the terms of all the tuples to it as one stack; boundary's evaluator
+is their sum, so each degree costs one call of the block-exponential
+builder (kernels.chain_integral on a stack), and entireness_diagnostic
+evaluates the samples of each degree the same way.  A stack gives every
 tuple the bits it would get alone.
 """
 
@@ -42,7 +43,7 @@ import numpy as np
 from .dynamics import _superderivation_stack, skms_eval
 from .errors import ParityViolation
 from .graded import Parity, as_matrix
-from .kernels import _stacks_of_one, chain_integral, chain_integral_batch
+from .kernels import _is_stacked, _stack_slices, _stacks_of_one, chain_integral
 from .report import make_report
 
 SCALAR_SLOT_TOL = 1e-12
@@ -71,9 +72,9 @@ class Cochain:
     grading, every argument must be even, at any degree: ParityViolation
     names the first slot that is not.  It then returns 0 without evaluation
     when n has the wrong parity or when any slot i >= 1 is scalar, and
-    otherwise evaluates the tuple as a batch of one.  So the evaluator only
+    otherwise evaluates the tuple as a stack of one.  So the evaluator only
     sees supported degrees and slots i >= 1 that are not scalar, and needs
-    no checks of its own.
+    no checks of its own; connes_B and hochschild_b take it in that form.
     """
 
     def __init__(self, evaluator, parity, max_degree=None, name="", grading=None):
@@ -112,10 +113,15 @@ class Cochain:
 
 
 def _mul(x, y):
+    # product of two slots: matrices, or (K, d, d) stacks slice by slice
+    if np.ndim(x) == 3:
+        return x @ y
     return as_matrix(x) @ as_matrix(y)
 
 
 def _unit_like(x):
+    if np.ndim(x) == 3:
+        return np.broadcast_to(np.eye(x.shape[1], dtype=complex), x.shape)
     return np.eye(as_matrix(x).shape[0], dtype=complex)
 
 
@@ -144,55 +150,61 @@ def _signed_sum(terms, values):
     return acc
 
 
+def _stacked_sums(evaluator, m, terms, live):
+    # the signed sum of the terms for each of the K tuples; live[t] marks
+    # the tuples whose term t does not vanish, and those terms of every
+    # tuple go to the evaluator as one stack at degree m
+    count = len(live[0])
+    picks = [(t, k) for t, row in enumerate(live) for k in range(count) if row[k]]
+    values = {}
+    if picks:
+        batch = [np.stack([terms[t][1][i][k] for t, k in picks]) for i in range(m + 1)]
+        values = dict(zip(picks, evaluator(m, batch)))
+    return np.array([_signed_sum(terms, [complex(values.get((t, k), 0.0 + 0.0j))
+                                         for t in range(len(terms))])
+                     for k in range(count)])
+
+
 def hochschild_b(rho, n, xs):
-    """(b rho)_n(x_0..x_n); needs rho at degree n-1, so n >= 1."""
+    """(b rho)_n(x_0..x_n); needs rho at degree n-1, so n >= 1.
+
+    On one tuple xs, rho(n - 1, args) is called on each term.  On n + 1
+    (K, d, d) stacks holding K tuples, rho is a stacked Cochain evaluator
+    and the K values are returned, as in boundary: the slots x_1..x_n must
+    not be scalar, a term whose merged product x_j x_{j+1} lands scalar in
+    slot j >= 1 is 0 without evaluation, and the other terms of all tuples
+    go to rho as one stack.
+    """
     if n < 1:
         raise ValueError("hochschild_b needs degree >= 1")
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
     terms = _b_terms(n, xs)
-    return _signed_sum(terms, [rho(n - 1, args) for _, args in terms])
+    if not _is_stacked(xs):
+        return _signed_sum(terms, [rho(n - 1, args) for _, args in terms])
+    every = [True] * len(xs[0])
+    live = [every] + [[not is_scalar_slot(y) for y in args[j]]
+                      for j, (_, args) in enumerate(terms[1:n], start=1)]
+    return _stacked_sums(rho, n - 1, terms, live + [every])
 
 
 def connes_B(rho, n, xs):
-    """(B rho)_n(x_0..x_n) = sum_j (-1)^{nj} rho_{n+1}(1, x_j, .., x_{j-1})."""
+    """(B rho)_n(x_0..x_n) = sum_j (-1)^{nj} rho_{n+1}(1, x_j, .., x_{j-1}).
+
+    On one tuple xs, rho(n + 1, args) is called on each term.  On n + 1
+    (K, d, d) stacks holding K tuples, rho is a stacked Cochain evaluator
+    and the K values are returned, as in boundary: the slots x_1..x_n must
+    not be scalar, every term of a tuple whose x_0 is scalar is 0 without
+    evaluation (each term puts x_0 in a slot >= 1), and the terms of the
+    other tuples go to rho as one stack.
+    """
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
     terms = _B_terms(n, xs)
-    return _signed_sum(terms, [rho(n + 1, args) for _, args in terms])
-
-
-def _scalar_filter(xs):
-    # True for a term of (B + b) at xs that vanishes: __call__ has tested
-    # x_1..x_n, so only x_0 and the merged products are new to slots >= 1
-    x0_scalar = is_scalar_slot(xs[0])
-    tested = {id(x) for x in xs[1:]}
-
-    def vanishes(args):
-        for y in args[1:]:
-            if y is xs[0]:
-                scalar = x0_scalar
-            else:
-                scalar = id(y) not in tested and is_scalar_slot(y)
-            if scalar:
-                return True
-        return False
-    return vanishes
-
-
-def _term_sums(rho, make_terms, n, tuples, filters):
-    # the signed sum of make_terms(n, xs) for each tuple xs; the terms of
-    # all tuples that do not vanish go to rho's evaluator as one stack
-    terms = [make_terms(n, xs) for xs in tuples]
-    live = [(k, j) for k, vanishes in enumerate(filters)
-            for j, (_, args) in enumerate(terms[k]) if not vanishes(args)]
-    values = [[0.0 + 0.0j] * len(t) for t in terms]
-    if live:
-        batch = [terms[k][j][1] for k, j in live]
-        got = rho.evaluator(len(batch[0]) - 1, [np.stack(s) for s in zip(*batch)])
-        for (k, j), val in zip(live, got):
-            values[k][j] = complex(val)
-    return [_signed_sum(t, v) for t, v in zip(terms, values)]
+    if not _is_stacked(xs):
+        return _signed_sum(terms, [rho(n + 1, args) for _, args in terms])
+    live = [not is_scalar_slot(x) for x in xs[0]]
+    return _stacked_sums(rho, n + 1, terms, [live] * len(terms))
 
 
 def boundary(rho):
@@ -201,26 +213,23 @@ def boundary(rho):
     At degree 0 only the B part contributes (b lowers below degree 0).
     The max_degree of the result shrinks by one since B looks upward.  The
     result carries rho's grading, so its __call__ checks the parity of
-    x_0..x_n once and tests x_1..x_n for scalars.  Its evaluator builds
-    the n + 1 B terms and the n + 1 b terms of each tuple with the term
-    lists of connes_B and hochschild_b, and drops the terms that vanish:
-    it tests for a scalar only x_0, once, which B rotates into a slot >= 1,
-    and each merged product x_j x_{j+1} that lands in a slot >= 1.  The
-    surviving B terms of all tuples go to rho's evaluator as one stack at
-    degree n + 1, the b terms as one at degree n - 1.  The values are the
-    ones that connes_B and hochschild_b give with rho itself, bit for bit.
+    x_0..x_n once and tests x_1..x_n for scalars.  Its evaluator hands the
+    stacks to connes_B and hochschild_b with rho's evaluator, so rho's
+    checks are not repeated: a product of even elements is even, and of
+    the slots >= 1 only x_0 (rotated there by B), tested once, and each
+    merged product x_j x_{j+1} are new.  The surviving B terms of all
+    tuples go to rho's evaluator as one stack at degree n + 1, the b terms
+    as one at degree n - 1.  The values are the ones that connes_B and
+    hochschild_b give with rho itself on each tuple, bit for bit.
     """
     flipped = Parity.ODD if rho.parity is Parity.EVEN else Parity.EVEN
     cap = None if rho.max_degree is None else rho.max_degree - 1
 
     def evaluator(n, stacks):
-        tuples = [list(t) for t in zip(*stacks)]
-        filters = [_scalar_filter(xs) for xs in tuples]
-        sums = _term_sums(rho, _B_terms, n, tuples, filters)
+        vals = connes_B(rho.evaluator, n, stacks)
         if n >= 1:
-            b_sums = _term_sums(rho, _b_terms, n, tuples, filters)
-            sums = [acc + b for acc, b in zip(sums, b_sums)]
-        return sums
+            vals = vals + hochschild_b(rho.evaluator, n, stacks)
+        return vals
 
     return Cochain(evaluator, flipped, max_degree=cap,
                    name="boundary(%s)" % (rho.name or "rho"), grading=rho.grading)
@@ -251,8 +260,8 @@ def _tau_chain(sys, n, stacks, budget):
     if n == 0:
         return [skms_eval(sys, x) for x in stacks[0]]
     derived = _superderivation_stack(sys, np.array(stacks[1:], dtype=complex))
-    vals = chain_integral_batch(sys.spectrum, [stacks[0], *derived], sys.grading,
-                                budget=budget)
+    vals = chain_integral(sys.spectrum, [stacks[0], *derived], sys.grading,
+                          budget=budget)
     return [complex(v) / sys.witten_index for v in vals]
 
 
@@ -307,8 +316,10 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     evaluated: their combinations are even and graph normalization keeps
     them even, so each tuple is only tested for scalar slots i >= 1.  The
     samples of a degree are combined, normalized and evaluated as stacks,
-    with one block exponential call per degree; each gets the bits it
-    would get alone.
+    in consecutive groups whose block generators fit the builder's byte
+    cap, so memory does not grow with samples; each tuple gets the bits it
+    would get alone, and with the defaults a degree is one group and one
+    block exponential call.
     """
     if generators is None:
         gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
@@ -321,19 +332,20 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     for n in degrees:
         best = 0.0
         if n % 2 == 0:
-            draws = []
-            for i in range(samples):
-                rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
-                draws += [rng.standard_normal(len(generators))
-                          + 1j * rng.standard_normal(len(generators))
-                          for _ in range(n + 1)]
-            coeffs = np.array(draws).T[:, :, None, None]
-            mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
-            tuples = mats.reshape(samples, n + 1, sys.dim, sys.dim)
-            keep = [t for t in tuples if not any(is_scalar_slot(x) for x in t[1:])]
-            if keep:
-                values = _tau_chain(sys, n, np.stack(keep, axis=1), budget)
-                best = max([best] + [abs(v) for v in values])
+            for part in _stack_slices(samples, (n + 1) * sys.dim):
+                draws = []
+                for i in range(part.start, part.stop):
+                    rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
+                    draws += [rng.standard_normal(len(generators))
+                              + 1j * rng.standard_normal(len(generators))
+                              for _ in range(n + 1)]
+                coeffs = np.array(draws).T[:, :, None, None]
+                mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
+                tuples = mats.reshape(-1, n + 1, sys.dim, sys.dim)
+                keep = [t for t in tuples if not any(is_scalar_slot(x) for x in t[1:])]
+                if keep:
+                    values = _tau_chain(sys, n, np.stack(keep, axis=1), budget)
+                    best = max([best] + [abs(v) for v in values])
         out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples, seed=seed))
     return out
 

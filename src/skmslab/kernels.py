@@ -9,20 +9,21 @@ generator is given as block edges: in the eigenbasis of H it has
 -diag(evals) on every diagonal block and an insertion on each edge's
 (row, col) block above the diagonal, and block (0, k) of its exponential
 sums the chains along the edge paths from block 0 to block k.
-`chain_integral_batch` passes the bidiagonal edges x_1, ..., x_n and
+`chain_integral` passes the bidiagonal edges x_1, ..., x_n and
 contracts block (0, n) with G x_0, at the cost of one ((n+1)d)-square
-exponential per tuple.  `alternating_chain_integral_batch` passes two
-copies of the bidiagonal edges joined by edges carrying q, and reads the
-alternating sum over the position of q, the transgression value, off one
+exponential per tuple.  `alternating_chain_integral` passes two copies of
+the bidiagonal edges joined by edges carrying q, and reads the alternating
+sum over the position of q, the transgression value, off one
 (2(m+1)d)-square exponential per tuple.
 
-Both take K tuples of one degree as stacks, one (K, d, d) array per slot:
-the builder writes K generators and hands them to one scipy.linalg.expm
-call, and the eigenbasis transforms run as stacked matmuls.  Each tuple
-gets the bits it would get alone.  `chain_integral` and
-`alternating_chain_integral` are the same functions on a batch of one.
-Every exponential is priced against the chain budget where it is built,
-at its own size; the batch size does not enter.
+Both take one tuple of matrices, or K tuples of one degree as stacks, one
+(K, d, d) array per slot: the builder writes K generators and hands them
+to scipy.linalg.expm in as few calls as a fixed byte cap on the stacked
+generators allows (one call, in every suite and benchmark workload), and
+the eigenbasis transforms run as stacked matmuls.  Each tuple gets the
+bits it would get alone; one tuple is a stack of one.  Every exponential
+is priced against the chain budget where it is built, at its own size;
+the stack size does not enter.
 
 Two independent routes cross-check it.  `exp_divided_difference` is the
 scalar kernel for diagonal insertions,
@@ -54,6 +55,10 @@ _CLUSTER_SPREAD = 1e-6
 # bytes per (B, d, d) complex accumulator of heat_chain_integrand: about
 # 5k points at d = 5, so a block's working set stays in a 2 MiB L2 cache
 _INTEGRAND_BLOCK_BYTES = 2 ** 21
+# bytes of the stacked generators handed to one scipy.linalg.expm call,
+# which allocates its output at the same size: a (K, size, size) stack is
+# split into slices of at most this many, so memory does not grow with K
+_EXPM_STACK_BYTES = 2 ** 22
 
 
 def exp_divided_difference(nodes):
@@ -185,8 +190,10 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None):
     int e^{-s_1 H} y_1 e^{-(s_2-s_1) H} ... y_i e^{-(1-s_i) H} d^i s
     along them (Van Loan, IEEE TAC 23, 1978); the bidiagonal edges
     (j-1, j, y_j) give the plain chain of y_1..y_j in block (0, j).  All K
-    generators go to one scipy.linalg.expm call, which exponentiates the
-    slices one by one, each as it would alone.  Returns the blocks with
+    generators go to scipy.linalg.expm, which exponentiates the slices one
+    by one, each as it would alone; they are handed over in consecutive
+    slices of at most _EXPM_STACK_BYTES, so memory stays bounded in K and
+    every stack the suites build is one call.  Returns the blocks with
     shape (K, blocks, d, d).
 
     Pricing is per exponential: each is (blocks d)^3, and the stack size K
@@ -204,14 +211,25 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None):
         raise ChainBudgetExceeded(
             "%s needs a %dx%d block exponential of cost %d^3 = %.3g, over "
             "budget %g" % (what, size, size, size, cost, budget))
-    big = np.zeros((k, size, size), dtype=complex)
-    # the strided view of every diagonal, split into its blocks
-    diag = big.reshape(k, size * size)[:, ::size + 1].reshape(k, nblocks, d)
-    diag[:] = -spectrum.evals
-    for row, col, y in edges:
-        big[:, row * d:(row + 1) * d, col * d:(col + 1) * d] = y
-    top = scipy.linalg.expm(big)[:, :d]
+    top = np.empty((k, d, size), dtype=complex)
+    for part in _stack_slices(k, size):
+        count = part.stop - part.start
+        big = np.zeros((count, size, size), dtype=complex)
+        # the strided view of every diagonal, split into its blocks
+        diag = big.reshape(count, size * size)[:, ::size + 1].reshape(
+            count, nblocks, d)
+        diag[:] = -spectrum.evals
+        for row, col, y in edges:
+            big[:, row * d:(row + 1) * d, col * d:(col + 1) * d] = y[part]
+        top[part] = scipy.linalg.expm(big)[:, :d]
     return top.reshape(k, d, nblocks, d).swapaxes(1, 2)
+
+
+def _stack_slices(count, size):
+    # consecutive slices of range(count) whose (size, size) complex slices
+    # fit _EXPM_STACK_BYTES together; a slice holds at least one
+    per = max(1, _EXPM_STACK_BYTES // (16 * size * size))
+    return [slice(lo, min(count, lo + per)) for lo in range(0, count, per)]
 
 
 def _grading_matrix(grading):
@@ -247,79 +265,85 @@ def _stacks_of_one(xs):
     return [as_matrix(x)[None] for x in xs]
 
 
+def _is_stacked(xs):
+    # slots given as (K, d, d) stacks rather than as one tuple of matrices
+    return len(xs) > 0 and all(np.ndim(x) == 3 for x in xs)
+
+
+def _as_stacks(xs):
+    # (n + 1 (K, d, d) stacks, True when xs was one tuple of matrices)
+    if _is_stacked(xs):
+        return list(xs), False
+    return _stacks_of_one(xs), True
+
+
 def _contract(y0, chain):
     # Tr(y0 chain) per slice of the two (K, d, d) stacks
     return (y0 * chain.swapaxes(1, 2)).reshape(len(y0), -1).sum(axis=1)
 
 
-def chain_integral_batch(spectrum, stacks, grading, budget=None):
-    """Ordered-simplex heat chain integrals of K tuples at one degree.
-
-    stacks are x_0, ..., x_n (n >= 0), each a (K, d, d) array holding that
-    slot of the K tuples.  Returns the (K,) complex array of the values
-    that chain_integral gives tuple by tuple, bit for bit: the K
-    ((n+1)d)-square exponentials are one call of the block builder, priced
-    per exponential against budget as in chain_integral.
-    """
-    y0, *ys = _eigen_insertions(spectrum, stacks, grading)
-    budget = _resolved_budget(budget)
-    n = len(ys)
-    if n == 0:
-        heads = np.diagonal(y0, axis1=1, axis2=2)
-        return np.sum(heads * np.exp(-spectrum.evals), axis=1)
-    edges = [(k, k + 1, y) for k, y in enumerate(ys)]
-    what = "chain with d=%d, n=%d" % (spectrum.dim, n)
-    chain = _heat_chain_blocks(spectrum, edges, what, budget)[:, n]
-    return _contract(y0, chain)
-
-
 def chain_integral(spectrum, xs, grading, budget=None):
-    """Ordered-simplex heat chain integral.
+    """Ordered-simplex heat chain integral of one tuple or of a stack.
 
     Parameters
     ----------
     spectrum : Spectrum
         Eigendecomposition of the generator H.
-    xs : list of matrices
-        Insertions x_0, ..., x_n (n >= 0).
+    xs : list of matrices, or list of (K, d, d) arrays
+        Insertions x_0, ..., x_n (n >= 0) of one tuple; or n + 1 stacks,
+        stack i holding slot x_i of K tuples of degree n.
     grading : GradingOperator, matrix, or None
         Gamma in the supertrace; None means plain trace.
     budget : float, optional
         Cost budget for the ((n+1)d)^3 block exponential behind n >= 1;
         defaults to SKMS_CHAIN_BUDGET or 1e8.  n = 0 is never refused.
         NaN or a non-number, here or in the variable, raises ValueError.
+        Each exponential is priced alone, whatever the number of tuples.
 
     Returns
     -------
-    complex
+    complex, or (K,) complex array for stacks
         int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}) d^n s.
-        For n = 0 this is Tr(Gamma x_0 e^{-H}).  It is chain_integral_batch
-        on a batch of one.
+        For n = 0 this is Tr(Gamma x_0 e^{-H}).  A stack gives each tuple
+        the bits it gets alone; its K exponentials are one call of the
+        block builder.
     """
-    return complex(chain_integral_batch(spectrum, _stacks_of_one(xs), grading,
-                                        budget)[0])
+    stacks, one = _as_stacks(xs)
+    y0, *ys = _eigen_insertions(spectrum, stacks, grading)
+    budget = _resolved_budget(budget)
+    n = len(ys)
+    if n == 0:
+        heads = np.diagonal(y0, axis1=1, axis2=2)
+        vals = np.sum(heads * np.exp(-spectrum.evals), axis=1)
+    else:
+        edges = [(k, k + 1, y) for k, y in enumerate(ys)]
+        what = "chain with d=%d, n=%d" % (spectrum.dim, n)
+        chain = _heat_chain_blocks(spectrum, edges, what, budget)[:, n]
+        vals = _contract(y0, chain)
+    return complex(vals[0]) if one else vals
 
 
-def alternating_chain_integral_batch(spectrum, stacks, q, grading, budget=None):
-    """Alternating sums of the chains with q inserted after each slot.
+def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
+    """Alternating sum of the chains with q inserted after each slot.
 
-    For stacks x_0, y_1, ..., y_m (m >= 0), each a (K, d, d) array holding
-    that slot of K tuples, returns the (K,) complex array of
+    For one tuple xs = x_0, y_1, ..., y_m (m >= 0) returns the complex
 
         sum_{k=0..m} (-1)^k int_{Delta_{m+1}} Tr(Gamma x_0 e^{-s_1 H} y_1 ...
             y_k e^{..} q e^{..} y_{k+1} ... y_m e^{-(1-s_{m+1}) H}) d^{m+1} s
 
-    each from one exponential of 2(m+1) blocks.  The y_k run on two levels:
-    -y_k on block (k-1, k) before q, +y_k on block (m+k, m+1+k) after it,
-    and q on block (k, m+1+k) steps from the first level to the second
-    after y_k.  Every path from block 0 to block 2m+1 takes exactly one q
-    edge, so block (0, 2m+1) is the whole sum, each term signed by the k
-    first-level edges it took: the derivative of the chain exponential in
-    the direction of q (Van Loan, IEEE TAC 23, 1978; Najfeld & Havel, Adv.
-    Appl. Math. 16, 1995).  The K exponentials are one call of the block
-    builder, each priced at (2(m+1)d)^3 against budget as in
+    from one exponential of 2(m+1) blocks; for m + 1 (K, d, d) stacks, the
+    (K,) array of these sums, tuple by tuple, from one call of the block
+    builder.  The y_k run on two levels: -y_k on block (k-1, k) before q,
+    +y_k on block (m+k, m+1+k) after it, and q on block (k, m+1+k) steps
+    from the first level to the second after y_k.  Every path from block 0
+    to block 2m+1 takes exactly one q edge, so block (0, 2m+1) is the whole
+    sum, each term signed by the k first-level edges it took: the
+    derivative of the chain exponential in the direction of q (Van Loan,
+    IEEE TAC 23, 1978; Najfeld & Havel, Adv. Appl. Math. 16, 1995).  Each
+    exponential is priced at (2(m+1)d)^3 against budget as in
     chain_integral.
     """
+    stacks, one = _as_stacks(xs)
     y0, *ys = _eigen_insertions(spectrum, stacks, grading)
     qe = np.broadcast_to(spectrum.to_eigenbasis(as_matrix(q)), y0.shape)
     m = len(ys)
@@ -328,17 +352,8 @@ def alternating_chain_integral_batch(spectrum, stacks, q, grading, budget=None):
         edges += [(k - 1, k, -y), (m + k, m + 1 + k, y)]
     what = "alternating chain with d=%d, m=%d" % (spectrum.dim, m)
     chain = _heat_chain_blocks(spectrum, edges, what, budget)[:, 2 * m + 1]
-    return _contract(y0, chain)
-
-
-def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
-    """alternating_chain_integral_batch on the one tuple xs = x_0, y_1..y_m.
-
-    Returns the alternating sum as a complex, from one (2(m+1)d)-square
-    exponential priced against budget as in chain_integral.
-    """
-    return complex(alternating_chain_integral_batch(
-        spectrum, _stacks_of_one(xs), q, grading, budget)[0])
+    vals = _contract(y0, chain)
+    return complex(vals[0]) if one else vals
 
 
 def heat_chain_integrand(spectrum, xs, grading):

@@ -27,7 +27,7 @@ from .dynamics import (GradedSystem, _super_gibbs, _superderivation_stack,
 from .errors import ParityViolation, TruncationUnreachable
 from .graded import AlgebraElement, Parity, as_matrix
 from .kernels import (Spectrum, _heat_chain_blocks, _stacks_of_one,
-                      alternating_chain_integral_batch, chain_integral,
+                      alternating_chain_integral, chain_integral,
                       indefinite_integration_matrix)
 from .report import DOCUMENTED, make_report
 
@@ -324,7 +324,7 @@ def transgression_G(ctx, m, xs, budget=None):
     slots i >= 1 return exactly 0 (delta_r kills them in every summand).
     The m + 1 chains are not formed one by one: the alternating sum over
     the position of Q is read off one (2(m+1)d)-square block exponential
-    (kernels.alternating_chain_integral_batch on a batch of one), divided
+    (kernels.alternating_chain_integral on a stack of one), divided
     by Z.  budget prices that exponential and ChainBudgetExceeded names
     its size.
     """
@@ -342,9 +342,9 @@ def _transgression_sum(ctx, stacks, budget):
     # G^r_m at odd m of the K tuples in the (K, d, d) stacks, whose slots
     # i >= 1 are known not to be scalar; one block exponential call
     derived = _superderivation_stack(ctx, np.array(stacks[1:], dtype=complex))
-    vals = alternating_chain_integral_batch(ctx.spectrum, [stacks[0], *derived],
-                                            ctx.perturbation.matrix, ctx.grading,
-                                            budget=budget)
+    vals = alternating_chain_integral(ctx.spectrum, [stacks[0], *derived],
+                                      ctx.perturbation.matrix, ctx.grading,
+                                      budget=budget)
     return [complex(v) / ctx.witten_index for v in vals]
 
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import skmslab.cochain as cochain_module
+import skmslab.kernels as kernels_module
 from skmslab.cochain import (
     Cochain,
     NormEstimate,
@@ -261,6 +262,22 @@ def test_boundary_of_tau_equals_B_plus_b_of_checked_tau():
             assert dtau(n, xs) == want, n
 
 
+def test_boundary_evaluator_on_stacks_equals_each_tuple(monkeypatch):
+    # connes_B and hochschild_b on stacks: the tuples' surviving terms are
+    # one stack per degree, with the bits of the tuples taken one by one
+    sys_ = block_system(3, 2, seed=23)
+    dtau = boundary(jlo_cochain(sys_))
+    rng = np.random.default_rng(31)
+    for n in (1, 3):
+        tuples = boundary_inputs(sys_, rng, n) + [even_tuple(sys_, rng, n + 1)
+                                                  for _ in range(4)]
+        want = [dtau(n, xs) for xs in tuples]
+        calls = count_expm(monkeypatch)
+        got = dtau.evaluator(n, [np.stack(slot) for slot in zip(*tuples)])
+        assert list(got) == want, n
+        assert len(calls) == (1 if n == 1 else 2), n
+
+
 def test_boundary_classifies_each_argument_once(monkeypatch):
     sys_ = block_system(3, 2, seed=25)
     dtau = boundary(jlo_cochain(sys_))
@@ -332,13 +349,13 @@ def test_entireness_diagnostic_rejects_odd_generator_first(monkeypatch):
     gens = [as_matrix(sys_.random_element(rng, parity="even")),
             as_matrix(sys_.random_element(rng, parity="odd"))]
     chains = []
-    batch = cochain_module.chain_integral_batch
+    chain = cochain_module.chain_integral
 
     def spied(*args, **kwargs):
         chains.append(args)
-        return batch(*args, **kwargs)
+        return chain(*args, **kwargs)
 
-    monkeypatch.setattr(cochain_module, "chain_integral_batch", spied)
+    monkeypatch.setattr(cochain_module, "chain_integral", spied)
     with pytest.raises(ParityViolation, match="slot 1 is not even"):
         entireness_diagnostic(sys_, generators=gens, degrees=(2,), samples=2)
     assert chains == []
@@ -352,6 +369,18 @@ def test_entireness_diagnostic_one_exponential_call_per_degree(monkeypatch):
     calls = count_expm(monkeypatch)
     entireness_diagnostic(sys_, degrees=(2, 4, 6), samples=5, seed=3)
     assert calls == [(5, 15, 15), (5, 25, 25), (5, 35, 35)]
+
+
+def test_entireness_diagnostic_over_the_byte_cap_keeps_its_estimates(monkeypatch):
+    # a cap of two 15x15 generators: degree 2 goes to expm as 2 + 2 + 1
+    # samples, degree 4 (25x25) one sample at a time
+    sys_ = block_system(3, 2, seed=17, scale=0.8)
+    whole = entireness_diagnostic(sys_, degrees=(2, 4), samples=5, seed=3)
+    calls = count_expm(monkeypatch)
+    monkeypatch.setattr(kernels_module, "_EXPM_STACK_BYTES", 2 * 16 * 15 * 15)
+    split = entireness_diagnostic(sys_, degrees=(2, 4), samples=5, seed=3)
+    assert calls == [(2, 15, 15), (2, 15, 15), (1, 15, 15)] + [(1, 25, 25)] * 5
+    assert split == whole
 
 
 def test_lemma34_rows_pass():

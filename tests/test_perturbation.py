@@ -9,9 +9,9 @@ import scipy.linalg
 from skmslab.dynamics import GradedSystem, heisenberg_flow, skms_eval, superderivation
 from skmslab.errors import ChainBudgetExceeded, ParityViolation, TruncationUnreachable
 from skmslab.graded import GradingOperator, as_matrix, graded_commutator
-from skmslab.kernels import (alternating_chain_integral,
-                             alternating_chain_integral_batch, chain_integral,
-                             chain_integral_batch, gauss_legendre_01)
+import skmslab.kernels as kernels
+from skmslab.kernels import (alternating_chain_integral, chain_integral,
+                             gauss_legendre_01)
 from skmslab.perturbation import (
     OddPerturbation,
     PerturbedContext,
@@ -409,14 +409,42 @@ def test_chain_batches_equal_single_calls_bit_for_bit(p, q, r):
             tuples = [[rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                        for _ in range(n + 1)] for _ in range(k)]
             stacks = [np.stack(slot) for slot in zip(*tuples)]
-            chains = chain_integral_batch(ctx.spectrum, stacks, ctx.grading)
-            alts = alternating_chain_integral_batch(ctx.spectrum, stacks, qm,
-                                                    ctx.grading)
+            chains = chain_integral(ctx.spectrum, stacks, ctx.grading)
+            alts = alternating_chain_integral(ctx.spectrum, stacks, qm, ctx.grading)
             assert chains.shape == alts.shape == (k,)
             for xs, c, a in zip(tuples, chains, alts):
                 assert c == chain_integral(ctx.spectrum, xs, ctx.grading), (k, n)
                 assert a == alternating_chain_integral(ctx.spectrum, xs, qm,
                                                        ctx.grading), (k, n)
+
+
+def test_stack_over_the_byte_cap_is_split_with_the_same_bits(monkeypatch):
+    # a cap of two 15x15 generators: seven n = 2 chains go to expm as
+    # 2 + 2 + 2 + 1, and the 30x30 alternating generators one at a time
+    ctx = make_ctx(r=0.6)
+    d = ctx.dim
+    qm = ctx.perturbation.matrix
+    rng = np.random.default_rng(36)
+    stacks = [rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
+              for _ in range(3)]
+    chains = chain_integral(ctx.spectrum, stacks, ctx.grading)
+    alts = alternating_chain_integral(ctx.spectrum, stacks, qm, ctx.grading)
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    monkeypatch.setattr(kernels, "_EXPM_STACK_BYTES", 2 * 16 * 15 * 15)
+    split = chain_integral(ctx.spectrum, stacks, ctx.grading)
+    assert calls == [(2, 15, 15)] * 3 + [(1, 15, 15)]
+    assert np.array_equal(split, chains)
+    del calls[:]
+    split = alternating_chain_integral(ctx.spectrum, stacks, qm, ctx.grading)
+    assert calls == [(1, 30, 30)] * 7
+    assert np.array_equal(split, alts)
 
 
 def test_F_r_matches_chain_integral():
