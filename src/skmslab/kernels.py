@@ -37,6 +37,11 @@ the n-th divided difference of exp at (-mu_0, ..., -mu_n).
 pointwise (tensor Gauss-Legendre through the ordered Duffy map, or seeded
 Monte Carlo).  The integrand takes the points in cache-sized blocks, with
 no block-size option, and spends one GEMM per insertion on each block.
+
+The block builder, with c H in place of -H on the diagonal blocks, gives
+the terms of every Dyson series of the perturbation module, at real t
+and at t = i alike, as one ((k+1)d)-square exponential for order k,
+with c = it.
 """
 
 import enum
@@ -178,18 +183,20 @@ def _resolved_budget(budget):
     return _checked_budget(budget, "budget")
 
 
-def _heat_chain_blocks(spectrum, edges, what, budget=None):
+def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
     """Top block rows of a stack of block heat-chain exponentials.
 
     edges are (row, col, y) with row < col, each on its own block, and y a
     (K, d, d) stack of insertions in the eigenbasis of H (all K alike).
-    Generator k has y[k] in block (row, col) and -diag(evals) in each of
-    its 1 + max(col) diagonal blocks.  Block (0, j) of its exponential is
-    the sum over the edge paths from block 0 to block j of the
-    ordered-simplex chains
-    int e^{-s_1 H} y_1 e^{-(s_2-s_1) H} ... y_i e^{-(1-s_i) H} d^i s
-    along them (Van Loan, IEEE TAC 23, 1978); the bidiagonal edges
-    (j-1, j, y_j) give the plain chain of y_1..y_j in block (0, j).  All K
+    Generator k has y[k] in block (row, col) and scale * diag(evals) in
+    each of its 1 + max(col) diagonal blocks.  Block (0, j) of its
+    exponential is the sum over the edge paths from block 0 to block j of
+    the ordered-simplex chains
+    int e^{c s_1 H} y_1 e^{c (s_2-s_1) H} ... y_i e^{c (1-s_i) H} d^i s
+    along them, with c = scale (Van Loan, IEEE TAC 23, 1978); the
+    bidiagonal edges (j-1, j, y_j) give the plain chain of y_1..y_j in
+    block (0, j).  Heat chains keep scale = -1; the Dyson series of the
+    perturbation module pass the complex c = it.  All K
     generators go to scipy.linalg.expm, which exponentiates the slices one
     by one, each as it would alone; they are handed over in consecutive
     slices of at most _EXPM_STACK_BYTES, so memory stays bounded in K and
@@ -218,7 +225,7 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None):
         # the strided view of every diagonal, split into its blocks
         diag = big.reshape(count, size * size)[:, ::size + 1].reshape(
             count, nblocks, d)
-        diag[:] = -spectrum.evals
+        diag[:] = scale * spectrum.evals
         for row, col, y in edges:
             big[:, row * d:(row + 1) * d, col * d:(col + 1) * d] = y[part]
         top[part] = scipy.linalg.expm(big)[:, :d]
@@ -511,34 +518,3 @@ def simplex_quadrature(integrand, n, rule):
     else:
         stderr = float("inf")
     return mean / nfact, stderr
-
-
-# ---------------------------------------------------------------------------
-# nested indefinite integration on Gauss nodes (for iterated Dyson integrals)
-
-
-def indefinite_integration_matrix(order):
-    """Spectral integration on Gauss-Legendre nodes of [0, 1].
-
-    Returns (nodes, weights, Q) where (Q @ f)(i) approximates the integral
-    of f from 0 to node i, exactly for polynomials of degree < order.
-    """
-    u, w = gauss_legendre_01(order)
-    # Vandermonde in shifted Legendre polynomials
-    v = np.empty((order, order))
-    for k in range(order):
-        coeff = np.zeros(k + 1)
-        coeff[k] = 1.0
-        v[:, k] = np.polynomial.legendre.legval(2 * u - 1, coeff)
-    # antiderivative of shifted P_k vanishing at 0
-    a = np.empty((order, order))
-    a[:, 0] = u
-    for k in range(1, order):
-        up = np.zeros(k + 2)
-        up[k + 1] = 1.0
-        down = np.zeros(k)
-        down[k - 1] = 1.0
-        a[:, k] = (np.polynomial.legendre.legval(2 * u - 1, up)
-                   - np.polynomial.legendre.legval(2 * u - 1, down)) / (2 * (2 * k + 1))
-    q = a @ np.linalg.inv(v)
-    return u, w, q

@@ -6,7 +6,9 @@ r^2 Q^2 = (Q0 + rQ)^2 - Q0^2.  A PerturbedContext carries Q0 + rQ and
 H_r under the attribute names of a GradedSystem, so the dynamics and
 cochain functions evaluate delta_r, alpha^r, phi^r and tau^r when called
 with it; r = 0 is the unperturbed system.  The Dyson series for the flow
-and for the cocycle gamma^r are checked against the exact
+and for the cocycle gamma^r, at real t and at t = i alike, take their
+terms from one block exponential with c H on the diagonal blocks and
+c a_r on the superdiagonal, c = it, and are checked against the exact
 finite-dimensional conjugation oracles
 
     gamma^r_t(1) = e^{itH_r} e^{-itH},   alpha^r_t(x) = e^{itH_r} x e^{-itH_r},
@@ -27,8 +29,7 @@ from .dynamics import (GradedSystem, _super_gibbs, _superderivation_stack,
 from .errors import ParityViolation, TruncationUnreachable
 from .graded import AlgebraElement, Parity, as_matrix
 from .kernels import (Spectrum, _heat_chain_blocks, _stacks_of_one,
-                      alternating_chain_integral, chain_integral,
-                      indefinite_integration_matrix)
+                      alternating_chain_integral, chain_integral)
 from .report import DOCUMENTED, make_report
 
 SERIES_CAP = 40
@@ -141,128 +142,96 @@ def gamma_flow_oracle(ctx, x, t):
 
 @dataclass(frozen=True)
 class DysonInfo:
-    """Truncation order, a priori tail bound, and quadrature error estimate."""
+    """Truncation order and a priori tail bound of a Dyson series value.
+
+    Each term is read off a block exponential, exact up to rounding, so
+    the truncation tail is the whole error budget.
+    """
 
     order: int
     tail_bound: float
-    quad_error: float
 
 
-def _dyson_alpha_at(ctx, xm, t, order, quad_order):
-    u, w, qmat = indefinite_integration_matrix(quad_order)
-    upper = w[None, :] - qmat  # row i integrates from node i to 1
-    a_nodes = np.stack([heisenberg_flow(ctx.system, ctx.a_r, uj * t) for uj in u])
-    base = heisenberg_flow(ctx.system, xm, t)
-    tails = np.broadcast_to(base, a_nodes.shape).copy()
-    acc = base.astype(complex).copy()
-    coeff = 1.0 + 0.0j
-    for _ in range(order):
-        ad_tails = a_nodes @ tails - tails @ a_nodes
-        coeff *= 1j * t
-        acc += coeff * np.tensordot(w, ad_tails, axes=(0, 0))
-        tails = np.einsum("ij,jab->iab", upper, ad_tails)
-    return acc
+def _series_order(ctx, t, tol, order, norm_x=1.0):
+    if order is None:
+        return ctx.choose_order(t, tol, norm_x)
+    if order < 0:
+        raise ValueError("series order must be >= 0, got %d" % order)
+    if order > SERIES_CAP:
+        raise TruncationUnreachable("requested order %d exceeds cap %d" % (order, SERIES_CAP))
+    return order
 
 
-def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None, quad_order=None):
+def _gamma_terms(ctx, t, order):
+    # terms 0..order of gamma^r_t(1) in the eigenbasis of H, an
+    # (order + 1, d, d) array.  With c = it, term k is
+    #   c^k int_{Delta_k} e^{c s_1 H} a_r e^{c (s_2-s_1) H} .. a_r
+    #       e^{c (1-s_k) H} d^k s  e^{-cH},
+    # whose part before e^{-cH} is block (0, k) of the exponential with
+    # c H on the diagonal blocks and c a_r on the superdiagonal
+    spec = ctx.system.spectrum
+    c = 1j * complex(t)
+    y = c * spec.to_eigenbasis(ctx.a_r)[None]
+    edges = [(k, k + 1, y) for k in range(order)]
+    what = "Dyson series with d=%d, order=%d" % (spec.dim, order)
+    blocks = _heat_chain_blocks(spec, edges, what, scale=c)[0]
+    return blocks * np.exp(-c * spec.evals)
+
+
+def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None):
     """Truncated Dyson series for alpha^r_t(x) with error metadata.
 
     Returns (matrix, DysonInfo).  The order adapts to tol through the term
-    bound (|t| ||2 a_r||)^n / n! unless given; the nested simplex integrals
-    are evaluated on Gauss-Legendre nodes, and the quadrature error is
-    estimated by repeating at a higher node count.
+    bound (|t| ||2 a_r||)^n / n! unless given; a negative order raises
+    ValueError.  The series is sum_{j+l <= order} Gamma_j alpha_t(x)
+    Gamma_l^*, with Gamma_j the terms of gamma^r_t(1), all read off one
+    ((order+1)d)-square block exponential priced against the chain budget.
     """
     xm = as_matrix(x)
     t = float(t)
     norm_x = float(np.linalg.norm(xm, 2))
-    if order is None:
-        order = ctx.choose_order(t, tol, norm_x)
-    if order > SERIES_CAP:
-        raise TruncationUnreachable("requested order %d exceeds cap %d" % (order, SERIES_CAP))
-    tail = ctx.tail_bound(t, order, norm_x)
+    order = _series_order(ctx, t, tol, order, norm_x)
+    info = DysonInfo(order, ctx.tail_bound(t, order, norm_x))
+    flow = heisenberg_flow(ctx.system, xm, t)
     if ctx.a_norm == 0.0 or t == 0.0 or order == 0:
-        return heisenberg_flow(ctx.system, xm, t), DysonInfo(order, tail, 0.0)
-    g = quad_order if quad_order is not None else max(10, order + 4)
-    coarse = _dyson_alpha_at(ctx, xm, t, order, g)
-    fine = _dyson_alpha_at(ctx, xm, t, order, g + 4)
-    quad_err = float(np.linalg.norm(fine - coarse, 2))
-    return fine, DysonInfo(order, tail, quad_err)
+        return flow, info
+    terms = ctx.system.spectrum.from_eigenbasis(_gamma_terms(ctx, t, order))
+    # prefix[j] = Gamma_0 + .. + Gamma_{order-j}
+    prefix = np.cumsum(terms, axis=0)[::-1]
+    return (terms @ flow @ prefix.conj().swapaxes(1, 2)).sum(axis=0), info
 
 
-def dyson_alpha(ctx, x, t, tol=1e-10, order=None, quad_order=None):
+def dyson_alpha(ctx, x, t, tol=1e-10, order=None):
     """Series evaluation of alpha^r_t(x); see dyson_alpha_info."""
-    out, _ = dyson_alpha_info(ctx, x, t, tol=tol, order=order, quad_order=quad_order)
+    out, _ = dyson_alpha_info(ctx, x, t, tol=tol, order=order)
     if isinstance(x, AlgebraElement):
         return AlgebraElement(out, ctx.system.grading)
     return out
 
 
-def _dyson_gamma_real_at(ctx, t, order, quad_order):
-    d = ctx.dim
-    u, w, qmat = indefinite_integration_matrix(quad_order)
-    upper = w[None, :] - qmat
-    a_nodes = np.stack([heisenberg_flow(ctx.system, ctx.a_r, uj * t) for uj in u])
-    eye = np.eye(d, dtype=complex)
-    tails = np.broadcast_to(eye, a_nodes.shape).copy()
-    acc = eye.copy()
-    coeff = 1.0 + 0.0j
-    for _ in range(order):
-        prod = a_nodes @ tails
-        coeff *= 1j * t
-        acc += coeff * np.tensordot(w, prod, axes=(0, 0))
-        tails = np.einsum("ij,jab->iab", upper, prod)
-    return acc
-
-
-def _gamma_imag_term_blocks(ctx, order):
-    # series term k, in the eigenbasis of H: the ordered simplex chain with
-    # k insertions of a_r against heat factors (block k of the heat-chain
-    # row with a_r in every slot), times (-1)^k and e^{H}
-    spec = ctx.system.spectrum
-    a_eig = spec.to_eigenbasis(ctx.a_r)[None]
-    edges = [(k, k + 1, a_eig) for k in range(order)]
-    what = "Dyson series of gamma^r_i(1) with d=%d, order=%d" % (spec.dim, order)
-    blocks = _heat_chain_blocks(spec, edges, what)[0]
-    grow = np.exp(spec.evals)[None, :]
-    return [((-1.0) ** k) * blk * grow for k, blk in enumerate(blocks)]
-
-
-def dyson_gamma_one_info(ctx, t, tol=1e-10, order=None, quad_order=None):
+def dyson_gamma_one_info(ctx, t, tol=1e-10, order=None):
     """Truncated series for gamma^r_t(1) with error metadata.
 
-    Real t runs the ordered-product Dyson recursion on Gauss nodes.  t = i
-    evaluates each term as an exact matrix-valued heat chain through one
-    block-bidiagonal exponential (zero quadrature error); only the point
-    t = i is supported on the imaginary axis.
+    Real t and t = i take one path: with c = it, the series terms are
+    matrix-valued chains against e^{csH}, read off one
+    ((order+1)d)-square block exponential priced against the chain
+    budget; t = i is the heat chain, c = -1.  Only the point t = i is
+    supported on the imaginary axis; a negative order raises ValueError.
     """
     t = complex(t)
-    imag_point = t == 1j
-    if t.imag != 0.0 and not imag_point:
+    if t.imag != 0.0 and t != 1j:
         raise ValueError("imaginary-time evaluation supports only t = i")
-    if order is None:
-        order = ctx.choose_order(abs(t), tol)
-    if order > SERIES_CAP:
-        raise TruncationUnreachable("requested order %d exceeds cap %d" % (order, SERIES_CAP))
-    tail = ctx.tail_bound(abs(t), order)
-    d = ctx.dim
+    order = _series_order(ctx, abs(t), tol, order)
+    info = DysonInfo(order, ctx.tail_bound(abs(t), order))
     if ctx.a_norm == 0.0 or t == 0 or order == 0:
-        return np.eye(d, dtype=complex), DysonInfo(order, tail, 0.0)
-    if imag_point:
-        spec = ctx.system.spectrum
-        terms = _gamma_imag_term_blocks(ctx, order)
-        total = spec.from_eigenbasis(sum(terms))
-        return total, DysonInfo(order, tail, 0.0)
-    tr = float(t.real)
-    g = quad_order if quad_order is not None else max(10, order + 4)
-    coarse = _dyson_gamma_real_at(ctx, tr, order, g)
-    fine = _dyson_gamma_real_at(ctx, tr, order, g + 4)
-    quad_err = float(np.linalg.norm(fine - coarse, 2))
-    return fine, DysonInfo(order, tail, quad_err)
+        return np.eye(ctx.dim, dtype=complex), info
+    terms = _gamma_terms(ctx, t, order)
+    return ctx.system.spectrum.from_eigenbasis(terms.sum(axis=0)), info
 
 
-def dyson_gamma_one(ctx, t, tol=1e-10, order=None, quad_order=None):
+def dyson_gamma_one(ctx, t, tol=1e-10, order=None):
     """Series evaluation of gamma^r_t(1); see dyson_gamma_one_info."""
-    out, _ = dyson_gamma_one_info(ctx, t, tol=tol, order=order, quad_order=quad_order)
+    out, _ = dyson_gamma_one_info(ctx, t, tol=tol, order=order)
     return out
 
 

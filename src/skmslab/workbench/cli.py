@@ -17,7 +17,8 @@ from ..errors import ChainBudgetExceeded
 from ..graded import as_matrix
 from ..kernels import (GAUSS_MIN_ORDER, SimplexQuadratureRule,
                        heat_chain_integrand, simplex_quadrature)
-from ..perturbation import (PerturbedContext, endpoint_transgression_check,
+from ..perturbation import (SERIES_CAP, PerturbedContext,
+                            endpoint_transgression_check,
                             homotopy_check, lipschitz_check,
                             skms_check_perturbed, witten_invariance_check)
 from ..report import make_report
@@ -35,11 +36,24 @@ def _quadrature(text):
     return text
 
 
+def _series_order(text):
+    # 0 <= k <= SERIES_CAP, checked while the arguments are parsed
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if not 0 <= order <= SERIES_CAP:
+        raise argparse.ArgumentTypeError(
+            "series order must be in [0, %d], got %d" % (SERIES_CAP, order))
+    return order
+
+
 def _add_common(parser):
     parser.add_argument("--tol", type=float, default=None,
                         help="override the exact-identity tolerance")
     parser.add_argument("--max-degree", type=int, default=5)
-    parser.add_argument("--series-order", type=int, default=None)
+    parser.add_argument("--series-order", type=_series_order, default=None,
+                        help="Dyson series order, 0 to %d" % SERIES_CAP)
     parser.add_argument("--quadrature", type=_quadrature, default=None,
                         help="gauss:<order> (order >= %d) or mc:<samples>"
                         % GAUSS_MIN_ORDER)

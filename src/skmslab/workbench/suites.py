@@ -146,7 +146,7 @@ def _dyson_fidelity(sys, pert, digest, config):
                 val, info = dyson_alpha_info(ctx, x, t, tol=1e-10,
                                              order=config.series_order)
                 err = float(np.linalg.norm(val - heisenberg_flow(ctx, x, t), 2))
-                budgeted = (info.tail_bound + 10.0 * info.quad_error + 1e-12)
+                budgeted = info.tail_bound + 1e-12
                 worst_alpha = max(worst_alpha, err - budgeted)
         gval, ginfo = dyson_gamma_one_info(ctx, 1j, tol=1e-10,
                                            order=config.series_order)

@@ -24,7 +24,6 @@ from skmslab.kernels import (
     exp_divided_difference,
     gauss_legendre_01,
     heat_chain_integrand,
-    indefinite_integration_matrix,
     simplex_quadrature,
 )
 
@@ -392,22 +391,14 @@ def test_monte_carlo_is_seeded():
 
 
 # ---------------------------------------------------------------------------
-# spectral indefinite integration
+# Gauss-Legendre rule on [0, 1]
 
 
 def test_gauss_legendre_01_normalization():
     u, w = gauss_legendre_01(8)
     assert np.all((u > 0) & (u < 1))
     assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_indefinite_integration_matrix_monomials():
-    order = 10
-    u, w, q = indefinite_integration_matrix(order)
-    for k in range(order):
-        got = q @ (u ** k)
-        want = u ** (k + 1) / (k + 1)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-    # weights integrate the same monomials over [0, 1]
-    for k in range(2 * order - 1):
+    # exact for monomials up to degree 2 * order - 1 over [0, 1]
+    u, w = gauss_legendre_01(10)
+    for k in range(19):
         assert np.dot(w, u ** k) == pytest.approx(1.0 / (k + 1), rel=1e-13)

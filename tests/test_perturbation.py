@@ -10,6 +10,7 @@ from skmslab.dynamics import GradedSystem, heisenberg_flow, skms_eval, superderi
 from skmslab.errors import ChainBudgetExceeded, ParityViolation, TruncationUnreachable
 from skmslab.graded import GradingOperator, as_matrix, graded_commutator
 import skmslab.kernels as kernels
+import skmslab.perturbation as perturbation_module
 from skmslab.kernels import (alternating_chain_integral, chain_integral,
                              gauss_legendre_01)
 from skmslab.perturbation import (
@@ -38,6 +39,7 @@ from skmslab.perturbation import (
     witten_invariance_check,
 )
 from skmslab.report import DOCUMENTED
+from skmslab.workbench import ModelSpec, run_suite
 from skmslab.cochain import (boundary, connes_B, hochschild_b, is_scalar_slot,
                              jlo_cochain, tau_eval)
 
@@ -168,7 +170,7 @@ def test_dyson_alpha_against_oracle():
         got, info = dyson_alpha_info(ctx, x, t, tol=1e-10)
         want = as_matrix(heisenberg_flow(ctx, x, t))
         err = np.linalg.norm(got - want, 2)
-        assert err <= info.tail_bound + 10 * info.quad_error + 1e-12
+        assert err <= info.tail_bound + 1e-12
         assert info.order <= 40
 
 
@@ -191,7 +193,7 @@ def test_dyson_gamma_real_time():
     for t in (0.4, 1.0):
         got, info = dyson_gamma_one_info(ctx, t, tol=1e-10)
         want = gamma_cocycle_oracle(ctx, t)
-        assert np.linalg.norm(got - want, 2) <= info.tail_bound + 10 * info.quad_error + 1e-12
+        assert np.linalg.norm(got - want, 2) <= info.tail_bound + 1e-12
 
 
 def test_dyson_gamma_first_order_term_quadrature():
@@ -211,7 +213,6 @@ def test_dyson_gamma_imaginary_point():
     ctx = make_ctx(r=0.8, pert_scale=0.3)
     got, info = dyson_gamma_one_info(ctx, 1j, tol=1e-12)
     want = gamma_cocycle_oracle(ctx, 1j)
-    assert info.quad_error == 0.0  # chain terms are exact
     assert np.linalg.norm(got - want, 2) <= info.tail_bound + 1e-12
     # first-order term equals -int_0^1 e^{-uH} a e^{uH} du
     u, w = gauss_legendre_01(24)
@@ -225,6 +226,108 @@ def test_dyson_gamma_imaginary_point():
         dyson_gamma_one(ctx, 2j)
     with pytest.raises(ValueError, match="t = i"):
         dyson_gamma_one(ctx, 0.3 + 0.4j)
+
+
+def test_dyson_alpha_first_order_term_quadrature():
+    # at truncation order 1,
+    # alpha^r_t(x) = alpha_t(x) + it int_0^1 [alpha_{ts}(a_r), alpha_t(x)] ds
+    ctx = make_ctx(r=0.5)
+    x = as_matrix(ctx.system.random_element(np.random.default_rng(8)))
+    for t in (0.5, -0.9):
+        xt = as_matrix(heisenberg_flow(ctx.system, x, t))
+        u, w = gauss_legendre_01(24)
+        integral = 0.0
+        for uj, wj in zip(u, w):
+            a = as_matrix(heisenberg_flow(ctx.system, ctx.a_r, t * uj))
+            integral = integral + wj * (a @ xt - xt @ a)
+        got = dyson_alpha(ctx, x, t, order=1)
+        assert np.linalg.norm(got - (xt + 1j * t * integral), 2) < 1e-12
+
+
+def test_dyson_negative_order_is_refused():
+    ctx = make_ctx(r=0.5)
+    x = np.eye(5)
+    for t in (0.5, 1j):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            dyson_gamma_one_info(ctx, t, order=-1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        dyson_alpha_info(ctx, x, 0.5, order=-3)
+    with pytest.raises(TruncationUnreachable, match="exceeds cap 40"):
+        dyson_alpha_info(ctx, x, 0.5, order=41)
+    with pytest.raises(TruncationUnreachable, match="exceeds cap 40"):
+        dyson_gamma_one_info(ctx, 0.5, order=41)
+
+
+def test_dyson_series_is_one_exponential(monkeypatch):
+    ctx = make_ctx(r=0.6)
+    x = as_matrix(ctx.system.random_element(np.random.default_rng(9)))
+    calls = []
+    real_expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real_expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    for run in (lambda: dyson_alpha_info(ctx, x, 0.7),
+                lambda: dyson_gamma_one_info(ctx, 0.7),
+                lambda: dyson_gamma_one_info(ctx, 1j)):
+        calls.clear()
+        _, info = run()
+        assert info.order >= 1
+        size = (info.order + 1) * ctx.dim
+        assert calls == [(1, size, size)]
+
+
+def _gamma_terms_with(defect):
+    # perturbation._gamma_terms with one defect injected (None: unchanged)
+    def terms(ctx, t, order):
+        spec = ctx.system.spectrum
+        c = 1j * complex(t)
+        a = ctx.r * ctx.delta_q if defect == "no_q_squared" else ctx.a_r
+        edge = np.conj(c) if defect == "conjugate_edge" else c
+        y = edge * spec.to_eigenbasis(a)[None]
+        edges = [(k, k + 1, y) for k in range(order)]
+        blocks = kernels._heat_chain_blocks(spec, edges, "mutant", scale=c)[0]
+        if defect == "no_phase":
+            return blocks
+        return blocks * np.exp(-c * spec.evals)
+    return terms
+
+
+REFERENCE_SPECS = (
+    ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+              perturbation={"seed": 11, "scale": 0.3}),
+    ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0),
+)
+
+
+def _dyson_rows(spec):
+    return {r.identity_name: r.passed for r in run_suite(spec, "Perturbation")
+            if r.identity_name.startswith("dyson.")}
+
+
+def test_dyson_mutant_template_is_the_real_route():
+    ctx = make_ctx(r=0.7)
+    for t in (0.4, 1j):
+        np.testing.assert_array_equal(
+            _gamma_terms_with(None)(ctx, t, 6),
+            perturbation_module._gamma_terms(ctx, t, 6))
+
+
+@pytest.mark.parametrize("defect, red", [
+    ("no_phase", {"dyson.alpha_fidelity", "dyson.gamma_fidelity"}),
+    ("conjugate_edge", {"dyson.alpha_fidelity"}),
+    ("no_q_squared", {"dyson.alpha_fidelity", "dyson.gamma_fidelity"}),
+])
+def test_dyson_rows_catch_injected_defects(monkeypatch, defect, red):
+    for spec in REFERENCE_SPECS:
+        assert all(_dyson_rows(spec).values())
+    monkeypatch.setattr(perturbation_module, "_gamma_terms",
+                        _gamma_terms_with(defect))
+    for spec in REFERENCE_SPECS:
+        rows = _dyson_rows(spec)
+        assert {name for name, ok in rows.items() if not ok} == red, spec.kind
 
 
 def test_perturbed_functional_routes_agree():
@@ -314,12 +417,17 @@ def test_block_exponentials_priced_at_their_size(monkeypatch):
     with pytest.raises(ChainBudgetExceeded, match="d=5, m=3 needs a 40x40"):
         transgression_G(ctx, 3, xs, budget=budget)
     assert transgression_G(ctx, 3, xs, budget=40.0 ** 3) != 0.0
-    # the t = i Dyson series of order 8 is one (8+1)d = 45 wide exponential
-    monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(44.0 ** 3))
-    with pytest.raises(ChainBudgetExceeded, match="order=8 needs a 45x45"):
-        dyson_gamma_one_info(ctx, 1j, order=8)
-    monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(45.0 ** 3))
-    dyson_gamma_one_info(ctx, 1j, order=8)
+    # a Dyson series of order 8, at real t or t = i, is one (8+1)d = 45
+    # wide exponential
+    x = as_matrix(ctx.system.random_element(np.random.default_rng(13)))
+    for run in (lambda: dyson_gamma_one_info(ctx, 1j, order=8),
+                lambda: dyson_gamma_one_info(ctx, 0.5, order=8),
+                lambda: dyson_alpha_info(ctx, x, 0.5, order=8)):
+        monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(44.0 ** 3))
+        with pytest.raises(ChainBudgetExceeded, match="order=8 needs a 45x45"):
+            run()
+        monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(45.0 ** 3))
+        run()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

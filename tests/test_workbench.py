@@ -413,6 +413,27 @@ def test_cli_bad_quadrature_is_a_usage_error(tmp_path, capsys, argv):
     assert "argument --quadrature" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("order", ["41", "-1", "-3", "x"])
+def test_cli_bad_series_order_is_a_usage_error(tmp_path, capsys, order):
+    model = write_spec(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "Perturbation", "--model", model,
+              "--series-order=" + order])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --series-order" in err and "Traceback" not in err
+
+
+def test_cli_series_order_at_the_cap(tmp_path, capsys):
+    model = write_spec(tmp_path)
+    rc = main(["verify", "Perturbation", "--model", model,
+               "--series-order", "40"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {r["identity_name"] for r in doc["reports"]} >= {
+        "dyson.alpha_fidelity", "dyson.gamma_fidelity"}
+
+
 def test_cli_tau_eval_odd_degree(tmp_path, capsys):
     model = write_spec(tmp_path)
     rc = main(["tau", "eval", "--model", model, "--degree", "1",
