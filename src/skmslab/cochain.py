@@ -26,13 +26,16 @@ slots >= 1 that the caller has not tested (x_0 rotated there by B, a
 merged product x_j x_{j+1} from b) are tested for scalars.
 
 Evaluators are stacked: they take a degree and one (K, d, d) array per
-slot, holding that slot of K tuples, and return the K values.  connes_B
-and hochschild_b take such stacks too, with an evaluator for rho, and
-send the terms of all the tuples to it as one stack; boundary's evaluator
-is their sum, so each degree costs one call of the block-exponential
-builder (kernels.chain_integral on a stack), and entireness_diagnostic
-evaluates the samples of each degree the same way.  A stack gives every
-tuple the bits it would get alone.
+slot, holding that slot of K tuples, and return the K values.  A Cochain
+takes such stacks in __call__ too, and tests parity and scalar slots on
+whole stacks (is_scalar_slot and GradingOperator.classify take stacks);
+one tuple is a stack of one.  connes_B and hochschild_b take stacks,
+with an evaluator for rho, and send the terms of all the tuples to it as
+one stack; boundary's evaluator is their sum, so each degree costs one
+call of the block-exponential builder (kernels.chain_integral on a
+stack), and entireness_diagnostic and lemma34_check evaluate their
+samples the same way.  A stack gives every tuple the bits it would get
+alone.
 """
 
 import math
@@ -40,27 +43,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _superderivation_stack, skms_eval
+from .dynamics import _draw_tuples, _superderivation_stack, skms_eval
 from .errors import ParityViolation
-from .graded import Parity, as_matrix
-from .kernels import _is_stacked, _stack_slices, _stacks_of_one, chain_integral
+from .graded import Parity, as_matrices, as_matrix, frobenius_norms, modulus
+from .kernels import _as_stacks, _is_stacked, _stack_slices, chain_integral
 from .report import make_report
 
 SCALAR_SLOT_TOL = 1e-12
 
 
 def is_scalar_slot(x, tol=SCALAR_SLOT_TOL):
-    """True when x is within tol of (tr x / d) times the identity."""
-    m = as_matrix(x)
-    d = m.shape[0]
-    mean = np.trace(m) / d
-    return bool(np.linalg.norm(m - mean * np.eye(d)) <= tol * max(1.0, np.linalg.norm(m)))
+    """True when x is within tol of (tr x / d) times the identity.
+
+    On a (K, d, d) stack, the (K,) boolean array of the slice tests.
+    """
+    m = as_matrices(x)
+    d = m.shape[-1]
+    mean = np.trace(m, axis1=-2, axis2=-1) / d
+    gap, size = frobenius_norms(np.array([m - mean[..., None, None] * np.eye(d), m]))
+    scalar = gap <= tol * np.maximum(1.0, size)
+    return scalar if m.ndim == 3 else bool(scalar)
 
 
-def _require_even(grading, xs, tol=1e-10):
-    for i, x in enumerate(xs):
-        if grading.classify(as_matrix(x), tol=tol) is not Parity.EVEN:
-            raise ParityViolation("argument slot %d is not even" % i)
+def _require_even(grading, stacks, tol=1e-10):
+    # ParityViolation naming the first slot that is not even in the first
+    # of the K tuples that has one; one classify call per (K, d, d) slot
+    bad = np.array([[p is not Parity.EVEN for p in grading.classify(s, tol=tol)]
+                    for s in stacks])
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        where = " in tuple %d" % k if bad.shape[1] > 1 else ""
+        raise ParityViolation("argument slot %d is not even%s"
+                              % (int(np.argmax(bad[:, k])), where))
+
+
+def _scalar_slots(stacks, count):
+    # (len(stacks), count) mask of the scalar slices of (count, d, d)
+    # stacks, from one is_scalar_slot call
+    if not stacks:
+        return np.zeros((0, count), dtype=bool)
+    return is_scalar_slot(np.concatenate(stacks)).reshape(len(stacks), count)
 
 
 class Cochain:
@@ -68,13 +90,17 @@ class Cochain:
 
     evaluator(n, stacks) takes a degree and n + 1 stacks, each a (K, d, d)
     array holding one slot of K tuples, and returns the K values.  Calling
-    c(n, xs) on one tuple checks the arity and max_degree (if set).  With a
-    grading, every argument must be even, at any degree: ParityViolation
-    names the first slot that is not.  It then returns 0 without evaluation
-    when n has the wrong parity or when any slot i >= 1 is scalar, and
-    otherwise evaluates the tuple as a stack of one.  So the evaluator only
-    sees supported degrees and slots i >= 1 that are not scalar, and needs
-    no checks of its own; connes_B and hochschild_b take it in that form.
+    c(n, xs) takes the same n + 1 stacks and returns the K values, or one
+    tuple of matrices (a stack of one) and returns its value.  It checks
+    the arity and max_degree (if set).  With a grading, every argument must
+    be even, at any degree: ParityViolation names the first slot that is
+    not (and, in a stack, its tuple).  A tuple reads 0 without evaluation
+    when n has the wrong parity or when any of its slots i >= 1 is scalar;
+    the other tuples go to the evaluator as one stack.  So the evaluator
+    only sees supported degrees and slots i >= 1 that are not scalar, and
+    needs no checks of its own; connes_B and hochschild_b take it in that
+    form.  Parity and scalar tests run on whole stacks, and each tuple
+    gets the bits it would get alone.
     """
 
     def __init__(self, evaluator, parity, max_degree=None, name="", grading=None):
@@ -100,13 +126,17 @@ class Cochain:
                              % (n, n + 1, len(xs)))
         if self.max_degree is not None and n > self.max_degree:
             raise ValueError("degree %d exceeds max_degree %d" % (n, self.max_degree))
+        stacks, one = _as_stacks(xs)
         if self.grading is not None:
-            _require_even(self.grading, xs)
-        if not self.supports(n):
-            return 0.0 + 0.0j
-        if any(is_scalar_slot(x) for x in xs[1:]):
-            return 0.0 + 0.0j
-        return complex(self.evaluator(n, _stacks_of_one(xs))[0])
+            _require_even(self.grading, stacks)
+        vals = np.zeros(len(stacks[0]) if stacks else 1, dtype=complex)
+        if self.supports(n):
+            live = ~_scalar_slots(stacks[1:], len(vals)).any(axis=0)
+            if live.all():
+                vals[:] = self.evaluator(n, stacks)
+            elif live.any():
+                vals[live] = self.evaluator(n, [s[live] for s in stacks])
+        return complex(vals[0]) if one else vals
 
     def __repr__(self):
         return "Cochain(%s, parity=%s)" % (self.name or "<evaluator>", self.parity.value)
@@ -151,18 +181,17 @@ def _signed_sum(terms, values):
 
 
 def _stacked_sums(evaluator, m, terms, live):
-    # the signed sum of the terms for each of the K tuples; live[t] marks
-    # the tuples whose term t does not vanish, and those terms of every
-    # tuple go to the evaluator as one stack at degree m
-    count = len(live[0])
-    picks = [(t, k) for t, row in enumerate(live) for k in range(count) if row[k]]
-    values = {}
-    if picks:
-        batch = [np.stack([terms[t][1][i][k] for t, k in picks]) for i in range(m + 1)]
-        values = dict(zip(picks, evaluator(m, batch)))
-    return np.array([_signed_sum(terms, [complex(values.get((t, k), 0.0 + 0.0j))
-                                         for t in range(len(terms))])
-                     for k in range(count)])
+    # the signed sum of the terms for each of the K tuples; live is a
+    # (terms, K) mask of the terms that do not vanish, and those terms of
+    # every tuple go to the evaluator as one stack at degree m
+    live = np.asarray(live)
+    values = np.zeros(live.shape, dtype=complex)
+    if live.any():
+        batch = [np.concatenate([args[i] for _, args in terms]) for i in range(m + 1)]
+        if not live.all():
+            batch = [b[live.ravel()] for b in batch]
+        values[live] = evaluator(m, batch)
+    return np.array([_signed_sum(terms, col) for col in values.T.tolist()])
 
 
 def hochschild_b(rho, n, xs):
@@ -182,10 +211,11 @@ def hochschild_b(rho, n, xs):
     terms = _b_terms(n, xs)
     if not _is_stacked(xs):
         return _signed_sum(terms, [rho(n - 1, args) for _, args in terms])
-    every = [True] * len(xs[0])
-    live = [every] + [[not is_scalar_slot(y) for y in args[j]]
-                      for j, (_, args) in enumerate(terms[1:n], start=1)]
-    return _stacked_sums(rho, n - 1, terms, live + [every])
+    count = len(xs[0])
+    merged = _scalar_slots([args[j] for j, (_, args) in enumerate(terms[1:n], start=1)],
+                           count)
+    every = np.ones((1, count), dtype=bool)
+    return _stacked_sums(rho, n - 1, terms, np.vstack([every, ~merged, every]))
 
 
 def connes_B(rho, n, xs):
@@ -203,7 +233,7 @@ def connes_B(rho, n, xs):
     terms = _B_terms(n, xs)
     if not _is_stacked(xs):
         return _signed_sum(terms, [rho(n + 1, args) for _, args in terms])
-    live = [not is_scalar_slot(x) for x in xs[0]]
+    live = ~is_scalar_slot(xs[0])
     return _stacked_sums(rho, n + 1, terms, [live] * len(terms))
 
 
@@ -242,16 +272,13 @@ def tau_eval(sys, n, xs, budget=None):
     delta(x_1) ... delta(x_n) e^{-(1-s_n) H}) d^n s for even n; odd n
     returns 0 without evaluation.  At even n every argument is checked to
     be even (ParityViolation names the slot), and scalar slots i >= 1
-    return exactly 0.
+    return exactly 0: at even n this is jlo_cochain on one tuple.
     """
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
     if n % 2 == 1:
         return 0.0 + 0.0j
-    _require_even(sys.grading, xs)
-    if any(is_scalar_slot(x) for x in xs[1:]):
-        return 0.0 + 0.0j
-    return _tau_chain(sys, n, _stacks_of_one(xs), budget)[0]
+    return jlo_cochain(sys, budget=budget)(n, xs)
 
 
 def _tau_chain(sys, n, stacks, budget):
@@ -327,7 +354,7 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
                       for _ in range(4)]
     else:
         generators = [as_matrix(g) for g in generators]
-    _require_even(sys.grading, generators)
+    _require_even(sys.grading, [g[None] for g in generators])
     out = []
     for n in degrees:
         best = 0.0
@@ -342,11 +369,39 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
                 coeffs = np.array(draws).T[:, :, None, None]
                 mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
                 tuples = mats.reshape(-1, n + 1, sys.dim, sys.dim)
-                keep = [t for t in tuples if not any(is_scalar_slot(x) for x in t[1:])]
-                if keep:
-                    values = _tau_chain(sys, n, np.stack(keep, axis=1), budget)
+                stacks = list(tuples.swapaxes(0, 1))
+                keep = ~_scalar_slots(stacks[1:], len(tuples)).any(axis=0)
+                if keep.any():
+                    values = _tau_chain(sys, n, [s[keep] for s in stacks], budget)
                     best = max([best] + [abs(v) for v in values])
         out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples, seed=seed))
+    return out
+
+
+def _over(v, z):
+    # v / z for real z, part by part: the bits Python gives a complex over a float
+    v = np.asarray(v)
+    return (v.real / z) + 1j * (v.imag / z)
+
+
+def _chains_by_degree(sys, tuples):
+    """Chain integrals of tuples of stacks, one block exponential per degree.
+
+    Each tuple is a list of (K_t, d, d) stacks, slot by slot.  The tuples
+    of one degree are concatenated into one stack for chain_integral on
+    sys.spectrum and sys.grading; returns the (K_t,) values of each tuple,
+    in order, with the bits each gets alone.
+    """
+    groups = {}
+    for i, slots in enumerate(tuples):
+        groups.setdefault(len(slots), []).append(i)
+    out = [None] * len(tuples)
+    for size, members in groups.items():
+        stacks = [np.concatenate([tuples[i][j] for i in members]) for j in range(size)]
+        vals = chain_integral(sys.spectrum, stacks, sys.grading)
+        cuts = np.cumsum([len(tuples[i][0]) for i in members])[:-1]
+        for i, part in zip(members, np.split(vals, cuts)):
+            out[i] = part
     return out
 
 
@@ -359,34 +414,34 @@ def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest="
     integrating d/ds_j of the chain integrand equals the difference of the
     two contracted chains that merge slots (j, j+1) and (j-1, j).  The left
     side is evaluated by Gauss quadrature, the right by the block-exponential
-    chain kernel, so this doubles as a cross-oracle test.
+    chain kernel, so this doubles as a cross-oracle test.  The samples are
+    drawn as one stack, and every chain, all of degree n, goes to one
+    block exponential call.
     """
     from .kernels import SimplexQuadratureRule, heat_chain_integrand, simplex_quadrature
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x34)))
     z = sys.witten_index
-    rot, slot = [], []
-    for _ in range(samples):
-        xs = [as_matrix(sys.random_element(rng)) for _ in range(n + 1)]
-        lhs = chain_integral(sys.spectrum, xs, sys.grading) / z
-        twisted = [as_matrix(sys.gamma(xs[n]))] + xs[:n]
-        rhs = chain_integral(sys.spectrum, twisted, sys.grading) / z
-        rot.append(abs(lhs - rhs))
+    draws = _draw_tuples(sys, rng, samples, 2 * n + 3)
+    xs, ys = draws[:n + 1], draws[n + 1:]
+    twisted = [sys.gamma(xs[n])] + xs[:n]
+    chains = _chains_by_degree(sys, [xs, twisted]
+                               + [_merge(ys, j) for j in range(n + 1)])
+    rot = modulus(_over(chains[0], z) - _over(chains[1], z))
 
-        ys = [as_matrix(sys.random_element(rng)) for _ in range(n + 2)]
-        h = sys.hamiltonian
+    h = sys.hamiltonian
+    rule = SimplexQuadratureRule("gauss", order, vectorized=True)
+    slot = []
+    for k in range(samples):
         for j in range(1, n + 1):
-            dys = list(ys)
-            dys[j] = ys[j] @ h - h @ ys[j]
+            dys = [y[k] for y in ys]
+            dys[j] = ys[j][k] @ h - h @ ys[j][k]
             f = heat_chain_integrand(sys.spectrum, dys, sys.grading)
-            val, _ = simplex_quadrature(
-                f, n + 1, SimplexQuadratureRule("gauss", order, vectorized=True))
-            lhs_j = val / z
-            rhs_j = (chain_integral(sys.spectrum, _merge(ys, j), sys.grading)
-                     - chain_integral(sys.spectrum, _merge(ys, j - 1), sys.grading)) / z
-            slot.append(abs(lhs_j - rhs_j))
+            val, _ = simplex_quadrature(f, n + 1, rule)
+            rhs = (complex(chains[2 + j][k]) - complex(chains[1 + j][k])) / z
+            slot.append(abs(val / z - rhs))
     return [
-        make_report("chain.rotation", "rotation", samples, max(rot), tol,
+        make_report("chain.rotation", "rotation", samples, float(np.max(rot)), tol,
                     seed=seed, model_digest=model_digest),
         make_report("chain.slot_derivative", "cocycle1+cocycle2",
                     samples * n, max(slot), tol, seed=seed, model_digest=model_digest),

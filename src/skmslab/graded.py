@@ -30,9 +30,39 @@ def as_matrix(x):
     return m
 
 
+def as_matrices(x):
+    """Return the square complex ndarray of x, or a (K, d, d) stack of them."""
+    if isinstance(x, AlgebraElement):
+        return x.entries
+    m = np.asarray(x, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(
+            "expected a square matrix or a stack of them, got shape %s" % (m.shape,))
+    return m
+
+
+def frobenius_norms(m):
+    """Frobenius norm over the last two axes, for the tolerance tests."""
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    return np.sqrt((flat * flat.conj()).real.sum(axis=-1))
+
+
+def modulus(z):
+    """|z| entrywise, with the bits of Python's abs of a complex (hypot).
+
+    np.abs of a complex array rounds differently in the last bit.
+    """
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
 def operator_norm(x):
     """Largest singular value of x."""
     return float(np.linalg.norm(as_matrix(x), 2))
+
+
+def _parity_of(even, odd):
+    return Parity.EVEN if even else Parity.ODD if odd else Parity.MIXED
 
 
 class GradingOperator:
@@ -58,25 +88,23 @@ class GradingOperator:
         self.dim = d
 
     def conjugate(self, x):
-        """gamma(x) = Gamma x Gamma."""
+        """gamma(x) = Gamma x Gamma, on a matrix or on each slice of a stack."""
         if isinstance(x, AlgebraElement):
             return AlgebraElement(self.matrix @ x.entries @ self.matrix, self)
-        return self.matrix @ as_matrix(x) @ self.matrix
+        return self.matrix @ as_matrices(x) @ self.matrix
 
     def classify(self, x, tol=1e-10):
-        m = as_matrix(x)
+        """Parity of x; for a (K, d, d) stack, the list of slice parities.
+
+        Even wins where both tests pass, which only the zero matrix does.
+        """
+        m = as_matrices(x)
         g = self.matrix @ m @ self.matrix
-        scale = max(1.0, np.linalg.norm(m))
-        even = np.linalg.norm(m - g) <= tol * scale
-        odd = np.linalg.norm(m + g) <= tol * scale
-        if even and not odd:
-            return Parity.EVEN
-        if odd and not even:
-            return Parity.ODD
-        if even and odd:
-            # only the zero matrix is both
-            return Parity.EVEN
-        return Parity.MIXED
+        norms = frobenius_norms(np.array([m, m - g, m + g]))
+        even, odd = (norms[1:] <= tol * np.maximum(1.0, norms[0])).tolist()
+        if m.ndim == 2:
+            return _parity_of(even, odd)
+        return [_parity_of(e, o) for e, o in zip(even, odd)]
 
     def element(self, entries):
         return AlgebraElement(entries, self)

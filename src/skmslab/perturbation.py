@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import Cochain, _require_even, boundary, is_scalar_slot, tau_eval
-from .dynamics import (GradedSystem, _super_gibbs, _superderivation_stack,
-                       heisenberg_flow, skms_eval, superderivation)
+from .cochain import Cochain, _chains_by_degree, _over, boundary, tau_eval
+from .dynamics import (GradedSystem, _draw_tuples, _super_gibbs,
+                       _superderivation_stack, heisenberg_flow, skms_eval,
+                       superderivation)
 from .errors import ParityViolation, TruncationUnreachable
-from .graded import AlgebraElement, Parity, as_matrix
-from .kernels import (Spectrum, _heat_chain_blocks, _stacks_of_one,
-                      alternating_chain_integral, chain_integral)
+from .graded import AlgebraElement, Parity, as_matrices, as_matrix, modulus
+from .kernels import (Spectrum, _heat_chain_blocks, alternating_chain_integral,
+                      chain_integral)
 from .report import DOCUMENTED, make_report
 
 SERIES_CAP = 40
@@ -131,13 +132,16 @@ def gamma_cocycle_oracle(ctx, t):
 
 
 def gamma_flow_oracle(ctx, x, t):
-    """Exact gamma^r_t(x) = e^{itH_r} x e^{-itH} = gamma^r_t(1) alpha_t(x)."""
+    """Exact gamma^r_t(x) = e^{itH_r} x e^{-itH} = gamma^r_t(1) alpha_t(x).
+
+    x may be a (K, d, d) stack, conjugated slice by slice.
+    """
     t = complex(t)
     spec_r = ctx.spectrum
     spec = ctx.system.spectrum
     left = spec_r.from_eigenbasis(np.diag(np.exp(1j * t * spec_r.evals)))
     right = spec.from_eigenbasis(np.diag(np.exp(-1j * t * spec.evals)))
-    return left @ as_matrix(x) @ right
+    return left @ as_matrices(x) @ right
 
 
 @dataclass(frozen=True)
@@ -295,16 +299,13 @@ def transgression_G(ctx, m, xs, budget=None):
     the position of Q is read off one (2(m+1)d)-square block exponential
     (kernels.alternating_chain_integral on a stack of one), divided
     by Z.  budget prices that exponential and ChainBudgetExceeded names
-    its size.
+    its size.  At odd m this is transgression_cochain on one tuple.
     """
     if len(xs) != m + 1:
         raise ValueError("degree %d expects %d arguments" % (m, m + 1))
     if m % 2 == 0:
         return 0.0 + 0.0j
-    _require_even(ctx.grading, xs)
-    if any(is_scalar_slot(x) for x in xs[1:]):
-        return 0.0 + 0.0j
-    return _transgression_sum(ctx, _stacks_of_one(xs), budget)[0]
+    return transgression_cochain(ctx, budget=budget)(m, xs)
 
 
 def _transgression_sum(ctx, stacks, budget):
@@ -339,87 +340,93 @@ def boundary_of_transgression(ctx, n, xs, budget=None):
 # checkers
 
 
-def _draw(sys, rng, parity=None):
-    return as_matrix(sys.random_element(rng, parity=parity))
-
-
 def lemma43_check(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0, model_digest=""):
-    """Cocycle algebra of gamma^r_t(1): all four exact-oracle equalities."""
+    """Cocycle algebra of gamma^r_t(1): all four exact-oracle equalities.
+
+    The samples are drawn as one stack and evaluated as stacks; gamma^r at
+    t, t/2 and -t is computed once per t.  The adjoint and unitarity row
+    depends on t alone, so its value at t stands for every sample.
+    """
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x43)))
+    x, y = _draw_tuples(sys, rng, samples, 2)
+    unit = np.eye(ctx.dim)
     gcomp, gstar, acomp, gprod = [], [], [], []
-    for _ in range(samples):
-        x = _draw(sys, rng)
-        y = _draw(sys, rng)
-        for t in ts:
-            s = 0.5 * t
-            g_t = gamma_cocycle_oracle(ctx, t)
-            lhs = gamma_flow_oracle(ctx, x, t)
-            inner = gamma_flow_oracle(ctx, x, t - s)
-            rhs = gamma_cocycle_oracle(ctx, s) @ heisenberg_flow(sys, inner, s)
-            gcomp.append(np.linalg.norm(lhs - rhs, 2))
+    for t in ts:
+        s = 0.5 * t
+        g_t = gamma_cocycle_oracle(ctx, t)
+        g_s = gamma_cocycle_oracle(ctx, s)
+        lhs = gamma_flow_oracle(ctx, x, t)
+        inner = gamma_flow_oracle(ctx, x, t - s)
+        gcomp.append(np.linalg.norm(lhs - g_s @ heisenberg_flow(sys, inner, s), 2,
+                                    axis=(1, 2)))
 
-            lhs2 = g_t.conj().T
-            rhs2 = heisenberg_flow(sys, gamma_cocycle_oracle(ctx, -t), t)
-            unit = np.eye(ctx.dim)
-            gstar.append(max(
-                np.linalg.norm(lhs2 - rhs2, 2),
-                np.linalg.norm(g_t @ g_t.conj().T - unit, 2),
-                np.linalg.norm(g_t.conj().T @ g_t - unit, 2)))
+        rhs2 = heisenberg_flow(sys, gamma_cocycle_oracle(ctx, -t), t)
+        gstar.append(max(
+            np.linalg.norm(g_t.conj().T - rhs2, 2),
+            np.linalg.norm(g_t @ g_t.conj().T - unit, 2),
+            np.linalg.norm(g_t.conj().T @ g_t - unit, 2)))
 
-            lhs3 = heisenberg_flow(ctx, x, t)
-            rhs3 = g_t @ heisenberg_flow(sys, x, t) @ g_t.conj().T
-            acomp.append(np.linalg.norm(lhs3 - rhs3, 2))
+        flow_r = heisenberg_flow(ctx, x, t)
+        rhs3 = g_t @ heisenberg_flow(sys, x, t) @ g_t.conj().T
+        acomp.append(np.linalg.norm(flow_r - rhs3, 2, axis=(1, 2)))
 
-            lhs4 = heisenberg_flow(ctx, x, t) @ gamma_flow_oracle(ctx, y, t)
-            rhs4 = gamma_flow_oracle(ctx, x @ y, t)
-            gprod.append(np.linalg.norm(lhs4 - rhs4, 2))
+        lhs4 = flow_r @ gamma_flow_oracle(ctx, y, t)
+        gprod.append(np.linalg.norm(lhs4 - gamma_flow_oracle(ctx, x @ y, t), 2,
+                                    axis=(1, 2)))
     count = samples * len(ts)
     rows = [
-        ("gamma_r.composition", "L43.1", max(gcomp)),
+        ("gamma_r.composition", "L43.1", np.max(gcomp)),
         ("gamma_r.adjoint_unitarity", "L43.2", max(gstar)),
-        ("alpha_r.conjugation", "L43.3", max(acomp)),
-        ("gamma_r.multiplicativity", "L43.4", max(gprod)),
+        ("alpha_r.conjugation", "L43.3", np.max(acomp)),
+        ("gamma_r.multiplicativity", "L43.4", np.max(gprod)),
     ]
-    return [make_report(name, anchor, count, res, tol, seed=seed,
+    return [make_report(name, anchor, count, float(res), tol, seed=seed,
                         model_digest=model_digest)
             for name, anchor, res in rows]
 
 
 def lemma44_check(sys, n=2, samples=20, tol=1e-10, seed=0, model_digest=""):
-    """Complex-time conjugation and reflection identities for phi."""
+    """Complex-time conjugation and reflection identities for phi.
+
+    Each sample draws its n + 1 elements and then its n times, so the
+    draws stay per sample; the identities are evaluated on the stack of
+    all samples, each flow with one time per slice.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x44)))
-    conj_res, refl_res = [], []
+    draws, times = [], []
     for _ in range(samples):
-        xs = [_draw(sys, rng) for _ in range(n + 1)]
+        draws.append(sys.random_elements(rng, n + 1))
         ims = np.sort(rng.random(n))
         res = rng.uniform(-1.0, 1.0, n)
-        zs = [complex(a, b) for a, b in zip(res, ims)]
+        times.append([complex(a, b) for a, b in zip(res, ims)])
+    xs = list(np.array(draws).swapaxes(0, 1))
+    zs = np.array(times, dtype=complex).T
+    eye = np.broadcast_to(np.eye(sys.dim, dtype=complex), xs[0].shape)
 
-        prod = np.eye(sys.dim, dtype=complex)
-        for z, x in zip(zs, xs[1:]):
-            prod = prod @ as_matrix(heisenberg_flow(sys, x, z))
-        lhs = skms_eval(sys, prod @ as_matrix(heisenberg_flow(sys, xs[0], 1j)))
-        prod_g = np.eye(sys.dim, dtype=complex)
-        for z, x in zip(zs, xs[1:]):
-            prod_g = prod_g @ as_matrix(heisenberg_flow(sys, sys.gamma(x), z))
-        rhs = skms_eval(sys, as_matrix(xs[0]) @ prod_g)
-        conj_res.append(abs(lhs - rhs))
+    prod = eye
+    for z, x in zip(zs, xs[1:]):
+        prod = prod @ heisenberg_flow(sys, x, z)
+    lhs = skms_eval(sys, prod @ heisenberg_flow(sys, xs[0], 1j))
+    prod_g = eye
+    for z, x in zip(zs, xs[1:]):
+        prod_g = prod_g @ heisenberg_flow(sys, sys.gamma(x), z)
+    rhs = skms_eval(sys, xs[0] @ prod_g)
+    conj_res = modulus(lhs - rhs)
 
-        rev = np.eye(sys.dim, dtype=complex)
-        for z, x in zip(reversed(zs), reversed(xs[1:])):
-            rev = rev @ as_matrix(heisenberg_flow(sys, x, np.conj(z)))
-        lhs2 = np.conj(skms_eval(sys, rev))
-        fwd = np.eye(sys.dim, dtype=complex)
-        for z, x in zip(zs, xs[1:]):
-            fwd = fwd @ as_matrix(heisenberg_flow(sys, x.conj().T, z))
-        rhs2 = skms_eval(sys, fwd)
-        refl_res.append(abs(lhs2 - rhs2))
+    rev = eye
+    for z, x in zip(reversed(zs), reversed(xs[1:])):
+        rev = rev @ heisenberg_flow(sys, x, np.conj(z))
+    lhs2 = np.conj(skms_eval(sys, rev))
+    fwd = eye
+    for z, x in zip(zs, xs[1:]):
+        fwd = fwd @ heisenberg_flow(sys, x.conj().swapaxes(1, 2), z)
+    refl_res = np.abs(lhs2 - skms_eval(sys, fwd))
     return [
         make_report("flow.cyclic_conjugation", "analcont", samples,
-                    max(conj_res), tol, seed=seed, model_digest=model_digest),
+                    float(np.max(conj_res)), tol, seed=seed, model_digest=model_digest),
         make_report("flow.reflection", "analcont", samples,
-                    max(refl_res), tol, seed=seed, model_digest=model_digest),
+                    float(np.max(refl_res)), tol, seed=seed, model_digest=model_digest),
     ]
 
 
@@ -429,46 +436,44 @@ def skms_check_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0,
 
     All flows use the exact oracles so residuals reflect the algebra, not
     series truncation.  Includes the error-term identity phi(z e(t)) = 0
-    and the exact vanishing of e(0).
+    and the exact vanishing of e(0).  The samples are drawn as one stack
+    and evaluated as stacks; e(t) is computed once per t.
     """
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x45)))
-    herm, inv_a, inv_g, bound, deriv, weak, err_t = [], [], [], [], [], [], []
+    x, y, w = _draw_tuples(sys, rng, samples, 3)
     gamma_i = gamma_cocycle_oracle(ctx, 1j)
-    for _ in range(samples):
-        x = _draw(sys, rng)
-        y = _draw(sys, rng)
-        w = _draw(sys, rng)
-        herm.append(abs(skms_eval(ctx, x.conj().T) - np.conj(skms_eval(ctx, x))))
-        inv_g.append(abs(skms_eval(ctx, sys.gamma(x)) - skms_eval(ctx, x)))
-        deriv.append(abs(skms_eval(ctx, superderivation(ctx, x))))
-        dd = superderivation(ctx, superderivation(ctx, y))
-        comm = ctx.hamiltonian @ y - y @ ctx.hamiltonian
-        weak.append(abs(skms_eval(ctx, x @ dd @ w) - skms_eval(ctx, x @ comm @ w)))
-        for t in ts:
-            inv_a.append(abs(skms_eval(ctx, heisenberg_flow(ctx, x, t))
-                             - skms_eval(ctx, x)))
-            moved = heisenberg_flow(ctx, y, t + 1j)
-            lhs = skms_eval(sys, x @ moved @ gamma_i)
-            rhs = skms_eval(sys, heisenberg_flow(ctx, y, t)
-                            @ as_matrix(sys.gamma(x)) @ gamma_i)
-            bound.append(abs(lhs - rhs))
-            err_t.append(abs(skms_eval(sys, w @ error_term(ctx, t))))
+    phi_x = skms_eval(ctx, x)
+    herm = np.abs(skms_eval(ctx, x.conj().swapaxes(1, 2)) - np.conj(phi_x))
+    inv_g = modulus(skms_eval(ctx, sys.gamma(x)) - phi_x)
+    deriv = modulus(skms_eval(ctx, superderivation(ctx, x)))
+    dd = superderivation(ctx, superderivation(ctx, y))
+    comm = ctx.hamiltonian @ y - y @ ctx.hamiltonian
+    weak = modulus(skms_eval(ctx, x @ dd @ w) - skms_eval(ctx, x @ comm @ w))
+    inv_a, bound, err_t = [], [], []
+    for t in ts:
+        inv_a.append(modulus(skms_eval(ctx, heisenberg_flow(ctx, x, t)) - phi_x))
+        moved = heisenberg_flow(ctx, y, t + 1j)
+        lhs = skms_eval(sys, x @ moved @ gamma_i)
+        rhs = skms_eval(sys, heisenberg_flow(ctx, y, t)
+                        @ sys.gamma(x) @ gamma_i)
+        bound.append(modulus(lhs - rhs))
+        err_t.append(modulus(skms_eval(sys, w @ error_term(ctx, t))))
     e0_norm = float(np.linalg.norm(error_term(ctx, 0.0), 2))
     unit_res = abs(skms_eval(ctx, np.eye(ctx.dim)) - 1.0)
     count = samples * len(ts)
     rows = [
-        ("skms_r.hermiticity", "S0", samples, max(herm), tol),
-        ("skms_r.alpha_invariance", "S1", count, max(inv_a), tol),
-        ("skms_r.gamma_invariance", "S1", samples, max(inv_g), tol),
-        ("skms_r.kms_boundary", "Fxz", count, max(bound), tol),
+        ("skms_r.hermiticity", "S0", samples, np.max(herm), tol),
+        ("skms_r.alpha_invariance", "S1", count, np.max(inv_a), tol),
+        ("skms_r.gamma_invariance", "S1", samples, np.max(inv_g), tol),
+        ("skms_r.kms_boundary", "Fxz", count, np.max(bound), tol),
         ("skms_r.normalization", "phi-r1", 1, unit_res, tol),
-        ("skms_r.delta_invariance", "S4", samples, max(deriv), tol),
-        ("skms_r.weak_supersymmetry", "S5", samples, max(weak), tol),
-        ("skms_r.error_term", "lem2", count, max(err_t), tol),
+        ("skms_r.delta_invariance", "S4", samples, np.max(deriv), tol),
+        ("skms_r.weak_supersymmetry", "S5", samples, np.max(weak), tol),
+        ("skms_r.error_term", "lem2", count, np.max(err_t), tol),
         ("skms_r.error_term_at_zero", "lem2", 1, e0_norm, 0.0),
     ]
-    return [make_report(name, anchor, ns, res, tl, seed=seed,
+    return [make_report(name, anchor, ns, float(res), tl, seed=seed,
                         model_digest=model_digest)
             for name, anchor, ns, res, tl in rows]
 
@@ -477,60 +482,67 @@ def f_identities_check(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest=""):
     """The five chain identities behind the perturbed cocycle.
 
     Rotation, the two heat-commutator contractions (inner slot and last
-    slot), unit insertion, and the cyclic derivation sum."""
+    slot), unit insertion, and the cyclic derivation sum.  The samples are
+    drawn as one stack, and the chains of each degree n - 1, n, n + 1 go
+    to one block exponential call."""
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x46)))
-    rot, inner, last, unit_ins, cyc = [], [], [], [], []
-    unit = np.eye(ctx.dim, dtype=complex)
-    for _ in range(samples):
-        xs = [_draw(sys, rng) for _ in range(n + 1)]
-        gxs = [as_matrix(sys.gamma(x)) for x in xs]
+    xs = _draw_tuples(sys, rng, samples, n + 1)
+    gxs = [sys.gamma(x) for x in xs]
+    h = ctx.hamiltonian
+    unit = np.broadcast_to(np.eye(ctx.dim, dtype=complex), xs[0].shape)
 
-        lhs = F_r_eval(ctx, n, xs)
-        rhs = F_r_eval(ctx, n, [gxs[n]] + xs[:n])
-        rot.append(abs(lhs - rhs))
-
-        for k in range(1, n):
-            mod = list(xs)
-            mod[k] = ctx.hamiltonian @ xs[k] - xs[k] @ ctx.hamiltonian
-            lhs2 = F_r_eval(ctx, n, mod)
-            rhs2 = (F_r_eval(ctx, n - 1, xs[:k - 1] + [xs[k - 1] @ xs[k]] + xs[k + 1:])
-                    - F_r_eval(ctx, n - 1, xs[:k] + [xs[k] @ xs[k + 1]] + xs[k + 2:]))
-            inner.append(abs(lhs2 - rhs2))
-
+    def commuted(k):
         mod = list(xs)
-        mod[n] = ctx.hamiltonian @ xs[n] - xs[n] @ ctx.hamiltonian
-        lhs3 = F_r_eval(ctx, n, mod)
-        rhs3 = (F_r_eval(ctx, n - 1, xs[:n - 1] + [xs[n - 1] @ xs[n]])
-                - F_r_eval(ctx, n - 1, [gxs[n] @ xs[0]] + xs[1:n]))
-        last.append(abs(lhs3 - rhs3))
+        mod[k] = h @ xs[k] - xs[k] @ h
+        return mod
 
-        total = 0.0 + 0.0j
-        for j in range(n + 1):
-            args = [unit] + xs[j:] + gxs[:j]
-            total += F_r_eval(ctx, n + 1, args)
-        unit_ins.append(abs(total - F_r_eval(ctx, n, xs)))
+    # every chain of the five identities, in the order they are read below
+    tuples = [xs, [gxs[n]] + xs[:n]]
+    for k in range(1, n):
+        tuples += [commuted(k), xs[:k - 1] + [xs[k - 1] @ xs[k]] + xs[k + 1:],
+                   xs[:k] + [xs[k] @ xs[k + 1]] + xs[k + 2:]]
+    tuples += [commuted(n), xs[:n - 1] + [xs[n - 1] @ xs[n]],
+               [gxs[n] @ xs[0]] + xs[1:n]]
+    tuples += [[unit] + xs[j:] + gxs[:j] for j in range(n + 1)]
+    tuples += [gxs[:j] + [superderivation(ctx, xs[j])] + xs[j + 1:]
+               for j in range(n + 1)]
+    values = iter([_over(v, ctx.witten_index)
+                   for v in _chains_by_degree(ctx, tuples)])
 
-        total2 = 0.0 + 0.0j
-        for j in range(n + 1):
-            args = gxs[:j] + [superderivation(ctx, xs[j])] + xs[j + 1:]
-            total2 += F_r_eval(ctx, n, args)
-        cyc.append(abs(total2))
+    plain = next(values)
+    rot = modulus(plain - next(values))
+    inner = []
+    for k in range(1, n):
+        lhs2 = next(values)
+        inner.append(modulus(lhs2 - (next(values) - next(values))))
+    lhs3 = next(values)
+    last = modulus(lhs3 - (next(values) - next(values)))
+    total = sum((next(values) for _ in range(n + 1)), 0.0 + 0.0j)
+    unit_ins = modulus(total - plain)
+    cyc = modulus(sum((next(values) for _ in range(n + 1)), 0.0 + 0.0j))
     rows = [
-        ("F.rotation", "F1", samples, max(rot)),
-        ("F.heat_commutator_inner", "F2", samples * max(0, n - 1), max(inner, default=0.0)),
-        ("F.heat_commutator_last", "F4", samples, max(last)),
-        ("F.unit_insertion", "F5", samples, max(unit_ins)),
-        ("F.derivation_cycle", "F6", samples, max(cyc)),
+        ("F.rotation", "F1", samples, np.max(rot)),
+        ("F.heat_commutator_inner", "F2", samples * max(0, n - 1),
+         np.max(inner) if inner else 0.0),
+        ("F.heat_commutator_last", "F4", samples, np.max(last)),
+        ("F.unit_insertion", "F5", samples, np.max(unit_ins)),
+        ("F.derivation_cycle", "F6", samples, np.max(cyc)),
     ]
-    return [make_report(name, anchor, ns, res, tol, seed=seed,
+    return [make_report(name, anchor, ns, float(res), tol, seed=seed,
                         model_digest=model_digest)
             for name, anchor, ns, res in rows]
 
 
 def witten_invariance_check(system, perturbation, grid=11, tol=1e-10, seed=0,
                             model_digest=""):
-    """Tr(Gamma e^{-H_r}) and phi^r(1) are r-independent (McKean-Singer)."""
+    """Tr(Gamma e^{-H_r}) and phi^r(1) are r-independent (McKean-Singer).
+
+    The grid has both ends r = 0 and r = 1, so it needs grid >= 2;
+    anything less raises ValueError.
+    """
+    if grid < 2:
+        raise ValueError("the coupling grid needs at least 2 points, got %d" % grid)
     rs = np.linspace(0.0, 1.0, grid)
     z0 = system.witten_index
     worst_z = 0.0
@@ -560,7 +572,7 @@ def lipschitz_check(system, perturbation, samples=100, seed=0, model_digest=""):
     c = float(np.linalg.norm(dq, 2) + np.linalg.norm(q @ q, 2))
     worst = 0.0
     for _ in range(samples):
-        x = _draw(system, rng)
+        x = system.random_elements(rng, 1)[0]
         t = rng.uniform(-1.0, 1.0)
         r1, r2 = rng.random(2)
         ctx1 = PerturbedContext(system, perturbation, r1)

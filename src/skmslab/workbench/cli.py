@@ -36,23 +36,31 @@ def _quadrature(text):
     return text
 
 
-def _series_order(text):
-    # 0 <= k <= SERIES_CAP, checked while the arguments are parsed
-    try:
-        order = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if not 0 <= order <= SERIES_CAP:
-        raise argparse.ArgumentTypeError(
-            "series order must be in [0, %d], got %d" % (SERIES_CAP, order))
-    return order
+def _int_in(what, low, high=None):
+    # an int in [low, high] (no upper end for None), checked while the
+    # arguments are parsed, so a bad value is a usage error
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if high is not None and not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                "%s must be in [%d, %d], got %d" % (what, low, high, value))
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "%s must be at least %d, got %d" % (what, low, value))
+        return value
+    return parse
 
 
 def _add_common(parser):
     parser.add_argument("--tol", type=float, default=None,
                         help="override the exact-identity tolerance")
-    parser.add_argument("--max-degree", type=int, default=5)
-    parser.add_argument("--series-order", type=_series_order, default=None,
+    parser.add_argument("--max-degree", type=_int_in("max degree", 1),
+                        default=5, help="highest cochain degree checked, >= 1")
+    parser.add_argument("--series-order", type=_int_in("series order", 0, SERIES_CAP),
+                        default=None,
                         help="Dyson series order, 0 to %d" % SERIES_CAP)
     parser.add_argument("--quadrature", type=_quadrature, default=None,
                         help="gauss:<order> (order >= %d) or mc:<samples>"
@@ -246,7 +254,8 @@ def build_parser():
     perturb_sub = perturb.add_subparsers(dest="perturb_command", required=True)
     sweep = perturb_sub.add_parser("sweep")
     sweep.add_argument("--model", required=True)
-    sweep.add_argument("--grid", type=int, default=11)
+    sweep.add_argument("--grid", type=_int_in("grid", 2), default=11,
+                       help="coupling values from r = 0 to r = 1, >= 2")
     _add_common(sweep)
     sweep.set_defaults(func=_cmd_perturb_sweep)
 

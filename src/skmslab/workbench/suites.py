@@ -15,9 +15,10 @@ import numpy as np
 
 from ..cochain import (boundary, entireness_diagnostic, jlo_cochain,
                        lemma34_check, tau_eval)
-from ..dynamics import heisenberg_flow, skms_eval, verify_skms_axioms
+from ..dynamics import (_draw_tuples, heisenberg_flow, skms_eval,
+                        verify_skms_axioms)
 from ..errors import ChainBudgetExceeded
-from ..graded import as_matrix
+from ..graded import modulus
 from ..kernels import GAUSS_MIN_ORDER
 from ..perturbation import (PerturbedContext, boundary_of_transgression,
                             dyson_alpha_info, dyson_gamma_one_info,
@@ -67,11 +68,6 @@ def parse_quadrature(text):
     return kind, int(num)
 
 
-def _even_tuple(sys, rng, count):
-    return [as_matrix(sys.random_element(rng, parity="even"))
-            for _ in range(count)]
-
-
 def _axioms_checks(sys, digest, config):
     def run():
         return verify_skms_axioms(sys, samples=50, tol=config.tol_exact,
@@ -96,7 +92,7 @@ def _cocycle_checks(sys, digest, config):
 
     def degeneracy():
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x0D)))
-        xs = _even_tuple(sys, rng, 3)
+        xs = list(sys.random_elements(rng, 3, parity="even"))
         worst = 0.0
         for slot in (1, 2):
             args = list(xs)
@@ -112,10 +108,8 @@ def _cocycle_checks(sys, digest, config):
         def run(n=n):
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, 0x0B, n)))
-            worst = 0.0
-            for _ in range(25):
-                xs = _even_tuple(sys, rng, n + 1)
-                worst = max(worst, abs(dtau(n, xs)))
+            stacks = _draw_tuples(sys, rng, 25, n + 1, parity="even")
+            worst = max(0.0, float(np.max(modulus(dtau(n, stacks)))))
             return [make_report("cocycle.boundary_n%d" % n, "boundary", 25,
                                 worst, config.tol_quad, seed=config.seed,
                                 model_digest=digest)]
@@ -137,7 +131,7 @@ def _lemma34_checks(sys, digest, config):
 def _dyson_fidelity(sys, pert, digest, config):
     ctx = PerturbedContext(sys, pert, 0.7)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5D)))
-    xs = [as_matrix(sys.random_element(rng)) for _ in range(3)]
+    xs = sys.random_elements(rng, 3)
 
     def run():
         worst_alpha = 0.0
@@ -148,16 +142,21 @@ def _dyson_fidelity(sys, pert, digest, config):
                 err = float(np.linalg.norm(val - heisenberg_flow(ctx, x, t), 2))
                 budgeted = info.tail_bound + 1e-12
                 worst_alpha = max(worst_alpha, err - budgeted)
-        gval, ginfo = dyson_gamma_one_info(ctx, 1j, tol=1e-10,
-                                           order=config.series_order)
-        gerr = float(np.linalg.norm(gval - gamma_cocycle_oracle(ctx, 1j), 2))
-        worst_gamma = gerr - (ginfo.tail_bound + 1e-12)
+        # real t as well as t = i: a defect in the real-time series alone
+        # leaves the t = i heat chain intact
+        gamma_times = (0.3, 1.0, 1j)
+        worst_gamma = 0.0
+        for t in gamma_times:
+            gval, ginfo = dyson_gamma_one_info(ctx, t, tol=1e-10,
+                                               order=config.series_order)
+            gerr = float(np.linalg.norm(gval - gamma_cocycle_oracle(ctx, t), 2))
+            worst_gamma = max(worst_gamma, gerr - (ginfo.tail_bound + 1e-12))
         return [
             make_report("dyson.alpha_fidelity", "dyson", 2 * len(xs),
                         max(worst_alpha, 0.0), 0.0, seed=config.seed,
                         model_digest=digest),
-            make_report("dyson.gamma_fidelity", "dyson", 1,
-                        max(worst_gamma, 0.0), 0.0, seed=config.seed,
+            make_report("dyson.gamma_fidelity", "dyson", len(gamma_times),
+                        worst_gamma, 0.0, seed=config.seed,
                         model_digest=digest),
         ]
     return [("dyson.alpha_fidelity", "dyson", 0.0, run)]
@@ -196,7 +195,7 @@ def _perturbation_checks(sys, pert, digest, config):
 
 def _homotopy_checks(sys, pert, digest, config):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x48)))
-    xs = _even_tuple(sys, rng, 3)
+    xs = list(sys.random_elements(rng, 3, parity="even"))
     checks = [
         ("transgression.orientation", "main", 0.0,
          lambda: homotopy_check(sys, pert, 2, xs, r=0.5, seed=config.seed,
@@ -283,8 +282,14 @@ def _run_one(entry, config):
 
 
 def run_suite(spec, suite, config=None):
-    """Run one named suite against a ModelSpec; returns report rows."""
+    """Run one named suite against a ModelSpec; returns report rows.
+
+    Raises ValueError for config.max_degree < 1: the Cocycle suite would
+    check no degree and F.* would ask for degree -1.
+    """
     config = config or SuiteConfig()
+    if config.max_degree < 1:
+        raise ValueError("max_degree must be at least 1, got %d" % config.max_degree)
     checks = _suite_checks(spec, suite, config)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:

@@ -317,7 +317,7 @@ def test_dyson_mutant_template_is_the_real_route():
 
 @pytest.mark.parametrize("defect, red", [
     ("no_phase", {"dyson.alpha_fidelity", "dyson.gamma_fidelity"}),
-    ("conjugate_edge", {"dyson.alpha_fidelity"}),
+    ("conjugate_edge", {"dyson.alpha_fidelity", "dyson.gamma_fidelity"}),
     ("no_q_squared", {"dyson.alpha_fidelity", "dyson.gamma_fidelity"}),
 ])
 def test_dyson_rows_catch_injected_defects(monkeypatch, defect, red):
@@ -651,6 +651,13 @@ def test_witten_invariance_rows():
         "witten.invariance", "phi_r.normalization"]
     for r in rows:
         assert r.passed, (r.identity_name, r.max_residual)
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_witten_invariance_refuses_grids_below_two(grid):
+    sys_ = block_system(3, 2, seed=14)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        witten_invariance_check(sys_, odd_perturbation(sys_), grid=grid)
 
 
 def test_lipschitz_rows():

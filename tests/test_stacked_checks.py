@@ -1,0 +1,442 @@
+"""Stacked evaluation against plain per-sample loops, and its call counts.
+
+Every check that draws its samples as one stack and evaluates them as
+stacks has a per-sample reference here: the loop body the check had
+before it was stacked, evaluated one sample (one tuple) at a time
+through the single-tuple entry points.  The stacked check must give the
+same rows, bit for bit.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from skmslab.cochain import boundary, jlo_cochain, lemma34_check
+from skmslab.dynamics import (heisenberg_flow, kms_two_point, skms_eval,
+                              superderivation, verify_skms_axioms)
+from skmslab.errors import ParityViolation
+from skmslab.graded import as_matrix
+from skmslab.kernels import (SimplexQuadratureRule, chain_integral,
+                             heat_chain_integrand, simplex_quadrature)
+from skmslab.perturbation import (F_r_eval, PerturbedContext, error_term,
+                                  f_identities_check, gamma_cocycle_oracle,
+                                  gamma_flow_oracle, lemma43_check,
+                                  lemma44_check, skms_check_perturbed)
+from skmslab.report import DOCUMENTED, VerificationReport, make_report
+from skmslab.workbench import ModelSpec, run_suite
+from skmslab.workbench.models import build_perturbed_model, model_digest
+from skmslab.workbench.suites import SuiteConfig, _cocycle_checks
+
+REFERENCE_SPECS = (
+    ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+              perturbation={"seed": 11, "scale": 0.3}),
+    ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0),
+)
+SEEDS = (0, 3)
+# scipy.linalg.expm calls of run_suite(RandomGraded spec, "All") after the
+# checks were stacked (404 before)
+ALL_SUITE_EXPM_CALLS = 54
+
+
+def count_expm(monkeypatch):
+    # the shape of every scipy.linalg.expm argument, in call order
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
+def _draw(sys, rng, parity=None):
+    return as_matrix(sys.random_element(rng, parity=parity))
+
+
+def _rows(names, seed, digest):
+    return [make_report(name, anchor, ns, res, tol, seed=seed, model_digest=digest)
+            for name, anchor, ns, res, tol in names]
+
+
+# ---------------------------------------------------------------------------
+# per-sample references
+
+
+def looped_axioms(sys, samples=50, tol=1e-10, seed=0, ts=(0.0, 0.7), model_digest=""):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51)))
+    herm, inv_a, inv_g, bound, deriv, weak, adh = [], [], [], [], [], [], []
+    for _ in range(samples):
+        x = sys.random_element(rng)
+        y = sys.random_element(rng)
+        w = sys.random_element(rng)
+        herm.append(abs(skms_eval(sys, x.adjoint()) - np.conj(skms_eval(sys, x))))
+        for t in ts:
+            inv_a.append(abs(skms_eval(sys, heisenberg_flow(sys, x, t)) - skms_eval(sys, x)))
+            lhs = kms_two_point(sys, x, y, t + 1j)
+            rhs = skms_eval(sys, as_matrix(heisenberg_flow(sys, y, t)) @ as_matrix(sys.gamma(x)))
+            bound.append(abs(lhs - rhs))
+        inv_g.append(abs(skms_eval(sys, sys.gamma(x)) - skms_eval(sys, x)))
+        deriv.append(abs(skms_eval(sys, superderivation(sys, x))))
+        h = sys.hamiltonian
+        ym = as_matrix(y)
+        dd = superderivation(sys, superderivation(sys, y))
+        comm = h @ ym - ym @ h
+        adh.append(float(np.linalg.norm(as_matrix(dd) - comm, 2)))
+        weak.append(abs(
+            skms_eval(sys, as_matrix(x) @ as_matrix(dd) @ as_matrix(w))
+            - skms_eval(sys, as_matrix(x) @ comm @ as_matrix(w))))
+    norm_phi = float(np.sum(np.exp(-sys.spectrum.evals)) / abs(sys.witten_index))
+    unit_res = abs(skms_eval(sys, sys.unit()) - 1.0)
+    reports = _rows([
+        ("skms.hermiticity", "S0", samples, float(max(herm)), tol),
+        ("skms.alpha_invariance", "S1", samples * len(ts), float(max(inv_a)), tol),
+        ("skms.gamma_invariance", "S1", samples, float(max(inv_g)), tol),
+        ("skms.kms_boundary", "S2", samples * len(ts), float(max(bound)), tol),
+        ("skms.normalization", "S3", 1, unit_res, tol),
+        ("skms.delta_invariance", "S4", samples, float(max(deriv)), tol),
+        ("skms.delta_squared_ad_h", "S5", samples, float(max(adh)), tol),
+        ("skms.weak_supersymmetry", "S5", samples, float(max(weak)), tol),
+    ], seed, model_digest)
+    reports.append(VerificationReport(
+        identity_name="skms.functional_norm", paper_anchor="norm", samples=1,
+        max_residual=norm_phi, tolerance=DOCUMENTED,
+        passed=bool(np.isfinite(norm_phi)), seed=seed, model_digest=model_digest))
+    return reports
+
+
+def looped_lemma43(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0, model_digest=""):
+    sys = ctx.system
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x43)))
+    gcomp, gstar, acomp, gprod = [], [], [], []
+    for _ in range(samples):
+        x = _draw(sys, rng)
+        y = _draw(sys, rng)
+        for t in ts:
+            s = 0.5 * t
+            g_t = gamma_cocycle_oracle(ctx, t)
+            lhs = gamma_flow_oracle(ctx, x, t)
+            inner = gamma_flow_oracle(ctx, x, t - s)
+            rhs = gamma_cocycle_oracle(ctx, s) @ heisenberg_flow(sys, inner, s)
+            gcomp.append(np.linalg.norm(lhs - rhs, 2))
+
+            lhs2 = g_t.conj().T
+            rhs2 = heisenberg_flow(sys, gamma_cocycle_oracle(ctx, -t), t)
+            unit = np.eye(ctx.dim)
+            gstar.append(max(
+                np.linalg.norm(lhs2 - rhs2, 2),
+                np.linalg.norm(g_t @ g_t.conj().T - unit, 2),
+                np.linalg.norm(g_t.conj().T @ g_t - unit, 2)))
+
+            lhs3 = heisenberg_flow(ctx, x, t)
+            rhs3 = g_t @ heisenberg_flow(sys, x, t) @ g_t.conj().T
+            acomp.append(np.linalg.norm(lhs3 - rhs3, 2))
+
+            lhs4 = heisenberg_flow(ctx, x, t) @ gamma_flow_oracle(ctx, y, t)
+            rhs4 = gamma_flow_oracle(ctx, x @ y, t)
+            gprod.append(np.linalg.norm(lhs4 - rhs4, 2))
+    count = samples * len(ts)
+    return _rows([
+        ("gamma_r.composition", "L43.1", count, float(max(gcomp)), tol),
+        ("gamma_r.adjoint_unitarity", "L43.2", count, float(max(gstar)), tol),
+        ("alpha_r.conjugation", "L43.3", count, float(max(acomp)), tol),
+        ("gamma_r.multiplicativity", "L43.4", count, float(max(gprod)), tol),
+    ], seed, model_digest)
+
+
+def looped_lemma44(sys, n=2, samples=20, tol=1e-10, seed=0, model_digest=""):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x44)))
+    conj_res, refl_res = [], []
+    for _ in range(samples):
+        xs = [_draw(sys, rng) for _ in range(n + 1)]
+        ims = np.sort(rng.random(n))
+        res = rng.uniform(-1.0, 1.0, n)
+        zs = [complex(a, b) for a, b in zip(res, ims)]
+
+        prod = np.eye(sys.dim, dtype=complex)
+        for z, x in zip(zs, xs[1:]):
+            prod = prod @ as_matrix(heisenberg_flow(sys, x, z))
+        lhs = skms_eval(sys, prod @ as_matrix(heisenberg_flow(sys, xs[0], 1j)))
+        prod_g = np.eye(sys.dim, dtype=complex)
+        for z, x in zip(zs, xs[1:]):
+            prod_g = prod_g @ as_matrix(heisenberg_flow(sys, sys.gamma(x), z))
+        rhs = skms_eval(sys, as_matrix(xs[0]) @ prod_g)
+        conj_res.append(abs(lhs - rhs))
+
+        rev = np.eye(sys.dim, dtype=complex)
+        for z, x in zip(reversed(zs), reversed(xs[1:])):
+            rev = rev @ as_matrix(heisenberg_flow(sys, x, np.conj(z)))
+        lhs2 = np.conj(skms_eval(sys, rev))
+        fwd = np.eye(sys.dim, dtype=complex)
+        for z, x in zip(zs, xs[1:]):
+            fwd = fwd @ as_matrix(heisenberg_flow(sys, x.conj().T, z))
+        rhs2 = skms_eval(sys, fwd)
+        refl_res.append(abs(lhs2 - rhs2))
+    return _rows([
+        ("flow.cyclic_conjugation", "analcont", samples, float(max(conj_res)), tol),
+        ("flow.reflection", "analcont", samples, float(max(refl_res)), tol),
+    ], seed, model_digest)
+
+
+def looped_skms_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0,
+                          model_digest=""):
+    sys = ctx.system
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x45)))
+    herm, inv_a, inv_g, bound, deriv, weak, err_t = [], [], [], [], [], [], []
+    gamma_i = gamma_cocycle_oracle(ctx, 1j)
+    for _ in range(samples):
+        x = _draw(sys, rng)
+        y = _draw(sys, rng)
+        w = _draw(sys, rng)
+        herm.append(abs(skms_eval(ctx, x.conj().T) - np.conj(skms_eval(ctx, x))))
+        inv_g.append(abs(skms_eval(ctx, sys.gamma(x)) - skms_eval(ctx, x)))
+        deriv.append(abs(skms_eval(ctx, superderivation(ctx, x))))
+        dd = superderivation(ctx, superderivation(ctx, y))
+        comm = ctx.hamiltonian @ y - y @ ctx.hamiltonian
+        weak.append(abs(skms_eval(ctx, x @ dd @ w) - skms_eval(ctx, x @ comm @ w)))
+        for t in ts:
+            inv_a.append(abs(skms_eval(ctx, heisenberg_flow(ctx, x, t))
+                             - skms_eval(ctx, x)))
+            moved = heisenberg_flow(ctx, y, t + 1j)
+            lhs = skms_eval(sys, x @ moved @ gamma_i)
+            rhs = skms_eval(sys, heisenberg_flow(ctx, y, t)
+                            @ as_matrix(sys.gamma(x)) @ gamma_i)
+            bound.append(abs(lhs - rhs))
+            err_t.append(abs(skms_eval(sys, w @ error_term(ctx, t))))
+    e0_norm = float(np.linalg.norm(error_term(ctx, 0.0), 2))
+    unit_res = abs(skms_eval(ctx, np.eye(ctx.dim)) - 1.0)
+    count = samples * len(ts)
+    return _rows([
+        ("skms_r.hermiticity", "S0", samples, float(max(herm)), tol),
+        ("skms_r.alpha_invariance", "S1", count, float(max(inv_a)), tol),
+        ("skms_r.gamma_invariance", "S1", samples, float(max(inv_g)), tol),
+        ("skms_r.kms_boundary", "Fxz", count, float(max(bound)), tol),
+        ("skms_r.normalization", "phi-r1", 1, unit_res, tol),
+        ("skms_r.delta_invariance", "S4", samples, float(max(deriv)), tol),
+        ("skms_r.weak_supersymmetry", "S5", samples, float(max(weak)), tol),
+        ("skms_r.error_term", "lem2", count, float(max(err_t)), tol),
+        ("skms_r.error_term_at_zero", "lem2", 1, e0_norm, 0.0),
+    ], seed, model_digest)
+
+
+def looped_f_identities(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest=""):
+    sys = ctx.system
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x46)))
+    rot, inner, last, unit_ins, cyc = [], [], [], [], []
+    unit = np.eye(ctx.dim, dtype=complex)
+    for _ in range(samples):
+        xs = [_draw(sys, rng) for _ in range(n + 1)]
+        gxs = [as_matrix(sys.gamma(x)) for x in xs]
+
+        lhs = F_r_eval(ctx, n, xs)
+        rhs = F_r_eval(ctx, n, [gxs[n]] + xs[:n])
+        rot.append(abs(lhs - rhs))
+
+        for k in range(1, n):
+            mod = list(xs)
+            mod[k] = ctx.hamiltonian @ xs[k] - xs[k] @ ctx.hamiltonian
+            lhs2 = F_r_eval(ctx, n, mod)
+            rhs2 = (F_r_eval(ctx, n - 1, xs[:k - 1] + [xs[k - 1] @ xs[k]] + xs[k + 1:])
+                    - F_r_eval(ctx, n - 1, xs[:k] + [xs[k] @ xs[k + 1]] + xs[k + 2:]))
+            inner.append(abs(lhs2 - rhs2))
+
+        mod = list(xs)
+        mod[n] = ctx.hamiltonian @ xs[n] - xs[n] @ ctx.hamiltonian
+        lhs3 = F_r_eval(ctx, n, mod)
+        rhs3 = (F_r_eval(ctx, n - 1, xs[:n - 1] + [xs[n - 1] @ xs[n]])
+                - F_r_eval(ctx, n - 1, [gxs[n] @ xs[0]] + xs[1:n]))
+        last.append(abs(lhs3 - rhs3))
+
+        total = 0.0 + 0.0j
+        for j in range(n + 1):
+            args = [unit] + xs[j:] + gxs[:j]
+            total += F_r_eval(ctx, n + 1, args)
+        unit_ins.append(abs(total - F_r_eval(ctx, n, xs)))
+
+        total2 = 0.0 + 0.0j
+        for j in range(n + 1):
+            args = gxs[:j] + [superderivation(ctx, xs[j])] + xs[j + 1:]
+            total2 += F_r_eval(ctx, n, args)
+        cyc.append(abs(total2))
+    return _rows([
+        ("F.rotation", "F1", samples, max(rot), tol),
+        ("F.heat_commutator_inner", "F2", samples * max(0, n - 1),
+         max(inner, default=0.0), tol),
+        ("F.heat_commutator_last", "F4", samples, max(last), tol),
+        ("F.unit_insertion", "F5", samples, max(unit_ins), tol),
+        ("F.derivation_cycle", "F6", samples, max(cyc), tol),
+    ], seed, model_digest)
+
+
+def looped_lemma34(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest=""):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x34)))
+    z = sys.witten_index
+    rot, slot = [], []
+    for _ in range(samples):
+        xs = [as_matrix(sys.random_element(rng)) for _ in range(n + 1)]
+        lhs = chain_integral(sys.spectrum, xs, sys.grading) / z
+        twisted = [as_matrix(sys.gamma(xs[n]))] + xs[:n]
+        rhs = chain_integral(sys.spectrum, twisted, sys.grading) / z
+        rot.append(abs(lhs - rhs))
+
+        ys = [as_matrix(sys.random_element(rng)) for _ in range(n + 2)]
+        h = sys.hamiltonian
+        for j in range(1, n + 1):
+            dys = list(ys)
+            dys[j] = ys[j] @ h - h @ ys[j]
+            f = heat_chain_integrand(sys.spectrum, dys, sys.grading)
+            val, _ = simplex_quadrature(
+                f, n + 1, SimplexQuadratureRule("gauss", order, vectorized=True))
+            lhs_j = val / z
+            merged = [ys[:j] + [ys[j] @ ys[j + 1]] + ys[j + 2:],
+                      ys[:j - 1] + [ys[j - 1] @ ys[j]] + ys[j + 1:]]
+            rhs_j = (chain_integral(sys.spectrum, merged[0], sys.grading)
+                     - chain_integral(sys.spectrum, merged[1], sys.grading)) / z
+            slot.append(abs(lhs_j - rhs_j))
+    return _rows([
+        ("chain.rotation", "rotation", samples, max(rot), tol),
+        ("chain.slot_derivative", "cocycle1+cocycle2", samples * n, max(slot), tol),
+    ], seed, model_digest)
+
+
+def looped_cocycle_rows(sys, config, digest):
+    dtau = boundary(jlo_cochain(sys))
+    rows = []
+    for n in range(1, config.max_degree + 1, 2):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x0B, n)))
+        worst = 0.0
+        for _ in range(25):
+            xs = [_draw(sys, rng, "even") for _ in range(n + 1)]
+            worst = max(worst, abs(dtau(n, xs)))
+        rows.append(make_report("cocycle.boundary_n%d" % n, "boundary", 25, worst,
+                                config.tol_quad, seed=config.seed, model_digest=digest))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# stacked == looped on the reference specs
+
+
+def _model(spec, seed):
+    sys, pert = build_perturbed_model(spec, seed)
+    return sys, PerturbedContext(sys, pert, 0.5), model_digest(spec)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
+def test_stacked_checks_equal_their_loops(spec, seed):
+    # the arguments the suites pass
+    sys, ctx, digest = _model(spec, seed)
+    common = dict(seed=seed, model_digest=digest)
+    pairs = [
+        (verify_skms_axioms(sys, samples=50, tol=1e-10, **common),
+         looped_axioms(sys, samples=50, tol=1e-10, **common)),
+        (lemma43_check(ctx, samples=20, tol=1e-10, **common),
+         looped_lemma43(ctx, samples=20, tol=1e-10, **common)),
+        (lemma44_check(sys, n=2, samples=15, tol=1e-10, **common),
+         looped_lemma44(sys, n=2, samples=15, tol=1e-10, **common)),
+        (skms_check_perturbed(ctx, samples=15, tol=1e-10, **common),
+         looped_skms_perturbed(ctx, samples=15, tol=1e-10, **common)),
+        (f_identities_check(ctx, n=3, samples=10, tol=1e-10, **common),
+         looped_f_identities(ctx, n=3, samples=10, tol=1e-10, **common)),
+        (lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, **common),
+         looped_lemma34(sys, n=2, samples=6, tol=1e-8, order=8, **common)),
+    ]
+    for stacked, looped in pairs:
+        assert stacked == looped
+    config = SuiteConfig(seed=seed)
+    rows = [r for r in run_suite(spec, "Cocycle", config)
+            if r.identity_name.startswith("cocycle.boundary_")]
+    assert rows == looped_cocycle_rows(sys, config, digest)
+
+
+def test_f_identities_at_degree_one_equal_their_loop():
+    # n = 1 has no inner commutator row and a degree-0 chain group
+    sys, ctx, digest = _model(REFERENCE_SPECS[0], 0)
+    assert (f_identities_check(ctx, n=1, samples=4, seed=2)
+            == looped_f_identities(ctx, n=1, samples=4, seed=2))
+
+
+# ---------------------------------------------------------------------------
+# draws and cochains on stacks
+
+
+@pytest.mark.parametrize("parity", [None, "even", "odd"])
+def test_random_elements_equal_sequential_draws(parity):
+    sys, _, _ = _model(REFERENCE_SPECS[0], 0)
+    stack = sys.random_elements(np.random.default_rng(41), 40, parity=parity)
+    rng = np.random.default_rng(41)
+    one_by_one = [as_matrix(sys.random_element(rng, parity=parity)) for _ in range(40)]
+    assert stack.shape == (40, sys.dim, sys.dim)
+    assert np.array_equal(stack, np.array(one_by_one))
+
+
+@pytest.mark.parametrize("make", ["tau", "boundary"])
+def test_cochain_on_a_stack_equals_single_calls(make):
+    sys, _, _ = _model(REFERENCE_SPECS[0], 0)
+    rng = np.random.default_rng(42)
+    tau = jlo_cochain(sys)
+    cochain, n = (tau, 2) if make == "tau" else (boundary(tau), 3)
+    tuples = [list(sys.random_elements(rng, n + 1, parity="even")) for _ in range(7)]
+    tuples[3][2] = 2.5 * np.eye(sys.dim, dtype=complex)
+    stacks = [np.stack(slot) for slot in zip(*tuples)]
+    singles = [cochain(n, xs) for xs in tuples]
+    values = cochain(n, stacks)
+    assert values.shape == (7,) and singles[3] == 0.0 and values[3] == 0.0
+    assert list(values) == singles
+
+    tuples[5][1] = as_matrix(sys.random_element(rng, parity="odd"))
+    with pytest.raises(ParityViolation, match="slot 1 is not even$"):
+        cochain(n, tuples[5])
+    with pytest.raises(ParityViolation, match="slot 1 is not even in tuple 5"):
+        cochain(n, [np.stack(slot) for slot in zip(*tuples)])
+
+
+def test_cochain_names_the_first_tuple_with_an_odd_slot():
+    sys, _, _ = _model(REFERENCE_SPECS[0], 0)
+    rng = np.random.default_rng(43)
+    tuples = [list(sys.random_elements(rng, 3, parity="even")) for _ in range(4)]
+    tuples[2][2] = as_matrix(sys.random_element(rng, parity="odd"))
+    tuples[3][0] = as_matrix(sys.random_element(rng, parity="odd"))
+    with pytest.raises(ParityViolation, match="slot 2 is not even in tuple 2"):
+        jlo_cochain(sys)(2, [np.stack(slot) for slot in zip(*tuples)])
+
+
+# ---------------------------------------------------------------------------
+# exponential calls
+
+
+def test_cocycle_rows_make_one_or_two_exponential_calls(monkeypatch):
+    spec = REFERENCE_SPECS[0]
+    sys, _, digest = _model(spec, 0)
+    checks = {name: fn for name, _, _, fn in _cocycle_checks(sys, digest, SuiteConfig())}
+    calls = count_expm(monkeypatch)
+    for n, want in ((1, 1), (3, 2), (5, 2)):
+        del calls[:]
+        checks["cocycle.boundary_n%d" % n]()
+        assert len(calls) == want, n
+
+
+def test_f_identities_make_one_exponential_call_per_degree(monkeypatch):
+    _, ctx, _ = _model(REFERENCE_SPECS[0], 0)
+    calls = count_expm(monkeypatch)
+    f_identities_check(ctx, n=3, samples=10)
+    # per sample: 6 chains at degree 2, 9 at degree 3, 4 at degree 4
+    d = ctx.dim
+    assert sorted(calls) == sorted([(60, 3 * d, 3 * d), (90, 4 * d, 4 * d),
+                                    (40, 5 * d, 5 * d)])
+
+
+def test_lemma34_makes_one_exponential_call(monkeypatch):
+    sys, _, _ = _model(REFERENCE_SPECS[0], 0)
+    calls = count_expm(monkeypatch)
+    lemma34_check(sys, n=2, samples=6)
+    # per sample: the tuple, its rotation and the n + 1 = 3 merged tuples
+    assert calls == [(30, 3 * sys.dim, 3 * sys.dim)]
+
+
+def test_all_suite_exponential_calls_stay_stacked(monkeypatch):
+    calls = count_expm(monkeypatch)
+    run_suite(REFERENCE_SPECS[0], "All")
+    assert len(calls) <= ALL_SUITE_EXPM_CALLS

@@ -469,3 +469,49 @@ def test_cli_perturb_sweep(tmp_path, capsys):
     assert "alpha_r.lipschitz_in_r" in names
     assert any(n.endswith("@r=0.5") for n in names)
     assert all(r["passed"] for r in doc["reports"])
+
+
+@pytest.mark.parametrize("degree", ["0", "-1", "x"])
+@pytest.mark.parametrize("suite", ["All", "Cocycle"])
+def test_cli_max_degree_below_one_is_a_usage_error(tmp_path, capsys, suite, degree):
+    # 0 used to end in a traceback from F_r_eval (All) or in a Cocycle
+    # report with no boundary row that passed; -1 in a traceback
+    model = write_spec(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--model", model, "--max-degree=" + degree])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-degree" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_run_suite_refuses_max_degree_below_one(degree):
+    with pytest.raises(ValueError, match="max_degree must be at least 1"):
+        run_suite(BLOCK_SPEC, "Cocycle", SuiteConfig(max_degree=degree))
+
+
+def test_run_suite_max_degree_one_checks_degree_one():
+    rows = run_suite(BLOCK_SPEC, "Cocycle", SuiteConfig(max_degree=1))
+    assert [r.identity_name for r in rows if r.identity_name.startswith(
+        "cocycle.")] == ["cocycle.boundary_n1"]
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-3", "x"])
+def test_cli_perturb_sweep_grid_below_two_is_a_usage_error(tmp_path, capsys, grid):
+    # 0 used to pass with samples 0, -3 to end in a traceback, and 1 to
+    # check r = 0 alone
+    model = write_spec(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["perturb", "sweep", "--model", model, "--grid=" + grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --grid" in err and "Traceback" not in err
+
+
+def test_cli_perturb_sweep_grid_two_checks_both_ends(tmp_path, capsys):
+    model = write_spec(tmp_path)
+    rc = main(["perturb", "sweep", "--model", model, "--grid", "2"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    rows = {r["identity_name"]: r for r in doc["reports"]}
+    assert rows["witten.invariance"]["samples"] == 2
