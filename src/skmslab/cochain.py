@@ -14,7 +14,9 @@ The cocycle is tau_n(x_0..x_n) = (1/Z) int_{Delta_n} supertrace of the
 heat chain with insertions x_0, delta(x_1), ..., delta(x_n), nonzero in
 even degrees only; (B + b) tau = 0.  The cocycle functions take a
 GradedSystem or a PerturbedContext; with a context they give tau^r, built
-from delta_r and e^{-sH_r} and normalized by the unperturbed Z.
+from delta_r and e^{-sH_r} and normalized by the unperturbed Z.  On a
+context of K couplings a tuple has K values, one per coupling, and T
+tuples (K, T); the parity and scalar tests of the tuples run once.
 
 Arguments are checked where a caller enters, once.  tau_eval checks that
 every argument is even and tests the slots i >= 1 for scalars.  A Cochain
@@ -26,7 +28,8 @@ slots >= 1 that the caller has not tested (x_0 rotated there by B, a
 merged product x_j x_{j+1} from b) are tested for scalars.
 
 Evaluators are stacked: they take a degree and one (K, d, d) array per
-slot, holding that slot of K tuples, and return the K values.  A Cochain
+slot, holding that slot of K tuples, and return the K values (one row
+of them per coupling of a vector context).  A Cochain
 takes such stacks in __call__ too, and tests parity and scalar slots on
 whole stacks (is_scalar_slot and GradingOperator.classify take stacks);
 one tuple is a stack of one.  connes_B and hochschild_b take stacks,
@@ -46,7 +49,7 @@ import numpy as np
 from .dynamics import _draw_tuples, _superderivation_stack, skms_eval
 from .errors import ParityViolation
 from .graded import Parity, as_matrices, as_matrix, frobenius_norms, modulus
-from .kernels import _as_stacks, _is_stacked, _stack_slices, chain_integral
+from .kernels import _as_stacks, _is_stacked, chain_integral
 from .report import make_report
 
 SCALAR_SLOT_TOL = 1e-12
@@ -88,10 +91,13 @@ def _scalar_slots(stacks, count):
 class Cochain:
     """Parity-tagged multilinear family given by a stacked evaluator.
 
-    evaluator(n, stacks) takes a degree and n + 1 stacks, each a (K, d, d)
-    array holding one slot of K tuples, and returns the K values.  Calling
-    c(n, xs) takes the same n + 1 stacks and returns the K values, or one
-    tuple of matrices (a stack of one) and returns its value.  It checks
+    evaluator(n, stacks) takes a degree and n + 1 stacks, each a (T, d, d)
+    array holding one slot of T tuples, and returns the T values, or the
+    (K, T) values of a cochain with couplings=(K,), whose value at a
+    tuple is one per coupling (the cochains of a K-coupling context).
+    Calling c(n, xs) takes the same n + 1 stacks and returns the values
+    with shape couplings + (T,), or one tuple of matrices (a stack of one)
+    and returns its value: a complex, or a (K,) array.  It checks
     the arity and max_degree (if set).  With a grading, every argument must
     be even, at any degree: ParityViolation names the first slot that is
     not (and, in a stack, its tuple).  A tuple reads 0 without evaluation
@@ -99,11 +105,12 @@ class Cochain:
     the other tuples go to the evaluator as one stack.  So the evaluator
     only sees supported degrees and slots i >= 1 that are not scalar, and
     needs no checks of its own; connes_B and hochschild_b take it in that
-    form.  Parity and scalar tests run on whole stacks, and each tuple
-    gets the bits it would get alone.
+    form.  Parity and scalar tests run on whole stacks, once for all the
+    couplings, and each tuple gets the bits it would get alone.
     """
 
-    def __init__(self, evaluator, parity, max_degree=None, name="", grading=None):
+    def __init__(self, evaluator, parity, max_degree=None, name="", grading=None,
+                 couplings=()):
         if parity not in (Parity.EVEN, Parity.ODD):
             raise ValueError("cochain parity must be EVEN or ODD")
         self.evaluator = evaluator
@@ -111,6 +118,7 @@ class Cochain:
         self.max_degree = max_degree
         self.name = name
         self.grading = grading
+        self.couplings = tuple(couplings)
 
     def supports(self, n):
         if n < 0:
@@ -129,14 +137,17 @@ class Cochain:
         stacks, one = _as_stacks(xs)
         if self.grading is not None:
             _require_even(self.grading, stacks)
-        vals = np.zeros(len(stacks[0]) if stacks else 1, dtype=complex)
+        count = len(stacks[0])
+        vals = np.zeros(self.couplings + (count,), dtype=complex)
         if self.supports(n):
-            live = ~_scalar_slots(stacks[1:], len(vals)).any(axis=0)
+            live = ~_scalar_slots(stacks[1:], count).any(axis=0)
             if live.all():
                 vals[:] = self.evaluator(n, stacks)
             elif live.any():
-                vals[live] = self.evaluator(n, [s[live] for s in stacks])
-        return complex(vals[0]) if one else vals
+                vals[..., live] = self.evaluator(n, [s[live] for s in stacks])
+        if not one:
+            return vals
+        return vals[:, 0] if self.couplings else complex(vals[0])
 
     def __repr__(self):
         return "Cochain(%s, parity=%s)" % (self.name or "<evaluator>", self.parity.value)
@@ -174,24 +185,29 @@ def _B_terms(n, xs):
 
 
 def _signed_sum(terms, values):
+    # the terms' values summed in order with their signs: Python complex
+    # numbers, or arrays summed entry by entry with the same bits
     acc = 0.0 + 0.0j
     for (sign, _), val in zip(terms, values):
-        acc += sign * val
+        acc = acc + sign * val
     return acc
 
 
 def _stacked_sums(evaluator, m, terms, live):
-    # the signed sum of the terms for each of the K tuples; live is a
-    # (terms, K) mask of the terms that do not vanish, and those terms of
-    # every tuple go to the evaluator as one stack at degree m
+    # the signed sum of the terms for each of the T tuples; live is a
+    # (terms, T) mask of the terms that do not vanish, and those terms of
+    # every tuple go to the evaluator as one stack at degree m.  Returns
+    # (T,) values, or (K, T) when the evaluator gives one row per coupling
     live = np.asarray(live)
     values = np.zeros(live.shape, dtype=complex)
     if live.any():
         batch = [np.concatenate([args[i] for _, args in terms]) for i in range(m + 1)]
         if not live.all():
             batch = [b[live.ravel()] for b in batch]
-        values[live] = evaluator(m, batch)
-    return np.array([_signed_sum(terms, col) for col in values.T.tolist()])
+        got = np.asarray(evaluator(m, batch))
+        values = np.zeros(got.shape[:-1] + live.shape, dtype=complex)
+        values[..., live] = got
+    return _signed_sum(terms, values.swapaxes(0, -2))
 
 
 def hochschild_b(rho, n, xs):
@@ -262,7 +278,37 @@ def boundary(rho):
         return vals
 
     return Cochain(evaluator, flipped, max_degree=cap,
-                   name="boundary(%s)" % (rho.name or "rho"), grading=rho.grading)
+                   name="boundary(%s)" % (rho.name or "rho"), grading=rho.grading,
+                   couplings=rho.couplings)
+
+
+def _couplings(sys):
+    """() for a system or a one-coupling context, (K,) for K couplings."""
+    return sys.spectrum.evals.shape[:-1]
+
+
+def _zero(sys):
+    # the value of a vanishing cochain: 0, or one 0 per coupling
+    lead = _couplings(sys)
+    return np.zeros(lead, dtype=complex) if lead else 0.0 + 0.0j
+
+
+def _against_couplings(sys, stacks):
+    """(sys, stacks, shape) that set T tuples against every coupling of sys.
+
+    For a context of K couplings, tuple t at coupling k is slice k T + t of
+    the returned K T-slice stacks, and the returned context holds each
+    coupling T times in a row to match; shape is (K, T), the shape the
+    K T values are read back in.  A system or a one-coupling context comes
+    back with the stacks as they are and shape (T,).
+    """
+    count = len(stacks[0])
+    lead = _couplings(sys)
+    if not lead:
+        return sys, stacks, (count,)
+    if count > 1:
+        sys = sys.at(np.repeat(np.arange(lead[0]), count))
+    return sys, [np.tile(s, (lead[0], 1, 1)) for s in stacks], lead + (count,)
 
 
 def tau_eval(sys, n, xs, budget=None):
@@ -277,19 +323,21 @@ def tau_eval(sys, n, xs, budget=None):
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
     if n % 2 == 1:
-        return 0.0 + 0.0j
+        return _zero(sys)
     return jlo_cochain(sys, budget=budget)(n, xs)
 
 
 def _tau_chain(sys, n, stacks, budget):
-    # tau_n at even n of the K tuples in the (K, d, d) stacks, whose slots
-    # i >= 1 are known not to be scalar; one block exponential call
+    # tau_n at even n of the T tuples in the (T, d, d) stacks, whose slots
+    # i >= 1 are known not to be scalar, against every coupling of a
+    # context: (T,) or (K, T) values from one call of the block builder
+    sys, stacks, shape = _against_couplings(sys, stacks)
     if n == 0:
-        return [skms_eval(sys, x) for x in stacks[0]]
+        return skms_eval(sys, stacks[0]).reshape(shape)
     derived = _superderivation_stack(sys, np.array(stacks[1:], dtype=complex))
     vals = chain_integral(sys.spectrum, [stacks[0], *derived], sys.grading,
                           budget=budget)
-    return [complex(v) / sys.witten_index for v in vals]
+    return _over(vals, sys.witten_index).reshape(shape)
 
 
 def jlo_cochain(sys, max_degree=None, budget=None):
@@ -297,12 +345,14 @@ def jlo_cochain(sys, max_degree=None, budget=None):
 
     Its arguments must be even under sys.grading.  Cochain.__call__ checks
     that, and returns 0 at odd degrees and at scalar slots, so the
-    evaluator is the bare chain integral of a stack of tuples.
+    evaluator is the bare chain integral of a stack of tuples.  On a
+    context of K couplings it is tau^r at each: T tuples give (K, T)
+    values, all K T chains of a degree from one call of the block builder.
     """
     def evaluator(n, stacks):
         return _tau_chain(sys, n, stacks, budget)
     return Cochain(evaluator, Parity.EVEN, max_degree=max_degree, name="tau",
-                   grading=sys.grading)
+                   grading=sys.grading, couplings=_couplings(sys))
 
 
 @dataclass(frozen=True)
@@ -342,11 +392,9 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     The generators must be even and are checked once, before any chain is
     evaluated: their combinations are even and graph normalization keeps
     them even, so each tuple is only tested for scalar slots i >= 1.  The
-    samples of a degree are combined, normalized and evaluated as stacks,
-    in consecutive groups whose block generators fit the builder's byte
-    cap, so memory does not grow with samples; each tuple gets the bits it
-    would get alone, and with the defaults a degree is one group and one
-    block exponential call.
+    samples of a degree are combined, normalized and evaluated as one
+    stack, in one call of the block builder, whose byte cap bounds the
+    exponentials' workspace; each tuple gets the bits it would get alone.
     """
     if generators is None:
         gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
@@ -358,22 +406,21 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     out = []
     for n in degrees:
         best = 0.0
-        if n % 2 == 0:
-            for part in _stack_slices(samples, (n + 1) * sys.dim):
-                draws = []
-                for i in range(part.start, part.stop):
-                    rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
-                    draws += [rng.standard_normal(len(generators))
-                              + 1j * rng.standard_normal(len(generators))
-                              for _ in range(n + 1)]
-                coeffs = np.array(draws).T[:, :, None, None]
-                mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
-                tuples = mats.reshape(-1, n + 1, sys.dim, sys.dim)
-                stacks = list(tuples.swapaxes(0, 1))
-                keep = ~_scalar_slots(stacks[1:], len(tuples)).any(axis=0)
-                if keep.any():
-                    values = _tau_chain(sys, n, [s[keep] for s in stacks], budget)
-                    best = max([best] + [abs(v) for v in values])
+        if n % 2 == 0 and samples > 0:
+            draws = []
+            for i in range(samples):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
+                draws += [rng.standard_normal(len(generators))
+                          + 1j * rng.standard_normal(len(generators))
+                          for _ in range(n + 1)]
+            coeffs = np.array(draws).T[:, :, None, None]
+            mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
+            tuples = mats.reshape(-1, n + 1, sys.dim, sys.dim)
+            stacks = list(tuples.swapaxes(0, 1))
+            keep = ~_scalar_slots(stacks[1:], len(tuples)).any(axis=0)
+            if keep.any():
+                values = _tau_chain(sys, n, [s[keep] for s in stacks], budget)
+                best = max([best] + [abs(v) for v in values.tolist()])
         out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples, seed=seed))
     return out
 
@@ -416,7 +463,7 @@ def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest="
     side is evaluated by Gauss quadrature, the right by the block-exponential
     chain kernel, so this doubles as a cross-oracle test.  The samples are
     drawn as one stack, and every chain, all of degree n, goes to one
-    block exponential call.
+    call of the block builder.
     """
     from .kernels import SimplexQuadratureRule, heat_chain_integrand, simplex_quadrature
 

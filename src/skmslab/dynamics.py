@@ -13,7 +13,9 @@ rejected at construction.
 The functions below take either a GradedSystem or a PerturbedContext,
 which carries the same attributes for Q0 + rQ: a context at r = 0 is the
 unperturbed system, and at r > 0 the same code gives delta_r, alpha^r
-and phi^r (normalized by the unperturbed index).
+and phi^r (normalized by the unperturbed index).  A context of K
+couplings carries (K, d, d) stacks and a stacked spectrum; slice k of a
+(K, d, d) argument is then taken at coupling k, and one matrix at each.
 """
 
 import warnings
@@ -32,13 +34,15 @@ CONDITIONING_LIMIT = 50.0
 
 
 def _super_gibbs(grading, spectrum):
-    # (Z, Gamma e^{-H}): the Witten index and the weight phi contracts against
+    # (Z, Gamma e^{-H}): the Witten index and the weight phi contracts
+    # against; for a stack of spectra, the (K,) indices and (K, d, d) weights
     gamma_eig = spectrum.to_eigenbasis(grading.matrix)
+    heat = np.exp(-spectrum.evals)
     # index of a selfadjoint pair is real; discard rounding in Im
-    z = float(np.sum(np.diag(gamma_eig) * np.exp(-spectrum.evals)).real)
-    k = grading.matrix @ spectrum.from_eigenbasis(np.diag(np.exp(-spectrum.evals)))
+    z = np.sum(np.diagonal(gamma_eig, axis1=-2, axis2=-1) * heat, axis=-1).real
+    k = grading.matrix @ spectrum.from_diagonal(heat)
     k.setflags(write=False)
-    return z, k
+    return (float(z) if np.ndim(z) == 0 else z), k
 
 
 class GradedSystem:
@@ -138,7 +142,9 @@ def heisenberg_flow(sys, x, z):
     imaginary-time continuation exactly.  Warns when the eigenvalue spread
     times |Im z| exceeds 50 (entries scale like e^{Im z (lam_i - lam_j)}).
     x may be a (K, d, d) stack, flowed slice by slice, and z then one time
-    or K times, one per slice; slice k gets the bits of its own call.
+    or K times, one per slice; slice k gets the bits of its own call.  On
+    a context of K couplings, slice k flows by coupling k, and one matrix
+    x by each of them.
     """
     if np.ndim(z) == 0:
         z = complex(z)
@@ -148,7 +154,7 @@ def heisenberg_flow(sys, x, z):
     else:
         z = np.asarray(z, dtype=complex)[:, None]
     spec = sys.spectrum
-    spread = float(spec.evals[-1] - spec.evals[0])
+    spread = float(np.max(spec.evals[..., -1] - spec.evals[..., 0]))
     worst = float(np.max(np.abs(np.imag(z))))
     if spread * worst > CONDITIONING_LIMIT:
         warnings.warn(

@@ -18,12 +18,18 @@ sum over the position of q, the transgression value, off one
 
 Both take one tuple of matrices, or K tuples of one degree as stacks, one
 (K, d, d) array per slot: the builder writes K generators and hands them
-to scipy.linalg.expm in as few calls as a fixed byte cap on the stacked
-generators allows (one call, in every suite and benchmark workload), and
-the eigenbasis transforms run as stacked matmuls.  Each tuple gets the
-bits it would get alone; one tuple is a stack of one.  Every exponential
-is priced against the chain budget where it is built, at its own size;
-the stack size does not enter.
+to scipy.linalg.expm in consecutive slices, each as large as a fixed byte
+cap on the arrays of one expm call allows (the generators, the
+exponentials scipy allocates beside them and their top block rows), and
+the eigenbasis transforms run as stacked matmuls.  A stack is one call of
+the builder; its number of expm calls grows with K and the block size.
+Each tuple gets the bits it would get alone; one tuple is a stack of one.
+The spectrum may be a stack too, evals (K, d) and vecs (K, d, d): tuple k
+is then taken against spectrum k, which is how one call serves K
+couplings of a perturbed Hamiltonian, and one tuple is taken against
+every spectrum of the stack.  Every exponential is priced against the
+chain budget where it is built, at its own size; the stack size does not
+enter.
 
 Two independent routes cross-check it.  `exp_divided_difference` is the
 scalar kernel for diagonal insertions,
@@ -60,10 +66,12 @@ _CLUSTER_SPREAD = 1e-6
 # bytes per (B, d, d) complex accumulator of heat_chain_integrand: about
 # 5k points at d = 5, so a block's working set stays in a 2 MiB L2 cache
 _INTEGRAND_BLOCK_BYTES = 2 ** 21
-# bytes of the stacked generators handed to one scipy.linalg.expm call,
-# which allocates its output at the same size: a (K, size, size) stack is
-# split into slices of at most this many, so memory does not grow with K
-_EXPM_STACK_BYTES = 2 ** 22
+# bytes of the arrays behind one scipy.linalg.expm call of the block
+# builder: the zero-filled (count, size, size) generators, the exponentials
+# scipy allocates at the same size and the (count, d, size) top block rows
+# kept of them.  A stack is split into slices that fit, so the workspace
+# does not grow with K; sized with tracemalloc (see _stack_slices)
+_EXPM_STACK_BYTES = 2 ** 19
 
 
 def exp_divided_difference(nodes):
@@ -134,25 +142,42 @@ def _edd_clustered(mu):
 
 
 class Spectrum:
-    """Eigendecomposition of a selfadjoint generator, eigenvalues ascending."""
+    """Eigendecomposition of a selfadjoint generator, eigenvalues ascending.
+
+    evals (d,) and vecs (d, d) for one generator, or evals (K, d) and vecs
+    (K, d, d) for a stack of K generators, sorted slice by slice.  The
+    eigenbasis transforms broadcast: for a stack, slice k of a (K, d, d)
+    argument goes to eigenbasis k, and one (d, d) matrix to every one.
+    """
 
     def __init__(self, evals, vecs):
         evals = np.asarray(evals, dtype=float)
         vecs = np.asarray(vecs, dtype=complex)
-        if evals.ndim != 1 or vecs.shape != (evals.size, evals.size):
+        if evals.ndim not in (1, 2) or vecs.shape != evals.shape + evals.shape[-1:]:
             raise DimensionMismatch("spectrum shapes inconsistent")
-        order = np.argsort(evals, kind="stable")
-        self.evals = evals[order]
-        self.vecs = vecs[:, order]
-        self.dim = evals.size
+        order = np.argsort(evals, axis=-1, kind="stable")
+        if evals.ndim == 1:
+            # plain indexing: take_along_axis doubles the cost of a spectrum
+            self.evals, self.vecs = evals[order], vecs[:, order]
+        else:
+            self.evals = np.take_along_axis(evals, order, axis=-1)
+            self.vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+        self.dim = evals.shape[-1]
+        # the adjoint of vecs, formed once for the transforms
+        self._vecs_h = self.vecs.conj().swapaxes(-1, -2)
         self.evals.setflags(write=False)
         self.vecs.setflags(write=False)
+        self._vecs_h.setflags(write=False)
 
     def to_eigenbasis(self, m):
-        return self.vecs.conj().T @ m @ self.vecs
+        return self._vecs_h @ m @ self.vecs
 
     def from_eigenbasis(self, m):
-        return self.vecs @ m @ self.vecs.conj().T
+        return self.vecs @ m @ self._vecs_h
+
+    def from_diagonal(self, w):
+        """from_eigenbasis of the diagonal matrices with entries w (..., d)."""
+        return self.from_eigenbasis(w[..., None, :] * np.eye(self.dim))
 
 
 def _checked_budget(raw, name):
@@ -189,9 +214,10 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
     edges are (row, col, y) with row < col, each on its own block, and y a
     (K, d, d) stack of insertions in the eigenbasis of H (all K alike).
     Generator k has y[k] in block (row, col) and scale * diag(evals) in
-    each of its 1 + max(col) diagonal blocks.  Block (0, j) of its
-    exponential is the sum over the edge paths from block 0 to block j of
-    the ordered-simplex chains
+    each of its 1 + max(col) diagonal blocks, with the evals of slice k of
+    a stacked spectrum (K, d), or the one spectrum's evals.  Block (0, j)
+    of its exponential is the sum over the edge paths from block 0 to
+    block j of the ordered-simplex chains
     int e^{c s_1 H} y_1 e^{c (s_2-s_1) H} ... y_i e^{c (1-s_i) H} d^i s
     along them, with c = scale (Van Loan, IEEE TAC 23, 1978); the
     bidiagonal edges (j-1, j, y_j) give the plain chain of y_1..y_j in
@@ -199,9 +225,10 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
     perturbation module pass the complex c = it.  All K
     generators go to scipy.linalg.expm, which exponentiates the slices one
     by one, each as it would alone; they are handed over in consecutive
-    slices of at most _EXPM_STACK_BYTES, so memory stays bounded in K and
-    every stack the suites build is one call.  Returns the blocks with
-    shape (K, blocks, d, d).
+    slices whose generators, exponentials and top rows fit
+    _EXPM_STACK_BYTES, so the workspace stays bounded in K, and a large
+    stack takes several expm calls.  Returns the blocks with shape
+    (K, blocks, d, d).
 
     Pricing is per exponential: each is (blocks d)^3, and the stack size K
     does not enter.  The cost is checked against budget (None:
@@ -210,6 +237,7 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
     """
     d = spectrum.dim
     k = edges[0][2].shape[0]
+    evals = np.broadcast_to(spectrum.evals, (k, d))
     nblocks = 1 + max(col for _, col, _ in edges)
     size = nblocks * d
     budget = _resolved_budget(budget)
@@ -219,23 +247,29 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
             "%s needs a %dx%d block exponential of cost %d^3 = %.3g, over "
             "budget %g" % (what, size, size, size, cost, budget))
     top = np.empty((k, d, size), dtype=complex)
-    for part in _stack_slices(k, size):
+    for part in _stack_slices(k, size, d):
         count = part.stop - part.start
         big = np.zeros((count, size, size), dtype=complex)
         # the strided view of every diagonal, split into its blocks
         diag = big.reshape(count, size * size)[:, ::size + 1].reshape(
             count, nblocks, d)
-        diag[:] = scale * spectrum.evals
+        diag[:] = scale * evals[part, None]
         for row, col, y in edges:
             big[:, row * d:(row + 1) * d, col * d:(col + 1) * d] = y[part]
         top[part] = scipy.linalg.expm(big)[:, :d]
     return top.reshape(k, d, nblocks, d).swapaxes(1, 2)
 
 
-def _stack_slices(count, size):
-    # consecutive slices of range(count) whose (size, size) complex slices
-    # fit _EXPM_STACK_BYTES together; a slice holds at least one
-    per = max(1, _EXPM_STACK_BYTES // (16 * size * size))
+def _stack_slices(count, size, rows):
+    # consecutive slices of range(count), each as many (size, size) complex
+    # generators as fit _EXPM_STACK_BYTES together with their exponentials
+    # and their (rows, size) top rows; a slice holds at least one.  Sized
+    # with tracemalloc on the RandomGraded reference spec: at 2^19 bytes
+    # the cocycle.boundary_n5 check (150 generators of 35 x 35) peaks at
+    # 2.3 MB, against 7.7 MB under a 4 MiB cap on the generators alone
+    # and 2.8 MB at 2^20; 2^18 and below save 0.2 MB more and split the
+    # d = 10 stacks of the cocycle benchmark into more expm calls
+    per = max(1, _EXPM_STACK_BYTES // (16 * size * (2 * size + rows)))
     return [slice(lo, min(count, lo + per)) for lo in range(0, count, per)]
 
 
@@ -261,6 +295,10 @@ def _eigen_insertions(spectrum, stacks, grading):
         raise DimensionMismatch(
             "insertion dimension %d does not match spectrum dimension %d"
             % (shape[2], spectrum.dim))
+    lead = spectrum.evals.shape[:-1]
+    if lead and shape[0] not in (1,) + lead:
+        raise DimensionMismatch(
+            "%d tuples do not match a stack of %d spectra" % (shape[0], lead[0]))
     mats = np.array(stacks, dtype=complex)
     g = _grading_matrix(grading)
     if g is not None:
@@ -284,6 +322,11 @@ def _as_stacks(xs):
     return _stacks_of_one(xs), True
 
 
+def _values(vals, one, spectrum):
+    # the complex value of one tuple against one spectrum, else the array
+    return complex(vals[0]) if one and spectrum.evals.ndim == 1 else vals
+
+
 def _contract(y0, chain):
     # Tr(y0 chain) per slice of the two (K, d, d) stacks
     return (y0 * chain.swapaxes(1, 2)).reshape(len(y0), -1).sum(axis=1)
@@ -295,7 +338,9 @@ def chain_integral(spectrum, xs, grading, budget=None):
     Parameters
     ----------
     spectrum : Spectrum
-        Eigendecomposition of the generator H.
+        Eigendecomposition of the generator H, or a stack of K of them:
+        tuple k of a K-stack is taken against spectrum k, and one tuple
+        against each of the K.
     xs : list of matrices, or list of (K, d, d) arrays
         Insertions x_0, ..., x_n (n >= 0) of one tuple; or n + 1 stacks,
         stack i holding slot x_i of K tuples of degree n.
@@ -309,7 +354,7 @@ def chain_integral(spectrum, xs, grading, budget=None):
 
     Returns
     -------
-    complex, or (K,) complex array for stacks
+    complex, or (K,) complex array for stacks or a stacked spectrum
         int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}) d^n s.
         For n = 0 this is Tr(Gamma x_0 e^{-H}).  A stack gives each tuple
         the bits it gets alone; its K exponentials are one call of the
@@ -327,7 +372,7 @@ def chain_integral(spectrum, xs, grading, budget=None):
         what = "chain with d=%d, n=%d" % (spectrum.dim, n)
         chain = _heat_chain_blocks(spectrum, edges, what, budget)[:, n]
         vals = _contract(y0, chain)
-    return complex(vals[0]) if one else vals
+    return _values(vals, one, spectrum)
 
 
 def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
@@ -360,7 +405,7 @@ def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
     what = "alternating chain with d=%d, m=%d" % (spectrum.dim, m)
     chain = _heat_chain_blocks(spectrum, edges, what, budget)[:, 2 * m + 1]
     vals = _contract(y0, chain)
-    return complex(vals[0]) if one else vals
+    return _values(vals, one, spectrum)
 
 
 def heat_chain_integrand(spectrum, xs, grading):
@@ -376,6 +421,8 @@ def heat_chain_integrand(spectrum, xs, grading):
     by scaling the columns by e^{-gap_k lambda}; the last insertion and
     the trace fold into one contraction with y_n^T.
     """
+    if spectrum.evals.ndim != 1:
+        raise DimensionMismatch("the pointwise integrand takes one spectrum, not a stack")
     ys = list(_eigen_insertions(spectrum, _stacks_of_one(xs), grading)[:, 0])
     n = len(ys) - 1
     d = spectrum.dim

@@ -16,6 +16,14 @@ finite-dimensional conjugation oracles
 
 where Z is the unperturbed normalization.  The transgression cochain G^r
 certifies d tau^r / dr = (B + b) G^r degree by degree.
+
+A PerturbedContext takes one coupling or a vector of K: the vector
+context stacks its per-coupling data on a leading (K,) axis, with one
+eigh call for all K Hamiltonians, so the checks that walk a grid of
+couplings (the Simpson nodes of the endpoint check, the +/- h ladder,
+the Witten grid, the Lipschitz pairs) evaluate the grid as one stack:
+tau^r, G^r and their boundaries give one value per coupling, and each
+degree is one call of the block-exponential builder.
 """
 
 import math
@@ -23,12 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import Cochain, _chains_by_degree, _over, boundary, tau_eval
+from .cochain import (Cochain, _against_couplings, _chains_by_degree,
+                      _couplings, _over, _zero, boundary, tau_eval)
 from .dynamics import (GradedSystem, _draw_tuples, _super_gibbs,
                        _superderivation_stack, heisenberg_flow, skms_eval,
                        superderivation)
 from .errors import ParityViolation, TruncationUnreachable
-from .graded import AlgebraElement, Parity, as_matrices, as_matrix, modulus
+from .graded import (AlgebraElement, Parity, as_matrices, as_matrix,
+                     frobenius_norms, modulus)
 from .kernels import (Spectrum, _heat_chain_blocks, alternating_chain_integral,
                       chain_integral)
 from .report import DOCUMENTED, make_report
@@ -58,7 +68,7 @@ class OddPerturbation:
 
 
 class PerturbedContext:
-    """Frozen data for one coupling value r in [0, 1].
+    """Frozen data for one coupling value r in [0, 1], or for a vector of them.
 
     Carries what the dynamics and cochain functions read from a
     GradedSystem: grading, supercharge Q0 + rQ, hamiltonian H_r = H + a_r,
@@ -66,7 +76,21 @@ class PerturbedContext:
     the unperturbed Z that phi^r is normalized by; witten_index_r is
     Tr(Gamma e^{-H_r}).  Tail bounds for the Dyson series are driven by
     the constant 2*||a_r||.
+
+    A 1-d r of K couplings gives one context for all of them: supercharge,
+    a_r, hamiltonian and the weight are (K, d, d) stacks, the spectrum is a
+    stack (evals (K, d), vecs (K, d, d), from one eigh call), and
+    witten_index_r and a_norm are (K,).  The dynamics functions then pair
+    slice k of a (K, d, d) stack with coupling k, and the cochains tau^r,
+    G^r and their boundaries give one value per coupling: (K, T) for T
+    tuples.  at(index) selects couplings without a new eigendecomposition.
+    A scalar r keeps the (d, d) attributes.  The selfadjoint and even
+    guards on a_r run per coupling, and ParityViolation names the first
+    coupling that fails.
     """
+
+    _PER_COUPLING = ("r", "supercharge", "a_r", "hamiltonian", "a_norm",
+                     "witten_index_r", "_weight")
 
     def __init__(self, system, perturbation, r):
         if not isinstance(system, GradedSystem):
@@ -76,25 +100,56 @@ class PerturbedContext:
         self.system = system
         self.grading = system.grading
         self.perturbation = perturbation
-        self.r = float(r)
+        if np.ndim(r) == 0:
+            self.r = rr = float(r)
+        elif np.ndim(r) == 1:
+            self.r = np.array(r, dtype=float)
+            self.r.setflags(write=False)
+            rr = self.r[:, None, None]
+        else:
+            raise ValueError("r must be a number or a 1-d sequence of couplings")
         q = perturbation.matrix
-        self.supercharge = system.supercharge + self.r * q
+        self.supercharge = system.supercharge + rr * q
         dq = as_matrix(superderivation(system, q))
         self.delta_q = dq
         self.q_squared = q @ q
-        self.a_r = self.r * dq + self.r ** 2 * self.q_squared
-        scale = max(1.0, float(np.linalg.norm(self.a_r)))
-        if np.linalg.norm(self.a_r - self.a_r.conj().T) > 1e-12 * scale:
-            raise ParityViolation("a_r must be selfadjoint")
-        if np.linalg.norm(system.grading.conjugate(self.a_r) - self.a_r) > 1e-12 * scale:
-            raise ParityViolation("a_r must be even")
+        self.a_r = rr * dq + rr ** 2 * self.q_squared
+        scale = np.maximum(1.0, frobenius_norms(self.a_r))
+        herm = frobenius_norms(self.a_r - self.a_r.conj().swapaxes(-1, -2)) > 1e-12 * scale
+        even = frobenius_norms(system.grading.conjugate(self.a_r) - self.a_r) > 1e-12 * scale
+        for bad, what in ((herm, "selfadjoint"), (even, "even")):
+            if np.any(bad):
+                where = ""
+                if np.ndim(bad):
+                    k = int(np.argmax(bad))
+                    where = " at coupling %d (r = %r)" % (k, float(self.r[k]))
+                raise ParityViolation("a_r must be %s%s" % (what, where))
         # the sum the Dyson series expand around; (Q0 + rQ)^2 differs at rounding level
         self.hamiltonian = system.hamiltonian + self.a_r
         evals, vecs = np.linalg.eigh(self.hamiltonian)
         self.spectrum = Spectrum(evals, vecs)
-        self.a_norm = float(np.linalg.norm(self.a_r, 2))
+        self.a_norm = np.linalg.norm(self.a_r, 2, axis=(-2, -1))
+        if np.ndim(self.a_norm) == 0:
+            self.a_norm = float(self.a_norm)
         self.witten_index_r, self._weight = _super_gibbs(self.grading, self.spectrum)
         self.witten_index = system.witten_index
+
+    def at(self, index):
+        """The context of the couplings r[index] of a vector context.
+
+        An integer gives a one-coupling context with (d, d) attributes, an
+        index array or slice a vector context; the arrays are taken from
+        this context, with no new eigendecomposition.
+        """
+        if np.ndim(self.r) == 0:
+            raise TypeError("at() selects couplings of a vector context")
+        sub = object.__new__(PerturbedContext)
+        sub.__dict__.update(self.__dict__)
+        for name in self._PER_COUPLING:
+            value = getattr(self, name)[index]
+            setattr(sub, name, float(value) if np.ndim(value) == 0 else value)
+        sub.spectrum = Spectrum(self.spectrum.evals[index], self.spectrum.vecs[index])
+        return sub
 
     @property
     def dim(self):
@@ -139,8 +194,8 @@ def gamma_flow_oracle(ctx, x, t):
     t = complex(t)
     spec_r = ctx.spectrum
     spec = ctx.system.spectrum
-    left = spec_r.from_eigenbasis(np.diag(np.exp(1j * t * spec_r.evals)))
-    right = spec.from_eigenbasis(np.diag(np.exp(-1j * t * spec.evals)))
+    left = spec_r.from_diagonal(np.exp(1j * t * spec_r.evals))
+    right = spec.from_diagonal(np.exp(-1j * t * spec.evals))
     return left @ as_matrices(x) @ right
 
 
@@ -157,6 +212,9 @@ class DysonInfo:
 
 
 def _series_order(ctx, t, tol, order, norm_x=1.0):
+    if _couplings(ctx):
+        raise ValueError("a Dyson series takes a one-coupling context; "
+                         "select one with ctx.at(k)")
     if order is None:
         return ctx.choose_order(t, tol, norm_x)
     if order < 0:
@@ -190,10 +248,13 @@ def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None):
     ValueError.  The series is sum_{j+l <= order} Gamma_j alpha_t(x)
     Gamma_l^*, with Gamma_j the terms of gamma^r_t(1), all read off one
     ((order+1)d)-square block exponential priced against the chain budget.
+    x may be a (K, d, d) stack: one series serves every slice, its order
+    and tail bound taken at the largest ||x_k||, and the (K, d, d) values
+    come back.
     """
-    xm = as_matrix(x)
+    xm = as_matrices(x)
     t = float(t)
-    norm_x = float(np.linalg.norm(xm, 2))
+    norm_x = float(np.max(np.linalg.norm(xm, 2, axis=(-2, -1))))
     order = _series_order(ctx, t, tol, order, norm_x)
     info = DysonInfo(order, ctx.tail_bound(t, order, norm_x))
     flow = heisenberg_flow(ctx.system, xm, t)
@@ -202,7 +263,8 @@ def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None):
     terms = ctx.system.spectrum.from_eigenbasis(_gamma_terms(ctx, t, order))
     # prefix[j] = Gamma_0 + .. + Gamma_{order-j}
     prefix = np.cumsum(terms, axis=0)[::-1]
-    return (terms @ flow @ prefix.conj().swapaxes(1, 2)).sum(axis=0), info
+    series = terms @ np.expand_dims(flow, -3) @ prefix.conj().swapaxes(1, 2)
+    return series.sum(axis=-3), info
 
 
 def dyson_alpha(ctx, x, t, tol=1e-10, order=None):
@@ -280,9 +342,9 @@ def F_r_eval(ctx, n, xs, budget=None):
     """
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    val = chain_integral(ctx.spectrum, [as_matrix(x) for x in xs],
-                         ctx.grading, budget=budget)
-    return complex(val / ctx.witten_index)
+    val = _over(chain_integral(ctx.spectrum, [as_matrix(x) for x in xs],
+                               ctx.grading, budget=budget), ctx.witten_index)
+    return val if _couplings(ctx) else complex(val)
 
 
 def tau_r_eval(ctx, n, xs, budget=None):
@@ -304,18 +366,20 @@ def transgression_G(ctx, m, xs, budget=None):
     if len(xs) != m + 1:
         raise ValueError("degree %d expects %d arguments" % (m, m + 1))
     if m % 2 == 0:
-        return 0.0 + 0.0j
+        return _zero(ctx)
     return transgression_cochain(ctx, budget=budget)(m, xs)
 
 
 def _transgression_sum(ctx, stacks, budget):
-    # G^r_m at odd m of the K tuples in the (K, d, d) stacks, whose slots
-    # i >= 1 are known not to be scalar; one block exponential call
+    # G^r_m at odd m of the T tuples in the (T, d, d) stacks, whose slots
+    # i >= 1 are known not to be scalar, against every coupling: (T,) or
+    # (K, T) values from one call of the block builder
+    ctx, stacks, shape = _against_couplings(ctx, stacks)
     derived = _superderivation_stack(ctx, np.array(stacks[1:], dtype=complex))
     vals = alternating_chain_integral(ctx.spectrum, [stacks[0], *derived],
                                       ctx.perturbation.matrix, ctx.grading,
                                       budget=budget)
-    return [complex(v) / ctx.witten_index for v in vals]
+    return _over(vals, ctx.witten_index).reshape(shape)
 
 
 def transgression_cochain(ctx, max_degree=None, budget=None):
@@ -323,12 +387,13 @@ def transgression_cochain(ctx, max_degree=None, budget=None):
 
     Its arguments must be even under ctx.grading.  Cochain.__call__ checks
     that, and returns 0 at even degrees and at scalar slots, so the
-    evaluator is the bare alternating sum of a stack of tuples.
+    evaluator is the bare alternating sum of a stack of tuples.  On a
+    context of K couplings, T tuples give (K, T) values.
     """
     def evaluator(n, stacks):
         return _transgression_sum(ctx, stacks, budget)
     return Cochain(evaluator, Parity.ODD, max_degree=max_degree, name="G_r",
-                   grading=ctx.grading)
+                   grading=ctx.grading, couplings=_couplings(ctx))
 
 
 def boundary_of_transgression(ctx, n, xs, budget=None):
@@ -484,7 +549,7 @@ def f_identities_check(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest=""):
     Rotation, the two heat-commutator contractions (inner slot and last
     slot), unit insertion, and the cyclic derivation sum.  The samples are
     drawn as one stack, and the chains of each degree n - 1, n, n + 1 go
-    to one block exponential call."""
+    to one call of the block builder."""
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x46)))
     xs = _draw_tuples(sys, rng, samples, n + 1)
@@ -539,18 +604,13 @@ def witten_invariance_check(system, perturbation, grid=11, tol=1e-10, seed=0,
     """Tr(Gamma e^{-H_r}) and phi^r(1) are r-independent (McKean-Singer).
 
     The grid has both ends r = 0 and r = 1, so it needs grid >= 2;
-    anything less raises ValueError.
+    anything less raises ValueError.  The grid is one context.
     """
     if grid < 2:
         raise ValueError("the coupling grid needs at least 2 points, got %d" % grid)
-    rs = np.linspace(0.0, 1.0, grid)
-    z0 = system.witten_index
-    worst_z = 0.0
-    worst_unit = 0.0
-    for r in rs:
-        ctx = PerturbedContext(system, perturbation, r)
-        worst_z = max(worst_z, abs(ctx.witten_index_r - z0))
-        worst_unit = max(worst_unit, abs(skms_eval(ctx, np.eye(system.dim)) - 1.0))
+    ctx = PerturbedContext(system, perturbation, np.linspace(0.0, 1.0, grid))
+    worst_z = float(np.max(np.abs(ctx.witten_index_r - system.witten_index)))
+    worst_unit = float(np.max(modulus(skms_eval(ctx, np.eye(system.dim)) - 1.0)))
     return [
         make_report("witten.invariance", "phi-r1", grid, worst_z, tol,
                     seed=seed, model_digest=model_digest),
@@ -565,22 +625,26 @@ def lipschitz_check(system, perturbation, samples=100, seed=0, model_digest=""):
     Bound: ||alpha^r_t(x) - alpha^q_t(x)|| <=
     2 |q - r| (||delta(Q)|| + ||Q^2||) |t| e^{2(||delta(Q)|| + ||Q^2||)} ||x||.
     The reported residual is the worst bound violation (0 when satisfied).
+    The samples are drawn one after another, each its x, t and pair of
+    couplings; the first and the second couplings of all samples are then
+    one context each, and the flows one stack, slice k at sample k.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x47)))
     q = perturbation.matrix
     dq = as_matrix(superderivation(system, q))
     c = float(np.linalg.norm(dq, 2) + np.linalg.norm(q @ q, 2))
-    worst = 0.0
+    xs, ts, pairs = [], [], []
     for _ in range(samples):
-        x = system.random_elements(rng, 1)[0]
-        t = rng.uniform(-1.0, 1.0)
-        r1, r2 = rng.random(2)
-        ctx1 = PerturbedContext(system, perturbation, r1)
-        ctx2 = PerturbedContext(system, perturbation, r2)
-        diff = np.linalg.norm(heisenberg_flow(ctx1, x, t)
-                              - heisenberg_flow(ctx2, x, t), 2)
-        bound = 2.0 * abs(r1 - r2) * c * abs(t) * math.exp(2.0 * c)
-        worst = max(worst, float(diff - bound))
+        xs.append(system.random_elements(rng, 1)[0])
+        ts.append(rng.uniform(-1.0, 1.0))
+        pairs.append(rng.random(2))
+    xs, ts = np.array(xs), np.array(ts)
+    r1, r2 = np.array(pairs).T
+    flows = [heisenberg_flow(PerturbedContext(system, perturbation, r), xs, ts)
+             for r in (r1, r2)]
+    diff = np.linalg.norm(flows[0] - flows[1], 2, axis=(1, 2))
+    bound = 2.0 * np.abs(r1 - r2) * c * np.abs(ts) * math.exp(2.0 * c)
+    worst = max(0.0, float(np.max(diff - bound)))
     return [make_report("alpha_r.lipschitz_in_r", "lipschitz", samples,
                         max(worst, 0.0), 0.0, seed=seed, model_digest=model_digest)]
 
@@ -619,12 +683,12 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
         raise ValueError("step r +/- h leaves [0, 1]")
     ctx = PerturbedContext(system, perturbation, r)
     exact = boundary_of_transgression(ctx, n, xs, budget=budget)
-    fds = []
-    for h in hs:
-        up = PerturbedContext(system, perturbation, r + h)
-        dn = PerturbedContext(system, perturbation, r - h)
-        fds.append((tau_r_eval(up, n, xs, budget=budget)
-                    - tau_r_eval(dn, n, xs, budget=budget)) / (2.0 * h))
+    # the ladder r + h, then r - h, for every h: one context, one stack
+    ladder = PerturbedContext(system, perturbation,
+                              [r + h for h in hs] + [r - h for h in hs])
+    taus = tau_r_eval(ladder, n, xs, budget=budget).tolist()
+    fds = [(up - dn) / (2.0 * h)
+           for h, up, dn in zip(hs, taus[:len(hs)], taus[len(hs):])]
     sigma = _orientation(fds[-1], exact)
     resids = [abs(fd - sigma * exact) for fd in fds]
     noise_floor = 5e-13
@@ -665,13 +729,14 @@ def endpoint_transgression_check(system, perturbation, n, xs, nodes=11, tol=1e-6
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= h / 3.0
-    ctxs = [PerturbedContext(system, perturbation, rv) for rv in rs]
+    ctx = PerturbedContext(system, perturbation, rs)
     integral = 0.0 + 0.0j
-    for wgt, ctx in zip(weights, ctxs):
-        integral += wgt * boundary_of_transgression(ctx, n, xs, budget=budget)
+    values = boundary_of_transgression(ctx, n, xs, budget=budget).tolist()
+    for wgt, value in zip(weights, values):
+        integral += wgt * value
     # the end nodes are r = 0 and r = 1 exactly
-    top = tau_r_eval(ctxs[-1], n, xs, budget=budget)
-    bot = tau_r_eval(ctxs[0], n, xs, budget=budget)
+    ends = ctx.at([0, nodes - 1])
+    bot, top = tau_r_eval(ends, n, xs, budget=budget).tolist()
     sigma = _orientation(top - bot, integral)
     residual = abs(top - bot - sigma * integral)
     return [make_report("transgression.endpoint", "main", nodes, residual, tol,

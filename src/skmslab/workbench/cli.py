@@ -183,9 +183,11 @@ def _cmd_perturb_sweep(args):
                                            model_digest=digest))
     reports += lipschitz_check(system, pert, samples=50, seed=args.seed,
                                model_digest=digest)
-    for r_value in (0.0, 0.5, 1.0):
-        ctx = PerturbedContext(system, pert, r_value)
-        for row in skms_check_perturbed(ctx, samples=10, tol=max(tol, 1e-9),
+    couplings = (0.0, 0.5, 1.0)
+    contexts = PerturbedContext(system, pert, couplings)
+    for k, r_value in enumerate(couplings):
+        for row in skms_check_perturbed(contexts.at(k), samples=10,
+                                        tol=max(tol, 1e-9),
                                         seed=args.seed, model_digest=digest):
             reports.append(make_report(
                 "%s@r=%s" % (row.identity_name, r_value), row.paper_anchor,

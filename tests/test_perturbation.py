@@ -527,8 +527,9 @@ def test_chain_batches_equal_single_calls_bit_for_bit(p, q, r):
 
 
 def test_stack_over_the_byte_cap_is_split_with_the_same_bits(monkeypatch):
-    # a cap of two 15x15 generators: seven n = 2 chains go to expm as
-    # 2 + 2 + 2 + 1, and the 30x30 alternating generators one at a time
+    # a cap of two 15x15 generators with their exponentials and 5x15 top
+    # rows: seven n = 2 chains go to expm as 2 + 2 + 2 + 1, and the 30x30
+    # alternating generators one at a time
     ctx = make_ctx(r=0.6)
     d = ctx.dim
     qm = ctx.perturbation.matrix
@@ -545,7 +546,7 @@ def test_stack_over_the_byte_cap_is_split_with_the_same_bits(monkeypatch):
         return expm(a)
 
     monkeypatch.setattr(scipy.linalg, "expm", counted)
-    monkeypatch.setattr(kernels, "_EXPM_STACK_BYTES", 2 * 16 * 15 * 15)
+    monkeypatch.setattr(kernels, "_EXPM_STACK_BYTES", 2 * 16 * 15 * (2 * 15 + 5))
     split = chain_integral(ctx.spectrum, stacks, ctx.grading)
     assert calls == [(2, 15, 15)] * 3 + [(1, 15, 15)]
     assert np.array_equal(split, chains)

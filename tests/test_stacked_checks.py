@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import skmslab.kernels as kernels
+
 from skmslab.cochain import boundary, jlo_cochain, lemma34_check
 from skmslab.dynamics import (heisenberg_flow, kms_two_point, skms_eval,
                               superderivation, verify_skms_axioms)
@@ -33,9 +35,13 @@ REFERENCE_SPECS = (
     ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0),
 )
 SEEDS = (0, 3)
-# scipy.linalg.expm calls of run_suite(RandomGraded spec, "All") after the
-# checks were stacked (404 before)
-ALL_SUITE_EXPM_CALLS = 54
+# block-builder calls of run_suite(RandomGraded spec, "All"): 404 before
+# the checks were stacked, 54 before the coupling grids became stacks, the
+# alpha Dyson series served its three elements at once and the entireness
+# samples of a degree became one stack; and the exponentials they hold
+# (987 before the alpha series were shared)
+ALL_SUITE_BUILDER_CALLS = 24
+ALL_SUITE_EXPONENTIALS = 983
 
 
 def count_expm(monkeypatch):
@@ -407,25 +413,26 @@ def test_cochain_names_the_first_tuple_with_an_odd_slot():
 # exponential calls
 
 
-def test_cocycle_rows_make_one_or_two_exponential_calls(monkeypatch):
+def test_cocycle_rows_make_one_or_two_exponential_calls(builder_calls):
+    # one call of the block builder per degree: the 25 tuples' B terms,
+    # then their b terms (none to evaluate at n = 1, degree 0)
     spec = REFERENCE_SPECS[0]
     sys, _, digest = _model(spec, 0)
     checks = {name: fn for name, _, _, fn in _cocycle_checks(sys, digest, SuiteConfig())}
-    calls = count_expm(monkeypatch)
-    for n, want in ((1, 1), (3, 2), (5, 2)):
-        del calls[:]
+    d = sys.dim
+    for n, want in ((1, [(50, 3 * d)]), (3, [(100, 5 * d), (100, 3 * d)]),
+                    (5, [(150, 7 * d), (150, 5 * d)])):
+        del builder_calls[:]
         checks["cocycle.boundary_n%d" % n]()
-        assert len(calls) == want, n
+        assert builder_calls == want, n
 
 
-def test_f_identities_make_one_exponential_call_per_degree(monkeypatch):
+def test_f_identities_make_one_exponential_call_per_degree(builder_calls):
     _, ctx, _ = _model(REFERENCE_SPECS[0], 0)
-    calls = count_expm(monkeypatch)
     f_identities_check(ctx, n=3, samples=10)
     # per sample: 6 chains at degree 2, 9 at degree 3, 4 at degree 4
     d = ctx.dim
-    assert sorted(calls) == sorted([(60, 3 * d, 3 * d), (90, 4 * d, 4 * d),
-                                    (40, 5 * d, 5 * d)])
+    assert sorted(builder_calls) == sorted([(60, 3 * d), (90, 4 * d), (40, 5 * d)])
 
 
 def test_lemma34_makes_one_exponential_call(monkeypatch):
@@ -436,7 +443,20 @@ def test_lemma34_makes_one_exponential_call(monkeypatch):
     assert calls == [(30, 3 * sys.dim, 3 * sys.dim)]
 
 
-def test_all_suite_exponential_calls_stay_stacked(monkeypatch):
-    calls = count_expm(monkeypatch)
+def test_all_suite_exponential_calls_stay_stacked(builder_calls):
     run_suite(REFERENCE_SPECS[0], "All")
-    assert len(calls) <= ALL_SUITE_EXPM_CALLS
+    assert len(builder_calls) <= ALL_SUITE_BUILDER_CALLS
+    assert builder_calls.exponentials == ALL_SUITE_EXPONENTIALS
+
+
+def test_expm_calls_fit_the_byte_cap(monkeypatch):
+    # every expm call of the suite holds one generator, or as many as fit
+    # the cap with their exponentials and top rows
+    calls = count_expm(monkeypatch)
+    sys, _, _ = _model(REFERENCE_SPECS[0], 0)
+    run_suite(REFERENCE_SPECS[0], "All")
+    stacked = [shape for shape in calls if len(shape) == 3]
+    assert sum(count for count, _, _ in stacked) == ALL_SUITE_EXPONENTIALS
+    for count, size, _ in stacked:
+        slice_bytes = 16 * size * (2 * size + sys.dim)
+        assert count == 1 or count * slice_bytes <= kernels._EXPM_STACK_BYTES
