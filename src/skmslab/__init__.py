@@ -3,10 +3,11 @@
 Finite-dimensional graded systems (grading unitary, odd supercharge,
 modular-type flow) carry a super-Gibbs functional whose simplex-ordered
 heat chains assemble into an even cyclic cocycle.  The package evaluates
-each chain as one block-bidiagonal matrix exponential, verifies the
-functional axioms and cocycle identities, follows odd perturbations of
-the supercharge through Dyson series with certified tails, and checks the
-transgression formula that makes the cocycle homotopy invariant.
+each chain off the top block row of one block-bidiagonal matrix
+exponential, verifies the functional axioms and cocycle identities,
+follows odd perturbations of the supercharge through Dyson series with
+certified tails, and checks the transgression formula that makes the
+cocycle homotopy invariant.
 """
 
 from .cochain import (Cochain, boundary, connes_B, entireness_diagnostic,

@@ -393,8 +393,9 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     evaluated: their combinations are even and graph normalization keeps
     them even, so each tuple is only tested for scalar slots i >= 1.  The
     samples of a degree are combined, normalized and evaluated as one
-    stack, in one call of the block builder, whose byte cap bounds the
-    exponentials' workspace; each tuple gets the bits it would get alone.
+    stack, in one call of the block builder, whose workspace is a few
+    arrays of the stack's block rows; each tuple gets the bits it would
+    get alone.
     """
     if generators is None:
         gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))

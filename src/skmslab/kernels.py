@@ -4,32 +4,25 @@ Chain integrals of the form
 
     int_{Delta_n} Tr(G x_0 e^{-s_1 H} x_1 e^{-(s_2-s_1) H} ... x_n e^{-(1-s_n) H}) d^n s
 
-are read off one matrix exponential (Van Loan, IEEE TAC 23, 1978).  Its
-generator is given as block edges: in the eigenbasis of H it has
--diag(evals) on every diagonal block and an insertion on each edge's
-(row, col) block above the diagonal, and block (0, k) of its exponential
-sums the chains along the edge paths from block 0 to block k.
-`chain_integral` passes the bidiagonal edges x_1, ..., x_n and
-contracts block (0, n) with G x_0, at the cost of one ((n+1)d)-square
-exponential per tuple.  `alternating_chain_integral` passes two copies of
-the bidiagonal edges joined by edges carrying q, and reads the alternating
-sum over the position of q, the transgression value, off one
-(2(m+1)d)-square exponential per tuple.
+are read off block row 0 of one block matrix exponential (Van Loan, IEEE
+TAC 23, 1978), whose generator has -diag(evals) on every diagonal block,
+in the eigenbasis of H, and the insertions on runs of blocks above it.
+The row is computed as the action of the exponential on [I, 0, .., 0]
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); the generator is
+never formed.  `chain_integral` passes the bidiagonal run x_1, ..., x_n
+and contracts block (0, n) with G x_0.  `alternating_chain_integral`
+passes two copies of that run joined by a run carrying q, and reads the
+alternating sum over the position of q, the transgression value, off
+block (0, 2m+1).
 
 Both take one tuple of matrices, or K tuples of one degree as stacks, one
-(K, d, d) array per slot: the builder writes K generators and hands them
-to scipy.linalg.expm in consecutive slices, each as large as a fixed byte
-cap on the arrays of one expm call allows (the generators, the
-exponentials scipy allocates beside them and their top block rows), and
-the eigenbasis transforms run as stacked matmuls.  A stack is one call of
-the builder; its number of expm calls grows with K and the block size.
-Each tuple gets the bits it would get alone; one tuple is a stack of one.
-The spectrum may be a stack too, evals (K, d) and vecs (K, d, d): tuple k
-is then taken against spectrum k, which is how one call serves K
-couplings of a perturbed Hamiltonian, and one tuple is taken against
-every spectrum of the stack.  Every exponential is priced against the
-chain budget where it is built, at its own size; the stack size does not
-enter.
+(K, d, d) array per slot; a stack is one call of the builder, and each
+tuple gets the bits it would get alone.  The spectrum may be a stack
+too, evals (K, d) and vecs (K, d, d): tuple k is then taken against
+spectrum k, which is how one call serves K couplings of a perturbed
+Hamiltonian, and one tuple is taken against every spectrum of the stack.
+Every exponential is priced against the chain budget at (blocks d)^3,
+whatever the stack size.
 
 Two independent routes cross-check it.  `exp_divided_difference` is the
 scalar kernel for diagonal insertions,
@@ -46,8 +39,8 @@ no block-size option, and spends one GEMM per insertion on each block.
 
 The block builder, with c H in place of -H on the diagonal blocks, gives
 the terms of every Dyson series of the perturbation module, at real t
-and at t = i alike, as one ((k+1)d)-square exponential for order k,
-with c = it.
+and at t = i alike, as block row 0 of one ((k+1)d)-square exponential
+for order k, with c = it.
 """
 
 import enum
@@ -66,12 +59,18 @@ _CLUSTER_SPREAD = 1e-6
 # bytes per (B, d, d) complex accumulator of heat_chain_integrand: about
 # 5k points at d = 5, so a block's working set stays in a 2 MiB L2 cache
 _INTEGRAND_BLOCK_BYTES = 2 ** 21
-# bytes of the arrays behind one scipy.linalg.expm call of the block
-# builder: the zero-filled (count, size, size) generators, the exponentials
-# scipy allocates at the same size and the (count, d, size) top block rows
-# kept of them.  A stack is split into slices that fit, so the workspace
-# does not grow with K; sized with tracemalloc (see _stack_slices)
-_EXPM_STACK_BYTES = 2 ** 19
+# theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), Table 3.1
+# (m <= 30 from Higham, Functions of Matrices, SIAM 2008, Table A.3): the
+# largest 1-norm of A for which m Taylor terms of exp(A) keep the backward
+# error below 2^-53
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
+    45: 7.2, 50: 8.5, 55: 9.9}
+_TAYLOR_M, _TAYLOR_THETA_M = np.array(sorted(_TAYLOR_THETA.items())).T
 
 
 def exp_divided_difference(nodes):
@@ -211,34 +210,37 @@ def _resolved_budget(budget):
 def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
     """Top block rows of a stack of block heat-chain exponentials.
 
-    edges are (row, col, y) with row < col, each on its own block, and y a
-    (K, d, d) stack of insertions in the eigenbasis of H (all K alike).
-    Generator k has y[k] in block (row, col) and scale * diag(evals) in
-    each of its 1 + max(col) diagonal blocks, with the evals of slice k of
-    a stacked spectrum (K, d), or the one spectrum's evals.  Block (0, j)
-    of its exponential is the sum over the edge paths from block 0 to
-    block j of the ordered-simplex chains
-    int e^{c s_1 H} y_1 e^{c (s_2-s_1) H} ... y_i e^{c (1-s_i) H} d^i s
-    along them, with c = scale (Van Loan, IEEE TAC 23, 1978); the
-    bidiagonal edges (j-1, j, y_j) give the plain chain of y_1..y_j in
-    block (0, j).  Heat chains keep scale = -1; the Dyson series of the
-    perturbation module pass the complex c = it.  All K
-    generators go to scipy.linalg.expm, which exponentiates the slices one
-    by one, each as it would alone; they are handed over in consecutive
-    slices whose generators, exponentials and top rows fit
-    _EXPM_STACK_BYTES, so the workspace stays bounded in K, and a large
-    stack takes several expm calls.  Returns the blocks with shape
-    (K, blocks, d, d).
+    edges are runs (row, col, y), row < col, along one block diagonal: y
+    is a (K, L, d, d) stack holding the insertion of block (row + i,
+    col + i) in y[:, i], in the eigenbasis of H; no two runs share a
+    block.  Generator k has these
+    insertions and scale * diag(evals) on each diagonal block, with the
+    evals of slice k of a stacked spectrum (K, d) or the one spectrum's.
+    Block (0, j) of its exponential sums, over the edge paths from block 0
+    to block j, the ordered-simplex chains int e^{c s_1 H} y_1
+    e^{c (s_2-s_1) H} ... y_i e^{c (1-s_i) H} d^i s with c = scale (Van
+    Loan, IEEE TAC 23, 1978).  Heat chains keep scale = -1; the Dyson
+    series pass c = it.  Returns the blocks, shape (K, blocks, d, d).
 
-    Pricing is per exponential: each is (blocks d)^3, and the stack size K
-    does not enter.  The cost is checked against budget (None:
-    SKMS_CHAIN_BUDGET or the default); what names the chain, with its d
-    and degree, in the ChainBudgetExceeded message.
+    Block row 0 is the action of the exponential on [I, 0, .., 0]
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011): with mu the mean of
+    scale * evals, s substeps each apply e^{mu/s} and the Taylor series of
+    exp((generator - mu)/s), (m, s) from _TAYLOR_THETA and the exact
+    1-norm.  A substep stops after m + blocks terms, or once it took a
+    term per block and the last two terms of every block are below 2^-53
+    of that block's sum, so far blocks, orders below the near ones, keep
+    their relative accuracy.  (m, s) and the stopping point are per slice
+    and stopped slices are masked, so each slice gets the bits it gets
+    alone.  No generator is formed: the workspace is a few arrays of the
+    returned shape.
+
+    Each exponential is priced at (blocks d)^3 against budget (None:
+    SKMS_CHAIN_BUDGET or the default), whatever K; what names the chain,
+    with its d and degree, in the ChainBudgetExceeded message.
     """
     d = spectrum.dim
     k = edges[0][2].shape[0]
-    evals = np.broadcast_to(spectrum.evals, (k, d))
-    nblocks = 1 + max(col for _, col, _ in edges)
+    nblocks = max(col + y.shape[1] for _, col, y in edges)
     size = nblocks * d
     budget = _resolved_budget(budget)
     cost = float(size) ** 3
@@ -246,31 +248,62 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
         raise ChainBudgetExceeded(
             "%s needs a %dx%d block exponential of cost %d^3 = %.3g, over "
             "budget %g" % (what, size, size, size, cost, budget))
-    top = np.empty((k, d, size), dtype=complex)
-    for part in _stack_slices(k, size, d):
-        count = part.stop - part.start
-        big = np.zeros((count, size, size), dtype=complex)
-        # the strided view of every diagonal, split into its blocks
-        diag = big.reshape(count, size * size)[:, ::size + 1].reshape(
-            count, nblocks, d)
-        diag[:] = scale * evals[part, None]
-        for row, col, y in edges:
-            big[:, row * d:(row + 1) * d, col * d:(col + 1) * d] = y[part]
-        top[part] = scipy.linalg.expm(big)[:, :d]
-    return top.reshape(k, d, nblocks, d).swapaxes(1, 2)
+    diag = scale * np.broadcast_to(spectrum.evals, (k, d))
+    mu = diag.mean(axis=1)
+    diag = diag - mu[:, None]
+    norms = np.zeros((k, nblocks, d)) + np.abs(diag)[:, None]
+    for _, col, y in edges:
+        norms[:, col:col + y.shape[1]] += np.abs(y).sum(axis=2)
+    # Al-Mohy & Higham: s = ceil(norm / theta_m) with m s least, the
+    # smaller m on ties; a zero norm takes s = 1
+    steps = np.maximum(1, np.ceil(norms.max(axis=(1, 2))[:, None] / _TAYLOR_THETA_M))
+    best = np.argmin(_TAYLOR_M * steps, axis=1)
+    m, s = _TAYLOR_M[best].astype(int), steps[np.arange(k), best].astype(int)
+    top = np.zeros((k, nblocks, d, d), dtype=complex)
+    top[:, 0] = np.eye(d)
+    shift = np.exp(mu / s)[:, None, None, None]
+    for step in range(int(s.max())):
+        live = s > step
+        _taylor_step(top, diag, edges, s, m + nblocks, ~live)
+        np.multiply(top, shift, out=top, where=live[:, None, None, None])
+    return top
 
 
-def _stack_slices(count, size, rows):
-    # consecutive slices of range(count), each as many (size, size) complex
-    # generators as fit _EXPM_STACK_BYTES together with their exponentials
-    # and their (rows, size) top rows; a slice holds at least one.  Sized
-    # with tracemalloc on the RandomGraded reference spec: at 2^19 bytes
-    # the cocycle.boundary_n5 check (150 generators of 35 x 35) peaks at
-    # 2.3 MB, against 7.7 MB under a 4 MiB cap on the generators alone
-    # and 2.8 MB at 2^20; 2^18 and below save 0.2 MB more and split the
-    # d = 10 stacks of the cocycle benchmark into more expm calls
-    per = max(1, _EXPM_STACK_BYTES // (16 * size * (2 * size + rows)))
-    return [slice(lo, min(count, lo + per)) for lo in range(0, count, per)]
+def _taylor_step(total, diag, runs, s, caps, stopped):
+    # total += sum_{j >= 1} total (A/s)^j / j! in place for the slices not
+    # stopped, each up to its stopping term (see _heat_chain_blocks).  For
+    # the memory peak, the factors are complex (float ones make in-place
+    # products buffer) and each term's products go before the next's
+    nblocks, most = total.shape[1], int(caps.max())
+    term = total.copy()
+    columns = diag.astype(complex)[:, None, None, :]
+    inverse = 1.0 / s[:, None, None, None].astype(complex)
+    masked, last = stopped.any(), None
+    for j in range(1, most + 1):
+        prods = [term[:, row:row + y.shape[1]] @ y for row, _, y in runs]
+        term *= columns
+        for (_, col, y), prod in zip(runs, prods):
+            cols = slice(col, col + y.shape[1])
+            prod += term[:, cols]
+            term[:, cols] = prod
+        del prods, prod
+        term *= inverse / j
+        if masked:
+            np.add(total, term, out=total, where=~stopped[:, None, None, None])
+        else:
+            total += term
+        if j + 1 < nblocks:
+            continue
+        size = np.abs(term).max(axis=(2, 3))
+        if last is not None:
+            small = last + size <= 2.0 ** -53 * np.abs(total).max(axis=(2, 3))
+            done = small.all(axis=1) | (j >= caps)
+            if done.any():
+                stopped = stopped | done
+                if stopped.all():
+                    return
+                masked = True
+        last = size
 
 
 def _grading_matrix(grading):
@@ -347,7 +380,8 @@ def chain_integral(spectrum, xs, grading, budget=None):
     grading : GradingOperator, matrix, or None
         Gamma in the supertrace; None means plain trace.
     budget : float, optional
-        Cost budget for the ((n+1)d)^3 block exponential behind n >= 1;
+        Cost budget for the ((n+1)d)^3 block exponential behind n >= 1,
+        whose block row 0 is computed;
         defaults to SKMS_CHAIN_BUDGET or 1e8.  n = 0 is never refused.
         NaN or a non-number, here or in the variable, raises ValueError.
         Each exponential is priced alone, whatever the number of tuples.
@@ -357,20 +391,20 @@ def chain_integral(spectrum, xs, grading, budget=None):
     complex, or (K,) complex array for stacks or a stacked spectrum
         int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}) d^n s.
         For n = 0 this is Tr(Gamma x_0 e^{-H}).  A stack gives each tuple
-        the bits it gets alone; its K exponentials are one call of the
-        block builder.
+        the bits it gets alone; the top rows of its K exponentials are
+        one call of the block builder.
     """
     stacks, one = _as_stacks(xs)
-    y0, *ys = _eigen_insertions(spectrum, stacks, grading)
+    mats = _eigen_insertions(spectrum, stacks, grading)
+    y0, ys = mats[0], mats[1:].swapaxes(0, 1)
     budget = _resolved_budget(budget)
-    n = len(ys)
+    n = ys.shape[1]
     if n == 0:
         heads = np.diagonal(y0, axis1=1, axis2=2)
         vals = np.sum(heads * np.exp(-spectrum.evals), axis=1)
     else:
-        edges = [(k, k + 1, y) for k, y in enumerate(ys)]
         what = "chain with d=%d, n=%d" % (spectrum.dim, n)
-        chain = _heat_chain_blocks(spectrum, edges, what, budget)[:, n]
+        chain = _heat_chain_blocks(spectrum, [(0, 1, ys)], what, budget)[:, n]
         vals = _contract(y0, chain)
     return _values(vals, one, spectrum)
 
@@ -383,11 +417,12 @@ def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
         sum_{k=0..m} (-1)^k int_{Delta_{m+1}} Tr(Gamma x_0 e^{-s_1 H} y_1 ...
             y_k e^{..} q e^{..} y_{k+1} ... y_m e^{-(1-s_{m+1}) H}) d^{m+1} s
 
-    from one exponential of 2(m+1) blocks; for m + 1 (K, d, d) stacks, the
-    (K,) array of these sums, tuple by tuple, from one call of the block
-    builder.  The y_k run on two levels: -y_k on block (k-1, k) before q,
-    +y_k on block (m+k, m+1+k) after it, and q on block (k, m+1+k) steps
-    from the first level to the second after y_k.  Every path from block 0
+    from block row 0 of one exponential of 2(m+1) blocks; for m + 1
+    (K, d, d) stacks, the (K,) array of these sums, tuple by tuple, from
+    one call of the block builder.  The y_k run on two levels: -y_k on
+    block (k-1, k) before q, +y_k on block (m+k, m+1+k) after it, and q on
+    block (k, m+1+k) steps from the first level to the second after y_k;
+    each of the three is one run of edges.  Every path from block 0
     to block 2m+1 takes exactly one q edge, so block (0, 2m+1) is the whole
     sum, each term signed by the k first-level edges it took: the
     derivative of the chain exponential in the direction of q (Van Loan,
@@ -396,12 +431,12 @@ def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
     chain_integral.
     """
     stacks, one = _as_stacks(xs)
-    y0, *ys = _eigen_insertions(spectrum, stacks, grading)
-    qe = np.broadcast_to(spectrum.to_eigenbasis(as_matrix(q)), y0.shape)
-    m = len(ys)
-    edges = [(k, m + 1 + k, qe) for k in range(m + 1)]
-    for k, y in enumerate(ys, start=1):
-        edges += [(k - 1, k, -y), (m + k, m + 1 + k, y)]
+    mats = _eigen_insertions(spectrum, stacks, grading)
+    y0, ys = mats[0], mats[1:].swapaxes(0, 1)
+    m = ys.shape[1]
+    qe = spectrum.to_eigenbasis(as_matrix(q))
+    qe = np.broadcast_to(qe[..., None, :, :], y0.shape[:1] + (m + 1,) + y0.shape[1:])
+    edges = [(0, m + 1, qe), (0, 1, -ys), (m + 1, m + 2, ys)]
     what = "alternating chain with d=%d, m=%d" % (spectrum.dim, m)
     chain = _heat_chain_blocks(spectrum, edges, what, budget)[:, 2 * m + 1]
     vals = _contract(y0, chain)

@@ -224,33 +224,39 @@ def _series_order(ctx, t, tol, order, norm_x=1.0):
     return order
 
 
-def _gamma_terms(ctx, t, order):
+def _gamma_terms(ctx, t, order, memo=None):
     # terms 0..order of gamma^r_t(1) in the eigenbasis of H, an
     # (order + 1, d, d) array.  With c = it, term k is
     #   c^k int_{Delta_k} e^{c s_1 H} a_r e^{c (s_2-s_1) H} .. a_r
     #       e^{c (1-s_k) H} d^k s  e^{-cH},
     # whose part before e^{-cH} is block (0, k) of the exponential with
-    # c H on the diagonal blocks and c a_r on the superdiagonal
-    spec = ctx.system.spectrum
-    c = 1j * complex(t)
-    y = c * spec.to_eigenbasis(ctx.a_r)[None]
-    edges = [(k, k + 1, y) for k in range(order)]
-    what = "Dyson series with d=%d, order=%d" % (spec.dim, order)
-    blocks = _heat_chain_blocks(spec, edges, what, scale=c)[0]
-    return blocks * np.exp(-c * spec.evals)
+    # c H on the diagonal blocks and c a_r on the superdiagonal.  memo, a
+    # dict kept by the caller for one context, keys the terms by (t, order)
+    memo = {} if memo is None else memo
+    key = (complex(t), order)
+    if key not in memo:
+        spec = ctx.system.spectrum
+        c = 1j * complex(t)
+        y = c * spec.to_eigenbasis(ctx.a_r)
+        run = (0, 1, np.broadcast_to(y, (1, order) + y.shape))
+        what = "Dyson series with d=%d, order=%d" % (spec.dim, order)
+        blocks = _heat_chain_blocks(spec, [run], what, scale=c)[0]
+        memo[key] = blocks * np.exp(-c * spec.evals)
+    return memo[key]
 
 
-def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None):
+def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None, memo=None):
     """Truncated Dyson series for alpha^r_t(x) with error metadata.
 
     Returns (matrix, DysonInfo).  The order adapts to tol through the term
     bound (|t| ||2 a_r||)^n / n! unless given; a negative order raises
     ValueError.  The series is sum_{j+l <= order} Gamma_j alpha_t(x)
-    Gamma_l^*, with Gamma_j the terms of gamma^r_t(1), all read off one
-    ((order+1)d)-square block exponential priced against the chain budget.
-    x may be a (K, d, d) stack: one series serves every slice, its order
-    and tail bound taken at the largest ||x_k||, and the (K, d, d) values
-    come back.
+    Gamma_l^*, with Gamma_j the terms of gamma^r_t(1), all read off block
+    row 0 of one ((order+1)d)-square block exponential, priced against the
+    chain budget.  x may be a (K, d, d) stack: one series serves every
+    slice, its order and tail bound taken at the largest ||x_k||, and the
+    (K, d, d) values come back.  memo, a dict the caller keeps for ctx,
+    shares the terms of one (t, order) with dyson_gamma_one_info.
     """
     xm = as_matrices(x)
     t = float(t)
@@ -260,7 +266,7 @@ def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None):
     flow = heisenberg_flow(ctx.system, xm, t)
     if ctx.a_norm == 0.0 or t == 0.0 or order == 0:
         return flow, info
-    terms = ctx.system.spectrum.from_eigenbasis(_gamma_terms(ctx, t, order))
+    terms = ctx.system.spectrum.from_eigenbasis(_gamma_terms(ctx, t, order, memo))
     # prefix[j] = Gamma_0 + .. + Gamma_{order-j}
     prefix = np.cumsum(terms, axis=0)[::-1]
     series = terms @ np.expand_dims(flow, -3) @ prefix.conj().swapaxes(1, 2)
@@ -275,14 +281,15 @@ def dyson_alpha(ctx, x, t, tol=1e-10, order=None):
     return out
 
 
-def dyson_gamma_one_info(ctx, t, tol=1e-10, order=None):
+def dyson_gamma_one_info(ctx, t, tol=1e-10, order=None, memo=None):
     """Truncated series for gamma^r_t(1) with error metadata.
 
     Real t and t = i take one path: with c = it, the series terms are
-    matrix-valued chains against e^{csH}, read off one
+    matrix-valued chains against e^{csH}, read off block row 0 of one
     ((order+1)d)-square block exponential priced against the chain
     budget; t = i is the heat chain, c = -1.  Only the point t = i is
     supported on the imaginary axis; a negative order raises ValueError.
+    memo shares the terms with dyson_alpha_info, as there.
     """
     t = complex(t)
     if t.imag != 0.0 and t != 1j:
@@ -291,7 +298,7 @@ def dyson_gamma_one_info(ctx, t, tol=1e-10, order=None):
     info = DysonInfo(order, ctx.tail_bound(abs(t), order))
     if ctx.a_norm == 0.0 or t == 0 or order == 0:
         return np.eye(ctx.dim, dtype=complex), info
-    terms = _gamma_terms(ctx, t, order)
+    terms = _gamma_terms(ctx, t, order, memo)
     return ctx.system.spectrum.from_eigenbasis(terms.sum(axis=0)), info
 
 

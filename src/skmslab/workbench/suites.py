@@ -134,11 +134,12 @@ def _dyson_fidelity(sys, pert, digest, config):
     xs = sys.random_elements(rng, 3)
 
     def run():
-        # one series per t serves the three elements
+        # one series per (t, order) serves the three elements and gamma
+        memo = {}
         worst_alpha = 0.0
         for t in (0.3, 1.0):
             val, info = dyson_alpha_info(ctx, xs, t, tol=1e-10,
-                                         order=config.series_order)
+                                         order=config.series_order, memo=memo)
             err = np.linalg.norm(val - heisenberg_flow(ctx, xs, t), 2, axis=(1, 2))
             budgeted = info.tail_bound + 1e-12
             worst_alpha = max(worst_alpha, float(np.max(err - budgeted)))
@@ -148,7 +149,7 @@ def _dyson_fidelity(sys, pert, digest, config):
         worst_gamma = 0.0
         for t in gamma_times:
             gval, ginfo = dyson_gamma_one_info(ctx, t, tol=1e-10,
-                                               order=config.series_order)
+                                               order=config.series_order, memo=memo)
             gerr = float(np.linalg.norm(gval - gamma_cocycle_oracle(ctx, t), 2))
             worst_gamma = max(worst_gamma, gerr - (ginfo.tail_bound + 1e-12))
         return [

@@ -9,8 +9,8 @@ import skmslab.perturbation as perturbation_module
 class BuilderCalls(list):
     """One (exponentials, size) record per call of the block builder.
 
-    A call hands `exponentials` generators of size x size to
-    scipy.linalg.expm, in as many slices as the byte cap asks for.
+    A call computes block row 0 of `exponentials` generators of size x
+    size, which it never forms.
     """
 
     @property
@@ -23,15 +23,16 @@ def builder_calls(monkeypatch):
     """Record every call of kernels._heat_chain_blocks while the test runs.
 
     Wraps the builder in kernels (chains and alternating chains) and the
-    binding the perturbation module imported (the Dyson series).
+    binding the perturbation module imported (the Dyson series).  A call
+    refused by the chain budget is not recorded.
     """
     calls = BuilderCalls()
     build = kernels_module._heat_chain_blocks
 
     def recorded(spectrum, edges, what, budget=None, scale=-1.0):
-        size = (1 + max(col for _, col, _ in edges)) * spectrum.dim
-        calls.append((len(edges[0][2]), size))
-        return build(spectrum, edges, what, budget=budget, scale=scale)
+        blocks = build(spectrum, edges, what, budget=budget, scale=scale)
+        calls.append((blocks.shape[0], blocks.shape[1] * spectrum.dim))
+        return blocks
 
     monkeypatch.setattr(kernels_module, "_heat_chain_blocks", recorded)
     monkeypatch.setattr(perturbation_module, "_heat_chain_blocks", recorded)

@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import skmslab.cochain as cochain_module
-import skmslab.kernels as kernels_module
 from skmslab.cochain import (
     Cochain,
     NormEstimate,
@@ -61,19 +59,6 @@ def count_classify(monkeypatch):
         return classify(self, x, tol=tol)
 
     monkeypatch.setattr(GradingOperator, "classify", counted)
-    return calls
-
-
-def count_expm(monkeypatch):
-    # the shape of every scipy.linalg.expm argument, in call order
-    calls = []
-    expm = scipy.linalg.expm
-
-    def counted(a):
-        calls.append(np.shape(a))
-        return expm(a)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
     return calls
 
 
@@ -264,8 +249,7 @@ def test_boundary_of_tau_equals_B_plus_b_of_checked_tau():
 
 def test_boundary_evaluator_on_stacks_equals_each_tuple(builder_calls):
     # connes_B and hochschild_b on stacks: the tuples' surviving terms are
-    # one stack per degree, with the bits of the tuples taken one by one;
-    # the byte cap may split a stack into several expm calls
+    # one stack per degree, with the bits of the tuples taken one by one
     sys_ = block_system(3, 2, seed=23)
     dtau = boundary(jlo_cochain(sys_))
     rng = np.random.default_rng(31)
@@ -291,18 +275,17 @@ def test_boundary_classifies_each_argument_once(monkeypatch):
         assert len(calls) == n + 1
 
 
-def test_boundary_of_tau_makes_one_exponential_call_per_degree(monkeypatch):
+def test_boundary_of_tau_makes_one_exponential_call_per_degree(builder_calls):
     # n = 1: two B terms at degree 2, b terms at degree 0 need none;
     # n = 3: four B terms at degree 4 and four b terms at degree 2
     sys_ = block_system(3, 2, seed=27)
     dtau = boundary(jlo_cochain(sys_))
     rng = np.random.default_rng(28)
-    calls = count_expm(monkeypatch)
-    for n, want in ((1, [(2, 15, 15)]), (3, [(4, 25, 25), (4, 15, 15)])):
+    for n, want in ((1, [(2, 15)]), (3, [(4, 25), (4, 15)])):
         xs = even_tuple(sys_, rng, n + 1)
-        del calls[:]
+        del builder_calls[:]
         dtau(n, xs)
-        assert calls == want, n
+        assert builder_calls == want, n
 
 
 def test_boundary_prices_each_exponential_not_the_batch():
@@ -365,25 +348,10 @@ def test_entireness_diagnostic_rejects_odd_generator_first(monkeypatch):
     assert len(chains) == 1
 
 
-def test_entireness_diagnostic_one_exponential_call_per_degree(monkeypatch):
+def test_entireness_diagnostic_one_exponential_call_per_degree(builder_calls):
     sys_ = block_system(3, 2, seed=17, scale=0.8)
-    calls = count_expm(monkeypatch)
     entireness_diagnostic(sys_, degrees=(2, 4, 6), samples=5, seed=3)
-    assert calls == [(5, 15, 15), (5, 25, 25), (5, 35, 35)]
-
-
-def test_entireness_diagnostic_over_the_byte_cap_keeps_its_estimates(monkeypatch):
-    # a cap of two 15x15 generators with their exponentials and 5x15 top
-    # rows: degree 2 goes to expm as 2 + 2 + 1 samples, degree 4 (25x25)
-    # one sample at a time
-    sys_ = block_system(3, 2, seed=17, scale=0.8)
-    whole = entireness_diagnostic(sys_, degrees=(2, 4), samples=5, seed=3)
-    calls = count_expm(monkeypatch)
-    monkeypatch.setattr(kernels_module, "_EXPM_STACK_BYTES",
-                        2 * 16 * 15 * (2 * 15 + 5))
-    split = entireness_diagnostic(sys_, degrees=(2, 4), samples=5, seed=3)
-    assert calls == [(2, 15, 15), (2, 15, 15), (1, 15, 15)] + [(1, 25, 25)] * 5
-    assert split == whole
+    assert builder_calls == [(5, 15), (5, 25), (5, 35)]
 
 
 def test_lemma34_rows_pass():

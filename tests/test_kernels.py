@@ -176,6 +176,40 @@ def test_chain_integral_zero_generator():
         assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (d, n)
 
 
+def test_mixed_stack_gives_each_slice_its_bits_alone(monkeypatch):
+    # slices whose Taylor degree m, substep count s and stopping term all
+    # differ, a zero slice (no spread, no insertions), against a stacked
+    # spectrum: every slice gets exactly the blocks it gets alone
+    d, n = 4, 3
+    spreads = [0.5, 3.0, 40.0, 0.0, 8.0]
+    norms = [0.1, 1.0, 5.0, 0.0, 2.0]
+    rng = np.random.default_rng(41)
+    evals = np.array([np.sort(rng.uniform(0.0, w, d)) for w in spreads])
+    spec = Spectrum(evals, np.stack([np.eye(d)] * len(spreads)))
+    ys = rng.standard_normal((len(spreads), n, d, d)) + 1j * rng.standard_normal(
+        (len(spreads), n, d, d))
+    ys *= (np.array(norms) / np.linalg.norm(ys, 2, axis=(2, 3)).max(axis=1))[:, None, None, None]
+    steps = []
+    taylor_step = kernels._taylor_step
+
+    def recorded(total, diag, runs, s, caps, stopped):
+        live = ~stopped
+        steps.append((int(live.sum()), sorted(set(caps[live].tolist()))))
+        return taylor_step(total, diag, runs, s, caps, stopped)
+
+    monkeypatch.setattr(kernels, "_taylor_step", recorded)
+    whole = kernels._heat_chain_blocks(spec, [(0, 1, ys)], "mixed")
+    # the first substep runs every slice under several term caps; later
+    # ones only the slices that need more substeps
+    assert steps[0][0] == len(spreads) and len(steps[0][1]) > 2
+    assert len(steps) > 1 and steps[-1][0] < len(spreads)
+    assert np.all(whole[3, 1:] == 0) and np.all(whole[3, 0] == np.eye(d))
+    for k in range(len(spreads)):
+        alone = kernels._heat_chain_blocks(Spectrum(evals[k], np.eye(d)),
+                                           [(0, 1, ys[k:k + 1])], "alone")
+        assert np.array_equal(alone, whole[k:k + 1]), k
+
+
 def test_chain_integral_none_grading_is_plain_trace():
     spec, g, xs = chain_fixture()
     got = chain_integral(spec, xs, None)

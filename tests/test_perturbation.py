@@ -258,37 +258,28 @@ def test_dyson_negative_order_is_refused():
         dyson_gamma_one_info(ctx, 0.5, order=41)
 
 
-def test_dyson_series_is_one_exponential(monkeypatch):
+def test_dyson_series_is_one_exponential(builder_calls):
     ctx = make_ctx(r=0.6)
     x = as_matrix(ctx.system.random_element(np.random.default_rng(9)))
-    calls = []
-    real_expm = scipy.linalg.expm
-
-    def counted(a):
-        calls.append(np.shape(a))
-        return real_expm(a)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
     for run in (lambda: dyson_alpha_info(ctx, x, 0.7),
                 lambda: dyson_gamma_one_info(ctx, 0.7),
                 lambda: dyson_gamma_one_info(ctx, 1j)):
-        calls.clear()
+        del builder_calls[:]
         _, info = run()
         assert info.order >= 1
-        size = (info.order + 1) * ctx.dim
-        assert calls == [(1, size, size)]
+        assert builder_calls == [(1, (info.order + 1) * ctx.dim)]
 
 
 def _gamma_terms_with(defect):
     # perturbation._gamma_terms with one defect injected (None: unchanged)
-    def terms(ctx, t, order):
+    def terms(ctx, t, order, memo=None):
         spec = ctx.system.spectrum
         c = 1j * complex(t)
         a = ctx.r * ctx.delta_q if defect == "no_q_squared" else ctx.a_r
         edge = np.conj(c) if defect == "conjugate_edge" else c
-        y = edge * spec.to_eigenbasis(a)[None]
-        edges = [(k, k + 1, y) for k in range(order)]
-        blocks = kernels._heat_chain_blocks(spec, edges, "mutant", scale=c)[0]
+        y = edge * spec.to_eigenbasis(a)
+        run = (0, 1, np.broadcast_to(y, (1, order) + y.shape))
+        blocks = kernels._heat_chain_blocks(spec, [run], "mutant", scale=c)[0]
         if defect == "no_phase":
             return blocks
         return blocks * np.exp(-c * spec.evals)
@@ -485,22 +476,14 @@ def test_boundary_of_transgression_classifies_each_argument_once(monkeypatch):
         assert len(calls) == n + 1
 
 
-def test_boundary_of_transgression_makes_one_exponential_call_per_degree(monkeypatch):
+def test_boundary_of_transgression_makes_one_exponential_call_per_degree(builder_calls):
     # n = 2: three B terms at degree 3, each 2(3+1)d = 40 wide, and three
     # b terms at degree 1, each 20 wide
     ctx = make_ctx(r=0.6)
     dG = boundary(transgression_cochain(ctx))
     xs = even_tuple(ctx.system, np.random.default_rng(34), 3)
-    calls = []
-    expm = scipy.linalg.expm
-
-    def counted(a):
-        calls.append(np.shape(a))
-        return expm(a)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
     dG(2, xs)
-    assert calls == [(3, 40, 40), (3, 20, 20)]
+    assert builder_calls == [(3, 40), (3, 20)]
 
 
 @pytest.mark.parametrize("p, q", [(3, 2), (6, 4)])
@@ -524,36 +507,6 @@ def test_chain_batches_equal_single_calls_bit_for_bit(p, q, r):
                 assert c == chain_integral(ctx.spectrum, xs, ctx.grading), (k, n)
                 assert a == alternating_chain_integral(ctx.spectrum, xs, qm,
                                                        ctx.grading), (k, n)
-
-
-def test_stack_over_the_byte_cap_is_split_with_the_same_bits(monkeypatch):
-    # a cap of two 15x15 generators with their exponentials and 5x15 top
-    # rows: seven n = 2 chains go to expm as 2 + 2 + 2 + 1, and the 30x30
-    # alternating generators one at a time
-    ctx = make_ctx(r=0.6)
-    d = ctx.dim
-    qm = ctx.perturbation.matrix
-    rng = np.random.default_rng(36)
-    stacks = [rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
-              for _ in range(3)]
-    chains = chain_integral(ctx.spectrum, stacks, ctx.grading)
-    alts = alternating_chain_integral(ctx.spectrum, stacks, qm, ctx.grading)
-    calls = []
-    expm = scipy.linalg.expm
-
-    def counted(a):
-        calls.append(np.shape(a))
-        return expm(a)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
-    monkeypatch.setattr(kernels, "_EXPM_STACK_BYTES", 2 * 16 * 15 * (2 * 15 + 5))
-    split = chain_integral(ctx.spectrum, stacks, ctx.grading)
-    assert calls == [(2, 15, 15)] * 3 + [(1, 15, 15)]
-    assert np.array_equal(split, chains)
-    del calls[:]
-    split = alternating_chain_integral(ctx.spectrum, stacks, qm, ctx.grading)
-    assert calls == [(1, 30, 30)] * 7
-    assert np.array_equal(split, alts)
 
 
 def test_F_r_matches_chain_integral():

@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import skmslab.kernels as kernels
-
 from skmslab.cochain import boundary, jlo_cochain, lemma34_check
 from skmslab.dynamics import (heisenberg_flow, kms_two_point, skms_eval,
                               superderivation, verify_skms_axioms)
@@ -27,7 +25,7 @@ from skmslab.perturbation import (F_r_eval, PerturbedContext, error_term,
 from skmslab.report import DOCUMENTED, VerificationReport, make_report
 from skmslab.workbench import ModelSpec, run_suite
 from skmslab.workbench.models import build_perturbed_model, model_digest
-from skmslab.workbench.suites import SuiteConfig, _cocycle_checks
+from skmslab.workbench.suites import SuiteConfig, _cocycle_checks, _dyson_fidelity
 
 REFERENCE_SPECS = (
     ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
@@ -38,23 +36,11 @@ SEEDS = (0, 3)
 # block-builder calls of run_suite(RandomGraded spec, "All"): 404 before
 # the checks were stacked, 54 before the coupling grids became stacks, the
 # alpha Dyson series served its three elements at once and the entireness
-# samples of a degree became one stack; and the exponentials they hold
-# (987 before the alpha series were shared)
-ALL_SUITE_BUILDER_CALLS = 24
-ALL_SUITE_EXPONENTIALS = 983
-
-
-def count_expm(monkeypatch):
-    # the shape of every scipy.linalg.expm argument, in call order
-    calls = []
-    expm = scipy.linalg.expm
-
-    def counted(a):
-        calls.append(np.shape(a))
-        return expm(a)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
-    return calls
+# samples of a degree became one stack, 24 before the Dyson row shared its
+# series per (t, order); and the exponentials they hold (987 before the
+# alpha series were shared, 983 before the Dyson row shared them)
+ALL_SUITE_BUILDER_CALLS = 22
+ALL_SUITE_EXPONENTIALS = 981
 
 
 def _draw(sys, rng, parity=None):
@@ -435,28 +421,42 @@ def test_f_identities_make_one_exponential_call_per_degree(builder_calls):
     assert sorted(builder_calls) == sorted([(60, 3 * d), (90, 4 * d), (40, 5 * d)])
 
 
-def test_lemma34_makes_one_exponential_call(monkeypatch):
+def test_lemma34_makes_one_exponential_call(builder_calls):
     sys, _, _ = _model(REFERENCE_SPECS[0], 0)
-    calls = count_expm(monkeypatch)
     lemma34_check(sys, n=2, samples=6)
     # per sample: the tuple, its rotation and the n + 1 = 3 merged tuples
-    assert calls == [(30, 3 * sys.dim, 3 * sys.dim)]
+    assert builder_calls == [(30, 3 * sys.dim)]
 
 
 def test_all_suite_exponential_calls_stay_stacked(builder_calls):
     run_suite(REFERENCE_SPECS[0], "All")
-    assert len(builder_calls) <= ALL_SUITE_BUILDER_CALLS
+    assert len(builder_calls) == ALL_SUITE_BUILDER_CALLS
     assert builder_calls.exponentials == ALL_SUITE_EXPONENTIALS
 
 
-def test_expm_calls_fit_the_byte_cap(monkeypatch):
-    # every expm call of the suite holds one generator, or as many as fit
-    # the cap with their exponentials and top rows
-    calls = count_expm(monkeypatch)
-    sys, _, _ = _model(REFERENCE_SPECS[0], 0)
-    run_suite(REFERENCE_SPECS[0], "All")
-    stacked = [shape for shape in calls if len(shape) == 3]
-    assert sum(count for count, _, _ in stacked) == ALL_SUITE_EXPONENTIALS
-    for count, size, _ in stacked:
-        slice_bytes = 16 * size * (2 * size + sys.dim)
-        assert count == 1 or count * slice_bytes <= kernels._EXPM_STACK_BYTES
+def test_dyson_row_builds_each_series_once(builder_calls):
+    # alpha at t = 0.3 and 1.0 (orders 6 and 8 at d = 5), then gamma at
+    # t = 0.3 and 1.0 from the same series, and gamma at t = i
+    spec = REFERENCE_SPECS[0]
+    sys, pert = build_perturbed_model(spec, 0)
+    (_, _, _, run), = _dyson_fidelity(sys, pert, "", SuiteConfig())
+    rows = run()
+    d = sys.dim
+    assert builder_calls == [(1, 7 * d), (1, 9 * d), (1, 9 * d)]
+    assert all(r.passed for r in rows)
+
+
+def test_all_suite_never_calls_dense_expm(monkeypatch):
+    # the block builder computes only the top row it needs; the dense
+    # exponential stays with exp_divided_difference, a test oracle
+    names = [[r.identity_name for r in run_suite(spec, "All")]
+             for spec in REFERENCE_SPECS]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refused)
+    for spec, want in zip(REFERENCE_SPECS, names):
+        rows = run_suite(spec, "All")
+        assert [r.identity_name for r in rows] == want
+        assert all(r.passed for r in rows if r.tolerance != DOCUMENTED), spec.kind

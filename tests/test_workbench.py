@@ -298,20 +298,32 @@ with open(sys.argv[1], "w") as out:
 """
 
 
+def _all_report(tmp_path, name, **env):
+    # the RandomGraded reference spec's All report, from a fresh interpreter
+    src = str(pathlib.Path(skmslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / ("%s.json" % name)
+    subprocess.run([sys.executable, "-c", _ALL_REPORT_SCRIPT, str(out)],
+                   env=dict(os.environ, PYTHONPATH=path, **env), check=True,
+                   timeout=600)
+    return out.read_bytes()
+
+
 def test_report_bytes_match_across_processes(tmp_path):
     # the in-process determinism check shares one hash seed and one import
     # order between its two runs; fresh interpreters with different hash
-    # seeds do not, and the thread count is pinned as the README asks
-    src = str(pathlib.Path(skmslab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    reports = []
-    for hash_seed in ("1", "2"):
-        out = tmp_path / ("all_%s.json" % hash_seed)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
-        subprocess.run([sys.executable, "-c", _ALL_REPORT_SCRIPT, str(out)],
-                       env=env, check=True, timeout=600)
-        reports.append(out.read_bytes())
+    # seeds do not
+    reports = [_all_report(tmp_path, "all_%s" % seed, OPENBLAS_NUM_THREADS="1",
+                           PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    assert json.loads(reports[0])
+    assert reports[0] == reports[1]
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each chain product is one small GEMM per (d, d) block, which BLAS
+    # runs on one thread whatever its thread count
+    reports = [_all_report(tmp_path, "threads_%s" % n, OPENBLAS_NUM_THREADS=n,
+                           OMP_NUM_THREADS=n) for n in ("1", "2")]
     assert json.loads(reports[0])
     assert reports[0] == reports[1]
 
