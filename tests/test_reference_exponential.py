@@ -29,19 +29,18 @@ SMALL_SPEC = ModelSpec(kind="RandomGraded", p=2, q=1, seed=1, scale=0.6,
                        perturbation={"seed": 11, "scale": 0.3})
 
 
-def _reference_row(evals, run, scale):
+def _reference_row(evals, ys, scale):
     # block row 0 of the exponential of the generator with scale * evals
-    # on its diagonal blocks and the one-slice run (0, 1, y) above it, at
-    # DIGITS digits: (blocks, d, d)
-    y = run[0]
-    d, nblocks = len(evals), len(y) + 1
+    # on its diagonal blocks and ys on the superdiagonal, at DIGITS
+    # digits: (blocks, d, d)
+    d, nblocks = len(evals), len(ys) + 1
     size = nblocks * d
     with mpmath.workdps(DIGITS):
         gen = mpmath.zeros(size, size)
         for b in range(nblocks):
             for i in range(d):
                 gen[b * d + i, b * d + i] = mpmath.mpc(scale) * mpmath.mpf(evals[i])
-        for j, block in enumerate(y):
+        for j, block in enumerate(ys):
             for a in range(d):
                 for c in range(d):
                     gen[j * d + a, (j + 1) * d + c] = mpmath.mpc(complex(block[a, c]))
@@ -54,7 +53,7 @@ def _relative_errors(spectrum, ys, scale, read):
     # the relative error of each read block of the builder's top row
     got = kernels._heat_chain_blocks(spectrum, [(0, 1, ys[None])], "reference",
                                      scale=scale)[0]
-    want = _reference_row(spectrum.evals, ys[None], scale)
+    want = _reference_row(spectrum.evals, ys, scale)
     return [np.max(np.abs(got[j] - want[j])) / np.max(np.abs(want[j])) for j in read]
 
 
@@ -72,8 +71,8 @@ def test_chain_of_degree_8():
 
 
 def test_graph_normalized_chain_of_degree_10():
-    # graph normalization leaves the far block near 1e-11 of the near one;
-    # dense Pade scaling and squaring loses it (relative error about 1e-10)
+    # graph normalization leaves the far block about 1e-12 of the near
+    # one; dense Pade scaling and squaring loses it (relative error 5e-9)
     sys = build_model(SMALL_SPEC)[0]
     rng = np.random.default_rng(5)
     xs = _graph_normalize(sys, sys.random_elements(rng, 10, parity="even"))
