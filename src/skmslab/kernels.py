@@ -34,8 +34,8 @@ with s_0 = 0 and s_{n+1} = 1, which by the Hermite-Genocchi formula is
 the n-th divided difference of exp at (-mu_0, ..., -mu_n).
 `heat_chain_integrand` with `simplex_quadrature` integrates the trace
 pointwise (tensor Gauss-Legendre through the ordered Duffy map, or seeded
-Monte Carlo).  The integrand takes the points in cache-sized blocks, with
-no block-size option, and spends one GEMM per insertion on each block.
+Monte Carlo) on cache-sized blocks of points: per block, one real GEMM for
+y_n D_n y_0, one complex GEMM per middle insertion, a diagonal-only trace.
 
 The block builder, with c H in place of -H on the diagonal blocks, gives
 the terms of every Dyson series of the perturbation module, at real t
@@ -56,7 +56,7 @@ from .graded import GradingOperator, as_matrix
 
 DEFAULT_CHAIN_BUDGET = 1e8
 _CLUSTER_SPREAD = 1e-6
-# bytes per (B, d, d) complex accumulator of heat_chain_integrand: about
+# bytes per (B, d, d) complex GEMM output of heat_chain_integrand: about
 # 5k points at d = 5, so a block's working set stays in a 2 MiB L2 cache
 _INTEGRAND_BLOCK_BYTES = 2 ** 21
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), Table 3.1
@@ -451,10 +451,10 @@ def heat_chain_integrand(spectrum, xs, grading):
     Used by the quadrature oracles that cross-check `chain_integral`.
 
     Points are taken in blocks whose (B, d, d) complex accumulator fits
-    _INTEGRAND_BLOCK_BYTES.  In the eigenbasis each heat factor is a
-    diagonal, so insertion k is one GEMM acc.reshape(B*d, d) @ y_k followed
-    by scaling the columns by e^{-gap_k lambda}; the last insertion and
-    the trace fold into one contraction with y_n^T.
+    _INTEGRAND_BLOCK_BYTES.  With D_k = diag(e^{-gap_k lambda}) the trace
+    is rotated to Tr(Z D_0 y_1 ... y_{n-1} D_{n-1}), Z = y_n D_n y_0: Z is
+    one real GEMM with the float view of y_n[i, a] y_0[a, j], each middle
+    insertion one complex GEMM, and the trace reads a diagonal only.
     """
     if spectrum.evals.ndim != 1:
         raise DimensionMismatch("the pointwise integrand takes one spectrum, not a stack")
@@ -463,25 +463,25 @@ def heat_chain_integrand(spectrum, xs, grading):
     d = spectrum.dim
     lam = spectrum.evals
     block = max(1, _INTEGRAND_BLOCK_BYTES // (16 * d * d))
+    first = (ys[n].T[:, :, None] * ys[0][:, None, :]).reshape(d, -1).view(float)
 
     def integrand(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if n == 0:
-            val = np.sum(np.diag(ys[0]) * np.exp(-lam))
-            return np.full(pts.shape[0], val, dtype=complex)
         if pts.shape[1] != n:
             raise ValueError("expected points of dimension %d" % n)
+        if n == 0:
+            return np.full(len(pts), np.sum(np.diag(ys[0]) * np.exp(-lam)))
         out = np.empty(pts.shape[0], dtype=complex)
         for lo in range(0, pts.shape[0], block):
             chunk = pts[lo:lo + block]
             b = chunk.shape[0]
             gaps = np.diff(chunk, axis=1, prepend=0.0, append=1.0)
             heat = np.exp(-gaps[:, :, None] * lam)
-            acc = ys[0] * heat[:, 0, None, :]
+            acc = (heat[:, n] @ first).view(complex).reshape(b, d, d)
             for k in range(1, n):
+                acc *= heat[:, k - 1, None, :]
                 acc = (acc.reshape(b * d, d) @ ys[k]).reshape(b, d, d)
-                acc *= heat[:, k, None, :]
-            out[lo:lo + b] = np.einsum("bij,ji,bi->b", acc, ys[n], heat[:, n])
+            out[lo:lo + b] = np.einsum("bii,bi->b", acc, heat[:, n - 1])
         return out
 
     return integrand

@@ -7,7 +7,11 @@ and are pinned here as literals.
 
 import itertools
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -334,42 +338,76 @@ def test_chain_budget_argument_rejects_non_numbers(bad):
         chain_integral(spec, xs, g, budget=bad)
 
 
-def dense_chain_trace(spec, xs, g, point):
-    # Tr(G x_0 V e^{-g_0 L} V* x_1 ... x_n V e^{-g_n L} V*) at one point,
-    # with gaps g_k = s_{k+1} - s_k, s_0 = 0 and s_{n+1} = 1
-    gaps = np.diff(np.concatenate(([0.0], point, [1.0])))
-    prod = g
-    for x, gap in zip(xs, gaps):
-        heat = spec.vecs @ np.diag(np.exp(-gap * spec.evals)) @ spec.vecs.conj().T
+def dense_chain_trace(spec, xs, g, points):
+    # Tr(G x_0 V e^{-g_0 L} V* x_1 ... x_n V e^{-g_n L} V*) at each of a
+    # (B, n) batch of points, with gaps g_k = s_{k+1} - s_k, s_0 = 0 and
+    # s_{n+1} = 1, by dense (B, d, d) products in the original basis
+    gaps = np.diff(points, axis=1, prepend=0.0, append=1.0)
+    prod = np.eye(spec.dim) if g is None else g
+    for x, gap in zip(xs, gaps.T):
+        heat = (spec.vecs * np.exp(-gap[:, None, None] * spec.evals)) @ spec.vecs.conj().T
         prod = prod @ x @ heat
-    return np.trace(prod)
+    return np.trace(prod, axis1=1, axis2=2)
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_heat_chain_integrand_matches_dense_pointwise(n):
-    d = 5
-    rng = np.random.default_rng(np.random.SeedSequence((n, 0x1E)))
-    basis, _ = np.linalg.qr(rng.standard_normal((d, d))
-                            + 1j * rng.standard_normal((d, d)))
-    spec = Spectrum(np.sort(rng.random(d) * 3.0), basis)
-    g = basis @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ basis.conj().T
-    xs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-          for _ in range(n + 1)]
-    scale = np.prod([np.linalg.norm(x, 2) for x in xs])
-    integrand = heat_chain_integrand(spec, xs, g)
-    # one full internal block plus a remainder, then a single 1-d point
-    block = kernels._INTEGRAND_BLOCK_BYTES // (16 * d * d)
-    points = np.sort(rng.random((block + 37, n)), axis=1)
-    got = integrand(points)
-    assert got.shape == (points.shape[0],)
-    want = np.array([dense_chain_trace(spec, xs, g, p) for p in points])
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
-    single = integrand(points[-1])
-    assert single.shape == (1,)
-    assert abs(single[0] - want[-1]) <= 1e-12 * scale
-    if n >= 1:
+    # three sizes, with and without Gamma, so that a transposed index in
+    # the integrand's rotated layout cannot hide behind one shape
+    for d, graded in itertools.product((3, 5, 8), (True, False)):
+        rng = np.random.default_rng(np.random.SeedSequence((n, d, 0x1E)))
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d))
+                                + 1j * rng.standard_normal((d, d)))
+        spec = Spectrum(np.sort(rng.random(d) * 3.0), basis)
+        signs = np.where(np.arange(d) < d - d // 2, 1.0, -1.0)
+        g = basis @ np.diag(signs) @ basis.conj().T if graded else None
+        xs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+              for _ in range(n + 1)]
+        scale = np.prod([np.linalg.norm(x, 2) for x in xs])
+        integrand = heat_chain_integrand(spec, xs, g)
+        # one full internal block plus a remainder, then a single 1-d point
+        block = kernels._INTEGRAND_BLOCK_BYTES // (16 * d * d)
+        points = np.sort(rng.random((block + 37, n)), axis=1)
+        got = integrand(points)
+        assert got.shape == (points.shape[0],)
+        want = dense_chain_trace(spec, xs, g, points)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, (d, graded)
+        single = integrand(points[-1])
+        assert single.shape == (1,)
+        assert abs(single[0] - want[-1]) <= 1e-12 * scale, (d, graded)
         with pytest.raises(ValueError, match="dimension %d" % n):
             integrand(np.zeros((3, n + 1)))
+
+
+_MC_SCRIPT = """
+import numpy as np
+from skmslab.kernels import (SimplexQuadratureRule, Spectrum,
+                             heat_chain_integrand, simplex_quadrature)
+rng = np.random.default_rng(5)
+d = 5
+basis, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+spec = Spectrum(np.sort(rng.random(d) * 3.0), basis)
+g = basis @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ basis.conj().T
+xs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+      for _ in range(4)]
+rule = SimplexQuadratureRule("mc", 20000, seed=3, vectorized=True)
+print(repr(simplex_quadrature(heat_chain_integrand(spec, xs, g), 3, rule)))
+"""
+
+
+def test_monte_carlo_bytes_do_not_depend_on_the_blas_thread_count():
+    # 20000 points at d = 5 span four integrand blocks, whose GEMMs are
+    # large enough for BLAS to split across threads
+    src = str(pathlib.Path(kernels.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, "-c", _MC_SCRIPT],
+                           env=dict(os.environ, PYTHONPATH=path,
+                                    OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t),
+                           check=True, capture_output=True, timeout=600).stdout
+            for t in ("1", "2")]
+    assert outs[0].startswith(b"(")
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
