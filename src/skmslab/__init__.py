@@ -17,9 +17,8 @@ from .dynamics import (GradedSystem, heisenberg_flow, kms_two_point,
 from .errors import (ChainBudgetExceeded, ConditioningWarning,
                      DimensionMismatch, ParityViolation, StripViolation,
                      TruncationUnreachable, ZeroWittenIndex)
-from .graded import (AlgebraElement, GradingOperator, Parity, as_matrix,
-                     graded_commutator, operator_norm, parity_split,
-                     supertrace)
+from .graded import (GradingOperator, Parity, as_matrix, graded_commutator,
+                     parity_split, supertrace)
 from .kernels import (Spectrum, chain_integral, exp_divided_difference,
                       simplex_quadrature)
 from .perturbation import (DysonInfo, OddPerturbation, PerturbedContext,
@@ -27,13 +26,12 @@ from .perturbation import (DysonInfo, OddPerturbation, PerturbedContext,
                            endpoint_transgression_check, f_identities_check,
                            gamma_cocycle_oracle, homotopy_check,
                            lemma43_check, lemma44_check, lipschitz_check,
-                           perturbed_functional, skms_check_perturbed,
+                           skms_check_perturbed,
                            tau_r_eval, transgression_G,
                            witten_invariance_check)
 from .report import DOCUMENTED, VerificationReport, make_report
 
 __all__ = [
-    "AlgebraElement",
     "ChainBudgetExceeded",
     "Cochain",
     "ConditioningWarning",
@@ -73,9 +71,7 @@ __all__ = [
     "lemma44_check",
     "lipschitz_check",
     "make_report",
-    "operator_norm",
     "parity_split",
-    "perturbed_functional",
     "simplex_quadrature",
     "skms_check_perturbed",
     "skms_eval",

@@ -399,7 +399,7 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     """
     if generators is None:
         gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
-        generators = [as_matrix(sys.random_element(gen_rng, parity=Parity.EVEN))
+        generators = [sys.random_element(gen_rng, parity=Parity.EVEN)
                       for _ in range(4)]
     else:
         generators = [as_matrix(g) for g in generators]

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import (ConditioningWarning, ParityViolation, StripViolation,
                      ZeroWittenIndex)
-from .graded import (AlgebraElement, GradingOperator, Parity, as_matrices,
-                     as_matrix, modulus)
+from .graded import GradingOperator, Parity, as_matrices, as_matrix, modulus
 from .kernels import Spectrum
 from .report import DOCUMENTED, VerificationReport, make_report
 
@@ -86,11 +85,8 @@ class GradedSystem:
     def dim(self):
         return self.grading.dim
 
-    def element(self, entries):
-        return AlgebraElement(entries, self.grading)
-
     def unit(self):
-        return self.grading.unit()
+        return np.eye(self.dim, dtype=complex)
 
     def gamma(self, x):
         return self.grading.conjugate(x)
@@ -119,12 +115,11 @@ class GradedSystem:
         return m
 
     def random_element(self, rng, parity=None, normalize=True):
-        """Seeded Gaussian element, optionally projected to a parity sector.
+        """Seeded Gaussian (d, d) complex ndarray, optionally of one parity.
 
-        A stack of one of random_elements.
+        Slice 0 of a random_elements stack of one.
         """
-        return AlgebraElement(self.random_elements(rng, 1, parity, normalize)[0],
-                              self.grading)
+        return self.random_elements(rng, 1, parity, normalize)[0]
 
 
 def _draw_tuples(sys, rng, count, size, parity=None):
@@ -162,11 +157,8 @@ def heisenberg_flow(sys, x, z):
             % (spread, worst), ConditioningWarning, stacklevel=2)
     xm = spec.to_eigenbasis(as_matrices(x))
     phase = np.exp(1j * z * spec.evals)
-    out = spec.from_eigenbasis((phase[..., :, None] * xm)
-                               * (1.0 / phase)[..., None, :])
-    if isinstance(x, AlgebraElement):
-        return AlgebraElement(out, sys.grading)
-    return out
+    return spec.from_eigenbasis((phase[..., :, None] * xm)
+                                * (1.0 / phase)[..., None, :])
 
 
 def superderivation(sys, x):
@@ -175,10 +167,7 @@ def superderivation(sys, x):
     For a context the supercharge is Q0 + rQ, which gives
     delta_r(x) = delta(x) + r (Q x - gamma(x) Q).
     """
-    out = _superderivation_stack(sys, as_matrices(x))
-    if isinstance(x, AlgebraElement):
-        return AlgebraElement(out, sys.grading)
-    return out
+    return _superderivation_stack(sys, as_matrices(x))
 
 
 def _superderivation_stack(sys, xs):
@@ -216,7 +205,7 @@ def kms_two_point(sys, x, y, z):
     stacks x and y it returns the K values.
     """
     z = require_strip(z)
-    return skms_eval(sys, as_matrices(x) @ as_matrices(heisenberg_flow(sys, y, z)))
+    return skms_eval(sys, as_matrices(x) @ heisenberg_flow(sys, y, z))
 
 
 def _max_residual(values):

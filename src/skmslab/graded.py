@@ -1,10 +1,11 @@
 """Z2-graded matrix algebra.
 
 The grading is Ad(Gamma) for a selfadjoint unitary Gamma != 1.  Elements
-split into an even part commuting with Gamma and an odd part anticommuting
-with it.  The graded commutator agrees with the commutator unless both
-arguments are odd, where it is the anticommutator; on mixed elements it is
-the bilinear extension.
+are plain complex ndarrays: one (d, d) matrix, or a (K, d, d) stack of
+them.  They split into an even part commuting with Gamma and an odd part
+anticommuting with it.  The graded commutator agrees with the commutator
+unless both arguments are odd, where it is the anticommutator; on mixed
+elements it is the bilinear extension.
 """
 
 import enum
@@ -21,9 +22,7 @@ class Parity(enum.Enum):
 
 
 def as_matrix(x):
-    """Return the underlying square complex ndarray of x."""
-    if isinstance(x, AlgebraElement):
-        return x.entries
+    """Return x as a square complex ndarray."""
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch("expected a square matrix, got shape %s" % (m.shape,))
@@ -31,9 +30,7 @@ def as_matrix(x):
 
 
 def as_matrices(x):
-    """Return the square complex ndarray of x, or a (K, d, d) stack of them."""
-    if isinstance(x, AlgebraElement):
-        return x.entries
+    """Return x as a square complex ndarray, or a (K, d, d) stack of them."""
     m = np.asarray(x, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(
@@ -54,11 +51,6 @@ def modulus(z):
     """
     z = np.asarray(z)
     return np.hypot(z.real, z.imag)
-
-
-def operator_norm(x):
-    """Largest singular value of x."""
-    return float(np.linalg.norm(as_matrix(x), 2))
 
 
 def _parity_of(even, odd):
@@ -87,18 +79,24 @@ class GradingOperator:
         self.matrix = m
         self.dim = d
 
+    def _elements(self, x):
+        m = as_matrices(x)
+        if m.shape[-1] != self.dim:
+            raise DimensionMismatch(
+                "element dimension %d does not match grading dimension %d"
+                % (m.shape[-1], self.dim))
+        return m
+
     def conjugate(self, x):
         """gamma(x) = Gamma x Gamma, on a matrix or on each slice of a stack."""
-        if isinstance(x, AlgebraElement):
-            return AlgebraElement(self.matrix @ x.entries @ self.matrix, self)
-        return self.matrix @ as_matrices(x) @ self.matrix
+        return self.matrix @ self._elements(x) @ self.matrix
 
     def classify(self, x, tol=1e-10):
         """Parity of x; for a (K, d, d) stack, the list of slice parities.
 
         Even wins where both tests pass, which only the zero matrix does.
         """
-        m = as_matrices(x)
+        m = self._elements(x)
         g = self.matrix @ m @ self.matrix
         norms = frobenius_norms(np.array([m, m - g, m + g]))
         even, odd = (norms[1:] <= tol * np.maximum(1.0, norms[0])).tolist()
@@ -106,111 +104,25 @@ class GradingOperator:
             return _parity_of(even, odd)
         return [_parity_of(e, o) for e, o in zip(even, odd)]
 
-    def element(self, entries):
-        return AlgebraElement(entries, self)
 
-    def unit(self):
-        return AlgebraElement(np.eye(self.dim), self)
-
-
-class AlgebraElement:
-    """Square complex matrix carrying its grading; parity cached on first use."""
-
-    __slots__ = ("entries", "grading", "_parity")
-
-    def __init__(self, entries, grading):
-        m = np.array(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch("element must be square, got shape %s" % (m.shape,))
-        if m.shape[0] != grading.dim:
-            raise DimensionMismatch(
-                "element dimension %d does not match grading dimension %d"
-                % (m.shape[0], grading.dim))
-        m.setflags(write=False)
-        self.entries = m
-        self.grading = grading
-        self._parity = None
-
-    @property
-    def parity(self):
-        if self._parity is None:
-            self._parity = self.grading.classify(self.entries)
-        return self._parity
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-    def adjoint(self):
-        return AlgebraElement(self.entries.conj().T, self.grading)
-
-    def norm(self):
-        return operator_norm(self.entries)
-
-    def _wrap(self, m):
-        return AlgebraElement(m, self.grading)
-
-    def __matmul__(self, other):
-        return self._wrap(self.entries @ as_matrix(other))
-
-    def __rmatmul__(self, other):
-        return self._wrap(as_matrix(other) @ self.entries)
-
-    def __add__(self, other):
-        return self._wrap(self.entries + as_matrix(other))
-
-    def __sub__(self, other):
-        return self._wrap(self.entries - as_matrix(other))
-
-    def __neg__(self):
-        return self._wrap(-self.entries)
-
-    def __mul__(self, scalar):
-        return self._wrap(self.entries * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.entries
-        return self.entries.astype(dtype)
-
-    def __repr__(self):
-        return "AlgebraElement(dim=%d, parity=%s)" % (self.dim, self.parity.value)
-
-
-def _split_matrices(x, grading):
+def parity_split(x, grading):
+    """Split x into (even, odd) parts; even + odd reconstructs x."""
     m = as_matrix(x)
     g = grading.conjugate(m)
     return (m + g) / 2, (m - g) / 2
 
 
-def parity_split(x, grading=None):
-    """Split x into (even, odd) parts; even + odd reconstructs x."""
-    if grading is None:
-        grading = x.grading
-    even, odd = _split_matrices(x, grading)
-    if isinstance(x, AlgebraElement):
-        return AlgebraElement(even, grading), AlgebraElement(odd, grading)
-    return even, odd
-
-
-def graded_commutator(x, y, grading=None):
+def graded_commutator(x, y, grading):
     """[x, y] = xy - (-1)^{|x||y|} yx on homogeneous parts, extended bilinearly.
 
     Equivalent closed form: xy - y_even x - y_odd gamma(x).
     """
-    if grading is None:
-        grading = x.grading if isinstance(x, AlgebraElement) else y.grading
     xm = as_matrix(x)
     ym = as_matrix(y)
     if xm.shape != ym.shape:
         raise DimensionMismatch("graded commutator operands differ in shape")
-    y_even, y_odd = _split_matrices(ym, grading)
-    out = xm @ ym - y_even @ xm - y_odd @ grading.conjugate(xm)
-    if isinstance(x, AlgebraElement) or isinstance(y, AlgebraElement):
-        return AlgebraElement(out, grading)
-    return out
+    y_even, y_odd = parity_split(ym, grading)
+    return xm @ ym - y_even @ xm - y_odd @ grading.conjugate(xm)
 
 
 def supertrace(x, grading):

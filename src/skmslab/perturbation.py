@@ -37,8 +37,7 @@ from .dynamics import (GradedSystem, _draw_tuples, _super_gibbs,
                        _superderivation_stack, heisenberg_flow, skms_eval,
                        superderivation)
 from .errors import ParityViolation, TruncationUnreachable
-from .graded import (AlgebraElement, Parity, as_matrices, as_matrix,
-                     frobenius_norms, modulus)
+from .graded import Parity, as_matrices, as_matrix, frobenius_norms, modulus
 from .kernels import (Spectrum, _heat_chain_blocks, alternating_chain_integral,
                       chain_integral)
 from .report import DOCUMENTED, make_report
@@ -47,13 +46,9 @@ SERIES_CAP = 40
 
 
 class OddPerturbation:
-    """Odd selfadjoint perturbation element Q."""
+    """Odd selfadjoint perturbation Q in the grading given."""
 
-    def __init__(self, q, grading=None, tol=1e-12):
-        if grading is None:
-            if not isinstance(q, AlgebraElement):
-                raise ValueError("grading required when q is a bare matrix")
-            grading = q.grading
+    def __init__(self, q, grading, tol=1e-12):
         m = as_matrix(q)
         scale = max(1.0, np.linalg.norm(m))
         if np.linalg.norm(m - m.conj().T) > tol * scale:
@@ -110,7 +105,7 @@ class PerturbedContext:
             raise ValueError("r must be a number or a 1-d sequence of couplings")
         q = perturbation.matrix
         self.supercharge = system.supercharge + rr * q
-        dq = as_matrix(superderivation(system, q))
+        dq = superderivation(system, q)
         self.delta_q = dq
         self.q_squared = q @ q
         self.a_r = rr * dq + rr ** 2 * self.q_squared
@@ -275,10 +270,7 @@ def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None, memo=None):
 
 def dyson_alpha(ctx, x, t, tol=1e-10, order=None):
     """Series evaluation of alpha^r_t(x); see dyson_alpha_info."""
-    out, _ = dyson_alpha_info(ctx, x, t, tol=tol, order=order)
-    if isinstance(x, AlgebraElement):
-        return AlgebraElement(out, ctx.system.grading)
-    return out
+    return dyson_alpha_info(ctx, x, t, tol=tol, order=order)[0]
 
 
 def dyson_gamma_one_info(ctx, t, tol=1e-10, order=None, memo=None):
@@ -304,24 +296,7 @@ def dyson_gamma_one_info(ctx, t, tol=1e-10, order=None, memo=None):
 
 def dyson_gamma_one(ctx, t, tol=1e-10, order=None):
     """Series evaluation of gamma^r_t(1); see dyson_gamma_one_info."""
-    out, _ = dyson_gamma_one_info(ctx, t, tol=tol, order=order)
-    return out
-
-
-def perturbed_functional(ctx, x, method="exact", tol=1e-10):
-    """phi^r(x) = phi(x gamma^r_i(1)), normalized by the unperturbed Z.
-
-    method 'exact' contracts against e^{-H_r} directly; method 'series'
-    multiplies by the Dyson value of gamma^r_i(1) inside phi.  The two
-    agree within the series tail bound.
-    """
-    xm = as_matrix(x)
-    if method == "exact":
-        return skms_eval(ctx, xm)
-    if method == "series":
-        g = dyson_gamma_one(ctx, 1j, tol=tol)
-        return skms_eval(ctx.system, xm @ g)
-    raise ValueError("method must be 'exact' or 'series'")
+    return dyson_gamma_one_info(ctx, t, tol=tol, order=order)[0]
 
 
 def error_term(ctx, t):
@@ -332,7 +307,7 @@ def error_term(ctx, t):
     """
     g = gamma_cocycle_oracle(ctx, t)
     q = ctx.perturbation.matrix
-    return (as_matrix(superderivation(ctx.system, g))
+    return (superderivation(ctx.system, g)
             + ctx.r * (q @ g)
             - ctx.r * (g @ heisenberg_flow(ctx.system, q, t)))
 
@@ -638,7 +613,7 @@ def lipschitz_check(system, perturbation, samples=100, seed=0, model_digest=""):
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x47)))
     q = perturbation.matrix
-    dq = as_matrix(superderivation(system, q))
+    dq = superderivation(system, q)
     c = float(np.linalg.norm(dq, 2) + np.linalg.norm(q @ q, 2))
     xs, ts, pairs = [], [], []
     for _ in range(samples):
@@ -685,6 +660,9 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
     (both sides vanish, e.g. Q = 0).  The raw residual at the smallest h
     is included as a documentation row.
     """
+    for h in hs:
+        if not h > 0.0:
+            raise ValueError("step h = %r must be positive" % (h,))
     hs = tuple(sorted(hs, reverse=True))
     if r - hs[0] < 0.0 or r + hs[0] > 1.0:
         raise ValueError("step r +/- h leaves [0, 1]")

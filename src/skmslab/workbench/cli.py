@@ -7,6 +7,7 @@ passed (evaluation-only commands count as passing).
 
 import argparse
 import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -14,7 +15,6 @@ import numpy as np
 from ..cochain import tau_eval
 from ..dynamics import superderivation
 from ..errors import ChainBudgetExceeded
-from ..graded import as_matrix
 from ..kernels import (GAUSS_MIN_ORDER, SimplexQuadratureRule,
                        heat_chain_integrand, simplex_quadrature)
 from ..perturbation import (SERIES_CAP, PerturbedContext,
@@ -52,6 +52,19 @@ def _int_in(what, low, high=None):
                 "%s must be at least %d, got %d" % (what, low, value))
         return value
     return parse
+
+
+def _steps(text):
+    # a comma list of positive finite floats, checked while the arguments
+    # are parsed, so a bad value is a usage error
+    try:
+        hs = tuple(float(h) for h in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid step list: %r" % text)
+    for h in hs:
+        if not 0.0 < h < math.inf:
+            raise argparse.ArgumentTypeError("steps must be positive, got %r" % h)
+    return hs
 
 
 def _add_common(parser):
@@ -134,8 +147,8 @@ def _cmd_verify(args):
 
 def _tau_by_quadrature(system, n, xs, kind, num, seed):
     # quadrature route beside the block-exponential chain, driven by --quadrature
-    mats = [as_matrix(xs[0])]
-    mats += [as_matrix(superderivation(system, x)) for x in xs[1:]]
+    mats = [xs[0]]
+    mats += [superderivation(system, x) for x in xs[1:]]
     integrand = heat_chain_integrand(system.spectrum, mats, system.grading)
     rule = SimplexQuadratureRule(kind, num, seed=seed, vectorized=True)
     value, err = simplex_quadrature(integrand, n, rule)
@@ -201,11 +214,10 @@ def _cmd_homotopy_check(args):
     system, pert = build_perturbed_model(spec, args.seed)
     digest = model_digest(spec)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x48)))
-    xs = [as_matrix(system.random_element(rng, parity="even"))
+    xs = [system.random_element(rng, parity="even")
           for _ in range(args.degree + 1)]
-    hs = tuple(float(h) for h in args.steps.split(","))
-    reports = homotopy_check(system, pert, args.degree, xs, r=args.r, hs=hs,
-                             seed=args.seed, model_digest=digest)
+    reports = homotopy_check(system, pert, args.degree, xs, r=args.r,
+                             hs=args.steps, seed=args.seed, model_digest=digest)
     reports += endpoint_transgression_check(
         system, pert, args.degree, xs,
         tol=args.tol if args.tol is not None else 1e-6,
@@ -247,8 +259,8 @@ def build_parser():
     tau_sub = tau.add_subparsers(dest="tau_command", required=True)
     tau_eval_p = tau_sub.add_parser("eval")
     tau_eval_p.add_argument("--model", required=True)
-    tau_eval_p.add_argument("--degree", type=int, default=2)
-    tau_eval_p.add_argument("--tuples", type=int, default=1)
+    tau_eval_p.add_argument("--degree", type=_int_in("degree", 0), default=2)
+    tau_eval_p.add_argument("--tuples", type=_int_in("tuples", 0), default=1)
     _add_common(tau_eval_p)
     tau_eval_p.set_defaults(func=_cmd_tau_eval)
 
@@ -266,9 +278,10 @@ def build_parser():
                                            required=True)
     check = homotopy_sub.add_parser("check")
     check.add_argument("--model", required=True)
-    check.add_argument("--degree", type=int, default=2)
+    check.add_argument("--degree", type=_int_in("degree", 0), default=2)
     check.add_argument("--r", type=float, default=0.5)
-    check.add_argument("--steps", default="1e-2,5e-3,2.5e-3")
+    check.add_argument("--steps", type=_steps, default="1e-2,5e-3,2.5e-3",
+                       help="comma list of positive finite-difference steps")
     _add_common(check)
     check.set_defaults(func=_cmd_homotopy_check)
     return parser

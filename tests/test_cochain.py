@@ -17,7 +17,7 @@ from skmslab.cochain import (
     tau_eval,
 )
 from skmslab.dynamics import GradedSystem
-from skmslab.errors import ChainBudgetExceeded, ParityViolation
+from skmslab.errors import ChainBudgetExceeded, DimensionMismatch, ParityViolation
 from skmslab.graded import GradingOperator, Parity, as_matrix
 
 
@@ -166,6 +166,13 @@ def test_tau_normalization_and_parity():
         tau_eval(sys_, 2, [as_matrix(sys_.random_element(rng))] + xs)
     with pytest.raises(ValueError):
         tau_eval(sys_, 2, xs)  # arity
+
+
+def test_tau_refuses_elements_of_another_dimension():
+    # used to end in numpy's matmul core-dimension error inside classify
+    sys_ = block_system(3, 2, seed=6)
+    with pytest.raises(DimensionMismatch, match="dimension 3 .* dimension 5"):
+        tau_eval(sys_, 2, [np.eye(3)] * 3)
 
 
 def test_tau_scalar_slot_is_exact_zero():

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from skmslab.errors import DimensionMismatch
 from skmslab.graded import (
-    AlgebraElement,
     GradingOperator,
     Parity,
     as_matrix,
     graded_commutator,
-    operator_norm,
     parity_split,
     supertrace,
 )
@@ -78,24 +76,18 @@ def test_parity_split_reconstructs():
     assert g.classify(odd) is Parity.ODD
 
 
-def test_element_wrapping_and_arithmetic():
-    g = block_grading(1, 1)
-    x = g.element([[0, 1], [1, 0]])
-    y = g.element([[2, 0], [0, 3]])
-    assert x.parity is Parity.ODD
-    assert y.parity is Parity.EVEN
-    assert (x @ y).dim == 2
-    np.testing.assert_array_equal(as_matrix(x + y), [[2, 1], [1, 3]])
-    np.testing.assert_array_equal(as_matrix(2.0 * x), [[0, 2], [2, 0]])
-    np.testing.assert_array_equal(as_matrix(-x), [[0, -1], [-1, 0]])
-    np.testing.assert_array_equal(as_matrix(x.adjoint()), [[0, 1], [1, 0]])
-    assert x.norm() == pytest.approx(1.0)
-    assert g.unit().parity is Parity.EVEN
-
-    with pytest.raises(DimensionMismatch):
-        g.element(np.eye(3))
+def test_as_matrix_refuses_a_non_square_shape():
     with pytest.raises(DimensionMismatch):
         as_matrix(np.ones(4))
+
+
+def test_grading_refuses_elements_of_another_dimension():
+    g = block_grading(1, 1)
+    for x in (np.eye(3), np.zeros((4, 3, 3))):
+        with pytest.raises(DimensionMismatch, match="dimension 3 .* dimension 2"):
+            g.conjugate(x)
+        with pytest.raises(DimensionMismatch, match="dimension 3 .* dimension 2"):
+            g.classify(x)
 
 
 def test_graded_commutator_homogeneous_cases():
@@ -131,11 +123,8 @@ def test_graded_commutator_bilinear_in_mixed_arguments():
     np.testing.assert_allclose(graded_commutator(x, y, g), total, atol=1e-13)
 
 
-def test_graded_commutator_wraps_elements():
+def test_graded_commutator_refuses_mismatched_shapes():
     g = block_grading(1, 1)
-    x = g.element([[0, 1], [0, 0]])
-    out = graded_commutator(x, x)
-    assert isinstance(out, AlgebraElement)
     with pytest.raises(DimensionMismatch):
         graded_commutator(np.eye(2), np.eye(3), g)
 
@@ -147,12 +136,6 @@ def test_supertrace():
     odd[0, 2] = 4.0
     odd[2, 0] = -1.0
     assert supertrace(odd, g) == pytest.approx(0.0)
-
-
-def test_operator_norm_matches_numpy():
-    rng = np.random.default_rng(4)
-    x = random_matrix(rng, 6)
-    assert operator_norm(x) == pytest.approx(np.linalg.norm(x, 2))
 
 
 @settings(max_examples=40, deadline=None)

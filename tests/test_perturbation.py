@@ -31,7 +31,6 @@ from skmslab.perturbation import (
     lemma43_check,
     lemma44_check,
     lipschitz_check,
-    perturbed_functional,
     skms_check_perturbed,
     tau_r_eval,
     transgression_G,
@@ -77,8 +76,6 @@ def even_tuple(sys_, rng, count):
 
 def test_odd_perturbation_validation():
     sys_ = block_system(3, 2)
-    with pytest.raises(ValueError, match="grading"):
-        OddPerturbation(np.zeros((5, 5)))
     with pytest.raises(ParityViolation, match="odd"):
         OddPerturbation(np.eye(5), sys_.grading)
     odd = np.zeros((5, 5), dtype=complex)
@@ -326,13 +323,11 @@ def test_perturbed_functional_routes_agree():
     x = as_matrix(ctx.system.random_element(np.random.default_rng(6)))
     heat = scipy.linalg.expm(-ctx.hamiltonian)
     want = np.trace(ctx.system.grading.matrix @ x @ heat) / ctx.system.witten_index
-    exact = perturbed_functional(ctx, x, method="exact")
+    exact = skms_eval(ctx, x)
     assert exact == pytest.approx(want, abs=1e-12)
-    series = perturbed_functional(ctx, x, method="series", tol=1e-12)
+    series = skms_eval(ctx.system, x @ dyson_gamma_one(ctx, 1j, tol=1e-12))
     assert abs(series - exact) < 1e-10
-    assert perturbed_functional(ctx, np.eye(5)) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        perturbed_functional(ctx, x, method="pade")
+    assert skms_eval(ctx, np.eye(5)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_error_term_vanishes():
@@ -656,6 +651,17 @@ def test_homotopy_step_domain_guard():
     xs = even_tuple(sys_, np.random.default_rng(21), 3)
     with pytest.raises(ValueError, match="leaves"):
         homotopy_check(sys_, pert, 2, xs, r=0.005)
+
+
+@pytest.mark.parametrize("hs", [(0.0, 1e-3), (1e-2, -1e-3)])
+def test_homotopy_refuses_a_step_that_is_not_positive(hs):
+    # h = 0 used to end in a complex division by zero
+    sys_ = block_system(3, 2, seed=20)
+    pert = odd_perturbation(sys_)
+    xs = even_tuple(sys_, np.random.default_rng(21), 3)
+    bad = min(hs)
+    with pytest.raises(ValueError, match="step h = %r must be positive" % bad):
+        homotopy_check(sys_, pert, 2, xs, hs=hs)
 
 
 def test_endpoint_transgression():

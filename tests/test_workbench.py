@@ -520,6 +520,37 @@ def test_cli_perturb_sweep_grid_below_two_is_a_usage_error(tmp_path, capsys, gri
     assert "argument --grid" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["tau", "eval", "--degree=-1"], "--degree"),
+    (["tau", "eval", "--degree=x"], "--degree"),
+    (["tau", "eval", "--tuples=-1"], "--tuples"),
+    (["homotopy", "check", "--degree=-1"], "--degree"),
+    (["homotopy", "check", "--steps=0,1e-3"], "--steps"),
+    (["homotopy", "check", "--steps=-1e-3"], "--steps"),
+    (["homotopy", "check", "--steps=abc"], "--steps"),
+    (["homotopy", "check", "--steps=1e-3,"], "--steps"),
+    (["homotopy", "check", "--steps=nan"], "--steps"),
+])
+def test_cli_bad_degree_tuples_or_steps_is_a_usage_error(tmp_path, capsys,
+                                                          argv, option):
+    # a negative degree used to end in an IndexError (homotopy check) or in
+    # values for a degree that does not exist (tau eval); a zero step in a
+    # division by zero and a non-number in a ValueError traceback
+    model = write_spec(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--model", model])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument " + option in err and "Traceback" not in err
+
+
+def test_cli_tau_eval_zero_tuples_evaluates_nothing(tmp_path, capsys):
+    model = write_spec(tmp_path)
+    rc = main(["tau", "eval", "--model", model, "--tuples", "0"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["evaluations"] == []
+
+
 def test_cli_perturb_sweep_grid_two_checks_both_ends(tmp_path, capsys):
     model = write_spec(tmp_path)
     rc = main(["perturb", "sweep", "--model", model, "--grid", "2"])
