@@ -411,10 +411,10 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
             draws = []
             for i in range(samples):
                 rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
-                draws += [rng.standard_normal(len(generators))
-                          + 1j * rng.standard_normal(len(generators))
-                          for _ in range(n + 1)]
-            coeffs = np.array(draws).T[:, :, None, None]
+                # slot by slot, the real then the imaginary parts
+                z = rng.standard_normal((n + 1, 2, len(generators)))
+                draws.append(z[:, 0] + 1j * z[:, 1])
+            coeffs = np.concatenate(draws).T[:, :, None, None]
             mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
             tuples = mats.reshape(-1, n + 1, sys.dim, sys.dim)
             stacks = list(tuples.swapaxes(0, 1))

@@ -36,14 +36,22 @@ the n-th divided difference of exp at (-mu_0, ..., -mu_n).
 pointwise (tensor Gauss-Legendre through the ordered Duffy map, or seeded
 Monte Carlo) on cache-sized blocks of points: per block, one real GEMM for
 y_n D_n y_0, one complex GEMM per middle insertion, a diagonal-only trace.
+A Gauss-Duffy rule depends on its order and degree alone: each is built
+once, memoized read-only, and shared by every quadrature of that shape.
 
 The block builder, with c H in place of -H on the diagonal blocks, gives
 the terms of every Dyson series of the perturbation module, at real t
 and at t = i alike, as block row 0 of one ((k+1)d)-square exponential
 for order k, with c = it.
+
+Per Taylor term the builder does one GEMM per block of each run, adds
+the products into the term in place, and reads a block's running sum
+only when a bound on it could let a slice stop; neither changes a bit
+of the result.
 """
 
 import enum
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -231,8 +239,10 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
     of that block's sum, so far blocks, orders below the near ones, keep
     their relative accuracy.  (m, s) and the stopping point are per slice
     and stopped slices are masked, so each slice gets the bits it gets
-    alone.  No generator is formed: the workspace is a few arrays of the
-    returned shape.
+    alone.  The block sums are read only when an upper bound on them
+    would let a live slice stop, which gives the same stopping term as
+    reading them on every term.  No generator is formed: the workspace is
+    a few arrays of the returned shape.
 
     Each exponential is priced at (blocks d)^3 against budget (None:
     SKMS_CHAIN_BUDGET or the default), whatever K; what names the chain,
@@ -272,22 +282,28 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
 def _taylor_step(total, diag, runs, s, caps, stopped):
     # total += sum_{j >= 1} total (A/s)^j / j! in place for the slices not
     # stopped, each up to its stopping term (see _heat_chain_blocks).  For
-    # the memory peak, the factors are complex (float ones make in-place
-    # products buffer) and each term's products go before the next's
+    # the memory peak, the column factors are complex (float ones make the
+    # in-place products buffer) and each term's products go before the
+    # next's.  max|total| is read only when an upper bound on it, the last
+    # value read plus the sizes of the terms added since, would let a live
+    # slice stop; the slack 2^-40 on that bound covers its rounding, so
+    # every slice stops on the term the exact value gives
     nblocks, most = total.shape[1], int(caps.max())
     term = total.copy()
     columns = diag.astype(complex)[:, None, None, :]
-    inverse = 1.0 / s[:, None, None, None].astype(complex)
-    masked, last = stopped.any(), None
+    # 1/(s j) as (1/s) * (1/j), the bits numpy's complex (1/s) / j gives,
+    # applied to the float view of the term
+    inverse = (1.0 / s)[:, None, None, None]
+    floats = term.view(float)
+    # ceiling bounds max|total| per block; none is known before the first read
+    masked, last, ceiling = stopped.any(), None, math.inf
     for j in range(1, most + 1):
         prods = [term[:, row:row + y.shape[1]] @ y for row, _, y in runs]
         term *= columns
         for (_, col, y), prod in zip(runs, prods):
-            cols = slice(col, col + y.shape[1])
-            prod += term[:, cols]
-            term[:, cols] = prod
+            term[:, col:col + y.shape[1]] += prod
         del prods, prod
-        term *= inverse / j
+        floats *= inverse * (1.0 / j)
         if masked:
             np.add(total, term, out=total, where=~stopped[:, None, None, None])
         else:
@@ -296,8 +312,14 @@ def _taylor_step(total, diag, runs, s, caps, stopped):
             continue
         size = np.abs(term).max(axis=(2, 3))
         if last is not None:
-            small = last + size <= 2.0 ** -53 * np.abs(total).max(axis=(2, 3))
-            done = small.all(axis=1) | (j >= caps)
+            close = last + size
+            ceiling = ceiling + size
+            small = False
+            maybe = (close <= 2.0 ** -53 * (1.0 + 2.0 ** -40) * ceiling).all(axis=1)
+            if (maybe & ~stopped).any():
+                ceiling = np.abs(total).max(axis=(2, 3))
+                small = (close <= 2.0 ** -53 * ceiling).all(axis=1)
+            done = small | (j >= caps)
             if done.any():
                 stopped = stopped | done
                 if stopped.all():
@@ -534,7 +556,10 @@ def gauss_legendre_01(order):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+@functools.lru_cache(maxsize=32)
 def _duffy_points(order, n):
+    # the rule depends on (order, n) alone, so it is built once and shared
+    # read-only by every quadrature of that shape
     u, w = gauss_legendre_01(order)
     grids = np.meshgrid(*([u] * n), indexing="ij")
     upts = np.stack([g.reshape(-1) for g in grids], axis=1)
@@ -543,7 +568,10 @@ def _duffy_points(order, n):
     # ordered map s_k = prod_{j >= k} u_j, jacobian prod_j u_j^{j-1} (1-based)
     s = np.cumprod(upts[:, ::-1], axis=1)[:, ::-1]
     jac = np.prod(upts ** np.arange(n)[None, :], axis=1)
-    return s, wts * jac
+    weights = wts * jac
+    s.setflags(write=False)
+    weights.setflags(write=False)
+    return s, weights
 
 
 def _eval_integrand(integrand, pts, vectorized):

@@ -103,6 +103,9 @@ class PerturbedContext:
             rr = self.r[:, None, None]
         else:
             raise ValueError("r must be a number or a 1-d sequence of couplings")
+        if not np.all(np.isfinite(self.r)):
+            # NaN would pass every range test and fail inside eigh
+            raise ValueError("coupling r must be finite, got %r" % (r,))
         q = perturbation.matrix
         self.supercharge = system.supercharge + rr * q
         dq = superderivation(system, q)
@@ -639,6 +642,22 @@ def _orientation(target, candidate, noise_floor=5e-13):
     return 1.0 if abs(target - candidate) <= abs(target + candidate) else -1.0
 
 
+def homotopy_steps(r, hs):
+    """The steps hs, largest first, checked for central differences at r.
+
+    Each step must be positive and r +/- h must stay in [0, 1]; ValueError
+    otherwise.
+    """
+    for h in hs:
+        if not h > 0.0:
+            raise ValueError("step h = %r must be positive" % (h,))
+    hs = tuple(sorted(hs, reverse=True))
+    if r - hs[0] < 0.0 or r + hs[0] > 1.0:
+        raise ValueError("step r +/- h leaves [0, 1]: r = %r, h = %r"
+                         % (r, hs[0]))
+    return hs
+
+
 def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
                    order_floor=1.9, seed=0, model_digest="", budget=None):
     """Central differences of tau^r against the transgression boundary.
@@ -660,12 +679,7 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
     (both sides vanish, e.g. Q = 0).  The raw residual at the smallest h
     is included as a documentation row.
     """
-    for h in hs:
-        if not h > 0.0:
-            raise ValueError("step h = %r must be positive" % (h,))
-    hs = tuple(sorted(hs, reverse=True))
-    if r - hs[0] < 0.0 or r + hs[0] > 1.0:
-        raise ValueError("step r +/- h leaves [0, 1]")
+    hs = homotopy_steps(r, hs)
     ctx = PerturbedContext(system, perturbation, r)
     exact = boundary_of_transgression(ctx, n, xs, budget=budget)
     # the ladder r + h, then r - h, for every h: one context, one stack

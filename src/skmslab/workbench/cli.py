@@ -19,7 +19,7 @@ from ..kernels import (GAUSS_MIN_ORDER, SimplexQuadratureRule,
                        heat_chain_integrand, simplex_quadrature)
 from ..perturbation import (SERIES_CAP, PerturbedContext,
                             endpoint_transgression_check,
-                            homotopy_check, lipschitz_check,
+                            homotopy_check, homotopy_steps, lipschitz_check,
                             skms_check_perturbed, witten_invariance_check)
 from ..report import make_report
 from .models import ModelSpec, build_model, build_perturbed_model, model_digest
@@ -52,6 +52,18 @@ def _int_in(what, low, high=None):
                 "%s must be at least %d, got %d" % (what, low, value))
         return value
     return parse
+
+
+def _coupling(text):
+    # a finite float in [0, 1], checked while the arguments are parsed, so
+    # a bad value is a usage error
+    try:
+        r = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    if not 0.0 <= r <= 1.0:
+        raise argparse.ArgumentTypeError("r must be in [0, 1], got %r" % r)
+    return r
 
 
 def _steps(text):
@@ -210,6 +222,12 @@ def _cmd_perturb_sweep(args):
 
 
 def _cmd_homotopy_check(args):
+    # r and the steps are parsed apart, so only here can they be checked
+    # together, before any work
+    try:
+        homotopy_steps(args.r, args.steps)
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, "argument --steps: %s" % exc)
     spec = _load_spec(args.model)
     system, pert = build_perturbed_model(spec, args.seed)
     digest = model_digest(spec)
@@ -279,7 +297,8 @@ def build_parser():
     check = homotopy_sub.add_parser("check")
     check.add_argument("--model", required=True)
     check.add_argument("--degree", type=_int_in("degree", 0), default=2)
-    check.add_argument("--r", type=float, default=0.5)
+    check.add_argument("--r", type=_coupling, default=0.5,
+                       help="coupling at which the derivative is taken, in [0, 1]")
     check.add_argument("--steps", type=_steps, default="1e-2,5e-3,2.5e-3",
                        help="comma list of positive finite-difference steps")
     _add_common(check)
@@ -288,8 +307,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except argparse.ArgumentError as exc:
+        # arguments that are valid alone but not together
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import skmslab.cochain as cochain_module
+from skmslab import kernels
 from skmslab.cochain import (
     Cochain,
     NormEstimate,
@@ -359,6 +360,62 @@ def test_entireness_diagnostic_one_exponential_call_per_degree(builder_calls):
     sys_ = block_system(3, 2, seed=17, scale=0.8)
     entireness_diagnostic(sys_, degrees=(2, 4, 6), samples=5, seed=3)
     assert builder_calls == [(5, 15), (5, 25), (5, 35)]
+
+
+def _entireness_with_slot_by_slot_draws(sys_, degrees, samples, seed):
+    # entireness_diagnostic as it drew before: two standard_normal(G) calls
+    # per slot, the real part then the imaginary one
+    gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
+    generators = [sys_.random_element(gen_rng, parity=Parity.EVEN) for _ in range(4)]
+    out = []
+    for n in degrees:
+        best = 0.0
+        if n % 2 == 0:
+            draws = []
+            for i in range(samples):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
+                draws += [rng.standard_normal(len(generators))
+                          + 1j * rng.standard_normal(len(generators))
+                          for _ in range(n + 1)]
+            coeffs = np.array(draws).T[:, :, None, None]
+            mats = cochain_module._graph_normalize(
+                sys_, sum(c * g for c, g in zip(coeffs, generators)))
+            stacks = list(mats.reshape(-1, n + 1, sys_.dim, sys_.dim).swapaxes(0, 1))
+            keep = ~cochain_module._scalar_slots(stacks[1:], samples).any(axis=0)
+            values = cochain_module._tau_chain(sys_, n, [s[keep] for s in stacks], None)
+            best = max([best] + [abs(v) for v in values.tolist()])
+        out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples, seed=seed))
+    return out
+
+
+def test_entireness_diagnostic_draws_each_sample_in_one_call():
+    # one standard_normal((n + 1, 2, G)) per sample is the same stream as
+    # 2 (n + 1) calls of standard_normal(G), so the estimates keep their bits
+    sys_ = block_system(3, 2, seed=17, scale=0.8)
+    got = entireness_diagnostic(sys_, degrees=(2, 4), samples=6, seed=3)
+    assert got == _entireness_with_slot_by_slot_draws(sys_, (2, 4), 6, 3)
+    assert all(e.sampled_norm > 0.0 for e in got)
+
+
+def test_duffy_rule_is_built_once_per_order_and_degree(monkeypatch):
+    s, w = kernels._duffy_points(8, 3)
+    fresh = kernels._duffy_points.__wrapped__(8, 3)
+    assert np.array_equal(s, fresh[0]) and np.array_equal(w, fresh[1])
+    assert not s.flags.writeable and not w.flags.writeable
+    assert kernels._duffy_points(8, 3)[0] is s
+    # lemma34_check integrates 12 times on Delta_3 with the order-8 rule and
+    # its order-6 error estimate: each rule is built once
+    kernels._duffy_points.cache_clear()
+    orders = []
+    build = kernels.gauss_legendre_01
+
+    def counted(order):
+        orders.append(order)
+        return build(order)
+
+    monkeypatch.setattr(kernels, "gauss_legendre_01", counted)
+    lemma34_check(block_system(3, 2, seed=20), n=2, samples=6)
+    assert sorted(orders) == [6, 8]
 
 
 def test_lemma34_rows_pass():

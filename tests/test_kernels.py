@@ -214,6 +214,106 @@ def test_mixed_stack_gives_each_slice_its_bits_alone(monkeypatch):
         assert np.array_equal(alone, whole[k:k + 1]), k
 
 
+def _reference_taylor_step(total, diag, runs, s, caps, stopped):
+    # the row action's Taylor substep as it was before the per-term work
+    # was cut: products copied back into the term, a complex 1/(s j), and
+    # max|total| read on every term from block nblocks - 1 on
+    nblocks, most = total.shape[1], int(caps.max())
+    term = total.copy()
+    columns = diag.astype(complex)[:, None, None, :]
+    inverse = 1.0 / s[:, None, None, None].astype(complex)
+    masked, last = stopped.any(), None
+    for j in range(1, most + 1):
+        prods = [term[:, row:row + y.shape[1]] @ y for row, _, y in runs]
+        term *= columns
+        for (_, col, y), prod in zip(runs, prods):
+            cols = slice(col, col + y.shape[1])
+            prod += term[:, cols]
+            term[:, cols] = prod
+        del prods, prod
+        term *= inverse / j
+        if masked:
+            np.add(total, term, out=total, where=~stopped[:, None, None, None])
+        else:
+            total += term
+        if j + 1 < nblocks:
+            continue
+        size = np.abs(term).max(axis=(2, 3))
+        if last is not None:
+            small = last + size <= 2.0 ** -53 * np.abs(total).max(axis=(2, 3))
+            done = small.all(axis=1) | (j >= caps)
+            if done.any():
+                stopped = stopped | done
+                if stopped.all():
+                    return
+                masked = True
+        last = size
+
+
+def _assert_builder_matches_reference(monkeypatch, spec, edges, scale=-1.0):
+    got = kernels._heat_chain_blocks(spec, edges, "builder", scale=scale)
+    with monkeypatch.context() as patched:
+        patched.setattr(kernels, "_taylor_step", _reference_taylor_step)
+        want = kernels._heat_chain_blocks(spec, edges, "reference", scale=scale)
+    assert np.array_equal(got, want)
+    return got
+
+
+def _random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _random_spectrum(rng, d, count=None):
+    lead = () if count is None else (count,)
+    evals = np.sort(rng.uniform(0.0, 2.0, lead + (d,)), axis=-1)
+    basis = np.linalg.qr(_random_stack(rng, lead + (d, d)))[0]
+    return Spectrum(evals, basis)
+
+
+@pytest.mark.parametrize("d", [3, 5, 8, 10])
+def test_taylor_step_keeps_the_bits_of_the_reference_on_every_run_layout(
+        monkeypatch, d):
+    rng = np.random.default_rng(600 + d)
+    # a chain run: K = 3 tuples of degree 4 against one spectrum
+    spec = _random_spectrum(rng, d)
+    ys = _random_stack(rng, (3, 4, d, d)) / d
+    _assert_builder_matches_reference(monkeypatch, spec, [(0, 1, ys)])
+    # the alternating chain's three runs, q broadcast along its run: on a
+    # stacked spectrum (one q per slice) and on one spectrum (one q for all)
+    m = 2
+    ys = _random_stack(rng, (3, m, d, d)) / d
+    for spectrum in (_random_spectrum(rng, d, count=3), spec):
+        q = spectrum.to_eigenbasis(_random_stack(rng, (d, d)) / d)
+        qe = np.broadcast_to(q[..., None, :, :], (3, m + 1, d, d))
+        assert qe.strides[1] == 0
+        edges = [(0, m + 1, qe), (0, 1, -ys), (m + 1, m + 2, ys)]
+        _assert_builder_matches_reference(monkeypatch, spectrum, edges)
+    # the Dyson run: one matrix c a on every block of the superdiagonal,
+    # with c H on the diagonal blocks, at t = 0.3 and at the imaginary t = i
+    a = _random_stack(rng, (d, d))
+    a = (a + a.conj().T) / (2.0 * d)
+    for c in (0.3j, -1.0):
+        run = (0, 1, np.broadcast_to(c * a, (1, 6, d, d)))
+        _assert_builder_matches_reference(monkeypatch, spec, [run], scale=c)
+
+
+@pytest.mark.parametrize("d", [3, 5, 8, 10])
+def test_taylor_step_keeps_the_bits_of_the_reference_on_a_mixed_stack(
+        monkeypatch, d):
+    # the slices of test_mixed_stack_gives_each_slice_its_bits_alone, with
+    # its zero slice and its stiff one (spread 40), at several d
+    n = 3
+    spreads = [0.5, 3.0, 40.0, 0.0, 8.0]
+    norms = [0.1, 1.0, 5.0, 0.0, 2.0]
+    rng = np.random.default_rng(41)
+    evals = np.array([np.sort(rng.uniform(0.0, w, d)) for w in spreads])
+    spec = Spectrum(evals, np.stack([np.eye(d)] * len(spreads)))
+    ys = _random_stack(rng, (len(spreads), n, d, d))
+    ys *= (np.array(norms) / np.linalg.norm(ys, 2, axis=(2, 3)).max(axis=1))[:, None, None, None]
+    got = _assert_builder_matches_reference(monkeypatch, spec, [(0, 1, ys)])
+    assert np.all(got[3, 1:] == 0) and np.all(got[3, 0] == np.eye(d))
+
+
 def test_chain_integral_none_grading_is_plain_trace():
     spec, g, xs = chain_fixture()
     got = chain_integral(spec, xs, None)

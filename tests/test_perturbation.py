@@ -653,6 +653,19 @@ def test_homotopy_step_domain_guard():
         homotopy_check(sys_, pert, 2, xs, r=0.005)
 
 
+def test_context_refuses_a_coupling_that_is_not_finite():
+    # NaN passed the range test of homotopy_check and ended in a
+    # LinAlgError from eigh
+    sys_ = block_system(3, 2, seed=20)
+    pert = odd_perturbation(sys_)
+    for r in (math.nan, math.inf, [0.2, math.nan]):
+        with pytest.raises(ValueError, match="coupling r must be finite"):
+            PerturbedContext(sys_, pert, r)
+    xs = even_tuple(sys_, np.random.default_rng(21), 3)
+    with pytest.raises(ValueError, match="coupling r must be finite"):
+        homotopy_check(sys_, pert, 2, xs, r=math.nan)
+
+
 @pytest.mark.parametrize("hs", [(0.0, 1e-3), (1e-2, -1e-3)])
 def test_homotopy_refuses_a_step_that_is_not_positive(hs):
     # h = 0 used to end in a complex division by zero

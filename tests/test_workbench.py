@@ -530,12 +530,18 @@ def test_cli_perturb_sweep_grid_below_two_is_a_usage_error(tmp_path, capsys, gri
     (["homotopy", "check", "--steps=abc"], "--steps"),
     (["homotopy", "check", "--steps=1e-3,"], "--steps"),
     (["homotopy", "check", "--steps=nan"], "--steps"),
+    (["homotopy", "check", "--r", "2"], "--r"),
+    (["homotopy", "check", "--r", "-0.1"], "--r"),
+    (["homotopy", "check", "--r", "nan"], "--r"),
+    (["homotopy", "check", "--steps", "0.9"], "--steps"),
 ])
 def test_cli_bad_degree_tuples_or_steps_is_a_usage_error(tmp_path, capsys,
                                                           argv, option):
     # a negative degree used to end in an IndexError (homotopy check) or in
     # values for a degree that does not exist (tau eval); a zero step in a
-    # division by zero and a non-number in a ValueError traceback
+    # division by zero and a non-number in a ValueError traceback; an r
+    # outside [0, 1], or a step that takes r +/- h out of it, in a ValueError
+    # traceback, and r = nan in a LinAlgError from eigh
     model = write_spec(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--model", model])
