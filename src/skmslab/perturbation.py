@@ -15,15 +15,15 @@ finite-dimensional conjugation oracles
     gamma^r_i(1) = e^{-H_r} e^{H},       phi^r(x) = Tr(Gamma x e^{-H_r}) / Z,
 
 where Z is the unperturbed normalization.  The transgression cochain G^r
-certifies d tau^r / dr = (B + b) G^r degree by degree.
+certifies d tau^r / dr = -(B + b) G^r degree by degree.
 
 A PerturbedContext takes one coupling or a vector of K: the vector
 context stacks its per-coupling data on a leading (K,) axis, with one
 eigh call for all K Hamiltonians, so the checks that walk a grid of
-couplings (the Simpson nodes of the endpoint check, the +/- h ladder,
-the Witten grid, the Lipschitz pairs) evaluate the grid as one stack:
-tau^r, G^r and their boundaries give one value per coupling, and each
-degree is one call of the block-exponential builder.
+couplings (the Gauss-Legendre nodes of the endpoint check, the +/- h
+ladder, the Witten grid, the Lipschitz pairs) evaluate the grid as one
+stack: tau^r, G^r and their boundaries give one value per coupling, and
+each degree is one call of the block-exponential builder.
 """
 
 import math
@@ -39,7 +39,7 @@ from .dynamics import (GradedSystem, _draw_tuples, _super_gibbs,
 from .errors import ParityViolation, TruncationUnreachable
 from .graded import Parity, as_matrices, as_matrix, frobenius_norms, modulus
 from .kernels import (Spectrum, _heat_chain_blocks, alternating_chain_integral,
-                      chain_integral)
+                      chain_integral, gauss_legendre_01)
 from .report import DOCUMENTED, make_report
 
 SERIES_CAP = 40
@@ -634,24 +634,20 @@ def lipschitz_check(system, perturbation, samples=100, seed=0, model_digest=""):
                         max(worst, 0.0), 0.0, seed=seed, model_digest=model_digest)]
 
 
-def _orientation(target, candidate, noise_floor=5e-13):
-    # sign sigma in {+1, -1} minimizing |target - sigma candidate|; +1 when
-    # the candidate drowns in noise (e.g. Q = 0)
-    if abs(candidate) <= noise_floor:
-        return 1.0
-    return 1.0 if abs(target - candidate) <= abs(target + candidate) else -1.0
-
-
 def homotopy_steps(r, hs):
     """The steps hs, largest first, checked for central differences at r.
 
-    Each step must be positive and r +/- h must stay in [0, 1]; ValueError
+    Each step must be positive, there must be at least two (the order is
+    read off a pair of them), and r +/- h must stay in [0, 1]; ValueError
     otherwise.
     """
     for h in hs:
         if not h > 0.0:
             raise ValueError("step h = %r must be positive" % (h,))
     hs = tuple(sorted(hs, reverse=True))
+    if len(hs) < 2:
+        raise ValueError("the convergence order needs at least two steps, got %d"
+                         % len(hs))
     if r - hs[0] < 0.0 or r + hs[0] > 1.0:
         raise ValueError("step r +/- h leaves [0, 1]: r = %r, h = %r"
                          % (r, hs[0]))
@@ -662,17 +658,13 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
                    order_floor=1.9, seed=0, model_digest="", budget=None):
     """Central differences of tau^r against the transgression boundary.
 
-    Compares (tau^{r+h}_n - tau^{r-h}_n)/(2h) with (B G^r + b G^r)_n for
+    Compares (tau^{r+h}_n - tau^{r-h}_n)/(2h) with -(B G^r + b G^r)_n for
     the literal transgression sum and estimates the Richardson convergence
-    order across the h ladder.  The difference quotient determines the
-    boundary only up to a global orientation, so the check first detects
-    the sign sigma that the model realizes and then measures convergence
-    against sigma (BG + bG); sigma is emitted as its own report row
-    (residual 0 for +1, residual 1 for -1) instead of being folded
-    silently into the formulas.  In this realization the derivative
-    matches the negated boundary: the heat factors e^{-s H_r}
-    differentiate to inward insertions of -da_r/dr, while the literal
-    alternating sum produces the opposite orientation.
+    order across the h ladder.  The sign is fixed, not read off the data:
+    the heat factors e^{-s H_r} differentiate to inward insertions of
+    -da_r/dr, while the literal alternating sum produces the opposite
+    orientation, so d tau^r / dr = -(B + b) G^r.  A negated G fails the
+    order row here and the endpoint row of endpoint_transgression_check.
 
     The order row reports the deficit below order_floor (0 when the
     observed order clears it); below the noise floor it passes trivially
@@ -688,8 +680,7 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
     taus = tau_r_eval(ladder, n, xs, budget=budget).tolist()
     fds = [(up - dn) / (2.0 * h)
            for h, up, dn in zip(hs, taus[:len(hs)], taus[len(hs):])]
-    sigma = _orientation(fds[-1], exact)
-    resids = [abs(fd - sigma * exact) for fd in fds]
+    resids = [abs(fd + exact) for fd in fds]
     noise_floor = 5e-13
     if max(resids) <= noise_floor:
         deficit = 0.0
@@ -700,9 +691,6 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
                   if resids[i + 1] > 0.0]
         deficit = max(0.0, order_floor - min(orders)) if orders else order_floor
     return [
-        make_report("transgression.orientation", "main", 1,
-                    0.0 if sigma > 0 else 1.0, DOCUMENTED, seed=seed,
-                    model_digest=model_digest),
         make_report("transgression.derivative", "main", len(hs), resids[-1],
                     DOCUMENTED, seed=seed, model_digest=model_digest),
         make_report("transgression.derivative_order", "main", len(hs),
@@ -710,33 +698,20 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
     ]
 
 
-def endpoint_transgression_check(system, perturbation, n, xs, nodes=11, tol=1e-6,
+def endpoint_transgression_check(system, perturbation, n, xs, nodes=8, tol=1e-6,
                                  seed=0, model_digest="", budget=None):
-    """tau^1_n - tau^0_n equals the r-integral of the transgression boundary.
+    """tau^1_n - tau^0_n equals -int_0^1 (B + b) G^r_n dr.
 
-    The integral over [0, 1] uses composite Simpson on the given odd node
-    count, oriented by the same detected global sign as homotopy_check (a
-    plain sign comparison of the two candidates); the match is then
-    required within tol.  An orientation of -1 is a reportable convention
-    discrepancy, not a tolerance failure, and the homotopy suite surfaces
-    it through the orientation row."""
-    if nodes < 3 or nodes % 2 == 0:
-        raise ValueError("Simpson rule needs an odd node count >= 3")
-    rs = np.linspace(0.0, 1.0, nodes)
-    h = rs[1] - rs[0]
-    weights = np.ones(nodes)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= h / 3.0
-    ctx = PerturbedContext(system, perturbation, rs)
-    integral = 0.0 + 0.0j
-    values = boundary_of_transgression(ctx, n, xs, budget=budget).tolist()
-    for wgt, value in zip(weights, values):
-        integral += wgt * value
-    # the end nodes are r = 0 and r = 1 exactly
-    ends = ctx.at([0, nodes - 1])
-    bot, top = tau_r_eval(ends, n, xs, budget=budget).tolist()
-    sigma = _orientation(top - bot, integral)
-    residual = abs(top - bot - sigma * integral)
+    The sign is the one of homotopy_check.  tau^r is analytic in r, so the
+    integral takes the Gauss-Legendre rule of `nodes` points on [0, 1]
+    (ValueError for nodes < 1), which reaches rounding level at a few
+    nodes; the residual |tau^1 - tau^0 + integral| is held to tol.  The
+    nodes and the ends r = 0 and r = 1 are one context: the boundary at
+    the nodes and tau at the ends are one builder call each."""
+    rs, weights = gauss_legendre_01(nodes)
+    ctx = PerturbedContext(system, perturbation, np.concatenate([rs, [0.0, 1.0]]))
+    values = boundary_of_transgression(ctx.at(slice(0, nodes)), n, xs, budget=budget)
+    bot, top = tau_r_eval(ctx.at([nodes, nodes + 1]), n, xs, budget=budget).tolist()
+    residual = abs(top - bot + weights @ values)
     return [make_report("transgression.endpoint", "main", nodes, residual, tol,
                         seed=seed, model_digest=model_digest)]

@@ -79,23 +79,31 @@ def _steps(text):
     return hs
 
 
-def _add_common(parser):
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the exact-identity tolerance")
-    parser.add_argument("--max-degree", type=_int_in("max degree", 1),
-                        default=5, help="highest cochain degree checked, >= 1")
-    parser.add_argument("--series-order", type=_int_in("series order", 0, SERIES_CAP),
-                        default=None,
-                        help="Dyson series order, 0 to %d" % SERIES_CAP)
-    parser.add_argument("--quadrature", type=_quadrature, default=None,
-                        help="gauss:<order> (order >= %d) or mc:<samples>"
-                        % GAUSS_MIN_ORDER)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="write report/output here")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timing", action="store_true",
-                        help="record wall times (breaks byte determinism)")
+_OPTIONS = {
+    "--tol": dict(type=float, default=None,
+                  help="override the default tolerance (see the README)"),
+    "--max-degree": dict(type=_int_in("max degree", 1), default=5,
+                         help="highest cochain degree checked, >= 1"),
+    "--series-order": dict(type=_int_in("series order", 0, SERIES_CAP),
+                           default=None,
+                           help="Dyson series order, 0 to %d" % SERIES_CAP),
+    "--quadrature": dict(type=_quadrature, default=None,
+                         help="gauss:<order> (order >= %d) or mc:<samples>"
+                         % GAUSS_MIN_ORDER),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default=None, help="write report/output here"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--jobs": dict(type=_int_in("jobs", 1), default=1),
+    "--timing": dict(action="store_true",
+                     help="record wall times (breaks byte determinism)"),
+}
+
+
+def _add_options(parser, *names):
+    # each subcommand registers only the options it reads, so any other
+    # is a usage error rather than silently ignored
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def _config(args):
@@ -260,17 +268,16 @@ def build_parser():
     gen.add_argument("--scale", type=float, default=None)
     gen.add_argument("--perturb-seed", type=int, default=None)
     gen.add_argument("--perturb-scale", type=float, default=None)
-    _add_common(gen)
+    _add_options(gen, "--seed", "--out")
     gen.set_defaults(func=_cmd_model_gen)
     val = model_sub.add_parser("validate")
     val.add_argument("model")
-    _add_common(val)
     val.set_defaults(func=_cmd_model_validate)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES + tuple(s.lower() for s in SUITES))
     verify.add_argument("--model", required=True)
-    _add_common(verify)
+    _add_options(verify, *_OPTIONS)
     verify.set_defaults(func=_cmd_verify)
 
     tau = sub.add_parser("tau", help="evaluate the cocycle on seeded tuples")
@@ -279,7 +286,7 @@ def build_parser():
     tau_eval_p.add_argument("--model", required=True)
     tau_eval_p.add_argument("--degree", type=_int_in("degree", 0), default=2)
     tau_eval_p.add_argument("--tuples", type=_int_in("tuples", 0), default=1)
-    _add_common(tau_eval_p)
+    _add_options(tau_eval_p, "--seed", "--out", "--quadrature")
     tau_eval_p.set_defaults(func=_cmd_tau_eval)
 
     perturb = sub.add_parser("perturb", help="sweep the coupling parameter")
@@ -288,7 +295,7 @@ def build_parser():
     sweep.add_argument("--model", required=True)
     sweep.add_argument("--grid", type=_int_in("grid", 2), default=11,
                        help="coupling values from r = 0 to r = 1, >= 2")
-    _add_common(sweep)
+    _add_options(sweep, "--seed", "--out", "--format", "--tol")
     sweep.set_defaults(func=_cmd_perturb_sweep)
 
     homotopy = sub.add_parser("homotopy", help="transgression checks")
@@ -300,8 +307,9 @@ def build_parser():
     check.add_argument("--r", type=_coupling, default=0.5,
                        help="coupling at which the derivative is taken, in [0, 1]")
     check.add_argument("--steps", type=_steps, default="1e-2,5e-3,2.5e-3",
-                       help="comma list of positive finite-difference steps")
-    _add_common(check)
+                       help="comma list of at least two positive "
+                       "finite-difference steps")
+    _add_options(check, "--seed", "--out", "--format", "--tol")
     check.set_defaults(func=_cmd_homotopy_check)
     return parser
 

@@ -198,7 +198,7 @@ def _homotopy_checks(sys, pert, digest, config):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x48)))
     xs = list(sys.random_elements(rng, 3, parity="even"))
     checks = [
-        ("transgression.orientation", "main", 0.0,
+        ("transgression.derivative_order", "main", 0.0,
          lambda: homotopy_check(sys, pert, 2, xs, r=0.5, seed=config.seed,
                                 model_digest=digest)),
         ("transgression.endpoint", "main", config.tol_fd,

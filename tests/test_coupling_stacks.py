@@ -173,11 +173,12 @@ def test_homotopy_checks_stay_stacked(monkeypatch, builder_calls):
     rows = homotopy_check(sys, pert, 2, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3))
     rows += endpoint_transgression_check(sys, pert, 2, xs, nodes=11, tol=1e-6)
     assert all(row.passed for row in rows)
-    # the boundary at r, the +/- h ladder, and the eleven Simpson nodes
+    # the boundary at r, the +/- h ladder, and the eleven Gauss-Legendre
+    # nodes with the ends r = 0 and r = 1
     assert len(contexts) <= 3
     assert len(builder_calls) <= 6
     # at r: 3 B and 3 b terms; the ladder: 6 chains; the nodes: 11 x 6
-    # boundary terms and tau at the two end nodes
+    # boundary terms and tau at the two ends
     assert builder_calls.exponentials == 80
 
 

@@ -38,6 +38,8 @@ from skmslab.perturbation import (
     witten_invariance_check,
 )
 from skmslab.report import DOCUMENTED
+from skmslab.workbench import ModelSpec, build_model
+from skmslab.workbench.models import build_perturbed_model
 from skmslab.workbench import ModelSpec, run_suite
 from skmslab.cochain import (boundary, connes_B, hochschild_b, is_scalar_slot,
                              jlo_cochain, tau_eval)
@@ -618,20 +620,33 @@ def test_lipschitz_rows():
     assert rows[0].passed
 
 
-def test_homotopy_rows_document_orientation():
+def test_homotopy_sign_is_fixed(monkeypatch):
+    # dtau^r/dr = -(B + b)G^r is the stated convention; a negated G is a
+    # defect that both transgression rows catch, not a second orientation
     sys_ = block_system(3, 2, seed=16)
     pert = odd_perturbation(sys_, scale=0.4)
     rng = np.random.default_rng(17)
     xs = even_tuple(sys_, rng, 3)
-    rows = homotopy_check(sys_, pert, 2, xs, r=0.5)
-    by_name = {r.identity_name: r for r in rows}
-    orient = by_name["transgression.orientation"]
-    # this realization pairs the difference quotient with the negated sum
-    assert orient.max_residual == 1.0
-    assert orient.tolerance == DOCUMENTED and orient.passed
+
+    def rows():
+        out = homotopy_check(sys_, pert, 2, xs, r=0.5)
+        out += endpoint_transgression_check(sys_, pert, 2, xs)
+        return {r.identity_name: r for r in out}
+
+    by_name = rows()
+    assert list(by_name) == ["transgression.derivative",
+                             "transgression.derivative_order",
+                             "transgression.endpoint"]
     assert by_name["transgression.derivative"].tolerance == DOCUMENTED
     assert by_name["transgression.derivative_order"].max_residual == 0.0
-    assert by_name["transgression.derivative_order"].passed
+    assert all(r.passed for r in by_name.values())
+
+    g_sum = perturbation_module._transgression_sum
+    monkeypatch.setattr(perturbation_module, "_transgression_sum",
+                        lambda ctx, stacks, budget: -g_sum(ctx, stacks, budget))
+    by_name = rows()
+    assert not by_name["transgression.derivative_order"].passed
+    assert not by_name["transgression.endpoint"].passed
 
 
 def test_homotopy_trivial_perturbation():
@@ -641,7 +656,7 @@ def test_homotopy_trivial_perturbation():
     xs = even_tuple(sys_, rng, 3)
     rows = homotopy_check(sys_, pert, 2, xs, r=0.5)
     by_name = {r.identity_name: r for r in rows}
-    assert by_name["transgression.orientation"].max_residual == 0.0
+    assert by_name["transgression.derivative"].max_residual == 0.0
     assert by_name["transgression.derivative_order"].max_residual == 0.0
 
 
@@ -651,6 +666,11 @@ def test_homotopy_step_domain_guard():
     xs = even_tuple(sys_, np.random.default_rng(21), 3)
     with pytest.raises(ValueError, match="leaves"):
         homotopy_check(sys_, pert, 2, xs, r=0.005)
+    # no order can be measured from one step, and none from no step (that
+    # used to end in an IndexError)
+    for hs in ((), (1e-3,)):
+        with pytest.raises(ValueError, match="at least two steps"):
+            homotopy_check(sys_, pert, 2, xs, hs=hs)
 
 
 def test_context_refuses_a_coupling_that_is_not_finite():
@@ -677,16 +697,35 @@ def test_homotopy_refuses_a_step_that_is_not_positive(hs):
         homotopy_check(sys_, pert, 2, xs, hs=hs)
 
 
+def _endpoint_models():
+    # the two reference specs with the tuple the Homotopy suite draws, and
+    # the criterion-11 model (RectangularBlock 5+3, d = 8)
+    specs = (ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+                       perturbation={"seed": 11, "scale": 0.3}),
+             ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0))
+    for spec in specs:
+        sys_, pert = build_perturbed_model(spec, 0)
+        rng = np.random.default_rng(np.random.SeedSequence((0, 0x48)))
+        yield sys_, pert, list(sys_.random_elements(rng, 3, parity="even"))
+    sys_ = build_model(ModelSpec(kind="RectangularBlock", p=5, q=3, seed=4,
+                                 scale=1.0))[0]
+    rng = np.random.default_rng(np.random.SeedSequence((4, 0x48)))
+    yield sys_, odd_perturbation(sys_, seed=44), even_tuple(sys_, rng, 3)
+
+
 def test_endpoint_transgression():
-    sys_ = block_system(3, 2, seed=22)
-    pert = odd_perturbation(sys_, scale=0.4)
-    rng = np.random.default_rng(23)
-    xs = even_tuple(sys_, rng, 3)
-    rows = endpoint_transgression_check(sys_, pert, 2, xs, nodes=11, tol=1e-6)
-    assert rows[0].identity_name == "transgression.endpoint"
-    assert rows[0].passed, rows[0].max_residual
-    with pytest.raises(ValueError, match="odd node"):
-        endpoint_transgression_check(sys_, pert, 2, xs, nodes=10)
+    # tau^r is analytic in r: 8 Gauss-Legendre nodes put the endpoint
+    # identity at rounding level (about 4e-15 of |tau^1 - tau^0| on these
+    # models), where 11 Simpson nodes left 5e-9
+    for sys_, pert, xs in _endpoint_models():
+        row, = endpoint_transgression_check(sys_, pert, 2, xs, nodes=8, tol=1e-6)
+        assert row.identity_name == "transgression.endpoint"
+        assert row.samples == 8
+        bot, top = tau_r_eval(PerturbedContext(sys_, pert, [0.0, 1.0]), 2, xs)
+        assert row.max_residual <= 1e-12 * abs(top - bot), row.max_residual
+        assert row.passed
+    with pytest.raises(ValueError):
+        endpoint_transgression_check(sys_, pert, 2, xs, nodes=0)
 
 
 def test_boundary_of_transgression_matches_finite_difference():

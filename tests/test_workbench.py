@@ -464,7 +464,6 @@ def test_cli_homotopy_check(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     names = [r["identity_name"] for r in doc["reports"]]
     assert names == [
-        "transgression.orientation",
         "transgression.derivative",
         "transgression.derivative_order",
         "transgression.endpoint",
@@ -533,7 +532,8 @@ def test_cli_perturb_sweep_grid_below_two_is_a_usage_error(tmp_path, capsys, gri
     (["homotopy", "check", "--r", "2"], "--r"),
     (["homotopy", "check", "--r", "-0.1"], "--r"),
     (["homotopy", "check", "--r", "nan"], "--r"),
-    (["homotopy", "check", "--steps", "0.9"], "--steps"),
+    (["homotopy", "check", "--steps", "0.9,0.1"], "--steps"),
+    (["homotopy", "check", "--steps", "1e-3"], "--steps"),
 ])
 def test_cli_bad_degree_tuples_or_steps_is_a_usage_error(tmp_path, capsys,
                                                           argv, option):
@@ -541,13 +541,62 @@ def test_cli_bad_degree_tuples_or_steps_is_a_usage_error(tmp_path, capsys,
     # values for a degree that does not exist (tau eval); a zero step in a
     # division by zero and a non-number in a ValueError traceback; an r
     # outside [0, 1], or a step that takes r +/- h out of it, in a ValueError
-    # traceback, and r = nan in a LinAlgError from eigh
+    # traceback, and r = nan in a LinAlgError from eigh; a single step
+    # always read derivative_order red (exit 1), as no order can be measured
     model = write_spec(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--model", model])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument " + option in err and "Traceback" not in err
+
+
+# every option that _add_common used to give all six subcommands, where
+# the subcommand accepted it and then ignored it
+IGNORED_OPTIONS = {
+    ("model", "gen"): ("--tol=1", "--max-degree=2", "--series-order=2",
+                       "--quadrature=gauss:4", "--format=csv", "--jobs=2",
+                       "--timing"),
+    ("model", "validate"): ("--tol=1", "--max-degree=2", "--series-order=2",
+                            "--quadrature=gauss:4", "--seed=1", "--out=x",
+                            "--format=csv", "--jobs=2", "--timing"),
+    ("tau", "eval"): ("--tol=1", "--max-degree=2", "--series-order=2",
+                      "--format=csv", "--jobs=2", "--timing"),
+    ("perturb", "sweep"): ("--max-degree=2", "--series-order=2",
+                           "--quadrature=gauss:4", "--jobs=2", "--timing"),
+    ("homotopy", "check"): ("--max-degree=2", "--series-order=2",
+                            "--quadrature=gauss:4", "--jobs=2", "--timing"),
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in IGNORED_OPTIONS.items()
+    for option in options])
+def test_cli_subcommand_refuses_options_it_does_not_read(tmp_path, capsys,
+                                                         command, option):
+    # tau eval --format csv used to write JSON, model validate --out F to
+    # write nothing to F
+    model = write_spec(tmp_path)
+    where = [model] if command[1] == "validate" else ["--model", model]
+    if command[1] == "gen":
+        where = ["--p", "3", "--q", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(list(command) + where + [option])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + option in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5", "x"])
+def test_cli_verify_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    # -5 used to run serially
+    model = write_spec(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "Lemma34", "--model", model, "--jobs=" + jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --jobs" in err and "Traceback" not in err
 
 
 def test_cli_tau_eval_zero_tuples_evaluates_nothing(tmp_path, capsys):
