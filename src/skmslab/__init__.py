@@ -19,8 +19,7 @@ from .errors import (ChainBudgetExceeded, ConditioningWarning,
                      TruncationUnreachable, ZeroWittenIndex)
 from .graded import (GradingOperator, Parity, as_matrix, graded_commutator,
                      parity_split, supertrace)
-from .kernels import (Spectrum, chain_integral, exp_divided_difference,
-                      simplex_quadrature)
+from .kernels import Spectrum, chain_integral, simplex_quadrature
 from .perturbation import (DysonInfo, OddPerturbation, PerturbedContext,
                            dyson_alpha, dyson_gamma_one,
                            endpoint_transgression_check, f_identities_check,
@@ -57,7 +56,6 @@ __all__ = [
     "dyson_gamma_one",
     "endpoint_transgression_check",
     "entireness_diagnostic",
-    "exp_divided_difference",
     "f_identities_check",
     "gamma_cocycle_oracle",
     "graded_commutator",

@@ -55,8 +55,8 @@ from .report import make_report
 SCALAR_SLOT_TOL = 1e-12
 
 
-def is_scalar_slot(x, tol=SCALAR_SLOT_TOL):
-    """True when x is within tol of (tr x / d) times the identity.
+def is_scalar_slot(x):
+    """True when x is within SCALAR_SLOT_TOL of (tr x / d) times the identity.
 
     On a (K, d, d) stack, the (K,) boolean array of the slice tests.
     """
@@ -64,14 +64,14 @@ def is_scalar_slot(x, tol=SCALAR_SLOT_TOL):
     d = m.shape[-1]
     mean = np.trace(m, axis1=-2, axis2=-1) / d
     gap, size = frobenius_norms(np.array([m - mean[..., None, None] * np.eye(d), m]))
-    scalar = gap <= tol * np.maximum(1.0, size)
+    scalar = gap <= SCALAR_SLOT_TOL * np.maximum(1.0, size)
     return scalar if m.ndim == 3 else bool(scalar)
 
 
-def _require_even(grading, stacks, tol=1e-10):
+def _require_even(grading, stacks):
     # ParityViolation naming the first slot that is not even in the first
     # of the K tuples that has one; one classify call per (K, d, d) slot
-    bad = np.array([[p is not Parity.EVEN for p in grading.classify(s, tol=tol)]
+    bad = np.array([[p is not Parity.EVEN for p in grading.classify(s)]
                     for s in stacks])
     if bad.any():
         k = int(np.argmax(bad.any(axis=0)))
@@ -97,10 +97,10 @@ class Cochain:
     tuple is one per coupling (the cochains of a K-coupling context).
     Calling c(n, xs) takes the same n + 1 stacks and returns the values
     with shape couplings + (T,), or one tuple of matrices (a stack of one)
-    and returns its value: a complex, or a (K,) array.  It checks
-    the arity and max_degree (if set).  With a grading, every argument must
-    be even, at any degree: ParityViolation names the first slot that is
-    not (and, in a stack, its tuple).  A tuple reads 0 without evaluation
+    and returns its value: a complex, or a (K,) array.  It checks the
+    arity; every degree n >= 0 of the cochain's parity is supported.  With
+    a grading, every argument must be even, at any degree: ParityViolation
+    names the first slot that is not (and, in a stack, its tuple).  A tuple reads 0 without evaluation
     when n has the wrong parity or when any of its slots i >= 1 is scalar;
     the other tuples go to the evaluator as one stack.  So the evaluator
     only sees supported degrees and slots i >= 1 that are not scalar, and
@@ -109,21 +109,17 @@ class Cochain:
     couplings, and each tuple gets the bits it would get alone.
     """
 
-    def __init__(self, evaluator, parity, max_degree=None, name="", grading=None,
-                 couplings=()):
+    def __init__(self, evaluator, parity, name="", grading=None, couplings=()):
         if parity not in (Parity.EVEN, Parity.ODD):
             raise ValueError("cochain parity must be EVEN or ODD")
         self.evaluator = evaluator
         self.parity = parity
-        self.max_degree = max_degree
         self.name = name
         self.grading = grading
         self.couplings = tuple(couplings)
 
     def supports(self, n):
         if n < 0:
-            return False
-        if self.max_degree is not None and n > self.max_degree:
             return False
         want_even = self.parity is Parity.EVEN
         return (n % 2 == 0) == want_even
@@ -132,8 +128,6 @@ class Cochain:
         if len(xs) != n + 1:
             raise ValueError("degree %d expects %d arguments, got %d"
                              % (n, n + 1, len(xs)))
-        if self.max_degree is not None and n > self.max_degree:
-            raise ValueError("degree %d exceeds max_degree %d" % (n, self.max_degree))
         stacks, one = _as_stacks(xs)
         if self.grading is not None:
             _require_even(self.grading, stacks)
@@ -256,8 +250,7 @@ def connes_B(rho, n, xs):
 def boundary(rho):
     """partial rho = (B + b) rho as a Cochain of flipped parity.
 
-    At degree 0 only the B part contributes (b lowers below degree 0).
-    The max_degree of the result shrinks by one since B looks upward.  The
+    At degree 0 only the B part contributes (b lowers below degree 0).  The
     result carries rho's grading, so its __call__ checks the parity of
     x_0..x_n once and tests x_1..x_n for scalars.  Its evaluator hands the
     stacks to connes_B and hochschild_b with rho's evaluator, so rho's
@@ -269,7 +262,6 @@ def boundary(rho):
     hochschild_b give with rho itself on each tuple, bit for bit.
     """
     flipped = Parity.ODD if rho.parity is Parity.EVEN else Parity.EVEN
-    cap = None if rho.max_degree is None else rho.max_degree - 1
 
     def evaluator(n, stacks):
         vals = connes_B(rho.evaluator, n, stacks)
@@ -277,9 +269,8 @@ def boundary(rho):
             vals = vals + hochschild_b(rho.evaluator, n, stacks)
         return vals
 
-    return Cochain(evaluator, flipped, max_degree=cap,
-                   name="boundary(%s)" % (rho.name or "rho"), grading=rho.grading,
-                   couplings=rho.couplings)
+    return Cochain(evaluator, flipped, name="boundary(%s)" % (rho.name or "rho"),
+                   grading=rho.grading, couplings=rho.couplings)
 
 
 def _couplings(sys):
@@ -311,7 +302,7 @@ def _against_couplings(sys, stacks):
     return sys, [np.tile(s, (lead[0], 1, 1)) for s in stacks], lead + (count,)
 
 
-def tau_eval(sys, n, xs, budget=None):
+def tau_eval(sys, n, xs):
     """The degree-n heat-kernel cocycle value at even arguments.
 
     tau_n(x_0..x_n) = (1/Z) int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H}
@@ -324,10 +315,10 @@ def tau_eval(sys, n, xs, budget=None):
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
     if n % 2 == 1:
         return _zero(sys)
-    return jlo_cochain(sys, budget=budget)(n, xs)
+    return jlo_cochain(sys)(n, xs)
 
 
-def _tau_chain(sys, n, stacks, budget):
+def _tau_chain(sys, n, stacks):
     # tau_n at even n of the T tuples in the (T, d, d) stacks, whose slots
     # i >= 1 are known not to be scalar, against every coupling of a
     # context: (T,) or (K, T) values from one call of the block builder
@@ -335,12 +326,11 @@ def _tau_chain(sys, n, stacks, budget):
     if n == 0:
         return skms_eval(sys, stacks[0]).reshape(shape)
     derived = _superderivation_stack(sys, np.array(stacks[1:], dtype=complex))
-    vals = chain_integral(sys.spectrum, [stacks[0], *derived], sys.grading,
-                          budget=budget)
+    vals = chain_integral(sys.spectrum, [stacks[0], *derived], sys.grading)
     return _over(vals, sys.witten_index).reshape(shape)
 
 
-def jlo_cochain(sys, max_degree=None, budget=None):
+def jlo_cochain(sys):
     """tau as an even Cochain object (for boundary and suite plumbing).
 
     Its arguments must be even under sys.grading.  Cochain.__call__ checks
@@ -350,9 +340,9 @@ def jlo_cochain(sys, max_degree=None, budget=None):
     values, all K T chains of a degree from one call of the block builder.
     """
     def evaluator(n, stacks):
-        return _tau_chain(sys, n, stacks, budget)
-    return Cochain(evaluator, Parity.EVEN, max_degree=max_degree, name="tau",
-                   grading=sys.grading, couplings=_couplings(sys))
+        return _tau_chain(sys, n, stacks)
+    return Cochain(evaluator, Parity.EVEN, name="tau", grading=sys.grading,
+                   couplings=_couplings(sys))
 
 
 @dataclass(frozen=True)
@@ -380,7 +370,7 @@ def _graph_normalize(sys, stack):
 
 
 def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32,
-                          seed=0, budget=None):
+                          seed=0):
     """Sampled norms of tau_n over tuples from the generator span.
 
     Each argument is a random combination of the generators, normalized in
@@ -420,7 +410,7 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
             stacks = list(tuples.swapaxes(0, 1))
             keep = ~_scalar_slots(stacks[1:], len(tuples)).any(axis=0)
             if keep.any():
-                values = _tau_chain(sys, n, [s[keep] for s in stacks], budget)
+                values = _tau_chain(sys, n, [s[keep] for s in stacks])
                 best = max([best] + [abs(v) for v in values.tolist()])
         out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples, seed=seed))
     return out

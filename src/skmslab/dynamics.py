@@ -30,6 +30,9 @@ from .report import DOCUMENTED, VerificationReport, make_report
 
 STRIP_TOL = 1e-12
 CONDITIONING_LIMIT = 50.0
+# relative tolerance of the selfadjoint and odd checks on a supercharge
+SUPERCHARGE_TOL = 1e-12
+WITTEN_FLOOR = 1e-8
 
 
 def _super_gibbs(grading, spectrum):
@@ -48,10 +51,11 @@ class GradedSystem:
     """Grading, supercharge, Hamiltonian and cached spectral data.
 
     Immutable after construction.  Raises ParityViolation if Q0 is not odd
-    selfadjoint and ZeroWittenIndex if |Tr(Gamma e^{-H})| < witten_floor.
+    selfadjoint to SUPERCHARGE_TOL and ZeroWittenIndex if
+    |Tr(Gamma e^{-H})| < WITTEN_FLOOR.
     """
 
-    def __init__(self, grading, supercharge, tol=1e-12, witten_floor=1e-8):
+    def __init__(self, grading, supercharge):
         if not isinstance(grading, GradingOperator):
             grading = GradingOperator(grading)
         self.grading = grading
@@ -59,6 +63,7 @@ class GradedSystem:
         if q0.shape[0] != grading.dim:
             raise ParityViolation("supercharge dimension does not match grading")
         scale = max(1.0, np.linalg.norm(q0))
+        tol = SUPERCHARGE_TOL
         if np.linalg.norm(q0 - q0.conj().T) > tol * scale:
             raise ParityViolation("supercharge must be selfadjoint")
         if np.linalg.norm(grading.conjugate(q0) + q0) > tol * scale:
@@ -76,10 +81,10 @@ class GradedSystem:
             raise ValueError("Hamiltonian has a significantly negative eigenvalue")
         self.spectrum = Spectrum(np.clip(evals, 0.0, None), vecs)
         self.witten_index, self._weight = _super_gibbs(grading, self.spectrum)
-        if abs(self.witten_index) < witten_floor:
+        if abs(self.witten_index) < WITTEN_FLOOR:
             raise ZeroWittenIndex(
                 "|Tr(Gamma e^{-H})| = %.3e below floor %.1e"
-                % (abs(self.witten_index), witten_floor))
+                % (abs(self.witten_index), WITTEN_FLOOR))
 
     @property
     def dim(self):

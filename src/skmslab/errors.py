@@ -18,7 +18,7 @@ class StripViolation(ValueError):
 
 
 class TruncationUnreachable(RuntimeError):
-    """No series order within the configured cap meets the requested tolerance."""
+    """No series order up to perturbation.SERIES_CAP meets the requested tolerance."""
 
 
 class ChainBudgetExceeded(RuntimeError):

@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
+# relative tolerances of the grading operator's checks and of the parity tests
+GRADING_TOL = 1e-12
+PARITY_TOL = 1e-10
+
 
 class Parity(enum.Enum):
     EVEN = "even"
@@ -60,20 +64,20 @@ def _parity_of(even, odd):
 class GradingOperator:
     """Selfadjoint unitary involution defining the grading.
 
-    Validates Gamma = Gamma*, Gamma^2 = 1 and Gamma != 1 at construction;
-    the stored matrix is read-only.
+    Validates Gamma = Gamma*, Gamma^2 = 1 and Gamma != 1 at construction,
+    to GRADING_TOL; the stored matrix is read-only.
     """
 
-    def __init__(self, matrix, tol=1e-12):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("grading operator must be square, got shape %s" % (m.shape,))
         d = m.shape[0]
-        if np.linalg.norm(m - m.conj().T) > tol * max(1.0, np.linalg.norm(m)):
+        if np.linalg.norm(m - m.conj().T) > GRADING_TOL * max(1.0, np.linalg.norm(m)):
             raise ValueError("grading operator is not selfadjoint")
-        if np.linalg.norm(m @ m - np.eye(d)) > tol * d:
+        if np.linalg.norm(m @ m - np.eye(d)) > GRADING_TOL * d:
             raise ValueError("grading operator is not an involution")
-        if np.linalg.norm(m - np.eye(d)) <= tol * d:
+        if np.linalg.norm(m - np.eye(d)) <= GRADING_TOL * d:
             raise ValueError("grading operator equals the identity; grading is trivial")
         m.setflags(write=False)
         self.matrix = m
@@ -91,15 +95,17 @@ class GradingOperator:
         """gamma(x) = Gamma x Gamma, on a matrix or on each slice of a stack."""
         return self.matrix @ self._elements(x) @ self.matrix
 
-    def classify(self, x, tol=1e-10):
+    def classify(self, x):
         """Parity of x; for a (K, d, d) stack, the list of slice parities.
 
-        Even wins where both tests pass, which only the zero matrix does.
+        x is even (odd) when x - gamma(x) (x + gamma(x)) is within
+        PARITY_TOL of 0, relative to max(1, |x|).  Even wins where both
+        tests pass, which only the zero matrix does.
         """
         m = self._elements(x)
         g = self.matrix @ m @ self.matrix
         norms = frobenius_norms(np.array([m, m - g, m + g]))
-        even, odd = (norms[1:] <= tol * np.maximum(1.0, norms[0])).tolist()
+        even, odd = (norms[1:] <= PARITY_TOL * np.maximum(1.0, norms[0])).tolist()
         if m.ndim == 2:
             return _parity_of(even, odd)
         return [_parity_of(e, o) for e, o in zip(even, odd)]

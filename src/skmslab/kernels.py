@@ -21,17 +21,12 @@ tuple gets the bits it would get alone.  The spectrum may be a stack
 too, evals (K, d) and vecs (K, d, d): tuple k is then taken against
 spectrum k, which is how one call serves K couplings of a perturbed
 Hamiltonian, and one tuple is taken against every spectrum of the stack.
-Every exponential is priced against the chain budget at (blocks d)^3,
-whatever the stack size.
+Every exponential is priced at (blocks d)^3, whatever the stack size,
+against `chain_budget()`: SKMS_CHAIN_BUDGET, the one setting of the
+budget, or 1e8.
 
-Two independent routes cross-check it.  `exp_divided_difference` is the
-scalar kernel for diagonal insertions,
-
-    E(mu_0, ..., mu_n) = int_{0<=s_1<=...<=s_n<=1}
-                         exp(-sum_k (s_{k+1}-s_k) mu_k) d^n s
-
-with s_0 = 0 and s_{n+1} = 1, which by the Hermite-Genocchi formula is
-the n-th divided difference of exp at (-mu_0, ..., -mu_n).
+An independent route cross-checks it (the tests hold a second one, the
+scalar divided-difference oracle for diagonal insertions).
 `heat_chain_integrand` with `simplex_quadrature` integrates the trace
 pointwise (tensor Gauss-Legendre through the ordered Duffy map, or seeded
 Monte Carlo) on cache-sized blocks of points: per block, one real GEMM for
@@ -57,13 +52,11 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ChainBudgetExceeded, DimensionMismatch
 from .graded import GradingOperator, as_matrix
 
 DEFAULT_CHAIN_BUDGET = 1e8
-_CLUSTER_SPREAD = 1e-6
 # bytes per (B, d, d) complex GEMM output of heat_chain_integrand: about
 # 5k points at d = 5, so a block's working set stays in a 2 MiB L2 cache
 _INTEGRAND_BLOCK_BYTES = 2 ** 21
@@ -79,69 +72,6 @@ _TAYLOR_THETA = {
     26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
     45: 7.2, 50: 8.5, 55: 9.9}
 _TAYLOR_M, _TAYLOR_THETA_M = np.array(sorted(_TAYLOR_THETA.items())).T
-
-
-def exp_divided_difference(nodes):
-    """Divided difference of t -> e^{-t} at the given nodes.
-
-    Parameters
-    ----------
-    nodes : sequence of float
-        Points mu_0, ..., mu_n; repetitions allowed (confluent case).
-
-    Returns
-    -------
-    float
-        The ordered-simplex integral of exp(-sum (s_{k+1}-s_k) mu_k),
-        equal to exp[-mu_0, ..., -mu_n].  All nodes equal to mu gives
-        e^{-mu}/n!.
-
-    Notes
-    -----
-    The recursive difference table is catastrophically unstable for
-    clustered nodes, so the value is read off as the corner entry of the
-    exponential of the bidiagonal matrix carrying the nodes (Opitz form).
-    Below a node spread of 1e-6 a centered Taylor expansion in the
-    complete homogeneous symmetric polynomials takes over.
-    """
-    mu = np.asarray(nodes, dtype=float)
-    if mu.ndim != 1 or mu.size == 0:
-        raise ValueError("nodes must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(mu)):
-        raise ValueError("nodes must be finite")
-    n = mu.size - 1
-    if n == 0:
-        return float(np.exp(-mu[0]))
-    spread = float(mu.max() - mu.min())
-    if spread < _CLUSTER_SPREAD:
-        return _edd_clustered(mu)
-    return _edd_opitz(mu)
-
-
-def _edd_opitz(mu):
-    # corner entry of expm of the upper-bidiagonal node matrix
-    k = mu.size
-    z = np.diag(-mu) + np.diag(np.ones(k - 1), 1)
-    return float(scipy.linalg.expm(z)[0, k - 1])
-
-
-def _edd_clustered(mu):
-    # e^{-mean} * sum_k (-1)^k h_k(eps) / (n+k)!  with eps centered,
-    # h_k the complete homogeneous symmetric polynomials; eps is below
-    # 1e-6 so four terms reach machine precision
-    n = mu.size - 1
-    mean = float(mu.mean())
-    eps = mu - mean
-    kmax = 4
-    # h_k via Newton's identity k h_k = sum_{i=1..k} p_i h_{k-i}
-    p = [float(np.sum(eps ** i)) for i in range(kmax + 1)]
-    h = [1.0] * (kmax + 1)
-    for k in range(1, kmax + 1):
-        h[k] = sum(p[i] * h[k - i] for i in range(1, k + 1)) / k
-    total = 0.0
-    for k in range(kmax + 1):
-        total += (-1) ** k * h[k] / math.factorial(n + k)
-    return float(math.exp(-mean) * total)
 
 
 # ---------------------------------------------------------------------------
@@ -187,35 +117,25 @@ class Spectrum:
         return self.from_eigenbasis(w[..., None, :] * np.eye(self.dim))
 
 
-def _checked_budget(raw, name):
-    # NaN would switch the guard off silently: cost > nan is never true
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = math.nan
-    if math.isnan(value):
-        raise ValueError("%s must be a number, got %r" % (name, raw))
-    return value
-
-
 def chain_budget():
     """Current chain-cost budget; SKMS_CHAIN_BUDGET overrides the default.
 
-    Raises ValueError when the variable is set to NaN or a non-number.
+    Raises ValueError naming the variable when it is set to NaN or a
+    non-number: cost > nan is never true, so NaN would switch the guard off.
     """
     raw = os.environ.get("SKMS_CHAIN_BUDGET")
     if raw is None:
         return DEFAULT_CHAIN_BUDGET
-    return _checked_budget(raw, "SKMS_CHAIN_BUDGET")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise ValueError("SKMS_CHAIN_BUDGET must be a number, got %r" % (raw,))
+    return value
 
 
-def _resolved_budget(budget):
-    if budget is None:
-        return chain_budget()
-    return _checked_budget(budget, "budget")
-
-
-def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
+def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     """Top block rows of a stack of block heat-chain exponentials.
 
     edges are runs (row, col, y), row < col, along one block diagonal: y
@@ -244,15 +164,15 @@ def _heat_chain_blocks(spectrum, edges, what, budget=None, scale=-1.0):
     reading them on every term.  No generator is formed: the workspace is
     a few arrays of the returned shape.
 
-    Each exponential is priced at (blocks d)^3 against budget (None:
-    SKMS_CHAIN_BUDGET or the default), whatever K; what names the chain,
-    with its d and degree, in the ChainBudgetExceeded message.
+    Each exponential is priced at (blocks d)^3 against chain_budget(),
+    whatever K; what names the chain, with its d and degree, in the
+    ChainBudgetExceeded message.
     """
     d = spectrum.dim
     k = edges[0][2].shape[0]
     nblocks = max(col + y.shape[1] for _, col, y in edges)
     size = nblocks * d
-    budget = _resolved_budget(budget)
+    budget = chain_budget()
     cost = float(size) ** 3
     if cost > budget:
         raise ChainBudgetExceeded(
@@ -387,7 +307,7 @@ def _contract(y0, chain):
     return (y0 * chain.swapaxes(1, 2)).reshape(len(y0), -1).sum(axis=1)
 
 
-def chain_integral(spectrum, xs, grading, budget=None):
+def chain_integral(spectrum, xs, grading):
     """Ordered-simplex heat chain integral of one tuple or of a stack.
 
     Parameters
@@ -401,12 +321,6 @@ def chain_integral(spectrum, xs, grading, budget=None):
         stack i holding slot x_i of K tuples of degree n.
     grading : GradingOperator, matrix, or None
         Gamma in the supertrace; None means plain trace.
-    budget : float, optional
-        Cost budget for the ((n+1)d)^3 block exponential behind n >= 1,
-        whose block row 0 is computed;
-        defaults to SKMS_CHAIN_BUDGET or 1e8.  n = 0 is never refused.
-        NaN or a non-number, here or in the variable, raises ValueError.
-        Each exponential is priced alone, whatever the number of tuples.
 
     Returns
     -------
@@ -415,23 +329,27 @@ def chain_integral(spectrum, xs, grading, budget=None):
         For n = 0 this is Tr(Gamma x_0 e^{-H}).  A stack gives each tuple
         the bits it gets alone; the top rows of its K exponentials are
         one call of the block builder.
+
+    Raises ChainBudgetExceeded when the ((n+1)d)^3 cost of the block
+    exponential behind n >= 1 exceeds chain_budget() (SKMS_CHAIN_BUDGET,
+    default 1e8); each exponential is priced alone, whatever the number of
+    tuples, and n = 0 is never refused.
     """
     stacks, one = _as_stacks(xs)
     mats = _eigen_insertions(spectrum, stacks, grading)
     y0, ys = mats[0], mats[1:].swapaxes(0, 1)
-    budget = _resolved_budget(budget)
     n = ys.shape[1]
     if n == 0:
         heads = np.diagonal(y0, axis1=1, axis2=2)
         vals = np.sum(heads * np.exp(-spectrum.evals), axis=1)
     else:
         what = "chain with d=%d, n=%d" % (spectrum.dim, n)
-        chain = _heat_chain_blocks(spectrum, [(0, 1, ys)], what, budget)[:, n]
+        chain = _heat_chain_blocks(spectrum, [(0, 1, ys)], what)[:, n]
         vals = _contract(y0, chain)
     return _values(vals, one, spectrum)
 
 
-def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
+def alternating_chain_integral(spectrum, xs, q, grading):
     """Alternating sum of the chains with q inserted after each slot.
 
     For one tuple xs = x_0, y_1, ..., y_m (m >= 0) returns the complex
@@ -449,7 +367,7 @@ def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
     sum, each term signed by the k first-level edges it took: the
     derivative of the chain exponential in the direction of q (Van Loan,
     IEEE TAC 23, 1978; Najfeld & Havel, Adv. Appl. Math. 16, 1995).  Each
-    exponential is priced at (2(m+1)d)^3 against budget as in
+    exponential is priced at (2(m+1)d)^3 against chain_budget() as in
     chain_integral.
     """
     stacks, one = _as_stacks(xs)
@@ -460,7 +378,7 @@ def alternating_chain_integral(spectrum, xs, q, grading, budget=None):
     qe = np.broadcast_to(qe[..., None, :, :], y0.shape[:1] + (m + 1,) + y0.shape[1:])
     edges = [(0, m + 1, qe), (0, 1, -ys), (m + 1, m + 2, ys)]
     what = "alternating chain with d=%d, m=%d" % (spectrum.dim, m)
-    chain = _heat_chain_blocks(spectrum, edges, what, budget)[:, 2 * m + 1]
+    chain = _heat_chain_blocks(spectrum, edges, what)[:, 2 * m + 1]
     vals = _contract(y0, chain)
     return _values(vals, one, spectrum)
 

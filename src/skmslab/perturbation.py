@@ -33,9 +33,9 @@ import numpy as np
 
 from .cochain import (Cochain, _against_couplings, _chains_by_degree,
                       _couplings, _over, _zero, boundary, tau_eval)
-from .dynamics import (GradedSystem, _draw_tuples, _super_gibbs,
-                       _superderivation_stack, heisenberg_flow, skms_eval,
-                       superderivation)
+from .dynamics import (SUPERCHARGE_TOL, GradedSystem, _draw_tuples,
+                       _super_gibbs, _superderivation_stack, heisenberg_flow,
+                       skms_eval, superderivation)
 from .errors import ParityViolation, TruncationUnreachable
 from .graded import Parity, as_matrices, as_matrix, frobenius_norms, modulus
 from .kernels import (Spectrum, _heat_chain_blocks, alternating_chain_integral,
@@ -46,14 +46,14 @@ SERIES_CAP = 40
 
 
 class OddPerturbation:
-    """Odd selfadjoint perturbation Q in the grading given."""
+    """Odd selfadjoint perturbation Q in the grading given, to SUPERCHARGE_TOL."""
 
-    def __init__(self, q, grading, tol=1e-12):
+    def __init__(self, q, grading):
         m = as_matrix(q)
         scale = max(1.0, np.linalg.norm(m))
-        if np.linalg.norm(m - m.conj().T) > tol * scale:
+        if np.linalg.norm(m - m.conj().T) > SUPERCHARGE_TOL * scale:
             raise ParityViolation("perturbation must be selfadjoint")
-        if np.linalg.norm(grading.conjugate(m) + m) > tol * scale:
+        if np.linalg.norm(grading.conjugate(m) + m) > SUPERCHARGE_TOL * scale:
             raise ParityViolation("perturbation must be odd")
         m = (m + m.conj().T) / 2
         m.setflags(write=False)
@@ -169,12 +169,12 @@ class PerturbedContext:
                 break
         return total * norm_x
 
-    def choose_order(self, t, tol, norm_x=1.0, cap=SERIES_CAP):
-        for order in range(cap + 1):
+    def choose_order(self, t, tol, norm_x=1.0):
+        for order in range(SERIES_CAP + 1):
             if self.tail_bound(t, order, norm_x) <= tol:
                 return order
-        raise TruncationUnreachable(
-            "no series order <= %d reaches tolerance %g at t = %s" % (cap, tol, t))
+        raise TruncationUnreachable("no series order <= %d reaches tolerance %g at t = %s"
+                                    % (SERIES_CAP, tol, t))
 
 
 def gamma_cocycle_oracle(ctx, t):
@@ -319,7 +319,7 @@ def error_term(ctx, t):
 # perturbed chains, cocycle and transgression
 
 
-def F_r_eval(ctx, n, xs, budget=None):
+def F_r_eval(ctx, n, xs):
     """F^r_n(x_0..x_n): ordered-simplex chain against e^{-sH_r}, over Z.
 
     Realizes int_{Delta_n} phi^r(x_0 alpha^r_{is_1}(x_1) ... ) d^n s; no
@@ -327,17 +327,17 @@ def F_r_eval(ctx, n, xs, budget=None):
     """
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    val = _over(chain_integral(ctx.spectrum, [as_matrix(x) for x in xs],
-                               ctx.grading, budget=budget), ctx.witten_index)
+    val = _over(chain_integral(ctx.spectrum, [as_matrix(x) for x in xs], ctx.grading),
+                ctx.witten_index)
     return val if _couplings(ctx) else complex(val)
 
 
-def tau_r_eval(ctx, n, xs, budget=None):
+def tau_r_eval(ctx, n, xs):
     """tau^r_n = F^r_n(x_0, delta_r(x_1), ..., delta_r(x_n)); see tau_eval."""
-    return tau_eval(ctx, n, xs, budget=budget)
+    return tau_eval(ctx, n, xs)
 
 
-def transgression_G(ctx, m, xs, budget=None):
+def transgression_G(ctx, m, xs):
     """G^r_m = sum_k (-1)^k F^r_{m+1}(x_0, d_r x_1, .., d_r x_k, Q, d_r x_{k+1}, ..).
 
     Odd degrees only (even m returns 0); arguments must be even; scalar
@@ -345,29 +345,29 @@ def transgression_G(ctx, m, xs, budget=None):
     The m + 1 chains are not formed one by one: the alternating sum over
     the position of Q is read off one (2(m+1)d)-square block exponential
     (kernels.alternating_chain_integral on a stack of one), divided
-    by Z.  budget prices that exponential and ChainBudgetExceeded names
-    its size.  At odd m this is transgression_cochain on one tuple.
+    by Z.  SKMS_CHAIN_BUDGET prices that exponential and
+    ChainBudgetExceeded names its size.  At odd m this is
+    transgression_cochain on one tuple.
     """
     if len(xs) != m + 1:
         raise ValueError("degree %d expects %d arguments" % (m, m + 1))
     if m % 2 == 0:
         return _zero(ctx)
-    return transgression_cochain(ctx, budget=budget)(m, xs)
+    return transgression_cochain(ctx)(m, xs)
 
 
-def _transgression_sum(ctx, stacks, budget):
+def _transgression_sum(ctx, stacks):
     # G^r_m at odd m of the T tuples in the (T, d, d) stacks, whose slots
     # i >= 1 are known not to be scalar, against every coupling: (T,) or
     # (K, T) values from one call of the block builder
     ctx, stacks, shape = _against_couplings(ctx, stacks)
     derived = _superderivation_stack(ctx, np.array(stacks[1:], dtype=complex))
     vals = alternating_chain_integral(ctx.spectrum, [stacks[0], *derived],
-                                      ctx.perturbation.matrix, ctx.grading,
-                                      budget=budget)
+                                      ctx.perturbation.matrix, ctx.grading)
     return _over(vals, ctx.witten_index).reshape(shape)
 
 
-def transgression_cochain(ctx, max_degree=None, budget=None):
+def transgression_cochain(ctx):
     """G^r as an odd Cochain.
 
     Its arguments must be even under ctx.grading.  Cochain.__call__ checks
@@ -376,14 +376,14 @@ def transgression_cochain(ctx, max_degree=None, budget=None):
     context of K couplings, T tuples give (K, T) values.
     """
     def evaluator(n, stacks):
-        return _transgression_sum(ctx, stacks, budget)
-    return Cochain(evaluator, Parity.ODD, max_degree=max_degree, name="G_r",
-                   grading=ctx.grading, couplings=_couplings(ctx))
+        return _transgression_sum(ctx, stacks)
+    return Cochain(evaluator, Parity.ODD, name="G_r", grading=ctx.grading,
+                   couplings=_couplings(ctx))
 
 
-def boundary_of_transgression(ctx, n, xs, budget=None):
+def boundary_of_transgression(ctx, n, xs):
     """(B G^r + b G^r)_n at even degree n."""
-    return boundary(transgression_cochain(ctx, budget=budget))(n, xs)
+    return boundary(transgression_cochain(ctx))(n, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +655,7 @@ def homotopy_steps(r, hs):
 
 
 def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
-                   order_floor=1.9, seed=0, model_digest="", budget=None):
+                   order_floor=1.9, seed=0, model_digest=""):
     """Central differences of tau^r against the transgression boundary.
 
     Compares (tau^{r+h}_n - tau^{r-h}_n)/(2h) with -(B G^r + b G^r)_n for
@@ -673,11 +673,11 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
     """
     hs = homotopy_steps(r, hs)
     ctx = PerturbedContext(system, perturbation, r)
-    exact = boundary_of_transgression(ctx, n, xs, budget=budget)
+    exact = boundary_of_transgression(ctx, n, xs)
     # the ladder r + h, then r - h, for every h: one context, one stack
     ladder = PerturbedContext(system, perturbation,
                               [r + h for h in hs] + [r - h for h in hs])
-    taus = tau_r_eval(ladder, n, xs, budget=budget).tolist()
+    taus = tau_r_eval(ladder, n, xs).tolist()
     fds = [(up - dn) / (2.0 * h)
            for h, up, dn in zip(hs, taus[:len(hs)], taus[len(hs):])]
     resids = [abs(fd + exact) for fd in fds]
@@ -699,7 +699,7 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
 
 
 def endpoint_transgression_check(system, perturbation, n, xs, nodes=8, tol=1e-6,
-                                 seed=0, model_digest="", budget=None):
+                                 seed=0, model_digest=""):
     """tau^1_n - tau^0_n equals -int_0^1 (B + b) G^r_n dr.
 
     The sign is the one of homotopy_check.  tau^r is analytic in r, so the
@@ -710,8 +710,8 @@ def endpoint_transgression_check(system, perturbation, n, xs, nodes=8, tol=1e-6,
     the nodes and tau at the ends are one builder call each."""
     rs, weights = gauss_legendre_01(nodes)
     ctx = PerturbedContext(system, perturbation, np.concatenate([rs, [0.0, 1.0]]))
-    values = boundary_of_transgression(ctx.at(slice(0, nodes)), n, xs, budget=budget)
-    bot, top = tau_r_eval(ctx.at([nodes, nodes + 1]), n, xs, budget=budget).tolist()
+    values = boundary_of_transgression(ctx.at(slice(0, nodes)), n, xs)
+    bot, top = tau_r_eval(ctx.at([nodes, nodes + 1]), n, xs).tolist()
     residual = abs(top - bot + weights @ values)
     return [make_report("transgression.endpoint", "main", nodes, residual, tol,
                         seed=seed, model_digest=model_digest)]

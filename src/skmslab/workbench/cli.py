@@ -22,7 +22,8 @@ from ..perturbation import (SERIES_CAP, PerturbedContext,
                             homotopy_check, homotopy_steps, lipschitz_check,
                             skms_check_perturbed, witten_invariance_check)
 from ..report import make_report
-from .models import ModelSpec, build_model, build_perturbed_model, model_digest
+from .models import (ModelSpec, build_model, build_perturbed_model, check_scale,
+                     model_digest)
 from .reports import emit_report
 from .suites import SUITES, SuiteConfig, parse_quadrature, run_suite
 
@@ -64,6 +65,17 @@ def _coupling(text):
     if not 0.0 <= r <= 1.0:
         raise argparse.ArgumentTypeError("r must be in [0, 1], got %r" % r)
     return r
+
+
+def _scale(field, positive):
+    # a finite float, > 0 or >= 0 as a spec requires, checked while the
+    # arguments are parsed, so a bad value is a usage error
+    def parse(text):
+        try:
+            return check_scale(field, text, positive)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
 def _steps(text):
@@ -265,9 +277,10 @@ def build_parser():
                      default="RectangularBlock")
     gen.add_argument("--p", type=int, required=True)
     gen.add_argument("--q", type=int, required=True)
-    gen.add_argument("--scale", type=float, default=None)
+    gen.add_argument("--scale", type=_scale("scale", True), default=None)
     gen.add_argument("--perturb-seed", type=int, default=None)
-    gen.add_argument("--perturb-scale", type=float, default=None)
+    gen.add_argument("--perturb-scale", type=_scale("perturbation scale", False),
+                     default=None)
     _add_options(gen, "--seed", "--out")
     gen.set_defaults(func=_cmd_model_gen)
     val = model_sub.add_parser("validate")

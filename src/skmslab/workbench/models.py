@@ -10,6 +10,7 @@ the same construction, kept so that existing spec files, their digests and
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,22 @@ def matrix_from_json(rows):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def check_scale(field, value, positive):
+    """float(value) when it is finite and > 0 (positive) or >= 0.
+
+    ValueError naming the field otherwise: NaN or inf would end deep in
+    numpy, in an eigensolver or SVD that does not converge.
+    """
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (x > 0.0 if positive else x >= 0.0) or x == math.inf:
+        raise ValueError("%s must be a finite number %s 0, got %r"
+                         % (field, ">" if positive else ">=", value))
+    return x
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative model description; the unit of reproducibility."""
@@ -58,6 +75,10 @@ class ModelSpec:
             raise ValueError("kind must be one of %s" % (KINDS,))
         if self.p < 1 or self.q < 1:
             raise ValueError("block sizes must be positive")
+        if self.scale is not None:
+            check_scale("scale", self.scale, positive=True)
+        if self.perturbation is not None and "scale" in self.perturbation:
+            check_scale("perturbation scale", self.perturbation["scale"], positive=False)
 
     def to_dict(self):
         out = {"schema": MODEL_SCHEMA, "kind": self.kind,

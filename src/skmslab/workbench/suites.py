@@ -32,21 +32,23 @@ from .models import build_perturbed_model, model_digest
 
 SUITES = ("Axioms", "Cocycle", "Lemma34", "Perturbation", "Homotopy",
           "Entireness", "All")
+# the gates of the quadrature-backed rows (the cocycle boundaries and
+# Lemma 3.4) and of the finite-difference endpoint row
+TOL_QUAD = 1e-8
+TOL_FD = 1e-6
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
     """Tolerances and knobs shared by all suites.
 
-    tol_exact gates identities that hold to rounding, tol_quad gates
-    quadrature-backed ones, tol_fd gates finite-difference comparisons.
+    tol_exact gates identities that hold to rounding; quadrature-backed
+    and finite-difference rows are gated by TOL_QUAD and TOL_FD.
     quadrature is 'gauss:<order>' or 'mc:<samples>' (Monte Carlo applies
     to standalone evaluation; suite checks that need nodes use Gauss).
     """
 
     tol_exact: float = 1e-10
-    tol_quad: float = 1e-8
-    tol_fd: float = 1e-6
     max_degree: int = 5
     series_order: int = None
     quadrature: str = "gauss:8"
@@ -111,10 +113,9 @@ def _cocycle_checks(sys, digest, config):
             stacks = _draw_tuples(sys, rng, 25, n + 1, parity="even")
             worst = max(0.0, float(np.max(modulus(dtau(n, stacks)))))
             return [make_report("cocycle.boundary_n%d" % n, "boundary", 25,
-                                worst, config.tol_quad, seed=config.seed,
+                                worst, TOL_QUAD, seed=config.seed,
                                 model_digest=digest)]
-        checks.append(("cocycle.boundary_n%d" % n, "boundary",
-                       config.tol_quad, run))
+        checks.append(("cocycle.boundary_n%d" % n, "boundary", TOL_QUAD, run))
     return checks
 
 
@@ -123,9 +124,9 @@ def _lemma34_checks(sys, digest, config):
     order = num if kind == "gauss" else 8
 
     def run():
-        return lemma34_check(sys, n=2, samples=6, tol=config.tol_quad,
+        return lemma34_check(sys, n=2, samples=6, tol=TOL_QUAD,
                              order=order, seed=config.seed, model_digest=digest)
-    return [("chain.rotation", "rotation", config.tol_quad, run)]
+    return [("chain.rotation", "rotation", TOL_QUAD, run)]
 
 
 def _dyson_fidelity(sys, pert, digest, config):
@@ -201,9 +202,8 @@ def _homotopy_checks(sys, pert, digest, config):
         ("transgression.derivative_order", "main", 0.0,
          lambda: homotopy_check(sys, pert, 2, xs, r=0.5, seed=config.seed,
                                 model_digest=digest)),
-        ("transgression.endpoint", "main", config.tol_fd,
-         lambda: endpoint_transgression_check(sys, pert, 2, xs,
-                                              tol=config.tol_fd,
+        ("transgression.endpoint", "main", TOL_FD,
+         lambda: endpoint_transgression_check(sys, pert, 2, xs, tol=TOL_FD,
                                               seed=config.seed,
                                               model_digest=digest)),
     ]
@@ -244,9 +244,8 @@ def _entireness_checks(sys, digest, config):
     return [("entireness.monotone", "norm", 0.0, run)]
 
 
-def _suite_checks(spec, suite, config):
+def _suite_checks(spec, suite, config, digest):
     sys, pert = build_perturbed_model(spec, config.seed)
-    digest = model_digest(spec)
     bundles = {
         "axioms": lambda: _axioms_checks(sys, digest, config),
         "cocycle": lambda: _cocycle_checks(sys, digest, config),
@@ -267,14 +266,15 @@ def _suite_checks(spec, suite, config):
     return bundles[key]()
 
 
-def _run_one(entry, config):
+def _run_one(entry, config, digest):
     name, anchor, tol, fn = entry
     start = time.perf_counter()
     try:
         rows = fn()
     except ChainBudgetExceeded:
         # refused rows fail whatever their tolerance, DOCUMENTED included
-        row = make_report(name, anchor, 0, DOCUMENTED, tol, seed=config.seed)
+        row = make_report(name, anchor, 0, DOCUMENTED, tol, seed=config.seed,
+                          model_digest=digest)
         rows = [dataclasses.replace(row, passed=False)]
     if config.timing:
         elapsed = (time.perf_counter() - start) * 1000.0
@@ -291,10 +291,11 @@ def run_suite(spec, suite, config=None):
     config = config or SuiteConfig()
     if config.max_degree < 1:
         raise ValueError("max_degree must be at least 1, got %d" % config.max_degree)
-    checks = _suite_checks(spec, suite, config)
+    digest = model_digest(spec)
+    checks = _suite_checks(spec, suite, config, digest)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda e: _run_one(e, config), checks))
+            results = list(pool.map(lambda e: _run_one(e, config, digest), checks))
     else:
-        results = [_run_one(entry, config) for entry in checks]
+        results = [_run_one(entry, config, digest) for entry in checks]
     return [row for rows in results for row in rows]

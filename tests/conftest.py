@@ -29,8 +29,8 @@ def builder_calls(monkeypatch):
     calls = BuilderCalls()
     build = kernels_module._heat_chain_blocks
 
-    def recorded(spectrum, edges, what, budget=None, scale=-1.0):
-        blocks = build(spectrum, edges, what, budget=budget, scale=scale)
+    def recorded(spectrum, edges, what, scale=-1.0):
+        blocks = build(spectrum, edges, what, scale=scale)
         calls.append((blocks.shape[0], blocks.shape[1] * spectrum.dim))
         return blocks
 

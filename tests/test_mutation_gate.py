@@ -37,7 +37,7 @@ REFERENCE_SPECS = (
 def _scaled_transgression(monkeypatch, factor):
     g_sum = perturbation._transgression_sum
     monkeypatch.setattr(perturbation, "_transgression_sum",
-                        lambda ctx, stacks, budget: factor * g_sum(ctx, stacks, budget))
+                        lambda ctx, stacks: factor * g_sum(ctx, stacks))
 
 
 def negate_g(monkeypatch, spec):
@@ -55,8 +55,8 @@ def drop_gamma(monkeypatch, spec):
 def reverse_insertions(monkeypatch, spec):
     chain = kernels.chain_integral
 
-    def reversed_chain(spectrum, xs, grading, budget=None):
-        return chain(spectrum, [xs[0], *xs[:0:-1]], grading, budget=budget)
+    def reversed_chain(spectrum, xs, grading):
+        return chain(spectrum, [xs[0], *xs[:0:-1]], grading)
     for module in (cochain, perturbation):
         monkeypatch.setattr(module, "chain_integral", reversed_chain)
 

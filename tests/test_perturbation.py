@@ -402,9 +402,11 @@ def test_block_exponentials_priced_at_their_size(monkeypatch):
     xs = even_tuple(ctx.system, np.random.default_rng(12), 4)
     budget = 30000.0
     assert 25.0 ** 3 < budget < 40.0 ** 3
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(budget))
     with pytest.raises(ChainBudgetExceeded, match="d=5, m=3 needs a 40x40"):
-        transgression_G(ctx, 3, xs, budget=budget)
-    assert transgression_G(ctx, 3, xs, budget=40.0 ** 3) != 0.0
+        transgression_G(ctx, 3, xs)
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(40.0 ** 3))
+    assert transgression_G(ctx, 3, xs) != 0.0
     # a Dyson series of order 8, at real t or t = i, is one (8+1)d = 45
     # wide exponential
     x = as_matrix(ctx.system.random_element(np.random.default_rng(13)))
@@ -461,9 +463,9 @@ def test_boundary_of_transgression_classifies_each_argument_once(monkeypatch):
     calls = []
     classify = GradingOperator.classify
 
-    def counted(self, x, tol=1e-10):
+    def counted(self, x):
         calls.append(1)
-        return classify(self, x, tol=tol)
+        return classify(self, x)
 
     monkeypatch.setattr(GradingOperator, "classify", counted)
     for n in (0, 2):
@@ -643,10 +645,24 @@ def test_homotopy_sign_is_fixed(monkeypatch):
 
     g_sum = perturbation_module._transgression_sum
     monkeypatch.setattr(perturbation_module, "_transgression_sum",
-                        lambda ctx, stacks, budget: -g_sum(ctx, stacks, budget))
+                        lambda ctx, stacks: -g_sum(ctx, stacks))
     by_name = rows()
     assert not by_name["transgression.derivative_order"].passed
     assert not by_name["transgression.endpoint"].passed
+
+
+@pytest.mark.parametrize("check", [homotopy_check, endpoint_transgression_check])
+def test_transgression_checks_refused_by_the_chain_budget(monkeypatch, check):
+    # at n = 2 on d = 5 the B terms of (B + b)G^r take G^r at degree 3,
+    # one 2(3+1)5 = 40 wide exponential; SKMS_CHAIN_BUDGET prices it
+    sys_ = block_system(3, 2, seed=16)
+    pert = odd_perturbation(sys_, scale=0.4)
+    xs = even_tuple(sys_, np.random.default_rng(17), 3)
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(40.0 ** 3 - 1.0))
+    with pytest.raises(ChainBudgetExceeded, match="d=5, m=3 needs a 40x40"):
+        check(sys_, pert, 2, xs)
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(40.0 ** 3))
+    assert all(r.passed for r in check(sys_, pert, 2, xs))
 
 
 def test_homotopy_trivial_perturbation():

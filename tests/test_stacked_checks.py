@@ -25,7 +25,8 @@ from skmslab.perturbation import (F_r_eval, PerturbedContext, error_term,
 from skmslab.report import DOCUMENTED, VerificationReport, make_report
 from skmslab.workbench import ModelSpec, run_suite
 from skmslab.workbench.models import build_perturbed_model, model_digest
-from skmslab.workbench.suites import SuiteConfig, _cocycle_checks, _dyson_fidelity
+from skmslab.workbench.suites import (TOL_QUAD, SuiteConfig, _cocycle_checks,
+                                     _dyson_fidelity)
 
 REFERENCE_SPECS = (
     ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
@@ -300,7 +301,7 @@ def looped_cocycle_rows(sys, config, digest):
             xs = [_draw(sys, rng, "even") for _ in range(n + 1)]
             worst = max(worst, abs(dtau(n, xs)))
         rows.append(make_report("cocycle.boundary_n%d" % n, "boundary", 25, worst,
-                                config.tol_quad, seed=config.seed, model_digest=digest))
+                                TOL_QUAD, seed=config.seed, model_digest=digest))
     return rows
 
 

@@ -60,11 +60,36 @@ def test_model_spec_validation():
         ModelSpec(kind="Diagonal", p=2, q=1)
     with pytest.raises(ValueError, match="positive"):
         ModelSpec(kind="RectangularBlock", p=0, q=1)
+    # a zero perturbation is a valid, trivial one
+    ModelSpec(kind="RectangularBlock", p=2, q=1, perturbation={"seed": 1, "scale": 0.0})
     with pytest.raises(ValueError, match="schema"):
         ModelSpec.from_dict({"kind": "RectangularBlock", "p": 2, "q": 1})
     with pytest.raises(ValueError, match="unknown"):
         ModelSpec.from_dict({"schema": "skms-model/1", "kind": "RectangularBlock",
                              "p": 2, "q": 1, "extra": True})
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"scale": float("nan")}, "scale"),
+    ({"scale": float("inf")}, "scale"),
+    ({"scale": -float("inf")}, "scale"),
+    ({"scale": 0.0}, "scale"),
+    ({"scale": -0.5}, "scale"),
+    ({"scale": "abc"}, "scale"),
+    ({"perturbation": {"seed": 1, "scale": float("nan")}}, "perturbation scale"),
+    ({"perturbation": {"seed": 1, "scale": float("inf")}}, "perturbation scale"),
+    ({"perturbation": {"seed": 1, "scale": -float("inf")}}, "perturbation scale"),
+    ({"perturbation": {"seed": 1, "scale": -0.1}}, "perturbation scale"),
+])
+def test_model_spec_refuses_a_bad_scale(fields, name):
+    # NaN and inf ended in a LinAlgError from eigh or svd, after
+    # RuntimeWarnings, and a negative scale was silently accepted
+    with pytest.raises(ValueError, match="^%s must be a finite number" % name):
+        ModelSpec(kind="RectangularBlock", p=3, q=2, **fields)
+    # a spec file is refused the same way
+    data = dict(ModelSpec(kind="RectangularBlock", p=3, q=2).to_dict(), **fields)
+    with pytest.raises(ValueError, match="^%s must be a finite number" % name):
+        ModelSpec.from_json(json.dumps(data))
 
 
 def test_model_digest_is_canonical():
@@ -262,6 +287,8 @@ def test_budget_exhaustion_reported_not_fatal(monkeypatch):
     sentinels = [r for r in rows if r.max_residual == DOCUMENTED]
     assert sentinels, "expected budget-limited rows"
     assert all(not r.passed for r in sentinels)
+    # a refused row names its model like every other row
+    assert {r.model_digest for r in rows} == {model_digest(BLOCK_SPEC)}
 
 
 def test_budget_refusal_fails_documented_row():
@@ -269,7 +296,7 @@ def test_budget_refusal_fails_documented_row():
     def refuse():
         raise ChainBudgetExceeded("refused")
 
-    rows = _run_one(("doc.row", "norm", DOCUMENTED, refuse), SuiteConfig())
+    rows = _run_one(("doc.row", "norm", DOCUMENTED, refuse), SuiteConfig(), "")
     assert [(r.identity_name, r.max_residual, r.passed) for r in rows] == [
         ("doc.row", DOCUMENTED, False)]
 
@@ -362,6 +389,24 @@ def test_cli_model_gen_with_perturbation(tmp_path, capsys):
     rc = main(["model", "validate", str(out)])
     info = json.loads(capsys.readouterr().out)
     assert info["has_perturbation"] is True
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--scale", "nan"], "--scale"),
+    (["--scale", "inf"], "--scale"),
+    (["--scale", "0"], "--scale"),
+    (["--scale", "-1"], "--scale"),
+    (["--scale", "abc"], "--scale"),
+    (["--perturb-scale", "nan"], "--perturb-scale"),
+    (["--perturb-scale=-inf"], "--perturb-scale"),
+    (["--perturb-scale=-0.1"], "--perturb-scale"),
+])
+def test_cli_model_gen_bad_scale_is_a_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["model", "gen", "--p", "3", "--q", "2"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument " + option in err and "Traceback" not in err
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):
