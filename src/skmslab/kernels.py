@@ -9,11 +9,14 @@ TAC 23, 1978), whose generator has -diag(evals) on every diagonal block,
 in the eigenbasis of H, and the insertions on runs of blocks above it.
 The row is computed as the action of the exponential on [I, 0, .., 0]
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); the generator is
-never formed.  `chain_integral` passes the bidiagonal run x_1, ..., x_n
+never formed.  The blocks sit at positions along one or two levels.
+`chain_integral` passes the bidiagonal run x_1, ..., x_n on one level
 and contracts block (0, n) with G x_0.  `alternating_chain_integral`
-passes two copies of that run joined by a run carrying q, and reads the
-alternating sum over the position of q, the transgression value, off
-block (0, 2m+1).
+passes the same run on two levels, joined by level edges carrying q,
+and reads the alternating sum over the position of q, the transgression
+value, off the last block of the second level, (0, 2m+1).  The first
+level holds its blocks signed (-1)^k, so one GEMM multiplies both
+levels of a position by the same y_k, and the sign rides on the q edges.
 
 Both take one tuple of matrices, or K tuples of one degree as stacks, one
 (K, d, d) array per slot; a stack is one call of the builder, and each
@@ -39,10 +42,11 @@ the terms of every Dyson series of the perturbation module, at real t
 and at t = i alike, as block row 0 of one ((k+1)d)-square exponential
 for order k, with c = it.
 
-Per Taylor term the builder does one GEMM per block of each run, adds
-the products into the term in place, and reads a block's running sum
-only when a bound on it could let a slice stop; neither changes a bit
-of the result.
+Per Taylor term the builder does one GEMM per position of each run,
+(levels d x d) by (d x d), and one per position of each level edge,
+adds the products into the term in place, and reads a block's running
+sum only when a bound on it could let a slice stop; none of this
+changes a bit of the result.
 """
 
 import enum
@@ -138,17 +142,21 @@ def chain_budget():
 def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     """Top block rows of a stack of block heat-chain exponentials.
 
-    edges are runs (row, col, y), row < col, along one block diagonal: y
-    is a (K, L, d, d) stack holding the insertion of block (row + i,
-    col + i) in y[:, i], in the eigenbasis of H; no two runs share a
-    block.  Generator k has these
-    insertions and scale * diag(evals) on each diagonal block, with the
-    evals of slice k of a stacked spectrum (K, d) or the one spectrum's.
-    Block (0, j) of its exponential sums, over the edge paths from block 0
-    to block j, the ordered-simplex chains int e^{c s_1 H} y_1
+    The blocks sit at positions 0, 1, .. on one or two levels.  edges are
+    runs (row, col, y), row < col, along one diagonal of positions: y is
+    a (K, L, d, d) stack holding the insertion from position row + i to
+    position col + i, on every level, in y[:, i], in the eigenbasis of H;
+    and level edges (p, p, q), which insert q[:, i] from level 0 to level
+    1 at position p + i.  A level edge makes two levels, else there is
+    one; no two edges share a block.  Generator k has these insertions
+    and scale * diag(evals) on each diagonal block, with the evals of
+    slice k of a stacked spectrum (K, d) or the one spectrum's.  Block
+    (0, j) of its exponential sums, over the edge paths from block 0 to
+    block j, the ordered-simplex chains int e^{c s_1 H} y_1
     e^{c (s_2-s_1) H} ... y_i e^{c (1-s_i) H} d^i s with c = scale (Van
     Loan, IEEE TAC 23, 1978).  Heat chains keep scale = -1; the Dyson
-    series pass c = it.  Returns the blocks, shape (K, blocks, d, d).
+    series pass c = it.  Returns the blocks, shape (K, blocks, d, d),
+    position-major: block position * levels + level.
 
     Block row 0 is the action of the exponential on [I, 0, .., 0]
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011): with mu the mean of
@@ -170,7 +178,9 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     """
     d = spectrum.dim
     k = edges[0][2].shape[0]
-    nblocks = max(col + y.shape[1] for _, col, y in edges)
+    positions = max(col + y.shape[1] for _, col, y in edges)
+    levels = 2 if any(row == col for row, col, _ in edges) else 1
+    nblocks = positions * levels
     size = nblocks * d
     budget = chain_budget()
     cost = float(size) ** 3
@@ -181,63 +191,83 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     diag = scale * np.broadcast_to(spectrum.evals, (k, d))
     mu = diag.mean(axis=1)
     diag = diag - mu[:, None]
-    norms = np.zeros((k, nblocks, d)) + np.abs(diag)[:, None]
-    for _, col, y in edges:
-        norms[:, col:col + y.shape[1]] += np.abs(y).sum(axis=2)
+    norms = np.zeros((k, positions, levels, d)) + np.abs(diag)[:, None, None]
+    for row, col, y in edges:
+        sums = np.abs(y).sum(axis=2)
+        if row == col:
+            norms[:, col:col + y.shape[1], 1] += sums
+        else:
+            norms[:, col:col + y.shape[1]] += sums[:, :, None]
     # Al-Mohy & Higham: s = ceil(norm / theta_m) with m s least, the
     # smaller m on ties; a zero norm takes s = 1
-    steps = np.maximum(1, np.ceil(norms.max(axis=(1, 2))[:, None] / _TAYLOR_THETA_M))
+    steps = np.maximum(1, np.ceil(norms.reshape(k, -1).max(axis=1)[:, None]
+                                  / _TAYLOR_THETA_M))
     best = np.argmin(_TAYLOR_M * steps, axis=1)
     m, s = _TAYLOR_M[best].astype(int), steps[np.arange(k), best].astype(int)
-    top = np.zeros((k, nblocks, d, d), dtype=complex)
-    top[:, 0] = np.eye(d)
+    # one level keeps the (K, blocks, d, d) layout of a plain chain
+    shape = (k, positions, levels, d, d) if levels > 1 else (k, positions, d, d)
+    top = np.zeros(shape, dtype=complex)
+    blocks = top.reshape(k, nblocks, d, d)
+    blocks[:, 0] = np.eye(d)
     shift = np.exp(mu / s)[:, None, None, None]
     for step in range(int(s.max())):
         live = s > step
         _taylor_step(top, diag, edges, s, m + nblocks, ~live)
-        np.multiply(top, shift, out=top, where=live[:, None, None, None])
-    return top
+        np.multiply(blocks, shift, out=blocks, where=live[:, None, None, None])
+    return blocks
 
 
 def _taylor_step(total, diag, runs, s, caps, stopped):
     # total += sum_{j >= 1} total (A/s)^j / j! in place for the slices not
-    # stopped, each up to its stopping term (see _heat_chain_blocks).  For
-    # the memory peak, the column factors are complex (float ones make the
-    # in-place products buffer) and each term's products go before the
-    # next's.  max|total| is read only when an upper bound on it, the last
-    # value read plus the sizes of the terms added since, would let a live
-    # slice stop; the slack 2^-40 on that bound covers its rounding, so
-    # every slice stops on the term the exact value gives
-    nblocks, most = total.shape[1], int(caps.max())
+    # stopped, each up to its stopping term (see _heat_chain_blocks); total
+    # is (K, positions, d, d), or (K, positions, levels, d, d) with level
+    # edges.  A run multiplies every level of its source positions in one
+    # (levels d x d) (d x d) GEMM per position.  For the memory peak, the
+    # column factors are complex (float ones make the in-place products
+    # buffer) and each term's products go before the next's.  max|total| is
+    # read only when an upper bound on it, the last value read plus the
+    # sizes of the terms added since, would let a live slice stop; the
+    # slack 2^-40 on that bound covers its rounding, so every slice stops
+    # on the term the exact value gives
+    k, d = total.shape[0], total.shape[-1]
     term = total.copy()
+    sums, blocks = total.reshape(k, -1, d, d), term.reshape(k, -1, d, d)
+    nblocks, most = blocks.shape[1], int(caps.max())
+    # the levels of a position as one (levels d, d) operand
+    tall = term.reshape(k, term.shape[1], -1, d)
+    # (source, destination, y) views of the term, formed once
+    plan = [(term[:, row:row + y.shape[1], 0], term[:, col:col + y.shape[1], 1], y)
+            if row == col else
+            (tall[:, row:row + y.shape[1]], tall[:, col:col + y.shape[1]], y)
+            for row, col, y in runs]
     columns = diag.astype(complex)[:, None, None, :]
     # 1/(s j) as (1/s) * (1/j), the bits numpy's complex (1/s) / j gives,
     # applied to the float view of the term
     inverse = (1.0 / s)[:, None, None, None]
-    floats = term.view(float)
+    floats = blocks.view(float)
     # ceiling bounds max|total| per block; none is known before the first read
     masked, last, ceiling = stopped.any(), None, math.inf
     for j in range(1, most + 1):
-        prods = [term[:, row:row + y.shape[1]] @ y for row, _, y in runs]
-        term *= columns
-        for (_, col, y), prod in zip(runs, prods):
-            term[:, col:col + y.shape[1]] += prod
+        prods = [source @ y for source, _, y in plan]
+        blocks *= columns
+        for (_, dest, _), prod in zip(plan, prods):
+            dest += prod
         del prods, prod
         floats *= inverse * (1.0 / j)
         if masked:
-            np.add(total, term, out=total, where=~stopped[:, None, None, None])
+            np.add(sums, blocks, out=sums, where=~stopped[:, None, None, None])
         else:
-            total += term
+            sums += blocks
         if j + 1 < nblocks:
             continue
-        size = np.abs(term).max(axis=(2, 3))
+        size = np.abs(blocks).max(axis=(2, 3))
         if last is not None:
             close = last + size
             ceiling = ceiling + size
             small = False
             maybe = (close <= 2.0 ** -53 * (1.0 + 2.0 ** -40) * ceiling).all(axis=1)
             if (maybe & ~stopped).any():
-                ceiling = np.abs(total).max(axis=(2, 3))
+                ceiling = np.abs(sums).max(axis=(2, 3))
                 small = (close <= 2.0 ** -53 * ceiling).all(axis=1)
             done = small | (j >= caps)
             if done.any():
@@ -359,14 +389,19 @@ def alternating_chain_integral(spectrum, xs, q, grading):
 
     from block row 0 of one exponential of 2(m+1) blocks; for m + 1
     (K, d, d) stacks, the (K,) array of these sums, tuple by tuple, from
-    one call of the block builder.  The y_k run on two levels: -y_k on
-    block (k-1, k) before q, +y_k on block (m+k, m+1+k) after it, and q on
-    block (k, m+1+k) steps from the first level to the second after y_k;
-    each of the three is one run of edges.  Every path from block 0
-    to block 2m+1 takes exactly one q edge, so block (0, 2m+1) is the whole
-    sum, each term signed by the k first-level edges it took: the
-    derivative of the chain exponential in the direction of q (Van Loan,
-    IEEE TAC 23, 1978; Najfeld & Havel, Adv. Appl. Math. 16, 1995).  Each
+    one call of the block builder.  The blocks sit at positions 0..m on
+    two levels: level 0 before q, level 1 after it.  One run carries y_k
+    from position k-1 to k on both levels, and level edges step from
+    level 0 to level 1 through q at every position.  Every path from
+    block 0 to position m of level 1 takes exactly one q edge, so that
+    block is the whole sum, each term signed by the level-0 edges it took:
+    the derivative of the chain exponential in the direction of q (Van
+    Loan, IEEE TAC 23, 1978; Najfeld & Havel, Adv. Appl. Math. 16, 1995).
+    Level 0 is stored sign-twisted: it holds W_k = (-1)^k U_k, where U_k
+    is the block that edges -y_k would give, so both levels take +y_k, in
+    one GEMM per position, and position k steps up through (-1)^k q.
+    Negation is exact, so every block keeps its bits and its size, hence
+    the stopping term.  Each
     exponential is priced at (2(m+1)d)^3 against chain_budget() as in
     chain_integral.
     """
@@ -375,10 +410,10 @@ def alternating_chain_integral(spectrum, xs, q, grading):
     y0, ys = mats[0], mats[1:].swapaxes(0, 1)
     m = ys.shape[1]
     qe = spectrum.to_eigenbasis(as_matrix(q))
-    qe = np.broadcast_to(qe[..., None, :, :], y0.shape[:1] + (m + 1,) + y0.shape[1:])
-    edges = [(0, m + 1, qe), (0, 1, -ys), (m + 1, m + 2, ys)]
+    signed = np.stack([qe, -qe], axis=-3)[..., np.arange(m + 1) % 2, :, :]
+    qs = np.broadcast_to(signed, y0.shape[:1] + signed.shape[-3:])
     what = "alternating chain with d=%d, m=%d" % (spectrum.dim, m)
-    chain = _heat_chain_blocks(spectrum, edges, what)[:, 2 * m + 1]
+    chain = _heat_chain_blocks(spectrum, [(0, 0, qs), (0, 1, ys)], what)[:, 2 * m + 1]
     vals = _contract(y0, chain)
     return _values(vals, one, spectrum)
 
@@ -468,10 +503,14 @@ class SimplexQuadratureRule:
                              % (GAUSS_MIN_ORDER, self.order_or_samples))
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_legendre_01(order):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], shared read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 @functools.lru_cache(maxsize=32)

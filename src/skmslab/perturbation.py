@@ -26,6 +26,7 @@ stack: tau^r, G^r and their boundaries give one value per coupling, and
 each degree is one call of the block-exponential builder.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,9 +127,6 @@ class PerturbedContext:
         self.hamiltonian = system.hamiltonian + self.a_r
         evals, vecs = np.linalg.eigh(self.hamiltonian)
         self.spectrum = Spectrum(evals, vecs)
-        self.a_norm = np.linalg.norm(self.a_r, 2, axis=(-2, -1))
-        if np.ndim(self.a_norm) == 0:
-            self.a_norm = float(self.a_norm)
         self.witten_index_r, self._weight = _super_gibbs(self.grading, self.spectrum)
         self.witten_index = system.witten_index
 
@@ -143,11 +141,19 @@ class PerturbedContext:
             raise TypeError("at() selects couplings of a vector context")
         sub = object.__new__(PerturbedContext)
         sub.__dict__.update(self.__dict__)
+        # a_norm is taken only if it was read, else left for sub to compute
         for name in self._PER_COUPLING:
-            value = getattr(self, name)[index]
-            setattr(sub, name, float(value) if np.ndim(value) == 0 else value)
+            if name in self.__dict__:
+                value = self.__dict__[name][index]
+                setattr(sub, name, float(value) if np.ndim(value) == 0 else value)
         sub.spectrum = Spectrum(self.spectrum.evals[index], self.spectrum.vecs[index])
         return sub
+
+    @functools.cached_property
+    def a_norm(self):
+        """||a_r||, (K,) for a vector context; an SVD, so taken on first read."""
+        norm = np.linalg.norm(self.a_r, 2, axis=(-2, -1))
+        return float(norm) if np.ndim(norm) == 0 else norm
 
     @property
     def dim(self):
@@ -672,12 +678,11 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
     is included as a documentation row.
     """
     hs = homotopy_steps(r, hs)
-    ctx = PerturbedContext(system, perturbation, r)
-    exact = boundary_of_transgression(ctx, n, xs)
-    # the ladder r + h, then r - h, for every h: one context, one stack
-    ladder = PerturbedContext(system, perturbation,
-                              [r + h for h in hs] + [r - h for h in hs])
-    taus = tau_r_eval(ladder, n, xs).tolist()
+    # r, then the ladder r + h and r - h for every h: one context
+    ctx = PerturbedContext(system, perturbation,
+                           [r] + [r + h for h in hs] + [r - h for h in hs])
+    exact = boundary_of_transgression(ctx.at(0), n, xs)
+    taus = tau_r_eval(ctx.at(slice(1, None)), n, xs).tolist()
     fds = [(up - dn) / (2.0 * h)
            for h, up, dn in zip(hs, taus[:len(hs)], taus[len(hs):])]
     resids = [abs(fd + exact) for fd in fds]

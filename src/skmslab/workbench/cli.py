@@ -128,8 +128,13 @@ def _config(args):
 
 
 def _load_spec(path):
-    with open(path) as fh:
-        return ModelSpec.from_json(fh.read())
+    # a spec file that cannot be read or is refused is a usage error, which
+    # main reports in one line rather than a traceback
+    try:
+        with open(path) as fh:
+            return ModelSpec.from_json(fh.read())
+    except (OSError, ValueError, TypeError) as exc:
+        raise argparse.ArgumentError(None, "cannot load model %s: %s" % (path, exc))
 
 
 def _finish(reports, args):
@@ -333,7 +338,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except argparse.ArgumentError as exc:
-        # arguments that are valid alone but not together
+        # arguments that are valid alone but not together, or a model file
+        # that cannot be loaded
         parser.error(str(exc))
 
 

@@ -96,6 +96,9 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError("a model spec is a JSON object, got %s"
+                             % type(data).__name__)
         if data.get("schema") != MODEL_SCHEMA:
             raise ValueError("expected schema %r, got %r"
                              % (MODEL_SCHEMA, data.get("schema")))
@@ -103,6 +106,9 @@ class ModelSpec:
         unknown = set(data) - known
         if unknown:
             raise ValueError("unknown model fields: %s" % sorted(unknown))
+        missing = {"kind", "p", "q"} - set(data)
+        if missing:
+            raise ValueError("missing model fields: %s" % sorted(missing))
         m = data.get("m")
         if m is not None:
             m = tuple(tuple(tuple(pair) for pair in row) for row in m)

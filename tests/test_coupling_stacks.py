@@ -125,6 +125,20 @@ def test_at_selects_couplings_without_a_new_context():
         one.at(0)
 
 
+def test_a_norm_is_taken_on_first_read_and_indexed_by_at():
+    # an SVD per coupling that only the Dyson series read: no context pays
+    # for it before it is read, and at() indexes the vector it cached
+    sys, pert = build_perturbed_model(REFERENCE_SPECS[0], 0)
+    ctx = PerturbedContext(sys, pert, COUPLINGS)
+    assert "a_norm" not in ctx.__dict__
+    assert "a_norm" not in ctx.at(2).__dict__ and "a_norm" not in ctx.__dict__
+    norms = ctx.a_norm
+    assert norms.shape == (len(COUPLINGS),) and ctx.a_norm is norms
+    one = PerturbedContext(sys, pert, COUPLINGS[2])
+    assert ctx.at(2).__dict__["a_norm"] == one.a_norm == norms[2]
+    assert np.array_equal(ctx.at([1, 2]).__dict__["a_norm"], norms[1:3])
+
+
 def test_bad_a_r_names_its_coupling(monkeypatch):
     # delta(x) = Q0 x + gamma(x) Q0 makes delta(Q) antiselfadjoint, so a_r
     # fails its guard at every coupling but r = 0
@@ -173,9 +187,9 @@ def test_homotopy_checks_stay_stacked(monkeypatch, builder_calls):
     rows = homotopy_check(sys, pert, 2, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3))
     rows += endpoint_transgression_check(sys, pert, 2, xs, nodes=11, tol=1e-6)
     assert all(row.passed for row in rows)
-    # the boundary at r, the +/- h ladder, and the eleven Gauss-Legendre
-    # nodes with the ends r = 0 and r = 1
-    assert len(contexts) <= 3
+    # r with the +/- h ladder, and the eleven Gauss-Legendre nodes with the
+    # ends r = 0 and r = 1
+    assert len(contexts) <= 2
     assert len(builder_calls) <= 6
     # at r: 3 B and 3 b terms; the ladder: 6 chains; the nodes: 11 x 6
     # boundary terms and tau at the two ends

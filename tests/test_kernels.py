@@ -24,6 +24,7 @@ from skmslab.graded import GradingOperator
 from skmslab.kernels import (
     SimplexQuadratureRule,
     Spectrum,
+    alternating_chain_integral,
     chain_integral,
     gauss_legendre_01,
     heat_chain_integrand,
@@ -279,8 +280,9 @@ def test_taylor_step_keeps_the_bits_of_the_reference_on_every_run_layout(
     spec = _random_spectrum(rng, d)
     ys = _random_stack(rng, (3, 4, d, d)) / d
     _assert_builder_matches_reference(monkeypatch, spec, [(0, 1, ys)])
-    # the alternating chain's three runs, q broadcast along its run: on a
-    # stacked spectrum (one q per slice) and on one spectrum (one q for all)
+    # three runs on one level, the alternating chain's layout before its
+    # level axis, q broadcast along its run: on a stacked spectrum (one q
+    # per slice) and on one spectrum (one q for all)
     m = 2
     ys = _random_stack(rng, (3, m, d, d)) / d
     for spectrum in (_random_spectrum(rng, d, count=3), spec):
@@ -313,6 +315,49 @@ def test_taylor_step_keeps_the_bits_of_the_reference_on_a_mixed_stack(
     ys *= (np.array(norms) / np.linalg.norm(ys, 2, axis=(2, 3)).max(axis=1))[:, None, None, None]
     got = _assert_builder_matches_reference(monkeypatch, spec, [(0, 1, ys)])
     assert np.all(got[3, 1:] == 0) and np.all(got[3, 0] == np.eye(d))
+
+
+@pytest.mark.parametrize("d", [3, 5, 8, 10])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_two_level_alternating_chain_keeps_the_bits_of_the_flat_runs(
+        monkeypatch, d, m):
+    # the two-level chain of alternating_chain_integral, level 0 signed
+    # (-1)^k, against the one-level layout it replaced: 2(m+1) blocks in a
+    # row, -y_k on block (k-1, k), +y_k on block (m+k, m+1+k) and q on
+    # block (k, m+1+k), through the reference step; K = 3 tuples on one
+    # spectrum, and on a stack of three whose spreads (2, 20, 80) take
+    # different substep counts
+    rng = np.random.default_rng(700 + 10 * d + m)
+    built = []
+    build = kernels._heat_chain_blocks
+
+    def recorded(spectrum, edges, what, scale=-1.0):
+        built.append((edges, build(spectrum, edges, what, scale=scale)))
+        return built[-1][1]
+
+    one = _random_spectrum(rng, d)
+    stiff = _random_spectrum(rng, d, count=3)
+    stiff = Spectrum(stiff.evals * np.array([1.0, 10.0, 40.0])[:, None], stiff.vecs)
+    for spectrum in (one, stiff):
+        xs = list(_random_stack(rng, (m + 1, 3, d, d)) / d)
+        q = _random_stack(rng, (d, d)) / d
+        with monkeypatch.context() as patched:
+            patched.setattr(kernels, "_heat_chain_blocks", recorded)
+            value = alternating_chain_integral(spectrum, xs, q, None)
+        edges, got = built.pop()
+        assert [(row, col) for row, col, _ in edges] == [(0, 0), (0, 1)]
+        qs, ys = edges[0][2], edges[1][2]
+        qe = np.broadcast_to(spectrum.to_eigenbasis(q)[..., None, :, :], qs.shape)
+        flat = [(0, m + 1, qe), (0, 1, -ys), (m + 1, m + 2, ys)]
+        with monkeypatch.context() as patched:
+            patched.setattr(kernels, "_taylor_step", _reference_taylor_step)
+            want = kernels._heat_chain_blocks(spectrum, flat, "flat")
+        twisted = want[:, :m + 1].copy()
+        twisted[:, 1::2] = -twisted[:, 1::2]
+        assert np.array_equal(got[:, 0::2], twisted)
+        assert np.array_equal(got[:, 1::2], want[:, m + 1:])
+        y0 = spectrum.to_eigenbasis(np.array(xs[0]))
+        assert np.array_equal(value, kernels._contract(y0, want[:, 2 * m + 1]))
 
 
 def test_chain_integral_none_grading_is_plain_trace():
@@ -563,6 +608,9 @@ def test_monte_carlo_is_seeded():
 
 def test_gauss_legendre_01_normalization():
     u, w = gauss_legendre_01(8)
+    # built once per order and shared read-only
+    assert gauss_legendre_01(8)[0] is u and gauss_legendre_01(8)[1] is w
+    assert not u.flags.writeable and not w.flags.writeable
     assert np.all((u > 0) & (u < 1))
     assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
     # exact for monomials up to degree 2 * order - 1 over [0, 1]

@@ -596,6 +596,35 @@ def test_cli_bad_degree_tuples_or_steps_is_a_usage_error(tmp_path, capsys,
     assert "argument " + option in err and "Traceback" not in err
 
 
+# a spec file that cannot be loaded, by cause: its name and its text
+UNLOADABLE_SPECS = {
+    "missing file": None,
+    "bad JSON": "{\"schema\": ",
+    "unknown kind": json.dumps(dict(BLOCK_SPEC.to_dict(), kind="Diagonal")),
+    "NaN scale": json.dumps(dict(BLOCK_SPEC.to_dict(), scale=float("nan"))),
+    "not an object": "[1, 2]",
+    "missing field": json.dumps({"schema": "skms-model/1", "p": 3, "q": 2}),
+    "null size": json.dumps(dict(BLOCK_SPEC.to_dict(), p=None)),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "validate"], ["verify", "All", "--model"], ["tau", "eval", "--model"],
+    ["perturb", "sweep", "--model"], ["homotopy", "check", "--model"]])
+@pytest.mark.parametrize("cause", sorted(UNLOADABLE_SPECS))
+def test_cli_unloadable_spec_is_a_usage_error(tmp_path, capsys, argv, cause):
+    # each of these ended in a traceback (FileNotFoundError, JSONDecodeError,
+    # ValueError from ModelSpec, AttributeError, KeyError, TypeError)
+    path = tmp_path / "model.json"
+    if UNLOADABLE_SPECS[cause] is not None:
+        path.write_text(UNLOADABLE_SPECS[cause])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot load model " + str(path) in err and "Traceback" not in err
+
+
 # every option that _add_common used to give all six subcommands, where
 # the subcommand accepted it and then ignored it
 IGNORED_OPTIONS = {
