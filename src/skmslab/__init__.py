@@ -26,7 +26,7 @@ from .perturbation import (DysonInfo, OddPerturbation, PerturbedContext,
                            gamma_cocycle_oracle, homotopy_check,
                            lemma43_check, lemma44_check, lipschitz_check,
                            skms_check_perturbed,
-                           tau_r_eval, transgression_G,
+                           tau_r_eval, transgression_cochain,
                            witten_invariance_check)
 from .report import DOCUMENTED, VerificationReport, make_report
 
@@ -77,7 +77,7 @@ __all__ = [
     "supertrace",
     "tau_eval",
     "tau_r_eval",
-    "transgression_G",
+    "transgression_cochain",
     "verify_skms_axioms",
     "witten_invariance_check",
 ]

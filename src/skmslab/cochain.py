@@ -12,20 +12,26 @@ partial = B + b with
 
 The cocycle is tau_n(x_0..x_n) = (1/Z) int_{Delta_n} supertrace of the
 heat chain with insertions x_0, delta(x_1), ..., delta(x_n), nonzero in
-even degrees only; (B + b) tau = 0.  The cocycle functions take a
-GradedSystem or a PerturbedContext; with a context they give tau^r, built
-from delta_r and e^{-sH_r} and normalized by the unperturbed Z.  On a
-context of K couplings a tuple has K values, one per coupling, and T
-tuples (K, T); the parity and scalar tests of the tuples run once.
+even degrees only; (B + b) tau = 0.  The transgression G of an odd Q is
+the same chain with Q inserted after each slot in turn, summed with
+alternating signs, nonzero in odd degrees only.  Both come from one
+constructor and one stacked evaluator, whose one call of
+kernels.chain_integral takes Q for G and no insertion for tau.  The
+cocycle functions take a GradedSystem or a PerturbedContext; with a
+context they give tau^r (and G^r, perturbation.transgression_cochain),
+built from delta_r and e^{-sH_r} and normalized by the unperturbed Z.
+On a context of K couplings a tuple has K values, one per coupling, and
+T tuples (K, T); the parity and scalar tests of the tuples run once.
 
-Arguments are checked where a caller enters, once.  tau_eval checks that
-every argument is even and tests the slots i >= 1 for scalars.  A Cochain
-built with a grading (jlo_cochain, perturbation.transgression_cochain and
-the boundary of either) does both in __call__, and its evaluator checks
-nothing.  The inner evaluations of rho inside boundary are not checked
-again: a product of even elements is even and so is the unit, and only the
-slots >= 1 that the caller has not tested (x_0 rotated there by B, a
-merged product x_j x_{j+1} from b) are tested for scalars.
+Arguments are checked where a caller enters, once.  A Cochain built with
+a grading (jlo_cochain, perturbation.transgression_cochain and the
+boundary of either; tau_eval is jlo_cochain on one tuple) checks that
+every argument is even, at every degree, and tests the slots i >= 1 for
+scalars in __call__, and its evaluator checks nothing.  The inner
+evaluations of rho inside boundary are not checked again: a product of
+even elements is even and so is the unit, and only the slots >= 1 that
+the caller has not tested (x_0 rotated there by B, a merged product
+x_j x_{j+1} from b) are tested for scalars.
 
 Evaluators are stacked: they take a degree and one (K, d, d) array per
 slot, holding that slot of K tuples, and return the K values (one row
@@ -278,12 +284,6 @@ def _couplings(sys):
     return sys.spectrum.evals.shape[:-1]
 
 
-def _zero(sys):
-    # the value of a vanishing cochain: 0, or one 0 per coupling
-    lead = _couplings(sys)
-    return np.zeros(lead, dtype=complex) if lead else 0.0 + 0.0j
-
-
 def _against_couplings(sys, stacks):
     """(sys, stacks, shape) that set T tuples against every coupling of sys.
 
@@ -302,47 +302,44 @@ def _against_couplings(sys, stacks):
     return sys, [np.tile(s, (lead[0], 1, 1)) for s in stacks], lead + (count,)
 
 
-def tau_eval(sys, n, xs):
-    """The degree-n heat-kernel cocycle value at even arguments.
-
-    tau_n(x_0..x_n) = (1/Z) int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H}
-    delta(x_1) ... delta(x_n) e^{-(1-s_n) H}) d^n s for even n; odd n
-    returns 0 without evaluation.  At even n every argument is checked to
-    be even (ParityViolation names the slot), and scalar slots i >= 1
-    return exactly 0: at even n this is jlo_cochain on one tuple.
-    """
-    if len(xs) != n + 1:
-        raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    if n % 2 == 1:
-        return _zero(sys)
-    return jlo_cochain(sys)(n, xs)
-
-
-def _tau_chain(sys, n, stacks):
-    # tau_n at even n of the T tuples in the (T, d, d) stacks, whose slots
-    # i >= 1 are known not to be scalar, against every coupling of a
-    # context: (T,) or (K, T) values from one call of the block builder
+def _chain_values(sys, n, stacks, q=None):
+    # (1/Z) chain_integral(x_0, delta(x_1), .., delta(x_n); q) of the T
+    # tuples in the (T, d, d) stacks, whose slots i >= 1 are known not to
+    # be scalar, against every coupling of a context: (T,) or (K, T)
+    # values from one call of the block builder.  tau_0 is phi(x_0)
     sys, stacks, shape = _against_couplings(sys, stacks)
-    if n == 0:
+    if n == 0 and q is None:
         return skms_eval(sys, stacks[0]).reshape(shape)
     derived = _superderivation_stack(sys, np.array(stacks[1:], dtype=complex))
-    vals = chain_integral(sys.spectrum, [stacks[0], *derived], sys.grading)
+    vals = chain_integral(sys.spectrum, [stacks[0], *derived], sys.grading, q=q)
     return _over(vals, sys.witten_index).reshape(shape)
 
 
-def jlo_cochain(sys):
-    """tau as an even Cochain object (for boundary and suite plumbing).
+def _chain_cochain(sys, q=None):
+    """tau as an even Cochain, or with an odd q the transgression as an odd one.
 
-    Its arguments must be even under sys.grading.  Cochain.__call__ checks
-    that, and returns 0 at odd degrees and at scalar slots, so the
-    evaluator is the bare chain integral of a stack of tuples.  On a
-    context of K couplings it is tau^r at each: T tuples give (K, T)
-    values, all K T chains of a degree from one call of the block builder.
+    tau_n = (1/Z) int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H} delta(x_1) ...
+    delta(x_n) e^{-(1-s_n) H}) d^n s; with q, the alternating sum of the
+    same chains with q inserted after each slot in turn (chain_integral
+    with q), which is G^r for a context and q = Q.  Cochain.__call__
+    checks that the arguments are even and returns 0 at the other parity
+    and at scalar slots, so the evaluator is the bare chain integral of a
+    stack of tuples: (K, T) values for T tuples on K couplings, from one
+    call of the block builder.
     """
-    def evaluator(n, stacks):
-        return _tau_chain(sys, n, stacks)
-    return Cochain(evaluator, Parity.EVEN, name="tau", grading=sys.grading,
-                   couplings=_couplings(sys))
+    parity, name = (Parity.EVEN, "tau") if q is None else (Parity.ODD, "G_r")
+    return Cochain(lambda n, stacks: _chain_values(sys, n, stacks, q), parity,
+                   name=name, grading=sys.grading, couplings=_couplings(sys))
+
+
+def jlo_cochain(sys):
+    """tau as an even Cochain; see _chain_cochain."""
+    return _chain_cochain(sys)
+
+
+def tau_eval(sys, n, xs):
+    """The degree-n heat-kernel cocycle value: jlo_cochain(sys)(n, xs)."""
+    return jlo_cochain(sys)(n, xs)
 
 
 @dataclass(frozen=True)
@@ -410,7 +407,7 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
             stacks = list(tuples.swapaxes(0, 1))
             keep = ~_scalar_slots(stacks[1:], len(tuples)).any(axis=0)
             if keep.any():
-                values = _tau_chain(sys, n, [s[keep] for s in stacks])
+                values = _chain_values(sys, n, [s[keep] for s in stacks])
                 best = max([best] + [abs(v) for v in values.tolist()])
         out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples, seed=seed))
     return out

@@ -11,14 +11,15 @@ The row is computed as the action of the exponential on [I, 0, .., 0]
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); the generator is
 never formed.  The blocks sit at positions along one or two levels.
 `chain_integral` passes the bidiagonal run x_1, ..., x_n on one level
-and contracts block (0, n) with G x_0.  `alternating_chain_integral`
-passes the same run on two levels, joined by level edges carrying q,
-and reads the alternating sum over the position of q, the transgression
-value, off the last block of the second level, (0, 2m+1).  The first
-level holds its blocks signed (-1)^k, so one GEMM multiplies both
-levels of a position by the same y_k, and the sign rides on the q edges.
+and contracts the last block, (0, n), with G x_0.  Given an insertion
+q, it passes the same run on two levels, joined by level edges carrying
+q, and reads the alternating sum over the position of q, the
+transgression value, off the last block of the second level, (0, 2n+1).
+The first level holds its blocks signed (-1)^k, so one GEMM multiplies
+both levels of a position by the same x_k, and the sign rides on the q
+edges.
 
-Both take one tuple of matrices, or K tuples of one degree as stacks, one
+It takes one tuple of matrices, or K tuples of one degree as stacks, one
 (K, d, d) array per slot; a stack is one call of the builder, and each
 tuple gets the bits it would get alone.  The spectrum may be a stack
 too, evals (K, d) and vecs (K, d, d): tuple k is then taken against
@@ -337,7 +338,7 @@ def _contract(y0, chain):
     return (y0 * chain.swapaxes(1, 2)).reshape(len(y0), -1).sum(axis=1)
 
 
-def chain_integral(spectrum, xs, grading):
+def chain_integral(spectrum, xs, grading, q=None):
     """Ordered-simplex heat chain integral of one tuple or of a stack.
 
     Parameters
@@ -351,71 +352,55 @@ def chain_integral(spectrum, xs, grading):
         stack i holding slot x_i of K tuples of degree n.
     grading : GradingOperator, matrix, or None
         Gamma in the supertrace; None means plain trace.
+    q : matrix or None
+        An insertion placed after each slot in turn, see below.
 
     Returns
     -------
     complex, or (K,) complex array for stacks or a stacked spectrum
         int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}) d^n s.
-        For n = 0 this is Tr(Gamma x_0 e^{-H}).  A stack gives each tuple
-        the bits it gets alone; the top rows of its K exponentials are
-        one call of the block builder.
+        For n = 0 without q this is Tr(Gamma x_0 e^{-H}).  A stack gives
+        each tuple the bits it gets alone; the top rows of its K
+        exponentials are one call of the block builder.
 
-    Raises ChainBudgetExceeded when the ((n+1)d)^3 cost of the block
-    exponential behind n >= 1 exceeds chain_budget() (SKMS_CHAIN_BUDGET,
-    default 1e8); each exponential is priced alone, whatever the number of
-    tuples, and n = 0 is never refused.
+    With q, the value is the alternating sum over the position of q,
+
+        sum_{k=0..n} (-1)^k int_{Delta_{n+1}} Tr(Gamma x_0 e^{-s_1 H} x_1 ...
+            x_k e^{..} q e^{..} x_{k+1} ... x_n e^{-(1-s_{n+1}) H}) d^{n+1} s,
+
+    the derivative of the chain exponential in the direction of q (Najfeld
+    & Havel, Adv. Appl. Math. 16, 1995).  The run sits on two levels of
+    positions 0..n, joined by level edges through q at every position;
+    every path to the last block, position n of level 1, takes one q edge.
+    Level 0 is stored sign-twisted, W_k = (-1)^k U_k for the blocks U_k
+    that edges -x_k give, so one GEMM per position serves both levels and
+    position k steps up through (-1)^k q; negation is exact, so no block
+    changes a bit.
+
+    Raises ChainBudgetExceeded when the cost of the block exponential,
+    ((n+1)d)^3, or (2(n+1)d)^3 with q, exceeds chain_budget()
+    (SKMS_CHAIN_BUDGET, default 1e8); each exponential is priced alone,
+    whatever the number of tuples, and n = 0 without q is never refused.
     """
     stacks, one = _as_stacks(xs)
     mats = _eigen_insertions(spectrum, stacks, grading)
     y0, ys = mats[0], mats[1:].swapaxes(0, 1)
     n = ys.shape[1]
-    if n == 0:
+    if q is None and n == 0:
         heads = np.diagonal(y0, axis1=1, axis2=2)
-        vals = np.sum(heads * np.exp(-spectrum.evals), axis=1)
-    else:
+        return _values(np.sum(heads * np.exp(-spectrum.evals), axis=1), one, spectrum)
+    if q is None:
+        edges = [(0, 1, ys)]
         what = "chain with d=%d, n=%d" % (spectrum.dim, n)
-        chain = _heat_chain_blocks(spectrum, [(0, 1, ys)], what)[:, n]
-        vals = _contract(y0, chain)
-    return _values(vals, one, spectrum)
-
-
-def alternating_chain_integral(spectrum, xs, q, grading):
-    """Alternating sum of the chains with q inserted after each slot.
-
-    For one tuple xs = x_0, y_1, ..., y_m (m >= 0) returns the complex
-
-        sum_{k=0..m} (-1)^k int_{Delta_{m+1}} Tr(Gamma x_0 e^{-s_1 H} y_1 ...
-            y_k e^{..} q e^{..} y_{k+1} ... y_m e^{-(1-s_{m+1}) H}) d^{m+1} s
-
-    from block row 0 of one exponential of 2(m+1) blocks; for m + 1
-    (K, d, d) stacks, the (K,) array of these sums, tuple by tuple, from
-    one call of the block builder.  The blocks sit at positions 0..m on
-    two levels: level 0 before q, level 1 after it.  One run carries y_k
-    from position k-1 to k on both levels, and level edges step from
-    level 0 to level 1 through q at every position.  Every path from
-    block 0 to position m of level 1 takes exactly one q edge, so that
-    block is the whole sum, each term signed by the level-0 edges it took:
-    the derivative of the chain exponential in the direction of q (Van
-    Loan, IEEE TAC 23, 1978; Najfeld & Havel, Adv. Appl. Math. 16, 1995).
-    Level 0 is stored sign-twisted: it holds W_k = (-1)^k U_k, where U_k
-    is the block that edges -y_k would give, so both levels take +y_k, in
-    one GEMM per position, and position k steps up through (-1)^k q.
-    Negation is exact, so every block keeps its bits and its size, hence
-    the stopping term.  Each
-    exponential is priced at (2(m+1)d)^3 against chain_budget() as in
-    chain_integral.
-    """
-    stacks, one = _as_stacks(xs)
-    mats = _eigen_insertions(spectrum, stacks, grading)
-    y0, ys = mats[0], mats[1:].swapaxes(0, 1)
-    m = ys.shape[1]
-    qe = spectrum.to_eigenbasis(as_matrix(q))
-    signed = np.stack([qe, -qe], axis=-3)[..., np.arange(m + 1) % 2, :, :]
-    qs = np.broadcast_to(signed, y0.shape[:1] + signed.shape[-3:])
-    what = "alternating chain with d=%d, m=%d" % (spectrum.dim, m)
-    chain = _heat_chain_blocks(spectrum, [(0, 0, qs), (0, 1, ys)], what)[:, 2 * m + 1]
-    vals = _contract(y0, chain)
-    return _values(vals, one, spectrum)
+    else:
+        qe = spectrum.to_eigenbasis(as_matrix(q))
+        signed = np.stack([qe, -qe], axis=-3)[..., np.arange(n + 1) % 2, :, :]
+        qs = np.broadcast_to(signed, y0.shape[:1] + signed.shape[-3:])
+        # the q edges go before the run, so the column sums keep their order
+        edges = [(0, 0, qs), (0, 1, ys)]
+        what = "alternating chain with d=%d, m=%d" % (spectrum.dim, n)
+    chain = _heat_chain_blocks(spectrum, edges, what)[:, -1]
+    return _values(_contract(y0, chain), one, spectrum)
 
 
 def heat_chain_integrand(spectrum, xs, grading):

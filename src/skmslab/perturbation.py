@@ -15,7 +15,9 @@ finite-dimensional conjugation oracles
     gamma^r_i(1) = e^{-H_r} e^{H},       phi^r(x) = Tr(Gamma x e^{-H_r}) / Z,
 
 where Z is the unperturbed normalization.  The transgression cochain G^r
-certifies d tau^r / dr = -(B + b) G^r degree by degree.
+certifies d tau^r / dr = -(B + b) G^r degree by degree.  It is tau^r's
+cochain with Q inserted after each slot in turn (cochain._chain_cochain,
+whose one chain_integral call per degree takes q = Q).
 
 A PerturbedContext takes one coupling or a vector of K: the vector
 context stacks its per-coupling data on a leading (K,) axis, with one
@@ -32,15 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import (Cochain, _against_couplings, _chains_by_degree,
-                      _couplings, _over, _zero, boundary, tau_eval)
+from .cochain import (_chain_cochain, _chains_by_degree, _couplings, _over,
+                      boundary, tau_eval)
 from .dynamics import (SUPERCHARGE_TOL, GradedSystem, _draw_tuples,
-                       _super_gibbs, _superderivation_stack, heisenberg_flow,
-                       skms_eval, superderivation)
+                       _functional_residuals, _odd_selfadjoint, _super_gibbs,
+                       heisenberg_flow, skms_eval, superderivation)
 from .errors import ParityViolation, TruncationUnreachable
-from .graded import Parity, as_matrices, as_matrix, frobenius_norms, modulus
-from .kernels import (Spectrum, _heat_chain_blocks, alternating_chain_integral,
-                      chain_integral, gauss_legendre_01)
+from .graded import as_matrices, as_matrix, frobenius_norms, modulus
+# chain_integral is bound here too: perfbench traces perturbation.chain_integral
+from .kernels import (Spectrum, _heat_chain_blocks, chain_integral,  # noqa: F401
+                      gauss_legendre_01)
 from .report import DOCUMENTED, make_report
 
 SERIES_CAP = 40
@@ -50,15 +53,7 @@ class OddPerturbation:
     """Odd selfadjoint perturbation Q in the grading given, to SUPERCHARGE_TOL."""
 
     def __init__(self, q, grading):
-        m = as_matrix(q)
-        scale = max(1.0, np.linalg.norm(m))
-        if np.linalg.norm(m - m.conj().T) > SUPERCHARGE_TOL * scale:
-            raise ParityViolation("perturbation must be selfadjoint")
-        if np.linalg.norm(grading.conjugate(m) + m) > SUPERCHARGE_TOL * scale:
-            raise ParityViolation("perturbation must be odd")
-        m = (m + m.conj().T) / 2
-        m.setflags(write=False)
-        self.matrix = m
+        self.matrix = m = _odd_selfadjoint(as_matrix(q), grading, "perturbation")
         self.grading = grading
         self.norm = float(np.linalg.norm(m, 2))
 
@@ -114,8 +109,9 @@ class PerturbedContext:
         self.q_squared = q @ q
         self.a_r = rr * dq + rr ** 2 * self.q_squared
         scale = np.maximum(1.0, frobenius_norms(self.a_r))
-        herm = frobenius_norms(self.a_r - self.a_r.conj().swapaxes(-1, -2)) > 1e-12 * scale
-        even = frobenius_norms(system.grading.conjugate(self.a_r) - self.a_r) > 1e-12 * scale
+        tol = SUPERCHARGE_TOL * scale
+        herm = frobenius_norms(self.a_r - self.a_r.conj().swapaxes(-1, -2)) > tol
+        even = frobenius_norms(system.grading.conjugate(self.a_r) - self.a_r) > tol
         for bad, what in ((herm, "selfadjoint"), (even, "even")):
             if np.any(bad):
                 where = ""
@@ -325,71 +321,21 @@ def error_term(ctx, t):
 # perturbed chains, cocycle and transgression
 
 
-def F_r_eval(ctx, n, xs):
-    """F^r_n(x_0..x_n): ordered-simplex chain against e^{-sH_r}, over Z.
-
-    Realizes int_{Delta_n} phi^r(x_0 alpha^r_{is_1}(x_1) ... ) d^n s; no
-    parity constraints (unlike tau^r).
-    """
-    if len(xs) != n + 1:
-        raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    val = _over(chain_integral(ctx.spectrum, [as_matrix(x) for x in xs], ctx.grading),
-                ctx.witten_index)
-    return val if _couplings(ctx) else complex(val)
-
-
 def tau_r_eval(ctx, n, xs):
     """tau^r_n = F^r_n(x_0, delta_r(x_1), ..., delta_r(x_n)); see tau_eval."""
     return tau_eval(ctx, n, xs)
 
 
-def transgression_G(ctx, m, xs):
+def transgression_cochain(ctx):
     """G^r_m = sum_k (-1)^k F^r_{m+1}(x_0, d_r x_1, .., d_r x_k, Q, d_r x_{k+1}, ..).
 
-    Odd degrees only (even m returns 0); arguments must be even; scalar
-    slots i >= 1 return exactly 0 (delta_r kills them in every summand).
-    The m + 1 chains are not formed one by one: the alternating sum over
-    the position of Q is read off one (2(m+1)d)-square block exponential
-    (kernels.alternating_chain_integral on a stack of one), divided
-    by Z.  SKMS_CHAIN_BUDGET prices that exponential and
-    ChainBudgetExceeded names its size.  At odd m this is
-    transgression_cochain on one tuple.
+    F^r is the chain against e^{-sH_r} over Z.  An odd Cochain,
+    cochain._chain_cochain with q = Q: the m + 1 chains are read off one
+    (2(m+1)d)-square block exponential, priced against SKMS_CHAIN_BUDGET.
+    Arguments must be even; it is 0 at even degrees and at scalar slots
+    i >= 1, and on K couplings T tuples give (K, T) values.
     """
-    if len(xs) != m + 1:
-        raise ValueError("degree %d expects %d arguments" % (m, m + 1))
-    if m % 2 == 0:
-        return _zero(ctx)
-    return transgression_cochain(ctx)(m, xs)
-
-
-def _transgression_sum(ctx, stacks):
-    # G^r_m at odd m of the T tuples in the (T, d, d) stacks, whose slots
-    # i >= 1 are known not to be scalar, against every coupling: (T,) or
-    # (K, T) values from one call of the block builder
-    ctx, stacks, shape = _against_couplings(ctx, stacks)
-    derived = _superderivation_stack(ctx, np.array(stacks[1:], dtype=complex))
-    vals = alternating_chain_integral(ctx.spectrum, [stacks[0], *derived],
-                                      ctx.perturbation.matrix, ctx.grading)
-    return _over(vals, ctx.witten_index).reshape(shape)
-
-
-def transgression_cochain(ctx):
-    """G^r as an odd Cochain.
-
-    Its arguments must be even under ctx.grading.  Cochain.__call__ checks
-    that, and returns 0 at even degrees and at scalar slots, so the
-    evaluator is the bare alternating sum of a stack of tuples.  On a
-    context of K couplings, T tuples give (K, T) values.
-    """
-    def evaluator(n, stacks):
-        return _transgression_sum(ctx, stacks)
-    return Cochain(evaluator, Parity.ODD, name="G_r", grading=ctx.grading,
-                   couplings=_couplings(ctx))
-
-
-def boundary_of_transgression(ctx, n, xs):
-    """(B G^r + b G^r)_n at even degree n."""
-    return boundary(transgression_cochain(ctx))(n, xs)
+    return _chain_cochain(ctx, ctx.perturbation.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -491,47 +437,36 @@ def skms_check_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0,
     """Functional axioms for phi^r against (alpha^r, delta_r, H_r).
 
     All flows use the exact oracles so residuals reflect the algebra, not
-    series truncation.  Includes the error-term identity phi(z e(t)) = 0
-    and the exact vanishing of e(0).  The samples are drawn as one stack
-    and evaluated as stacks; e(t) is computed once per t.
+    series truncation.  dynamics._functional_residuals gives the axioms
+    shared with verify_skms_axioms; this check adds the KMS boundary
+    through gamma^r_i, the error-term identity phi(z e(t)) = 0 and the
+    exact vanishing of e(0).  The samples are drawn as one stack and
+    evaluated as stacks; e(t) is computed once per t.
     """
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x45)))
     x, y, w = _draw_tuples(sys, rng, samples, 3)
+    res = _functional_residuals(ctx, x, y, w, ts)
     gamma_i = gamma_cocycle_oracle(ctx, 1j)
-    phi_x = skms_eval(ctx, x)
-    herm = np.abs(skms_eval(ctx, x.conj().swapaxes(1, 2)) - np.conj(phi_x))
-    inv_g = modulus(skms_eval(ctx, sys.gamma(x)) - phi_x)
-    deriv = modulus(skms_eval(ctx, superderivation(ctx, x)))
-    dd = superderivation(ctx, superderivation(ctx, y))
-    comm = ctx.hamiltonian @ y - y @ ctx.hamiltonian
-    weak = modulus(skms_eval(ctx, x @ dd @ w) - skms_eval(ctx, x @ comm @ w))
-    inv_a, bound, err_t = [], [], []
+    bound, err_t = [], []
     for t in ts:
-        inv_a.append(modulus(skms_eval(ctx, heisenberg_flow(ctx, x, t)) - phi_x))
-        moved = heisenberg_flow(ctx, y, t + 1j)
-        lhs = skms_eval(sys, x @ moved @ gamma_i)
-        rhs = skms_eval(sys, heisenberg_flow(ctx, y, t)
-                        @ sys.gamma(x) @ gamma_i)
+        lhs = skms_eval(sys, x @ heisenberg_flow(ctx, y, t + 1j) @ gamma_i)
+        rhs = skms_eval(sys, heisenberg_flow(ctx, y, t) @ sys.gamma(x) @ gamma_i)
         bound.append(modulus(lhs - rhs))
         err_t.append(modulus(skms_eval(sys, w @ error_term(ctx, t))))
+    res["kms_boundary"] = (samples * len(ts), float(np.max(bound)))
+    res["error_term"] = (samples * len(ts), float(np.max(err_t)))
+    rows = [("hermiticity", "S0"), ("alpha_invariance", "S1"),
+            ("gamma_invariance", "S1"), ("kms_boundary", "Fxz"),
+            ("normalization", "phi-r1"), ("delta_invariance", "S4"),
+            ("weak_supersymmetry", "S5"), ("error_term", "lem2")]
+    reports = [make_report("skms_r." + name, anchor, *res[name], tol, seed=seed,
+                           model_digest=model_digest)
+               for name, anchor in rows]
     e0_norm = float(np.linalg.norm(error_term(ctx, 0.0), 2))
-    unit_res = abs(skms_eval(ctx, np.eye(ctx.dim)) - 1.0)
-    count = samples * len(ts)
-    rows = [
-        ("skms_r.hermiticity", "S0", samples, np.max(herm), tol),
-        ("skms_r.alpha_invariance", "S1", count, np.max(inv_a), tol),
-        ("skms_r.gamma_invariance", "S1", samples, np.max(inv_g), tol),
-        ("skms_r.kms_boundary", "Fxz", count, np.max(bound), tol),
-        ("skms_r.normalization", "phi-r1", 1, unit_res, tol),
-        ("skms_r.delta_invariance", "S4", samples, np.max(deriv), tol),
-        ("skms_r.weak_supersymmetry", "S5", samples, np.max(weak), tol),
-        ("skms_r.error_term", "lem2", count, np.max(err_t), tol),
-        ("skms_r.error_term_at_zero", "lem2", 1, e0_norm, 0.0),
-    ]
-    return [make_report(name, anchor, ns, float(res), tl, seed=seed,
-                        model_digest=model_digest)
-            for name, anchor, ns, res, tl in rows]
+    reports.append(make_report("skms_r.error_term_at_zero", "lem2", 1, e0_norm, 0.0,
+                               seed=seed, model_digest=model_digest))
+    return reports
 
 
 def f_identities_check(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest=""):
@@ -681,7 +616,7 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
     # r, then the ladder r + h and r - h for every h: one context
     ctx = PerturbedContext(system, perturbation,
                            [r] + [r + h for h in hs] + [r - h for h in hs])
-    exact = boundary_of_transgression(ctx.at(0), n, xs)
+    exact = boundary(transgression_cochain(ctx.at(0)))(n, xs)
     taus = tau_r_eval(ctx.at(slice(1, None)), n, xs).tolist()
     fds = [(up - dn) / (2.0 * h)
            for h, up, dn in zip(hs, taus[:len(hs)], taus[len(hs):])]
@@ -715,7 +650,7 @@ def endpoint_transgression_check(system, perturbation, n, xs, nodes=8, tol=1e-6,
     the nodes and tau at the ends are one builder call each."""
     rs, weights = gauss_legendre_01(nodes)
     ctx = PerturbedContext(system, perturbation, np.concatenate([rs, [0.0, 1.0]]))
-    values = boundary_of_transgression(ctx.at(slice(0, nodes)), n, xs)
+    values = boundary(transgression_cochain(ctx.at(slice(0, nodes))))(n, xs)
     bot, top = tau_r_eval(ctx.at([nodes, nodes + 1]), n, xs).tolist()
     residual = abs(top - bot + weights @ values)
     return [make_report("transgression.endpoint", "main", nodes, residual, tol,

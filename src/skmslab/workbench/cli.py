@@ -6,6 +6,7 @@ passed (evaluation-only commands count as passing).
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys as _sys
@@ -28,66 +29,68 @@ from .reports import emit_report
 from .suites import SUITES, SuiteConfig, parse_quadrature, run_suite
 
 
-def _quadrature(text):
-    # checked while the arguments are parsed, so a bad value is a usage error
+def _usage(parse):
+    # a type= function: parse(text) runs while the arguments are parsed,
+    # and its ValueError becomes a usage error with the same message
+    def checked(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return checked
+
+
+def _number(kind, text):
+    # kind(text), or ValueError "invalid <kind> value: <text>"
     try:
-        parse_quadrature(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        return kind(text)
+    except ValueError:
+        raise ValueError("invalid %s value: %r" % (kind.__name__, text)) from None
+
+
+@_usage
+def _quadrature(text):
+    parse_quadrature(text)
     return text
 
 
 def _int_in(what, low, high=None):
-    # an int in [low, high] (no upper end for None), checked while the
-    # arguments are parsed, so a bad value is a usage error
+    # an int in [low, high], with no upper end for None
+    @_usage
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        value = _number(int, text)
         if high is not None and not low <= value <= high:
-            raise argparse.ArgumentTypeError(
-                "%s must be in [%d, %d], got %d" % (what, low, high, value))
+            raise ValueError("%s must be in [%d, %d], got %d" % (what, low, high, value))
         if value < low:
-            raise argparse.ArgumentTypeError(
-                "%s must be at least %d, got %d" % (what, low, value))
+            raise ValueError("%s must be at least %d, got %d" % (what, low, value))
         return value
     return parse
 
 
+@_usage
 def _coupling(text):
-    # a finite float in [0, 1], checked while the arguments are parsed, so
-    # a bad value is a usage error
-    try:
-        r = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    # a finite float in [0, 1]
+    r = _number(float, text)
     if not 0.0 <= r <= 1.0:
-        raise argparse.ArgumentTypeError("r must be in [0, 1], got %r" % r)
+        raise ValueError("r must be in [0, 1], got %r" % r)
     return r
 
 
 def _scale(field, positive):
-    # a finite float, > 0 or >= 0 as a spec requires, checked while the
-    # arguments are parsed, so a bad value is a usage error
-    def parse(text):
-        try:
-            return check_scale(field, text, positive)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-    return parse
+    # a finite float, > 0 or >= 0 as a spec requires
+    return _usage(lambda text: check_scale(field, text, positive))
 
 
+@_usage
 def _steps(text):
-    # a comma list of positive finite floats, checked while the arguments
-    # are parsed, so a bad value is a usage error
+    # a comma list of positive finite floats
     try:
         hs = tuple(float(h) for h in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError("invalid step list: %r" % text)
+        raise ValueError("invalid step list: %r" % text) from None
     for h in hs:
         if not 0.0 < h < math.inf:
-            raise argparse.ArgumentTypeError("steps must be positive, got %r" % h)
+            raise ValueError("steps must be positive, got %r" % h)
     return hs
 
 
@@ -127,20 +130,38 @@ def _config(args):
     return SuiteConfig(**kwargs)
 
 
-def _load_spec(path):
-    # a spec file that cannot be read or is refused is a usage error, which
-    # main reports in one line rather than a traceback
+@contextlib.contextmanager
+def _spec_errors(what):
+    # a spec that cannot be read, is refused or cannot be built is a usage
+    # error, which main reports in one line, "<what>: <cause>", rather
+    # than a traceback
     try:
-        with open(path) as fh:
-            return ModelSpec.from_json(fh.read())
+        yield
     except (OSError, ValueError, TypeError) as exc:
-        raise argparse.ArgumentError(None, "cannot load model %s: %s" % (path, exc))
+        raise argparse.ArgumentError(None, "%s: %s" % (what, exc))
+
+
+def _load_model(path, seed=None):
+    # (spec, system, perturbation) from the spec file; with a seed, a spec
+    # without a perturbation gets the stand-in of build_perturbed_model
+    with _spec_errors("cannot load model %s" % path):
+        with open(path) as fh:
+            spec = ModelSpec.from_json(fh.read())
+        model = build_model(spec) if seed is None else build_perturbed_model(spec, seed)
+        return (spec,) + model
+
+
+def _write(text, path):
+    # text to the file at path, or to stdout without one
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        _sys.stdout.write(text)
 
 
 def _finish(reports, args):
-    text = emit_report(reports, format=args.format, path=args.out)
-    if args.out is None:
-        _sys.stdout.write(text)
+    _write(emit_report(reports, format=args.format), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -151,21 +172,16 @@ def _cmd_model_gen(args):
         pert = {"seed": args.perturb_seed or 0,
                 "scale": args.perturb_scale if args.perturb_scale is not None
                 else 0.3}
-    spec = ModelSpec(kind=args.kind, p=args.p, q=args.q, seed=args.seed,
-                     scale=args.scale, perturbation=pert)
-    build_model(spec)  # raises on invalid specs before anything is written
-    text = spec.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        _sys.stdout.write(text)
+    with _spec_errors("cannot build model"):
+        spec = ModelSpec(kind=args.kind, p=args.p, q=args.q, seed=args.seed,
+                         scale=args.scale, perturbation=pert)
+        build_model(spec)  # raises on invalid specs before anything is written
+    _write(spec.to_json(), args.out)
     return 0
 
 
 def _cmd_model_validate(args):
-    spec = _load_spec(args.model)
-    system, pert = build_model(spec)
+    spec, system, pert = _load_model(args.model)
     info = {
         "digest": model_digest(spec),
         "dim": system.dim,
@@ -177,7 +193,8 @@ def _cmd_model_validate(args):
 
 
 def _cmd_verify(args):
-    spec = _load_spec(args.model)
+    # built here as well, so a spec that cannot be built is a usage error
+    spec = _load_model(args.model, args.seed)[0]
     reports = run_suite(spec, args.suite, _config(args))
     return _finish(reports, args)
 
@@ -193,8 +210,7 @@ def _tau_by_quadrature(system, n, xs, kind, num, seed):
 
 
 def _cmd_tau_eval(args):
-    spec = _load_spec(args.model)
-    system, _ = build_model(spec)
+    spec, system, _ = _load_model(args.model)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x7E)))
     out = []
     for index in range(args.tuples):
@@ -213,19 +229,13 @@ def _cmd_tau_eval(args):
         except ChainBudgetExceeded as exc:
             entry["error"] = str(exc)
         out.append(entry)
-    text = json.dumps({"schema": "skms-tau/1", "model_digest": model_digest(spec),
-                       "evaluations": out}, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        _sys.stdout.write(text)
+    _write(json.dumps({"schema": "skms-tau/1", "model_digest": model_digest(spec),
+                       "evaluations": out}, indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_perturb_sweep(args):
-    spec = _load_spec(args.model)
-    system, pert = build_perturbed_model(spec, args.seed)
+    spec, system, pert = _load_model(args.model, args.seed)
     digest = model_digest(spec)
     tol = args.tol if args.tol is not None else 1e-10
     reports = list(witten_invariance_check(system, pert, grid=args.grid,
@@ -253,8 +263,7 @@ def _cmd_homotopy_check(args):
         homotopy_steps(args.r, args.steps)
     except ValueError as exc:
         raise argparse.ArgumentError(None, "argument --steps: %s" % exc)
-    spec = _load_spec(args.model)
-    system, pert = build_perturbed_model(spec, args.seed)
+    spec, system, pert = _load_model(args.model, args.seed)
     digest = model_digest(spec)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x48)))
     xs = [system.random_element(rng, parity="even")

@@ -20,12 +20,12 @@ from ..dynamics import (_draw_tuples, heisenberg_flow, skms_eval,
 from ..errors import ChainBudgetExceeded
 from ..graded import modulus
 from ..kernels import GAUSS_MIN_ORDER
-from ..perturbation import (PerturbedContext, boundary_of_transgression,
-                            dyson_alpha_info, dyson_gamma_one_info,
+from ..perturbation import (PerturbedContext, dyson_alpha_info,
+                            dyson_gamma_one_info,
                             endpoint_transgression_check, f_identities_check,
                             gamma_cocycle_oracle, homotopy_check,
                             lemma43_check, lemma44_check, lipschitz_check,
-                            skms_check_perturbed, transgression_G,
+                            skms_check_perturbed, transgression_cochain,
                             witten_invariance_check)
 from ..report import DOCUMENTED, make_report
 from .models import build_perturbed_model, model_digest
@@ -209,12 +209,10 @@ def _homotopy_checks(sys, pert, digest, config):
     ]
 
     def degeneracy():
-        ctx = PerturbedContext(sys, pert, 0.5)
-        args = list(xs)
-        args[1] = -1.5 * np.eye(sys.dim, dtype=complex)
-        res = abs(transgression_G(ctx, 1, args[:2]))
-        unit_res = abs(boundary_of_transgression(
-            ctx, 0, [np.eye(sys.dim, dtype=complex)]))
+        g = transgression_cochain(PerturbedContext(sys, pert, 0.5))
+        unit = np.eye(sys.dim, dtype=complex)
+        res = abs(g(1, [xs[0], -1.5 * unit]))
+        unit_res = abs(boundary(g)(0, [unit]))
         return [
             make_report("transgression.degeneracy", "main", 1, res, 0.0,
                         seed=config.seed, model_digest=digest),

@@ -41,7 +41,7 @@ from skmslab.perturbation import (
     lipschitz_check,
     skms_check_perturbed,
     tau_r_eval,
-    transgression_G,
+    transgression_cochain,
     witten_invariance_check,
 )
 from skmslab.report import DOCUMENTED
@@ -304,7 +304,7 @@ def test_criterion_13_scalar_slot_degeneracy():
         args[slot] = scalar * np.eye(5)
         vals.append(tau_eval(sys_, 2, args))
         vals.append(tau_r_eval(ctx, 2, args))
-    vals.append(transgression_G(ctx, 1, [xs[0], 4.0 * np.eye(5)]))
+    vals.append(transgression_cochain(ctx)(1, [xs[0], 4.0 * np.eye(5)]))
     exact = all(v == 0.0 for v in vals)
     report_line(13, "scalar_slot_degeneracy", exact,
                 "%d evaluations, all exactly 0" % len(vals))

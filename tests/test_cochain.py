@@ -380,7 +380,7 @@ def _entireness_with_slot_by_slot_draws(sys_, degrees, samples, seed):
                 sys_, sum(c * g for c, g in zip(coeffs, generators)))
             stacks = list(mats.reshape(-1, n + 1, sys_.dim, sys_.dim).swapaxes(0, 1))
             keep = ~cochain_module._scalar_slots(stacks[1:], samples).any(axis=0)
-            values = cochain_module._tau_chain(sys_, n, [s[keep] for s in stacks])
+            values = cochain_module._chain_values(sys_, n, [s[keep] for s in stacks])
             best = max([best] + [abs(v) for v in values.tolist()])
         out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples, seed=seed))
     return out

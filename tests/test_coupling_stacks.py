@@ -15,10 +15,11 @@ import skmslab.perturbation as perturbation_module
 from skmslab.dynamics import heisenberg_flow, skms_eval, superderivation
 from skmslab.errors import ParityViolation
 from skmslab.graded import as_matrix
-from skmslab.perturbation import (F_r_eval, OddPerturbation, PerturbedContext,
-                                  boundary_of_transgression,
+from skmslab.cochain import boundary, jlo_cochain, tau_eval
+from skmslab.kernels import chain_integral
+from skmslab.perturbation import (OddPerturbation, PerturbedContext,
                                   endpoint_transgression_check, homotopy_check,
-                                  tau_r_eval, transgression_G)
+                                  tau_r_eval, transgression_cochain)
 from skmslab.workbench import ModelSpec
 from skmslab.workbench.models import build_model, build_perturbed_model
 from skmslab.workbench.suites import SuiteConfig, _cocycle_checks
@@ -69,19 +70,21 @@ def test_vector_context_matches_one_context_per_coupling(spec):
         assert_slices_match(fn(ctx, x[0]), [fn(c, x[0]) for c in singles], name)
 
     # T = 4 tuples against every coupling: (K, T) values
-    for n, cochain in ((2, tau_r_eval), (1, transgression_G), (3, transgression_G),
-                       (2, boundary_of_transgression)):
+    for n, make in ((2, jlo_cochain), (1, transgression_cochain),
+                    (3, transgression_cochain),
+                    (2, lambda c: boundary(transgression_cochain(c)))):
         stacks = _tuples(sys, rng, 4, n + 1)
-        values = cochain(ctx, n, stacks)
+        values = make(ctx)(n, stacks)
         assert values.shape == (k, 4)
-        assert_slices_match(values, [cochain(c, n, stacks) for c in singles],
-                            cochain.__name__)
+        name = make(ctx).name
+        assert_slices_match(values, [make(c)(n, stacks) for c in singles], name)
         one = [s[0] for s in stacks]
-        assert_slices_match(cochain(ctx, n, one), [cochain(c, n, one) for c in singles],
-                            cochain.__name__)
+        assert_slices_match(make(ctx)(n, one), [make(c)(n, one) for c in singles], name)
+    # the plain chain against e^{-sH_r}, over Z, with no parity constraint
     one = [s[0] for s in _tuples(sys, rng, 1, 3)]
-    assert_slices_match(F_r_eval(ctx, 2, one), [F_r_eval(c, 2, one) for c in singles],
-                        "F_r_eval")
+    assert_slices_match(chain_integral(ctx.spectrum, one, ctx.grading) / sys.witten_index,
+                        [chain_integral(c.spectrum, one, c.grading) / sys.witten_index
+                         for c in singles], "chain over Z")
 
 
 def test_vector_context_zero_values_keep_the_coupling_axis():
@@ -94,7 +97,33 @@ def test_vector_context_zero_values_keep_the_coupling_axis():
     assert values.shape == (len(COUPLINGS), 3) and not values[:, 1].any()
     assert values[:, [0, 2]].all()
     assert tau_r_eval(ctx, 1, [s[0] for s in stacks[:2]]).shape == (len(COUPLINGS),)
-    assert transgression_G(ctx, 2, [s[0] for s in stacks]).shape == (len(COUPLINGS),)
+    g = transgression_cochain(ctx)
+    assert g(2, [s[0] for s in stacks]).shape == (len(COUPLINGS),)
+
+
+def test_the_other_parity_gives_one_zero_per_tuple_and_coupling():
+    # tau at odd degree and G at even degree read 0 without evaluation:
+    # T zeros for T stacked tuples, K x T on a K-coupling context.  tau_eval
+    # gave one scalar 0 for all T tuples, and checked no parity there
+    sys, pert = build_perturbed_model(REFERENCE_SPECS[0], 0)
+    ctx = PerturbedContext(sys, pert, COUPLINGS)
+    k = len(COUPLINGS)
+    rng = np.random.default_rng(10)
+    for make, on, n, shape in ((jlo_cochain, sys, 1, (4,)), (jlo_cochain, ctx, 3, (k, 4)),
+                               (transgression_cochain, ctx.at(2), 2, (4,)),
+                               (transgression_cochain, ctx, 0, (k, 4)),
+                               (transgression_cochain, ctx, 2, (k, 4))):
+        stacks = _tuples(sys, rng, 4, n + 1)
+        values = [make(on)(n, stacks)]
+        if make is jlo_cochain:
+            values.append(tau_eval(on, n, stacks))
+            if on is ctx:
+                values.append(tau_r_eval(on, n, stacks))
+        for got in values:
+            assert got.shape == shape and got.dtype == complex and not got.any()
+    odd = sys.random_elements(rng, 1, parity="odd")
+    with pytest.raises(ParityViolation, match="slot 1 is not even"):
+        tau_eval(sys, 1, [stacks[0][:1], odd])
 
 
 def test_scalar_coupling_keeps_matrix_attributes():
@@ -107,7 +136,7 @@ def test_scalar_coupling_keeps_matrix_attributes():
     assert all(isinstance(v, float) for v in (ctx.r, ctx.a_norm, ctx.witten_index_r))
     xs = list(sys.random_elements(np.random.default_rng(9), 3, parity="even"))
     assert isinstance(tau_r_eval(ctx, 2, xs), complex)
-    assert isinstance(transgression_G(ctx, 1, xs[:2]), complex)
+    assert isinstance(transgression_cochain(ctx)(1, xs[:2]), complex)
     with pytest.raises(ValueError, match="1-d sequence"):
         PerturbedContext(sys, pert, [[0.1, 0.2]])
 

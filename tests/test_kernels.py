@@ -24,7 +24,6 @@ from skmslab.graded import GradingOperator
 from skmslab.kernels import (
     SimplexQuadratureRule,
     Spectrum,
-    alternating_chain_integral,
     chain_integral,
     gauss_legendre_01,
     heat_chain_integrand,
@@ -321,7 +320,7 @@ def test_taylor_step_keeps_the_bits_of_the_reference_on_a_mixed_stack(
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_two_level_alternating_chain_keeps_the_bits_of_the_flat_runs(
         monkeypatch, d, m):
-    # the two-level chain of alternating_chain_integral, level 0 signed
+    # the two-level chain of chain_integral with q, level 0 signed
     # (-1)^k, against the one-level layout it replaced: 2(m+1) blocks in a
     # row, -y_k on block (k-1, k), +y_k on block (m+k, m+1+k) and q on
     # block (k, m+1+k), through the reference step; K = 3 tuples on one
@@ -343,7 +342,7 @@ def test_two_level_alternating_chain_keeps_the_bits_of_the_flat_runs(
         q = _random_stack(rng, (d, d)) / d
         with monkeypatch.context() as patched:
             patched.setattr(kernels, "_heat_chain_blocks", recorded)
-            value = alternating_chain_integral(spectrum, xs, q, None)
+            value = chain_integral(spectrum, xs, None, q=q)
         edges, got = built.pop()
         assert [(row, col) for row, col, _ in edges] == [(0, 0), (0, 1)]
         qs, ys = edges[0][2], edges[1][2]

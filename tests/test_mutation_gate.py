@@ -11,6 +11,9 @@ Red rows at the time the gate was written, RandomGraded / RectangularBlock:
 G negated 2 / 2, G x 1.5 2 / 2, Gamma dropped 10 / 11, insertion order
 reversed 13 / 13, last Hochschild sign flipped 5 / 5, B signs 5 / 5, Q in
 place of rQ 5 / 5, H in place of H_r 5 / 5.  The gate asserts at least one.
+The G defects wrap perturbation.transgression_cochain, which the
+transgression checks call; every chain, tau and G alike, goes through
+cochain.chain_integral, so the chain defects patch that one binding.
 """
 
 import numpy as np
@@ -35,9 +38,14 @@ REFERENCE_SPECS = (
 
 
 def _scaled_transgression(monkeypatch, factor):
-    g_sum = perturbation._transgression_sum
-    monkeypatch.setattr(perturbation, "_transgression_sum",
-                        lambda ctx, stacks: factor * g_sum(ctx, stacks))
+    # G^r times factor, wherever the transgression checks build it
+    make = perturbation.transgression_cochain
+
+    def scaled(ctx):
+        g = make(ctx)
+        return cochain.Cochain(lambda n, stacks: factor * g.evaluator(n, stacks),
+                               g.parity, grading=g.grading, couplings=g.couplings)
+    monkeypatch.setattr(perturbation, "transgression_cochain", scaled)
 
 
 def negate_g(monkeypatch, spec):
@@ -55,10 +63,9 @@ def drop_gamma(monkeypatch, spec):
 def reverse_insertions(monkeypatch, spec):
     chain = kernels.chain_integral
 
-    def reversed_chain(spectrum, xs, grading):
-        return chain(spectrum, [xs[0], *xs[:0:-1]], grading)
-    for module in (cochain, perturbation):
-        monkeypatch.setattr(module, "chain_integral", reversed_chain)
+    def reversed_chain(spectrum, xs, grading, q=None):
+        return chain(spectrum, [xs[0], *xs[:0:-1]], grading, q=q)
+    monkeypatch.setattr(cochain, "chain_integral", reversed_chain)
 
 
 def flip_last_b_sign(monkeypatch, spec):
@@ -102,11 +109,7 @@ def unperturbed_chain_spectrum(monkeypatch, spec):
         def with_h(spectrum, *args, **kwargs):
             return kernel(plain_like(spectrum), *args, **kwargs)
         return with_h
-    chain = wrap(kernels.chain_integral)
-    alternating = wrap(kernels.alternating_chain_integral)
-    for module in (cochain, perturbation):
-        monkeypatch.setattr(module, "chain_integral", chain)
-    monkeypatch.setattr(perturbation, "alternating_chain_integral", alternating)
+    monkeypatch.setattr(cochain, "chain_integral", wrap(kernels.chain_integral))
 
 
 DEFECTS = {defect.__name__: defect for defect in (
@@ -136,7 +139,7 @@ def test_wrong_delta_sign_is_refused(monkeypatch, spec):
     def plus_sign(sys, xs):
         g = sys.grading.matrix
         return sys.supercharge @ xs + (g @ xs @ g) @ sys.supercharge
-    for module in (dynamics, cochain, perturbation):
+    for module in (dynamics, cochain):
         monkeypatch.setattr(module, "_superderivation_stack", plus_sign)
     with pytest.raises(ParityViolation, match="a_r must be selfadjoint"):
         run_suite(spec, "All")

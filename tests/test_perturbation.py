@@ -11,12 +11,10 @@ from skmslab.errors import ChainBudgetExceeded, ParityViolation, TruncationUnrea
 from skmslab.graded import GradingOperator, as_matrix, graded_commutator
 import skmslab.kernels as kernels
 import skmslab.perturbation as perturbation_module
-from skmslab.kernels import (alternating_chain_integral, chain_integral,
-                             gauss_legendre_01)
+from skmslab.kernels import chain_integral, gauss_legendre_01
 from skmslab.perturbation import (
     OddPerturbation,
     PerturbedContext,
-    boundary_of_transgression,
     dyson_alpha,
     dyson_alpha_info,
     dyson_gamma_one,
@@ -24,7 +22,6 @@ from skmslab.perturbation import (
     endpoint_transgression_check,
     error_term,
     f_identities_check,
-    F_r_eval,
     gamma_cocycle_oracle,
     gamma_flow_oracle,
     homotopy_check,
@@ -33,7 +30,6 @@ from skmslab.perturbation import (
     lipschitz_check,
     skms_check_perturbed,
     tau_r_eval,
-    transgression_G,
     transgression_cochain,
     witten_invariance_check,
 )
@@ -41,8 +37,8 @@ from skmslab.report import DOCUMENTED
 from skmslab.workbench import ModelSpec, build_model
 from skmslab.workbench.models import build_perturbed_model
 from skmslab.workbench import ModelSpec, run_suite
-from skmslab.cochain import (boundary, connes_B, hochschild_b, is_scalar_slot,
-                             jlo_cochain, tau_eval)
+from skmslab.cochain import (Cochain, boundary, connes_B, hochschild_b,
+                             is_scalar_slot, jlo_cochain, tau_eval)
 
 
 def block_system(p, q, seed=0, scale=1.0):
@@ -384,15 +380,17 @@ def test_transgression_hand_expansion_degree_one():
         for m in (1, 3, 5):
             xs = even_tuple(ctx.system, rng, m + 1)
             derived = [as_matrix(superderivation(ctx, x)) for x in xs[1:]]
-            terms = [(-1) ** k * F_r_eval(ctx, m + 1,
-                                          [xs[0]] + derived[:k] + [q] + derived[k:])
+            terms = [(-1) ** k * chain_integral(
+                         ctx.spectrum, [xs[0]] + derived[:k] + [q] + derived[k:],
+                         ctx.grading) / ctx.witten_index
                      for k in range(m + 1)]
-            got = transgression_G(ctx, m, xs)
+            got = transgression_cochain(ctx)(m, xs)
             scale = max(abs(t) for t in terms)
             assert abs(got - sum(terms)) <= 1e-12 * scale, (r, m)
     # even degree returns 0; scalar slots collapse exactly
-    assert transgression_G(ctx, 2, xs[:3]) == 0.0
-    assert transgression_G(ctx, 1, [xs[0], -1.5 * np.eye(5)]) == 0.0
+    g = transgression_cochain(ctx)
+    assert g(2, xs[:3]) == 0.0
+    assert g(1, [xs[0], -1.5 * np.eye(5)]) == 0.0
 
 
 def test_block_exponentials_priced_at_their_size(monkeypatch):
@@ -403,10 +401,11 @@ def test_block_exponentials_priced_at_their_size(monkeypatch):
     budget = 30000.0
     assert 25.0 ** 3 < budget < 40.0 ** 3
     monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(budget))
-    with pytest.raises(ChainBudgetExceeded, match="d=5, m=3 needs a 40x40"):
-        transgression_G(ctx, 3, xs)
+    with pytest.raises(ChainBudgetExceeded,
+                       match="alternating chain with d=5, m=3 needs a 40x40"):
+        transgression_cochain(ctx)(3, xs)
     monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(40.0 ** 3))
-    assert transgression_G(ctx, 3, xs) != 0.0
+    assert transgression_cochain(ctx)(3, xs) != 0.0
     # a Dyson series of order 8, at real t or t = i, is one (8+1)d = 45
     # wide exponential
     x = as_matrix(ctx.system.random_element(np.random.default_rng(13)))
@@ -500,22 +499,11 @@ def test_chain_batches_equal_single_calls_bit_for_bit(p, q, r):
                        for _ in range(n + 1)] for _ in range(k)]
             stacks = [np.stack(slot) for slot in zip(*tuples)]
             chains = chain_integral(ctx.spectrum, stacks, ctx.grading)
-            alts = alternating_chain_integral(ctx.spectrum, stacks, qm, ctx.grading)
+            alts = chain_integral(ctx.spectrum, stacks, ctx.grading, q=qm)
             assert chains.shape == alts.shape == (k,)
             for xs, c, a in zip(tuples, chains, alts):
                 assert c == chain_integral(ctx.spectrum, xs, ctx.grading), (k, n)
-                assert a == alternating_chain_integral(ctx.spectrum, xs, qm,
-                                                       ctx.grading), (k, n)
-
-
-def test_F_r_matches_chain_integral():
-    ctx = make_ctx(r=0.4)
-    rng = np.random.default_rng(11)
-    xs = [as_matrix(ctx.system.random_element(rng)) for _ in range(3)]
-    want = chain_integral(ctx.spectrum, xs, ctx.system.grading) / ctx.system.witten_index
-    assert F_r_eval(ctx, 2, xs) == pytest.approx(want, abs=1e-14)
-    with pytest.raises(ValueError):
-        F_r_eval(ctx, 2, xs[:2])
+                assert a == chain_integral(ctx.spectrum, xs, ctx.grading, q=qm), (k, n)
 
 
 def test_perturbed_cocycle_identity():
@@ -643,9 +631,13 @@ def test_homotopy_sign_is_fixed(monkeypatch):
     assert by_name["transgression.derivative_order"].max_residual == 0.0
     assert all(r.passed for r in by_name.values())
 
-    g_sum = perturbation_module._transgression_sum
-    monkeypatch.setattr(perturbation_module, "_transgression_sum",
-                        lambda ctx, stacks: -g_sum(ctx, stacks))
+    make = perturbation_module.transgression_cochain
+
+    def negated(ctx):
+        g = make(ctx)
+        return Cochain(lambda n, stacks: -g.evaluator(n, stacks), g.parity,
+                       grading=g.grading, couplings=g.couplings)
+    monkeypatch.setattr(perturbation_module, "transgression_cochain", negated)
     by_name = rows()
     assert not by_name["transgression.derivative_order"].passed
     assert not by_name["transgression.endpoint"].passed
@@ -754,5 +746,5 @@ def test_boundary_of_transgression_matches_finite_difference():
     up = tau_r_eval(PerturbedContext(sys_, pert, r + h), 2, xs)
     dn = tau_r_eval(PerturbedContext(sys_, pert, r - h), 2, xs)
     fd = (up - dn) / (2 * h)
-    bg = boundary_of_transgression(PerturbedContext(sys_, pert, r), 2, xs)
+    bg = boundary(transgression_cochain(PerturbedContext(sys_, pert, r)))(2, xs)
     assert abs(fd + bg) < 1e-6 * max(1.0, abs(bg))

@@ -18,7 +18,7 @@ from skmslab.errors import ParityViolation
 from skmslab.graded import as_matrix
 from skmslab.kernels import (SimplexQuadratureRule, chain_integral,
                              heat_chain_integrand, simplex_quadrature)
-from skmslab.perturbation import (F_r_eval, PerturbedContext, error_term,
+from skmslab.perturbation import (PerturbedContext, error_term,
                                   f_identities_check, gamma_cocycle_oracle,
                                   gamma_flow_oracle, lemma43_check,
                                   lemma44_check, skms_check_perturbed)
@@ -216,39 +216,41 @@ def looped_f_identities(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest="")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x46)))
     rot, inner, last, unit_ins, cyc = [], [], [], [], []
     unit = np.eye(ctx.dim, dtype=complex)
+    # F^r is the chain against e^{-sH_r}, over the unperturbed Z
+    spec, g, z = ctx.spectrum, ctx.grading, ctx.witten_index
     for _ in range(samples):
         xs = [_draw(sys, rng) for _ in range(n + 1)]
         gxs = [as_matrix(sys.gamma(x)) for x in xs]
 
-        lhs = F_r_eval(ctx, n, xs)
-        rhs = F_r_eval(ctx, n, [gxs[n]] + xs[:n])
+        lhs = chain_integral(spec, xs, g) / z
+        rhs = chain_integral(spec, [gxs[n]] + xs[:n], g) / z
         rot.append(abs(lhs - rhs))
 
         for k in range(1, n):
             mod = list(xs)
             mod[k] = ctx.hamiltonian @ xs[k] - xs[k] @ ctx.hamiltonian
-            lhs2 = F_r_eval(ctx, n, mod)
-            rhs2 = (F_r_eval(ctx, n - 1, xs[:k - 1] + [xs[k - 1] @ xs[k]] + xs[k + 1:])
-                    - F_r_eval(ctx, n - 1, xs[:k] + [xs[k] @ xs[k + 1]] + xs[k + 2:]))
+            lhs2 = chain_integral(spec, mod, g) / z
+            rhs2 = (chain_integral(spec, xs[:k - 1] + [xs[k - 1] @ xs[k]] + xs[k + 1:], g) / z
+                    - chain_integral(spec, xs[:k] + [xs[k] @ xs[k + 1]] + xs[k + 2:], g) / z)
             inner.append(abs(lhs2 - rhs2))
 
         mod = list(xs)
         mod[n] = ctx.hamiltonian @ xs[n] - xs[n] @ ctx.hamiltonian
-        lhs3 = F_r_eval(ctx, n, mod)
-        rhs3 = (F_r_eval(ctx, n - 1, xs[:n - 1] + [xs[n - 1] @ xs[n]])
-                - F_r_eval(ctx, n - 1, [gxs[n] @ xs[0]] + xs[1:n]))
+        lhs3 = chain_integral(spec, mod, g) / z
+        rhs3 = (chain_integral(spec, xs[:n - 1] + [xs[n - 1] @ xs[n]], g) / z
+                - chain_integral(spec, [gxs[n] @ xs[0]] + xs[1:n], g) / z)
         last.append(abs(lhs3 - rhs3))
 
         total = 0.0 + 0.0j
         for j in range(n + 1):
             args = [unit] + xs[j:] + gxs[:j]
-            total += F_r_eval(ctx, n + 1, args)
-        unit_ins.append(abs(total - F_r_eval(ctx, n, xs)))
+            total += chain_integral(spec, args, g) / z
+        unit_ins.append(abs(total - chain_integral(spec, xs, g) / z))
 
         total2 = 0.0 + 0.0j
         for j in range(n + 1):
             args = gxs[:j] + [superderivation(ctx, xs[j])] + xs[j + 1:]
-            total2 += F_r_eval(ctx, n, args)
+            total2 += chain_integral(spec, args, g) / z
         cyc.append(abs(total2))
     return _rows([
         ("F.rotation", "F1", samples, max(rot), tol),

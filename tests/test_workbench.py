@@ -250,6 +250,81 @@ def test_parse_quadrature():
             parse_quadrature(bad)
 
 
+# the rows of run_suite(spec, "All") on both reference specs, in order:
+# (identity, anchor, samples, tolerance).  A refactor that drops, renames,
+# reorders or re-gates a row fails here; residual bits are not pinned,
+# since they depend on the BLAS build
+ALL_ROWS = (
+    ("skms.hermiticity", "S0", 50, 1e-10),
+    ("skms.alpha_invariance", "S1", 100, 1e-10),
+    ("skms.gamma_invariance", "S1", 50, 1e-10),
+    ("skms.kms_boundary", "S2", 100, 1e-10),
+    ("skms.normalization", "S3", 1, 1e-10),
+    ("skms.delta_invariance", "S4", 50, 1e-10),
+    ("skms.delta_squared_ad_h", "S5", 50, 1e-10),
+    ("skms.weak_supersymmetry", "S5", 50, 1e-10),
+    ("skms.functional_norm", "norm", 1, DOCUMENTED),
+    ("phi.normalization", "S3", 1, 1e-12),
+    ("tau.normalization", "main", 1, 1e-12),
+    ("tau.degeneracy", "main", 2, 0.0),
+    ("cocycle.boundary_n1", "boundary", 25, 1e-8),
+    ("cocycle.boundary_n3", "boundary", 25, 1e-8),
+    ("cocycle.boundary_n5", "boundary", 25, 1e-8),
+    ("chain.rotation", "rotation", 6, 1e-8),
+    ("chain.slot_derivative", "cocycle1+cocycle2", 12, 1e-8),
+    ("gamma_r.composition", "L43.1", 40, 1e-10),
+    ("gamma_r.adjoint_unitarity", "L43.2", 40, 1e-10),
+    ("alpha_r.conjugation", "L43.3", 40, 1e-10),
+    ("gamma_r.multiplicativity", "L43.4", 40, 1e-10),
+    ("flow.cyclic_conjugation", "analcont", 15, 1e-10),
+    ("flow.reflection", "analcont", 15, 1e-10),
+    ("skms_r.hermiticity", "S0", 15, 1e-10),
+    ("skms_r.alpha_invariance", "S1", 45, 1e-10),
+    ("skms_r.gamma_invariance", "S1", 15, 1e-10),
+    ("skms_r.kms_boundary", "Fxz", 45, 1e-10),
+    ("skms_r.normalization", "phi-r1", 1, 1e-10),
+    ("skms_r.delta_invariance", "S4", 15, 1e-10),
+    ("skms_r.weak_supersymmetry", "S5", 15, 1e-10),
+    ("skms_r.error_term", "lem2", 45, 1e-10),
+    ("skms_r.error_term_at_zero", "lem2", 1, 0.0),
+    ("F.rotation", "F1", 10, 1e-10),
+    ("F.heat_commutator_inner", "F2", 20, 1e-10),
+    ("F.heat_commutator_last", "F4", 10, 1e-10),
+    ("F.unit_insertion", "F5", 10, 1e-10),
+    ("F.derivation_cycle", "F6", 10, 1e-10),
+    ("dyson.alpha_fidelity", "dyson", 6, 0.0),
+    ("dyson.gamma_fidelity", "dyson", 3, 0.0),
+    ("witten.invariance", "phi-r1", 11, 1e-10),
+    ("phi_r.normalization", "phi-r1", 11, 1e-10),
+    ("alpha_r.lipschitz_in_r", "lipschitz", 50, 0.0),
+    ("transgression.derivative", "main", 3, DOCUMENTED),
+    ("transgression.derivative_order", "main", 3, 0.0),
+    ("transgression.endpoint", "main", 8, 1e-6),
+    ("transgression.degeneracy", "main", 1, 0.0),
+    ("transgression.unit_boundary", "phi-r1", 1, 0.0),
+    ("entireness.indicator_n2", "norm", 32, DOCUMENTED),
+    ("entireness.indicator_n4", "norm", 32, DOCUMENTED),
+    ("entireness.indicator_n6", "norm", 32, DOCUMENTED),
+    ("entireness.indicator_n8", "norm", 32, DOCUMENTED),
+    ("entireness.monotone", "norm", 128, 0.0),
+)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+              perturbation={"seed": 11, "scale": 0.3}),
+    ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0)],
+    ids=lambda s: s.kind)
+def test_all_suite_rows_are_pinned(spec):
+    rows = run_suite(spec, "All")
+    assert len(ALL_ROWS) == 52
+    assert [(r.identity_name, r.paper_anchor, r.samples, r.tolerance)
+            for r in rows] == list(ALL_ROWS)
+    digest = model_digest(spec)
+    assert all(r.passed and r.seed == 0 and r.model_digest == digest
+               and r.wall_ms == 0.0 for r in rows)
+
+
 def test_axioms_suite_passes():
     rows = run_suite(BLOCK_SPEC, "Axioms")
     assert all(r.passed for r in rows)
@@ -623,6 +698,44 @@ def test_cli_unloadable_spec_is_a_usage_error(tmp_path, capsys, argv, cause):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "cannot load model " + str(path) in err and "Traceback" not in err
+
+
+# a spec that loads but whose model cannot be built, by cause: its dict.
+# Each ended in a traceback from build_model (ZeroWittenIndex,
+# DimensionMismatch), outside the handler of the load errors
+UNBUILDABLE_SPECS = {
+    "p = q": dict(BLOCK_SPEC.to_dict(), p=2, q=2),
+    "block of the wrong shape": dict(BLOCK_SPEC.to_dict(), m=[[[1.0, 0.0]]]),
+    "perturbation of the wrong size": dict(
+        BLOCK_SPEC.to_dict(),
+        perturbation={"entries": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "validate"], ["verify", "All", "--model"], ["tau", "eval", "--model"],
+    ["perturb", "sweep", "--model"], ["homotopy", "check", "--model"]])
+@pytest.mark.parametrize("cause", sorted(UNBUILDABLE_SPECS))
+def test_cli_unbuildable_spec_is_a_usage_error(tmp_path, capsys, argv, cause):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(UNBUILDABLE_SPECS[cause]))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot load model " + str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p, q, cause", [("2", "2", "index zero"),
+                                         ("0", "2", "must be positive")])
+def test_cli_model_gen_unbuildable_spec_is_a_usage_error(tmp_path, capsys, p, q, cause):
+    out = tmp_path / "gen.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["model", "gen", "--p", p, "--q", q, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot build model: " in err and cause in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # every option that _add_common used to give all six subcommands, where
