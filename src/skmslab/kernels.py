@@ -33,8 +33,9 @@ An independent route cross-checks it (the tests hold a second one, the
 scalar divided-difference oracle for diagonal insertions).
 `heat_chain_integrand` with `simplex_quadrature` integrates the trace
 pointwise (tensor Gauss-Legendre through the ordered Duffy map, or seeded
-Monte Carlo) on cache-sized blocks of points: per block, one real GEMM for
-y_n D_n y_0, one complex GEMM per middle insertion, a diagonal-only trace.
+Monte Carlo) on cache-sized blocks of points, with the point index last
+and real arithmetic: per block, one GEMM for y_n D_n y_0, one per middle
+insertion, and one that forms only the diagonal the trace reads.
 A Gauss-Duffy rule depends on its order and degree alone: each is built
 once, memoized read-only, and shared by every quadrature of that shape.
 
@@ -62,9 +63,12 @@ from .errors import ChainBudgetExceeded, DimensionMismatch
 from .graded import GradingOperator, as_matrix
 
 DEFAULT_CHAIN_BUDGET = 1e8
-# bytes per (B, d, d) complex GEMM output of heat_chain_integrand: about
-# 5k points at d = 5, so a block's working set stays in a 2 MiB L2 cache
-_INTEGRAND_BLOCK_BYTES = 2 ** 21
+# bytes of the real (2d^2, B) state of heat_chain_integrand for a block of
+# B points: 1310 points at d = 5, so the state, the GEMM output it feeds
+# and the heat factors take about 1.3 MB of a 2 MiB L2 cache (2048 and
+# 5242 points measured slower at n = 3); OpenBLAS then runs each GEMM of
+# a d = 5 block on one thread
+_INTEGRAND_BLOCK_BYTES = 2 ** 19
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), Table 3.1
 # (m <= 30 from Higham, Functions of Matrices, SIAM 2008, Table A.3): the
 # largest 1-norm of A for which m Taylor terms of exp(A) keep the backward
@@ -410,11 +414,18 @@ def heat_chain_integrand(spectrum, xs, grading):
     (B,) complex values Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}).
     Used by the quadrature oracles that cross-check `chain_integral`.
 
-    Points are taken in blocks whose (B, d, d) complex accumulator fits
-    _INTEGRAND_BLOCK_BYTES.  With D_k = diag(e^{-gap_k lambda}) the trace
-    is rotated to Tr(Z D_0 y_1 ... y_{n-1} D_{n-1}), Z = y_n D_n y_0: Z is
-    one real GEMM with the float view of y_n[i, a] y_0[a, j], each middle
-    insertion one complex GEMM, and the trace reads a diagonal only.
+    Points are taken in blocks of B, the point index on the last axis,
+    whose real (2d^2, B) state fits _INTEGRAND_BLOCK_BYTES.  With D_k =
+    diag(e^{-gap_k lambda}), gaps and heat factors (n+1, B) and
+    (n+1, d, B), the trace is rotated to Tr(Z D_0 y_1 ... y_{n-1} D_{n-1}),
+    Z = y_n D_n y_0.  The state holds Re and Im of acc[i, j] on rows
+    (c, j, i), and starts as Z, one GEMM (2d^2, d)(d, B).  Each middle
+    insertion y_k scales the rows by D_{k-1} and is one GEMM
+    (2d, 2d)(2d, dB) with [[Re y_k^T, -Im y_k^T], [Im y_k^T, Re y_k^T]].
+    The last, y_{n-1}, forms only the diagonal of acc D_{n-2} y_{n-1}, by
+    one block-sparse (2d, 2d^2) GEMM; for n = 1 only the diagonal rows of
+    Z are formed, one GEMM (2d, d)(d, B).  The trace sums the diagonal
+    times D_{n-1} along the points.
     """
     if spectrum.evals.ndim != 1:
         raise DimensionMismatch("the pointwise integrand takes one spectrum, not a stack")
@@ -423,7 +434,21 @@ def heat_chain_integrand(spectrum, xs, grading):
     d = spectrum.dim
     lam = spectrum.evals
     block = max(1, _INTEGRAND_BLOCK_BYTES // (16 * d * d))
-    first = (ys[n].T[:, :, None] * ys[0][:, None, :]).reshape(d, -1).view(float)
+    # first[c, j, i, a]: Re, Im of y_n[i, a] y_0[a, j], so Z = first h_n
+    prod = ys[0].T[:, None, :] * ys[n]
+    first = np.stack([prod.real, prod.imag]).reshape(2, d, d, d)
+    # acc[i, :] y_k on the rows (c, j), the columns (i, b)
+    steps = [np.block([[y.T.real, -y.T.imag], [y.T.imag, y.T.real]]) for y in ys[1:n]]
+    diag = np.arange(d)
+    if n == 1:
+        first = first[:, diag, diag]
+    elif n > 1:
+        # rows (c', i) of the diagonal of acc y_{n-1}, from the rows (c, j, i)
+        close = np.zeros((2, d, 2, d, d))
+        close[:, diag, :, :, diag] = steps[-1].reshape(2, d, 2, d).transpose(1, 0, 2, 3)
+        steps[-1] = close.reshape(2 * d, -1)
+    first = first.reshape(-1, d)
+    neg = -lam[:, None]
 
     def integrand(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -431,18 +456,21 @@ def heat_chain_integrand(spectrum, xs, grading):
             raise ValueError("expected points of dimension %d" % n)
         if n == 0:
             return np.full(len(pts), np.sum(np.diag(ys[0]) * np.exp(-lam)))
-        out = np.empty(pts.shape[0], dtype=complex)
+        out = np.empty((2, pts.shape[0]))
         for lo in range(0, pts.shape[0], block):
             chunk = pts[lo:lo + block]
             b = chunk.shape[0]
-            gaps = np.diff(chunk, axis=1, prepend=0.0, append=1.0)
-            heat = np.exp(-gaps[:, :, None] * lam)
-            acc = (heat[:, n] @ first).view(complex).reshape(b, d, d)
-            for k in range(1, n):
-                acc *= heat[:, k - 1, None, :]
-                acc = (acc.reshape(b * d, d) @ ys[k]).reshape(b, d, d)
-            out[lo:lo + b] = np.einsum("bii,bi->b", acc, heat[:, n - 1])
-        return out
+            # 0, s_1, .., s_n, 1 on rows: the gaps are the row differences
+            ends = np.empty((n + 2, b))
+            ends[0], ends[1:-1], ends[-1] = 0.0, chunk.T, 1.0
+            heat = np.exp((ends[1:] - ends[:-1])[:, None, :] * neg)
+            acc = first @ heat[n]
+            for k, step in enumerate(steps, 1):
+                rows = acc.reshape(2, d, -1, b)
+                rows *= heat[k - 1][:, None, :]
+                acc = step @ acc.reshape(step.shape[1], -1)
+            np.sum(acc.reshape(2, d, b) * heat[n - 1], axis=1, out=out[:, lo:lo + b])
+        return out[0] + 1j * out[1]
 
     return integrand
 

@@ -40,15 +40,10 @@ def to_csv_text(reports):
     return buf.getvalue()
 
 
-def emit_report(reports, format="json", path=None):
-    """Render reports (and optionally write them); returns the text."""
+def emit_report(reports, format="json"):
+    """Render reports as JSON or CSV text."""
     if format == "json":
-        text = to_json_text(reports)
-    elif format == "csv":
-        text = to_csv_text(reports)
-    else:
-        raise ValueError("format must be 'json' or 'csv'")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        return to_json_text(reports)
+    if format == "csv":
+        return to_csv_text(reports)
+    raise ValueError("format must be 'json' or 'csv'")

@@ -489,10 +489,11 @@ def dense_chain_trace(spec, xs, g, points):
     return np.trace(prod, axis1=1, axis2=2)
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(8))
 def test_heat_chain_integrand_matches_dense_pointwise(n):
     # three sizes, with and without Gamma, so that a transposed index in
-    # the integrand's rotated layout cannot hide behind one shape
+    # the integrand's rotated layout cannot hide behind one shape; n >= 3
+    # runs middle insertions before the closing one
     for d, graded in itertools.product((3, 5, 8), (True, False)):
         rng = np.random.default_rng(np.random.SeedSequence((n, d, 0x1E)))
         basis, _ = np.linalg.qr(rng.standard_normal((d, d))
@@ -511,6 +512,11 @@ def test_heat_chain_integrand_matches_dense_pointwise(n):
         assert got.shape == (points.shape[0],)
         want = dense_chain_trace(spec, xs, g, points)
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, (d, graded)
+        # each chunk is transposed, so the memory layout must not matter
+        wide = np.zeros((2 * len(points), n + 1))
+        wide[::2, 1:] = points
+        for same in (np.asfortranarray(points), wide[::2, 1:]):
+            assert np.array_equal(integrand(same), got), (d, graded)
         single = integrand(points[-1])
         assert single.shape == (1,)
         assert abs(single[0] - want[-1]) <= 1e-12 * scale, (d, graded)

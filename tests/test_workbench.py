@@ -218,10 +218,9 @@ def test_csv_text_layout():
     assert first[3] == repr(1e-12)
 
 
-def test_emit_report_writes_and_validates(tmp_path):
-    path = tmp_path / "out.csv"
-    text = emit_report(sample_reports(), format="csv", path=str(path))
-    assert path.read_text() == text
+def test_emit_report_writes_and_validates():
+    text = emit_report(sample_reports(), format="csv")
+    assert text == to_csv_text(sample_reports())
     with pytest.raises(ValueError):
         emit_report(sample_reports(), format="xml")
 
