@@ -349,7 +349,6 @@ class NormEstimate:
     degree: int
     sampled_norm: float
     samples: int
-    seed: int
 
     @property
     def growth_indicator(self):
@@ -409,7 +408,7 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
             if keep.any():
                 values = _chain_values(sys, n, [s[keep] for s in stacks])
                 best = max([best] + [abs(v) for v in values.tolist()])
-        out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples, seed=seed))
+        out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples))
     return out
 
 
@@ -440,7 +439,7 @@ def _chains_by_degree(sys, tuples):
     return out
 
 
-def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest=""):
+def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0):
     """Rotation and slot-derivative identities of the chain functional.
 
     Rotation: the Delta_n integral of phi(x_0 a_{is_1}(x_1) .. a_{is_n}(x_n))
@@ -451,7 +450,7 @@ def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest="
     side is evaluated by Gauss quadrature, the right by the block-exponential
     chain kernel, so this doubles as a cross-oracle test.  The samples are
     drawn as one stack, and every chain, all of degree n, goes to one
-    call of the block builder.
+    call of the block builder.  The rows are unstamped, as every check's.
     """
     from .kernels import SimplexQuadratureRule, heat_chain_integrand, simplex_quadrature
 
@@ -475,9 +474,6 @@ def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest="
             val, _ = simplex_quadrature(f, n + 1, rule)
             rhs = (complex(chains[2 + j][k]) - complex(chains[1 + j][k])) / z
             slot.append(abs(val / z - rhs))
-    return [
-        make_report("chain.rotation", "rotation", samples, float(np.max(rot)), tol,
-                    seed=seed, model_digest=model_digest),
-        make_report("chain.slot_derivative", "cocycle1+cocycle2",
-                    samples * n, max(slot), tol, seed=seed, model_digest=model_digest),
-    ]
+    return [make_report("chain.rotation", "rotation", samples, float(np.max(rot)), tol),
+            make_report("chain.slot_derivative", "cocycle1+cocycle2", samples * n,
+                        max(slot), tol)]

@@ -252,9 +252,8 @@ def _functional_residuals(sys, x, y, w, ts):
     return out
 
 
-def verify_skms_axioms(sys, samples=50, tol=1e-10, seed=0, ts=(0.0, 0.7),
-                       model_digest=""):
-    """Check the functional axioms on seeded random elements.
+def verify_skms_axioms(sys, samples=50, tol=1e-10, seed=0):
+    """Check the functional axioms on seeded random elements, at t = 0 and 0.7.
 
     The samples are drawn as one stack and every identity is evaluated on
     the whole stack by stacked matmuls and traces.
@@ -265,7 +264,9 @@ def verify_skms_axioms(sys, samples=50, tol=1e-10, seed=0, ts=(0.0, 0.7),
     (_functional_residuals gives all but the KMS boundary).  A final
     row documents the finite functional norm Tr(e^{-H})/|Z| (a bound that
     has no finite-dimensional obstruction, recorded rather than tested).
+    The rows are unstamped: the workbench sets seed and model_digest.
     """
+    ts = (0.0, 0.7)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51)))
     x, y, w = _draw_tuples(sys, rng, samples, 3)
     res = _functional_residuals(sys, x, y, w, ts)
@@ -278,11 +279,9 @@ def verify_skms_axioms(sys, samples=50, tol=1e-10, seed=0, ts=(0.0, 0.7),
             ("gamma_invariance", "S1"), ("kms_boundary", "S2"),
             ("normalization", "S3"), ("delta_invariance", "S4"),
             ("delta_squared_ad_h", "S5"), ("weak_supersymmetry", "S5")]
-    reports = [make_report("skms." + name, anchor, *res[name], tol, seed=seed,
-                           model_digest=model_digest)
+    reports = [make_report("skms." + name, anchor, *res[name], tol)
                for name, anchor in rows]
     # finite, at most d / WITTEN_FLOOR, so the row always passes
     norm_phi = float(np.sum(np.exp(-sys.spectrum.evals)) / abs(sys.witten_index))
-    reports.append(make_report("skms.functional_norm", "norm", 1, norm_phi, DOCUMENTED,
-                               seed=seed, model_digest=model_digest))
+    reports.append(make_report("skms.functional_norm", "norm", 1, norm_phi, DOCUMENTED))
     return reports

@@ -339,17 +339,18 @@ def transgression_cochain(ctx):
 
 
 # ---------------------------------------------------------------------------
-# checkers
+# checkers: unstamped rows, to which the workbench adds seed and model_digest
 
 
-def lemma43_check(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0, model_digest=""):
-    """Cocycle algebra of gamma^r_t(1): all four exact-oracle equalities.
+def lemma43_check(ctx, samples=50, tol=1e-11, seed=0):
+    """Cocycle algebra of gamma^r_t(1), t = 0.3 and 1: four exact-oracle equalities.
 
     The samples are drawn as one stack and evaluated as stacks; gamma^r at
     t, t/2 and -t is computed once per t.  The adjoint and unitarity row
     depends on t alone, so its value at t stands for every sample.
     """
     sys = ctx.system
+    ts = (0.3, 1.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x43)))
     x, y = _draw_tuples(sys, rng, samples, 2)
     unit = np.eye(ctx.dim)
@@ -383,12 +384,11 @@ def lemma43_check(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0, model_diges
         ("alpha_r.conjugation", "L43.3", np.max(acomp)),
         ("gamma_r.multiplicativity", "L43.4", np.max(gprod)),
     ]
-    return [make_report(name, anchor, count, float(res), tol, seed=seed,
-                        model_digest=model_digest)
+    return [make_report(name, anchor, count, float(res), tol)
             for name, anchor, res in rows]
 
 
-def lemma44_check(sys, n=2, samples=20, tol=1e-10, seed=0, model_digest=""):
+def lemma44_check(sys, n=2, samples=20, tol=1e-10, seed=0):
     """Complex-time conjugation and reflection identities for phi.
 
     Each sample draws its n + 1 elements and then its n times, so the
@@ -424,17 +424,14 @@ def lemma44_check(sys, n=2, samples=20, tol=1e-10, seed=0, model_digest=""):
     for z, x in zip(zs, xs[1:]):
         fwd = fwd @ heisenberg_flow(sys, x.conj().swapaxes(1, 2), z)
     refl_res = np.abs(lhs2 - skms_eval(sys, fwd))
-    return [
-        make_report("flow.cyclic_conjugation", "analcont", samples,
-                    float(np.max(conj_res)), tol, seed=seed, model_digest=model_digest),
-        make_report("flow.reflection", "analcont", samples,
-                    float(np.max(refl_res)), tol, seed=seed, model_digest=model_digest),
-    ]
+    return [make_report("flow.cyclic_conjugation", "analcont", samples,
+                        float(np.max(conj_res)), tol),
+            make_report("flow.reflection", "analcont", samples,
+                        float(np.max(refl_res)), tol)]
 
 
-def skms_check_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0,
-                         model_digest=""):
-    """Functional axioms for phi^r against (alpha^r, delta_r, H_r).
+def skms_check_perturbed(ctx, samples=25, tol=1e-9, seed=0):
+    """Functional axioms for phi^r against (alpha^r, delta_r, H_r), t = 0, 0.3, 1.
 
     All flows use the exact oracles so residuals reflect the algebra, not
     series truncation.  dynamics._functional_residuals gives the axioms
@@ -444,6 +441,7 @@ def skms_check_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0,
     evaluated as stacks; e(t) is computed once per t.
     """
     sys = ctx.system
+    ts = (0.0, 0.3, 1.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x45)))
     x, y, w = _draw_tuples(sys, rng, samples, 3)
     res = _functional_residuals(ctx, x, y, w, ts)
@@ -460,16 +458,14 @@ def skms_check_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0,
             ("gamma_invariance", "S1"), ("kms_boundary", "Fxz"),
             ("normalization", "phi-r1"), ("delta_invariance", "S4"),
             ("weak_supersymmetry", "S5"), ("error_term", "lem2")]
-    reports = [make_report("skms_r." + name, anchor, *res[name], tol, seed=seed,
-                           model_digest=model_digest)
+    reports = [make_report("skms_r." + name, anchor, *res[name], tol)
                for name, anchor in rows]
     e0_norm = float(np.linalg.norm(error_term(ctx, 0.0), 2))
-    reports.append(make_report("skms_r.error_term_at_zero", "lem2", 1, e0_norm, 0.0,
-                               seed=seed, model_digest=model_digest))
+    reports.append(make_report("skms_r.error_term_at_zero", "lem2", 1, e0_norm, 0.0))
     return reports
 
 
-def f_identities_check(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest=""):
+def f_identities_check(ctx, n=3, samples=10, tol=1e-9, seed=0):
     """The five chain identities behind the perturbed cocycle.
 
     Rotation, the two heat-commutator contractions (inner slot and last
@@ -520,13 +516,11 @@ def f_identities_check(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest=""):
         ("F.unit_insertion", "F5", samples, np.max(unit_ins)),
         ("F.derivation_cycle", "F6", samples, np.max(cyc)),
     ]
-    return [make_report(name, anchor, ns, float(res), tol, seed=seed,
-                        model_digest=model_digest)
+    return [make_report(name, anchor, ns, float(res), tol)
             for name, anchor, ns, res in rows]
 
 
-def witten_invariance_check(system, perturbation, grid=11, tol=1e-10, seed=0,
-                            model_digest=""):
+def witten_invariance_check(system, perturbation, grid=11, tol=1e-10):
     """Tr(Gamma e^{-H_r}) and phi^r(1) are r-independent (McKean-Singer).
 
     The grid has both ends r = 0 and r = 1, so it needs grid >= 2;
@@ -537,15 +531,11 @@ def witten_invariance_check(system, perturbation, grid=11, tol=1e-10, seed=0,
     ctx = PerturbedContext(system, perturbation, np.linspace(0.0, 1.0, grid))
     worst_z = float(np.max(np.abs(ctx.witten_index_r - system.witten_index)))
     worst_unit = float(np.max(modulus(skms_eval(ctx, np.eye(system.dim)) - 1.0)))
-    return [
-        make_report("witten.invariance", "phi-r1", grid, worst_z, tol,
-                    seed=seed, model_digest=model_digest),
-        make_report("phi_r.normalization", "phi-r1", grid, worst_unit, tol,
-                    seed=seed, model_digest=model_digest),
-    ]
+    return [make_report("witten.invariance", "phi-r1", grid, worst_z, tol),
+            make_report("phi_r.normalization", "phi-r1", grid, worst_unit, tol)]
 
 
-def lipschitz_check(system, perturbation, samples=100, seed=0, model_digest=""):
+def lipschitz_check(system, perturbation, samples=100, seed=0):
     """Exact-oracle flows never exceed the coupling Lipschitz bound.
 
     Bound: ||alpha^r_t(x) - alpha^q_t(x)|| <=
@@ -571,8 +561,7 @@ def lipschitz_check(system, perturbation, samples=100, seed=0, model_digest=""):
     diff = np.linalg.norm(flows[0] - flows[1], 2, axis=(1, 2))
     bound = 2.0 * np.abs(r1 - r2) * c * np.abs(ts) * math.exp(2.0 * c)
     worst = max(0.0, float(np.max(diff - bound)))
-    return [make_report("alpha_r.lipschitz_in_r", "lipschitz", samples,
-                        max(worst, 0.0), 0.0, seed=seed, model_digest=model_digest)]
+    return [make_report("alpha_r.lipschitz_in_r", "lipschitz", samples, worst, 0.0)]
 
 
 def homotopy_steps(r, hs):
@@ -596,7 +585,7 @@ def homotopy_steps(r, hs):
 
 
 def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
-                   order_floor=1.9, seed=0, model_digest=""):
+                   order_floor=1.9):
     """Central differences of tau^r against the transgression boundary.
 
     Compares (tau^{r+h}_n - tau^{r-h}_n)/(2h) with -(B G^r + b G^r)_n for
@@ -630,16 +619,12 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
                   for i in range(len(hs) - 1)
                   if resids[i + 1] > 0.0]
         deficit = max(0.0, order_floor - min(orders)) if orders else order_floor
-    return [
-        make_report("transgression.derivative", "main", len(hs), resids[-1],
-                    DOCUMENTED, seed=seed, model_digest=model_digest),
-        make_report("transgression.derivative_order", "main", len(hs),
-                    deficit, 0.0, seed=seed, model_digest=model_digest),
-    ]
+    return [make_report("transgression.derivative", "main", len(hs), resids[-1],
+                        DOCUMENTED),
+            make_report("transgression.derivative_order", "main", len(hs), deficit, 0.0)]
 
 
-def endpoint_transgression_check(system, perturbation, n, xs, nodes=8, tol=1e-6,
-                                 seed=0, model_digest=""):
+def endpoint_transgression_check(system, perturbation, n, xs, nodes=8, tol=1e-6):
     """tau^1_n - tau^0_n equals -int_0^1 (B + b) G^r_n dr.
 
     The sign is the one of homotopy_check.  tau^r is analytic in r, so the
@@ -653,5 +638,4 @@ def endpoint_transgression_check(system, perturbation, n, xs, nodes=8, tol=1e-6,
     values = boundary(transgression_cochain(ctx.at(slice(0, nodes))))(n, xs)
     bot, top = tau_r_eval(ctx.at([nodes, nodes + 1]), n, xs).tolist()
     residual = abs(top - bot + weights @ values)
-    return [make_report("transgression.endpoint", "main", nodes, residual, tol,
-                        seed=seed, model_digest=model_digest)]
+    return [make_report("transgression.endpoint", "main", nodes, residual, tol)]

@@ -13,9 +13,10 @@ class VerificationReport:
 
     max_residual is the largest absolute deviation observed across all
     sampled instances of the identity; passed is max_residual <= tolerance.
-    model_digest ties the row to the generating ModelSpec, seed to the
-    sampling stream.  wall_ms defaults to 0 so that emitted reports are
-    reproducible byte for byte; timing is opt-in.
+    A check returns its rows unstamped; the workbench sets seed (the
+    sampling stream) and model_digest (the generating ModelSpec), and
+    wall_ms only on request, so emitted reports are reproducible byte for
+    byte.
     """
 
     identity_name: str
@@ -24,24 +25,13 @@ class VerificationReport:
     max_residual: float
     tolerance: float
     passed: bool
-    seed: int
-    model_digest: str
+    seed: int = 0
+    model_digest: str = ""
     wall_ms: float = 0.0
 
 
-def make_report(identity_name, paper_anchor, samples, max_residual, tolerance,
-                seed=0, model_digest="", wall_ms=0.0):
-    """Build a report row, deriving passed from residual vs tolerance."""
-    residual = float(max_residual)
-    tol = float(tolerance)
-    return VerificationReport(
-        identity_name=identity_name,
-        paper_anchor=paper_anchor,
-        samples=int(samples),
-        max_residual=residual,
-        tolerance=tol,
-        passed=bool(residual <= tol),
-        seed=int(seed),
-        model_digest=model_digest,
-        wall_ms=float(wall_ms),
-    )
+def make_report(identity_name, paper_anchor, samples, max_residual, tolerance):
+    """Build an unstamped report row, deriving passed from residual vs tolerance."""
+    residual, tol = float(max_residual), float(tolerance)
+    return VerificationReport(identity_name, paper_anchor, int(samples), residual,
+                              tol, residual <= tol)

@@ -7,6 +7,7 @@ passed (evaluation-only commands count as passing).
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import sys as _sys
@@ -22,11 +23,11 @@ from ..perturbation import (SERIES_CAP, PerturbedContext,
                             endpoint_transgression_check,
                             homotopy_check, homotopy_steps, lipschitz_check,
                             skms_check_perturbed, witten_invariance_check)
-from ..report import make_report
 from .models import (ModelSpec, build_model, build_perturbed_model, check_scale,
                      model_digest)
 from .reports import emit_report
-from .suites import SUITES, SuiteConfig, parse_quadrature, run_suite
+from .suites import (SUITES, SuiteConfig, gauss_order, parse_quadrature,
+                     run_suite)
 
 
 def _usage(parse):
@@ -48,10 +49,13 @@ def _number(kind, text):
         raise ValueError("invalid %s value: %r" % (kind.__name__, text)) from None
 
 
-@_usage
-def _quadrature(text):
-    parse_quadrature(text)
-    return text
+def _rule(parse):
+    # a quadrature text that parse accepts, kept as text
+    @_usage
+    def checked(text):
+        parse(text)
+        return text
+    return checked
 
 
 def _int_in(what, low, high=None):
@@ -102,9 +106,6 @@ _OPTIONS = {
     "--series-order": dict(type=_int_in("series order", 0, SERIES_CAP),
                            default=None,
                            help="Dyson series order, 0 to %d" % SERIES_CAP),
-    "--quadrature": dict(type=_quadrature, default=None,
-                         help="gauss:<order> (order >= %d) or mc:<samples>"
-                         % GAUSS_MIN_ORDER),
     "--seed": dict(type=int, default=0),
     "--out": dict(default=None, help="write report/output here"),
     "--format": dict(choices=("json", "csv"), default="json"),
@@ -160,7 +161,12 @@ def _write(text, path):
         _sys.stdout.write(text)
 
 
-def _finish(reports, args):
+def _finish(spec, reports, args):
+    # the checks' rows are unstamped: each gets args.seed and the spec's
+    # digest, the stamp that run_suite already gave the rows of verify
+    digest = model_digest(spec)
+    reports = [dataclasses.replace(r, seed=args.seed, model_digest=digest)
+               for r in reports]
     _write(emit_report(reports, format=args.format), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -195,8 +201,7 @@ def _cmd_model_validate(args):
 def _cmd_verify(args):
     # built here as well, so a spec that cannot be built is a usage error
     spec = _load_model(args.model, args.seed)[0]
-    reports = run_suite(spec, args.suite, _config(args))
-    return _finish(reports, args)
+    return _finish(spec, run_suite(spec, args.suite, _config(args)), args)
 
 
 def _tau_by_quadrature(system, n, xs, kind, num, seed):
@@ -236,24 +241,17 @@ def _cmd_tau_eval(args):
 
 def _cmd_perturb_sweep(args):
     spec, system, pert = _load_model(args.model, args.seed)
-    digest = model_digest(spec)
     tol = args.tol if args.tol is not None else 1e-10
-    reports = list(witten_invariance_check(system, pert, grid=args.grid,
-                                           tol=tol, seed=args.seed,
-                                           model_digest=digest))
-    reports += lipschitz_check(system, pert, samples=50, seed=args.seed,
-                               model_digest=digest)
+    reports = witten_invariance_check(system, pert, grid=args.grid, tol=tol)
+    reports += lipschitz_check(system, pert, samples=50, seed=args.seed)
     couplings = (0.0, 0.5, 1.0)
     contexts = PerturbedContext(system, pert, couplings)
     for k, r_value in enumerate(couplings):
         for row in skms_check_perturbed(contexts.at(k), samples=10,
-                                        tol=max(tol, 1e-9),
-                                        seed=args.seed, model_digest=digest):
-            reports.append(make_report(
-                "%s@r=%s" % (row.identity_name, r_value), row.paper_anchor,
-                row.samples, row.max_residual, row.tolerance, seed=row.seed,
-                model_digest=row.model_digest))
-    return _finish(reports, args)
+                                        tol=max(tol, 1e-9), seed=args.seed):
+            reports.append(dataclasses.replace(
+                row, identity_name="%s@r=%s" % (row.identity_name, r_value)))
+    return _finish(spec, reports, args)
 
 
 def _cmd_homotopy_check(args):
@@ -264,17 +262,15 @@ def _cmd_homotopy_check(args):
     except ValueError as exc:
         raise argparse.ArgumentError(None, "argument --steps: %s" % exc)
     spec, system, pert = _load_model(args.model, args.seed)
-    digest = model_digest(spec)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x48)))
     xs = [system.random_element(rng, parity="even")
           for _ in range(args.degree + 1)]
     reports = homotopy_check(system, pert, args.degree, xs, r=args.r,
-                             hs=args.steps, seed=args.seed, model_digest=digest)
+                             hs=args.steps)
     reports += endpoint_transgression_check(
         system, pert, args.degree, xs,
-        tol=args.tol if args.tol is not None else 1e-6,
-        seed=args.seed, model_digest=digest)
-    return _finish(reports, args)
+        tol=args.tol if args.tol is not None else 1e-6)
+    return _finish(spec, reports, args)
 
 
 def build_parser():
@@ -304,6 +300,9 @@ def build_parser():
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES + tuple(s.lower() for s in SUITES))
     verify.add_argument("--model", required=True)
+    verify.add_argument("--quadrature", type=_rule(gauss_order), default=None,
+                        help="gauss:<order>, order >= %d, the rule of "
+                        "chain.slot_derivative" % GAUSS_MIN_ORDER)
     _add_options(verify, *_OPTIONS)
     verify.set_defaults(func=_cmd_verify)
 
@@ -313,7 +312,10 @@ def build_parser():
     tau_eval_p.add_argument("--model", required=True)
     tau_eval_p.add_argument("--degree", type=_int_in("degree", 0), default=2)
     tau_eval_p.add_argument("--tuples", type=_int_in("tuples", 0), default=1)
-    _add_options(tau_eval_p, "--seed", "--out", "--quadrature")
+    tau_eval_p.add_argument("--quadrature", type=_rule(parse_quadrature),
+                            default=None, help="gauss:<order> (order >= %d) "
+                            "or mc:<samples>" % GAUSS_MIN_ORDER)
+    _add_options(tau_eval_p, "--seed", "--out")
     tau_eval_p.set_defaults(func=_cmd_tau_eval)
 
     perturb = sub.add_parser("perturb", help="sweep the coupling parameter")

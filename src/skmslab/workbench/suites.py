@@ -3,7 +3,8 @@
 Each suite builds a deterministic list of check closures; rows come back
 in declaration order regardless of --jobs, and a chain-budget overflow in
 one check degrades to a failing row with residual DOCUMENTED instead of
-aborting the run.
+aborting the run.  The checks return unstamped rows: _run_one stamps
+each with the seed, the spec digest and, on request, the wall time.
 """
 
 import dataclasses
@@ -27,13 +28,15 @@ from ..perturbation import (PerturbedContext, dyson_alpha_info,
                             lemma43_check, lemma44_check, lipschitz_check,
                             skms_check_perturbed, transgression_cochain,
                             witten_invariance_check)
-from ..report import DOCUMENTED, make_report
+from ..report import DOCUMENTED, VerificationReport, make_report
 from .models import build_perturbed_model, model_digest
 
 SUITES = ("Axioms", "Cocycle", "Lemma34", "Perturbation", "Homotopy",
           "Entireness", "All")
-# the gates of the quadrature-backed rows (the cocycle boundaries and
-# Lemma 3.4) and of the finite-difference endpoint row
+# the absolute gate of the cocycle boundaries and chain.rotation, which
+# compare exact chains, and of chain.slot_derivative, which compares a
+# Gauss quadrature with exact chains; and of the finite-difference
+# endpoint row
 TOL_QUAD = 1e-8
 TOL_FD = 1e-6
 
@@ -42,10 +45,11 @@ TOL_FD = 1e-6
 class SuiteConfig:
     """Tolerances and knobs shared by all suites.
 
-    tol_exact gates identities that hold to rounding; quadrature-backed
-    and finite-difference rows are gated by TOL_QUAD and TOL_FD.
-    quadrature is 'gauss:<order>' or 'mc:<samples>' (Monte Carlo applies
-    to standalone evaluation; suite checks that need nodes use Gauss).
+    tol_exact gates identities that hold to rounding; the cocycle
+    boundaries and Lemma 3.4 are gated by TOL_QUAD, the finite-difference
+    endpoint by TOL_FD.  quadrature is 'gauss:<order>', the rule of
+    chain.slot_derivative; run_suite refuses 'mc:<samples>', which only
+    standalone evaluation takes.
     """
 
     tol_exact: float = 1e-10
@@ -70,26 +74,30 @@ def parse_quadrature(text):
     return kind, int(num)
 
 
-def _axioms_checks(sys, digest, config):
+def gauss_order(text):
+    """The order of a suite quadrature 'gauss:<order>'; ValueError else."""
+    kind, num = parse_quadrature(text)
+    if kind != "gauss":
+        raise ValueError("the suites take gauss:<order> only, got %r" % text)
+    return num
+
+
+def _axioms_checks(sys, config):
     def run():
         return verify_skms_axioms(sys, samples=50, tol=config.tol_exact,
-                                  seed=config.seed, model_digest=digest)
+                                  seed=config.seed)
     return [("skms.axioms", "S0", config.tol_exact, run)]
 
 
-def _cocycle_checks(sys, digest, config):
+def _cocycle_checks(sys, config):
     checks = []
     unit = sys.unit()
 
     def normalization():
         phi_res = abs(skms_eval(sys, unit) - 1.0)
         tau_res = abs(tau_eval(sys, 0, [unit]) - 1.0)
-        return [
-            make_report("phi.normalization", "S3", 1, phi_res, 1e-12,
-                        seed=config.seed, model_digest=digest),
-            make_report("tau.normalization", "main", 1, tau_res, 1e-12,
-                        seed=config.seed, model_digest=digest),
-        ]
+        return [make_report("phi.normalization", "S3", 1, phi_res, 1e-12),
+                make_report("tau.normalization", "main", 1, tau_res, 1e-12)]
     checks.append(("phi.normalization", "S3", 1e-12, normalization))
 
     def degeneracy():
@@ -100,8 +108,7 @@ def _cocycle_checks(sys, digest, config):
             args = list(xs)
             args[slot] = 2.5 * np.eye(sys.dim, dtype=complex)
             worst = max(worst, abs(tau_eval(sys, 2, args)))
-        return [make_report("tau.degeneracy", "main", 2, worst, 0.0,
-                            seed=config.seed, model_digest=digest)]
+        return [make_report("tau.degeneracy", "main", 2, worst, 0.0)]
     checks.append(("tau.degeneracy", "main", 0.0, degeneracy))
 
     tau = jlo_cochain(sys)
@@ -113,23 +120,21 @@ def _cocycle_checks(sys, digest, config):
             stacks = _draw_tuples(sys, rng, 25, n + 1, parity="even")
             worst = max(0.0, float(np.max(modulus(dtau(n, stacks)))))
             return [make_report("cocycle.boundary_n%d" % n, "boundary", 25,
-                                worst, TOL_QUAD, seed=config.seed,
-                                model_digest=digest)]
+                                worst, TOL_QUAD)]
         checks.append(("cocycle.boundary_n%d" % n, "boundary", TOL_QUAD, run))
     return checks
 
 
-def _lemma34_checks(sys, digest, config):
-    kind, num = parse_quadrature(config.quadrature)
-    order = num if kind == "gauss" else 8
+def _lemma34_checks(sys, config):
+    order = gauss_order(config.quadrature)
 
     def run():
-        return lemma34_check(sys, n=2, samples=6, tol=TOL_QUAD,
-                             order=order, seed=config.seed, model_digest=digest)
+        return lemma34_check(sys, n=2, samples=6, tol=TOL_QUAD, order=order,
+                             seed=config.seed)
     return [("chain.rotation", "rotation", TOL_QUAD, run)]
 
 
-def _dyson_fidelity(sys, pert, digest, config):
+def _dyson_fidelity(sys, pert, config):
     ctx = PerturbedContext(sys, pert, 0.7)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5D)))
     xs = sys.random_elements(rng, 3)
@@ -153,59 +158,46 @@ def _dyson_fidelity(sys, pert, digest, config):
                                                order=config.series_order, memo=memo)
             gerr = float(np.linalg.norm(gval - gamma_cocycle_oracle(ctx, t), 2))
             worst_gamma = max(worst_gamma, gerr - (ginfo.tail_bound + 1e-12))
-        return [
-            make_report("dyson.alpha_fidelity", "dyson", 2 * len(xs),
-                        max(worst_alpha, 0.0), 0.0, seed=config.seed,
-                        model_digest=digest),
-            make_report("dyson.gamma_fidelity", "dyson", len(gamma_times),
-                        worst_gamma, 0.0, seed=config.seed,
-                        model_digest=digest),
-        ]
+        return [make_report("dyson.alpha_fidelity", "dyson", 2 * len(xs),
+                            max(worst_alpha, 0.0), 0.0),
+                make_report("dyson.gamma_fidelity", "dyson", len(gamma_times),
+                            worst_gamma, 0.0)]
     return [("dyson.alpha_fidelity", "dyson", 0.0, run)]
 
 
-def _perturbation_checks(sys, pert, digest, config):
+def _perturbation_checks(sys, pert, config):
     ctx = PerturbedContext(sys, pert, 0.5)
     checks = [
         ("gamma_r.composition", "L43.1", config.tol_exact,
          lambda: lemma43_check(ctx, samples=20, tol=config.tol_exact,
-                               seed=config.seed, model_digest=digest)),
+                               seed=config.seed)),
         ("flow.cyclic_conjugation", "analcont", config.tol_exact,
          lambda: lemma44_check(sys, n=2, samples=15, tol=config.tol_exact,
-                               seed=config.seed, model_digest=digest)),
+                               seed=config.seed)),
         ("skms_r.hermiticity", "S0", config.tol_exact,
          lambda: skms_check_perturbed(ctx, samples=15, tol=config.tol_exact,
-                                      seed=config.seed, model_digest=digest)),
+                                      seed=config.seed)),
         ("F.rotation", "F1", config.tol_exact,
          lambda: f_identities_check(ctx, n=min(3, config.max_degree),
                                     samples=10, tol=config.tol_exact,
-                                    seed=config.seed, model_digest=digest)),
+                                    seed=config.seed)),
     ]
-    checks.extend(_dyson_fidelity(sys, pert, digest, config))
-    checks.append(
+    return checks + _dyson_fidelity(sys, pert, config) + [
         ("witten.invariance", "phi-r1", config.tol_exact,
-         lambda: witten_invariance_check(sys, pert, grid=11,
-                                         tol=config.tol_exact,
-                                         seed=config.seed,
-                                         model_digest=digest)))
-    checks.append(
+         lambda: witten_invariance_check(sys, pert, grid=11, tol=config.tol_exact)),
         ("alpha_r.lipschitz_in_r", "lipschitz", 0.0,
-         lambda: lipschitz_check(sys, pert, samples=50, seed=config.seed,
-                                 model_digest=digest)))
-    return checks
+         lambda: lipschitz_check(sys, pert, samples=50, seed=config.seed)),
+    ]
 
 
-def _homotopy_checks(sys, pert, digest, config):
+def _homotopy_checks(sys, pert, config):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x48)))
     xs = list(sys.random_elements(rng, 3, parity="even"))
     checks = [
         ("transgression.derivative_order", "main", 0.0,
-         lambda: homotopy_check(sys, pert, 2, xs, r=0.5, seed=config.seed,
-                                model_digest=digest)),
+         lambda: homotopy_check(sys, pert, 2, xs, r=0.5)),
         ("transgression.endpoint", "main", TOL_FD,
-         lambda: endpoint_transgression_check(sys, pert, 2, xs, tol=TOL_FD,
-                                              seed=config.seed,
-                                              model_digest=digest)),
+         lambda: endpoint_transgression_check(sys, pert, 2, xs, tol=TOL_FD)),
     ]
 
     def degeneracy():
@@ -213,84 +205,79 @@ def _homotopy_checks(sys, pert, digest, config):
         unit = np.eye(sys.dim, dtype=complex)
         res = abs(g(1, [xs[0], -1.5 * unit]))
         unit_res = abs(boundary(g)(0, [unit]))
-        return [
-            make_report("transgression.degeneracy", "main", 1, res, 0.0,
-                        seed=config.seed, model_digest=digest),
-            make_report("transgression.unit_boundary", "phi-r1", 1, unit_res,
-                        0.0, seed=config.seed, model_digest=digest),
-        ]
+        return [make_report("transgression.degeneracy", "main", 1, res, 0.0),
+                make_report("transgression.unit_boundary", "phi-r1", 1,
+                            unit_res, 0.0)]
     checks.append(("transgression.degeneracy", "main", 0.0, degeneracy))
     return checks
 
 
-def _entireness_checks(sys, digest, config):
+def _entireness_checks(sys, config):
     def run():
         estimates = entireness_diagnostic(sys, samples=32, seed=config.seed)
         rows = []
         indicators = [e.growth_indicator for e in estimates]
         for est, ind in zip(estimates, indicators):
             rows.append(make_report("entireness.indicator_n%d" % est.degree,
-                                    "norm", est.samples, ind, DOCUMENTED,
-                                    seed=config.seed, model_digest=digest))
+                                    "norm", est.samples, ind, DOCUMENTED))
         worst = max((indicators[i + 1] - indicators[i]
                      for i in range(len(indicators) - 1)), default=-1.0)
         rows.append(make_report("entireness.monotone", "norm",
                                 sum(e.samples for e in estimates),
-                                max(worst, 0.0), 0.0, seed=config.seed,
-                                model_digest=digest))
+                                max(worst, 0.0), 0.0))
         return rows
     return [("entireness.monotone", "norm", 0.0, run)]
 
 
-def _suite_checks(spec, suite, config, digest):
+def _suite_checks(spec, suite, config):
     sys, pert = build_perturbed_model(spec, config.seed)
+    # in the order of the All suite
     bundles = {
-        "axioms": lambda: _axioms_checks(sys, digest, config),
-        "cocycle": lambda: _cocycle_checks(sys, digest, config),
-        "lemma34": lambda: _lemma34_checks(sys, digest, config),
-        "perturbation": lambda: _perturbation_checks(sys, pert, digest, config),
-        "homotopy": lambda: _homotopy_checks(sys, pert, digest, config),
-        "entireness": lambda: _entireness_checks(sys, digest, config),
+        "axioms": lambda: _axioms_checks(sys, config),
+        "cocycle": lambda: _cocycle_checks(sys, config),
+        "lemma34": lambda: _lemma34_checks(sys, config),
+        "perturbation": lambda: _perturbation_checks(sys, pert, config),
+        "homotopy": lambda: _homotopy_checks(sys, pert, config),
+        "entireness": lambda: _entireness_checks(sys, config),
     }
     key = suite.lower()
     if key == "all":
-        checks = []
-        for name in ("axioms", "cocycle", "lemma34", "perturbation",
-                     "homotopy", "entireness"):
-            checks.extend(bundles[name]())
-        return checks
+        return [check for make in bundles.values() for check in make()]
     if key not in bundles:
         raise ValueError("unknown suite %r; choose from %s" % (suite, SUITES))
     return bundles[key]()
 
 
 def _run_one(entry, config, digest):
+    # the check's rows, stamped with the seed, the digest and the opt-in
+    # wall time
     name, anchor, tol, fn = entry
     start = time.perf_counter()
     try:
         rows = fn()
     except ChainBudgetExceeded:
         # refused rows fail whatever their tolerance, DOCUMENTED included
-        row = make_report(name, anchor, 0, DOCUMENTED, tol, seed=config.seed,
-                          model_digest=digest)
-        rows = [dataclasses.replace(row, passed=False)]
+        rows = [VerificationReport(name, anchor, 0, DOCUMENTED, float(tol),
+                                   passed=False)]
+    stamp = dict(seed=config.seed, model_digest=digest)
     if config.timing:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        rows = [dataclasses.replace(r, wall_ms=elapsed) for r in rows]
-    return rows
+        stamp["wall_ms"] = (time.perf_counter() - start) * 1000.0
+    return [dataclasses.replace(r, **stamp) for r in rows]
 
 
 def run_suite(spec, suite, config=None):
     """Run one named suite against a ModelSpec; returns report rows.
 
-    Raises ValueError for config.max_degree < 1: the Cocycle suite would
-    check no degree and F.* would ask for degree -1.
+    Raises ValueError for config.max_degree < 1, since the Cocycle suite
+    would check no degree and F.* would ask for degree -1, and for a
+    quadrature other than gauss:<order>.
     """
     config = config or SuiteConfig()
     if config.max_degree < 1:
         raise ValueError("max_degree must be at least 1, got %d" % config.max_degree)
+    gauss_order(config.quadrature)
     digest = model_digest(spec)
-    checks = _suite_checks(spec, suite, config, digest)
+    checks = _suite_checks(spec, suite, config)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(lambda e: _run_one(e, config, digest), checks))

@@ -214,7 +214,7 @@ def test_criterion_08_perturbed_flow_cocycle():
     sys_ = block_system(3, 2, seed=1, scale=1.0)
     pert = odd_perturbation(sys_, scale=0.4)
     ctx = PerturbedContext(sys_, pert, 0.7)
-    rows = lemma43_check(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0)
+    rows = lemma43_check(ctx, samples=50, tol=1e-11, seed=0)
     assert len(rows) == 4
     worst = max_checked_residual(rows)
     ok = worst <= 1e-11
@@ -228,7 +228,7 @@ def test_criterion_09_perturbed_functional_axioms():
     sys_ = block_system(3, 2, seed=1, scale=1.0)
     pert = odd_perturbation(sys_, scale=0.4)
     ctx = PerturbedContext(sys_, pert, 0.6)
-    rows = skms_check_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0)
+    rows = skms_check_perturbed(ctx, samples=25, tol=1e-9, seed=0)
     by_name = {r.identity_name: r for r in rows}
     worst = max_checked_residual(rows)
     at_zero = by_name["skms_r.error_term_at_zero"].max_residual
@@ -264,11 +264,10 @@ def test_criterion_11_transgression_homotopy():
     rng = np.random.default_rng(np.random.SeedSequence((4, 0x48)))
     xs = even_tuple(sys_, rng, 3)
     rows = homotopy_check(sys_, pert, 2, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
-                          order_floor=1.9, seed=4)
+                          order_floor=1.9)
     by_name = {r.identity_name: r for r in rows}
     deficit = by_name["transgression.derivative_order"].max_residual
-    endpoint = endpoint_transgression_check(sys_, pert, 2, xs, tol=1e-6,
-                                            seed=4)[0]
+    endpoint = endpoint_transgression_check(sys_, pert, 2, xs, tol=1e-6)[0]
     elapsed = time.perf_counter() - start
     ok = deficit == 0.0 and endpoint.passed and elapsed < 600.0
     report_line(11, "transgression_homotopy", ok,

@@ -228,7 +228,7 @@ def test_homotopy_checks_stay_stacked(monkeypatch, builder_calls):
 def test_cocycle_boundary_n5_memory_stays_under_the_cap():
     spec = REFERENCE_SPECS[0]
     sys = build_perturbed_model(spec, 0)[0]
-    checks = {name: fn for name, _, _, fn in _cocycle_checks(sys, "", SuiteConfig())}
+    checks = {name: fn for name, _, _, fn in _cocycle_checks(sys, SuiteConfig())}
     run = checks["cocycle.boundary_n5"]
     run()
     tracemalloc.start()

@@ -1,12 +1,15 @@
 """Tests for the package's public surface."""
 
 import collections
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 
 import skmslab
+from skmslab import cochain, dynamics, kernels, perturbation
+from skmslab.report import make_report
 
 
 def test_every_exported_name_resolves():
@@ -17,6 +20,25 @@ def test_every_exported_name_resolves():
 def test_exported_names_are_unique():
     counts = collections.Counter(skmslab.__all__)
     assert [name for name, n in counts.items() if n > 1] == []
+
+
+def _parameters(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except (TypeError, ValueError):
+        return {}
+
+
+def test_library_rows_are_stamped_by_the_workbench_alone():
+    # a check returns unstamped rows: only the workbench knows the model
+    # digest, and make_report takes no seed, digest or wall time
+    stamping = ["%s.%s" % (module.__name__, name)
+                for module in (cochain, dynamics, kernels, perturbation)
+                for name, obj in vars(module).items()
+                if callable(obj) and not name.startswith("_")
+                and "model_digest" in _parameters(obj)]
+    assert stamping == []
+    assert len(_parameters(make_report)) == 5
 
 
 _SCIPY_SCRIPT = """

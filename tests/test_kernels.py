@@ -528,22 +528,30 @@ _MC_SCRIPT = """
 import numpy as np
 from skmslab.kernels import (SimplexQuadratureRule, Spectrum,
                              heat_chain_integrand, simplex_quadrature)
-rng = np.random.default_rng(5)
-d = 5
-basis, _ = np.linalg.qr(rng.standard_normal((d, d))
-                        + 1j * rng.standard_normal((d, d)))
-spec = Spectrum(np.sort(rng.random(d) * 3.0), basis)
-g = basis @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ basis.conj().T
-xs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-      for _ in range(4)]
+
+
+def integrand(seed, signs):
+    rng = np.random.default_rng(seed)
+    d = len(signs)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+    spec = Spectrum(np.sort(rng.random(d) * 3.0), basis)
+    g = basis @ np.diag(signs) @ basis.conj().T
+    xs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+          for _ in range(4)]
+    return heat_chain_integrand(spec, xs, g)
+
+
 rule = SimplexQuadratureRule("mc", 20000, seed=3, vectorized=True)
-print(repr(simplex_quadrature(heat_chain_integrand(spec, xs, g), 3, rule)))
+for seed, signs in ((5, [1.0] * 3 + [-1.0] * 2), (8, [1.0] * 5 + [-1.0] * 3)):
+    print(repr(simplex_quadrature(integrand(seed, signs), 3, rule)))
 """
 
 
 def test_monte_carlo_bytes_do_not_depend_on_the_blas_thread_count():
-    # 20000 points at d = 5 span four integrand blocks, whose GEMMs are
-    # large enough for BLAS to split across threads
+    # 20000 points at n = 3: at d = 5 OpenBLAS keeps every integrand GEMM
+    # on one thread, at d = 8 it splits them across two (CPU time above
+    # wall time), so the d = 8 instance is the one that runs threaded
     src = str(pathlib.Path(kernels.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [subprocess.run([sys.executable, "-c", _MC_SCRIPT],

@@ -520,7 +520,7 @@ def test_perturbed_cocycle_identity():
 
 def test_lemma43_rows():
     ctx = make_ctx(r=0.5)
-    rows = lemma43_check(ctx, samples=8, tol=1e-11, seed=1, model_digest="m")
+    rows = lemma43_check(ctx, samples=8, tol=1e-11, seed=1)
     assert [r.identity_name for r in rows] == [
         "gamma_r.composition",
         "gamma_r.adjoint_unitarity",
@@ -529,6 +529,8 @@ def test_lemma43_rows():
     ]
     for r in rows:
         assert r.passed, (r.identity_name, r.max_residual)
+        # unstamped: test_all_suite_rows_are_pinned checks the stamps
+        assert (r.seed, r.model_digest) == (0, "")
 
 
 def test_lemma44_rows():

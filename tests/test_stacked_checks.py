@@ -24,7 +24,7 @@ from skmslab.perturbation import (PerturbedContext, error_term,
                                   lemma44_check, skms_check_perturbed)
 from skmslab.report import DOCUMENTED, VerificationReport, make_report
 from skmslab.workbench import ModelSpec, run_suite
-from skmslab.workbench.models import build_perturbed_model, model_digest
+from skmslab.workbench.models import build_perturbed_model
 from skmslab.workbench.suites import (TOL_QUAD, SuiteConfig, _cocycle_checks,
                                      _dyson_fidelity)
 
@@ -49,8 +49,8 @@ def _draw(sys, rng, parity=None):
     return as_matrix(sys.random_element(rng, parity=parity))
 
 
-def _rows(names, seed, digest):
-    return [make_report(name, anchor, ns, res, tol, seed=seed, model_digest=digest)
+def _rows(names):
+    return [make_report(name, anchor, ns, res, tol)
             for name, anchor, ns, res, tol in names]
 
 
@@ -58,7 +58,7 @@ def _rows(names, seed, digest):
 # per-sample references
 
 
-def looped_axioms(sys, samples=50, tol=1e-10, seed=0, ts=(0.0, 0.7), model_digest=""):
+def looped_axioms(sys, samples=50, tol=1e-10, seed=0, ts=(0.0, 0.7)):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51)))
     herm, inv_a, inv_g, bound, deriv, weak, adh = [], [], [], [], [], [], []
     for _ in range(samples):
@@ -89,15 +89,15 @@ def looped_axioms(sys, samples=50, tol=1e-10, seed=0, ts=(0.0, 0.7), model_diges
         ("skms.delta_invariance", "S4", samples, float(max(deriv)), tol),
         ("skms.delta_squared_ad_h", "S5", samples, float(max(adh)), tol),
         ("skms.weak_supersymmetry", "S5", samples, float(max(weak)), tol),
-    ], seed, model_digest)
+    ])
     reports.append(VerificationReport(
         identity_name="skms.functional_norm", paper_anchor="norm", samples=1,
         max_residual=norm_phi, tolerance=DOCUMENTED,
-        passed=bool(np.isfinite(norm_phi)), seed=seed, model_digest=model_digest))
+        passed=bool(np.isfinite(norm_phi))))
     return reports
 
 
-def looped_lemma43(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0, model_digest=""):
+def looped_lemma43(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0):
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x43)))
     gcomp, gstar, acomp, gprod = [], [], [], []
@@ -133,10 +133,10 @@ def looped_lemma43(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0, model_dige
         ("gamma_r.adjoint_unitarity", "L43.2", count, float(max(gstar)), tol),
         ("alpha_r.conjugation", "L43.3", count, float(max(acomp)), tol),
         ("gamma_r.multiplicativity", "L43.4", count, float(max(gprod)), tol),
-    ], seed, model_digest)
+    ])
 
 
-def looped_lemma44(sys, n=2, samples=20, tol=1e-10, seed=0, model_digest=""):
+def looped_lemma44(sys, n=2, samples=20, tol=1e-10, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x44)))
     conj_res, refl_res = [], []
     for _ in range(samples):
@@ -167,11 +167,10 @@ def looped_lemma44(sys, n=2, samples=20, tol=1e-10, seed=0, model_digest=""):
     return _rows([
         ("flow.cyclic_conjugation", "analcont", samples, float(max(conj_res)), tol),
         ("flow.reflection", "analcont", samples, float(max(refl_res)), tol),
-    ], seed, model_digest)
+    ])
 
 
-def looped_skms_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0,
-                          model_digest=""):
+def looped_skms_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0):
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x45)))
     herm, inv_a, inv_g, bound, deriv, weak, err_t = [], [], [], [], [], [], []
@@ -208,10 +207,10 @@ def looped_skms_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0,
         ("skms_r.weak_supersymmetry", "S5", samples, float(max(weak)), tol),
         ("skms_r.error_term", "lem2", count, float(max(err_t)), tol),
         ("skms_r.error_term_at_zero", "lem2", 1, e0_norm, 0.0),
-    ], seed, model_digest)
+    ])
 
 
-def looped_f_identities(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest=""):
+def looped_f_identities(ctx, n=3, samples=10, tol=1e-9, seed=0):
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x46)))
     rot, inner, last, unit_ins, cyc = [], [], [], [], []
@@ -259,10 +258,10 @@ def looped_f_identities(ctx, n=3, samples=10, tol=1e-9, seed=0, model_digest="")
         ("F.heat_commutator_last", "F4", samples, max(last), tol),
         ("F.unit_insertion", "F5", samples, max(unit_ins), tol),
         ("F.derivation_cycle", "F6", samples, max(cyc), tol),
-    ], seed, model_digest)
+    ])
 
 
-def looped_lemma34(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest=""):
+def looped_lemma34(sys, n=2, samples=6, tol=1e-8, order=8, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x34)))
     z = sys.witten_index
     rot, slot = [], []
@@ -290,10 +289,10 @@ def looped_lemma34(sys, n=2, samples=6, tol=1e-8, order=8, seed=0, model_digest=
     return _rows([
         ("chain.rotation", "rotation", samples, max(rot), tol),
         ("chain.slot_derivative", "cocycle1+cocycle2", samples * n, max(slot), tol),
-    ], seed, model_digest)
+    ])
 
 
-def looped_cocycle_rows(sys, config, digest):
+def looped_cocycle_rows(sys, config):
     dtau = boundary(jlo_cochain(sys))
     rows = []
     for n in range(1, config.max_degree + 1, 2):
@@ -303,7 +302,7 @@ def looped_cocycle_rows(sys, config, digest):
             xs = [_draw(sys, rng, "even") for _ in range(n + 1)]
             worst = max(worst, abs(dtau(n, xs)))
         rows.append(make_report("cocycle.boundary_n%d" % n, "boundary", 25, worst,
-                                TOL_QUAD, seed=config.seed, model_digest=digest))
+                                TOL_QUAD))
     return rows
 
 
@@ -313,40 +312,39 @@ def looped_cocycle_rows(sys, config, digest):
 
 def _model(spec, seed):
     sys, pert = build_perturbed_model(spec, seed)
-    return sys, PerturbedContext(sys, pert, 0.5), model_digest(spec)
+    return sys, PerturbedContext(sys, pert, 0.5)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
 def test_stacked_checks_equal_their_loops(spec, seed):
     # the arguments the suites pass
-    sys, ctx, digest = _model(spec, seed)
-    common = dict(seed=seed, model_digest=digest)
+    sys, ctx = _model(spec, seed)
     pairs = [
-        (verify_skms_axioms(sys, samples=50, tol=1e-10, **common),
-         looped_axioms(sys, samples=50, tol=1e-10, **common)),
-        (lemma43_check(ctx, samples=20, tol=1e-10, **common),
-         looped_lemma43(ctx, samples=20, tol=1e-10, **common)),
-        (lemma44_check(sys, n=2, samples=15, tol=1e-10, **common),
-         looped_lemma44(sys, n=2, samples=15, tol=1e-10, **common)),
-        (skms_check_perturbed(ctx, samples=15, tol=1e-10, **common),
-         looped_skms_perturbed(ctx, samples=15, tol=1e-10, **common)),
-        (f_identities_check(ctx, n=3, samples=10, tol=1e-10, **common),
-         looped_f_identities(ctx, n=3, samples=10, tol=1e-10, **common)),
-        (lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, **common),
-         looped_lemma34(sys, n=2, samples=6, tol=1e-8, order=8, **common)),
+        (verify_skms_axioms(sys, samples=50, tol=1e-10, seed=seed),
+         looped_axioms(sys, samples=50, tol=1e-10, seed=seed)),
+        (lemma43_check(ctx, samples=20, tol=1e-10, seed=seed),
+         looped_lemma43(ctx, samples=20, tol=1e-10, seed=seed)),
+        (lemma44_check(sys, n=2, samples=15, tol=1e-10, seed=seed),
+         looped_lemma44(sys, n=2, samples=15, tol=1e-10, seed=seed)),
+        (skms_check_perturbed(ctx, samples=15, tol=1e-10, seed=seed),
+         looped_skms_perturbed(ctx, samples=15, tol=1e-10, seed=seed)),
+        (f_identities_check(ctx, n=3, samples=10, tol=1e-10, seed=seed),
+         looped_f_identities(ctx, n=3, samples=10, tol=1e-10, seed=seed)),
+        (lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=seed),
+         looped_lemma34(sys, n=2, samples=6, tol=1e-8, order=8, seed=seed)),
     ]
     for stacked, looped in pairs:
         assert stacked == looped
     config = SuiteConfig(seed=seed)
-    rows = [r for r in run_suite(spec, "Cocycle", config)
-            if r.identity_name.startswith("cocycle.boundary_")]
-    assert rows == looped_cocycle_rows(sys, config, digest)
+    rows = [row for name, _, _, fn in _cocycle_checks(sys, config)
+            if name.startswith("cocycle.boundary_") for row in fn()]
+    assert rows == looped_cocycle_rows(sys, config)
 
 
 def test_f_identities_at_degree_one_equal_their_loop():
     # n = 1 has no inner commutator row and a degree-0 chain group
-    sys, ctx, digest = _model(REFERENCE_SPECS[0], 0)
+    sys, ctx = _model(REFERENCE_SPECS[0], 0)
     assert (f_identities_check(ctx, n=1, samples=4, seed=2)
             == looped_f_identities(ctx, n=1, samples=4, seed=2))
 
@@ -357,7 +355,7 @@ def test_f_identities_at_degree_one_equal_their_loop():
 
 @pytest.mark.parametrize("parity", [None, "even", "odd"])
 def test_random_elements_equal_sequential_draws(parity):
-    sys, _, _ = _model(REFERENCE_SPECS[0], 0)
+    sys, _ = _model(REFERENCE_SPECS[0], 0)
     stack = sys.random_elements(np.random.default_rng(41), 40, parity=parity)
     rng = np.random.default_rng(41)
     one_by_one = [as_matrix(sys.random_element(rng, parity=parity)) for _ in range(40)]
@@ -367,7 +365,7 @@ def test_random_elements_equal_sequential_draws(parity):
 
 @pytest.mark.parametrize("make", ["tau", "boundary"])
 def test_cochain_on_a_stack_equals_single_calls(make):
-    sys, _, _ = _model(REFERENCE_SPECS[0], 0)
+    sys, _ = _model(REFERENCE_SPECS[0], 0)
     rng = np.random.default_rng(42)
     tau = jlo_cochain(sys)
     cochain, n = (tau, 2) if make == "tau" else (boundary(tau), 3)
@@ -387,7 +385,7 @@ def test_cochain_on_a_stack_equals_single_calls(make):
 
 
 def test_cochain_names_the_first_tuple_with_an_odd_slot():
-    sys, _, _ = _model(REFERENCE_SPECS[0], 0)
+    sys, _ = _model(REFERENCE_SPECS[0], 0)
     rng = np.random.default_rng(43)
     tuples = [list(sys.random_elements(rng, 3, parity="even")) for _ in range(4)]
     tuples[2][2] = as_matrix(sys.random_element(rng, parity="odd"))
@@ -404,8 +402,8 @@ def test_cocycle_rows_make_one_or_two_exponential_calls(builder_calls):
     # one call of the block builder per degree: the 25 tuples' B terms,
     # then their b terms (none to evaluate at n = 1, degree 0)
     spec = REFERENCE_SPECS[0]
-    sys, _, digest = _model(spec, 0)
-    checks = {name: fn for name, _, _, fn in _cocycle_checks(sys, digest, SuiteConfig())}
+    sys, _ = _model(spec, 0)
+    checks = {name: fn for name, _, _, fn in _cocycle_checks(sys, SuiteConfig())}
     d = sys.dim
     for n, want in ((1, [(50, 3 * d)]), (3, [(100, 5 * d), (100, 3 * d)]),
                     (5, [(150, 7 * d), (150, 5 * d)])):
@@ -415,7 +413,7 @@ def test_cocycle_rows_make_one_or_two_exponential_calls(builder_calls):
 
 
 def test_f_identities_make_one_exponential_call_per_degree(builder_calls):
-    _, ctx, _ = _model(REFERENCE_SPECS[0], 0)
+    _, ctx = _model(REFERENCE_SPECS[0], 0)
     f_identities_check(ctx, n=3, samples=10)
     # per sample: 6 chains at degree 2, 9 at degree 3, 4 at degree 4
     d = ctx.dim
@@ -423,7 +421,7 @@ def test_f_identities_make_one_exponential_call_per_degree(builder_calls):
 
 
 def test_lemma34_makes_one_exponential_call(builder_calls):
-    sys, _, _ = _model(REFERENCE_SPECS[0], 0)
+    sys, _ = _model(REFERENCE_SPECS[0], 0)
     lemma34_check(sys, n=2, samples=6)
     # per sample: the tuple, its rotation and the n + 1 = 3 merged tuples
     assert builder_calls == [(30, 3 * sys.dim)]
@@ -440,7 +438,7 @@ def test_dyson_row_builds_each_series_once(builder_calls):
     # t = 0.3 and 1.0 from the same series, and gamma at t = i
     spec = REFERENCE_SPECS[0]
     sys, pert = build_perturbed_model(spec, 0)
-    (_, _, _, run), = _dyson_fidelity(sys, pert, "", SuiteConfig())
+    (_, _, _, run), = _dyson_fidelity(sys, pert, SuiteConfig())
     rows = run()
     d = sys.dim
     assert builder_calls == [(1, 7 * d), (1, 9 * d), (1, 9 * d)]

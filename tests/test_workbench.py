@@ -1,5 +1,6 @@
 """Tests for model specs, report serialization, suites, and the CLI."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -24,7 +25,8 @@ from skmslab.workbench.reports import (
     to_csv_text,
     to_json_text,
 )
-from skmslab.workbench.suites import SuiteConfig, _run_one, parse_quadrature
+from skmslab.workbench.suites import (SuiteConfig, _run_one, gauss_order,
+                                      parse_quadrature)
 
 BLOCK_SPEC = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1)
 
@@ -186,10 +188,9 @@ def test_build_perturbation_paths():
 
 
 def sample_reports():
-    return [
-        make_report("a.first", "S0", 10, 1e-12, 1e-10, seed=3, model_digest="d1"),
-        make_report("b.second", "main", 5, 2.0, 1e-10, seed=3, model_digest="d1"),
-    ]
+    rows = [make_report("a.first", "S0", 10, 1e-12, 1e-10),
+            make_report("b.second", "main", 5, 2.0, 1e-10)]
+    return [dataclasses.replace(r, seed=3, model_digest="d1") for r in rows]
 
 
 def test_report_row_order_matches_csv_columns():
@@ -247,6 +248,14 @@ def test_parse_quadrature():
     for bad in ("gauss:x", "mc:0", "mc:-5"):
         with pytest.raises(ValueError, match="positive count"):
             parse_quadrature(bad)
+    # the suites take no Monte-Carlo rule: Lemma34 used to run Gauss
+    # order 8 for mc:<samples>
+    assert gauss_order("gauss:12") == 12
+    with pytest.raises(ValueError, match="gauss:<order> only"):
+        gauss_order("mc:100")
+    for suite in ("Lemma34", "Axioms"):
+        with pytest.raises(ValueError, match="gauss:<order> only"):
+            run_suite(BLOCK_SPEC, suite, SuiteConfig(quadrature="mc:100"))
 
 
 # the rows of run_suite(spec, "All") on both reference specs, in order:
@@ -315,13 +324,19 @@ ALL_ROWS = (
     ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0)],
     ids=lambda s: s.kind)
 def test_all_suite_rows_are_pinned(spec):
-    rows = run_suite(spec, "All")
     assert len(ALL_ROWS) == 52
-    assert [(r.identity_name, r.paper_anchor, r.samples, r.tolerance)
-            for r in rows] == list(ALL_ROWS)
     digest = model_digest(spec)
-    assert all(r.passed and r.seed == 0 and r.model_digest == digest
-               and r.wall_ms == 0.0 for r in rows)
+    # run_suite stamps every row with its seed and the spec digest.
+    # entireness.monotone is red on most seeds, seed 3 of the block spec
+    # among them; seed 0 passes every row
+    red = {0: [], 3: [] if spec.kind == "RandomGraded" else ["entireness.monotone"]}
+    for seed in (0, 3):
+        rows = run_suite(spec, "All", SuiteConfig(seed=seed))
+        assert [(r.identity_name, r.paper_anchor, r.samples, r.tolerance)
+                for r in rows] == list(ALL_ROWS)
+        assert [r.identity_name for r in rows if not r.passed] == red[seed]
+        assert all(r.seed == seed and r.model_digest == digest
+                   and r.wall_ms == 0.0 for r in rows)
 
 
 def test_axioms_suite_passes():
@@ -357,12 +372,14 @@ def test_parallel_jobs_preserve_rows():
 
 def test_budget_exhaustion_reported_not_fatal(monkeypatch):
     monkeypatch.setenv("SKMS_CHAIN_BUDGET", "20")
-    rows = run_suite(BLOCK_SPEC, "Cocycle", SuiteConfig(max_degree=3))
-    sentinels = [r for r in rows if r.max_residual == DOCUMENTED]
-    assert sentinels, "expected budget-limited rows"
-    assert all(not r.passed for r in sentinels)
-    # a refused row names its model like every other row
-    assert {r.model_digest for r in rows} == {model_digest(BLOCK_SPEC)}
+    for seed in (0, 3):
+        rows = run_suite(BLOCK_SPEC, "Cocycle", SuiteConfig(max_degree=3, seed=seed))
+        sentinels = [r for r in rows if r.max_residual == DOCUMENTED]
+        assert sentinels, "expected budget-limited rows"
+        assert all(not r.passed for r in sentinels)
+        # a refused row names its model and seed like every other row
+        assert {(r.seed, r.model_digest) for r in rows} == {
+            (seed, model_digest(BLOCK_SPEC))}
 
 
 def test_budget_refusal_fails_documented_row():
@@ -534,6 +551,7 @@ def test_cli_tau_eval_dual_route(tmp_path, capsys):
     ["tau", "eval", "--quadrature", "simpson:4"],
     ["tau", "eval", "--quadrature", "gauss:x"],
     ["verify", "Lemma34", "--quadrature", "gauss:1"],
+    ["verify", "Lemma34", "--quadrature", "mc:100"],
 ])
 def test_cli_bad_quadrature_is_a_usage_error(tmp_path, capsys, argv):
     model = write_spec(tmp_path)
@@ -578,7 +596,8 @@ def test_cli_tau_eval_odd_degree(tmp_path, capsys):
 
 def test_cli_homotopy_check(tmp_path, capsys):
     model = write_spec(tmp_path)
-    rc = main(["homotopy", "check", "--model", model, "--degree", "2"])
+    rc = main(["homotopy", "check", "--model", model, "--degree", "2",
+               "--seed", "2"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     names = [r["identity_name"] for r in doc["reports"]]
@@ -587,11 +606,14 @@ def test_cli_homotopy_check(tmp_path, capsys):
         "transgression.derivative_order",
         "transgression.endpoint",
     ]
+    assert {(r["seed"], r["model_digest"]) for r in doc["reports"]} == {
+        (2, model_digest(BLOCK_SPEC))}
 
 
 def test_cli_perturb_sweep(tmp_path, capsys):
     model = write_spec(tmp_path)
-    rc = main(["perturb", "sweep", "--model", model, "--grid", "5"])
+    rc = main(["perturb", "sweep", "--model", model, "--grid", "5",
+               "--seed", "2"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     names = [r["identity_name"] for r in doc["reports"]]
@@ -599,6 +621,8 @@ def test_cli_perturb_sweep(tmp_path, capsys):
     assert "alpha_r.lipschitz_in_r" in names
     assert any(n.endswith("@r=0.5") for n in names)
     assert all(r["passed"] for r in doc["reports"])
+    assert {(r["seed"], r["model_digest"]) for r in doc["reports"]} == {
+        (2, model_digest(BLOCK_SPEC))}
 
 
 @pytest.mark.parametrize("degree", ["0", "-1", "x"])
