@@ -28,7 +28,7 @@ from .perturbation import (DysonInfo, OddPerturbation, PerturbedContext,
                            skms_check_perturbed,
                            tau_r_eval, transgression_cochain,
                            witten_invariance_check)
-from .report import DOCUMENTED, VerificationReport, make_report
+from .report import DOCUMENTED, Measurement, VerificationReport, make_report
 
 __all__ = [
     "ChainBudgetExceeded",
@@ -39,6 +39,7 @@ __all__ = [
     "DysonInfo",
     "GradedSystem",
     "GradingOperator",
+    "Measurement",
     "OddPerturbation",
     "Parity",
     "ParityViolation",

@@ -56,7 +56,7 @@ from .dynamics import _draw_tuples, _superderivation_stack, skms_eval
 from .errors import ParityViolation
 from .graded import Parity, as_matrices, as_matrix, frobenius_norms, modulus
 from .kernels import _as_stacks, _is_stacked, chain_integral
-from .report import make_report
+from .report import Measurement
 
 SCALAR_SLOT_TOL = 1e-12
 
@@ -439,7 +439,7 @@ def _chains_by_degree(sys, tuples):
     return out
 
 
-def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0):
+def lemma34_check(sys, n=2, samples=6, order=8, seed=0):
     """Rotation and slot-derivative identities of the chain functional.
 
     Rotation: the Delta_n integral of phi(x_0 a_{is_1}(x_1) .. a_{is_n}(x_n))
@@ -450,7 +450,7 @@ def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0):
     side is evaluated by Gauss quadrature, the right by the block-exponential
     chain kernel, so this doubles as a cross-oracle test.  The samples are
     drawn as one stack, and every chain, all of degree n, goes to one
-    call of the block builder.  The rows are unstamped, as every check's.
+    call of the block builder.  Returns a Measurement per identity.
     """
     from .kernels import SimplexQuadratureRule, heat_chain_integrand, simplex_quadrature
 
@@ -474,6 +474,6 @@ def lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=0):
             val, _ = simplex_quadrature(f, n + 1, rule)
             rhs = (complex(chains[2 + j][k]) - complex(chains[1 + j][k])) / z
             slot.append(abs(val / z - rhs))
-    return [make_report("chain.rotation", "rotation", samples, float(np.max(rot)), tol),
-            make_report("chain.slot_derivative", "cocycle1+cocycle2", samples * n,
-                        max(slot), tol)]
+    return [Measurement("chain.rotation", "rotation", samples, float(np.max(rot))),
+            Measurement("chain.slot_derivative", "cocycle1+cocycle2", samples * n,
+                        max(slot))]

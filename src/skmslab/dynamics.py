@@ -26,7 +26,7 @@ from .errors import (ConditioningWarning, ParityViolation, StripViolation,
                      ZeroWittenIndex)
 from .graded import GradingOperator, Parity, as_matrices, as_matrix, modulus
 from .kernels import Spectrum
-from .report import DOCUMENTED, make_report
+from .report import Measurement
 
 STRIP_TOL = 1e-12
 CONDITIONING_LIMIT = 50.0
@@ -252,19 +252,19 @@ def _functional_residuals(sys, x, y, w, ts):
     return out
 
 
-def verify_skms_axioms(sys, samples=50, tol=1e-10, seed=0):
+def verify_skms_axioms(sys, samples=50, seed=0):
     """Check the functional axioms on seeded random elements, at t = 0 and 0.7.
 
     The samples are drawn as one stack and every identity is evaluated on
     the whole stack by stacked matmuls and traces.
 
-    Returns one VerificationReport per identity: hermitianity, flow and
+    Returns one Measurement per identity: hermitianity, flow and
     grading invariance, the KMS boundary relation, normalization,
     derivation invariance, and weak supersymmetry in both forms
     (_functional_residuals gives all but the KMS boundary).  A final
-    row documents the finite functional norm Tr(e^{-H})/|Z| (a bound that
-    has no finite-dimensional obstruction, recorded rather than tested).
-    The rows are unstamped: the workbench sets seed and model_digest.
+    measurement is the finite functional norm Tr(e^{-H})/|Z| (a bound that
+    has no finite-dimensional obstruction, which the workbench documents
+    rather than tests).
     """
     ts = (0.0, 0.7)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51)))
@@ -279,9 +279,7 @@ def verify_skms_axioms(sys, samples=50, tol=1e-10, seed=0):
             ("gamma_invariance", "S1"), ("kms_boundary", "S2"),
             ("normalization", "S3"), ("delta_invariance", "S4"),
             ("delta_squared_ad_h", "S5"), ("weak_supersymmetry", "S5")]
-    reports = [make_report("skms." + name, anchor, *res[name], tol)
-               for name, anchor in rows]
-    # finite, at most d / WITTEN_FLOOR, so the row always passes
+    # the functional norm is finite, at most d / WITTEN_FLOOR
     norm_phi = float(np.sum(np.exp(-sys.spectrum.evals)) / abs(sys.witten_index))
-    reports.append(make_report("skms.functional_norm", "norm", 1, norm_phi, DOCUMENTED))
-    return reports
+    return ([Measurement("skms." + name, anchor, *res[name]) for name, anchor in rows]
+            + [Measurement("skms.functional_norm", "norm", 1, norm_phi)])

@@ -44,7 +44,7 @@ from .graded import as_matrices, as_matrix, frobenius_norms, modulus
 # chain_integral is bound here too: perfbench traces perturbation.chain_integral
 from .kernels import (Spectrum, _heat_chain_blocks, chain_integral,  # noqa: F401
                       gauss_legendre_01)
-from .report import DOCUMENTED, make_report
+from .report import DOCUMENTED, Measurement, make_report
 
 SERIES_CAP = 40
 
@@ -339,10 +339,11 @@ def transgression_cochain(ctx):
 
 
 # ---------------------------------------------------------------------------
-# checkers: unstamped rows, to which the workbench adds seed and model_digest
+# checkers: measurements, which the workbench gates into rows; the two
+# transgression checks still gate their own rows
 
 
-def lemma43_check(ctx, samples=50, tol=1e-11, seed=0):
+def lemma43_check(ctx, samples=50, seed=0):
     """Cocycle algebra of gamma^r_t(1), t = 0.3 and 1: four exact-oracle equalities.
 
     The samples are drawn as one stack and evaluated as stacks; gamma^r at
@@ -384,11 +385,10 @@ def lemma43_check(ctx, samples=50, tol=1e-11, seed=0):
         ("alpha_r.conjugation", "L43.3", np.max(acomp)),
         ("gamma_r.multiplicativity", "L43.4", np.max(gprod)),
     ]
-    return [make_report(name, anchor, count, float(res), tol)
-            for name, anchor, res in rows]
+    return [Measurement(name, anchor, count, float(res)) for name, anchor, res in rows]
 
 
-def lemma44_check(sys, n=2, samples=20, tol=1e-10, seed=0):
+def lemma44_check(sys, n=2, samples=20, seed=0):
     """Complex-time conjugation and reflection identities for phi.
 
     Each sample draws its n + 1 elements and then its n times, so the
@@ -424,13 +424,12 @@ def lemma44_check(sys, n=2, samples=20, tol=1e-10, seed=0):
     for z, x in zip(zs, xs[1:]):
         fwd = fwd @ heisenberg_flow(sys, x.conj().swapaxes(1, 2), z)
     refl_res = np.abs(lhs2 - skms_eval(sys, fwd))
-    return [make_report("flow.cyclic_conjugation", "analcont", samples,
-                        float(np.max(conj_res)), tol),
-            make_report("flow.reflection", "analcont", samples,
-                        float(np.max(refl_res)), tol)]
+    return [Measurement("flow.cyclic_conjugation", "analcont", samples,
+                        float(np.max(conj_res))),
+            Measurement("flow.reflection", "analcont", samples, float(np.max(refl_res)))]
 
 
-def skms_check_perturbed(ctx, samples=25, tol=1e-9, seed=0):
+def skms_check_perturbed(ctx, samples=25, seed=0):
     """Functional axioms for phi^r against (alpha^r, delta_r, H_r), t = 0, 0.3, 1.
 
     All flows use the exact oracles so residuals reflect the algebra, not
@@ -458,14 +457,12 @@ def skms_check_perturbed(ctx, samples=25, tol=1e-9, seed=0):
             ("gamma_invariance", "S1"), ("kms_boundary", "Fxz"),
             ("normalization", "phi-r1"), ("delta_invariance", "S4"),
             ("weak_supersymmetry", "S5"), ("error_term", "lem2")]
-    reports = [make_report("skms_r." + name, anchor, *res[name], tol)
-               for name, anchor in rows]
     e0_norm = float(np.linalg.norm(error_term(ctx, 0.0), 2))
-    reports.append(make_report("skms_r.error_term_at_zero", "lem2", 1, e0_norm, 0.0))
-    return reports
+    return ([Measurement("skms_r." + name, anchor, *res[name]) for name, anchor in rows]
+            + [Measurement("skms_r.error_term_at_zero", "lem2", 1, e0_norm)])
 
 
-def f_identities_check(ctx, n=3, samples=10, tol=1e-9, seed=0):
+def f_identities_check(ctx, n=3, samples=10, seed=0):
     """The five chain identities behind the perturbed cocycle.
 
     Rotation, the two heat-commutator contractions (inner slot and last
@@ -516,11 +513,10 @@ def f_identities_check(ctx, n=3, samples=10, tol=1e-9, seed=0):
         ("F.unit_insertion", "F5", samples, np.max(unit_ins)),
         ("F.derivation_cycle", "F6", samples, np.max(cyc)),
     ]
-    return [make_report(name, anchor, ns, float(res), tol)
-            for name, anchor, ns, res in rows]
+    return [Measurement(name, anchor, ns, float(res)) for name, anchor, ns, res in rows]
 
 
-def witten_invariance_check(system, perturbation, grid=11, tol=1e-10):
+def witten_invariance_check(system, perturbation, grid=11):
     """Tr(Gamma e^{-H_r}) and phi^r(1) are r-independent (McKean-Singer).
 
     The grid has both ends r = 0 and r = 1, so it needs grid >= 2;
@@ -531,8 +527,8 @@ def witten_invariance_check(system, perturbation, grid=11, tol=1e-10):
     ctx = PerturbedContext(system, perturbation, np.linspace(0.0, 1.0, grid))
     worst_z = float(np.max(np.abs(ctx.witten_index_r - system.witten_index)))
     worst_unit = float(np.max(modulus(skms_eval(ctx, np.eye(system.dim)) - 1.0)))
-    return [make_report("witten.invariance", "phi-r1", grid, worst_z, tol),
-            make_report("phi_r.normalization", "phi-r1", grid, worst_unit, tol)]
+    return [Measurement("witten.invariance", "phi-r1", grid, worst_z),
+            Measurement("phi_r.normalization", "phi-r1", grid, worst_unit)]
 
 
 def lipschitz_check(system, perturbation, samples=100, seed=0):
@@ -561,7 +557,7 @@ def lipschitz_check(system, perturbation, samples=100, seed=0):
     diff = np.linalg.norm(flows[0] - flows[1], 2, axis=(1, 2))
     bound = 2.0 * np.abs(r1 - r2) * c * np.abs(ts) * math.exp(2.0 * c)
     worst = max(0.0, float(np.max(diff - bound)))
-    return [make_report("alpha_r.lipschitz_in_r", "lipschitz", samples, worst, 0.0)]
+    return [Measurement("alpha_r.lipschitz_in_r", "lipschitz", samples, worst)]
 
 
 def homotopy_steps(r, hs):

@@ -1,10 +1,25 @@
-"""Verification report record shared by all checker functions."""
+"""Measurements that the checks return, and the report rows made from them."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Sentinel tolerance for rows that document a quantity instead of testing it.
 # Finite so reports stay strict-JSON serializable.
 DOCUMENTED = 1e300
+
+
+class Measurement(NamedTuple):
+    """What a check observed for one identity, before any verdict.
+
+    max_residual is the largest absolute deviation across the sampled
+    instances.  The checks return measurements; the workbench gates each
+    at a tolerance into a VerificationReport.
+    """
+
+    identity_name: str
+    paper_anchor: str
+    samples: int
+    max_residual: float
 
 
 @dataclass(frozen=True)
@@ -13,10 +28,9 @@ class VerificationReport:
 
     max_residual is the largest absolute deviation observed across all
     sampled instances of the identity; passed is max_residual <= tolerance.
-    A check returns its rows unstamped; the workbench sets seed (the
-    sampling stream) and model_digest (the generating ModelSpec), and
-    wall_ms only on request, so emitted reports are reproducible byte for
-    byte.
+    The workbench sets seed (the sampling stream) and model_digest (the
+    generating ModelSpec), and wall_ms only on request, so emitted reports
+    are reproducible byte for byte.
     """
 
     identity_name: str

@@ -26,7 +26,7 @@ from ..perturbation import (SERIES_CAP, PerturbedContext,
 from .models import (ModelSpec, build_model, build_perturbed_model, check_scale,
                      model_digest)
 from .reports import emit_report
-from .suites import (SUITES, SuiteConfig, gauss_order, parse_quadrature,
+from .suites import (SUITES, SuiteConfig, gate, gauss_order, parse_quadrature,
                      run_suite)
 
 
@@ -99,14 +99,15 @@ def _steps(text):
 
 
 _OPTIONS = {
-    "--tol": dict(type=float, default=None,
-                  help="override the default tolerance (see the README)"),
+    "--tol": dict(type=_scale("tol", False), default=None,
+                  help="override the default tolerance, a finite number >= 0 "
+                  "(see the README)"),
     "--max-degree": dict(type=_int_in("max degree", 1), default=5,
                          help="highest cochain degree checked, >= 1"),
     "--series-order": dict(type=_int_in("series order", 0, SERIES_CAP),
                            default=None,
                            help="Dyson series order, 0 to %d" % SERIES_CAP),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_int_in("seed", 0), default=0),
     "--out": dict(default=None, help="write report/output here"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--jobs": dict(type=_int_in("jobs", 1), default=1),
@@ -242,13 +243,13 @@ def _cmd_tau_eval(args):
 def _cmd_perturb_sweep(args):
     spec, system, pert = _load_model(args.model, args.seed)
     tol = args.tol if args.tol is not None else 1e-10
-    reports = witten_invariance_check(system, pert, grid=args.grid, tol=tol)
-    reports += lipschitz_check(system, pert, samples=50, seed=args.seed)
+    reports = gate(witten_invariance_check(system, pert, grid=args.grid)
+                   + lipschitz_check(system, pert, samples=50, seed=args.seed), tol)
     couplings = (0.0, 0.5, 1.0)
     contexts = PerturbedContext(system, pert, couplings)
     for k, r_value in enumerate(couplings):
-        for row in skms_check_perturbed(contexts.at(k), samples=10,
-                                        tol=max(tol, 1e-9), seed=args.seed):
+        measured = skms_check_perturbed(contexts.at(k), samples=10, seed=args.seed)
+        for row in gate(measured, max(tol, 1e-9)):
             reports.append(dataclasses.replace(
                 row, identity_name="%s@r=%s" % (row.identity_name, r_value)))
     return _finish(spec, reports, args)
@@ -288,7 +289,8 @@ def build_parser():
     gen.add_argument("--p", type=int, required=True)
     gen.add_argument("--q", type=int, required=True)
     gen.add_argument("--scale", type=_scale("scale", True), default=None)
-    gen.add_argument("--perturb-seed", type=int, default=None)
+    gen.add_argument("--perturb-seed", type=_int_in("perturbation seed", 0),
+                     default=None)
     gen.add_argument("--perturb-scale", type=_scale("perturbation scale", False),
                      default=None)
     _add_options(gen, "--seed", "--out")

@@ -11,6 +11,7 @@ the same construction, kept so that existing spec files, their digests and
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,18 @@ def check_scale(field, value, positive):
     return x
 
 
+def check_integer(field, value, low=None):
+    """ValueError naming the field unless value is an integer, >= low if given.
+
+    A float or a bool would be truncated, "p": 3.9 to p = 3, and a
+    negative seed would end in numpy.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (field, value))
+    if low is not None and value < low:
+        raise ValueError("%s must be at least %d, got %r" % (field, low, value))
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative model description; the unit of reproducibility."""
@@ -73,12 +86,18 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("kind must be one of %s" % (KINDS,))
+        check_integer("p", self.p)
+        check_integer("q", self.q)
+        check_integer("seed", self.seed, 0)
         if self.p < 1 or self.q < 1:
             raise ValueError("block sizes must be positive")
         if self.scale is not None:
             check_scale("scale", self.scale, positive=True)
-        if self.perturbation is not None and "scale" in self.perturbation:
-            check_scale("perturbation scale", self.perturbation["scale"], positive=False)
+        pert = self.perturbation or {}
+        if "seed" in pert:
+            check_integer("perturbation seed", pert["seed"], 0)
+        if "scale" in pert:
+            check_scale("perturbation scale", pert["scale"], positive=False)
 
     def to_dict(self):
         out = {"schema": MODEL_SCHEMA, "kind": self.kind,
@@ -115,8 +134,8 @@ class ModelSpec:
         pert = data.get("perturbation")
         if pert is not None:
             pert = dict(pert)
-        return cls(kind=data["kind"], p=int(data["p"]), q=int(data["q"]),
-                   seed=int(data.get("seed", 0)), m=m,
+        return cls(kind=data["kind"], p=data["p"], q=data["q"],
+                   seed=data.get("seed", 0), m=m,
                    scale=data.get("scale"), perturbation=pert)
 
     @classmethod

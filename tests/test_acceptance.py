@@ -46,7 +46,7 @@ from skmslab.perturbation import (
 )
 from skmslab.report import DOCUMENTED
 from skmslab.workbench import ModelSpec, build_model, emit_report, run_suite
-from skmslab.workbench.suites import SuiteConfig
+from skmslab.workbench.suites import SuiteConfig, gate
 
 
 def report_line(num, name, ok, detail):
@@ -82,7 +82,7 @@ def test_criterion_01_functional_axioms():
     worst = 0.0
     for p, q, seed in ((6, 4, 2), (3, 2, 1)):
         sys_ = block_system(p, q, seed=seed, scale=1.0)
-        rows = verify_skms_axioms(sys_, samples=50, tol=1e-10, seed=seed)
+        rows = gate(verify_skms_axioms(sys_, samples=50, seed=seed), 1e-10)
         assert all(r.passed for r in rows), [r for r in rows if not r.passed]
         worst = max(worst, max_checked_residual(rows))
     elapsed = time.perf_counter() - start
@@ -189,7 +189,7 @@ def test_criterion_06_witten_invariance():
     ]
     for k, sys_ in enumerate(models):
         pert = odd_perturbation(sys_, seed=300 + k, scale=0.4)
-        rows = witten_invariance_check(sys_, pert, grid=11, tol=1e-10)
+        rows = gate(witten_invariance_check(sys_, pert, grid=11), 1e-10)
         assert all(r.passed for r in rows), [r for r in rows if not r.passed]
         worst = max(worst, max_checked_residual(rows))
     ok = worst <= 1e-10
@@ -201,7 +201,7 @@ def test_criterion_06_witten_invariance():
 def test_criterion_07_flow_lipschitz_bound():
     sys_ = block_system(3, 2, seed=1, scale=1.0)
     pert = odd_perturbation(sys_, scale=0.4)
-    rows = lipschitz_check(sys_, pert, samples=100, seed=0)
+    rows = gate(lipschitz_check(sys_, pert, samples=100, seed=0), 0.0)
     violation = rows[0].max_residual
     ok = violation == 0.0
     report_line(7, "flow_lipschitz_bound", ok,
@@ -214,7 +214,7 @@ def test_criterion_08_perturbed_flow_cocycle():
     sys_ = block_system(3, 2, seed=1, scale=1.0)
     pert = odd_perturbation(sys_, scale=0.4)
     ctx = PerturbedContext(sys_, pert, 0.7)
-    rows = lemma43_check(ctx, samples=50, tol=1e-11, seed=0)
+    rows = gate(lemma43_check(ctx, samples=50, seed=0), 1e-11)
     assert len(rows) == 4
     worst = max_checked_residual(rows)
     ok = worst <= 1e-11
@@ -228,7 +228,7 @@ def test_criterion_09_perturbed_functional_axioms():
     sys_ = block_system(3, 2, seed=1, scale=1.0)
     pert = odd_perturbation(sys_, scale=0.4)
     ctx = PerturbedContext(sys_, pert, 0.6)
-    rows = skms_check_perturbed(ctx, samples=25, tol=1e-9, seed=0)
+    rows = gate(skms_check_perturbed(ctx, samples=25, seed=0), 1e-9)
     by_name = {r.identity_name: r for r in rows}
     worst = max_checked_residual(rows)
     at_zero = by_name["skms_r.error_term_at_zero"].max_residual
@@ -247,7 +247,7 @@ def test_criterion_10_chain_functional_identities():
     pert = odd_perturbation(sys_, scale=0.4)
     for r in (0.0, 0.5, 1.0):
         ctx = PerturbedContext(sys_, pert, r)
-        rows = f_identities_check(ctx, n=3, samples=50, tol=1e-9, seed=0)
+        rows = gate(f_identities_check(ctx, n=3, samples=50, seed=0), 1e-9)
         assert all(row.passed for row in rows), [row for row in rows if not row.passed]
         worst = max(worst, max_checked_residual(rows))
     ok = worst <= 1e-9

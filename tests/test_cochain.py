@@ -20,6 +20,8 @@ from skmslab.cochain import (
 from skmslab.dynamics import GradedSystem
 from skmslab.errors import ChainBudgetExceeded, DimensionMismatch, ParityViolation
 from skmslab.graded import GradingOperator, Parity, as_matrix
+from skmslab.report import Measurement
+from skmslab.workbench.suites import gate
 
 
 def block_system(p, q, seed=0, scale=1.0):
@@ -418,9 +420,11 @@ def test_duffy_rule_is_built_once_per_order_and_degree(monkeypatch):
 
 def test_lemma34_rows_pass():
     sys_ = block_system(3, 2, seed=20)
-    rows = lemma34_check(sys_, n=2, samples=4, tol=1e-8, seed=2)
+    measured = lemma34_check(sys_, n=2, samples=4, seed=2)
+    # measurements carry no verdict and no stamp:
+    # test_all_suite_rows_are_pinned checks the stamps
+    assert all(type(m) is Measurement for m in measured)
+    rows = gate(measured, 1e-8)
     assert [r.identity_name for r in rows] == ["chain.rotation", "chain.slot_derivative"]
     for r in rows:
         assert r.passed, (r.identity_name, r.max_residual)
-        # unstamped: test_all_suite_rows_are_pinned checks the stamps
-        assert (r.seed, r.model_digest) == (0, "")

@@ -8,8 +8,10 @@ import subprocess
 import sys
 
 import skmslab
-from skmslab import cochain, dynamics, kernels, perturbation
+from skmslab import cochain, dynamics, kernels, perturbation, report
 from skmslab.report import make_report
+from skmslab.workbench import ModelSpec
+from skmslab.workbench.models import build_perturbed_model
 
 
 def test_every_exported_name_resolves():
@@ -39,6 +41,30 @@ def test_library_rows_are_stamped_by_the_workbench_alone():
                 and "model_digest" in _parameters(obj)]
     assert stamping == []
     assert len(_parameters(make_report)) == 5
+
+
+def test_checks_return_measurements_and_take_no_tolerance():
+    # the workbench alone turns measurements into rows with a tolerance and
+    # a verdict; homotopy_check and endpoint_transgression_check still
+    # gate their own rows
+    sys_, pert = build_perturbed_model(
+        ModelSpec(kind="RectangularBlock", p=2, q=1, seed=1, scale=1.0), 0)
+    ctx = perturbation.PerturbedContext(sys_, pert, 0.5)
+    calls = {
+        dynamics.verify_skms_axioms: ((sys_,), dict(samples=3)),
+        cochain.lemma34_check: ((sys_,), dict(samples=2)),
+        perturbation.lemma43_check: ((ctx,), dict(samples=3)),
+        perturbation.lemma44_check: ((sys_,), dict(samples=3)),
+        perturbation.skms_check_perturbed: ((ctx,), dict(samples=3)),
+        perturbation.f_identities_check: ((ctx,), dict(n=2, samples=2)),
+        perturbation.witten_invariance_check: ((sys_, pert), dict(grid=3)),
+        perturbation.lipschitz_check: ((sys_, pert), dict(samples=3)),
+    }
+    assert [check.__name__ for check in calls if "tol" in _parameters(check)] == []
+    for check, (args, kwargs) in calls.items():
+        measured = check(*args, **kwargs)
+        assert measured, check.__name__
+        assert all(type(m) is report.Measurement for m in measured), check.__name__
 
 
 _SCIPY_SCRIPT = """

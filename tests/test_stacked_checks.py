@@ -4,7 +4,7 @@ Every check that draws its samples as one stack and evaluates them as
 stacks has a per-sample reference here: the loop body the check had
 before it was stacked, evaluated one sample (one tuple) at a time
 through the single-tuple entry points.  The stacked check must give the
-same rows, bit for bit.
+same measurements, bit for bit.
 """
 
 import numpy as np
@@ -22,11 +22,11 @@ from skmslab.perturbation import (PerturbedContext, error_term,
                                   f_identities_check, gamma_cocycle_oracle,
                                   gamma_flow_oracle, lemma43_check,
                                   lemma44_check, skms_check_perturbed)
-from skmslab.report import DOCUMENTED, VerificationReport, make_report
+from skmslab.report import DOCUMENTED, Measurement
 from skmslab.workbench import ModelSpec, run_suite
 from skmslab.workbench.models import build_perturbed_model
-from skmslab.workbench.suites import (TOL_QUAD, SuiteConfig, _cocycle_checks,
-                                     _dyson_fidelity)
+from skmslab.workbench.suites import (SuiteConfig, _cocycle_checks,
+                                     _dyson_fidelity, gate)
 
 REFERENCE_SPECS = (
     ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
@@ -50,15 +50,14 @@ def _draw(sys, rng, parity=None):
 
 
 def _rows(names):
-    return [make_report(name, anchor, ns, res, tol)
-            for name, anchor, ns, res, tol in names]
+    return [Measurement(*fields) for fields in names]
 
 
 # ---------------------------------------------------------------------------
 # per-sample references
 
 
-def looped_axioms(sys, samples=50, tol=1e-10, seed=0, ts=(0.0, 0.7)):
+def looped_axioms(sys, samples=50, seed=0, ts=(0.0, 0.7)):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51)))
     herm, inv_a, inv_g, bound, deriv, weak, adh = [], [], [], [], [], [], []
     for _ in range(samples):
@@ -81,23 +80,20 @@ def looped_axioms(sys, samples=50, tol=1e-10, seed=0, ts=(0.0, 0.7)):
     norm_phi = float(np.sum(np.exp(-sys.spectrum.evals)) / abs(sys.witten_index))
     unit_res = abs(skms_eval(sys, sys.unit()) - 1.0)
     reports = _rows([
-        ("skms.hermiticity", "S0", samples, float(max(herm)), tol),
-        ("skms.alpha_invariance", "S1", samples * len(ts), float(max(inv_a)), tol),
-        ("skms.gamma_invariance", "S1", samples, float(max(inv_g)), tol),
-        ("skms.kms_boundary", "S2", samples * len(ts), float(max(bound)), tol),
-        ("skms.normalization", "S3", 1, unit_res, tol),
-        ("skms.delta_invariance", "S4", samples, float(max(deriv)), tol),
-        ("skms.delta_squared_ad_h", "S5", samples, float(max(adh)), tol),
-        ("skms.weak_supersymmetry", "S5", samples, float(max(weak)), tol),
+        ("skms.hermiticity", "S0", samples, float(max(herm))),
+        ("skms.alpha_invariance", "S1", samples * len(ts), float(max(inv_a))),
+        ("skms.gamma_invariance", "S1", samples, float(max(inv_g))),
+        ("skms.kms_boundary", "S2", samples * len(ts), float(max(bound))),
+        ("skms.normalization", "S3", 1, unit_res),
+        ("skms.delta_invariance", "S4", samples, float(max(deriv))),
+        ("skms.delta_squared_ad_h", "S5", samples, float(max(adh))),
+        ("skms.weak_supersymmetry", "S5", samples, float(max(weak))),
     ])
-    reports.append(VerificationReport(
-        identity_name="skms.functional_norm", paper_anchor="norm", samples=1,
-        max_residual=norm_phi, tolerance=DOCUMENTED,
-        passed=bool(np.isfinite(norm_phi))))
+    reports.append(Measurement("skms.functional_norm", "norm", 1, norm_phi))
     return reports
 
 
-def looped_lemma43(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0):
+def looped_lemma43(ctx, samples=50, ts=(0.3, 1.0), seed=0):
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x43)))
     gcomp, gstar, acomp, gprod = [], [], [], []
@@ -129,14 +125,14 @@ def looped_lemma43(ctx, samples=50, tol=1e-11, ts=(0.3, 1.0), seed=0):
             gprod.append(np.linalg.norm(lhs4 - rhs4, 2))
     count = samples * len(ts)
     return _rows([
-        ("gamma_r.composition", "L43.1", count, float(max(gcomp)), tol),
-        ("gamma_r.adjoint_unitarity", "L43.2", count, float(max(gstar)), tol),
-        ("alpha_r.conjugation", "L43.3", count, float(max(acomp)), tol),
-        ("gamma_r.multiplicativity", "L43.4", count, float(max(gprod)), tol),
+        ("gamma_r.composition", "L43.1", count, float(max(gcomp))),
+        ("gamma_r.adjoint_unitarity", "L43.2", count, float(max(gstar))),
+        ("alpha_r.conjugation", "L43.3", count, float(max(acomp))),
+        ("gamma_r.multiplicativity", "L43.4", count, float(max(gprod))),
     ])
 
 
-def looped_lemma44(sys, n=2, samples=20, tol=1e-10, seed=0):
+def looped_lemma44(sys, n=2, samples=20, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x44)))
     conj_res, refl_res = [], []
     for _ in range(samples):
@@ -165,12 +161,12 @@ def looped_lemma44(sys, n=2, samples=20, tol=1e-10, seed=0):
         rhs2 = skms_eval(sys, fwd)
         refl_res.append(abs(lhs2 - rhs2))
     return _rows([
-        ("flow.cyclic_conjugation", "analcont", samples, float(max(conj_res)), tol),
-        ("flow.reflection", "analcont", samples, float(max(refl_res)), tol),
+        ("flow.cyclic_conjugation", "analcont", samples, float(max(conj_res))),
+        ("flow.reflection", "analcont", samples, float(max(refl_res))),
     ])
 
 
-def looped_skms_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0):
+def looped_skms_perturbed(ctx, samples=25, ts=(0.0, 0.3, 1.0), seed=0):
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x45)))
     herm, inv_a, inv_g, bound, deriv, weak, err_t = [], [], [], [], [], [], []
@@ -198,19 +194,19 @@ def looped_skms_perturbed(ctx, samples=25, tol=1e-9, ts=(0.0, 0.3, 1.0), seed=0)
     unit_res = abs(skms_eval(ctx, np.eye(ctx.dim)) - 1.0)
     count = samples * len(ts)
     return _rows([
-        ("skms_r.hermiticity", "S0", samples, float(max(herm)), tol),
-        ("skms_r.alpha_invariance", "S1", count, float(max(inv_a)), tol),
-        ("skms_r.gamma_invariance", "S1", samples, float(max(inv_g)), tol),
-        ("skms_r.kms_boundary", "Fxz", count, float(max(bound)), tol),
-        ("skms_r.normalization", "phi-r1", 1, unit_res, tol),
-        ("skms_r.delta_invariance", "S4", samples, float(max(deriv)), tol),
-        ("skms_r.weak_supersymmetry", "S5", samples, float(max(weak)), tol),
-        ("skms_r.error_term", "lem2", count, float(max(err_t)), tol),
-        ("skms_r.error_term_at_zero", "lem2", 1, e0_norm, 0.0),
+        ("skms_r.hermiticity", "S0", samples, float(max(herm))),
+        ("skms_r.alpha_invariance", "S1", count, float(max(inv_a))),
+        ("skms_r.gamma_invariance", "S1", samples, float(max(inv_g))),
+        ("skms_r.kms_boundary", "Fxz", count, float(max(bound))),
+        ("skms_r.normalization", "phi-r1", 1, unit_res),
+        ("skms_r.delta_invariance", "S4", samples, float(max(deriv))),
+        ("skms_r.weak_supersymmetry", "S5", samples, float(max(weak))),
+        ("skms_r.error_term", "lem2", count, float(max(err_t))),
+        ("skms_r.error_term_at_zero", "lem2", 1, e0_norm),
     ])
 
 
-def looped_f_identities(ctx, n=3, samples=10, tol=1e-9, seed=0):
+def looped_f_identities(ctx, n=3, samples=10, seed=0):
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x46)))
     rot, inner, last, unit_ins, cyc = [], [], [], [], []
@@ -252,16 +248,16 @@ def looped_f_identities(ctx, n=3, samples=10, tol=1e-9, seed=0):
             total2 += chain_integral(spec, args, g) / z
         cyc.append(abs(total2))
     return _rows([
-        ("F.rotation", "F1", samples, max(rot), tol),
+        ("F.rotation", "F1", samples, max(rot)),
         ("F.heat_commutator_inner", "F2", samples * max(0, n - 1),
-         max(inner, default=0.0), tol),
-        ("F.heat_commutator_last", "F4", samples, max(last), tol),
-        ("F.unit_insertion", "F5", samples, max(unit_ins), tol),
-        ("F.derivation_cycle", "F6", samples, max(cyc), tol),
+         max(inner, default=0.0)),
+        ("F.heat_commutator_last", "F4", samples, max(last)),
+        ("F.unit_insertion", "F5", samples, max(unit_ins)),
+        ("F.derivation_cycle", "F6", samples, max(cyc)),
     ])
 
 
-def looped_lemma34(sys, n=2, samples=6, tol=1e-8, order=8, seed=0):
+def looped_lemma34(sys, n=2, samples=6, order=8, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x34)))
     z = sys.witten_index
     rot, slot = [], []
@@ -287,8 +283,8 @@ def looped_lemma34(sys, n=2, samples=6, tol=1e-8, order=8, seed=0):
                      - chain_integral(sys.spectrum, merged[1], sys.grading)) / z
             slot.append(abs(lhs_j - rhs_j))
     return _rows([
-        ("chain.rotation", "rotation", samples, max(rot), tol),
-        ("chain.slot_derivative", "cocycle1+cocycle2", samples * n, max(slot), tol),
+        ("chain.rotation", "rotation", samples, max(rot)),
+        ("chain.slot_derivative", "cocycle1+cocycle2", samples * n, max(slot)),
     ])
 
 
@@ -301,8 +297,7 @@ def looped_cocycle_rows(sys, config):
         for _ in range(25):
             xs = [_draw(sys, rng, "even") for _ in range(n + 1)]
             worst = max(worst, abs(dtau(n, xs)))
-        rows.append(make_report("cocycle.boundary_n%d" % n, "boundary", 25, worst,
-                                TOL_QUAD))
+        rows.append(Measurement("cocycle.boundary_n%d" % n, "boundary", 25, worst))
     return rows
 
 
@@ -321,18 +316,18 @@ def test_stacked_checks_equal_their_loops(spec, seed):
     # the arguments the suites pass
     sys, ctx = _model(spec, seed)
     pairs = [
-        (verify_skms_axioms(sys, samples=50, tol=1e-10, seed=seed),
-         looped_axioms(sys, samples=50, tol=1e-10, seed=seed)),
-        (lemma43_check(ctx, samples=20, tol=1e-10, seed=seed),
-         looped_lemma43(ctx, samples=20, tol=1e-10, seed=seed)),
-        (lemma44_check(sys, n=2, samples=15, tol=1e-10, seed=seed),
-         looped_lemma44(sys, n=2, samples=15, tol=1e-10, seed=seed)),
-        (skms_check_perturbed(ctx, samples=15, tol=1e-10, seed=seed),
-         looped_skms_perturbed(ctx, samples=15, tol=1e-10, seed=seed)),
-        (f_identities_check(ctx, n=3, samples=10, tol=1e-10, seed=seed),
-         looped_f_identities(ctx, n=3, samples=10, tol=1e-10, seed=seed)),
-        (lemma34_check(sys, n=2, samples=6, tol=1e-8, order=8, seed=seed),
-         looped_lemma34(sys, n=2, samples=6, tol=1e-8, order=8, seed=seed)),
+        (verify_skms_axioms(sys, samples=50, seed=seed),
+         looped_axioms(sys, samples=50, seed=seed)),
+        (lemma43_check(ctx, samples=20, seed=seed),
+         looped_lemma43(ctx, samples=20, seed=seed)),
+        (lemma44_check(sys, n=2, samples=15, seed=seed),
+         looped_lemma44(sys, n=2, samples=15, seed=seed)),
+        (skms_check_perturbed(ctx, samples=15, seed=seed),
+         looped_skms_perturbed(ctx, samples=15, seed=seed)),
+        (f_identities_check(ctx, n=3, samples=10, seed=seed),
+         looped_f_identities(ctx, n=3, samples=10, seed=seed)),
+        (lemma34_check(sys, n=2, samples=6, order=8, seed=seed),
+         looped_lemma34(sys, n=2, samples=6, order=8, seed=seed)),
     ]
     for stacked, looped in pairs:
         assert stacked == looped
@@ -439,7 +434,7 @@ def test_dyson_row_builds_each_series_once(builder_calls):
     spec = REFERENCE_SPECS[0]
     sys, pert = build_perturbed_model(spec, 0)
     (_, _, _, run), = _dyson_fidelity(sys, pert, SuiteConfig())
-    rows = run()
+    rows = gate(run(), 0.0)
     d = sys.dim
     assert builder_calls == [(1, 7 * d), (1, 9 * d), (1, 9 * d)]
     assert all(r.passed for r in rows)

@@ -94,6 +94,28 @@ def test_model_spec_refuses_a_bad_scale(fields, name):
         ModelSpec.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"p": 3.9}, "p"),
+    ({"p": True}, "p"),
+    ({"q": 2.0}, "q"),
+    ({"q": "2"}, "q"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": False}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"perturbation": {"seed": 1.5, "scale": 0.3}}, "perturbation seed"),
+    ({"perturbation": {"seed": True}}, "perturbation seed"),
+    ({"perturbation": {"seed": -1, "scale": 0.3}}, "perturbation seed"),
+])
+def test_model_spec_refuses_a_bad_integer(fields, name):
+    # int() truncated "p": 3.9 to p = 3 and "seed": 1.5 to seed 1 and read
+    # "p": true as p = 1; a negative seed ended in numpy's message
+    data = dict(ModelSpec(kind="RectangularBlock", p=3, q=2).to_dict(), **fields)
+    with pytest.raises(ValueError, match="^%s must be " % name):
+        ModelSpec.from_json(json.dumps(data))
+    with pytest.raises(ValueError, match="^%s must be " % name):
+        ModelSpec(**dict(dict(kind="RectangularBlock", p=3, q=2), **fields))
+
+
 def test_model_digest_is_canonical():
     a = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1)
     b = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=2)
@@ -692,6 +714,42 @@ def test_cli_bad_degree_tuples_or_steps_is_a_usage_error(tmp_path, capsys,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument " + option in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["model", "gen", "--p", "3", "--q", "2", "--seed", "-1"], "--seed"),
+    (["model", "gen", "--p", "3", "--q", "2", "--perturb-seed", "-1"],
+     "--perturb-seed"),
+    (["verify", "All", "--seed", "-1"], "--seed"),
+    (["tau", "eval", "--seed", "-1"], "--seed"),
+    (["perturb", "sweep", "--seed", "-1"], "--seed"),
+    (["homotopy", "check", "--seed", "-1"], "--seed"),
+])
+def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys, argv, option):
+    # each ended in numpy's "expected non-negative integer": a traceback
+    # with exit 1, or for model gen a message that named no option
+    if argv[0] != "model":
+        argv = argv + ["--model", write_spec(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument " + option in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", [["verify", "All"], ["perturb", "sweep"],
+                                     ["homotopy", "check"]])
+def test_cli_tol_outside_finite_nonnegative_is_a_usage_error(tmp_path, capsys,
+                                                              command, tol):
+    # --tol nan wrote "tolerance": NaN, which is not strict JSON, and turned
+    # every row red; inf passed every gated row; -1 failed rows at residual 0
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--tol=" + tol, "--model", write_spec(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --tol: tol must be a finite number >= 0" in err
+    assert "Traceback" not in err
 
 
 # a spec file that cannot be loaded, by cause: its name and its text
