@@ -38,6 +38,12 @@ and real arithmetic: per block, one GEMM for y_n D_n y_0, one per middle
 insertion, and one that forms only the diagonal the trace reads.
 A Gauss-Duffy rule depends on its order and degree alone: each is built
 once, memoized read-only, and shared by every quadrature of that shape.
+Monte Carlo orders each (B, n) batch of uniform draws without a per-row
+sort: the draw is copied once to (n, B), and Batcher's odd-even merge
+network (AFIPS SJCC 32, 1968) sorts its n rows by whole-row np.minimum
+and np.maximum exchanges.  min and max only move values, so the points
+have the bits np.sort gives them, and they reach the integrand with the
+point index last in memory.
 
 The block builder, with c H in place of -H on the diagonal blocks, gives
 the terms of every Dyson series of the perturbation module, at real t
@@ -54,6 +60,7 @@ changes a bit of the result.
 import enum
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -481,6 +488,8 @@ def heat_chain_integrand(spectrum, xs, grading):
 
 # the error estimate compares order k with order max(1, k - 2)
 GAUSS_MIN_ORDER = 2
+# the tensor rule takes order^n points: the highest degree it is run at
+GAUSS_MAX_DEGREE = 6
 
 
 class QuadKind(enum.Enum):
@@ -494,9 +503,13 @@ class SimplexQuadratureRule:
 
     kind 'gauss' uses a tensor Gauss-Legendre rule of the given order mapped
     through the ordered Duffy transform; kind 'mc' averages the integrand
-    over seeded sorted-uniform samples.  vectorized marks integrands that
-    accept a (B, n) batch of points.  A Gauss order below GAUSS_MIN_ORDER
-    is refused: its error estimate would compare the rule with itself.
+    over seeded sorted-uniform samples: default_rng(seed) draws batches of
+    at most 2e5 points, which a compare-exchange network puts in order
+    with np.sort's bits.  vectorized marks integrands that accept a (B, n)
+    batch of points.  A Gauss order below GAUSS_MIN_ORDER is refused: its
+    error estimate would compare the rule with itself.  order_or_samples
+    must be an integer >= 1 and seed an integer >= 0; a bool or a float
+    is refused rather than truncated.
     """
 
     kind: QuadKind
@@ -509,8 +522,14 @@ class SimplexQuadratureRule:
         if isinstance(kind, str):
             kind = QuadKind(kind)
             object.__setattr__(self, "kind", kind)
-        if self.order_or_samples < 1:
-            raise ValueError("order_or_samples must be positive")
+        # a float or a bool would be truncated, 2.5 samples to 2 and True
+        # to 1, and a negative seed would end in numpy at first use
+        for field, value, low in (("order_or_samples", self.order_or_samples, 1),
+                                  ("seed", self.seed, 0)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ValueError("%s must be an integer >= %d, got %r"
+                                 % (field, low, value))
         if kind is QuadKind.GaussTensorDuffy and self.order_or_samples < GAUSS_MIN_ORDER:
             raise ValueError("Gauss order must be at least %d, got %d"
                              % (GAUSS_MIN_ORDER, self.order_or_samples))
@@ -544,6 +563,41 @@ def _duffy_points(order, n):
     return s, weights
 
 
+@functools.lru_cache(maxsize=32)
+def _merge_exchanges(n):
+    # the compare-exchange pairs (low, high) of Batcher's odd-even merge
+    # sort (AFIPS SJCC 32, 1968) on the power of two at or above n, in
+    # order, without the pairs that touch a slot >= n: such slots act as
+    # +inf padding, which no exchange moves
+    size = 1 << max(0, n - 1).bit_length()
+    pairs = []
+    p = 1
+    while p < size:
+        k = p
+        while k >= 1:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(j, j + min(k, size - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < n:
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _sorted_rows(u):
+    # np.sort(u, axis=1) of a (B, n) draw, bit for bit, since min and max
+    # only move values.  Returns the (B, n) view of the sorted (n, B) copy,
+    # so heat_chain_integrand's chunk.T reads contiguous rows; for n = 1,
+    # u.T is contiguous already and no exchange writes to it
+    cols = np.ascontiguousarray(u.T)
+    low = np.empty(cols.shape[1])
+    for a, b in _merge_exchanges(cols.shape[0]):
+        np.minimum(cols[a], cols[b], out=low)
+        np.maximum(cols[a], cols[b], out=cols[b])
+        cols[a] = low
+    return cols.T
+
+
 def _eval_integrand(integrand, pts, vectorized):
     if vectorized:
         return np.asarray(integrand(pts), dtype=complex).reshape(-1)
@@ -555,7 +609,8 @@ def simplex_quadrature(integrand, n, rule):
 
     Returns (value, error_estimate).  For the Gauss path the estimate is
     the difference against a lower-order rule; for Monte Carlo it is the
-    standard error of the mean.  The Gauss path rejects n > 6 (tensor cost).
+    standard error of the mean.  The Gauss path rejects n > GAUSS_MAX_DEGREE
+    (tensor cost).
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -565,8 +620,9 @@ def simplex_quadrature(integrand, n, rule):
         return complex(val), 0.0
 
     if rule.kind is QuadKind.GaussTensorDuffy:
-        if n > 6:
-            raise ValueError("Gauss tensor rule rejected for n > 6 (cost guard)")
+        if n > GAUSS_MAX_DEGREE:
+            raise ValueError("Gauss tensor rule rejected for n > %d (cost guard)"
+                             % GAUSS_MAX_DEGREE)
         order = int(rule.order_or_samples)
         s, w = _duffy_points(order, n)
         vals = _eval_integrand(integrand, s, rule.vectorized)
@@ -586,7 +642,7 @@ def simplex_quadrature(integrand, n, rule):
     acc_sq = 0.0
     while count < total:
         take = min(batch, total - count)
-        pts = np.sort(rng.random((take, n)), axis=1)
+        pts = _sorted_rows(rng.random((take, n)))
         vals = _eval_integrand(integrand, pts, rule.vectorized)
         acc += vals.sum()
         acc_sq += float(np.sum(np.abs(vals) ** 2))

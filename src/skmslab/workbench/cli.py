@@ -17,7 +17,7 @@ import numpy as np
 from ..cochain import tau_eval
 from ..dynamics import superderivation
 from ..errors import ChainBudgetExceeded
-from ..kernels import (GAUSS_MIN_ORDER, SimplexQuadratureRule,
+from ..kernels import (GAUSS_MAX_DEGREE, GAUSS_MIN_ORDER, SimplexQuadratureRule,
                        heat_chain_integrand, simplex_quadrature)
 from ..perturbation import (SERIES_CAP, PerturbedContext,
                             endpoint_transgression_check,
@@ -82,7 +82,7 @@ def _coupling(text):
 
 def _scale(field, positive):
     # a finite float, > 0 or >= 0 as a spec requires
-    return _usage(lambda text: check_scale(field, text, positive))
+    return _usage(lambda text: check_scale(field, _number(float, text), positive))
 
 
 @_usage
@@ -216,6 +216,17 @@ def _tau_by_quadrature(system, n, xs, kind, num, seed):
 
 
 def _cmd_tau_eval(args):
+    # the quadrature runs at even degrees only; the degree and the rule are
+    # parsed apart, so only here can the Gauss rule's cap be checked, before
+    # any work
+    quadrature = None
+    if args.quadrature is not None and args.degree % 2 == 0:
+        quadrature = parse_quadrature(args.quadrature)
+        if quadrature[0] == "gauss" and args.degree > GAUSS_MAX_DEGREE:
+            raise argparse.ArgumentError(
+                None, "argument --quadrature: the Gauss rule takes degree "
+                "n <= %d, got --degree %d; use mc:<samples>"
+                % (GAUSS_MAX_DEGREE, args.degree))
     spec, system, _ = _load_model(args.model)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x7E)))
     out = []
@@ -224,10 +235,9 @@ def _cmd_tau_eval(args):
               for _ in range(args.degree + 1)]
         entry = {"degree": args.degree, "tuple_index": index}
         try:
-            if args.quadrature is not None and args.degree % 2 == 0:
-                kind, num = parse_quadrature(args.quadrature)
+            if quadrature is not None:
                 val, err = _tau_by_quadrature(system, args.degree, xs,
-                                              kind, num, args.seed)
+                                              *quadrature, args.seed)
                 entry["estimate"] = [val.real, val.imag]
                 entry["quadrature_error"] = err
             val = tau_eval(system, args.degree, xs)

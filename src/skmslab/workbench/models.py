@@ -44,15 +44,15 @@ def matrix_from_json(rows):
 
 
 def check_scale(field, value, positive):
-    """float(value) when it is finite and > 0 (positive) or >= 0.
+    """float(value) when it is a finite real number, > 0 (positive) or >= 0.
 
     ValueError naming the field otherwise: NaN or inf would end deep in
-    numpy, in an eigensolver or SVD that does not converge.
+    numpy, in an eigensolver or SVD that does not converge, and a bool or
+    a string would load as a number ("scale": true as 1.0) that the spec
+    keeps in its own form.
     """
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    x = float(value) if real else math.nan
     if not (x > 0.0 if positive else x >= 0.0) or x == math.inf:
         raise ValueError("%s must be a finite number %s 0, got %r"
                          % (field, ">" if positive else ">=", value))

@@ -599,6 +599,67 @@ def test_quadrature_degree_zero_and_guards():
         SimplexQuadratureRule("gauss", 1)  # its error estimate would read 0
     with pytest.raises(ValueError):
         SimplexQuadratureRule("trapezoid", 4)
+    # 2.5 samples drew 2 and True drew 1; seed -1 ended in numpy at first use
+    for bad in (2.5, True, "4", 0, -3):
+        with pytest.raises(ValueError, match="^order_or_samples must be an integer"):
+            SimplexQuadratureRule("mc", bad)
+    for bad in (-1, 1.0, False, "0", None):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            SimplexQuadratureRule("mc", 10, seed=bad)
+    rule = SimplexQuadratureRule("mc", np.int64(10), seed=np.uint32(3))
+    assert rule.order_or_samples == 10 and rule.seed == 3
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sampler_network_has_the_bits_of_np_sort(n):
+    rng = np.random.default_rng(100 + n)
+    for take in (1, 7, 1001):
+        u = rng.random((take, n))
+        got = kernels._sorted_rows(u)
+        assert got.shape == (take, n) and got.T.flags.c_contiguous
+        assert got.tobytes() == np.sort(u, axis=1).tobytes()
+    # ties and the ends of [0, 1) stay put too
+    u = rng.integers(0, 3, size=(9, n)) / 2.0
+    assert kernels._sorted_rows(u).tobytes() == np.sort(u, axis=1).tobytes()
+
+
+def _monte_carlo_by_sort(integrand, n, samples, seed, vectorized):
+    # the Monte-Carlo estimate with each batch of draws put in order by
+    # np.sort, in the arithmetic of simplex_quadrature
+    rng = np.random.default_rng(seed)
+    count, acc, acc_sq = 0, 0.0 + 0.0j, 0.0
+    while count < samples:
+        take = min(200_000, samples - count)
+        pts = np.sort(rng.random((take, n)), axis=1)
+        if vectorized:
+            vals = np.asarray(integrand(pts), dtype=complex).reshape(-1)
+        else:
+            vals = np.array([integrand(p) for p in pts], dtype=complex)
+        acc += vals.sum()
+        acc_sq += float(np.sum(np.abs(vals) ** 2))
+        count += take
+    mean = acc / count
+    var = max(0.0, (acc_sq / count - abs(mean) ** 2) * count / (count - 1))
+    return mean / math.factorial(n), math.sqrt(var / count) / math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_monte_carlo_equals_the_np_sort_sampler(n):
+    # two batches, 2e5 points and 3; value and standard error bit for bit
+    rng = np.random.default_rng(40 + n)
+    lam = np.sort(rng.random(3))
+    spec = Spectrum(lam, np.linalg.qr(rng.standard_normal((3, 3)))[0])
+    xs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+          for _ in range(n + 1)]
+    integrand = heat_chain_integrand(spec, xs, np.diag([1.0, -1.0, 1.0]))
+    rule = SimplexQuadratureRule("mc", 200_003, seed=n, vectorized=True)
+    got = simplex_quadrature(integrand, n, rule)
+    assert got == _monte_carlo_by_sort(integrand, n, 200_003, n, True)
+    # the point-by-point path
+    point = lambda p: complex(integrand(p)[0])
+    rule = SimplexQuadratureRule("mc", 501, seed=n)
+    assert simplex_quadrature(point, n, rule) == _monte_carlo_by_sort(
+        point, n, 501, n, False)
 
 
 def test_quadrature_scalar_integrand_path():

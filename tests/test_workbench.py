@@ -82,6 +82,12 @@ def test_model_spec_validation():
     ({"perturbation": {"seed": 1, "scale": float("inf")}}, "perturbation scale"),
     ({"perturbation": {"seed": 1, "scale": -float("inf")}}, "perturbation scale"),
     ({"perturbation": {"seed": 1, "scale": -0.1}}, "perturbation scale"),
+    # "scale": true loaded as 1.0 under another digest than "scale": 1,
+    # and "scale": "0.6" loaded and kept the string
+    ({"scale": True}, "scale"),
+    ({"scale": "0.6"}, "scale"),
+    ({"perturbation": {"seed": 1, "scale": True}}, "perturbation scale"),
+    ({"perturbation": {"seed": 1, "scale": "0.3"}}, "perturbation scale"),
 ])
 def test_model_spec_refuses_a_bad_scale(fields, name):
     # NaN and inf ended in a LinAlgError from eigh or svd, after
@@ -605,6 +611,33 @@ def test_cli_series_order_at_the_cap(tmp_path, capsys):
         "dyson.alpha_fidelity", "dyson.gamma_fidelity"}
 
 
+def test_cli_tau_eval_gauss_past_its_degree_cap_is_a_usage_error(
+        tmp_path, capsys, monkeypatch):
+    # --degree 8 --quadrature gauss:4 ended in the ValueError traceback of
+    # simplex_quadrature, after the model was built and the chain evaluated
+    from skmslab.workbench import cli
+
+    def started(*args):
+        raise AssertionError("work started before the degree was checked")
+    monkeypatch.setattr(cli, "tau_eval", started)
+    monkeypatch.setattr(cli, "_load_model", started)
+    with pytest.raises(SystemExit) as exc:
+        main(["tau", "eval", "--model", write_spec(tmp_path), "--degree", "8",
+              "--quadrature", "gauss:4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --quadrature: the Gauss rule takes degree n <= 6" in err
+    assert "Traceback" not in err
+
+
+def test_cli_tau_eval_monte_carlo_past_the_gauss_cap(tmp_path, capsys):
+    rc = main(["tau", "eval", "--model", write_spec(tmp_path), "--degree", "8",
+               "--quadrature", "mc:200"])
+    assert rc == 0
+    entry = json.loads(capsys.readouterr().out)["evaluations"][0]
+    assert entry["degree"] == 8 and "estimate" in entry and "value" in entry
+
+
 def test_cli_tau_eval_odd_degree(tmp_path, capsys):
     model = write_spec(tmp_path)
     rc = main(["tau", "eval", "--model", model, "--degree", "1",
@@ -758,6 +791,9 @@ UNLOADABLE_SPECS = {
     "bad JSON": "{\"schema\": ",
     "unknown kind": json.dumps(dict(BLOCK_SPEC.to_dict(), kind="Diagonal")),
     "NaN scale": json.dumps(dict(BLOCK_SPEC.to_dict(), scale=float("nan"))),
+    "bool scale": json.dumps(dict(BLOCK_SPEC.to_dict(), scale=True)),
+    "string perturbation scale": json.dumps(dict(
+        BLOCK_SPEC.to_dict(), perturbation={"seed": 1, "scale": "0.3"})),
     "not an object": "[1, 2]",
     "missing field": json.dumps({"schema": "skms-model/1", "p": 3, "q": 2}),
     "null size": json.dumps(dict(BLOCK_SPEC.to_dict(), p=None)),
