@@ -37,7 +37,8 @@ Monte Carlo) on cache-sized blocks of points, with the point index last
 and real arithmetic: per block, one GEMM for y_n D_n y_0, one per middle
 insertion, and one that forms only the diagonal the trace reads.
 A Gauss-Duffy rule depends on its order and degree alone: each is built
-once, memoized read-only, and shared by every quadrature of that shape.
+once, memoized read-only, and shared by every quadrature of that shape;
+price_gauss_rule refuses one over the chain budget before it is built.
 Monte Carlo orders each (B, n) batch of uniform draws without a per-row
 sort: the draw is copied once to (n, B), and Batcher's odd-even merge
 network (AFIPS SJCC 32, 1968) sorts its n rows by whole-row np.minimum
@@ -51,10 +52,15 @@ and at t = i alike, as block row 0 of one ((k+1)d)-square exponential
 for order k, with c = it.
 
 Per Taylor term the builder does one GEMM per position of each run,
-(levels d x d) by (d x d), and one per position of each level edge,
-adds the products into the term in place, and reads a block's running
-sum only when a bound on it could let a slice stop; none of this
-changes a bit of the result.
+(levels d x d) by (d x d), and one per position of each level edge, and
+five whole-array passes: the diagonal factors, held as one (d, d) block
+per slice; the add of the products; the 1/(s j) scale, one float for
+the stack when every slice has the same s; the add into the sums; and,
+once a slice may stop, max|term| per block.  The first substep starts
+from [I, 0, .., 0], so a position is zero until a run reaches it, and
+no GEMM reads it before.  A block's running sum is read only when a
+bound on it could let a slice stop.  None of this changes a bit of the
+result.
 """
 
 import enum
@@ -151,6 +157,18 @@ def chain_budget():
     return value
 
 
+def _refuse_over_budget(cost, what, *args):
+    """Raise ChainBudgetExceeded when cost is over chain_budget().
+
+    The message names the work, what % args, then its cost and the budget.
+    The chain builder, the Gauss rule and the coupling grid price their
+    work here, before it starts.
+    """
+    budget = chain_budget()
+    if cost > budget:
+        raise ChainBudgetExceeded("%s = %.3g, over budget %g" % (what % args, cost, budget))
+
+
 def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     """Top block rows of a stack of block heat-chain exponentials.
 
@@ -181,8 +199,10 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     and stopped slices are masked, so each slice gets the bits it gets
     alone.  The block sums are read only when an upper bound on them
     would let a live slice stop, which gives the same stopping term as
-    reading them on every term.  No generator is formed: the workspace is
-    a few arrays of the returned shape.
+    reading them on every term.  The first substep starts from [I, 0, ..,
+    0] and multiplies no position that no run has reached yet, which is
+    zero.  No generator is formed: the workspace is a few arrays of the
+    returned shape.
 
     Each exponential is priced at (blocks d)^3 against chain_budget(),
     whatever K; what names the chain, with its d and degree, in the
@@ -194,12 +214,8 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     levels = 2 if any(row == col for row, col, _ in edges) else 1
     nblocks = positions * levels
     size = nblocks * d
-    budget = chain_budget()
-    cost = float(size) ** 3
-    if cost > budget:
-        raise ChainBudgetExceeded(
-            "%s needs a %dx%d block exponential of cost %d^3 = %.3g, over "
-            "budget %g" % (what, size, size, size, cost, budget))
+    _refuse_over_budget(float(size) ** 3, "%s needs a %dx%d block exponential of cost %d^3",
+                        what, size, size, size)
     diag = scale * np.broadcast_to(spectrum.evals, (k, d))
     mu = diag.mean(axis=1)
     diag = diag - mu[:, None]
@@ -224,70 +240,101 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     shift = np.exp(mu / s)[:, None, None, None]
     for step in range(int(s.max())):
         live = s > step
-        _taylor_step(top, diag, edges, s, m + nblocks, ~live)
+        _taylor_step(top, diag, edges, s, m + nblocks, ~live, step == 0)
         np.multiply(blocks, shift, out=blocks, where=live[:, None, None, None])
     return blocks
 
 
-def _taylor_step(total, diag, runs, s, caps, stopped):
+def _taylor_step(total, diag, runs, s, caps, stopped, fresh):
     # total += sum_{j >= 1} total (A/s)^j / j! in place for the slices not
     # stopped, each up to its stopping term (see _heat_chain_blocks); total
     # is (K, positions, d, d), or (K, positions, levels, d, d) with level
     # edges.  A run multiplies every level of its source positions in one
-    # (levels d x d) (d x d) GEMM per position.  For the memory peak, the
-    # column factors are complex (float ones make the in-place products
-    # buffer) and each term's products go before the next's.  max|total| is
-    # read only when an upper bound on it, the last value read plus the
-    # sizes of the terms added since, would let a live slice stop; the
-    # slack 2^-40 on that bound covers its rounding, so every slice stops
-    # on the term the exact value gives
-    k, d = total.shape[0], total.shape[-1]
+    # (levels d x d) (d x d) GEMM per position.  A fresh substep starts
+    # from [I, 0, .., 0]: a position is zero until a run reaches it, so a
+    # term multiplies and adds only the products of the positions reached
+    # so far.  The other passes run over every block, since numpy buffers
+    # a pass over a slice of the positions, which is slower and raises the
+    # memory peak.  For that peak, too, the column factors are complex
+    # (float ones make the in-place products buffer) and each term's
+    # products go before the next's.  max|total| is read only when an
+    # upper bound on it, the last value read plus the sizes of the terms
+    # added since, would let a live slice stop, or when a cap is reached;
+    # the slack 2^-40 on that bound covers its rounding, so every slice
+    # stops on the term the exact value gives
+    k, positions, d = total.shape[0], total.shape[1], total.shape[-1]
     term = total.copy()
     sums, blocks = total.reshape(k, -1, d, d), term.reshape(k, -1, d, d)
     nblocks, most = blocks.shape[1], int(caps.max())
     # the levels of a position as one (levels d, d) operand
-    tall = term.reshape(k, term.shape[1], -1, d)
-    # (source, destination, y) views of the term, formed once
-    plan = [(term[:, row:row + y.shape[1], 0], term[:, col:col + y.shape[1], 1], y)
+    tall = term.reshape(k, positions, -1, d)
+    # (row, col, source, destination, y) views of the term, formed once
+    plan = [(row, col, term[:, row:row + y.shape[1], 0],
+             term[:, col:col + y.shape[1], 1], y)
             if row == col else
-            (tall[:, row:row + y.shape[1]], tall[:, col:col + y.shape[1]], y)
+            (row, col, tall[:, row:row + y.shape[1]], tall[:, col:col + y.shape[1]], y)
             for row, col, y in runs]
-    columns = diag.astype(complex)[:, None, None, :]
+    work = [view[2:] for view in plan]
+    # one (d, d) block of column factors per slice: the multiply runs over
+    # d^2 contiguous elements
+    columns = np.repeat(diag.astype(complex)[:, None, None, :], d, axis=2)
     # 1/(s j) as (1/s) * (1/j), the bits numpy's complex (1/s) / j gives,
-    # applied to the float view of the term
-    inverse = (1.0 / s)[:, None, None, None]
+    # applied to the float view of the term; 1/s is one float when every
+    # slice has the same s, so the scale is then a scalar multiply
+    inverse = 1.0 / s
+    inverse = float(inverse[0]) if (s == s[0]).all() else inverse[:, None, None, None]
     floats = blocks.view(float)
-    # ceiling bounds max|total| per block; none is known before the first read
-    masked, last, ceiling = stopped.any(), None, math.inf
+    reach, cut = 1, fresh
+    live = ~stopped
+    masked, cap = not live.all(), int(caps[live].min())
+    # ceiling bounds max|total| per block from the first read on
+    last = ceiling = None
     for j in range(1, most + 1):
-        prods = [source @ y for source, _, y in plan]
+        if cut:
+            work, reach, cut = _reached(plan, reach)
+        prods = [source @ y for source, _, y in work]
         blocks *= columns
-        for (_, dest, _), prod in zip(plan, prods):
+        for (_, dest, _), prod in zip(work, prods):
             dest += prod
-        del prods, prod
+        prods = prod = None
         floats *= inverse * (1.0 / j)
         if masked:
-            np.add(sums, blocks, out=sums, where=~stopped[:, None, None, None])
+            np.add(sums, blocks, out=sums, where=live[:, None, None, None])
         else:
             sums += blocks
         if j + 1 < nblocks:
             continue
         size = np.abs(blocks).max(axis=(2, 3))
-        if last is not None:
-            close = last + size
-            ceiling = ceiling + size
-            small = False
+        if last is None:
+            last = size
+            continue
+        close, last = last + size, size
+        if ceiling is not None and j < cap:
+            ceiling += size
             maybe = (close <= 2.0 ** -53 * (1.0 + 2.0 ** -40) * ceiling).all(axis=1)
-            if (maybe & ~stopped).any():
-                ceiling = np.abs(sums).max(axis=(2, 3))
-                small = (close <= 2.0 ** -53 * ceiling).all(axis=1)
-            done = small | (j >= caps)
-            if done.any():
-                stopped = stopped | done
-                if stopped.all():
-                    return
-                masked = True
-        last = size
+            if not (maybe & live).any():
+                continue
+        ceiling = np.abs(sums).max(axis=(2, 3))
+        done = (close <= 2.0 ** -53 * ceiling).all(axis=1) | (j >= caps)
+        if (done & live).any():
+            live &= ~done
+            if not live.any():
+                return
+            masked, cap = True, int(caps[live].min())
+
+
+def _reached(plan, reach):
+    # the (source, destination, y) views of plan cut to the source positions
+    # below reach, the only nonzero ones; the positions their products
+    # reach; and whether any view was cut
+    work, ahead, cut = [], reach, False
+    for row, col, source, dest, y in plan:
+        count = min(y.shape[1], reach - row)
+        if count > 0:
+            work.append((source[:, :count], dest[:, :count], y[:, :count]))
+            ahead = max(ahead, col + count)
+        cut = cut or count < y.shape[1]
+    return work, ahead, cut
 
 
 def _grading_matrix(grading):
@@ -535,6 +582,18 @@ class SimplexQuadratureRule:
                              % (GAUSS_MIN_ORDER, self.order_or_samples))
 
 
+def price_gauss_rule(order, n):
+    """Refuse a Gauss-Duffy rule of this order at degree n over the budget.
+
+    Its work is order^n integrand points, plus the order^2 of the
+    companion matrix that leggauss builds for the nodes, priced against
+    chain_budget() before either is made: ChainBudgetExceeded gives the cost.
+    """
+    _refuse_over_budget(float(order) ** n + float(order) ** 2,
+                        "a Gauss rule of order %d at degree %d needs %d^%d points plus "
+                        "a %d^2 node matrix", order, n, order, n, order)
+
+
 @functools.lru_cache(maxsize=32)
 def gauss_legendre_01(order):
     """Gauss-Legendre nodes and weights on [0, 1], shared read-only."""
@@ -610,7 +669,9 @@ def simplex_quadrature(integrand, n, rule):
     Returns (value, error_estimate).  For the Gauss path the estimate is
     the difference against a lower-order rule; for Monte Carlo it is the
     standard error of the mean.  The Gauss path rejects n > GAUSS_MAX_DEGREE
-    (tensor cost).
+    (tensor cost) with ValueError, and a rule whose price_gauss_rule is
+    over the chain budget with ChainBudgetExceeded, before it builds the
+    rule.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -624,6 +685,7 @@ def simplex_quadrature(integrand, n, rule):
             raise ValueError("Gauss tensor rule rejected for n > %d (cost guard)"
                              % GAUSS_MAX_DEGREE)
         order = int(rule.order_or_samples)
+        price_gauss_rule(order, n)
         s, w = _duffy_points(order, n)
         vals = _eval_integrand(integrand, s, rule.vectorized)
         value = complex(np.dot(w, vals))

@@ -42,8 +42,8 @@ from .dynamics import (SUPERCHARGE_TOL, GradedSystem, _draw_tuples,
 from .errors import ParityViolation, TruncationUnreachable
 from .graded import as_matrices, as_matrix, frobenius_norms, modulus
 # chain_integral is bound here too: perfbench traces perturbation.chain_integral
-from .kernels import (Spectrum, _heat_chain_blocks, chain_integral,  # noqa: F401
-                      gauss_legendre_01)
+from .kernels import (Spectrum, _heat_chain_blocks, _refuse_over_budget,  # noqa: F401
+                      chain_integral, gauss_legendre_01)
 from .report import DOCUMENTED, Measurement, make_report
 
 SERIES_CAP = 40
@@ -520,10 +520,15 @@ def witten_invariance_check(system, perturbation, grid=11):
     """Tr(Gamma e^{-H_r}) and phi^r(1) are r-independent (McKean-Singer).
 
     The grid has both ends r = 0 and r = 1, so it needs grid >= 2;
-    anything less raises ValueError.  The grid is one context.
+    anything less raises ValueError.  The grid is one context, whose grid
+    eigendecompositions are priced at grid d^3 against the chain budget
+    before it is built (ChainBudgetExceeded).
     """
     if grid < 2:
         raise ValueError("the coupling grid needs at least 2 points, got %d" % grid)
+    d = system.dim
+    _refuse_over_budget(float(grid) * d ** 3, "a coupling grid of %d at d=%d needs %d "
+                        "eigendecompositions of cost %d * %d^3", grid, d, grid, grid, d)
     ctx = PerturbedContext(system, perturbation, np.linspace(0.0, 1.0, grid))
     worst_z = float(np.max(np.abs(ctx.witten_index_r - system.witten_index)))
     worst_unit = float(np.max(modulus(skms_eval(ctx, np.eye(system.dim)) - 1.0)))

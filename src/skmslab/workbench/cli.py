@@ -18,7 +18,7 @@ from ..cochain import tau_eval
 from ..dynamics import superderivation
 from ..errors import ChainBudgetExceeded
 from ..kernels import (GAUSS_MAX_DEGREE, GAUSS_MIN_ORDER, SimplexQuadratureRule,
-                       heat_chain_integrand, simplex_quadrature)
+                       heat_chain_integrand, price_gauss_rule, simplex_quadrature)
 from ..perturbation import (SERIES_CAP, PerturbedContext,
                             endpoint_transgression_check,
                             homotopy_check, homotopy_steps, lipschitz_check,
@@ -26,17 +26,18 @@ from ..perturbation import (SERIES_CAP, PerturbedContext,
 from .models import (ModelSpec, build_model, build_perturbed_model, check_scale,
                      model_digest)
 from .reports import emit_report
-from .suites import (SUITES, SuiteConfig, gate, gauss_order, parse_quadrature,
-                     run_suite)
+from .suites import (LEMMA34_N, SUITES, SuiteConfig, gate, gauss_order,
+                     parse_quadrature, run_suite)
 
 
 def _usage(parse):
     # a type= function: parse(text) runs while the arguments are parsed,
-    # and its ValueError becomes a usage error with the same message
+    # and its ValueError or ChainBudgetExceeded becomes a usage error with
+    # the same message
     def checked(text):
         try:
             return parse(text)
-        except ValueError as exc:
+        except (ValueError, ChainBudgetExceeded) as exc:
             raise argparse.ArgumentTypeError(str(exc))
     return checked
 
@@ -56,6 +57,13 @@ def _rule(parse):
         parse(text)
         return text
     return checked
+
+
+@_usage
+def _suite_rule(text):
+    # a suite rule, priced at the degree the Lemma34 suite runs it at
+    price_gauss_rule(gauss_order(text), LEMMA34_N + 1)
+    return text
 
 
 def _int_in(what, low, high=None):
@@ -133,20 +141,20 @@ def _config(args):
 
 
 @contextlib.contextmanager
-def _spec_errors(what):
-    # a spec that cannot be read, is refused or cannot be built is a usage
-    # error, which main reports in one line, "<what>: <cause>", rather
-    # than a traceback
+def _usage_errors(what, errors=(OSError, ValueError, TypeError)):
+    # errors raised inside are usage errors, which main reports in one
+    # line, "<what>: <cause>", rather than a traceback: by default a spec
+    # that cannot be read, is refused or cannot be built
     try:
         yield
-    except (OSError, ValueError, TypeError) as exc:
+    except errors as exc:
         raise argparse.ArgumentError(None, "%s: %s" % (what, exc))
 
 
 def _load_model(path, seed=None):
     # (spec, system, perturbation) from the spec file; with a seed, a spec
     # without a perturbation gets the stand-in of build_perturbed_model
-    with _spec_errors("cannot load model %s" % path):
+    with _usage_errors("cannot load model %s" % path):
         with open(path) as fh:
             spec = ModelSpec.from_json(fh.read())
         model = build_model(spec) if seed is None else build_perturbed_model(spec, seed)
@@ -179,7 +187,7 @@ def _cmd_model_gen(args):
         pert = {"seed": args.perturb_seed or 0,
                 "scale": args.perturb_scale if args.perturb_scale is not None
                 else 0.3}
-    with _spec_errors("cannot build model"):
+    with _usage_errors("cannot build model"):
         spec = ModelSpec(kind=args.kind, p=args.p, q=args.q, seed=args.seed,
                          scale=args.scale, perturbation=pert)
         build_model(spec)  # raises on invalid specs before anything is written
@@ -217,8 +225,8 @@ def _tau_by_quadrature(system, n, xs, kind, num, seed):
 
 def _cmd_tau_eval(args):
     # the quadrature runs at even degrees only; the degree and the rule are
-    # parsed apart, so only here can the Gauss rule's cap be checked, before
-    # any work
+    # parsed apart, so only here can the Gauss rule's cap and price be
+    # checked, before any work
     quadrature = None
     if args.quadrature is not None and args.degree % 2 == 0:
         quadrature = parse_quadrature(args.quadrature)
@@ -227,6 +235,9 @@ def _cmd_tau_eval(args):
                 None, "argument --quadrature: the Gauss rule takes degree "
                 "n <= %d, got --degree %d; use mc:<samples>"
                 % (GAUSS_MAX_DEGREE, args.degree))
+        if quadrature[0] == "gauss":
+            with _usage_errors("argument --quadrature", ChainBudgetExceeded):
+                price_gauss_rule(quadrature[1], args.degree)
     spec, system, _ = _load_model(args.model)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x7E)))
     out = []
@@ -253,8 +264,11 @@ def _cmd_tau_eval(args):
 def _cmd_perturb_sweep(args):
     spec, system, pert = _load_model(args.model, args.seed)
     tol = args.tol if args.tol is not None else 1e-10
-    reports = gate(witten_invariance_check(system, pert, grid=args.grid)
-                   + lipschitz_check(system, pert, samples=50, seed=args.seed), tol)
+    # the grid's context is priced before it is built
+    with _usage_errors("argument --grid", ChainBudgetExceeded):
+        invariance = witten_invariance_check(system, pert, grid=args.grid)
+    reports = gate(invariance + lipschitz_check(system, pert, samples=50, seed=args.seed),
+                   tol)
     couplings = (0.0, 0.5, 1.0)
     contexts = PerturbedContext(system, pert, couplings)
     for k, r_value in enumerate(couplings):
@@ -276,11 +290,14 @@ def _cmd_homotopy_check(args):
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x48)))
     xs = [system.random_element(rng, parity="even")
           for _ in range(args.degree + 1)]
-    reports = homotopy_check(system, pert, args.degree, xs, r=args.r,
-                             hs=args.steps)
-    reports += endpoint_transgression_check(
-        system, pert, args.degree, xs,
-        tol=args.tol if args.tol is not None else 1e-6)
+    # a chain past the budget ends the checks in one usage line; tau eval
+    # reports the same refusal per entry, verify as a failing row
+    with _usage_errors("argument --degree", ChainBudgetExceeded):
+        reports = homotopy_check(system, pert, args.degree, xs, r=args.r,
+                                 hs=args.steps)
+        reports += endpoint_transgression_check(
+            system, pert, args.degree, xs,
+            tol=args.tol if args.tol is not None else 1e-6)
     return _finish(spec, reports, args)
 
 
@@ -312,7 +329,7 @@ def build_parser():
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES + tuple(s.lower() for s in SUITES))
     verify.add_argument("--model", required=True)
-    verify.add_argument("--quadrature", type=_rule(gauss_order), default=None,
+    verify.add_argument("--quadrature", type=_suite_rule, default=None,
                         help="gauss:<order>, order >= %d, the rule of "
                         "chain.slot_derivative" % GAUSS_MIN_ORDER)
     _add_options(verify, *_OPTIONS)

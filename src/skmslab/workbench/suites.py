@@ -142,11 +142,15 @@ def _cocycle_checks(sys, config):
     return checks
 
 
+# the degree of lemma34_check in the suites; its Gauss rule runs at n + 1
+LEMMA34_N = 2
+
+
 def _lemma34_checks(sys, config):
     order = gauss_order(config.quadrature)
 
     def run():
-        return lemma34_check(sys, n=2, samples=6, order=order, seed=config.seed)
+        return lemma34_check(sys, n=LEMMA34_N, samples=6, order=order, seed=config.seed)
     return [("chain.rotation", "rotation", TOL_QUAD, run)]
 
 

@@ -197,10 +197,10 @@ def test_mixed_stack_gives_each_slice_its_bits_alone(monkeypatch):
     steps = []
     taylor_step = kernels._taylor_step
 
-    def recorded(total, diag, runs, s, caps, stopped):
+    def recorded(total, diag, runs, s, caps, stopped, fresh):
         live = ~stopped
         steps.append((int(live.sum()), sorted(set(caps[live].tolist()))))
-        return taylor_step(total, diag, runs, s, caps, stopped)
+        return taylor_step(total, diag, runs, s, caps, stopped, fresh)
 
     monkeypatch.setattr(kernels, "_taylor_step", recorded)
     whole = kernels._heat_chain_blocks(spec, [(0, 1, ys)], "mixed")
@@ -215,10 +215,12 @@ def test_mixed_stack_gives_each_slice_its_bits_alone(monkeypatch):
         assert np.array_equal(alone, whole[k:k + 1]), k
 
 
-def _reference_taylor_step(total, diag, runs, s, caps, stopped):
+def _reference_taylor_step(total, diag, runs, s, caps, stopped, fresh):
     # the row action's Taylor substep as it was before the per-term work
     # was cut: products copied back into the term, a complex 1/(s j), and
-    # max|total| read on every term from block nblocks - 1 on
+    # max|total| read on every term from block nblocks - 1 on; every block
+    # is multiplied on every term, so whether the substep starts from
+    # [I, 0, .., 0] (fresh) is not read
     nblocks, most = total.shape[1], int(caps.max())
     term = total.copy()
     columns = diag.astype(complex)[:, None, None, :]
@@ -299,12 +301,15 @@ def test_taylor_step_keeps_the_bits_of_the_reference_on_every_run_layout(
         _assert_builder_matches_reference(monkeypatch, spec, [run], scale=c)
 
 
-@pytest.mark.parametrize("d", [3, 5, 8, 10])
+@pytest.mark.parametrize("d, n", [(d, n) for n in (3, 8) for d in (3, 5, 8, 10)],
+                         ids=["3", "5", "8", "10", "3-n8", "5-n8", "8-n8", "10-n8"])
 def test_taylor_step_keeps_the_bits_of_the_reference_on_a_mixed_stack(
-        monkeypatch, d):
+        monkeypatch, d, n):
     # the slices of test_mixed_stack_gives_each_slice_its_bits_alone, with
-    # its zero slice and its stiff one (spread 40), at several d
-    n = 3
+    # its zero slice and its stiff one (spread 40), at several d; and the
+    # same at degree 8, nine blocks, the highest entireness degree: the
+    # first substep skips the sources it has not reached, the later
+    # substeps of the stiff slices must not
     spreads = [0.5, 3.0, 40.0, 0.0, 8.0]
     norms = [0.1, 1.0, 5.0, 0.0, 2.0]
     rng = np.random.default_rng(41)
@@ -608,6 +613,29 @@ def test_quadrature_degree_zero_and_guards():
             SimplexQuadratureRule("mc", 10, seed=bad)
     rule = SimplexQuadratureRule("mc", np.int64(10), seed=np.uint32(3))
     assert rule.order_or_samples == 10 and rule.seed == 3
+
+
+def test_gauss_rule_is_priced_before_it_is_built(monkeypatch):
+    # order^n points plus the order^2 node matrix of leggauss, against the
+    # chain budget: gauss:100000 at degree 3 asked leggauss for a 74.5 GiB
+    # matrix; an overpriced rule is refused before leggauss runs
+    def built(order):
+        raise AssertionError("leggauss ran before the rule was priced")
+
+    ones = lambda p: np.ones(len(p))
+    with monkeypatch.context() as patched:
+        patched.setattr(np.polynomial.legendre, "leggauss", built)
+        with pytest.raises(ChainBudgetExceeded, match=re.escape(
+                "a Gauss rule of order 100000 at degree 3 needs 100000^3 points "
+                "plus a 100000^2 node matrix = 1e+15, over budget 1e+08")):
+            simplex_quadrature(ones, 3, SimplexQuadratureRule("gauss", 100000))
+        # order 11 at degree 2 costs 11^2 + 11^2 = 242
+        patched.setenv("SKMS_CHAIN_BUDGET", "241")
+        with pytest.raises(ChainBudgetExceeded, match="= 242, over budget 241"):
+            simplex_quadrature(ones, 2, SimplexQuadratureRule("gauss", 11, vectorized=True))
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", "242")
+    val, _ = simplex_quadrature(ones, 2, SimplexQuadratureRule("gauss", 11, vectorized=True))
+    assert val == pytest.approx(0.5, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -630,6 +630,62 @@ def test_cli_tau_eval_gauss_past_its_degree_cap_is_a_usage_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, cost", [
+    (["tau", "eval", "--degree", "2", "--quadrature", "gauss:3000000000"],
+     "order 3000000000 at degree 2 needs 3000000000^2 points"),
+    (["verify", "Lemma34", "--quadrature", "gauss:100000"],
+     "order 100000 at degree 3 needs 100000^3 points"),
+])
+def test_cli_gauss_rule_over_the_budget_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, argv, cost):
+    # both ended in a MemoryError traceback from leggauss (exit 1); the rule
+    # is now priced while the arguments are checked, before the model loads
+    from skmslab.workbench import cli
+
+    def started(*args):
+        raise AssertionError("work started before the rule was priced")
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", started)
+    monkeypatch.setattr(cli, "_load_model", started)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--model", write_spec(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --quadrature: a Gauss rule of " + cost in err
+    assert "over budget 1e+08" in err and "Traceback" not in err
+
+
+def test_cli_perturb_sweep_grid_over_the_budget_is_a_usage_error(
+        tmp_path, capsys, monkeypatch):
+    # --grid 100000000 asked for a 37.3 GiB (K, d, d) stack and ended in a
+    # traceback (exit 1); the grid's context is priced before it is built
+    from skmslab import perturbation
+
+    def built(*args):
+        raise AssertionError("the context was built before it was priced")
+    monkeypatch.setattr(perturbation, "PerturbedContext", built)
+    with pytest.raises(SystemExit) as exc:
+        main(["perturb", "sweep", "--model", write_spec(tmp_path),
+              "--grid", "100000000"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("argument --grid: a coupling grid of 100000000 at d=5 needs 100000000 "
+            "eigendecompositions of cost 100000000 * 5^3 = 1.25e+10, over budget "
+            "1e+08") in err
+    assert "Traceback" not in err
+
+
+def test_cli_homotopy_check_past_the_chain_budget_is_a_usage_error(tmp_path, capsys):
+    # an uncaught ChainBudgetExceeded traceback (exit 1) before; tau eval
+    # reports the same refusal per entry and verify as a failing row
+    with pytest.raises(SystemExit) as exc:
+        main(["homotopy", "check", "--model", write_spec(tmp_path), "--degree", "60"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("argument --degree: alternating chain with d=5, m=61 needs a 620x620 "
+            "block exponential of cost 620^3 = 2.38e+08, over budget 1e+08") in err
+    assert "Traceback" not in err
+
+
 def test_cli_tau_eval_monte_carlo_past_the_gauss_cap(tmp_path, capsys):
     rc = main(["tau", "eval", "--model", write_spec(tmp_path), "--degree", "8",
                "--quadrature", "mc:200"])
