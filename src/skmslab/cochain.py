@@ -55,10 +55,14 @@ import numpy as np
 from .dynamics import _draw_tuples, _superderivation_stack, skms_eval
 from .errors import ParityViolation
 from .graded import Parity, as_matrices, as_matrix, frobenius_norms, modulus
-from .kernels import _as_stacks, _is_stacked, chain_integral
+from .kernels import (SimplexQuadratureRule, _as_stacks, _is_stacked,
+                      chain_integral, heat_chain_integrand, simplex_quadrature)
 from .report import Measurement
 
 SCALAR_SLOT_TOL = 1e-12
+# the one rule of chain.slot_derivative, run at degree n + 1 of
+# lemma34_check: the row's quadrature error is that of this rule alone
+SLOT_DERIVATIVE_RULE = SimplexQuadratureRule("gauss", 8, vectorized=True)
 
 
 def is_scalar_slot(x):
@@ -439,7 +443,7 @@ def _chains_by_degree(sys, tuples):
     return out
 
 
-def lemma34_check(sys, n=2, samples=6, order=8, seed=0):
+def lemma34_check(sys, n=2, samples=6, seed=0):
     """Rotation and slot-derivative identities of the chain functional.
 
     Rotation: the Delta_n integral of phi(x_0 a_{is_1}(x_1) .. a_{is_n}(x_n))
@@ -447,13 +451,12 @@ def lemma34_check(sys, n=2, samples=6, order=8, seed=0):
     derivative, for j = 1..n with arguments x_0..x_{n+1} on Delta_{n+1}:
     integrating d/ds_j of the chain integrand equals the difference of the
     two contracted chains that merge slots (j, j+1) and (j-1, j).  The left
-    side is evaluated by Gauss quadrature, the right by the block-exponential
-    chain kernel, so this doubles as a cross-oracle test.  The samples are
-    drawn as one stack, and every chain, all of degree n, goes to one
-    call of the block builder.  Returns a Measurement per identity.
+    side is evaluated by SLOT_DERIVATIVE_RULE, Gauss order 8, the right by
+    the block-exponential chain kernel, so this doubles as a cross-oracle
+    test.  The samples are drawn as one stack, and every chain, all of
+    degree n, goes to one call of the block builder.  Returns a
+    Measurement per identity.
     """
-    from .kernels import SimplexQuadratureRule, heat_chain_integrand, simplex_quadrature
-
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x34)))
     z = sys.witten_index
     draws = _draw_tuples(sys, rng, samples, 2 * n + 3)
@@ -464,14 +467,13 @@ def lemma34_check(sys, n=2, samples=6, order=8, seed=0):
     rot = modulus(_over(chains[0], z) - _over(chains[1], z))
 
     h = sys.hamiltonian
-    rule = SimplexQuadratureRule("gauss", order, vectorized=True)
     slot = []
     for k in range(samples):
         for j in range(1, n + 1):
             dys = [y[k] for y in ys]
             dys[j] = ys[j][k] @ h - h @ ys[j][k]
             f = heat_chain_integrand(sys.spectrum, dys, sys.grading)
-            val, _ = simplex_quadrature(f, n + 1, rule)
+            val, _ = simplex_quadrature(f, n + 1, SLOT_DERIVATIVE_RULE)
             rhs = (complex(chains[2 + j][k]) - complex(chains[1 + j][k])) / z
             slot.append(abs(val / z - rhs))
     return [Measurement("chain.rotation", "rotation", samples, float(np.max(rot))),

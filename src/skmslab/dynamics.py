@@ -22,8 +22,8 @@ import warnings
 
 import numpy as np
 
-from .errors import (ConditioningWarning, ParityViolation, StripViolation,
-                     ZeroWittenIndex)
+from .errors import (ConditioningWarning, DimensionMismatch, ParityViolation,
+                     StripViolation, ZeroWittenIndex)
 from .graded import GradingOperator, Parity, as_matrices, as_matrix, modulus
 from .kernels import Spectrum
 from .report import Measurement
@@ -153,8 +153,14 @@ def heisenberg_flow(sys, x, z):
     x may be a (K, d, d) stack, flowed slice by slice, and z then one time
     or K times, one per slice; slice k gets the bits of its own call.  On
     a context of K couplings, slice k flows by coupling k, and one matrix
-    x by each of them.
+    x by each of them.  x is converted and checked against the dimension
+    of sys at every z, zero included.
     """
+    x = as_matrices(x)
+    spec = sys.spectrum
+    if x.shape[-1] != spec.dim:
+        raise DimensionMismatch("element dimension %d does not match system "
+                                "dimension %d" % (x.shape[-1], spec.dim))
     if np.ndim(z) == 0:
         z = complex(z)
         if z == 0:
@@ -162,14 +168,13 @@ def heisenberg_flow(sys, x, z):
             return x
     else:
         z = np.asarray(z, dtype=complex)[:, None]
-    spec = sys.spectrum
     spread = float(np.max(spec.evals[..., -1] - spec.evals[..., 0]))
     worst = float(np.max(np.abs(np.imag(z))))
     if spread * worst > CONDITIONING_LIMIT:
         warnings.warn(
             "imaginary-time flow with eigenvalue spread %.3g at Im z = %.3g"
             % (spread, worst), ConditioningWarning, stacklevel=2)
-    xm = spec.to_eigenbasis(as_matrices(x))
+    xm = spec.to_eigenbasis(x)
     phase = np.exp(1j * z * spec.evals)
     return spec.from_eigenbasis((phase[..., :, None] * xm)
                                 * (1.0 / phase)[..., None, :])

@@ -1,4 +1,19 @@
-"""Exception types and warning categories shared across the package."""
+"""Exception types, warning categories and the integer check shared across
+the package."""
+
+import numbers
+
+
+def check_integer(field, value, low=None):
+    """ValueError naming the field unless value is an integer, >= low if given.
+
+    A float or a bool would be truncated, "p": 3.9 to p = 3, and a
+    negative seed would end in numpy.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (field, value))
+    if low is not None and value < low:
+        raise ValueError("%s must be at least %d, got %r" % (field, low, value))
 
 
 class DimensionMismatch(ValueError):

@@ -38,7 +38,7 @@ and real arithmetic: per block, one GEMM for y_n D_n y_0, one per middle
 insertion, and one that forms only the diagonal the trace reads.
 A Gauss-Duffy rule depends on its order and degree alone: each is built
 once, memoized read-only, and shared by every quadrature of that shape;
-price_gauss_rule refuses one over the chain budget before it is built.
+rule.price refuses one over the chain budget before it is built.
 Monte Carlo orders each (B, n) batch of uniform draws without a per-row
 sort: the draw is copied once to (n, B), and Batcher's odd-even merge
 network (AFIPS SJCC 32, 1968) sorts its n rows by whole-row np.minimum
@@ -66,13 +66,12 @@ result.
 import enum
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainBudgetExceeded, DimensionMismatch
+from .errors import ChainBudgetExceeded, DimensionMismatch, check_integer
 from .graded import GradingOperator, as_matrix
 
 DEFAULT_CHAIN_BUDGET = 1e8
@@ -556,7 +555,8 @@ class SimplexQuadratureRule:
     batch of points.  A Gauss order below GAUSS_MIN_ORDER is refused: its
     error estimate would compare the rule with itself.  order_or_samples
     must be an integer >= 1 and seed an integer >= 0; a bool or a float
-    is refused rather than truncated.
+    is refused rather than truncated.  The degree a rule can run at is
+    checked by price, which simplex_quadrature calls.
     """
 
     kind: QuadKind
@@ -569,29 +569,40 @@ class SimplexQuadratureRule:
         if isinstance(kind, str):
             kind = QuadKind(kind)
             object.__setattr__(self, "kind", kind)
-        # a float or a bool would be truncated, 2.5 samples to 2 and True
-        # to 1, and a negative seed would end in numpy at first use
-        for field, value, low in (("order_or_samples", self.order_or_samples, 1),
-                                  ("seed", self.seed, 0)):
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < low):
-                raise ValueError("%s must be an integer >= %d, got %r"
-                                 % (field, low, value))
+        check_integer("order_or_samples", self.order_or_samples, 1)
+        check_integer("seed", self.seed, 0)
         if kind is QuadKind.GaussTensorDuffy and self.order_or_samples < GAUSS_MIN_ORDER:
             raise ValueError("Gauss order must be at least %d, got %d"
                              % (GAUSS_MIN_ORDER, self.order_or_samples))
 
+    @classmethod
+    def parse(cls, text):
+        """The rule of 'gauss:<order>' or 'mc:<samples>'; ValueError else."""
+        kind, _, num = text.partition(":")
+        kind = kind.strip().lower()
+        if kind not in ("gauss", "mc") or not num.strip().isdigit() or int(num) < 1:
+            raise ValueError("quadrature must be gauss:<order> or mc:<samples> "
+                             "with a positive count, got %r" % text)
+        return cls(kind, int(num))
 
-def price_gauss_rule(order, n):
-    """Refuse a Gauss-Duffy rule of this order at degree n over the budget.
+    def price(self, n):
+        """Refuse this rule at degree n before any of its work starts.
 
-    Its work is order^n integrand points, plus the order^2 of the
-    companion matrix that leggauss builds for the nodes, priced against
-    chain_budget() before either is made: ChainBudgetExceeded gives the cost.
-    """
-    _refuse_over_budget(float(order) ** n + float(order) ** 2,
-                        "a Gauss rule of order %d at degree %d needs %d^%d points plus "
-                        "a %d^2 node matrix", order, n, order, n, order)
+        A Gauss rule takes degree n <= GAUSS_MAX_DEGREE (ValueError), and
+        its work, order^n integrand points plus the order^2 of the
+        companion matrix that leggauss builds for the nodes, is priced
+        against chain_budget(): ChainBudgetExceeded gives the cost.  Monte
+        Carlo takes any degree.
+        """
+        if self.kind is not QuadKind.GaussTensorDuffy:
+            return
+        if n > GAUSS_MAX_DEGREE:
+            raise ValueError("the Gauss rule takes degree n <= %d, got %d; "
+                             "use mc:<samples>" % (GAUSS_MAX_DEGREE, n))
+        order = self.order_or_samples
+        _refuse_over_budget(float(order) ** n + float(order) ** 2,
+                            "a Gauss rule of order %d at degree %d needs %d^%d points "
+                            "plus a %d^2 node matrix", order, n, order, n, order)
 
 
 @functools.lru_cache(maxsize=32)
@@ -668,10 +679,9 @@ def simplex_quadrature(integrand, n, rule):
 
     Returns (value, error_estimate).  For the Gauss path the estimate is
     the difference against a lower-order rule; for Monte Carlo it is the
-    standard error of the mean.  The Gauss path rejects n > GAUSS_MAX_DEGREE
-    (tensor cost) with ValueError, and a rule whose price_gauss_rule is
-    over the chain budget with ChainBudgetExceeded, before it builds the
-    rule.
+    standard error of the mean.  A rule that rule.price refuses at degree
+    n raises its ValueError or ChainBudgetExceeded before any point is
+    built.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -680,12 +690,9 @@ def simplex_quadrature(integrand, n, rule):
         val = _eval_integrand(integrand, pts, rule.vectorized)[0]
         return complex(val), 0.0
 
+    rule.price(n)
     if rule.kind is QuadKind.GaussTensorDuffy:
-        if n > GAUSS_MAX_DEGREE:
-            raise ValueError("Gauss tensor rule rejected for n > %d (cost guard)"
-                             % GAUSS_MAX_DEGREE)
         order = int(rule.order_or_samples)
-        price_gauss_rule(order, n)
         s, w = _duffy_points(order, n)
         vals = _eval_integrand(integrand, s, rule.vectorized)
         value = complex(np.dot(w, vals))

@@ -9,7 +9,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import sys as _sys
 
 import numpy as np
@@ -17,27 +16,24 @@ import numpy as np
 from ..cochain import tau_eval
 from ..dynamics import superderivation
 from ..errors import ChainBudgetExceeded
-from ..kernels import (GAUSS_MAX_DEGREE, GAUSS_MIN_ORDER, SimplexQuadratureRule,
-                       heat_chain_integrand, price_gauss_rule, simplex_quadrature)
-from ..perturbation import (SERIES_CAP, PerturbedContext,
-                            endpoint_transgression_check,
+from ..kernels import (GAUSS_MIN_ORDER, SimplexQuadratureRule,
+                       heat_chain_integrand, simplex_quadrature)
+from ..perturbation import (PerturbedContext, endpoint_transgression_check,
                             homotopy_check, homotopy_steps, lipschitz_check,
                             skms_check_perturbed, witten_invariance_check)
 from .models import (ModelSpec, build_model, build_perturbed_model, check_scale,
                      model_digest)
 from .reports import emit_report
-from .suites import (LEMMA34_N, SUITES, SuiteConfig, gate, gauss_order,
-                     parse_quadrature, run_suite)
+from .suites import SUITES, SuiteConfig, gate, run_suite
 
 
 def _usage(parse):
     # a type= function: parse(text) runs while the arguments are parsed,
-    # and its ValueError or ChainBudgetExceeded becomes a usage error with
-    # the same message
+    # and its ValueError becomes a usage error with the same message
     def checked(text):
         try:
             return parse(text)
-        except (ValueError, ChainBudgetExceeded) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
     return checked
 
@@ -50,29 +46,11 @@ def _number(kind, text):
         raise ValueError("invalid %s value: %r" % (kind.__name__, text)) from None
 
 
-def _rule(parse):
-    # a quadrature text that parse accepts, kept as text
-    @_usage
-    def checked(text):
-        parse(text)
-        return text
-    return checked
-
-
-@_usage
-def _suite_rule(text):
-    # a suite rule, priced at the degree the Lemma34 suite runs it at
-    price_gauss_rule(gauss_order(text), LEMMA34_N + 1)
-    return text
-
-
-def _int_in(what, low, high=None):
-    # an int in [low, high], with no upper end for None
+def _int_in(what, low):
+    # an int >= low
     @_usage
     def parse(text):
         value = _number(int, text)
-        if high is not None and not low <= value <= high:
-            raise ValueError("%s must be in [%d, %d], got %d" % (what, low, high, value))
         if value < low:
             raise ValueError("%s must be at least %d, got %d" % (what, low, value))
         return value
@@ -95,15 +73,11 @@ def _scale(field, positive):
 
 @_usage
 def _steps(text):
-    # a comma list of positive finite floats
+    # a comma list of floats; _cmd_homotopy_check checks them with --r
     try:
-        hs = tuple(float(h) for h in text.split(","))
+        return tuple(float(h) for h in text.split(","))
     except ValueError:
         raise ValueError("invalid step list: %r" % text) from None
-    for h in hs:
-        if not 0.0 < h < math.inf:
-            raise ValueError("steps must be positive, got %r" % h)
-    return hs
 
 
 _OPTIONS = {
@@ -112,9 +86,6 @@ _OPTIONS = {
                   "(see the README)"),
     "--max-degree": dict(type=_int_in("max degree", 1), default=5,
                          help="highest cochain degree checked, >= 1"),
-    "--series-order": dict(type=_int_in("series order", 0, SERIES_CAP),
-                           default=None,
-                           help="Dyson series order, 0 to %d" % SERIES_CAP),
     "--seed": dict(type=_int_in("seed", 0), default=0),
     "--out": dict(default=None, help="write report/output here"),
     "--format": dict(choices=("json", "csv"), default="json"),
@@ -132,9 +103,8 @@ def _add_options(parser, *names):
 
 
 def _config(args):
-    kwargs = dict(max_degree=args.max_degree, series_order=args.series_order,
-                  quadrature=args.quadrature or "gauss:8", seed=args.seed,
-                  jobs=args.jobs, timing=args.timing)
+    kwargs = dict(max_degree=args.max_degree, seed=args.seed, jobs=args.jobs,
+                  timing=args.timing)
     if args.tol is not None:
         kwargs["tol_exact"] = args.tol
     return SuiteConfig(**kwargs)
@@ -213,31 +183,23 @@ def _cmd_verify(args):
     return _finish(spec, run_suite(spec, args.suite, _config(args)), args)
 
 
-def _tau_by_quadrature(system, n, xs, kind, num, seed):
+def _tau_by_quadrature(system, n, xs, rule):
     # quadrature route beside the block-exponential chain, driven by --quadrature
     mats = [xs[0]]
     mats += [superderivation(system, x) for x in xs[1:]]
     integrand = heat_chain_integrand(system.spectrum, mats, system.grading)
-    rule = SimplexQuadratureRule(kind, num, seed=seed, vectorized=True)
     value, err = simplex_quadrature(integrand, n, rule)
     return value / system.witten_index, abs(err / system.witten_index)
 
 
 def _cmd_tau_eval(args):
     # the quadrature runs at even degrees only; the degree and the rule are
-    # parsed apart, so only here can the Gauss rule's cap and price be
-    # checked, before any work
-    quadrature = None
+    # parsed apart, so only here can the rule be priced, before any work
+    rule = None
     if args.quadrature is not None and args.degree % 2 == 0:
-        quadrature = parse_quadrature(args.quadrature)
-        if quadrature[0] == "gauss" and args.degree > GAUSS_MAX_DEGREE:
-            raise argparse.ArgumentError(
-                None, "argument --quadrature: the Gauss rule takes degree "
-                "n <= %d, got --degree %d; use mc:<samples>"
-                % (GAUSS_MAX_DEGREE, args.degree))
-        if quadrature[0] == "gauss":
-            with _usage_errors("argument --quadrature", ChainBudgetExceeded):
-                price_gauss_rule(quadrature[1], args.degree)
+        rule = dataclasses.replace(args.quadrature, seed=args.seed, vectorized=True)
+        with _usage_errors("argument --quadrature", (ValueError, ChainBudgetExceeded)):
+            rule.price(args.degree)
     spec, system, _ = _load_model(args.model)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x7E)))
     out = []
@@ -246,9 +208,8 @@ def _cmd_tau_eval(args):
               for _ in range(args.degree + 1)]
         entry = {"degree": args.degree, "tuple_index": index}
         try:
-            if quadrature is not None:
-                val, err = _tau_by_quadrature(system, args.degree, xs,
-                                              *quadrature, args.seed)
+            if rule is not None:
+                val, err = _tau_by_quadrature(system, args.degree, xs, rule)
                 entry["estimate"] = [val.real, val.imag]
                 entry["quadrature_error"] = err
             val = tau_eval(system, args.degree, xs)
@@ -329,9 +290,6 @@ def build_parser():
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES + tuple(s.lower() for s in SUITES))
     verify.add_argument("--model", required=True)
-    verify.add_argument("--quadrature", type=_suite_rule, default=None,
-                        help="gauss:<order>, order >= %d, the rule of "
-                        "chain.slot_derivative" % GAUSS_MIN_ORDER)
     _add_options(verify, *_OPTIONS)
     verify.set_defaults(func=_cmd_verify)
 
@@ -341,7 +299,7 @@ def build_parser():
     tau_eval_p.add_argument("--model", required=True)
     tau_eval_p.add_argument("--degree", type=_int_in("degree", 0), default=2)
     tau_eval_p.add_argument("--tuples", type=_int_in("tuples", 0), default=1)
-    tau_eval_p.add_argument("--quadrature", type=_rule(parse_quadrature),
+    tau_eval_p.add_argument("--quadrature", type=_usage(SimplexQuadratureRule.parse),
                             default=None, help="gauss:<order> (order >= %d) "
                             "or mc:<samples>" % GAUSS_MIN_ORDER)
     _add_options(tau_eval_p, "--seed", "--out")

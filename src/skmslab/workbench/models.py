@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dynamics import GradedSystem
-from ..errors import DimensionMismatch, ZeroWittenIndex
+from ..errors import DimensionMismatch, ZeroWittenIndex, check_integer
 from ..graded import GradingOperator
 from ..perturbation import OddPerturbation
 
@@ -59,18 +59,6 @@ def check_scale(field, value, positive):
     return x
 
 
-def check_integer(field, value, low=None):
-    """ValueError naming the field unless value is an integer, >= low if given.
-
-    A float or a bool would be truncated, "p": 3.9 to p = 3, and a
-    negative seed would end in numpy.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError("%s must be an integer, got %r" % (field, value))
-    if low is not None and value < low:
-        raise ValueError("%s must be at least %d, got %r" % (field, low, value))
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative model description; the unit of reproducibility."""
@@ -94,6 +82,14 @@ class ModelSpec:
         if self.scale is not None:
             check_scale("scale", self.scale, positive=True)
         pert = self.perturbation or {}
+        # _build_perturbation reads entries alone, or seed and scale: any
+        # other key, or seed or scale beside entries, would be ignored and
+        # yet enter the digest
+        unknown = set(pert) - {"entries", "seed", "scale"}
+        if unknown:
+            raise ValueError("unknown perturbation fields: %s" % sorted(unknown))
+        if "entries" in pert and ("seed" in pert or "scale" in pert):
+            raise ValueError("perturbation entries take no seed or scale")
         if "seed" in pert:
             check_integer("perturbation seed", pert["seed"], 0)
         if "scale" in pert:

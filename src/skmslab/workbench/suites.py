@@ -20,9 +20,8 @@ from ..cochain import (boundary, entireness_diagnostic, jlo_cochain,
                        lemma34_check, tau_eval)
 from ..dynamics import (_draw_tuples, heisenberg_flow, skms_eval,
                         verify_skms_axioms)
-from ..errors import ChainBudgetExceeded
+from ..errors import ChainBudgetExceeded, check_integer
 from ..graded import modulus
-from ..kernels import GAUSS_MIN_ORDER
 from ..perturbation import (PerturbedContext, dyson_alpha_info,
                             dyson_gamma_one_info,
                             endpoint_transgression_check, f_identities_check,
@@ -59,39 +58,16 @@ class SuiteConfig:
 
     tol_exact gates identities that hold to rounding; the cocycle
     boundaries and Lemma 3.4 are gated by TOL_QUAD, the finite-difference
-    endpoint by TOL_FD.  quadrature is 'gauss:<order>', the rule of
-    chain.slot_derivative; run_suite refuses 'mc:<samples>', which only
-    standalone evaluation takes.
+    endpoint by TOL_FD.  chain.slot_derivative runs one fixed rule,
+    cochain.SLOT_DERIVATIVE_RULE, and the Dyson rows adapt their series
+    order to the tolerance.
     """
 
     tol_exact: float = 1e-10
     max_degree: int = 5
-    series_order: int = None
-    quadrature: str = "gauss:8"
     seed: int = 0
     jobs: int = 1
     timing: bool = False
-
-
-def parse_quadrature(text):
-    """(kind, count) of 'gauss:<order>' or 'mc:<samples>'; ValueError else."""
-    kind, _, num = text.partition(":")
-    kind = kind.strip().lower()
-    if kind not in ("gauss", "mc") or not num.strip().isdigit() or int(num) < 1:
-        raise ValueError("quadrature must be gauss:<order> or mc:<samples> "
-                         "with a positive count, got %r" % text)
-    if kind == "gauss" and int(num) < GAUSS_MIN_ORDER:
-        raise ValueError("Gauss order must be at least %d, got %s"
-                         % (GAUSS_MIN_ORDER, num))
-    return kind, int(num)
-
-
-def gauss_order(text):
-    """The order of a suite quadrature 'gauss:<order>'; ValueError else."""
-    kind, num = parse_quadrature(text)
-    if kind != "gauss":
-        raise ValueError("the suites take gauss:<order> only, got %r" % text)
-    return num
 
 
 def gate(measurements, tol):
@@ -142,15 +118,9 @@ def _cocycle_checks(sys, config):
     return checks
 
 
-# the degree of lemma34_check in the suites; its Gauss rule runs at n + 1
-LEMMA34_N = 2
-
-
 def _lemma34_checks(sys, config):
-    order = gauss_order(config.quadrature)
-
     def run():
-        return lemma34_check(sys, n=LEMMA34_N, samples=6, order=order, seed=config.seed)
+        return lemma34_check(sys, n=2, samples=6, seed=config.seed)
     return [("chain.rotation", "rotation", TOL_QUAD, run)]
 
 
@@ -164,8 +134,7 @@ def _dyson_fidelity(sys, pert, config):
         memo = {}
         worst_alpha = 0.0
         for t in (0.3, 1.0):
-            val, info = dyson_alpha_info(ctx, xs, t, tol=1e-10,
-                                         order=config.series_order, memo=memo)
+            val, info = dyson_alpha_info(ctx, xs, t, tol=1e-10, memo=memo)
             err = np.linalg.norm(val - heisenberg_flow(ctx, xs, t), 2, axis=(1, 2))
             budgeted = info.tail_bound + 1e-12
             worst_alpha = max(worst_alpha, float(np.max(err - budgeted)))
@@ -174,8 +143,7 @@ def _dyson_fidelity(sys, pert, config):
         gamma_times = (0.3, 1.0, 1j)
         worst_gamma = 0.0
         for t in gamma_times:
-            gval, ginfo = dyson_gamma_one_info(ctx, t, tol=1e-10,
-                                               order=config.series_order, memo=memo)
+            gval, ginfo = dyson_gamma_one_info(ctx, t, tol=1e-10, memo=memo)
             gerr = float(np.linalg.norm(gval - gamma_cocycle_oracle(ctx, t), 2))
             worst_gamma = max(worst_gamma, gerr - (ginfo.tail_bound + 1e-12))
         return [Measurement("dyson.alpha_fidelity", "dyson", 2 * len(xs),
@@ -290,14 +258,13 @@ def _run_one(entry, config, digest):
 def run_suite(spec, suite, config=None):
     """Run one named suite against a ModelSpec; returns report rows.
 
-    Raises ValueError for config.max_degree < 1, since the Cocycle suite
-    would check no degree and F.* would ask for degree -1, and for a
-    quadrature other than gauss:<order>.
+    Raises ValueError, before any model is built, unless config.seed is an
+    integer >= 0 and config.max_degree an integer >= 1: below 1 the
+    Cocycle suite would check no degree and F.* would ask for degree -1.
     """
     config = config or SuiteConfig()
-    if config.max_degree < 1:
-        raise ValueError("max_degree must be at least 1, got %d" % config.max_degree)
-    gauss_order(config.quadrature)
+    check_integer("seed", config.seed, 0)
+    check_integer("max_degree", config.max_degree, 1)
     digest = model_digest(spec)
     checks = _suite_checks(spec, suite, config)
     if config.jobs > 1:

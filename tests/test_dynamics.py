@@ -15,6 +15,7 @@ from skmslab.dynamics import (
 )
 from skmslab.errors import (
     ConditioningWarning,
+    DimensionMismatch,
     ParityViolation,
     StripViolation,
     ZeroWittenIndex,
@@ -88,6 +89,21 @@ def test_flow_zero_time_is_identity():
     sys_ = block_system(3, 2, seed=2)
     x = sys_.random_element(np.random.default_rng(1))
     assert heisenberg_flow(sys_, x, 0.0) is x
+
+
+def test_flow_converts_and_checks_x_at_every_time():
+    # at z = 0 a nested list came back as a list and a 2x2 matrix on a
+    # d = 5 system came back unchanged; at z = 0.1 the latter ended in
+    # numpy's matmul ValueError
+    sys_ = block_system(3, 2, seed=2)
+    x = sys_.random_element(np.random.default_rng(1))
+    got = heisenberg_flow(sys_, x.tolist(), 0)
+    assert type(got) is np.ndarray and got.dtype == complex
+    np.testing.assert_array_equal(got, x)
+    for z in (0, 0.1):
+        with pytest.raises(DimensionMismatch,
+                           match="dimension 2 does not match system dimension 5"):
+            heisenberg_flow(sys_, np.eye(2), z)
 
 
 def test_flow_group_law_and_isometry():

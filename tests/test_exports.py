@@ -1,6 +1,8 @@
 """Tests for the package's public surface."""
 
+import argparse
 import collections
+import dataclasses
 import inspect
 import os
 import pathlib
@@ -10,7 +12,8 @@ import sys
 import skmslab
 from skmslab import cochain, dynamics, kernels, perturbation, report
 from skmslab.report import make_report
-from skmslab.workbench import ModelSpec
+from skmslab.workbench import ModelSpec, SuiteConfig
+from skmslab.workbench.cli import build_parser
 from skmslab.workbench.models import build_perturbed_model
 
 
@@ -86,3 +89,20 @@ def test_the_package_and_its_cli_load_no_scipy():
                          env=dict(os.environ, PYTHONPATH=path), check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_suite_knobs_are_pinned():
+    # a new SuiteConfig field or verify option edits this test and the
+    # README's table of options in the same change
+    assert [f.name for f in dataclasses.fields(SuiteConfig)] == [
+        "tol_exact", "max_degree", "seed", "jobs", "timing"]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = [o for a in sub.choices["verify"]._actions for o in a.option_strings
+               if o not in ("-h", "--help", "--model")]
+    assert options == ["--tol", "--max-degree", "--seed", "--out", "--format",
+                       "--jobs", "--timing"]
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    row = next(line for line in readme.read_text().splitlines()
+               if line.startswith("| `verify` |"))
+    assert row.split("|")[2].strip() == ", ".join("`%s`" % o for o in options)

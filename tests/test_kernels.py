@@ -605,12 +605,17 @@ def test_quadrature_degree_zero_and_guards():
     with pytest.raises(ValueError):
         SimplexQuadratureRule("trapezoid", 4)
     # 2.5 samples drew 2 and True drew 1; seed -1 ended in numpy at first use
-    for bad in (2.5, True, "4", 0, -3):
-        with pytest.raises(ValueError, match="^order_or_samples must be an integer"):
+    for bad in (2.5, True, "4"):
+        with pytest.raises(ValueError, match="^order_or_samples must be an integer, got"):
             SimplexQuadratureRule("mc", bad)
-    for bad in (-1, 1.0, False, "0", None):
-        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="^order_or_samples must be at least 1, got"):
+            SimplexQuadratureRule("mc", bad)
+    for bad in (1.0, False, "0", None):
+        with pytest.raises(ValueError, match="^seed must be an integer, got"):
             SimplexQuadratureRule("mc", 10, seed=bad)
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1"):
+        SimplexQuadratureRule("mc", 10, seed=-1)
     rule = SimplexQuadratureRule("mc", np.int64(10), seed=np.uint32(3))
     assert rule.order_or_samples == 10 and rule.seed == 3
 

@@ -326,7 +326,7 @@ def test_stacked_checks_equal_their_loops(spec, seed):
          looped_skms_perturbed(ctx, samples=15, seed=seed)),
         (f_identities_check(ctx, n=3, samples=10, seed=seed),
          looped_f_identities(ctx, n=3, samples=10, seed=seed)),
-        (lemma34_check(sys, n=2, samples=6, order=8, seed=seed),
+        (lemma34_check(sys, n=2, samples=6, seed=seed),
          looped_lemma34(sys, n=2, samples=6, order=8, seed=seed)),
     ]
     for stacked, looped in pairs:

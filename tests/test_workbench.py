@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import pytest
 import skmslab
 from skmslab.errors import DimensionMismatch, ParityViolation, ZeroWittenIndex
 from skmslab.errors import ChainBudgetExceeded
+from skmslab.kernels import SimplexQuadratureRule
 from skmslab.report import DOCUMENTED, make_report
 from skmslab.workbench import ModelSpec, build_model, model_digest, run_suite
 from skmslab.workbench.cli import main
@@ -25,8 +27,7 @@ from skmslab.workbench.reports import (
     to_csv_text,
     to_json_text,
 )
-from skmslab.workbench.suites import (SuiteConfig, _run_one, gauss_order,
-                                      parse_quadrature)
+from skmslab.workbench.suites import SuiteConfig, _run_one
 
 BLOCK_SPEC = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1)
 
@@ -69,6 +70,15 @@ def test_model_spec_validation():
     with pytest.raises(ValueError, match="unknown"):
         ModelSpec.from_dict({"schema": "skms-model/1", "kind": "RectangularBlock",
                              "p": 2, "q": 1, "extra": True})
+    # a misspelt key loaded with scale 1.0, and entries ignored a seed and a
+    # scale beside them; both entered the digest
+    with pytest.raises(ValueError, match=re.escape("unknown perturbation fields: ['scael']")):
+        ModelSpec(kind="RectangularBlock", p=2, q=1, perturbation={"seed": 3, "scael": 0.5})
+    entries = matrix_to_json(np.zeros((3, 3)))
+    for extra in ({"seed": 1}, {"scale": 0.5}):
+        with pytest.raises(ValueError, match="entries take no seed or scale"):
+            ModelSpec(kind="RectangularBlock", p=2, q=1,
+                      perturbation=dict(extra, entries=entries))
 
 
 @pytest.mark.parametrize("fields, name", [
@@ -265,25 +275,19 @@ def test_emit_report_deterministic_bytes():
 
 
 def test_parse_quadrature():
-    assert parse_quadrature("gauss:8") == ("gauss", 8)
-    assert parse_quadrature("mc:20000") == ("mc", 20000)
+    # the text of tau eval --quadrature
+    parse = SimplexQuadratureRule.parse
+    assert parse("gauss:8") == SimplexQuadratureRule("gauss", 8)
+    assert parse("mc:20000") == SimplexQuadratureRule("mc", 20000)
     with pytest.raises(ValueError):
-        parse_quadrature("simpson:4")
+        parse("simpson:4")
     with pytest.raises(ValueError):
-        parse_quadrature("gauss")
+        parse("gauss")
     with pytest.raises(ValueError, match="at least 2"):
-        parse_quadrature("gauss:1")
+        parse("gauss:1")
     for bad in ("gauss:x", "mc:0", "mc:-5"):
         with pytest.raises(ValueError, match="positive count"):
-            parse_quadrature(bad)
-    # the suites take no Monte-Carlo rule: Lemma34 used to run Gauss
-    # order 8 for mc:<samples>
-    assert gauss_order("gauss:12") == 12
-    with pytest.raises(ValueError, match="gauss:<order> only"):
-        gauss_order("mc:100")
-    for suite in ("Lemma34", "Axioms"):
-        with pytest.raises(ValueError, match="gauss:<order> only"):
-            run_suite(BLOCK_SPEC, suite, SuiteConfig(quadrature="mc:100"))
+            parse(bad)
 
 
 # the rows of run_suite(spec, "All") on both reference specs, in order:
@@ -578,8 +582,6 @@ def test_cli_tau_eval_dual_route(tmp_path, capsys):
     ["tau", "eval", "--quadrature", "gauss:1"],
     ["tau", "eval", "--quadrature", "simpson:4"],
     ["tau", "eval", "--quadrature", "gauss:x"],
-    ["verify", "Lemma34", "--quadrature", "gauss:1"],
-    ["verify", "Lemma34", "--quadrature", "mc:100"],
 ])
 def test_cli_bad_quadrature_is_a_usage_error(tmp_path, capsys, argv):
     model = write_spec(tmp_path)
@@ -592,23 +594,16 @@ def test_cli_bad_quadrature_is_a_usage_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("order", ["41", "-1", "-3", "x"])
 def test_cli_bad_series_order_is_a_usage_error(tmp_path, capsys, order):
+    # verify took --series-order in 0..40 and refused these values; the
+    # Dyson rows now always adapt their order, and verify takes no order
     model = write_spec(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "Perturbation", "--model", model,
               "--series-order=" + order])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --series-order" in err and "Traceback" not in err
-
-
-def test_cli_series_order_at_the_cap(tmp_path, capsys):
-    model = write_spec(tmp_path)
-    rc = main(["verify", "Perturbation", "--model", model,
-               "--series-order", "40"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert {r["identity_name"] for r in doc["reports"]} >= {
-        "dyson.alpha_fidelity", "dyson.gamma_fidelity"}
+    assert "unrecognized arguments: --series-order=" + order in err
+    assert "Traceback" not in err
 
 
 def test_cli_tau_eval_gauss_past_its_degree_cap_is_a_usage_error(
@@ -633,13 +628,13 @@ def test_cli_tau_eval_gauss_past_its_degree_cap_is_a_usage_error(
 @pytest.mark.parametrize("argv, cost", [
     (["tau", "eval", "--degree", "2", "--quadrature", "gauss:3000000000"],
      "order 3000000000 at degree 2 needs 3000000000^2 points"),
-    (["verify", "Lemma34", "--quadrature", "gauss:100000"],
-     "order 100000 at degree 3 needs 100000^3 points"),
+    (["tau", "eval", "--degree", "4", "--quadrature", "gauss:100000"],
+     "order 100000 at degree 4 needs 100000^4 points"),
 ])
 def test_cli_gauss_rule_over_the_budget_is_a_usage_error(
         tmp_path, capsys, monkeypatch, argv, cost):
-    # both ended in a MemoryError traceback from leggauss (exit 1); the rule
-    # is now priced while the arguments are checked, before the model loads
+    # an unpriced rule ended in a MemoryError traceback from leggauss (exit
+    # 1); the rule is priced at --degree before the model loads
     from skmslab.workbench import cli
 
     def started(*args):
@@ -755,6 +750,23 @@ def test_run_suite_refuses_max_degree_below_one(degree):
         run_suite(BLOCK_SPEC, "Cocycle", SuiteConfig(max_degree=degree))
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(seed=-1), "seed must be at least 0, got -1"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(max_degree=2.0), "max_degree must be an integer, got 2.0"),
+])
+def test_run_suite_checks_its_integers_before_any_model(monkeypatch, fields, message):
+    # seed -1 ended in numpy's "expected non-negative integer", seed 1.5 in
+    # a TypeError from ^, and max_degree 2.0 in range() in the Cocycle suite
+    from skmslab.workbench import suites
+
+    def built(*args):
+        raise AssertionError("a model was built before the config was checked")
+    monkeypatch.setattr(suites, "build_perturbed_model", built)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        run_suite(BLOCK_SPEC, "All", SuiteConfig(**fields))
+
+
 def test_run_suite_max_degree_one_checks_degree_one():
     rows = run_suite(BLOCK_SPEC, "Cocycle", SuiteConfig(max_degree=1))
     assert [r.identity_name for r in rows if r.identity_name.startswith(
@@ -853,6 +865,11 @@ UNLOADABLE_SPECS = {
     "not an object": "[1, 2]",
     "missing field": json.dumps({"schema": "skms-model/1", "p": 3, "q": 2}),
     "null size": json.dumps(dict(BLOCK_SPEC.to_dict(), p=None)),
+    "unknown perturbation key": json.dumps(dict(
+        BLOCK_SPEC.to_dict(), perturbation={"seed": 3, "scael": 0.5})),
+    "perturbation entries with a seed": json.dumps(dict(
+        BLOCK_SPEC.to_dict(), perturbation={
+            "seed": 1, "entries": matrix_to_json(np.zeros((5, 5)))})),
 }
 
 
@@ -926,6 +943,9 @@ IGNORED_OPTIONS = {
                            "--quadrature=gauss:4", "--jobs=2", "--timing"),
     ("homotopy", "check"): ("--max-degree=2", "--series-order=2",
                             "--quadrature=gauss:4", "--jobs=2", "--timing"),
+    # options that verify took until chain.slot_derivative got one rule and
+    # the Dyson rows one adaptive order
+    ("verify", "All"): ("--quadrature=gauss:4", "--series-order=2"),
 }
 
 
