@@ -21,7 +21,7 @@ from .graded import (GradingOperator, Parity, as_matrix, graded_commutator,
                      parity_split, supertrace)
 from .kernels import Spectrum, chain_integral, simplex_quadrature
 from .perturbation import (DysonInfo, OddPerturbation, PerturbedContext,
-                           dyson_alpha, dyson_gamma_one,
+                           dyson_alpha_info, dyson_gamma_one_info,
                            endpoint_transgression_check, f_identities_check,
                            gamma_cocycle_oracle, homotopy_check,
                            lemma43_check, lemma44_check, lipschitz_check,
@@ -53,8 +53,8 @@ __all__ = [
     "boundary",
     "chain_integral",
     "connes_B",
-    "dyson_alpha",
-    "dyson_gamma_one",
+    "dyson_alpha_info",
+    "dyson_gamma_one_info",
     "endpoint_transgression_check",
     "entireness_diagnostic",
     "f_identities_check",

@@ -54,7 +54,7 @@ import numpy as np
 
 from .dynamics import _draw_tuples, _superderivation_stack, skms_eval
 from .errors import ParityViolation
-from .graded import Parity, as_matrices, as_matrix, frobenius_norms, modulus
+from .graded import Parity, as_matrices, as_matrix, frobenius_norms
 from .kernels import (SimplexQuadratureRule, _as_stacks, _is_stacked,
                       chain_integral, heat_chain_integrand, simplex_quadrature)
 from .report import Measurement
@@ -62,7 +62,7 @@ from .report import Measurement
 SCALAR_SLOT_TOL = 1e-12
 # the one rule of chain.slot_derivative, run at degree n + 1 of
 # lemma34_check: the row's quadrature error is that of this rule alone
-SLOT_DERIVATIVE_RULE = SimplexQuadratureRule("gauss", 8, vectorized=True)
+SLOT_DERIVATIVE_RULE = SimplexQuadratureRule("gauss", 8)
 
 
 def is_scalar_slot(x):
@@ -316,7 +316,7 @@ def _chain_values(sys, n, stacks, q=None):
         return skms_eval(sys, stacks[0]).reshape(shape)
     derived = _superderivation_stack(sys, np.array(stacks[1:], dtype=complex))
     vals = chain_integral(sys.spectrum, [stacks[0], *derived], sys.grading, q=q)
-    return _over(vals, sys.witten_index).reshape(shape)
+    return (vals / sys.witten_index).reshape(shape)
 
 
 def _chain_cochain(sys, q=None):
@@ -416,12 +416,6 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     return out
 
 
-def _over(v, z):
-    # v / z for real z, part by part: the bits Python gives a complex over a float
-    v = np.asarray(v)
-    return (v.real / z) + 1j * (v.imag / z)
-
-
 def _chains_by_degree(sys, tuples):
     """Chain integrals of tuples of stacks, one block exponential per degree.
 
@@ -464,7 +458,7 @@ def lemma34_check(sys, n=2, samples=6, seed=0):
     twisted = [sys.gamma(xs[n])] + xs[:n]
     chains = _chains_by_degree(sys, [xs, twisted]
                                + [_merge(ys, j) for j in range(n + 1)])
-    rot = modulus(_over(chains[0], z) - _over(chains[1], z))
+    rot = np.abs(chains[0] / z - chains[1] / z)
 
     h = sys.hamiltonian
     slot = []

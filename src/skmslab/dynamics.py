@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (ConditioningWarning, DimensionMismatch, ParityViolation,
                      StripViolation, ZeroWittenIndex)
-from .graded import GradingOperator, Parity, as_matrices, as_matrix, modulus
+from .graded import GradingOperator, Parity, as_matrices, as_matrix
 from .kernels import Spectrum
 from .report import Measurement
 
@@ -240,16 +240,16 @@ def _functional_residuals(sys, x, y, w, ts):
     """
     k = len(x)
     phi_x = skms_eval(sys, x)
-    alpha = [modulus(skms_eval(sys, heisenberg_flow(sys, x, t)) - phi_x) for t in ts]
+    alpha = [np.abs(skms_eval(sys, heisenberg_flow(sys, x, t)) - phi_x) for t in ts]
     dd = superderivation(sys, superderivation(sys, y))
     comm = sys.hamiltonian @ y - y @ sys.hamiltonian
     per_sample = {
         "hermiticity": np.abs(skms_eval(sys, x.conj().swapaxes(1, 2)) - np.conj(phi_x)),
-        "gamma_invariance": modulus(skms_eval(sys, sys.grading.conjugate(x)) - phi_x),
-        "delta_invariance": modulus(skms_eval(sys, superderivation(sys, x))),
+        "gamma_invariance": np.abs(skms_eval(sys, sys.grading.conjugate(x)) - phi_x),
+        "delta_invariance": np.abs(skms_eval(sys, superderivation(sys, x))),
         "delta_squared_ad_h": np.linalg.norm(dd - comm, 2, axis=(1, 2)),
-        "weak_supersymmetry": modulus(skms_eval(sys, x @ dd @ w)
-                                      - skms_eval(sys, x @ comm @ w)),
+        "weak_supersymmetry": np.abs(skms_eval(sys, x @ dd @ w)
+                                     - skms_eval(sys, x @ comm @ w)),
     }
     out = {name: (k, _max_residual(res)) for name, res in per_sample.items()}
     out["alpha_invariance"] = (k * len(ts), _max_residual(alpha))
@@ -276,8 +276,8 @@ def verify_skms_axioms(sys, samples=50, seed=0):
     x, y, w = _draw_tuples(sys, rng, samples, 3)
     res = _functional_residuals(sys, x, y, w, ts)
     gx = sys.gamma(x)
-    bound = [modulus(kms_two_point(sys, x, y, t + 1j)
-                     - skms_eval(sys, heisenberg_flow(sys, y, t) @ gx))
+    bound = [np.abs(kms_two_point(sys, x, y, t + 1j)
+                    - skms_eval(sys, heisenberg_flow(sys, y, t) @ gx))
              for t in ts]
     res["kms_boundary"] = (samples * len(ts), _max_residual(bound))
     rows = [("hermiticity", "S0"), ("alpha_invariance", "S1"),

@@ -48,15 +48,6 @@ def frobenius_norms(m):
     return np.sqrt((flat * flat.conj()).real.sum(axis=-1))
 
 
-def modulus(z):
-    """|z| entrywise, with the bits of Python's abs of a complex (hypot).
-
-    np.abs of a complex array rounds differently in the last bit.
-    """
-    z = np.asarray(z)
-    return np.hypot(z.real, z.imag)
-
-
 def _parity_of(even, odd):
     return Parity.EVEN if even else Parity.ODD if odd else Parity.MIXED
 

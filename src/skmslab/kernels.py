@@ -25,9 +25,9 @@ tuple gets the bits it would get alone.  The spectrum may be a stack
 too, evals (K, d) and vecs (K, d, d): tuple k is then taken against
 spectrum k, which is how one call serves K couplings of a perturbed
 Hamiltonian, and one tuple is taken against every spectrum of the stack.
-Every exponential is priced at (blocks d)^3, whatever the stack size,
-against `chain_budget()`: SKMS_CHAIN_BUDGET, the one setting of the
-budget, or 1e8.
+Every exponential is priced at s (blocks d)^3, s its substeps, whatever
+the stack size, against `chain_budget()`: SKMS_CHAIN_BUDGET, the one
+setting of the budget, or 1e8.
 
 An independent route cross-checks it (the tests hold a second one, the
 scalar divided-difference oracle for diagonal insertions).
@@ -63,7 +63,6 @@ bound on it could let a slice stop.  None of this changes a bit of the
 result.
 """
 
-import enum
 import functools
 import math
 import os
@@ -203,9 +202,10 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     zero.  No generator is formed: the workspace is a few arrays of the
     returned shape.
 
-    Each exponential is priced at (blocks d)^3 against chain_budget(),
-    whatever K; what names the chain, with its d and degree, in the
-    ChainBudgetExceeded message.
+    Each exponential is priced at s (blocks d)^3 against chain_budget(),
+    with s the most substeps of any slice, whatever K, before its first
+    term; what names the chain, with its d and degree, in the
+    ChainBudgetExceeded message, which names s when it is above 1.
     """
     d = spectrum.dim
     k = edges[0][2].shape[0]
@@ -213,8 +213,6 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     levels = 2 if any(row == col for row, col, _ in edges) else 1
     nblocks = positions * levels
     size = nblocks * d
-    _refuse_over_budget(float(size) ** 3, "%s needs a %dx%d block exponential of cost %d^3",
-                        what, size, size, size)
     diag = scale * np.broadcast_to(spectrum.evals, (k, d))
     mu = diag.mean(axis=1)
     diag = diag - mu[:, None]
@@ -230,14 +228,19 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     steps = np.maximum(1, np.ceil(norms.reshape(k, -1).max(axis=1)[:, None]
                                   / _TAYLOR_THETA_M))
     best = np.argmin(_TAYLOR_M * steps, axis=1)
-    m, s = _TAYLOR_M[best].astype(int), steps[np.arange(k), best].astype(int)
+    s = steps[np.arange(k), best]
+    most = float(s.max())
+    _refuse_over_budget(most * float(size) ** 3,
+                        "%s needs a %dx%d block exponential of cost %s%d^3", what, size, size,
+                        "" if most == 1.0 else "%.0f substeps * " % most, size)
+    m, s = _TAYLOR_M[best].astype(int), s.astype(int)
     # one level keeps the (K, blocks, d, d) layout of a plain chain
     shape = (k, positions, levels, d, d) if levels > 1 else (k, positions, d, d)
     top = np.zeros(shape, dtype=complex)
     blocks = top.reshape(k, nblocks, d, d)
     blocks[:, 0] = np.eye(d)
     shift = np.exp(mu / s)[:, None, None, None]
-    for step in range(int(s.max())):
+    for step in range(int(most)):
         live = s > step
         _taylor_step(top, diag, edges, s, m + nblocks, ~live, step == 0)
         np.multiply(blocks, shift, out=blocks, where=live[:, None, None, None])
@@ -538,40 +541,37 @@ GAUSS_MIN_ORDER = 2
 GAUSS_MAX_DEGREE = 6
 
 
-class QuadKind(enum.Enum):
-    GaussTensorDuffy = "gauss"
-    MonteCarlo = "mc"
-
-
 @dataclass(frozen=True)
 class SimplexQuadratureRule:
     """Cubature rule on the ordered simplex Delta_n.
 
-    kind 'gauss' uses a tensor Gauss-Legendre rule of the given order mapped
-    through the ordered Duffy transform; kind 'mc' averages the integrand
+    kind "gauss" uses a tensor Gauss-Legendre rule of the given order mapped
+    through the ordered Duffy transform; kind "mc" averages the integrand
     over seeded sorted-uniform samples: default_rng(seed) draws batches of
     at most 2e5 points, which a compare-exchange network puts in order
-    with np.sort's bits.  vectorized marks integrands that accept a (B, n)
-    batch of points.  A Gauss order below GAUSS_MIN_ORDER is refused: its
-    error estimate would compare the rule with itself.  order_or_samples
-    must be an integer >= 1 and seed an integer >= 0; a bool or a float
-    is refused rather than truncated.  The degree a rule can run at is
-    checked by price, which simplex_quadrature calls.
+    with np.sort's bits.  The integrand takes a (B, n) batch of points and
+    returns the B values.  A Gauss order below GAUSS_MIN_ORDER is refused:
+    its error estimate would compare the rule with itself.
+    order_or_samples must be an integer >= 1 and seed an integer >= 0; a
+    bool or a float is refused rather than truncated.  The degree a rule
+    can run at is checked by price, which simplex_quadrature calls.
     """
 
-    kind: QuadKind
+    kind: str
     order_or_samples: int
     seed: int = 0
-    vectorized: bool = False
+    # held only for perfbench/workloads.py, which passes vectorized=True
+    vectorized: bool = True
 
     def __post_init__(self):
-        kind = self.kind
-        if isinstance(kind, str):
-            kind = QuadKind(kind)
-            object.__setattr__(self, "kind", kind)
+        if self.kind not in ("gauss", "mc"):
+            raise ValueError("quadrature kind must be 'gauss' or 'mc', got %r" % (self.kind,))
+        if self.vectorized is not True:
+            raise ValueError("vectorized must be True, the value perfbench/workloads.py "
+                             "passes: the integrand takes a batch of points")
         check_integer("order_or_samples", self.order_or_samples, 1)
         check_integer("seed", self.seed, 0)
-        if kind is QuadKind.GaussTensorDuffy and self.order_or_samples < GAUSS_MIN_ORDER:
+        if self.kind == "gauss" and self.order_or_samples < GAUSS_MIN_ORDER:
             raise ValueError("Gauss order must be at least %d, got %d"
                              % (GAUSS_MIN_ORDER, self.order_or_samples))
 
@@ -594,7 +594,7 @@ class SimplexQuadratureRule:
         against chain_budget(): ChainBudgetExceeded gives the cost.  Monte
         Carlo takes any degree.
         """
-        if self.kind is not QuadKind.GaussTensorDuffy:
+        if self.kind != "gauss":
             return
         if n > GAUSS_MAX_DEGREE:
             raise ValueError("the Gauss rule takes degree n <= %d, got %d; "
@@ -668,10 +668,8 @@ def _sorted_rows(u):
     return cols.T
 
 
-def _eval_integrand(integrand, pts, vectorized):
-    if vectorized:
-        return np.asarray(integrand(pts), dtype=complex).reshape(-1)
-    return np.array([integrand(p) for p in pts], dtype=complex)
+def _eval_integrand(integrand, pts):
+    return np.asarray(integrand(pts), dtype=complex).reshape(-1)
 
 
 def simplex_quadrature(integrand, n, rule):
@@ -687,18 +685,18 @@ def simplex_quadrature(integrand, n, rule):
         raise ValueError("degree must be >= 0")
     if n == 0:
         pts = np.zeros((1, 0))
-        val = _eval_integrand(integrand, pts, rule.vectorized)[0]
+        val = _eval_integrand(integrand, pts)[0]
         return complex(val), 0.0
 
     rule.price(n)
-    if rule.kind is QuadKind.GaussTensorDuffy:
+    if rule.kind == "gauss":
         order = int(rule.order_or_samples)
         s, w = _duffy_points(order, n)
-        vals = _eval_integrand(integrand, s, rule.vectorized)
+        vals = _eval_integrand(integrand, s)
         value = complex(np.dot(w, vals))
         low = max(1, order - 2)
         s2, w2 = _duffy_points(low, n)
-        vals2 = _eval_integrand(integrand, s2, rule.vectorized)
+        vals2 = _eval_integrand(integrand, s2)
         value_low = complex(np.dot(w2, vals2))
         return value, abs(value - value_low)
 
@@ -712,7 +710,7 @@ def simplex_quadrature(integrand, n, rule):
     while count < total:
         take = min(batch, total - count)
         pts = _sorted_rows(rng.random((take, n)))
-        vals = _eval_integrand(integrand, pts, rule.vectorized)
+        vals = _eval_integrand(integrand, pts)
         acc += vals.sum()
         acc_sq += float(np.sum(np.abs(vals) ** 2))
         count += take

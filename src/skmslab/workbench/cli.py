@@ -89,7 +89,6 @@ _OPTIONS = {
     "--seed": dict(type=_int_in("seed", 0), default=0),
     "--out": dict(default=None, help="write report/output here"),
     "--format": dict(choices=("json", "csv"), default="json"),
-    "--jobs": dict(type=_int_in("jobs", 1), default=1),
     "--timing": dict(action="store_true",
                      help="record wall times (breaks byte determinism)"),
 }
@@ -103,8 +102,7 @@ def _add_options(parser, *names):
 
 
 def _config(args):
-    kwargs = dict(max_degree=args.max_degree, seed=args.seed, jobs=args.jobs,
-                  timing=args.timing)
+    kwargs = dict(max_degree=args.max_degree, seed=args.seed, timing=args.timing)
     if args.tol is not None:
         kwargs["tol_exact"] = args.tol
     return SuiteConfig(**kwargs)
@@ -197,7 +195,7 @@ def _cmd_tau_eval(args):
     # parsed apart, so only here can the rule be priced, before any work
     rule = None
     if args.quadrature is not None and args.degree % 2 == 0:
-        rule = dataclasses.replace(args.quadrature, seed=args.seed, vectorized=True)
+        rule = dataclasses.replace(args.quadrature, seed=args.seed)
         with _usage_errors("argument --quadrature", (ValueError, ChainBudgetExceeded)):
             rule.price(args.degree)
     spec, system, _ = _load_model(args.model)

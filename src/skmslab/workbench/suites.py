@@ -1,17 +1,16 @@
 """Verification suites: named bundles of checks over one model.
 
-Each suite builds a deterministic list of check closures; rows come back
-in declaration order regardless of --jobs, and a chain-budget overflow in
-one check degrades to a failing row with residual DOCUMENTED instead of
-aborting the run.  The checks return measurements: _run_one gates each
-into a row (see gate) and stamps it with the seed, the spec digest and,
-on request, the wall time.
+Each suite builds a deterministic list of check closures, run one after
+another; rows come back in declaration order, and a chain-budget overflow
+or an unreachable Dyson truncation in one check degrades to a failing row
+with residual DOCUMENTED instead of aborting the run.  The checks return
+measurements: _run_one gates each into a row (see gate) and stamps it
+with the seed, the spec digest and, on request, the wall time.
 """
 
 import dataclasses
 import string
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,7 @@ from ..cochain import (boundary, entireness_diagnostic, jlo_cochain,
                        lemma34_check, tau_eval)
 from ..dynamics import (_draw_tuples, heisenberg_flow, skms_eval,
                         verify_skms_axioms)
-from ..errors import ChainBudgetExceeded, check_integer
-from ..graded import modulus
+from ..errors import ChainBudgetExceeded, TruncationUnreachable, check_integer
 from ..perturbation import (PerturbedContext, dyson_alpha_info,
                             dyson_gamma_one_info,
                             endpoint_transgression_check, f_identities_check,
@@ -30,7 +28,7 @@ from ..perturbation import (PerturbedContext, dyson_alpha_info,
                             skms_check_perturbed, transgression_cochain,
                             witten_invariance_check)
 from ..report import DOCUMENTED, Measurement, VerificationReport, make_report
-from .models import build_perturbed_model, model_digest
+from .models import build_perturbed_model, check_scale, model_digest
 
 SUITES = ("Axioms", "Cocycle", "Lemma34", "Perturbation", "Homotopy",
           "Entireness", "All")
@@ -60,14 +58,28 @@ class SuiteConfig:
     boundaries and Lemma 3.4 are gated by TOL_QUAD, the finite-difference
     endpoint by TOL_FD.  chain.slot_derivative runs one fixed rule,
     cochain.SLOT_DERIVATIVE_RULE, and the Dyson rows adapt their series
-    order to the tolerance.
+    order to the tolerance.  Built, it raises ValueError unless tol_exact
+    is a finite number >= 0, max_degree an integer >= 1 (below 1 the
+    Cocycle suite would check no degree and F.* would ask for degree -1),
+    seed an integer >= 0, jobs 1 and timing a bool.
     """
 
     tol_exact: float = 1e-10
     max_degree: int = 5
     seed: int = 0
+    # held only for perfbench/workloads.py, which passes jobs=1
     jobs: int = 1
     timing: bool = False
+
+    def __post_init__(self):
+        check_scale("tol_exact", self.tol_exact, positive=False)
+        check_integer("max_degree", self.max_degree, 1)
+        check_integer("seed", self.seed, 0)
+        if self.jobs != 1:
+            raise ValueError("jobs must be 1, the value perfbench/workloads.py passes: "
+                             "the checks run one after another, got %r" % (self.jobs,))
+        if not isinstance(self.timing, bool):
+            raise ValueError("timing must be a bool, got %r" % (self.timing,))
 
 
 def gate(measurements, tol):
@@ -112,7 +124,7 @@ def _cocycle_checks(sys, config):
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, 0x0B, n)))
             stacks = _draw_tuples(sys, rng, 25, n + 1, parity="even")
-            worst = max(0.0, float(np.max(modulus(dtau(n, stacks)))))
+            worst = max(0.0, float(np.max(np.abs(dtau(n, stacks)))))
             return [Measurement("cocycle.boundary_n%d" % n, "boundary", 25, worst)]
         checks.append(("cocycle.boundary_n%d" % n, "boundary", TOL_QUAD, run))
     return checks
@@ -245,7 +257,7 @@ def _run_one(entry, config, digest):
     start = time.perf_counter()
     try:
         rows = gate(fn(), tol)
-    except ChainBudgetExceeded:
+    except (ChainBudgetExceeded, TruncationUnreachable):
         # refused rows fail whatever their tolerance, DOCUMENTED included
         rows = [VerificationReport(name, anchor, 0, DOCUMENTED, float(tol),
                                    passed=False)]
@@ -256,20 +268,8 @@ def _run_one(entry, config, digest):
 
 
 def run_suite(spec, suite, config=None):
-    """Run one named suite against a ModelSpec; returns report rows.
-
-    Raises ValueError, before any model is built, unless config.seed is an
-    integer >= 0 and config.max_degree an integer >= 1: below 1 the
-    Cocycle suite would check no degree and F.* would ask for degree -1.
-    """
+    """Run one named suite against a ModelSpec; returns report rows."""
     config = config or SuiteConfig()
-    check_integer("seed", config.seed, 0)
-    check_integer("max_degree", config.max_degree, 1)
     digest = model_digest(spec)
-    checks = _suite_checks(spec, suite, config)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda e: _run_one(e, config, digest), checks))
-    else:
-        results = [_run_one(entry, config, digest) for entry in checks]
-    return [row for rows in results for row in rows]
+    return [row for entry in _suite_checks(spec, suite, config)
+            for row in _run_one(entry, config, digest)]

@@ -137,7 +137,7 @@ def test_criterion_04_chain_vs_monte_carlo():
               for _ in range(n + 1)]
         exact = chain_integral(spec, xs, g)
         integrand = heat_chain_integrand(spec, xs, g)
-        rule = SimplexQuadratureRule("mc", 10 ** 6, seed=i, vectorized=True)
+        rule = SimplexQuadratureRule("mc", 10 ** 6, seed=i)
         approx, stderr = simplex_quadrature(integrand, n, rule)
         sigma = abs(exact - approx) / stderr
         worst_sigma = max(worst_sigma, sigma)

@@ -196,7 +196,7 @@ def test_tau_against_quadrature_oracle():
     chain = [xs[0]] + [as_matrix(superderivation(sys_, x)) for x in xs[1:]]
     f = heat_chain_integrand(sys_.spectrum, chain, sys_.grading)
     val, err = simplex_quadrature(
-        f, 2, SimplexQuadratureRule("gauss", 12, vectorized=True))
+        f, 2, SimplexQuadratureRule("gauss", 12))
     assert abs(exact - val / sys_.witten_index) < max(10 * err, 1e-9)
 
 

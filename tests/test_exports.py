@@ -9,6 +9,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import skmslab
 from skmslab import cochain, dynamics, kernels, perturbation, report
 from skmslab.report import make_report
@@ -92,16 +94,24 @@ def test_the_package_and_its_cli_load_no_scipy():
 
 
 def test_suite_knobs_are_pinned():
-    # a new SuiteConfig field or verify option edits this test and the
-    # README's table of options in the same change
+    # a new SuiteConfig or SimplexQuadratureRule field or verify option
+    # edits this test and the README's table of options in the same change
     assert [f.name for f in dataclasses.fields(SuiteConfig)] == [
         "tol_exact", "max_degree", "seed", "jobs", "timing"]
+    assert [f.name for f in dataclasses.fields(kernels.SimplexQuadratureRule)] == [
+        "kind", "order_or_samples", "seed", "vectorized"]
+    # jobs and vectorized take the one value perfbench/workloads.py passes
+    with pytest.raises(ValueError, match="^jobs must be 1, the value perfbench/workloads.py"):
+        SuiteConfig(jobs=2)
+    with pytest.raises(ValueError,
+                       match="^vectorized must be True, the value perfbench/workloads.py"):
+        kernels.SimplexQuadratureRule("mc", 10, vectorized=False)
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     options = [o for a in sub.choices["verify"]._actions for o in a.option_strings
                if o not in ("-h", "--help", "--model")]
     assert options == ["--tol", "--max-degree", "--seed", "--out", "--format",
-                       "--jobs", "--timing"]
+                       "--timing"]
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     row = next(line for line in readme.read_text().splitlines()
                if line.startswith("| `verify` |"))

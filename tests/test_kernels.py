@@ -12,6 +12,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -381,7 +382,7 @@ def test_chain_integral_matches_quadrature():
           for _ in range(3)]
     exact = chain_integral(spec, xs, g)
     integrand = heat_chain_integrand(spec, xs, g)
-    rule = SimplexQuadratureRule("gauss", 12, vectorized=True)
+    rule = SimplexQuadratureRule("gauss", 12)
     approx, err = simplex_quadrature(integrand, 2, rule)
     assert abs(exact - approx) < max(10 * err, 1e-9)
 
@@ -395,7 +396,7 @@ def test_chain_integral_matches_monte_carlo():
           for _ in range(4)]
     exact = chain_integral(spec, xs, g)
     integrand = heat_chain_integrand(spec, xs, g)
-    rule = SimplexQuadratureRule("mc", 60000, seed=1, vectorized=True)
+    rule = SimplexQuadratureRule("mc", 60000, seed=1)
     approx, stderr = simplex_quadrature(integrand, 3, rule)
     assert abs(exact - approx) < 4 * stderr
 
@@ -410,7 +411,7 @@ def test_chain_integral_confluent_spectrum():
     exact = chain_integral(spec, xs, g)
     integrand = heat_chain_integrand(spec, xs, g)
     approx, err = simplex_quadrature(
-        integrand, 2, SimplexQuadratureRule("gauss", 12, vectorized=True))
+        integrand, 2, SimplexQuadratureRule("gauss", 12))
     assert abs(exact - approx) < max(10 * err, 1e-9)
 
 
@@ -481,6 +482,31 @@ def test_chain_budget_env_rejects_non_numbers(monkeypatch, raw):
         chain_integral(spec, xs, g)
 
 
+def test_chain_budget_prices_the_substeps(monkeypatch):
+    # each exponential costs s (blocks d)^3 for s substeps: a spread of 60
+    # takes 5 substeps of order 50, 5 * 9^3 = 3645
+    rng = np.random.default_rng(np.random.SeedSequence(0x5B))
+    basis, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    xs = [1e-3 * rng.standard_normal((3, 3)) for _ in range(3)]
+    spec = Spectrum(np.array([0.0, 1.0, 60.0]), basis)
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", "3644")
+    with pytest.raises(ChainBudgetExceeded, match=re.escape(
+            "chain with d=3, n=2 needs a 9x9 block exponential of cost 5 substeps * 9^3 "
+            "= 3.64e+03, over budget 3644")):
+        chain_integral(spec, xs, None)
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", "3645")
+    chain_integral(spec, xs, None)
+    # at a spread of 1e9 the builder planned some 7e7 substeps of a
+    # 9-square exponential priced at 9^3 alone, and started on them
+    stiff = Spectrum(np.array([0.0, 1.0, 1e9]), basis)
+    monkeypatch.delenv("SKMS_CHAIN_BUDGET")
+    start = time.perf_counter()
+    with pytest.raises(ChainBudgetExceeded, match=r"^chain with d=3, n=2 needs a 9x9 block "
+                       r"exponential of cost \d{8} substeps \* 9\^3 = [0-9.e+]+, over budget"):
+        chain_integral(stiff, xs, None)
+    assert time.perf_counter() - start < 1.0
+
+
 
 def dense_chain_trace(spec, xs, g, points):
     # Tr(G x_0 V e^{-g_0 L} V* x_1 ... x_n V e^{-g_n L} V*) at each of a
@@ -547,7 +573,7 @@ def integrand(seed, signs):
     return heat_chain_integrand(spec, xs, g)
 
 
-rule = SimplexQuadratureRule("mc", 20000, seed=3, vectorized=True)
+rule = SimplexQuadratureRule("mc", 20000, seed=3)
 for seed, signs in ((5, [1.0] * 3 + [-1.0] * 2), (8, [1.0] * 5 + [-1.0] * 3)):
     print(repr(simplex_quadrature(integrand(seed, signs), 3, rule)))
 """
@@ -576,10 +602,10 @@ def test_quadrature_volume():
     const = lambda p: np.ones(np.atleast_2d(p).shape[0])
     for n in (1, 2, 3):
         val, err = simplex_quadrature(
-            const, n, SimplexQuadratureRule("gauss", 6, vectorized=True))
+            const, n, SimplexQuadratureRule("gauss", 6))
         assert val == pytest.approx(1.0 / math.factorial(n), rel=1e-12)
     val, stderr = simplex_quadrature(
-        const, 3, SimplexQuadratureRule("mc", 5000, vectorized=True))
+        const, 3, SimplexQuadratureRule("mc", 5000))
     assert val == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert stderr < 1e-12  # constant integrand has no variance
 
@@ -587,7 +613,7 @@ def test_quadrature_volume():
 def test_quadrature_polynomial_exactness():
     # int over 0 <= s1 <= s2 <= 1 of s1 s2 = 1/8
     f = lambda p: np.atleast_2d(p)[:, 0] * np.atleast_2d(p)[:, 1]
-    val, _ = simplex_quadrature(f, 2, SimplexQuadratureRule("gauss", 6, vectorized=True))
+    val, _ = simplex_quadrature(f, 2, SimplexQuadratureRule("gauss", 6))
     assert val == pytest.approx(1.0 / 8.0, rel=1e-12)
 
 
@@ -637,9 +663,9 @@ def test_gauss_rule_is_priced_before_it_is_built(monkeypatch):
         # order 11 at degree 2 costs 11^2 + 11^2 = 242
         patched.setenv("SKMS_CHAIN_BUDGET", "241")
         with pytest.raises(ChainBudgetExceeded, match="= 242, over budget 241"):
-            simplex_quadrature(ones, 2, SimplexQuadratureRule("gauss", 11, vectorized=True))
+            simplex_quadrature(ones, 2, SimplexQuadratureRule("gauss", 11))
     monkeypatch.setenv("SKMS_CHAIN_BUDGET", "242")
-    val, _ = simplex_quadrature(ones, 2, SimplexQuadratureRule("gauss", 11, vectorized=True))
+    val, _ = simplex_quadrature(ones, 2, SimplexQuadratureRule("gauss", 11))
     assert val == pytest.approx(0.5, rel=1e-14)
 
 
@@ -656,7 +682,7 @@ def test_sampler_network_has_the_bits_of_np_sort(n):
     assert kernels._sorted_rows(u).tobytes() == np.sort(u, axis=1).tobytes()
 
 
-def _monte_carlo_by_sort(integrand, n, samples, seed, vectorized):
+def _monte_carlo_by_sort(integrand, n, samples, seed):
     # the Monte-Carlo estimate with each batch of draws put in order by
     # np.sort, in the arithmetic of simplex_quadrature
     rng = np.random.default_rng(seed)
@@ -664,10 +690,7 @@ def _monte_carlo_by_sort(integrand, n, samples, seed, vectorized):
     while count < samples:
         take = min(200_000, samples - count)
         pts = np.sort(rng.random((take, n)), axis=1)
-        if vectorized:
-            vals = np.asarray(integrand(pts), dtype=complex).reshape(-1)
-        else:
-            vals = np.array([integrand(p) for p in pts], dtype=complex)
+        vals = np.asarray(integrand(pts), dtype=complex).reshape(-1)
         acc += vals.sum()
         acc_sq += float(np.sum(np.abs(vals) ** 2))
         count += take
@@ -685,27 +708,15 @@ def test_monte_carlo_equals_the_np_sort_sampler(n):
     xs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
           for _ in range(n + 1)]
     integrand = heat_chain_integrand(spec, xs, np.diag([1.0, -1.0, 1.0]))
-    rule = SimplexQuadratureRule("mc", 200_003, seed=n, vectorized=True)
+    rule = SimplexQuadratureRule("mc", 200_003, seed=n)
     got = simplex_quadrature(integrand, n, rule)
-    assert got == _monte_carlo_by_sort(integrand, n, 200_003, n, True)
-    # the point-by-point path
-    point = lambda p: complex(integrand(p)[0])
-    rule = SimplexQuadratureRule("mc", 501, seed=n)
-    assert simplex_quadrature(point, n, rule) == _monte_carlo_by_sort(
-        point, n, 501, n, False)
-
-
-def test_quadrature_scalar_integrand_path():
-    # non-vectorized integrands are called point by point
-    f = lambda p: float(p[0])
-    val, _ = simplex_quadrature(f, 1, SimplexQuadratureRule("gauss", 5))
-    assert val == pytest.approx(0.5, rel=1e-12)
+    assert got == _monte_carlo_by_sort(integrand, n, 200_003, n)
 
 
 def test_monte_carlo_is_seeded():
     f = lambda p: np.atleast_2d(p)[:, 0] ** 2
-    a = simplex_quadrature(f, 2, SimplexQuadratureRule("mc", 4000, seed=7, vectorized=True))
-    b = simplex_quadrature(f, 2, SimplexQuadratureRule("mc", 4000, seed=7, vectorized=True))
+    a = simplex_quadrature(f, 2, SimplexQuadratureRule("mc", 4000, seed=7))
+    b = simplex_quadrature(f, 2, SimplexQuadratureRule("mc", 4000, seed=7))
     assert a == b
 
 

@@ -15,9 +15,7 @@ from skmslab.kernels import chain_integral, gauss_legendre_01
 from skmslab.perturbation import (
     OddPerturbation,
     PerturbedContext,
-    dyson_alpha,
     dyson_alpha_info,
-    dyson_gamma_one,
     dyson_gamma_one_info,
     endpoint_transgression_check,
     error_term,
@@ -117,6 +115,12 @@ def test_choose_order_minimality_and_cap():
         assert ctx.tail_bound(1.0, order - 1) > 1e-10
     with pytest.raises(TruncationUnreachable):
         ctx.choose_order(60.0, 1e-10)
+    # a first term past the float range bounds nothing: inf, where ** raised
+    # OverflowError through verify All at perturbation scale 1e5
+    strong = make_ctx(pert_scale=1e5)
+    assert strong.tail_bound(1.0, 40) == math.inf
+    with pytest.raises(TruncationUnreachable):
+        strong.choose_order(1.0, 1e-10)
 
 
 def test_flow_r_matches_expm():
@@ -176,11 +180,11 @@ def test_dyson_alpha_fixed_order_improves():
     want = as_matrix(heisenberg_flow(ctx, x, 1.0))
     errs = []
     for order in (1, 3, 6):
-        got = dyson_alpha(ctx, x, 1.0, order=order)
+        got, _ = dyson_alpha_info(ctx, x, 1.0, order=order)
         errs.append(np.linalg.norm(as_matrix(got) - want, 2))
     assert errs[2] < errs[1] < errs[0]
     # trivial cases collapse to the unperturbed flow
-    got0 = dyson_alpha(ctx, x, 0.0)
+    got0, _ = dyson_alpha_info(ctx, x, 0.0)
     np.testing.assert_array_equal(as_matrix(got0), x)
 
 
@@ -201,7 +205,7 @@ def test_dyson_gamma_first_order_term_quadrature():
         wj * as_matrix(heisenberg_flow(ctx.system, ctx.a_r, t * uj))
         for uj, wj in zip(u, w))
     want = np.eye(5) + 1j * t * integral
-    got = dyson_gamma_one(ctx, t, order=1)
+    got, _ = dyson_gamma_one_info(ctx, t, order=1)
     assert np.linalg.norm(got - want, 2) < 1e-12
 
 
@@ -216,12 +220,12 @@ def test_dyson_gamma_imaginary_point():
     integral = sum(
         wj * (scipy.linalg.expm(-uj * h) @ ctx.a_r @ scipy.linalg.expm(uj * h))
         for uj, wj in zip(u, w))
-    got1 = dyson_gamma_one(ctx, 1j, order=1)
+    got1, _ = dyson_gamma_one_info(ctx, 1j, order=1)
     np.testing.assert_allclose(got1, np.eye(5) - integral, atol=1e-10)
     with pytest.raises(ValueError, match="t = i"):
-        dyson_gamma_one(ctx, 2j)
+        dyson_gamma_one_info(ctx, 2j)
     with pytest.raises(ValueError, match="t = i"):
-        dyson_gamma_one(ctx, 0.3 + 0.4j)
+        dyson_gamma_one_info(ctx, 0.3 + 0.4j)
 
 
 def test_dyson_alpha_first_order_term_quadrature():
@@ -236,7 +240,7 @@ def test_dyson_alpha_first_order_term_quadrature():
         for uj, wj in zip(u, w):
             a = as_matrix(heisenberg_flow(ctx.system, ctx.a_r, t * uj))
             integral = integral + wj * (a @ xt - xt @ a)
-        got = dyson_alpha(ctx, x, t, order=1)
+        got, _ = dyson_alpha_info(ctx, x, t, order=1)
         assert np.linalg.norm(got - (xt + 1j * t * integral), 2) < 1e-12
 
 
@@ -324,7 +328,7 @@ def test_perturbed_functional_routes_agree():
     want = np.trace(ctx.system.grading.matrix @ x @ heat) / ctx.system.witten_index
     exact = skms_eval(ctx, x)
     assert exact == pytest.approx(want, abs=1e-12)
-    series = skms_eval(ctx.system, x @ dyson_gamma_one(ctx, 1j, tol=1e-12))
+    series = skms_eval(ctx.system, x @ dyson_gamma_one_info(ctx, 1j, tol=1e-12)[0])
     assert abs(series - exact) < 1e-10
     assert skms_eval(ctx, np.eye(5)) == pytest.approx(1.0, abs=1e-12)
 
@@ -613,6 +617,16 @@ def test_lipschitz_rows():
     assert rows[0].identity_name == "alpha_r.lipschitz_in_r"
     assert rows[0].max_residual == 0.0
     assert rows[0].passed
+
+
+def test_lipschitz_bound_past_the_float_range_holds_vacuously():
+    # at perturbation scale 30, c >= ||Q^2|| = 900 and math.exp(2c) raised
+    # "math range error" in run_suite and skms perturb sweep
+    sys_ = block_system(3, 2, seed=15)
+    pert = odd_perturbation(sys_, scale=30.0)
+    (row,) = lipschitz_check(sys_, pert, samples=30, seed=6)
+    assert (row.identity_name, row.samples, row.max_residual) == (
+        "alpha_r.lipschitz_in_r", 30, 0.0)
 
 
 def test_homotopy_sign_is_fixed(monkeypatch):
