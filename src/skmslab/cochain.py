@@ -1,10 +1,8 @@
 """Cochains on the graded algebra and the heat-kernel cocycle tau.
 
 A cochain is a parity-tagged family of multilinear functionals given by an
-evaluator; even cochains vanish at odd degrees and vice versa, and every
-cochain here is normalized: it returns exactly 0 whenever an argument slot
-i >= 1 is a scalar multiple of the identity.  The boundary is
-partial = B + b with
+evaluator; even cochains vanish at odd degrees and vice versa.  The
+boundary is partial = B + b with
 
     (b rho)_n(x_0..x_n)  = sum_{j<n} (-1)^j rho_{n-1}(.., x_j x_{j+1}, ..)
                            + (-1)^n rho_{n-1}(x_n x_0, x_1, .., x_{n-1})
@@ -21,30 +19,35 @@ cocycle functions take a GradedSystem or a PerturbedContext; with a
 context they give tau^r (and G^r, perturbation.transgression_cochain),
 built from delta_r and e^{-sH_r} and normalized by the unperturbed Z.
 On a context of K couplings a tuple has K values, one per coupling, and
-T tuples (K, T); the parity and scalar tests of the tuples run once.
+T tuples (K, T); the parity tests of the tuples run once.
+
+tau and G are normalized: they vanish when a slot i >= 1 is c times the
+unit, because that slot enters the chain as delta_r(c 1) = 0 (Jaffe,
+Lesniewski & Osterwalder, CMP 118, 1988; normalized cochains as in
+Connes, Publ. IHES 62, 1985).  No test for scalar slots enforces it: the
+chain computes it.  delta_r(c 1) = Q c - c Q is exactly 0 for real and
+for purely imaginary c, so the value is exactly 0 there; for a general
+complex c the two complex products round apart, and the value is at
+rounding level (a few 1e-18 at c = 0.1 + 0.3i, d = 5).
 
 Arguments are checked where a caller enters, once.  A Cochain built with
 a grading (jlo_cochain, perturbation.transgression_cochain and the
 boundary of either; tau_eval is jlo_cochain on one tuple) checks that
-every argument is even, at every degree, and tests the slots i >= 1 for
-scalars in __call__, and its evaluator checks nothing.  The inner
-evaluations of rho inside boundary are not checked again: a product of
-even elements is even and so is the unit, and only the slots >= 1 that
-the caller has not tested (x_0 rotated there by B, a merged product
-x_j x_{j+1} from b) are tested for scalars.
+every argument is even, at every degree, in __call__, and its evaluator
+checks nothing.  The inner evaluations of rho inside boundary are not
+checked again: a product of even elements is even and so is the unit.
 
 Evaluators are stacked: they take a degree and one (K, d, d) array per
 slot, holding that slot of K tuples, and return the K values (one row
-of them per coupling of a vector context).  A Cochain
-takes such stacks in __call__ too, and tests parity and scalar slots on
-whole stacks (is_scalar_slot and GradingOperator.classify take stacks);
-one tuple is a stack of one.  connes_B and hochschild_b take stacks,
-with an evaluator for rho, and send the terms of all the tuples to it as
-one stack; boundary's evaluator is their sum, so each degree costs one
-call of the block-exponential builder (kernels.chain_integral on a
-stack), and entireness_diagnostic and lemma34_check evaluate their
-samples the same way.  A stack gives every tuple the bits it would get
-alone.
+of them per coupling of a vector context).  A Cochain takes such stacks
+in __call__ too, and tests parity on whole stacks
+(GradingOperator.classify takes stacks); one tuple is a stack of one.
+connes_B and hochschild_b take stacks, with an evaluator for rho, and
+send the terms of all the tuples to it as one stack; boundary's
+evaluator is their sum, so each degree costs one call of the
+block-exponential builder (kernels.chain_integral on a stack), and
+entireness_diagnostic and lemma34_check evaluate their samples the same
+way.  A stack gives every tuple the bits it would get alone.
 """
 
 import math
@@ -53,29 +56,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _draw_tuples, _superderivation_stack, skms_eval
-from .errors import ParityViolation
-from .graded import Parity, as_matrices, as_matrix, frobenius_norms
+from .errors import ParityViolation, check_integer
+from .graded import Parity, as_matrix
 from .kernels import (SimplexQuadratureRule, _as_stacks, _is_stacked,
                       chain_integral, heat_chain_integrand, simplex_quadrature)
 from .report import Measurement
 
-SCALAR_SLOT_TOL = 1e-12
 # the one rule of chain.slot_derivative, run at degree n + 1 of
 # lemma34_check: the row's quadrature error is that of this rule alone
 SLOT_DERIVATIVE_RULE = SimplexQuadratureRule("gauss", 8)
-
-
-def is_scalar_slot(x):
-    """True when x is within SCALAR_SLOT_TOL of (tr x / d) times the identity.
-
-    On a (K, d, d) stack, the (K,) boolean array of the slice tests.
-    """
-    m = as_matrices(x)
-    d = m.shape[-1]
-    mean = np.trace(m, axis1=-2, axis2=-1) / d
-    gap, size = frobenius_norms(np.array([m - mean[..., None, None] * np.eye(d), m]))
-    scalar = gap <= SCALAR_SLOT_TOL * np.maximum(1.0, size)
-    return scalar if m.ndim == 3 else bool(scalar)
 
 
 def _require_even(grading, stacks):
@@ -90,14 +79,6 @@ def _require_even(grading, stacks):
                               % (int(np.argmax(bad[:, k])), where))
 
 
-def _scalar_slots(stacks, count):
-    # (len(stacks), count) mask of the scalar slices of (count, d, d)
-    # stacks, from one is_scalar_slot call
-    if not stacks:
-        return np.zeros((0, count), dtype=bool)
-    return is_scalar_slot(np.concatenate(stacks)).reshape(len(stacks), count)
-
-
 class Cochain:
     """Parity-tagged multilinear family given by a stacked evaluator.
 
@@ -110,13 +91,13 @@ class Cochain:
     and returns its value: a complex, or a (K,) array.  It checks the
     arity; every degree n >= 0 of the cochain's parity is supported.  With
     a grading, every argument must be even, at any degree: ParityViolation
-    names the first slot that is not (and, in a stack, its tuple).  A tuple reads 0 without evaluation
-    when n has the wrong parity or when any of its slots i >= 1 is scalar;
-    the other tuples go to the evaluator as one stack.  So the evaluator
-    only sees supported degrees and slots i >= 1 that are not scalar, and
-    needs no checks of its own; connes_B and hochschild_b take it in that
-    form.  Parity and scalar tests run on whole stacks, once for all the
-    couplings, and each tuple gets the bits it would get alone.
+    names the first slot that is not (and, in a stack, its tuple).  At a
+    degree n of the wrong parity every tuple reads 0 without evaluation;
+    at the others the tuples go to the evaluator as one stack.  So the
+    evaluator only sees supported degrees and needs no checks of its own;
+    connes_B and hochschild_b take it in that form.  Parity tests run on
+    whole stacks, once for all the couplings, and each tuple gets the bits
+    it would get alone.
     """
 
     def __init__(self, evaluator, parity, name="", grading=None, couplings=()):
@@ -141,14 +122,9 @@ class Cochain:
         stacks, one = _as_stacks(xs)
         if self.grading is not None:
             _require_even(self.grading, stacks)
-        count = len(stacks[0])
-        vals = np.zeros(self.couplings + (count,), dtype=complex)
+        vals = np.zeros(self.couplings + (len(stacks[0]),), dtype=complex)
         if self.supports(n):
-            live = ~_scalar_slots(stacks[1:], count).any(axis=0)
-            if live.all():
-                vals[:] = self.evaluator(n, stacks)
-            elif live.any():
-                vals[..., live] = self.evaluator(n, [s[live] for s in stacks])
+            vals[:] = self.evaluator(n, stacks)
         if not one:
             return vals
         return vals[:, 0] if self.couplings else complex(vals[0])
@@ -197,20 +173,13 @@ def _signed_sum(terms, values):
     return acc
 
 
-def _stacked_sums(evaluator, m, terms, live):
-    # the signed sum of the terms for each of the T tuples; live is a
-    # (terms, T) mask of the terms that do not vanish, and those terms of
+def _stacked_sums(evaluator, m, terms):
+    # the signed sum of the terms for each of the T tuples; the terms of
     # every tuple go to the evaluator as one stack at degree m.  Returns
     # (T,) values, or (K, T) when the evaluator gives one row per coupling
-    live = np.asarray(live)
-    values = np.zeros(live.shape, dtype=complex)
-    if live.any():
-        batch = [np.concatenate([args[i] for _, args in terms]) for i in range(m + 1)]
-        if not live.all():
-            batch = [b[live.ravel()] for b in batch]
-        got = np.asarray(evaluator(m, batch))
-        values = np.zeros(got.shape[:-1] + live.shape, dtype=complex)
-        values[..., live] = got
+    batch = [np.concatenate([args[i] for _, args in terms]) for i in range(m + 1)]
+    values = np.asarray(evaluator(m, batch), dtype=complex)
+    values = values.reshape(values.shape[:-1] + (len(terms), -1))
     return _signed_sum(terms, values.swapaxes(0, -2))
 
 
@@ -219,9 +188,7 @@ def hochschild_b(rho, n, xs):
 
     On one tuple xs, rho(n - 1, args) is called on each term.  On n + 1
     (K, d, d) stacks holding K tuples, rho is a stacked Cochain evaluator
-    and the K values are returned, as in boundary: the slots x_1..x_n must
-    not be scalar, a term whose merged product x_j x_{j+1} lands scalar in
-    slot j >= 1 is 0 without evaluation, and the other terms of all tuples
+    and the K values are returned, as in boundary: the terms of all tuples
     go to rho as one stack.
     """
     if n < 1:
@@ -231,11 +198,7 @@ def hochschild_b(rho, n, xs):
     terms = _b_terms(n, xs)
     if not _is_stacked(xs):
         return _signed_sum(terms, [rho(n - 1, args) for _, args in terms])
-    count = len(xs[0])
-    merged = _scalar_slots([args[j] for j, (_, args) in enumerate(terms[1:n], start=1)],
-                           count)
-    every = np.ones((1, count), dtype=bool)
-    return _stacked_sums(rho, n - 1, terms, np.vstack([every, ~merged, every]))
+    return _stacked_sums(rho, n - 1, terms)
 
 
 def connes_B(rho, n, xs):
@@ -243,18 +206,15 @@ def connes_B(rho, n, xs):
 
     On one tuple xs, rho(n + 1, args) is called on each term.  On n + 1
     (K, d, d) stacks holding K tuples, rho is a stacked Cochain evaluator
-    and the K values are returned, as in boundary: the slots x_1..x_n must
-    not be scalar, every term of a tuple whose x_0 is scalar is 0 without
-    evaluation (each term puts x_0 in a slot >= 1), and the terms of the
-    other tuples go to rho as one stack.
+    and the K values are returned, as in boundary: the terms of all tuples
+    go to rho as one stack.
     """
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
     terms = _B_terms(n, xs)
     if not _is_stacked(xs):
         return _signed_sum(terms, [rho(n + 1, args) for _, args in terms])
-    live = ~is_scalar_slot(xs[0])
-    return _stacked_sums(rho, n + 1, terms, [live] * len(terms))
+    return _stacked_sums(rho, n + 1, terms)
 
 
 def boundary(rho):
@@ -262,14 +222,12 @@ def boundary(rho):
 
     At degree 0 only the B part contributes (b lowers below degree 0).  The
     result carries rho's grading, so its __call__ checks the parity of
-    x_0..x_n once and tests x_1..x_n for scalars.  Its evaluator hands the
-    stacks to connes_B and hochschild_b with rho's evaluator, so rho's
-    checks are not repeated: a product of even elements is even, and of
-    the slots >= 1 only x_0 (rotated there by B), tested once, and each
-    merged product x_j x_{j+1} are new.  The surviving B terms of all
-    tuples go to rho's evaluator as one stack at degree n + 1, the b terms
-    as one at degree n - 1.  The values are the ones that connes_B and
-    hochschild_b give with rho itself on each tuple, bit for bit.
+    x_0..x_n once.  Its evaluator hands the stacks to connes_B and
+    hochschild_b with rho's evaluator, so rho's checks are not repeated: a
+    product of even elements is even.  The B terms of all tuples go to
+    rho's evaluator as one stack at degree n + 1, the b terms as one at
+    degree n - 1.  The values are the ones that connes_B and hochschild_b
+    give with rho itself on each tuple, bit for bit.
     """
     flipped = Parity.ODD if rho.parity is Parity.EVEN else Parity.EVEN
 
@@ -308,9 +266,9 @@ def _against_couplings(sys, stacks):
 
 def _chain_values(sys, n, stacks, q=None):
     # (1/Z) chain_integral(x_0, delta(x_1), .., delta(x_n); q) of the T
-    # tuples in the (T, d, d) stacks, whose slots i >= 1 are known not to
-    # be scalar, against every coupling of a context: (T,) or (K, T)
-    # values from one call of the block builder.  tau_0 is phi(x_0)
+    # tuples in the (T, d, d) stacks, against every coupling of a context:
+    # (T,) or (K, T) values from one call of the block builder.  tau_0 is
+    # phi(x_0)
     sys, stacks, shape = _against_couplings(sys, stacks)
     if n == 0 and q is None:
         return skms_eval(sys, stacks[0]).reshape(shape)
@@ -326,10 +284,11 @@ def _chain_cochain(sys, q=None):
     delta(x_n) e^{-(1-s_n) H}) d^n s; with q, the alternating sum of the
     same chains with q inserted after each slot in turn (chain_integral
     with q), which is G^r for a context and q = Q.  Cochain.__call__
-    checks that the arguments are even and returns 0 at the other parity
-    and at scalar slots, so the evaluator is the bare chain integral of a
-    stack of tuples: (K, T) values for T tuples on K couplings, from one
-    call of the block builder.
+    checks that the arguments are even and returns 0 at the other parity,
+    so the evaluator is the bare chain integral of a stack of tuples:
+    (K, T) values for T tuples on K couplings, from one call of the block
+    builder.  A slot i >= 1 that is c times the unit reads 0 through
+    delta_r(c 1) = 0; see the module docstring.
     """
     parity, name = (Parity.EVEN, "tau") if q is None else (Parity.ODD, "G_r")
     return Cochain(lambda n, stacks: _chain_values(sys, n, stacks, q), parity,
@@ -378,15 +337,19 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
     of |tau_n| over the sampled tuples.  Sample draws are keyed by
     (seed, degree, index), so enlarging the sample count only extends the
     set and the estimate is monotone in samples.  Odd degrees read 0.
+    Each degree must be an integer >= 1 and is checked before any draw
+    (ValueError): degree 0 has no growth indicator, and a negative one
+    cannot key a draw.
 
     The generators must be even and are checked once, before any chain is
     evaluated: their combinations are even and graph normalization keeps
-    them even, so each tuple is only tested for scalar slots i >= 1.  The
-    samples of a degree are combined, normalized and evaluated as one
-    stack, in one call of the block builder, whose workspace is a few
-    arrays of the stack's block rows; each tuple gets the bits it would
-    get alone.
+    them even, so the tuples are not checked again.  The samples of a
+    degree are combined, normalized and evaluated as one stack, in one
+    call of the block builder, whose workspace is a few arrays of the
+    stack's block rows; each tuple gets the bits it would get alone.
     """
+    for n in degrees:
+        check_integer("degree", n, 1)
     if generators is None:
         gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
         generators = [sys.random_element(gen_rng, parity=Parity.EVEN)
@@ -406,12 +369,9 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
                 draws.append(z[:, 0] + 1j * z[:, 1])
             coeffs = np.concatenate(draws).T[:, :, None, None]
             mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
-            tuples = mats.reshape(-1, n + 1, sys.dim, sys.dim)
-            stacks = list(tuples.swapaxes(0, 1))
-            keep = ~_scalar_slots(stacks[1:], len(tuples)).any(axis=0)
-            if keep.any():
-                values = _chain_values(sys, n, [s[keep] for s in stacks])
-                best = max([best] + [abs(v) for v in values.tolist()])
+            stacks = list(mats.reshape(-1, n + 1, sys.dim, sys.dim).swapaxes(0, 1))
+            values = _chain_values(sys, n, stacks)
+            best = max([best] + [abs(v) for v in values.tolist()])
         out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples))
     return out
 

@@ -1,5 +1,6 @@
 """Measurements that the checks return, and the report rows made from them."""
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,7 +46,15 @@ class VerificationReport:
 
 
 def make_report(identity_name, paper_anchor, samples, max_residual, tolerance):
-    """Build an unstamped report row, deriving passed from residual vs tolerance."""
+    """Build an unstamped report row, deriving passed from residual vs tolerance.
+
+    A residual that is NaN or infinite is written as DOCUMENTED, so the
+    row stays strict JSON, and fails whatever the tolerance, DOCUMENTED
+    included.
+    """
     residual, tol = float(max_residual), float(tolerance)
+    passed = residual <= tol
+    if not math.isfinite(residual):
+        residual, passed = DOCUMENTED, False
     return VerificationReport(identity_name, paper_anchor, int(samples), residual,
-                              tol, residual <= tol)
+                              tol, passed)

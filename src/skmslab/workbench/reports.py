@@ -1,7 +1,9 @@
 """Serialization of verification reports to JSON and CSV.
 
 Field order is pinned so that identical inputs produce byte-identical
-files; floats are written with shortest round-trip repr.
+files; floats are written with shortest round-trip repr.  JSON is strict:
+a NaN or an infinity raises ValueError instead of writing NaN
+(report.make_report writes a non-finite residual as DOCUMENTED).
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ def report_row(report):
 
 def to_json_text(reports):
     doc = {"schema": REPORT_SCHEMA, "reports": [report_row(r) for r in reports]}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_cell(value):

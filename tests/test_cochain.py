@@ -12,7 +12,6 @@ from skmslab.cochain import (
     connes_B,
     entireness_diagnostic,
     hochschild_b,
-    is_scalar_slot,
     jlo_cochain,
     lemma34_check,
     tau_eval,
@@ -39,17 +38,23 @@ def even_tuple(sys_, rng, count):
     return [as_matrix(sys_.random_element(rng, parity="even")) for _ in range(count)]
 
 
+def near_scalar(x, scalar):
+    """True when x differs from scalar * 1, but by at most 1e-12 of its size."""
+    gap = np.linalg.norm(x - scalar * np.eye(len(x)))
+    return 0.0 < gap <= 1e-12 * np.linalg.norm(x)
+
+
 def boundary_inputs(sys_, rng, n):
-    """Even tuples at degree n: random; x_0 scalar only within the slot
-    tolerance; and (n >= 2) x_2 = x_1^-1, so x_1 x_2 is scalar up to rounding."""
+    """Even tuples at degree n: random; x_0 within 1e-14 of 2.5 times the
+    unit; and (n >= 2) x_2 = x_1^-1, so x_1 x_2 is the unit up to rounding."""
     plain = even_tuple(sys_, rng, n + 1)
     near = [2.5 * np.eye(sys_.dim) + 1e-14 * plain[0]] + plain[1:]
-    assert is_scalar_slot(near[0]) and np.any(near[0] != 2.5 * np.eye(sys_.dim))
+    assert near_scalar(near[0], 2.5)
     if n < 2:
         return [plain, near]
     x1 = plain[1] + 3.0 * np.eye(sys_.dim)
     inverse = [plain[0], x1, np.linalg.inv(x1)] + plain[3:]
-    assert is_scalar_slot(x1 @ inverse[2])
+    assert near_scalar(x1 @ inverse[2], 1.0)
     return [plain, near, inverse]
 
 
@@ -65,15 +70,6 @@ def count_classify(monkeypatch):
     return calls
 
 
-def test_is_scalar_slot():
-    assert is_scalar_slot(np.eye(3))
-    assert is_scalar_slot(2.5j * np.eye(4))
-    assert is_scalar_slot(np.zeros((2, 2)))
-    assert not is_scalar_slot(np.diag([1.0, 2.0]))
-    bumped = np.eye(3) + 1e-15 * np.ones((3, 3))
-    assert is_scalar_slot(bumped)
-
-
 def test_cochain_gating():
     calls = []
 
@@ -86,9 +82,8 @@ def test_cochain_gating():
     c = Cochain(evaluator, Parity.EVEN)
     x = np.diag([1.0, 2.0])
     assert c(1, [x, x]) == 0.0  # wrong parity, no evaluation
-    assert c(2, [x, x, 3.0 * np.eye(2)]) == 0.0  # scalar slot >= 1
     assert calls == []
-    assert c(0, [np.eye(2)]) == 1.0  # slot 0 may be scalar
+    assert c(0, [np.eye(2)]) == 1.0
     assert c(2, [x, x, x]) == 1.0
     assert calls == [0, 2]
 
@@ -182,6 +177,36 @@ def test_tau_scalar_slot_is_exact_zero():
     x = even_tuple(sys_, rng, 1)[0]
     val = tau_eval(sys_, 2, [x, 2.5 * np.eye(5), x])
     assert val == 0.0 and val.imag == 0.0
+
+
+@pytest.mark.parametrize("c", [2.5, -1.5, 1j, 1e3, 0.1 + 0.3j])
+def test_scalar_slots_vanish_through_delta(builder_calls, c):
+    # tau (n = 2, 4) and G^r (m = 1, 3, on three couplings) with c 1 in a
+    # slot i >= 1: the chain reads delta_r(c 1) = 0 there, with no test for
+    # scalar slots.  Q c - c Q is exactly 0 for real and purely imaginary c;
+    # for a general complex c the two complex products round apart
+    from skmslab.perturbation import PerturbedContext, transgression_cochain
+
+    sys_ = block_system(3, 2, seed=8)
+    rng = np.random.default_rng(40)
+    q = as_matrix(sys_.random_element(rng, parity="odd"))
+    ctx = PerturbedContext(sys_, 0.4 * (q + q.conj().T) / 2, [0.0, 0.5, 1.0])
+    values = []
+    for cochain, degrees in ((jlo_cochain(sys_), (2, 4)),
+                             (transgression_cochain(ctx), (1, 3))):
+        for n in degrees:
+            xs = even_tuple(sys_, rng, n + 1)
+            for slot in range(1, n + 1):
+                args = list(xs)
+                args[slot] = c * np.eye(sys_.dim)
+                values.append(cochain(n, args))
+    # every value came from the chain: one builder call each
+    assert len(builder_calls) == len(values) == 2 + 4 + 1 + 3
+    worst = max(float(np.max(np.abs(v))) for v in values)
+    if c.imag == 0.0 or c.real == 0.0:
+        assert worst == 0.0
+    else:
+        assert worst <= 1e-15 * abs(c)
 
 
 def test_tau_against_quadrature_oracle():
@@ -326,6 +351,21 @@ def test_entireness_diagnostic_monotone_in_samples():
     assert again == small
 
 
+@pytest.mark.parametrize("degrees, bad", [
+    ((0,), 0), ((-2,), -2), ((2, 0), 0), ((2.0,), 2.0), ((True,), True)])
+def test_entireness_diagnostic_refuses_a_degree_below_one_before_any_draw(
+        monkeypatch, degrees, bad):
+    # degree 0 gave an estimate whose growth_indicator divided by zero, and
+    # degree -2 failed inside numpy's SeedSequence
+    sys_ = block_system(3, 2, seed=17, scale=0.8)
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="degree must be .*, got %r" % (bad,)):
+        entireness_diagnostic(sys_, degrees=degrees, samples=2)
+    assert draws == []
+
+
 def test_entireness_diagnostic_custom_generators():
     sys_ = block_system(2, 1, seed=18)
     rng = np.random.default_rng(19)
@@ -381,8 +421,7 @@ def _entireness_with_slot_by_slot_draws(sys_, degrees, samples, seed):
             mats = cochain_module._graph_normalize(
                 sys_, sum(c * g for c, g in zip(coeffs, generators)))
             stacks = list(mats.reshape(-1, n + 1, sys_.dim, sys_.dim).swapaxes(0, 1))
-            keep = ~cochain_module._scalar_slots(stacks[1:], samples).any(axis=0)
-            values = cochain_module._chain_values(sys_, n, [s[keep] for s in stacks])
+            values = cochain_module._chain_values(sys_, n, stacks)
             best = max([best] + [abs(v) for v in values.tolist()])
         out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples))
     return out

@@ -10,10 +10,12 @@ makes a_r non-selfadjoint, so the run must refuse it instead.
 Red rows at the time the gate was written, RandomGraded / RectangularBlock:
 G negated 2 / 2, G x 1.5 2 / 2, Gamma dropped 10 / 11, insertion order
 reversed 13 / 13, last Hochschild sign flipped 5 / 5, B signs 5 / 5, Q in
-place of rQ 5 / 5, H in place of H_r 5 / 5.  The gate asserts at least one.
+place of rQ 5 / 5, H in place of H_r 5 / 5, delta leaking 1e-6 x 1 / 1
+(tau.degeneracy, at 8.3e-13 / 7.8e-13).  The gate asserts at least one.
 The G defects wrap perturbation.transgression_cochain, which the
 transgression checks call; every chain, tau and G alike, goes through
-cochain.chain_integral, so the chain defects patch that one binding.
+cochain.chain_integral, so the chain defects patch that one binding, and
+through cochain._superderivation_stack, which the leaking delta patches.
 """
 
 import numpy as np
@@ -112,9 +114,18 @@ def unperturbed_chain_spectrum(monkeypatch, spec):
     monkeypatch.setattr(cochain, "chain_integral", wrap(kernels.chain_integral))
 
 
+def leaky_delta(monkeypatch, spec):
+    # delta(x) + 1e-6 x in the chains alone: delta(c 1) is no longer 0, so
+    # a scalar slot no longer makes tau vanish
+    stack = cochain._superderivation_stack
+    monkeypatch.setattr(cochain, "_superderivation_stack",
+                        lambda sys, xs: stack(sys, xs) + 1e-6 * xs)
+
+
 DEFECTS = {defect.__name__: defect for defect in (
     negate_g, scale_g, drop_gamma, reverse_insertions, flip_last_b_sign,
-    wrong_b_signs, full_coupling_in_supercharge, unperturbed_chain_spectrum)}
+    wrong_b_signs, full_coupling_in_supercharge, unperturbed_chain_spectrum,
+    leaky_delta)}
 
 
 def _red_rows(spec):
@@ -132,6 +143,13 @@ def test_all_is_green_without_a_defect(spec):
 def test_defect_turns_a_row_red(monkeypatch, spec, defect):
     DEFECTS[defect](monkeypatch, spec)
     assert _red_rows(spec), "%s leaves every gated row green" % defect
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
+def test_leaky_delta_turns_the_degeneracy_row_red(monkeypatch, spec):
+    # the row reads tau from the chain, not from a test for scalar slots
+    leaky_delta(monkeypatch, spec)
+    assert "tau.degeneracy" in _red_rows(spec)
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)

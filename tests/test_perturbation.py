@@ -37,7 +37,7 @@ from skmslab.workbench.models import build_perturbed_model
 from skmslab.workbench.suites import gate
 from skmslab.workbench import ModelSpec, run_suite
 from skmslab.cochain import (Cochain, boundary, connes_B, hochschild_b,
-                             is_scalar_slot, jlo_cochain, tau_eval)
+                             jlo_cochain, tau_eval)
 
 
 def block_system(p, q, seed=0, scale=1.0):
@@ -259,20 +259,51 @@ def test_dyson_negative_order_is_refused():
 
 
 def test_dyson_series_is_one_exponential(builder_calls):
-    ctx = make_ctx(r=0.6)
-    x = as_matrix(ctx.system.random_element(np.random.default_rng(9)))
-    for run in (lambda: dyson_alpha_info(ctx, x, 0.7),
-                lambda: dyson_gamma_one_info(ctx, 0.7),
-                lambda: dyson_gamma_one_info(ctx, 1j)):
+    x = as_matrix(make_ctx().system.random_element(np.random.default_rng(9)))
+    for run in (lambda ctx: dyson_alpha_info(ctx, x, 0.7),
+                lambda ctx: dyson_gamma_one_info(ctx, 0.7),
+                lambda ctx: dyson_gamma_one_info(ctx, 1j)):
+        ctx = make_ctx(r=0.6)
         del builder_calls[:]
-        _, info = run()
+        _, info = run(ctx)
         assert info.order >= 1
         assert builder_calls == [(1, (info.order + 1) * ctx.dim)]
+    # the context keeps the terms of each (t, order): alpha and gamma at
+    # one t share one series
+    ctx = make_ctx(r=0.6)
+    del builder_calls[:]
+    _, info = dyson_alpha_info(ctx, x, 0.7)
+    _, ginfo = dyson_gamma_one_info(ctx, 0.7)
+    assert info.order == ginfo.order and len(builder_calls) == 1
+
+
+def test_dyson_terms_stay_with_their_one_coupling_context():
+    # at(0) and at(1) of one vector context each keep their own terms, in
+    # either call order, at the same (t, order): the bits of fresh contexts
+    sys_ = block_system(3, 2)
+    pert = odd_perturbation(sys_)
+    x = as_matrix(sys_.random_element(np.random.default_rng(14)))
+    rs = (0.3, 0.8)
+
+    def series(ctx):
+        return [dyson_alpha_info(ctx, x, t, order=6) for t in (0.4, 1.0)] + [
+            dyson_gamma_one_info(ctx, t, order=6) for t in (0.4, 1j)]
+
+    want = [series(PerturbedContext(sys_, pert, r)) for r in rs]
+    # the couplings' terms differ, so values read from the other's could not pass
+    for (a, _), (b, _) in zip(*want):
+        assert not np.array_equal(a, b)
+    for order in ((0, 1), (1, 0)):
+        vec = PerturbedContext(sys_, pert, list(rs))
+        for k in order:
+            for (val, info), (ref, ref_info) in zip(series(vec.at(k)), want[k]):
+                np.testing.assert_array_equal(val, ref)
+                assert info == ref_info
 
 
 def _gamma_terms_with(defect):
     # perturbation._gamma_terms with one defect injected (None: unchanged)
-    def terms(ctx, t, order, memo=None):
+    def terms(ctx, t, order):
         spec = ctx.system.spectrum
         c = 1j * complex(t)
         a = ctx.r * ctx.delta_q if defect == "no_q_squared" else ctx.a_r
@@ -412,16 +443,17 @@ def test_block_exponentials_priced_at_their_size(monkeypatch):
     monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(40.0 ** 3))
     assert transgression_cochain(ctx)(3, xs) != 0.0
     # a Dyson series of order 8, at real t or t = i, is one (8+1)d = 45
-    # wide exponential
+    # wide exponential; each run takes a fresh context, which keeps no terms
     x = as_matrix(ctx.system.random_element(np.random.default_rng(13)))
-    for run in (lambda: dyson_gamma_one_info(ctx, 1j, order=8),
-                lambda: dyson_gamma_one_info(ctx, 0.5, order=8),
-                lambda: dyson_alpha_info(ctx, x, 0.5, order=8)):
+    for run in (lambda c: dyson_gamma_one_info(c, 1j, order=8),
+                lambda c: dyson_gamma_one_info(c, 0.5, order=8),
+                lambda c: dyson_alpha_info(c, x, 0.5, order=8)):
+        fresh = make_ctx(r=0.6)
         monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(44.0 ** 3))
         with pytest.raises(ChainBudgetExceeded, match="order=8 needs a 45x45"):
-            run()
+            run(fresh)
         monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(45.0 ** 3))
-        run()
+        run(fresh)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -438,7 +470,7 @@ def test_boundary_of_transgression_names_the_odd_slot(n):
 
 
 def test_boundary_of_transgression_equals_B_plus_b_of_checked_G():
-    # random tuples; x_0 scalar only within the slot tolerance; x_2 = x_1^-1
+    # random tuples; x_0 within 1e-14 of 2.5 times the unit; x_2 = x_1^-1
     ctx = make_ctx(r=0.6)
     g = transgression_cochain(ctx)
     dG = boundary(g)
@@ -447,12 +479,13 @@ def test_boundary_of_transgression_equals_B_plus_b_of_checked_G():
     for n in (0, 2):
         plain = even_tuple(ctx.system, rng, n + 1)
         near = [2.5 * eye + 1e-14 * plain[0]] + plain[1:]
-        assert is_scalar_slot(near[0]) and np.any(near[0] != 2.5 * eye)
+        assert 0.0 < np.linalg.norm(near[0] - 2.5 * eye) <= 1e-12 * np.linalg.norm(near[0])
         inputs = [plain, near]
         if n == 2:
             x1 = plain[1] + 3.0 * eye
             inputs.append([plain[0], x1, np.linalg.inv(x1)])
-            assert is_scalar_slot(x1 @ inputs[-1][2])
+            unit = x1 @ inputs[-1][2]
+            assert 0.0 < np.linalg.norm(unit - eye) <= 1e-12 * np.linalg.norm(unit)
         for xs in inputs:
             want = connes_B(g, n, xs)
             if n >= 1:

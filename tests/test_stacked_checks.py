@@ -38,11 +38,14 @@ SEEDS = (0, 3)
 # the checks were stacked, 54 before the coupling grids became stacks, the
 # alpha Dyson series served its three elements at once and the entireness
 # samples of a degree became one stack, 24 before the Dyson row shared its
-# series per (t, order); and the exponentials they hold (987 before the
+# series per (t, order), 22 before the degeneracy rows evaluated their four
+# tuples with a scalar slot (one exponential each), which a test for scalar
+# slots had read as 0; and the exponentials they hold (987 before the
 # alpha series were shared, 983 before the Dyson row shared them, 981 before
-# the endpoint row went from 11 Simpson to 8 Gauss-Legendre nodes)
-ALL_SUITE_BUILDER_CALLS = 22
-ALL_SUITE_EXPONENTIALS = 963
+# the endpoint row went from 11 Simpson to 8 Gauss-Legendre nodes, 963
+# before the degeneracy rows evaluated)
+ALL_SUITE_BUILDER_CALLS = 26
+ALL_SUITE_EXPONENTIALS = 967
 
 
 def _draw(sys, rng, parity=None):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -13,9 +14,9 @@ import pytest
 
 import skmslab
 from skmslab.errors import DimensionMismatch, ParityViolation, ZeroWittenIndex
-from skmslab.errors import ChainBudgetExceeded
+from skmslab.errors import ChainBudgetExceeded, ConditioningWarning
 from skmslab.kernels import SimplexQuadratureRule
-from skmslab.report import DOCUMENTED, make_report
+from skmslab.report import DOCUMENTED, Measurement, VerificationReport, make_report
 from skmslab.workbench import ModelSpec, build_model, model_digest, run_suite
 from skmslab.workbench.cli import main
 from skmslab.workbench.models import (build_perturbed_model, matrix_from_json,
@@ -27,7 +28,7 @@ from skmslab.workbench.reports import (
     to_csv_text,
     to_json_text,
 )
-from skmslab.workbench.suites import SuiteConfig, _run_one
+from skmslab.workbench.suites import SuiteConfig, _run_one, gate
 
 BLOCK_SPEC = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1)
 
@@ -431,6 +432,45 @@ def test_budget_refusal_fails_documented_row():
     rows = _run_one(("doc.row", "norm", DOCUMENTED, refuse), SuiteConfig(), "")
     assert [(r.identity_name, r.max_residual, r.passed) for r in rows] == [
         ("doc.row", DOCUMENTED, False)]
+
+
+def strict_json(text):
+    # json.loads that refuses NaN and the infinities, which are not JSON
+    def refuse(constant):
+        raise ValueError("not strict JSON: %s" % constant)
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, DOCUMENTED])
+def test_gate_writes_a_residual_that_is_not_finite_as_a_failing_documented_row(tol):
+    # a NaN residual was written as "max_residual": NaN, and -inf passed
+    measured = [Measurement("x.nan", "a", 3, math.nan),
+                Measurement("x.inf", "a", 3, math.inf),
+                Measurement("x.minus_inf", "a", 3, -math.inf)]
+    rows = gate(measured, tol)
+    assert [(r.max_residual, r.tolerance, r.passed) for r in rows] == [
+        (DOCUMENTED, tol, False)] * 3
+    assert [r["max_residual"] for r in strict_json(to_json_text(rows))["reports"]] == [
+        DOCUMENTED] * 3
+
+
+def test_json_text_refuses_a_float_that_is_not_finite():
+    row = VerificationReport("x.nan", "a", 1, math.nan, 0.0, False)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        to_json_text([row])
+
+
+def test_strong_perturbation_writes_strict_json():
+    # at perturbation scale 1e5 the imaginary-time flow overflows and
+    # skms_r.kms_boundary read NaN, which the report wrote as NaN
+    strong = ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+                       perturbation={"seed": 11, "scale": 1e5})
+    with pytest.warns(ConditioningWarning), \
+            pytest.warns(RuntimeWarning, match="divide by zero|invalid value"):
+        rows = run_suite(strong, "All")
+    doc = strict_json(to_json_text(rows))
+    kms, = [r for r in doc["reports"] if r["identity_name"] == "skms_r.kms_boundary"]
+    assert (kms["max_residual"], kms["passed"]) == (DOCUMENTED, False)
 
 
 def test_timing_flag_populates_wall_ms():
