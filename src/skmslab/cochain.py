@@ -51,11 +51,10 @@ way.  A stack gives every tuple the bits it would get alone.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _draw_tuples, _superderivation_stack, skms_eval
+from .dynamics import _draw_tuples, _superderivation_stack
 from .errors import ParityViolation, check_integer
 from .graded import Parity, as_matrix
 from .kernels import (SimplexQuadratureRule, _as_stacks, _is_stacked,
@@ -89,7 +88,8 @@ class Cochain:
     Calling c(n, xs) takes the same n + 1 stacks and returns the values
     with shape couplings + (T,), or one tuple of matrices (a stack of one)
     and returns its value: a complex, or a (K,) array.  It checks the
-    arity; every degree n >= 0 of the cochain's parity is supported.  With
+    arity; every degree n >= 0 of the cochain's parity is supported, and a
+    degree that is not an integer >= 0 raises ValueError.  With
     a grading, every argument must be even, at any degree: ParityViolation
     names the first slot that is not (and, in a stack, its tuple).  At a
     degree n of the wrong parity every tuple reads 0 without evaluation;
@@ -116,6 +116,7 @@ class Cochain:
         return (n % 2 == 0) == want_even
 
     def __call__(self, n, xs):
+        check_integer("degree", n, 0)
         if len(xs) != n + 1:
             raise ValueError("degree %d expects %d arguments, got %d"
                              % (n, n + 1, len(xs)))
@@ -191,8 +192,7 @@ def hochschild_b(rho, n, xs):
     and the K values are returned, as in boundary: the terms of all tuples
     go to rho as one stack.
     """
-    if n < 1:
-        raise ValueError("hochschild_b needs degree >= 1")
+    check_integer("degree", n, 1)
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
     terms = _b_terms(n, xs)
@@ -209,6 +209,7 @@ def connes_B(rho, n, xs):
     and the K values are returned, as in boundary: the terms of all tuples
     go to rho as one stack.
     """
+    check_integer("degree", n, 0)
     if len(xs) != n + 1:
         raise ValueError("degree %d expects %d arguments" % (n, n + 1))
     terms = _B_terms(n, xs)
@@ -267,12 +268,12 @@ def _against_couplings(sys, stacks):
 def _chain_values(sys, n, stacks, q=None):
     # (1/Z) chain_integral(x_0, delta(x_1), .., delta(x_n); q) of the T
     # tuples in the (T, d, d) stacks, against every coupling of a context:
-    # (T,) or (K, T) values from one call of the block builder.  tau_0 is
-    # phi(x_0)
+    # (T,) or (K, T) values from one call of the block builder, n = 0
+    # included: tau_0 is the kernel's contraction Tr(Gamma x_0 e^{-H}) / Z
     sys, stacks, shape = _against_couplings(sys, stacks)
-    if n == 0 and q is None:
-        return skms_eval(sys, stacks[0]).reshape(shape)
-    derived = _superderivation_stack(sys, np.array(stacks[1:], dtype=complex))
+    # a temporary, not a name, so the stack is freed before the chain
+    derived = _superderivation_stack(
+        sys, np.array(stacks[1:], dtype=complex).reshape((n,) + stacks[0].shape))
     vals = chain_integral(sys.spectrum, [stacks[0], *derived], sys.grading, q=q)
     return (vals / sys.witten_index).reshape(shape)
 
@@ -305,22 +306,6 @@ def tau_eval(sys, n, xs):
     return jlo_cochain(sys)(n, xs)
 
 
-@dataclass(frozen=True)
-class NormEstimate:
-    """Sampled lower bound for |tau_n| over unit graph-norm tuples."""
-
-    degree: int
-    sampled_norm: float
-    samples: int
-
-    @property
-    def growth_indicator(self):
-        """sqrt(n) * norm^(1/n); local entireness means this decays in n."""
-        if self.sampled_norm == 0.0:
-            return 0.0
-        return math.sqrt(self.degree) * self.sampled_norm ** (1.0 / self.degree)
-
-
 def _graph_normalize(sys, stack):
     # each slice over its graph norm ||x|| + ||delta(x)||; a zero slice stays 0
     nrm = (np.linalg.norm(stack, 2, axis=(1, 2))
@@ -328,39 +313,32 @@ def _graph_normalize(sys, stack):
     return stack / np.where(nrm == 0, 1.0, nrm)[:, None, None]
 
 
-def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32,
-                          seed=0):
-    """Sampled norms of tau_n over tuples from the generator span.
+def entireness_diagnostic(sys, degrees=(2, 4, 6, 8), samples=32, seed=0):
+    """Growth of tau_n over sampled unit graph-norm tuples, as measurements.
 
-    Each argument is a random combination of the generators, normalized in
-    the graph norm ||x|| + ||delta(x)||; the per-degree estimate is the max
-    of |tau_n| over the sampled tuples.  Sample draws are keyed by
-    (seed, degree, index), so enlarging the sample count only extends the
-    set and the estimate is monotone in samples.  Odd degrees read 0.
-    Each degree must be an integer >= 1 and is checked before any draw
-    (ValueError): degree 0 has no growth indicator, and a negative one
-    cannot key a draw.
-
-    The generators must be even and are checked once, before any chain is
-    evaluated: their combinations are even and graph normalization keeps
-    them even, so the tuples are not checked again.  The samples of a
+    Each argument is a random combination of four even generators drawn
+    from seed, so it is even and is not checked, normalized in the graph
+    norm ||x|| + ||delta(x)||.  Row entireness.indicator_n<n> is sqrt(n)
+    m^(1/n), m the max of |tau_n| over the samples tuples (0 at m = 0,
+    and at odd degrees); local entireness means it decays in n, and the
+    row entireness.monotone is its largest rise between degrees, or 0.
+    Draws are keyed by (seed, degree, index), so a larger samples extends
+    the set and m is monotone in it.  Each degree and samples must be an
+    integer >= 1, checked before any draw (ValueError): degree 0 has no
+    indicator, and a negative one cannot key a draw.  The samples of a
     degree are combined, normalized and evaluated as one stack, in one
     call of the block builder, whose workspace is a few arrays of the
     stack's block rows; each tuple gets the bits it would get alone.
     """
     for n in degrees:
         check_integer("degree", n, 1)
-    if generators is None:
-        gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
-        generators = [sys.random_element(gen_rng, parity=Parity.EVEN)
-                      for _ in range(4)]
-    else:
-        generators = [as_matrix(g) for g in generators]
-    _require_even(sys.grading, [g[None] for g in generators])
-    out = []
+    check_integer("samples", samples, 1)
+    gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
+    generators = sys.random_elements(gen_rng, 4, parity=Parity.EVEN)
+    indicators = []
     for n in degrees:
         best = 0.0
-        if n % 2 == 0 and samples > 0:
+        if n % 2 == 0:
             draws = []
             for i in range(samples):
                 rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
@@ -370,10 +348,12 @@ def entireness_diagnostic(sys, generators=None, degrees=(2, 4, 6, 8), samples=32
             coeffs = np.concatenate(draws).T[:, :, None, None]
             mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
             stacks = list(mats.reshape(-1, n + 1, sys.dim, sys.dim).swapaxes(0, 1))
-            values = _chain_values(sys, n, stacks)
-            best = max([best] + [abs(v) for v in values.tolist()])
-        out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples))
-    return out
+            best = max([best] + [abs(v) for v in _chain_values(sys, n, stacks).tolist()])
+        indicators.append(0.0 if best == 0.0 else math.sqrt(n) * best ** (1.0 / n))
+    rise = max([0.0] + [b - a for a, b in zip(indicators, indicators[1:])])
+    return ([Measurement("entireness.indicator_n%d" % n, "norm", samples, ind)
+             for n, ind in zip(degrees, indicators)]
+            + [Measurement("entireness.monotone", "norm", samples * len(degrees), rise)])
 
 
 def _chains_by_degree(sys, tuples):
@@ -409,8 +389,9 @@ def lemma34_check(sys, n=2, samples=6, seed=0):
     the block-exponential chain kernel, so this doubles as a cross-oracle
     test.  The samples are drawn as one stack, and every chain, all of
     degree n, goes to one call of the block builder.  Returns a
-    Measurement per identity.
+    Measurement per identity; n must be an integer >= 1 (ValueError).
     """
+    check_integer("n", n, 1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x34)))
     z = sys.witten_index
     draws = _draw_tuples(sys, rng, samples, 2 * n + 3)

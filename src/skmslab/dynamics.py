@@ -105,13 +105,14 @@ class GradedSystem:
     def gamma(self, x):
         return self.grading.conjugate(x)
 
-    def random_elements(self, rng, count, parity=None, normalize=True):
+    def random_elements(self, rng, count, parity=None):
         """(count, d, d) stack of seeded Gaussian elements from one draw.
 
         The draw is one rng.standard_normal((count, 2, d, d)), the real and
         imaginary parts of each element in turn, so slice k is bit for bit
         the k-th of count sequential random_element calls.  The parity
-        projection and the 2-norm normalization act on the whole stack.
+        projection and the normalization to 2-norm 1 (a zero slice stays
+        0) act on the whole stack.
         """
         d = self.dim
         draw = rng.standard_normal((count, 2, d, d))
@@ -122,18 +123,17 @@ class GradedSystem:
             m = (m + self.grading.conjugate(m)) / 2
         elif parity is Parity.ODD:
             m = (m - self.grading.conjugate(m)) / 2
-        if normalize:
-            # the largest singular value: np.linalg.norm(m[k], 2) bit for bit
-            nrm = np.linalg.svd(m, compute_uv=False)[:, 0]
-            m = m / np.where(nrm > 0, nrm, 1.0)[:, None, None]
-        return m
+        # the largest singular value: np.linalg.norm(m[k], 2) bit for bit
+        nrm = np.linalg.svd(m, compute_uv=False)[:, 0]
+        return m / np.where(nrm > 0, nrm, 1.0)[:, None, None]
 
-    def random_element(self, rng, parity=None, normalize=True):
-        """Seeded Gaussian (d, d) complex ndarray, optionally of one parity.
+    def random_element(self, rng, parity=None):
+        """Seeded Gaussian (d, d) complex ndarray of 2-norm 1, optionally
+        of one parity.
 
         Slice 0 of a random_elements stack of one.
         """
-        return self.random_elements(rng, 1, parity, normalize)[0]
+        return self.random_elements(rng, 1, parity)[0]
 
 
 def _draw_tuples(sys, rng, count, size, parity=None):

@@ -347,9 +347,11 @@ def _grading_matrix(grading):
     return as_matrix(grading)
 
 
-def _eigen_insertions(spectrum, stacks, grading):
+def _eigen_insertions(spectrum, stacks, grading, what):
     # Gamma x_0, x_1, .., x_n in the eigenbasis of H: an (n+1, K, d, d)
-    # array from n + 1 (K, d, d) stacks, transformed in one stacked pass
+    # array from n + 1 (K, d, d) stacks, transformed in one stacked pass.
+    # A NaN or an infinity is refused before the transform, which would
+    # warn on it, and before the price, which a NaN norm would pass
     if not len(stacks):
         raise ValueError("need at least one insertion x_0")
     shape = np.shape(stacks[0])
@@ -366,6 +368,8 @@ def _eigen_insertions(spectrum, stacks, grading):
         raise DimensionMismatch(
             "%d tuples do not match a stack of %d spectra" % (shape[0], lead[0]))
     mats = np.array(stacks, dtype=complex)
+    if not np.isfinite(mats).all():
+        raise ValueError("%s has an insertion that is not finite" % what)
     g = _grading_matrix(grading)
     if g is not None:
         mats[0] = g @ mats[0]
@@ -441,24 +445,26 @@ def chain_integral(spectrum, xs, grading, q=None):
     ((n+1)d)^3, or (2(n+1)d)^3 with q, exceeds chain_budget()
     (SKMS_CHAIN_BUDGET, default 1e8); each exponential is priced alone,
     whatever the number of tuples, and n = 0 without q is never refused.
+    Raises ValueError, naming the chain, when an insertion holds a NaN or
+    an infinity, before any arithmetic on it.
     """
     stacks, one = _as_stacks(xs)
-    mats = _eigen_insertions(spectrum, stacks, grading)
+    n = len(stacks) - 1
+    what = ("chain with d=%d, n=%d" if q is None
+            else "alternating chain with d=%d, m=%d") % (spectrum.dim, n)
+    mats = _eigen_insertions(spectrum, stacks, grading, what)
     y0, ys = mats[0], mats[1:].swapaxes(0, 1)
-    n = ys.shape[1]
     if q is None and n == 0:
         heads = np.diagonal(y0, axis1=1, axis2=2)
         return _values(np.sum(heads * np.exp(-spectrum.evals), axis=1), one, spectrum)
     if q is None:
         edges = [(0, 1, ys)]
-        what = "chain with d=%d, n=%d" % (spectrum.dim, n)
     else:
         qe = spectrum.to_eigenbasis(as_matrix(q))
         signed = np.stack([qe, -qe], axis=-3)[..., np.arange(n + 1) % 2, :, :]
         qs = np.broadcast_to(signed, y0.shape[:1] + signed.shape[-3:])
         # the q edges go before the run, so the column sums keep their order
         edges = [(0, 0, qs), (0, 1, ys)]
-        what = "alternating chain with d=%d, m=%d" % (spectrum.dim, n)
     chain = _heat_chain_blocks(spectrum, edges, what)[:, -1]
     return _values(_contract(y0, chain), one, spectrum)
 
@@ -485,7 +491,8 @@ def heat_chain_integrand(spectrum, xs, grading):
     """
     if spectrum.evals.ndim != 1:
         raise DimensionMismatch("the pointwise integrand takes one spectrum, not a stack")
-    ys = list(_eigen_insertions(spectrum, _stacks_of_one(xs), grading)[:, 0])
+    what = "chain integrand with d=%d, n=%d" % (spectrum.dim, len(xs) - 1)
+    ys = list(_eigen_insertions(spectrum, _stacks_of_one(xs), grading, what)[:, 0])
     n = len(ys) - 1
     d = spectrum.dim
     lam = spectrum.evals

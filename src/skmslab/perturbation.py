@@ -39,7 +39,7 @@ from .cochain import (_chain_cochain, _chains_by_degree, _couplings, boundary,
 from .dynamics import (SUPERCHARGE_TOL, GradedSystem, _draw_tuples,
                        _functional_residuals, _odd_selfadjoint, _super_gibbs,
                        heisenberg_flow, skms_eval, superderivation)
-from .errors import ParityViolation, TruncationUnreachable
+from .errors import ParityViolation, TruncationUnreachable, check_integer
 from .graded import as_matrices, as_matrix, frobenius_norms
 # chain_integral is bound here too: perfbench traces perturbation.chain_integral
 from .kernels import (Spectrum, _heat_chain_blocks, _refuse_over_budget,  # noqa: F401
@@ -215,6 +215,10 @@ class DysonInfo:
 
 
 def _series_order(ctx, t, tol, order, norm_x=1.0):
+    # a NaN t would pass tail_bound's loop test as a zero tail, and an
+    # infinite one would price a NaN block exponential
+    if not math.isfinite(t):
+        raise ValueError("t must be finite, got %r" % (t,))
     if _couplings(ctx):
         raise ValueError("a Dyson series takes a one-coupling context; "
                          "select one with ctx.at(k)")
@@ -253,11 +257,11 @@ def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None):
     """Truncated Dyson series for alpha^r_t(x) with error metadata.
 
     Returns (matrix, DysonInfo).  The order adapts to tol through the term
-    bound (|t| ||2 a_r||)^n / n! unless given; a negative order raises
-    ValueError.  The series is sum_{j+l <= order} Gamma_j alpha_t(x)
-    Gamma_l^*, with Gamma_j the terms of gamma^r_t(1), all read off block
-    row 0 of one ((order+1)d)-square block exponential, priced against the
-    chain budget.  x may be a (K, d, d) stack: one series serves every
+    bound (|t| ||2 a_r||)^n / n! unless given; a negative order or a
+    non-finite t raises ValueError.  The series is sum_{j+l <= order}
+    Gamma_j alpha_t(x) Gamma_l^*, with Gamma_j the terms of gamma^r_t(1),
+    all read off block row 0 of one ((order+1)d)-square block exponential,
+    priced against the chain budget.  x may be a (K, d, d) stack: one series serves every
     slice, its order and tail bound taken at the largest ||x_k||, and the
     (K, d, d) values come back.  The context keeps the terms of each
     (t, order), so dyson_gamma_one_info at that (t, order) reuses them.
@@ -284,7 +288,8 @@ def dyson_gamma_one_info(ctx, t, tol=1e-10, order=None):
     matrix-valued chains against e^{csH}, read off block row 0 of one
     ((order+1)d)-square block exponential priced against the chain
     budget; t = i is the heat chain, c = -1.  Only the point t = i is
-    supported on the imaginary axis; a negative order raises ValueError.
+    supported on the imaginary axis; a negative order or a non-finite t
+    raises ValueError.
     The terms are shared with dyson_alpha_info, as there.
     """
     t = complex(t)
@@ -400,25 +405,19 @@ def lemma44_check(sys, n=2, samples=20, seed=0):
         times.append([complex(a, b) for a, b in zip(res, ims)])
     xs = list(np.array(draws).swapaxes(0, 1))
     zs = np.array(times, dtype=complex).T
-    eye = np.broadcast_to(np.eye(sys.dim, dtype=complex), xs[0].shape)
 
-    prod = eye
-    for z, x in zip(zs, xs[1:]):
-        prod = prod @ heisenberg_flow(sys, x, z)
-    lhs = skms_eval(sys, prod @ heisenberg_flow(sys, xs[0], 1j))
-    prod_g = eye
-    for z, x in zip(zs, xs[1:]):
-        prod_g = prod_g @ heisenberg_flow(sys, sys.gamma(x), z)
-    rhs = skms_eval(sys, xs[0] @ prod_g)
+    def flowed(elements, at):
+        # alpha_{z_1}(x_1) alpha_{z_2}(x_2) .. over the (x_k, z_k) in turn
+        prod = np.broadcast_to(np.eye(sys.dim, dtype=complex), xs[0].shape)
+        for x, z in zip(elements, at):
+            prod = prod @ heisenberg_flow(sys, x, z)
+        return prod
+
+    lhs = skms_eval(sys, flowed(xs[1:], zs) @ heisenberg_flow(sys, xs[0], 1j))
+    rhs = skms_eval(sys, xs[0] @ flowed([sys.gamma(x) for x in xs[1:]], zs))
     conj_res = np.abs(lhs - rhs)
-
-    rev = eye
-    for z, x in zip(reversed(zs), reversed(xs[1:])):
-        rev = rev @ heisenberg_flow(sys, x, np.conj(z))
-    lhs2 = np.conj(skms_eval(sys, rev))
-    fwd = eye
-    for z, x in zip(zs, xs[1:]):
-        fwd = fwd @ heisenberg_flow(sys, x.conj().swapaxes(1, 2), z)
+    lhs2 = np.conj(skms_eval(sys, flowed(xs[:0:-1], np.conj(zs[::-1]))))
+    fwd = flowed([x.conj().swapaxes(1, 2) for x in xs[1:]], zs)
     refl_res = np.abs(lhs2 - skms_eval(sys, fwd))
     return [Measurement("flow.cyclic_conjugation", "analcont", samples,
                         float(np.max(conj_res))),
@@ -464,7 +463,9 @@ def f_identities_check(ctx, n=3, samples=10, seed=0):
     Rotation, the two heat-commutator contractions (inner slot and last
     slot), unit insertion, and the cyclic derivation sum.  The samples are
     drawn as one stack, and the chains of each degree n - 1, n, n + 1 go
-    to one call of the block builder."""
+    to one call of the block builder.  n must be an integer >= 1
+    (ValueError): the last-slot identity contracts x_{n-1} x_n."""
+    check_integer("n", n, 1)
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x46)))
     xs = _draw_tuples(sys, rng, samples, n + 1)

@@ -218,18 +218,8 @@ def _homotopy_checks(sys, pert, config):
 
 
 def _entireness_checks(sys, config):
-    def run():
-        estimates = entireness_diagnostic(sys, samples=32, seed=config.seed)
-        indicators = [e.growth_indicator for e in estimates]
-        worst = max((indicators[i + 1] - indicators[i]
-                     for i in range(len(indicators) - 1)), default=-1.0)
-        rows = [Measurement("entireness.indicator_n%d" % est.degree, "norm",
-                            est.samples, ind)
-                for est, ind in zip(estimates, indicators)]
-        return rows + [Measurement("entireness.monotone", "norm",
-                                   sum(e.samples for e in estimates),
-                                   max(worst, 0.0))]
-    return [("entireness.monotone", "norm", 0.0, run)]
+    return [("entireness.monotone", "norm", 0.0,
+             lambda: entireness_diagnostic(sys, samples=32, seed=config.seed))]
 
 
 def _suite_checks(spec, suite, config):

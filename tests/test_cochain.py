@@ -7,7 +7,6 @@ import skmslab.cochain as cochain_module
 from skmslab import kernels
 from skmslab.cochain import (
     Cochain,
-    NormEstimate,
     boundary,
     connes_B,
     entireness_diagnostic,
@@ -19,6 +18,7 @@ from skmslab.cochain import (
 from skmslab.dynamics import GradedSystem
 from skmslab.errors import ChainBudgetExceeded, DimensionMismatch, ParityViolation
 from skmslab.graded import GradingOperator, Parity, as_matrix
+from skmslab.perturbation import OddPerturbation, PerturbedContext, f_identities_check
 from skmslab.report import Measurement
 from skmslab.workbench.suites import gate
 
@@ -162,6 +162,43 @@ def test_tau_normalization_and_parity():
         tau_eval(sys_, 2, [as_matrix(sys_.random_element(rng))] + xs)
     with pytest.raises(ValueError):
         tau_eval(sys_, 2, xs)  # arity
+
+
+def test_tau_0_is_the_chain_kernel_contraction(monkeypatch):
+    # tau_0(x) = Tr(Gamma x e^{-H}) / Z from chain_integral at n = 0, as
+    # every other degree, not from a second route through phi
+    sys_ = block_system(3, 2, seed=6)
+    x = even_tuple(sys_, np.random.default_rng(7), 1)[0]
+    calls = []
+    chain = cochain_module.chain_integral
+
+    def spied(*args, **kwargs):
+        calls.append(len(args[1]))
+        return chain(*args, **kwargs)
+
+    monkeypatch.setattr(cochain_module, "chain_integral", spied)
+    want = kernels.chain_integral(sys_.spectrum, [x], sys_.grading) / sys_.witten_index
+    assert tau_eval(sys_, 0, [x]) == want
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys_, tau: tau(-1, []),
+    lambda sys_, tau: boundary(tau)(-1, []),
+    lambda sys_, tau: connes_B(tau, -1, []),
+    lambda sys_, tau: hochschild_b(tau, 0, [np.eye(5)]),
+    lambda sys_, tau: tau(1.0, [np.eye(5)] * 2),
+    lambda sys_, tau: lemma34_check(sys_, n=0),
+    lambda sys_, tau: f_identities_check(PerturbedContext(
+        sys_, OddPerturbation(sys_.supercharge, sys_.grading), 0.5), n=0),
+], ids=["tau", "boundary", "connes_B", "hochschild_b", "float_degree",
+        "lemma34_check", "f_identities_check"])
+def test_degrees_out_of_range_are_refused(call):
+    # an IndexError, a false red F.heat_commutator_last from the slice
+    # xs[:n - 1] at n = 0, and max() of an empty sequence before
+    sys_ = block_system(3, 2, seed=6)
+    with pytest.raises(ValueError, match=r"(degree|n) must be (an integer|at least)"):
+        call(sys_, jlo_cochain(sys_))
 
 
 def test_tau_refuses_elements_of_another_dimension():
@@ -334,19 +371,27 @@ def test_boundary_prices_each_exponential_not_the_batch(monkeypatch):
     assert abs(dtau(3, xs)) < 1e-10
 
 
-def test_norm_estimate_indicator():
-    est = NormEstimate(degree=4, sampled_norm=0.0, samples=8)
-    assert est.growth_indicator == 0.0
-    est2 = NormEstimate(degree=4, sampled_norm=1e-4, samples=8)
-    assert est2.growth_indicator == pytest.approx(2.0 * 1e-1)
+def indicators(measurements):
+    # the indicator rows of entireness_diagnostic, by degree
+    return {m.identity_name: m.max_residual for m in measurements[:-1]}
+
+
+def test_entireness_indicator_is_zero_at_odd_degrees():
+    sys_ = block_system(3, 2, seed=17, scale=0.8)
+    rows = entireness_diagnostic(sys_, degrees=(3, 5), samples=4, seed=0)
+    assert all(type(m) is Measurement for m in rows)
+    assert [tuple(m) for m in rows] == [
+        ("entireness.indicator_n3", "norm", 4, 0.0),
+        ("entireness.indicator_n5", "norm", 4, 0.0),
+        ("entireness.monotone", "norm", 8, 0.0)]
 
 
 def test_entireness_diagnostic_monotone_in_samples():
     sys_ = block_system(3, 2, seed=17, scale=0.8)
     small = entireness_diagnostic(sys_, degrees=(2, 4), samples=6, seed=3)
     large = entireness_diagnostic(sys_, degrees=(2, 4), samples=12, seed=3)
-    for lo, hi in zip(small, large):
-        assert hi.sampled_norm >= lo.sampled_norm
+    for name, lo in indicators(small).items():
+        assert indicators(large)[name] >= lo > 0.0
     again = entireness_diagnostic(sys_, degrees=(2, 4), samples=6, seed=3)
     assert again == small
 
@@ -355,7 +400,7 @@ def test_entireness_diagnostic_monotone_in_samples():
     ((0,), 0), ((-2,), -2), ((2, 0), 0), ((2.0,), 2.0), ((True,), True)])
 def test_entireness_diagnostic_refuses_a_degree_below_one_before_any_draw(
         monkeypatch, degrees, bad):
-    # degree 0 gave an estimate whose growth_indicator divided by zero, and
+    # degree 0 gave an estimate whose growth indicator divided by zero, and
     # degree -2 failed inside numpy's SeedSequence
     sys_ = block_system(3, 2, seed=17, scale=0.8)
     draws = []
@@ -366,34 +411,17 @@ def test_entireness_diagnostic_refuses_a_degree_below_one_before_any_draw(
     assert draws == []
 
 
-def test_entireness_diagnostic_custom_generators():
-    sys_ = block_system(2, 1, seed=18)
-    rng = np.random.default_rng(19)
-    gens = [as_matrix(sys_.random_element(rng, parity="even")) for _ in range(2)]
-    out = entireness_diagnostic(sys_, generators=gens, degrees=(2,), samples=4, seed=0)
-    assert len(out) == 1 and out[0].degree == 2
-    assert out[0].sampled_norm > 0.0
-
-
-def test_entireness_diagnostic_rejects_odd_generator_first(monkeypatch):
-    sys_ = block_system(2, 1, seed=18)
-    rng = np.random.default_rng(19)
-    gens = [as_matrix(sys_.random_element(rng, parity="even")),
-            as_matrix(sys_.random_element(rng, parity="odd"))]
-    chains = []
-    chain = cochain_module.chain_integral
-
-    def spied(*args, **kwargs):
-        chains.append(args)
-        return chain(*args, **kwargs)
-
-    monkeypatch.setattr(cochain_module, "chain_integral", spied)
-    with pytest.raises(ParityViolation, match="slot 1 is not even"):
-        entireness_diagnostic(sys_, generators=gens, degrees=(2,), samples=2)
-    assert chains == []
-    # the spy watches the name the diagnostic calls: an even generator reaches it
-    entireness_diagnostic(sys_, generators=gens[:1], degrees=(2,), samples=2)
-    assert len(chains) == 1
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+def test_entireness_diagnostic_refuses_samples_below_one_before_any_draw(
+        monkeypatch, samples):
+    # samples = 0 read a norm of 0 at every degree, an indicator that decays
+    sys_ = block_system(3, 2, seed=17, scale=0.8)
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="samples must be .*, got %r" % (samples,)):
+        entireness_diagnostic(sys_, degrees=(2,), samples=samples)
+    assert draws == []
 
 
 def test_entireness_diagnostic_one_exponential_call_per_degree(builder_calls):
@@ -403,11 +431,12 @@ def test_entireness_diagnostic_one_exponential_call_per_degree(builder_calls):
 
 
 def _entireness_with_slot_by_slot_draws(sys_, degrees, samples, seed):
-    # entireness_diagnostic as it drew before: two standard_normal(G) calls
-    # per slot, the real part then the imaginary one
+    # the indicators of entireness_diagnostic as it drew before: the four
+    # generators one by one, and two standard_normal(G) calls per slot,
+    # the real part then the imaginary one
     gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
     generators = [sys_.random_element(gen_rng, parity=Parity.EVEN) for _ in range(4)]
-    out = []
+    out = {}
     for n in degrees:
         best = 0.0
         if n % 2 == 0:
@@ -423,17 +452,18 @@ def _entireness_with_slot_by_slot_draws(sys_, degrees, samples, seed):
             stacks = list(mats.reshape(-1, n + 1, sys_.dim, sys_.dim).swapaxes(0, 1))
             values = cochain_module._chain_values(sys_, n, stacks)
             best = max([best] + [abs(v) for v in values.tolist()])
-        out.append(NormEstimate(degree=n, sampled_norm=best, samples=samples))
+        out["entireness.indicator_n%d" % n] = (
+            0.0 if best == 0.0 else np.sqrt(n) * best ** (1.0 / n))
     return out
 
 
 def test_entireness_diagnostic_draws_each_sample_in_one_call():
     # one standard_normal((n + 1, 2, G)) per sample is the same stream as
-    # 2 (n + 1) calls of standard_normal(G), so the estimates keep their bits
+    # 2 (n + 1) calls of standard_normal(G), so the indicators keep their bits
     sys_ = block_system(3, 2, seed=17, scale=0.8)
-    got = entireness_diagnostic(sys_, degrees=(2, 4), samples=6, seed=3)
+    got = indicators(entireness_diagnostic(sys_, degrees=(2, 4), samples=6, seed=3))
     assert got == _entireness_with_slot_by_slot_draws(sys_, (2, 4), 6, 3)
-    assert all(e.sampled_norm > 0.0 for e in got)
+    assert all(v > 0.0 for v in got.values())
 
 
 def test_duffy_rule_is_built_once_per_order_and_degree(monkeypatch):

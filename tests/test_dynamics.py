@@ -77,7 +77,7 @@ def test_random_element_parities():
     assert sys_.grading.classify(x) is Parity.EVEN
     y = sys_.random_element(rng, parity=Parity.ODD)
     assert sys_.grading.classify(y) is Parity.ODD
-    z = sys_.random_element(rng, normalize=True)
+    z = sys_.random_element(rng)
     assert np.linalg.norm(z, 2) == pytest.approx(1.0, rel=1e-12)
     # same seed, same draw
     a = sys_.random_element(np.random.default_rng(42))

@@ -463,6 +463,20 @@ def test_chain_integral_errors(monkeypatch):
         chain_integral(spec, xs, g)
 
 
+@pytest.mark.parametrize("q", [None, np.diag([0.0, 1.0, 0.0])], ids=["chain", "q"])
+@pytest.mark.parametrize("slot", [0, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_chain_integral_refuses_an_insertion_that_is_not_finite(bad, slot, q):
+    # a NaN norm priced the exponential at NaN, which passed the budget
+    # guard, and the run ended in "cannot convert float NaN to integer"
+    spec, g, xs = chain_fixture()
+    xs = [x.copy() for x in xs]
+    xs[slot][1, 2] = bad
+    what = "chain with d=3, n=2" if q is None else "alternating chain with d=3, m=2"
+    with pytest.raises(ValueError, match="%s has an insertion that is not finite" % what):
+        chain_integral(spec, xs, g, q=q)
+
+
 def test_chain_budget_env_override(monkeypatch):
     spec, g, xs = chain_fixture()
     monkeypatch.setenv("SKMS_CHAIN_BUDGET", "2.0")

@@ -11,7 +11,9 @@ Red rows at the time the gate was written, RandomGraded / RectangularBlock:
 G negated 2 / 2, G x 1.5 2 / 2, Gamma dropped 10 / 11, insertion order
 reversed 13 / 13, last Hochschild sign flipped 5 / 5, B signs 5 / 5, Q in
 place of rQ 5 / 5, H in place of H_r 5 / 5, delta leaking 1e-6 x 1 / 1
-(tau.degeneracy, at 8.3e-13 / 7.8e-13).  The gate asserts at least one.
+(tau.degeneracy, at 8.3e-13 / 7.8e-13), Gamma dropped from one-slot
+chains 2 / 2 (tau.normalization at 3.22 / 2.27 and cocycle.boundary_n1
+at 0.259 / 0.489).  The gate asserts at least one.
 The G defects wrap perturbation.transgression_cochain, which the
 transgression checks call; every chain, tau and G alike, goes through
 cochain.chain_integral, so the chain defects patch that one binding, and
@@ -122,10 +124,20 @@ def leaky_delta(monkeypatch, spec):
                         lambda sys, xs: stack(sys, xs) + 1e-6 * xs)
 
 
+def gamma_less_trace(monkeypatch, spec):
+    # a plain trace in the chains of one slot alone: tau_0, which only the
+    # normalization row and the b terms of the degree-1 boundary read
+    chain = kernels.chain_integral
+
+    def traced(spectrum, xs, grading, q=None):
+        return chain(spectrum, xs, None if len(xs) == 1 and q is None else grading, q=q)
+    monkeypatch.setattr(cochain, "chain_integral", traced)
+
+
 DEFECTS = {defect.__name__: defect for defect in (
     negate_g, scale_g, drop_gamma, reverse_insertions, flip_last_b_sign,
     wrong_b_signs, full_coupling_in_supercharge, unperturbed_chain_spectrum,
-    leaky_delta)}
+    leaky_delta, gamma_less_trace)}
 
 
 def _red_rows(spec):
@@ -150,6 +162,13 @@ def test_leaky_delta_turns_the_degeneracy_row_red(monkeypatch, spec):
     # the row reads tau from the chain, not from a test for scalar slots
     leaky_delta(monkeypatch, spec)
     assert "tau.degeneracy" in _red_rows(spec)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
+def test_gamma_less_trace_turns_the_normalization_row_red(monkeypatch, spec):
+    # tau_0 is the chain kernel's n = 0 contraction, not phi read again
+    gamma_less_trace(monkeypatch, spec)
+    assert "tau.normalization" in _red_rows(spec)
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)

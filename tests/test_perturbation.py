@@ -258,6 +258,18 @@ def test_dyson_negative_order_is_refused():
         dyson_gamma_one_info(ctx, 0.5, order=41)
 
 
+@pytest.mark.parametrize("order", [None, 5])
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_dyson_refuses_a_time_that_is_not_finite(t, order):
+    # a NaN t read a zero tail bound, the exact identity at order 0, and
+    # with an order the NaN price passed the budget guard
+    ctx = make_ctx(r=0.5)
+    with pytest.raises(ValueError, match="t must be finite, got %r" % (t,)):
+        dyson_alpha_info(ctx, np.eye(5), t, order=order)
+    with pytest.raises(ValueError, match="t must be finite, got %r" % (t,)):
+        dyson_gamma_one_info(ctx, t, order=order)
+
+
 def test_dyson_series_is_one_exponential(builder_calls):
     x = as_matrix(make_ctx().system.random_element(np.random.default_rng(9)))
     for run in (lambda ctx: dyson_alpha_info(ctx, x, 0.7),
