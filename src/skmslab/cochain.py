@@ -46,8 +46,9 @@ connes_B and hochschild_b take stacks, with an evaluator for rho, and
 send the terms of all the tuples to it as one stack; boundary's
 evaluator is their sum, so each degree costs one call of the
 block-exponential builder (kernels.chain_integral on a stack), and
-entireness_diagnostic and lemma34_check evaluate their samples the same
-way.  A stack gives every tuple the bits it would get alone.
+lemma34_check evaluates its samples the same way; entireness_diagnostic
+reads every degree of its samples off one call.  A stack gives every
+tuple the bits it would get alone.
 """
 
 import math
@@ -57,13 +58,17 @@ import numpy as np
 from .dynamics import _draw_tuples, _superderivation_stack
 from .errors import ParityViolation, check_integer
 from .graded import Parity, as_matrix
-from .kernels import (SimplexQuadratureRule, _as_stacks, _is_stacked,
-                      chain_integral, heat_chain_integrand, simplex_quadrature)
+from .kernels import (SimplexQuadratureRule, _as_stacks, _chain_prefixes,
+                      _is_stacked, chain_integral, heat_chain_integrand,
+                      simplex_quadrature)
 from .report import Measurement
 
 # the one rule of chain.slot_derivative, run at degree n + 1 of
 # lemma34_check: the row's quadrature error is that of this rule alone
 SLOT_DERIVATIVE_RULE = SimplexQuadratureRule("gauss", 8)
+# the entireness rows read tau at every even degree up to this one, each
+# a prefix of one tuple per sample
+ENTIRENESS_TOP = 12
 
 
 def _require_even(grading, stacks):
@@ -313,47 +318,48 @@ def _graph_normalize(sys, stack):
     return stack / np.where(nrm == 0, 1.0, nrm)[:, None, None]
 
 
-def entireness_diagnostic(sys, degrees=(2, 4, 6, 8), samples=32, seed=0):
-    """Growth of tau_n over sampled unit graph-norm tuples, as measurements.
+def entireness_diagnostic(sys, samples=32, seed=0):
+    """Growth of tau_n at the even n <= ENTIRENESS_TOP, as measurements.
 
-    Each argument is a random combination of four even generators drawn
-    from seed, so it is even and is not checked, normalized in the graph
-    norm ||x|| + ||delta(x)||.  Row entireness.indicator_n<n> is sqrt(n)
-    m^(1/n), m the max of |tau_n| over the samples tuples (0 at m = 0,
-    and at odd degrees); local entireness means it decays in n, and the
-    row entireness.monotone is its largest rise between degrees, or 0.
-    Draws are keyed by (seed, degree, index), so a larger samples extends
-    the set and m is monotone in it.  Each degree and samples must be an
-    integer >= 1, checked before any draw (ValueError): degree 0 has no
-    indicator, and a negative one cannot key a draw.  The samples of a
-    degree are combined, normalized and evaluated as one stack, in one
-    call of the block builder, whose workspace is a few arrays of the
-    stack's block rows; each tuple gets the bits it would get alone.
+    Sample i is one tuple x_0 .. x_ENTIRENESS_TOP drawn from (seed, i), so
+    a larger samples extends the set; each x_j is an even combination of
+    four generators drawn from seed, normalized in the graph norm
+    ||x|| + ||delta(x)||.  tau_n of a sample is its prefix x_0 .. x_n, and
+    every prefix of every sample is one call of the block builder.  With
+    m_n the max of |tau_n| over the samples, the rows are
+    - entireness.indicator_n<n>: sqrt(n) m_n^(1/n), or 0 at m_n = 0;
+    - entireness.monotone: the indicator's largest rise between degrees;
+    - entireness.jlo_bound: max(0, max_n m_n n! |Z| / Tr(e^{-H}) - 1),
+      exactly 0 for every draw: by Hoelder and the simplex volume 1/n!,
+      |tau_n| <= Tr(e^{-H}) / (|Z| n!) at unit graph norm (Jaffe,
+      Lesniewski & Osterwalder, CMP 118, 1988).
+    samples must be an integer >= 1, checked before any draw (ValueError).
     """
-    for n in degrees:
-        check_integer("degree", n, 1)
     check_integer("samples", samples, 1)
     gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
     generators = sys.random_elements(gen_rng, 4, parity=Parity.EVEN)
-    indicators = []
-    for n in degrees:
-        best = 0.0
-        if n % 2 == 0:
-            draws = []
-            for i in range(samples):
-                rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
-                # slot by slot, the real then the imaginary parts
-                z = rng.standard_normal((n + 1, 2, len(generators)))
-                draws.append(z[:, 0] + 1j * z[:, 1])
-            coeffs = np.concatenate(draws).T[:, :, None, None]
-            mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
-            stacks = list(mats.reshape(-1, n + 1, sys.dim, sys.dim).swapaxes(0, 1))
-            best = max([best] + [abs(v) for v in _chain_values(sys, n, stacks).tolist()])
-        indicators.append(0.0 if best == 0.0 else math.sqrt(n) * best ** (1.0 / n))
+    # sample by sample, slot by slot, the real then the imaginary parts
+    z = np.concatenate([np.random.default_rng(np.random.SeedSequence((seed, i)))
+                        .standard_normal((ENTIRENESS_TOP + 1, 2, len(generators)))
+                        for i in range(samples)])
+    coeffs = (z[:, 0] + 1j * z[:, 1]).T[:, :, None, None]
+    mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
+    slots = mats.reshape(samples, ENTIRENESS_TOP + 1, sys.dim, sys.dim).swapaxes(0, 1)
+    chains = _chain_prefixes(sys.spectrum, [slots[0], *_superderivation_stack(sys, slots[1:])],
+                             sys.grading)
+    degrees = range(2, ENTIRENESS_TOP + 1, 2)
+    best = np.abs(chains[:, degrees] / sys.witten_index).max(axis=0).tolist()
+    indicators = [0.0 if m == 0.0 else math.sqrt(n) * m ** (1.0 / n)
+                  for n, m in zip(degrees, best)]
     rise = max([0.0] + [b - a for a, b in zip(indicators, indicators[1:])])
+    heat = float(np.sum(np.exp(-sys.spectrum.evals)))
+    ratio = max(m * math.factorial(n) * abs(sys.witten_index) / heat
+                for n, m in zip(degrees, best))
+    count = samples * len(degrees)
     return ([Measurement("entireness.indicator_n%d" % n, "norm", samples, ind)
              for n, ind in zip(degrees, indicators)]
-            + [Measurement("entireness.monotone", "norm", samples * len(degrees), rise)])
+            + [Measurement("entireness.monotone", "norm", count, rise),
+               Measurement("entireness.jlo_bound", "norm", count, max(0.0, ratio - 1.0))])
 
 
 def _chains_by_degree(sys, tuples):

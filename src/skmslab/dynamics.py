@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from .errors import (ConditioningWarning, DimensionMismatch, ParityViolation,
-                     StripViolation, ZeroWittenIndex)
+                     StripViolation, ZeroWittenIndex, check_integer)
 from .graded import GradingOperator, Parity, as_matrices, as_matrix
 from .kernels import Spectrum
 from .report import Measurement
@@ -138,7 +138,9 @@ class GradedSystem:
 
 def _draw_tuples(sys, rng, count, size, parity=None):
     # size stacks of count elements each, slot by slot: count tuples of
-    # size elements, drawn in turn by one random_elements call
+    # size elements, drawn in turn by one random_elements call.  count is
+    # the samples of the check that draws, an integer >= 1 (ValueError)
+    check_integer("samples", count, 1)
     d = sys.dim
     return list(sys.random_elements(rng, count * size, parity).reshape(
         count, size, d, d).swapaxes(0, 1))
@@ -227,10 +229,6 @@ def kms_two_point(sys, x, y, z):
     return skms_eval(sys, as_matrices(x) @ heisenberg_flow(sys, y, z))
 
 
-def _max_residual(values):
-    return float(np.max(values)) if np.size(values) else 0.0
-
-
 def _functional_residuals(sys, x, y, w, ts):
     """(samples, max residual) by identity, for the axioms phi^r shares with phi.
 
@@ -251,8 +249,8 @@ def _functional_residuals(sys, x, y, w, ts):
         "weak_supersymmetry": np.abs(skms_eval(sys, x @ dd @ w)
                                      - skms_eval(sys, x @ comm @ w)),
     }
-    out = {name: (k, _max_residual(res)) for name, res in per_sample.items()}
-    out["alpha_invariance"] = (k * len(ts), _max_residual(alpha))
+    out = {name: (k, float(np.max(res))) for name, res in per_sample.items()}
+    out["alpha_invariance"] = (k * len(ts), float(np.max(alpha)))
     out["normalization"] = (1, abs(skms_eval(sys, np.eye(sys.dim)) - 1.0))
     return out
 
@@ -279,7 +277,7 @@ def verify_skms_axioms(sys, samples=50, seed=0):
     bound = [np.abs(kms_two_point(sys, x, y, t + 1j)
                     - skms_eval(sys, heisenberg_flow(sys, y, t) @ gx))
              for t in ts]
-    res["kms_boundary"] = (samples * len(ts), _max_residual(bound))
+    res["kms_boundary"] = (samples * len(ts), float(np.max(bound)))
     rows = [("hermiticity", "S0"), ("alpha_invariance", "S1"),
             ("gamma_invariance", "S1"), ("kms_boundary", "S2"),
             ("normalization", "S3"), ("delta_invariance", "S4"),

@@ -11,7 +11,9 @@ The row is computed as the action of the exponential on [I, 0, .., 0]
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); the generator is
 never formed.  The blocks sit at positions along one or two levels.
 `chain_integral` passes the bidiagonal run x_1, ..., x_n on one level
-and contracts the last block, (0, n), with G x_0.  Given an insertion
+and contracts the last block, (0, n), with G x_0; block (0, k) is the
+chain of the prefix (x_0, .., x_k), and `_chain_prefixes` contracts
+every block of the row, for the entireness rows.  Given an insertion
 q, it passes the same run on two levels, joined by level edges carrying
 q, and reads the alternating sum over the position of q, the
 transgression value, off the last block of the second level, (0, 2n+1).
@@ -398,8 +400,35 @@ def _values(vals, one, spectrum):
 
 
 def _contract(y0, chain):
-    # Tr(y0 chain) per slice of the two (K, d, d) stacks
-    return (y0 * chain.swapaxes(1, 2)).reshape(len(y0), -1).sum(axis=1)
+    # Tr(y0 c) per slice of the (K, d, d) stack y0 and of chain, a (K, d, d)
+    # stack, or P of them, (P, K, d, d), read as (P, K) values
+    return (y0 * chain.swapaxes(-1, -2)).reshape(chain.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _chain_edges(spectrum, stacks, grading, q):
+    # (Gamma x_0 in the eigenbasis, the builder's edges, the chain's name)
+    # for chain_integral's n + 1 stacks; no edges at n = 0 without q
+    n = len(stacks) - 1
+    what = ("chain with d=%d, n=%d" if q is None
+            else "alternating chain with d=%d, m=%d") % (spectrum.dim, n)
+    mats = _eigen_insertions(spectrum, stacks, grading, what)
+    y0, ys = mats[0], mats[1:].swapaxes(0, 1)
+    if q is None:
+        return y0, [(0, 1, ys)] if n else [], what
+    qe = spectrum.to_eigenbasis(as_matrix(q))
+    signed = np.stack([qe, -qe], axis=-3)[..., np.arange(n + 1) % 2, :, :]
+    qs = np.broadcast_to(signed, y0.shape[:1] + signed.shape[-3:])
+    # the q edges go before the run, so the column sums keep their order
+    return y0, [(0, 0, qs), (0, 1, ys)], what
+
+
+def _chain_prefixes(spectrum, stacks, grading):
+    # chain_integral of every prefix (x_0, .., x_k) of K tuples given as
+    # n + 1 >= 2 (K, d, d) stacks, as (K, n + 1) values from one block row;
+    # (m, s) are chosen from every position, so a prefix may move at
+    # rounding level against its own chain_integral
+    y0, edges, what = _chain_edges(spectrum, stacks, grading, None)
+    return _contract(y0, _heat_chain_blocks(spectrum, edges, what).swapaxes(0, 1)).T
 
 
 def chain_integral(spectrum, xs, grading, q=None):
@@ -449,22 +478,10 @@ def chain_integral(spectrum, xs, grading, q=None):
     an infinity, before any arithmetic on it.
     """
     stacks, one = _as_stacks(xs)
-    n = len(stacks) - 1
-    what = ("chain with d=%d, n=%d" if q is None
-            else "alternating chain with d=%d, m=%d") % (spectrum.dim, n)
-    mats = _eigen_insertions(spectrum, stacks, grading, what)
-    y0, ys = mats[0], mats[1:].swapaxes(0, 1)
-    if q is None and n == 0:
+    y0, edges, what = _chain_edges(spectrum, stacks, grading, q)
+    if not edges:
         heads = np.diagonal(y0, axis1=1, axis2=2)
         return _values(np.sum(heads * np.exp(-spectrum.evals), axis=1), one, spectrum)
-    if q is None:
-        edges = [(0, 1, ys)]
-    else:
-        qe = spectrum.to_eigenbasis(as_matrix(q))
-        signed = np.stack([qe, -qe], axis=-3)[..., np.arange(n + 1) % 2, :, :]
-        qs = np.broadcast_to(signed, y0.shape[:1] + signed.shape[-3:])
-        # the q edges go before the run, so the column sums keep their order
-        edges = [(0, 0, qs), (0, 1, ys)]
     chain = _heat_chain_blocks(spectrum, edges, what)[:, -1]
     return _values(_contract(y0, chain), one, spectrum)
 

@@ -394,8 +394,11 @@ def lemma44_check(sys, n=2, samples=20, seed=0):
 
     Each sample draws its n + 1 elements and then its n times, so the
     draws stay per sample; the identities are evaluated on the stack of
-    all samples, each flow with one time per slice.
+    all samples, each flow with one time per slice.  n must be an integer
+    >= 0 and samples one >= 1 (ValueError).
     """
+    check_integer("n", n, 0)
+    check_integer("samples", samples, 1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x44)))
     draws, times = [], []
     for _ in range(samples):
@@ -542,7 +545,9 @@ def lipschitz_check(system, perturbation, samples=100, seed=0):
     The samples are drawn one after another, each its x, t and pair of
     couplings; the first and the second couplings of all samples are then
     one context each, and the flows one stack, slice k at sample k.
+    samples must be an integer >= 1 (ValueError).
     """
+    check_integer("samples", samples, 1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x47)))
     q = perturbation.matrix
     dq = superderivation(system, q)

@@ -45,6 +45,7 @@ TOL_FD = 1e-6
 FIXED_TOLERANCE = {
     "skms.functional_norm": DOCUMENTED,
     "entireness.indicator_n": DOCUMENTED,
+    "entireness.monotone": DOCUMENTED,
     "transgression.derivative": DOCUMENTED,
     "skms_r.error_term_at_zero": 0.0,
     "alpha_r.lipschitz_in_r": 0.0,
@@ -218,7 +219,7 @@ def _homotopy_checks(sys, pert, config):
 
 
 def _entireness_checks(sys, config):
-    return [("entireness.monotone", "norm", 0.0,
+    return [("entireness.jlo_bound", "norm", 0.0,
              lambda: entireness_diagnostic(sys, samples=32, seed=config.seed))]
 
 

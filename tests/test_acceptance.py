@@ -282,15 +282,20 @@ def test_criterion_11_transgression_homotopy():
 def test_criterion_12_entireness_decay():
     spec = ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6)
     sys_ = build_model(spec)[0]
-    rows = entireness_diagnostic(sys_, degrees=(2, 4, 6, 8), samples=32, seed=0)
-    indicators = [m.max_residual for m in rows[:-1]]
-    assert [m.identity_name for m in rows[:-1]] == [
-        "entireness.indicator_n%d" % n for n in (2, 4, 6, 8)]
-    decreasing = all(b < a for a, b in zip(indicators, indicators[1:]))
-    report_line(12, "entireness_decay", decreasing,
-                "sqrt(n)*|tau_n|^(1/n) = " + ", ".join("%.4f" % v for v in indicators))
+    rows = entireness_diagnostic(sys_, samples=32, seed=0)
+    indicators = [m.max_residual for m in rows[:-2]]
+    assert [m.identity_name for m in rows] == [
+        "entireness.indicator_n%d" % n for n in (2, 4, 6, 8, 10, 12)] + [
+        "entireness.monotone", "entireness.jlo_bound"]
+    # a sampled decay at degrees 2..8, and the JLO bound at every degree
+    decreasing = all(b < a for a, b in zip(indicators[:4], indicators[1:4]))
+    bound = rows[-1].max_residual
+    report_line(12, "entireness_decay", decreasing and bound == 0.0,
+                "sqrt(n)*|tau_n|^(1/n) = " + ", ".join("%.4f" % v for v in indicators)
+                + "; JLO bound excess %.1e" % bound)
     assert all(v > 0.0 for v in indicators)
     assert decreasing
+    assert bound == 0.0
 
 
 def test_criterion_13_scalar_slot_degeneracy():

@@ -15,7 +15,7 @@ from skmslab.cochain import (
     lemma34_check,
     tau_eval,
 )
-from skmslab.dynamics import GradedSystem
+from skmslab.dynamics import GradedSystem, superderivation
 from skmslab.errors import ChainBudgetExceeded, DimensionMismatch, ParityViolation
 from skmslab.graded import GradingOperator, Parity, as_matrix
 from skmslab.perturbation import OddPerturbation, PerturbedContext, f_identities_check
@@ -373,42 +373,36 @@ def test_boundary_prices_each_exponential_not_the_batch(monkeypatch):
 
 def indicators(measurements):
     # the indicator rows of entireness_diagnostic, by degree
-    return {m.identity_name: m.max_residual for m in measurements[:-1]}
+    return {m.identity_name: m.max_residual for m in measurements
+            if m.identity_name.startswith("entireness.indicator_n")}
 
 
-def test_entireness_indicator_is_zero_at_odd_degrees():
+def test_entireness_rows_cover_every_even_degree_to_the_top():
     sys_ = block_system(3, 2, seed=17, scale=0.8)
-    rows = entireness_diagnostic(sys_, degrees=(3, 5), samples=4, seed=0)
+    rows = entireness_diagnostic(sys_, samples=4, seed=0)
     assert all(type(m) is Measurement for m in rows)
-    assert [tuple(m) for m in rows] == [
-        ("entireness.indicator_n3", "norm", 4, 0.0),
-        ("entireness.indicator_n5", "norm", 4, 0.0),
-        ("entireness.monotone", "norm", 8, 0.0)]
+    assert [m[:3] for m in rows] == (
+        [("entireness.indicator_n%d" % n, "norm", 4) for n in (2, 4, 6, 8, 10, 12)]
+        + [("entireness.monotone", "norm", 24), ("entireness.jlo_bound", "norm", 24)])
+    assert cochain_module.ENTIRENESS_TOP == 12
+    assert all(v > 0.0 for v in indicators(rows).values())
+    assert rows[-1].max_residual == 0.0
+
+
+def test_entireness_diagnostic_takes_no_degrees():
+    sys_ = block_system(3, 2, seed=17, scale=0.8)
+    with pytest.raises(TypeError, match="degrees"):
+        entireness_diagnostic(sys_, degrees=(2, 4), samples=2)
 
 
 def test_entireness_diagnostic_monotone_in_samples():
     sys_ = block_system(3, 2, seed=17, scale=0.8)
-    small = entireness_diagnostic(sys_, degrees=(2, 4), samples=6, seed=3)
-    large = entireness_diagnostic(sys_, degrees=(2, 4), samples=12, seed=3)
+    small = entireness_diagnostic(sys_, samples=6, seed=3)
+    large = entireness_diagnostic(sys_, samples=12, seed=3)
     for name, lo in indicators(small).items():
         assert indicators(large)[name] >= lo > 0.0
-    again = entireness_diagnostic(sys_, degrees=(2, 4), samples=6, seed=3)
+    again = entireness_diagnostic(sys_, samples=6, seed=3)
     assert again == small
-
-
-@pytest.mark.parametrize("degrees, bad", [
-    ((0,), 0), ((-2,), -2), ((2, 0), 0), ((2.0,), 2.0), ((True,), True)])
-def test_entireness_diagnostic_refuses_a_degree_below_one_before_any_draw(
-        monkeypatch, degrees, bad):
-    # degree 0 gave an estimate whose growth indicator divided by zero, and
-    # degree -2 failed inside numpy's SeedSequence
-    sys_ = block_system(3, 2, seed=17, scale=0.8)
-    draws = []
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda *args: draws.append(args))
-    with pytest.raises(ValueError, match="degree must be .*, got %r" % (bad,)):
-        entireness_diagnostic(sys_, degrees=degrees, samples=2)
-    assert draws == []
 
 
 @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
@@ -420,50 +414,52 @@ def test_entireness_diagnostic_refuses_samples_below_one_before_any_draw(
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *args: draws.append(args))
     with pytest.raises(ValueError, match="samples must be .*, got %r" % (samples,)):
-        entireness_diagnostic(sys_, degrees=(2,), samples=samples)
+        entireness_diagnostic(sys_, samples=samples)
     assert draws == []
 
 
-def test_entireness_diagnostic_one_exponential_call_per_degree(builder_calls):
+def test_entireness_diagnostic_is_one_exponential_call(builder_calls):
+    # every degree of every sample off one block row of 13 blocks
     sys_ = block_system(3, 2, seed=17, scale=0.8)
-    entireness_diagnostic(sys_, degrees=(2, 4, 6), samples=5, seed=3)
-    assert builder_calls == [(5, 15), (5, 25), (5, 35)]
+    entireness_diagnostic(sys_, samples=5, seed=3)
+    assert builder_calls == [(5, 13 * sys_.dim)]
 
 
-def _entireness_with_slot_by_slot_draws(sys_, degrees, samples, seed):
-    # the indicators of entireness_diagnostic as it drew before: the four
-    # generators one by one, and two standard_normal(G) calls per slot,
-    # the real part then the imaginary one
+def _entireness_slots_drawn_slot_by_slot(sys_, samples, seed):
+    # the 13 (samples, d, d) slot stacks of entireness_diagnostic as drawn
+    # before one draw per sample: the four generators one by one, and two
+    # standard_normal(G) calls per slot, the real part then the imaginary one
     gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
     generators = [sys_.random_element(gen_rng, parity=Parity.EVEN) for _ in range(4)]
-    out = {}
-    for n in degrees:
-        best = 0.0
-        if n % 2 == 0:
-            draws = []
-            for i in range(samples):
-                rng = np.random.default_rng(np.random.SeedSequence((seed, n, i)))
-                draws += [rng.standard_normal(len(generators))
-                          + 1j * rng.standard_normal(len(generators))
-                          for _ in range(n + 1)]
-            coeffs = np.array(draws).T[:, :, None, None]
-            mats = cochain_module._graph_normalize(
-                sys_, sum(c * g for c, g in zip(coeffs, generators)))
-            stacks = list(mats.reshape(-1, n + 1, sys_.dim, sys_.dim).swapaxes(0, 1))
-            values = cochain_module._chain_values(sys_, n, stacks)
-            best = max([best] + [abs(v) for v in values.tolist()])
-        out["entireness.indicator_n%d" % n] = (
-            0.0 if best == 0.0 else np.sqrt(n) * best ** (1.0 / n))
-    return out
+    draws = []
+    for i in range(samples):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        draws += [rng.standard_normal(len(generators))
+                  + 1j * rng.standard_normal(len(generators))
+                  for _ in range(13)]
+    coeffs = np.array(draws).T[:, :, None, None]
+    mats = cochain_module._graph_normalize(
+        sys_, sum(c * g for c, g in zip(coeffs, generators)))
+    return list(mats.reshape(samples, 13, sys_.dim, sys_.dim).swapaxes(0, 1))
 
 
-def test_entireness_diagnostic_draws_each_sample_in_one_call():
-    # one standard_normal((n + 1, 2, G)) per sample is the same stream as
-    # 2 (n + 1) calls of standard_normal(G), so the indicators keep their bits
+def test_entireness_diagnostic_draws_each_sample_in_one_call(monkeypatch):
+    # one standard_normal((13, 2, G)) per sample is the same stream as 26
+    # calls of standard_normal(G), so the slots keep their bits; and each
+    # indicator is that of tau_n on the prefixes, evaluated degree by degree
     sys_ = block_system(3, 2, seed=17, scale=0.8)
-    got = indicators(entireness_diagnostic(sys_, degrees=(2, 4), samples=6, seed=3))
-    assert got == _entireness_with_slot_by_slot_draws(sys_, (2, 4), 6, 3)
-    assert all(v > 0.0 for v in got.values())
+    seen = []
+    prefixes = cochain_module._chain_prefixes
+    monkeypatch.setattr(cochain_module, "_chain_prefixes",
+                        lambda spec, stacks, g: seen.append(stacks) or prefixes(spec, stacks, g))
+    got = indicators(entireness_diagnostic(sys_, samples=6, seed=3))
+    slots = _entireness_slots_drawn_slot_by_slot(sys_, 6, 3)
+    derived = [slots[0]] + [superderivation(sys_, x) for x in slots[1:]]
+    assert all(np.array_equal(a, b) for a, b in zip(seen[0], derived, strict=True))
+    for n in (2, 4, 6, 8, 10, 12):
+        tau = cochain_module._chain_values(sys_, n, slots[:n + 1])
+        want = np.sqrt(n) * np.abs(tau).max() ** (1.0 / n)
+        assert got["entireness.indicator_n%d" % n] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_duffy_rule_is_built_once_per_order_and_degree(monkeypatch):

@@ -58,7 +58,7 @@ def test_checks_return_measurements_and_take_no_tolerance():
     calls = {
         dynamics.verify_skms_axioms: ((sys_,), dict(samples=3)),
         cochain.lemma34_check: ((sys_,), dict(samples=2)),
-        cochain.entireness_diagnostic: ((sys_,), dict(degrees=(2,), samples=2)),
+        cochain.entireness_diagnostic: ((sys_,), dict(samples=2)),
         perturbation.lemma43_check: ((ctx,), dict(samples=3)),
         perturbation.lemma44_check: ((sys_,), dict(samples=3)),
         perturbation.skms_check_perturbed: ((ctx,), dict(samples=3)),

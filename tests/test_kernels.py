@@ -365,6 +365,28 @@ def test_two_level_alternating_chain_keeps_the_bits_of_the_flat_runs(
         assert np.array_equal(value, kernels._contract(y0, want[:, 2 * m + 1]))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_every_prefix_of_the_block_row_is_its_own_chain(seed):
+    # column k of _chain_prefixes against chain_integral on the prefix
+    # (x_0, .., x_k) alone, on fuzzed d, n, K, spectral spread, insertion
+    # sizes and one or a stack of spectra: (m, s) are chosen from every
+    # position, so a prefix moves at rounding level only (4e-15 seen)
+    rng = np.random.default_rng(900 + seed)
+    d, n, k = int(rng.choice([2, 3, 5, 8])), int(rng.integers(1, 13)), int(rng.integers(1, 5))
+    lead = (k,) if seed % 2 else ()
+    evals = np.sort(rng.uniform(0.0, float(rng.choice([0.5, 2.0, 10.0, 40.0])),
+                                lead + (d,)), axis=-1)
+    spectrum = Spectrum(evals, np.linalg.qr(_random_stack(rng, lead + (d, d)))[0])
+    xs = list(_random_stack(rng, (n + 1, k, d, d))
+              * rng.uniform(0.05, 3.0, (n + 1, k, 1, 1)) / d)
+    g = np.diag(rng.choice([-1.0, 1.0], d)).astype(complex)
+    got = kernels._chain_prefixes(spectrum, xs, g)
+    assert got.shape == (k, n + 1)
+    for top in range(n + 1):
+        want = chain_integral(spectrum, xs[:top + 1], g)
+        assert np.all(np.abs(got[:, top] - want) <= 1e-13 * np.abs(want)), top
+
+
 def test_chain_integral_none_grading_is_plain_trace():
     spec, g, xs = chain_fixture()
     got = chain_integral(spec, xs, None)

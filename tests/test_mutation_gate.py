@@ -13,12 +13,18 @@ reversed 13 / 13, last Hochschild sign flipped 5 / 5, B signs 5 / 5, Q in
 place of rQ 5 / 5, H in place of H_r 5 / 5, delta leaking 1e-6 x 1 / 1
 (tau.degeneracy, at 8.3e-13 / 7.8e-13), Gamma dropped from one-slot
 chains 2 / 2 (tau.normalization at 3.22 / 2.27 and cocycle.boundary_n1
-at 0.259 / 0.489).  The gate asserts at least one.
+at 0.259 / 0.489), simplex volume lost from the prefix chains 1 / 1
+(entireness.jlo_bound at 3.58 / 105).  The gate asserts at least one.
 The G defects wrap perturbation.transgression_cochain, which the
-transgression checks call; every chain, tau and G alike, goes through
-cochain.chain_integral, so the chain defects patch that one binding, and
-through cochain._superderivation_stack, which the leaking delta patches.
+transgression checks call; every chain of tau and G goes through
+cochain.chain_integral, so the chain defects patch that one binding, but
+the entireness rows, which read the prefixes of one tuple per sample
+through cochain._chain_prefixes, the binding the lost simplex volume
+patches; and every chain goes through cochain._superderivation_stack,
+which the leaking delta patches.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -134,10 +140,20 @@ def gamma_less_trace(monkeypatch, spec):
     monkeypatch.setattr(cochain, "chain_integral", traced)
 
 
+def lost_simplex_volume(monkeypatch, spec):
+    # the prefix chain of degree k times k!, its simplex volume 1/k! lost
+    prefixes = kernels._chain_prefixes
+
+    def unscaled(spectrum, stacks, grading):
+        vals = prefixes(spectrum, stacks, grading)
+        return vals * np.array([math.factorial(k) for k in range(vals.shape[1])])
+    monkeypatch.setattr(cochain, "_chain_prefixes", unscaled)
+
+
 DEFECTS = {defect.__name__: defect for defect in (
     negate_g, scale_g, drop_gamma, reverse_insertions, flip_last_b_sign,
     wrong_b_signs, full_coupling_in_supercharge, unperturbed_chain_spectrum,
-    leaky_delta, gamma_less_trace)}
+    leaky_delta, gamma_less_trace, lost_simplex_volume)}
 
 
 def _red_rows(spec):
@@ -169,6 +185,14 @@ def test_gamma_less_trace_turns_the_normalization_row_red(monkeypatch, spec):
     # tau_0 is the chain kernel's n = 0 contraction, not phi read again
     gamma_less_trace(monkeypatch, spec)
     assert "tau.normalization" in _red_rows(spec)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
+def test_lost_simplex_volume_turns_the_jlo_bound_row_red(monkeypatch, spec):
+    # the bound |tau_n| <= Tr(e^{-H}) / (|Z| n!) holds for every draw, and
+    # fails once the chains lose the simplex volume 1/n!
+    lost_simplex_volume(monkeypatch, spec)
+    assert _red_rows(spec) == ["entireness.jlo_bound"]
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)

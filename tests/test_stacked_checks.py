@@ -21,7 +21,8 @@ from skmslab.kernels import (SimplexQuadratureRule, chain_integral,
 from skmslab.perturbation import (PerturbedContext, error_term,
                                   f_identities_check, gamma_cocycle_oracle,
                                   gamma_flow_oracle, lemma43_check,
-                                  lemma44_check, skms_check_perturbed)
+                                  lemma44_check, lipschitz_check,
+                                  skms_check_perturbed)
 from skmslab.report import DOCUMENTED, Measurement
 from skmslab.workbench import ModelSpec, run_suite
 from skmslab.workbench.models import build_perturbed_model
@@ -40,12 +41,14 @@ SEEDS = (0, 3)
 # samples of a degree became one stack, 24 before the Dyson row shared its
 # series per (t, order), 22 before the degeneracy rows evaluated their four
 # tuples with a scalar slot (one exponential each), which a test for scalar
-# slots had read as 0; and the exponentials they hold (987 before the
-# alpha series were shared, 983 before the Dyson row shared them, 981 before
-# the endpoint row went from 11 Simpson to 8 Gauss-Legendre nodes, 963
-# before the degeneracy rows evaluated)
-ALL_SUITE_BUILDER_CALLS = 26
-ALL_SUITE_EXPONENTIALS = 967
+# slots had read as 0, 26 before the entireness rows read every degree off
+# one block row (one call for its 32 samples, not one per degree); and the
+# exponentials they hold (987 before the alpha series were shared, 983
+# before the Dyson row shared them, 981 before the endpoint row went from
+# 11 Simpson to 8 Gauss-Legendre nodes, 963 before the degeneracy rows
+# evaluated, 967 before the entireness rows took one row)
+ALL_SUITE_BUILDER_CALLS = 23
+ALL_SUITE_EXPONENTIALS = 871
 
 
 def _draw(sys, rng, parity=None):
@@ -311,6 +314,37 @@ def looped_cocycle_rows(sys, config):
 def _model(spec, seed):
     sys, pert = build_perturbed_model(spec, seed)
     return sys, PerturbedContext(sys, pert, 0.5)
+
+
+# each sampled check with its samples set to a value
+SAMPLED_CHECKS = {
+    "verify_skms_axioms": lambda sys, ctx, v: verify_skms_axioms(sys, samples=v),
+    "lemma34_check": lambda sys, ctx, v: lemma34_check(sys, samples=v),
+    "lemma43_check": lambda sys, ctx, v: lemma43_check(ctx, samples=v),
+    "lemma44_check": lambda sys, ctx, v: lemma44_check(sys, samples=v),
+    "skms_check_perturbed": lambda sys, ctx, v: skms_check_perturbed(ctx, samples=v),
+    "f_identities_check": lambda sys, ctx, v: f_identities_check(ctx, samples=v),
+    "lipschitz_check": lambda sys, ctx, v: lipschitz_check(sys, ctx.perturbation, samples=v),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True])
+@pytest.mark.parametrize("check", list(SAMPLED_CHECKS))
+def test_checks_refuse_samples_that_are_not_an_integer_above_zero(check, samples):
+    # samples = 0 gave verify_skms_axioms rows of residual 0 over no sample,
+    # which passed, and the other checks numpy errors
+    sys, ctx = _model(REFERENCE_SPECS[0], 0)
+    with pytest.raises(ValueError, match=r"^samples must be .*, got %r$" % (samples,)):
+        SAMPLED_CHECKS[check](sys, ctx, samples)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True])
+def test_lemma44_refuses_a_degree_that_is_not_an_integer_from_zero(n):
+    # n = -1 ended in numpy's negative dimensions; n = 0 flows no slot
+    sys, _ = _model(REFERENCE_SPECS[0], 0)
+    with pytest.raises(ValueError, match=r"^n must be .*, got %r$" % (n,)):
+        lemma44_check(sys, n=n)
+    assert lemma44_check(sys, n=0, samples=3)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -347,7 +347,10 @@ ALL_ROWS = (
     ("entireness.indicator_n4", "norm", 32, DOCUMENTED),
     ("entireness.indicator_n6", "norm", 32, DOCUMENTED),
     ("entireness.indicator_n8", "norm", 32, DOCUMENTED),
-    ("entireness.monotone", "norm", 128, 0.0),
+    ("entireness.indicator_n10", "norm", 32, DOCUMENTED),
+    ("entireness.indicator_n12", "norm", 32, DOCUMENTED),
+    ("entireness.monotone", "norm", 192, DOCUMENTED),
+    ("entireness.jlo_bound", "norm", 192, 0.0),
 )
 
 
@@ -357,19 +360,30 @@ ALL_ROWS = (
     ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0)],
     ids=lambda s: s.kind)
 def test_all_suite_rows_are_pinned(spec):
-    assert len(ALL_ROWS) == 52
+    assert len(ALL_ROWS) == 55
     digest = model_digest(spec)
-    # run_suite stamps every row with its seed and the spec digest.
-    # entireness.monotone is red on most seeds, seed 3 of the block spec
-    # among them; seed 0 passes every row
-    red = {0: [], 3: [] if spec.kind == "RandomGraded" else ["entireness.monotone"]}
+    # run_suite stamps every row with its seed and the spec digest; every
+    # row passes at both seeds
     for seed in (0, 3):
         rows = run_suite(spec, "All", SuiteConfig(seed=seed))
         assert [(r.identity_name, r.paper_anchor, r.samples, r.tolerance)
                 for r in rows] == list(ALL_ROWS)
-        assert [r.identity_name for r in rows if not r.passed] == red[seed]
+        assert [r.identity_name for r in rows if not r.passed] == []
         assert all(r.seed == seed and r.model_digest == digest
                    and r.wall_ms == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+              perturbation={"seed": 11, "scale": 0.3}),
+    ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0)],
+    ids=lambda s: s.kind)
+def test_every_gated_row_is_green_on_seeds_0_to_7(spec):
+    # a gate must hold for every draw, not for the default seed alone
+    red = {seed: [r.identity_name for r in run_suite(spec, "All", SuiteConfig(seed=seed))
+                  if r.tolerance != DOCUMENTED and not r.passed]
+           for seed in range(8)}
+    assert red == {seed: [] for seed in range(8)}
 
 
 def test_axioms_suite_passes():
@@ -581,7 +595,7 @@ def test_cli_model_gen_bad_scale_is_a_usage_error(capsys, argv, option):
     assert "argument " + option in err and "Traceback" not in err
 
 
-def test_cli_verify_exit_codes(tmp_path, capsys):
+def test_cli_verify_exit_codes(tmp_path, capsys, monkeypatch):
     model = write_spec(tmp_path)
     out = tmp_path / "rep.csv"
     rc = main(["verify", "Axioms", "--model", model, "--format", "csv",
@@ -592,15 +606,19 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert all(line.split(",")[5] == "true" for line in lines[1:])
     capsys.readouterr()
 
-    # an unnormalized draw grows too fast for the decay diagnostic; the
-    # suite must report that honestly and exit nonzero
-    failing = write_spec(
+    # an unnormalized draw keeps the JLO bound, which holds for every
+    # tuple; the same suite with its one 65x65 exponential refused by the
+    # chain budget must report that honestly and exit nonzero
+    model = write_spec(
         tmp_path, ModelSpec(kind="RectangularBlock", p=3, q=2, seed=7))
-    rc = main(["verify", "Entireness", "--model", failing])
+    assert main(["verify", "Entireness", "--model", model]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("SKMS_CHAIN_BUDGET", str(65.0 ** 3 - 1.0))
+    rc = main(["verify", "Entireness", "--model", model])
     assert rc == 1
     doc = json.loads(capsys.readouterr().out)
     failed = [r for r in doc["reports"] if not r["passed"]]
-    assert [r["identity_name"] for r in failed] == ["entireness.monotone"]
+    assert [r["identity_name"] for r in failed] == ["entireness.jlo_bound"]
 
 
 def test_cli_verify_stdout_default(tmp_path, capsys):
