@@ -42,13 +42,15 @@ slot, holding that slot of K tuples, and return the K values (one row
 of them per coupling of a vector context).  A Cochain takes such stacks
 in __call__ too, and tests parity on whole stacks
 (GradingOperator.classify takes stacks); one tuple is a stack of one.
-connes_B and hochschild_b take stacks, with an evaluator for rho, and
-send the terms of all the tuples to it as one stack; boundary's
-evaluator is their sum, so each degree costs one call of the
-block-exponential builder (kernels.chain_integral on a stack), and
-lemma34_check evaluates its samples the same way; entireness_diagnostic
-reads every degree of its samples off one call.  A stack gives every
-tuple the bits it would get alone.
+connes_B and hochschild_b take a stacked rho (a Cochain or its
+evaluator) on one tuple or on stacks, and send the terms of all the
+tuples to it as one stack; boundary's evaluator is their sum, so each
+degree costs one call of the block-exponential builder
+(kernels.chain_integral on a stack).  One helper, _by_degree, batches
+tuples by degree for all of them, and for the chains of lemma34_check
+and perturbation.f_identities_check; entireness_diagnostic reads every
+degree of its samples off one call.  A stack gives every tuple the bits
+it would get alone.
 """
 
 import math
@@ -57,10 +59,9 @@ import numpy as np
 
 from .dynamics import _draw_tuples, _superderivation_stack
 from .errors import ParityViolation, check_integer
-from .graded import Parity, as_matrix
+from .graded import Parity
 from .kernels import (SimplexQuadratureRule, _as_stacks, _chain_prefixes,
-                      _is_stacked, chain_integral, heat_chain_integrand,
-                      simplex_quadrature)
+                      chain_integral, heat_chain_integrand, simplex_quadrature)
 from .report import Measurement
 
 # the one rule of chain.slot_derivative, run at degree n + 1 of
@@ -100,9 +101,9 @@ class Cochain:
     degree n of the wrong parity every tuple reads 0 without evaluation;
     at the others the tuples go to the evaluator as one stack.  So the
     evaluator only sees supported degrees and needs no checks of its own;
-    connes_B and hochschild_b take it in that form.  Parity tests run on
-    whole stacks, once for all the couplings, and each tuple gets the bits
-    it would get alone.
+    connes_B and hochschild_b take it, or the Cochain, as rho.  Parity
+    tests run on whole stacks, once for all the couplings, and each tuple
+    gets the bits it would get alone.
     """
 
     def __init__(self, evaluator, parity, name="", grading=None, couplings=()):
@@ -131,96 +132,98 @@ class Cochain:
         vals = np.zeros(self.couplings + (len(stacks[0]),), dtype=complex)
         if self.supports(n):
             vals[:] = self.evaluator(n, stacks)
-        if not one:
-            return vals
-        return vals[:, 0] if self.couplings else complex(vals[0])
+        return _one_value(vals, one)
 
     def __repr__(self):
         return "Cochain(%s, parity=%s)" % (self.name or "<evaluator>", self.parity.value)
 
 
-def _mul(x, y):
-    # product of two slots: matrices, or (K, d, d) stacks slice by slice
-    if np.ndim(x) == 3:
-        return x @ y
-    return as_matrix(x) @ as_matrix(y)
+def _one_value(vals, one):
+    # the (T,) or (K, T) values of a stack as they are; for one tuple, a
+    # stack of one, its value: a complex, or one per coupling (K,)
+    if not one:
+        return vals
+    return complex(vals[0]) if vals.ndim == 1 else vals[:, 0]
 
 
-def _unit_like(x):
-    if np.ndim(x) == 3:
-        return np.broadcast_to(np.eye(x.shape[1], dtype=complex), x.shape)
-    return np.eye(as_matrix(x).shape[0], dtype=complex)
+def _by_degree(evaluator, tuples):
+    """evaluator's values at tuples of stacks, one call per degree.
+
+    Each tuple is a list of (T_t, d, d) stacks, slot by slot.  The tuples
+    of one degree m are concatenated into one stack for evaluator(m,
+    stacks), whose (T,) or (K, T) values are split back on the last axis:
+    the (T_t,) or (K, T_t) values of each tuple, in order, with the bits
+    each gets alone.  Values of another shape, as a per-tuple function
+    gives, raise ValueError.
+    """
+    groups = {}
+    for i, slots in enumerate(tuples):
+        groups.setdefault(len(slots), []).append(i)
+    out = [None] * len(tuples)
+    for size, members in groups.items():
+        stacks = [np.concatenate([tuples[i][j] for i in members]) for j in range(size)]
+        vals = np.asarray(evaluator(size - 1, stacks))
+        if vals.shape[-1:] != (len(stacks[0]),):
+            raise ValueError("a stacked evaluator gives one value per tuple on the "
+                             "last axis: %d tuples, values of shape %s"
+                             % (len(stacks[0]), vals.shape))
+        stop = 0
+        for i in members:
+            start, stop = stop, stop + len(tuples[i][0])
+            out[i] = vals[..., start:stop]
+    return out
 
 
 def _merge(xs, j):
-    return list(xs[:j]) + [_mul(xs[j], xs[j + 1])] + list(xs[j + 2:])
+    return list(xs[:j]) + [xs[j] @ xs[j + 1]] + list(xs[j + 2:])
 
 
 def _b_terms(n, xs):
     # (sign, tuple at degree n - 1) of each term of (b rho)_n
     terms = [((-1) ** j, _merge(xs, j)) for j in range(n)]
-    terms.append(((-1) ** n, [_mul(xs[n], xs[0])] + list(xs[1:n])))
+    terms.append(((-1) ** n, [xs[n] @ xs[0]] + list(xs[1:n])))
     return terms
 
 
 def _B_terms(n, xs):
     # (sign, tuple at degree n + 1) of each term of (B rho)_n
-    unit = _unit_like(xs[0])
+    unit = np.broadcast_to(np.eye(xs[0].shape[1], dtype=complex), xs[0].shape)
     return [((-1) ** (n * j), [unit] + list(xs[j:]) + list(xs[:j]))
             for j in range(n + 1)]
 
 
-def _signed_sum(terms, values):
-    # the terms' values summed in order with their signs: Python complex
-    # numbers, or arrays summed entry by entry with the same bits
-    acc = 0.0 + 0.0j
-    for (sign, _), val in zip(terms, values):
-        acc = acc + sign * val
-    return acc
-
-
-def _stacked_sums(evaluator, m, terms):
-    # the signed sum of the terms for each of the T tuples; the terms of
-    # every tuple go to the evaluator as one stack at degree m.  Returns
-    # (T,) values, or (K, T) when the evaluator gives one row per coupling
-    batch = [np.concatenate([args[i] for _, args in terms]) for i in range(m + 1)]
-    values = np.asarray(evaluator(m, batch), dtype=complex)
-    values = values.reshape(values.shape[:-1] + (len(terms), -1))
-    return _signed_sum(terms, values.swapaxes(0, -2))
+def _term_sum(rho, n, xs, terms_of):
+    # the signed sum over the terms terms_of(n, stacks) of rho's values;
+    # the terms of all the tuples go to rho as one stack
+    if len(xs) != n + 1:
+        raise ValueError("degree %d expects %d arguments" % (n, n + 1))
+    stacks, one = _as_stacks(xs)
+    terms = terms_of(n, stacks)
+    values = _by_degree(rho, [args for _, args in terms])
+    return _one_value(sum((sign * val for (sign, _), val in zip(terms, values)),
+                          0.0 + 0.0j), one)
 
 
 def hochschild_b(rho, n, xs):
     """(b rho)_n(x_0..x_n); needs rho at degree n-1, so n >= 1.
 
-    On one tuple xs, rho(n - 1, args) is called on each term.  On n + 1
-    (K, d, d) stacks holding K tuples, rho is a stacked Cochain evaluator
-    and the K values are returned, as in boundary: the terms of all tuples
-    go to rho as one stack.
+    rho is stacked: a Cochain or its evaluator.  xs is one tuple, whose
+    value is returned (a complex, or one per coupling), or n + 1 (T, d, d)
+    stacks holding T tuples, whose T values are returned; the terms of all
+    the tuples go to rho as one stack, one call.
     """
     check_integer("degree", n, 1)
-    if len(xs) != n + 1:
-        raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    terms = _b_terms(n, xs)
-    if not _is_stacked(xs):
-        return _signed_sum(terms, [rho(n - 1, args) for _, args in terms])
-    return _stacked_sums(rho, n - 1, terms)
+    return _term_sum(rho, n, xs, _b_terms)
 
 
 def connes_B(rho, n, xs):
     """(B rho)_n(x_0..x_n) = sum_j (-1)^{nj} rho_{n+1}(1, x_j, .., x_{j-1}).
 
-    On one tuple xs, rho(n + 1, args) is called on each term.  On n + 1
-    (K, d, d) stacks holding K tuples, rho is a stacked Cochain evaluator
-    and the K values are returned, as in boundary: the terms of all tuples
-    go to rho as one stack.
+    rho and xs as for hochschild_b: a stacked rho, on one tuple or on
+    stacks, and one call of rho for the terms of all the tuples.
     """
     check_integer("degree", n, 0)
-    if len(xs) != n + 1:
-        raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    terms = _B_terms(n, xs)
-    if not _is_stacked(xs):
-        return _signed_sum(terms, [rho(n + 1, args) for _, args in terms])
-    return _stacked_sums(rho, n + 1, terms)
+    return _term_sum(rho, n, xs, _B_terms)
 
 
 def boundary(rho):
@@ -363,24 +366,10 @@ def entireness_diagnostic(sys, samples=32, seed=0):
 
 
 def _chains_by_degree(sys, tuples):
-    """Chain integrals of tuples of stacks, one block exponential per degree.
-
-    Each tuple is a list of (K_t, d, d) stacks, slot by slot.  The tuples
-    of one degree are concatenated into one stack for chain_integral on
-    sys.spectrum and sys.grading; returns the (K_t,) values of each tuple,
-    in order, with the bits each gets alone.
-    """
-    groups = {}
-    for i, slots in enumerate(tuples):
-        groups.setdefault(len(slots), []).append(i)
-    out = [None] * len(tuples)
-    for size, members in groups.items():
-        stacks = [np.concatenate([tuples[i][j] for i in members]) for j in range(size)]
-        vals = chain_integral(sys.spectrum, stacks, sys.grading)
-        cuts = np.cumsum([len(tuples[i][0]) for i in members])[:-1]
-        for i, part in zip(members, np.split(vals, cuts)):
-            out[i] = part
-    return out
+    """chain_integral on sys.spectrum and sys.grading of tuples of stacks,
+    one call per degree: _by_degree with the chain as the evaluator."""
+    return _by_degree(lambda m, stacks: chain_integral(sys.spectrum, stacks, sys.grading),
+                      tuples)
 
 
 def lemma34_check(sys, n=2, samples=6, seed=0):

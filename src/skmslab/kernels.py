@@ -382,14 +382,9 @@ def _stacks_of_one(xs):
     return [as_matrix(x)[None] for x in xs]
 
 
-def _is_stacked(xs):
-    # slots given as (K, d, d) stacks rather than as one tuple of matrices
-    return len(xs) > 0 and all(np.ndim(x) == 3 for x in xs)
-
-
 def _as_stacks(xs):
     # (n + 1 (K, d, d) stacks, True when xs was one tuple of matrices)
-    if _is_stacked(xs):
+    if len(xs) > 0 and all(np.ndim(x) == 3 for x in xs):
         return list(xs), False
     return _stacks_of_one(xs), True
 
@@ -703,10 +698,9 @@ def simplex_quadrature(integrand, n, rule):
     the difference against a lower-order rule; for Monte Carlo it is the
     standard error of the mean.  A rule that rule.price refuses at degree
     n raises its ValueError or ChainBudgetExceeded before any point is
-    built.
+    built; so does a degree that is not an integer >= 0 (ValueError).
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+    check_integer("degree", n, 0)
     if n == 0:
         pts = np.zeros((1, 0))
         val = _eval_integrand(integrand, pts)[0]

@@ -53,9 +53,7 @@ class OddPerturbation:
     """Odd selfadjoint perturbation Q in the grading given, to SUPERCHARGE_TOL."""
 
     def __init__(self, q, grading):
-        self.matrix = m = _odd_selfadjoint(as_matrix(q), grading, "perturbation")
-        self.grading = grading
-        self.norm = float(np.linalg.norm(m, 2))
+        self.matrix = _odd_selfadjoint(as_matrix(q), grading, "perturbation")
 
 
 class PerturbedContext:
@@ -518,13 +516,12 @@ def f_identities_check(ctx, n=3, samples=10, seed=0):
 def witten_invariance_check(system, perturbation, grid=11):
     """Tr(Gamma e^{-H_r}) and phi^r(1) are r-independent (McKean-Singer).
 
-    The grid has both ends r = 0 and r = 1, so it needs grid >= 2;
-    anything less raises ValueError.  The grid is one context, whose grid
-    eigendecompositions are priced at grid d^3 against the chain budget
-    before it is built (ChainBudgetExceeded).
+    The grid has both ends r = 0 and r = 1, so it needs an integer grid
+    >= 2; anything else raises ValueError.  The grid is one context, whose
+    grid eigendecompositions are priced at grid d^3 against the chain
+    budget before it is built (ChainBudgetExceeded).
     """
-    if grid < 2:
-        raise ValueError("the coupling grid needs at least 2 points, got %d" % grid)
+    check_integer("the coupling grid of at least 2 points", grid, 2)
     d = system.dim
     _refuse_over_budget(float(grid) * d ** 3, "a coupling grid of %d at d=%d needs %d "
                         "eigendecompositions of cost %d * %d^3", grid, d, grid, grid, d)
@@ -636,13 +633,14 @@ def endpoint_transgression_check(system, perturbation, n, xs, nodes=8, tol=1e-6)
 
     The sign is the one of homotopy_check.  tau^r is analytic in r, so the
     integral takes the Gauss-Legendre rule of `nodes` points on [0, 1]
-    (ValueError for nodes < 1), which reaches rounding level at a few
-    nodes for a weak coupling only: at perturbation scale 30 on the
-    RandomGraded 3+2 reference model the residual is 0.034 at 8 nodes,
-    1.4e-3 at 16 and 1.7e-7 at 32.  The residual
-    |tau^1 - tau^0 + integral| is held to tol.  The
-    nodes and the ends r = 0 and r = 1 are one context: the boundary at
-    the nodes and tau at the ends are one builder call each."""
+    (ValueError unless nodes is an integer >= 1), which reaches rounding
+    level at a few nodes for a weak coupling only: at perturbation scale
+    30 on the RandomGraded 3+2 reference model the residual is 0.034 at 8
+    nodes, 1.4e-3 at 16 and 1.7e-7 at 32.  The residual
+    |tau^1 - tau^0 + integral| is held to tol.  The nodes and the ends
+    r = 0 and r = 1 are one context: the boundary at the nodes and tau at
+    the ends are one builder call each."""
+    check_integer("nodes", nodes, 1)
     rs, weights = gauss_legendre_01(nodes)
     ctx = PerturbedContext(system, perturbation, np.concatenate([rs, [0.0, 1.0]]))
     values = boundary(transgression_cochain(ctx.at(slice(0, nodes))))(n, xs)

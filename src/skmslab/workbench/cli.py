@@ -24,7 +24,7 @@ from ..perturbation import (PerturbedContext, endpoint_transgression_check,
 from .models import (ModelSpec, build_model, build_perturbed_model, check_scale,
                      model_digest)
 from .reports import emit_report
-from .suites import SUITES, SuiteConfig, gate, run_suite
+from .suites import SUITES, TOL_FD, SuiteConfig, gate, run_suite
 
 
 def _usage(parse):
@@ -222,7 +222,7 @@ def _cmd_tau_eval(args):
 
 def _cmd_perturb_sweep(args):
     spec, system, pert = _load_model(args.model, args.seed)
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else SuiteConfig().tol_exact
     # the grid's context is priced before it is built
     with _usage_errors("argument --grid", ChainBudgetExceeded):
         invariance = witten_invariance_check(system, pert, grid=args.grid)
@@ -232,7 +232,7 @@ def _cmd_perturb_sweep(args):
     contexts = PerturbedContext(system, pert, couplings)
     for k, r_value in enumerate(couplings):
         measured = skms_check_perturbed(contexts.at(k), samples=10, seed=args.seed)
-        for row in gate(measured, max(tol, 1e-9)):
+        for row in gate(measured, tol):
             reports.append(dataclasses.replace(
                 row, identity_name="%s@r=%s" % (row.identity_name, r_value)))
     return _finish(spec, reports, args)
@@ -256,7 +256,7 @@ def _cmd_homotopy_check(args):
                                  hs=args.steps)
         reports += endpoint_transgression_check(
             system, pert, args.degree, xs,
-            tol=args.tol if args.tol is not None else 1e-6)
+            tol=args.tol if args.tol is not None else TOL_FD)
     return _finish(spec, reports, args)
 
 

@@ -95,10 +95,18 @@ def test_cochain_gating():
         Cochain(evaluator, Parity.MIXED)
 
 
+def stacked_trace(a, xs, n):
+    # Tr(a x_0 .. x_n) of each tuple in the (T, 3, 3) stacks xs
+    prod = xs[0]
+    for x in xs[1:n + 1]:
+        prod = prod @ x
+    return np.trace(a @ prod, axis1=1, axis2=2)
+
+
 def test_hochschild_b_hand_formula():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    rho = lambda n, xs: np.trace(a @ xs[0]) if n == 0 else 0.0
+    rho = lambda n, xs: stacked_trace(a, xs, 0)
     x0 = rng.standard_normal((3, 3))
     x1 = rng.standard_normal((3, 3))
     got = hochschild_b(rho, 1, [x0, x1])
@@ -115,14 +123,24 @@ def test_connes_B_hand_formula():
 
     def rho(n, xs):
         seen.append([np.asarray(x).copy() for x in xs])
-        return np.trace(a @ xs[0] @ xs[1])
+        return stacked_trace(a, xs, 1)
 
     x0 = rng.standard_normal((3, 3))
     got = connes_B(rho, 0, [x0])
     assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0][0], np.eye(3))
-    np.testing.assert_array_equal(seen[0][1], x0)
+    np.testing.assert_array_equal(seen[0][0], np.eye(3)[None])
+    np.testing.assert_array_equal(seen[0][1], x0[None])
     assert got == pytest.approx(np.trace(a @ x0), abs=1e-12)
+
+
+def test_B_and_b_refuse_a_per_tuple_rho():
+    # a rho that takes one tuple of matrices, as B and b once took it: on
+    # the stacks of the terms its np.trace reads the wrong axes
+    rho = lambda n, xs: np.trace(xs[0])
+    x = np.diag([1.0, 2.0, 3.0])
+    for op, n in ((connes_B, 0), (hochschild_b, 1)):
+        with pytest.raises(ValueError, match="one value per tuple on the last axis"):
+            op(rho, n, [x] * (n + 1))
 
 
 def test_hochschild_b_squares_to_zero():
@@ -131,10 +149,7 @@ def test_hochschild_b_squares_to_zero():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
 
     def rho(n, xs):
-        prod = xs[0]
-        for x in xs[1:]:
-            prod = prod @ x
-        return np.trace(a @ prod) * (0.7 ** n)
+        return stacked_trace(a, xs, n) * (0.7 ** n)
 
     xs = [rng.standard_normal((3, 3)) for _ in range(4)]
     # outer b at degree 3 asks the inner b at degree 2, which asks rho at 1
@@ -330,6 +345,24 @@ def test_boundary_evaluator_on_stacks_equals_each_tuple(builder_calls):
         got = dtau.evaluator(n, [np.stack(slot) for slot in zip(*tuples)])
         assert list(got) == want, n
         assert len(builder_calls) == (1 if n == 1 else 2), n
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_one_tuple_B_and_b_make_one_builder_call(builder_calls, n):
+    # the n + 1 terms of one tuple are one stack for rho: one call of the
+    # block builder, not one per term, with the bits of the signed sum of
+    # the terms taken one by one, in order
+    sys_ = block_system(3, 2, seed=23)
+    tau = jlo_cochain(sys_)
+    xs = even_tuple(sys_, np.random.default_rng(34), n + 1)
+    stacks = [x[None] for x in xs]
+    for op, terms, m in ((connes_B, cochain_module._B_terms, n + 1),
+                         (hochschild_b, cochain_module._b_terms, n - 1)):
+        want = sum((sign * tau(m, [a[0] for a in args])
+                    for sign, args in terms(n, stacks)), 0.0 + 0.0j)
+        del builder_calls[:]
+        assert op(tau, n, xs) == want
+        assert builder_calls == [(n + 1, (m + 1) * sys_.dim)]
 
 
 def test_boundary_classifies_each_argument_once(monkeypatch):

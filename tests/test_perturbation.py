@@ -80,7 +80,7 @@ def test_odd_perturbation_validation():
     with pytest.raises(ParityViolation, match="selfadjoint"):
         OddPerturbation(odd, sys_.grading)
     pert = odd_perturbation(sys_, scale=0.5)
-    assert pert.norm == pytest.approx(0.5, rel=1e-12)
+    assert np.linalg.norm(pert.matrix, 2) == pytest.approx(0.5, rel=1e-12)
     # zero is a legal (trivial) perturbation
     OddPerturbation(np.zeros((5, 5)), sys_.grading)
 
@@ -648,8 +648,9 @@ def test_witten_invariance_rows():
         assert r.passed, (r.identity_name, r.max_residual)
 
 
-@pytest.mark.parametrize("grid", [1, 0, -3])
+@pytest.mark.parametrize("grid", [1, 0, -3, 2.5, 3.0, True])
 def test_witten_invariance_refuses_grids_below_two(grid):
+    # and grids that are not integers: 3.0 ended in np.linspace
     sys_ = block_system(3, 2, seed=14)
     with pytest.raises(ValueError, match="at least 2 points"):
         witten_invariance_check(sys_, odd_perturbation(sys_), grid=grid)
@@ -796,8 +797,10 @@ def test_endpoint_transgression():
         bot, top = tau_r_eval(PerturbedContext(sys_, pert, [0.0, 1.0]), 2, xs)
         assert row.max_residual <= 1e-12 * abs(top - bot), row.max_residual
         assert row.passed
-    with pytest.raises(ValueError):
-        endpoint_transgression_check(sys_, pert, 2, xs, nodes=0)
+    # True ran a 1-node rule, a false red; 2.5 ended in leggauss
+    for nodes in (0, 2.5, True):
+        with pytest.raises(ValueError, match="^nodes must be"):
+            endpoint_transgression_check(sys_, pert, 2, xs, nodes=nodes)
 
 
 def test_boundary_of_transgression_matches_finite_difference():

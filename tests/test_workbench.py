@@ -190,7 +190,7 @@ def test_build_perturbation_paths():
                      perturbation={"seed": 3, "scale": 0.4})
     sys_, pert = build_model(spec)
     assert pert is not None
-    assert pert.norm == pytest.approx(0.4, rel=1e-12)
+    assert np.linalg.norm(pert.matrix, 2) == pytest.approx(0.4, rel=1e-12)
     again = build_model(spec)[1]
     np.testing.assert_array_equal(pert.matrix, again.matrix)
 
@@ -215,7 +215,7 @@ def test_build_perturbation_paths():
                                   pert.matrix)
     bare = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1)
     stand_in = build_perturbed_model(bare, 7)[1]
-    assert stand_in.norm == pytest.approx(0.3, rel=1e-12)
+    assert np.linalg.norm(stand_in.matrix, 2) == pytest.approx(0.3, rel=1e-12)
     np.testing.assert_array_equal(build_perturbed_model(bare, 7)[1].matrix,
                                   stand_in.matrix)
     assert not np.array_equal(build_perturbed_model(bare, 8)[1].matrix,
@@ -796,6 +796,20 @@ def test_cli_perturb_sweep(tmp_path, capsys):
     assert all(r["passed"] for r in doc["reports"])
     assert {(r["seed"], r["model_digest"]) for r in doc["reports"]} == {
         (2, model_digest(BLOCK_SPEC))}
+
+
+def test_cli_perturb_sweep_gates_the_skms_rows_at_tol(tmp_path, capsys):
+    # the sKMS rows at each coupling hold to rounding, as in verify, so
+    # --tol gates them with no floor; they used to read max(tol, 1e-9)
+    model = write_spec(tmp_path)
+    rc = main(["perturb", "sweep", "--model", model, "--grid", "2",
+               "--tol", "1e-12"])
+    assert rc == 0
+    rows = {r["identity_name"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+    for r_value in ("0.0", "0.5", "1.0"):
+        row = rows["skms_r.hermiticity@r=" + r_value]
+        assert row["tolerance"] == 1e-12 and row["passed"], row
+        assert rows["skms_r.kms_boundary@r=" + r_value]["tolerance"] == 1e-12
 
 
 @pytest.mark.parametrize("degree", ["0", "-1", "x"])
