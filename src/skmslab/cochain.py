@@ -13,7 +13,7 @@ heat chain with insertions x_0, delta(x_1), ..., delta(x_n), nonzero in
 even degrees only; (B + b) tau = 0.  The transgression G of an odd Q is
 the same chain with Q inserted after each slot in turn, summed with
 alternating signs, nonzero in odd degrees only.  Both come from one
-constructor and one stacked evaluator, whose one call of
+constructor and one pool evaluator, whose one call of
 kernels.chain_integral takes Q for G and no insertion for tau.  The
 cocycle functions take a GradedSystem or a PerturbedContext; with a
 context they give tau^r (and G^r, perturbation.transgression_cochain),
@@ -37,20 +37,26 @@ every argument is even, at every degree, in __call__, and its evaluator
 checks nothing.  The inner evaluations of rho inside boundary are not
 checked again: a product of even elements is even and so is the unit.
 
-Evaluators are stacked: they take a degree and one (K, d, d) array per
-slot, holding that slot of K tuples, and return the K values (one row
-of them per coupling of a vector context).  A Cochain takes such stacks
-in __call__ too, and tests parity on whole stacks
-(GradingOperator.classify takes stacks); one tuple is a stack of one.
-connes_B and hochschild_b take a stacked rho (a Cochain or its
-evaluator) on one tuple or on stacks, and send the terms of all the
-tuples to it as one stack; boundary's evaluator is their sum, so each
+Evaluators take a pool: a degree n, an (M, d, d) array of matrices and
+an (n + 1, T) integer table, slot i of tuple t being pool[index[i, t]],
+and return the T values (one row of them per coupling of a vector
+context).  A Cochain takes n + 1 (T, d, d) stacks in __call__, tests
+parity on whole stacks (GradingOperator.classify takes stacks), and
+hands the evaluator the pool of the stacks with its table; one tuple is
+a stack of one.  connes_B and hochschild_b take rho (a Cochain or its
+evaluator) on one tuple or on stacks.  Their terms are rotations and
+merges of the same slots, so they read one pool holding each argument,
+each product x_j x_{j+1} and x_n x_0, and one unit, once, and the terms
+are tables into it: all the terms of one degree are one table, one call
+of rho.  boundary's evaluator is their sum on a shared pool, so each
 degree costs one call of the block-exponential builder
-(kernels.chain_integral on a stack).  One helper, _by_degree, batches
-tuples by degree for all of them, and for the chains of lemma34_check
-and perturbation.f_identities_check; entireness_diagnostic reads every
-degree of its samples off one call.  A stack gives every tuple the bits
-it would get alone.
+(kernels.chain_integral on a pool).  The chain evaluator applies delta_r
+once per coupling to each entry that slots >= 1 read, and the kernel
+takes each entry to each eigenbasis once.  One helper, _by_degree,
+batches tables by degree for all of them, and for the chains of
+lemma34_check and perturbation.f_identities_check; entireness_diagnostic
+reads every degree of its samples off one call.  A stack gives every
+tuple the bits it would get alone.
 """
 
 import math
@@ -60,7 +66,7 @@ import numpy as np
 from .dynamics import _draw_tuples, _superderivation_stack
 from .errors import ParityViolation, check_integer
 from .graded import Parity
-from .kernels import (SimplexQuadratureRule, _as_stacks, _chain_prefixes,
+from .kernels import (SimplexQuadratureRule, _as_stacks, _chain_prefixes, _split_table,
                       chain_integral, heat_chain_integrand, simplex_quadrature)
 from .report import Measurement
 
@@ -84,26 +90,63 @@ def _require_even(grading, stacks):
                               % (int(np.argmax(bad[:, k])), where))
 
 
-class Cochain:
-    """Parity-tagged multilinear family given by a stacked evaluator.
+def _pool_of(tuples):
+    """One pool of the stacks of tuples, and each tuple's table into it.
 
-    evaluator(n, stacks) takes a degree and n + 1 stacks, each a (T, d, d)
-    array holding one slot of T tuples, and returns the T values, or the
-    (K, T) values of a cochain with couplings=(K,), whose value at a
-    tuple is one per coupling (the cochains of a K-coupling context).
-    Calling c(n, xs) takes the same n + 1 stacks and returns the values
+    Each tuple is a list of (T_t, d, d) stacks, slot by slot.  A stack
+    that recurs, in another slot or tuple (the same array), is one run of
+    the pool; a tuple's table is its (slots, T_t) array of pool indices.
+    """
+    runs, parts, tables, size = {}, [], [], 0
+    for slots in tuples:
+        starts = []
+        for stack in slots:
+            if id(stack) not in runs:
+                runs[id(stack)] = size
+                parts.append(stack)
+                size += len(stack)
+            starts.append(runs[id(stack)])
+        tables.append(np.array(starts)[:, None] + np.arange(len(slots[0])))
+    return np.concatenate(parts, dtype=complex), tables
+
+
+def _pool_at(n, xs, grading):
+    # (pool, table, whether xs was one tuple) of the n + 1 arguments xs,
+    # checked before any work: ValueError on the arity, DimensionMismatch
+    # on stacks of different shapes and, with a grading, ParityViolation
+    if len(xs) != n + 1:
+        raise ValueError("degree %d expects %d arguments, got %d"
+                         % (n, n + 1, len(xs)))
+    stacks, one = _as_stacks(xs)
+    if grading is not None:
+        _require_even(grading, stacks)
+    pool, (index,) = _pool_of([stacks])
+    return pool, index, one
+
+
+class Cochain:
+    """Parity-tagged multilinear family given by a pool evaluator.
+
+    evaluator(n, pool, index) takes a degree, an (M, d, d) pool of
+    matrices and an (n + 1, T) integer table, slot i of tuple t being
+    pool[index[i, t]], and returns the T values, or the (K, T) values of
+    a cochain with couplings=(K,), whose value at a tuple is one per
+    coupling (the cochains of a K-coupling context).  Calling c(n, xs)
+    takes n + 1 (T, d, d) stacks, slot by slot, and returns the values
     with shape couplings + (T,), or one tuple of matrices (a stack of one)
-    and returns its value: a complex, or a (K,) array.  It checks the
-    arity; every degree n >= 0 of the cochain's parity is supported, and a
-    degree that is not an integer >= 0 raises ValueError.  With
-    a grading, every argument must be even, at any degree: ParityViolation
-    names the first slot that is not (and, in a stack, its tuple).  At a
-    degree n of the wrong parity every tuple reads 0 without evaluation;
-    at the others the tuples go to the evaluator as one stack.  So the
-    evaluator only sees supported degrees and needs no checks of its own;
-    connes_B and hochschild_b take it, or the Cochain, as rho.  Parity
-    tests run on whole stacks, once for all the couplings, and each tuple
-    gets the bits it would get alone.
+    and returns its value: a complex, or a (K,) array; the stacks become
+    one pool, each stack one run of it, and the table of those runs.  It
+    checks the arity and the shapes (DimensionMismatch names them when
+    the stacks differ); every degree n >= 0 of the cochain's parity is
+    supported, and a degree that is not an integer >= 0 raises
+    ValueError.  With a grading, every argument must be even, at any
+    degree: ParityViolation names the first slot that is not (and, in a
+    stack, its tuple).  At a degree n of the wrong parity every tuple
+    reads 0 without evaluation; at the others the tuples go to the
+    evaluator as one pool.  So the evaluator only sees supported degrees
+    and needs no checks of its own; connes_B and hochschild_b take it, or
+    the Cochain, as rho.  Parity tests run on whole stacks, once for all
+    the couplings, and each tuple gets the bits it would get alone.
     """
 
     def __init__(self, evaluator, parity, name="", grading=None, couplings=()):
@@ -123,16 +166,15 @@ class Cochain:
 
     def __call__(self, n, xs):
         check_integer("degree", n, 0)
-        if len(xs) != n + 1:
-            raise ValueError("degree %d expects %d arguments, got %d"
-                             % (n, n + 1, len(xs)))
-        stacks, one = _as_stacks(xs)
-        if self.grading is not None:
-            _require_even(self.grading, stacks)
-        vals = np.zeros(self.couplings + (len(stacks[0]),), dtype=complex)
+        pool, index, one = _pool_at(n, xs, self.grading)
+        return _one_value(self._values(n, pool, index), one)
+
+    def _values(self, n, pool, index):
+        # the evaluator's values at a pool, 0 at a degree of the other parity
+        vals = np.zeros(self.couplings + (index.shape[1],), dtype=complex)
         if self.supports(n):
-            vals[:] = self.evaluator(n, stacks)
-        return _one_value(vals, one)
+            vals[:] = self.evaluator(n, pool, index)
+        return vals
 
     def __repr__(self):
         return "Cochain(%s, parity=%s)" % (self.name or "<evaluator>", self.parity.value)
@@ -146,30 +188,30 @@ def _one_value(vals, one):
     return complex(vals[0]) if vals.ndim == 1 else vals[:, 0]
 
 
-def _by_degree(evaluator, tuples):
-    """evaluator's values at tuples of stacks, one call per degree.
+def _by_degree(evaluator, pool, tables):
+    """evaluator's values at the tuples of tables, one call per degree.
 
-    Each tuple is a list of (T_t, d, d) stacks, slot by slot.  The tuples
-    of one degree m are concatenated into one stack for evaluator(m,
-    stacks), whose (T,) or (K, T) values are split back on the last axis:
-    the (T_t,) or (K, T_t) values of each tuple, in order, with the bits
-    each gets alone.  Values of another shape, as a per-tuple function
-    gives, raise ValueError.
+    Each table is an (m + 1, T_t) array into pool.  The tables of one
+    degree m are concatenated into one for evaluator(m, pool, table),
+    whose (T,) or (K, T) values are split back on the last axis: the
+    (T_t,) or (K, T_t) values of each table, in order, with the bits each
+    gets alone.  Values of another shape, as a per-tuple function gives,
+    raise ValueError.
     """
     groups = {}
-    for i, slots in enumerate(tuples):
-        groups.setdefault(len(slots), []).append(i)
-    out = [None] * len(tuples)
+    for i, table in enumerate(tables):
+        groups.setdefault(len(table), []).append(i)
+    out = [None] * len(tables)
     for size, members in groups.items():
-        stacks = [np.concatenate([tuples[i][j] for i in members]) for j in range(size)]
-        vals = np.asarray(evaluator(size - 1, stacks))
-        if vals.shape[-1:] != (len(stacks[0]),):
-            raise ValueError("a stacked evaluator gives one value per tuple on the "
+        table = np.concatenate([tables[i] for i in members], axis=1)
+        vals = np.asarray(evaluator(size - 1, pool, table))
+        if vals.shape[-1:] != table.shape[1:]:
+            raise ValueError("a cochain evaluator gives one value per tuple on the "
                              "last axis: %d tuples, values of shape %s"
-                             % (len(stacks[0]), vals.shape))
+                             % (table.shape[1], vals.shape))
         stop = 0
         for i in members:
-            start, stop = stop, stop + len(tuples[i][0])
+            start, stop = stop, stop + tables[i].shape[1]
             out[i] = vals[..., start:stop]
     return out
 
@@ -178,52 +220,77 @@ def _merge(xs, j):
     return list(xs[:j]) + [xs[j] @ xs[j + 1]] + list(xs[j + 2:])
 
 
-def _b_terms(n, xs):
-    # (sign, tuple at degree n - 1) of each term of (b rho)_n
-    terms = [((-1) ** j, _merge(xs, j)) for j in range(n)]
-    terms.append(((-1) ** n, [xs[n] @ xs[0]] + list(xs[1:n])))
+def _term_pool(pool, index):
+    """The pool that the terms of B and b read, and the tables it adds.
+
+    It is pool, then x_j x_{j+1} for j < n and x_n x_0 of every tuple of
+    the (n + 1, T) table index, then the unit, each stored once.  Returns
+    it, the (n + 1, T) table of the products and the (1, T) table of the
+    unit.
+    """
+    after = np.concatenate([index[1:], index[:1]])
+    prods = (pool[index] @ pool[after]).reshape((-1,) + pool.shape[1:])
+    unit = np.eye(pool.shape[-1], dtype=complex)[None]
+    table = len(pool) + np.arange(index.size).reshape(index.shape)
+    return (np.concatenate([pool, prods, unit]), table,
+            np.full((1, index.shape[1]), len(pool) + index.size))
+
+
+def _b_terms(n, slots, prods, unit):
+    # (sign, table at degree n - 1) of each term of (b rho)_n, from the
+    # tables of x_0..x_n and of the products x_j x_{j+1}, j < n, and x_n x_0
+    terms = [((-1) ** j, np.concatenate([slots[:j], prods[j:j + 1], slots[j + 2:]]))
+             for j in range(n)]
+    terms.append(((-1) ** n, np.concatenate([prods[n:], slots[1:n]])))
     return terms
 
 
-def _B_terms(n, xs):
-    # (sign, tuple at degree n + 1) of each term of (B rho)_n
-    unit = np.broadcast_to(np.eye(xs[0].shape[1], dtype=complex), xs[0].shape)
-    return [((-1) ** (n * j), [unit] + list(xs[j:]) + list(xs[:j]))
+def _B_terms(n, slots, prods, unit):
+    # (sign, table at degree n + 1) of each term of (B rho)_n, from the
+    # tables of x_0..x_n and of the unit
+    return [((-1) ** (n * j), np.concatenate([unit, slots[j:], slots[:j]]))
             for j in range(n + 1)]
 
 
-def _term_sum(rho, n, xs, terms_of):
-    # the signed sum over the terms terms_of(n, stacks) of rho's values;
-    # the terms of all the tuples go to rho as one stack
-    if len(xs) != n + 1:
-        raise ValueError("degree %d expects %d arguments" % (n, n + 1))
-    stacks, one = _as_stacks(xs)
-    terms = terms_of(n, stacks)
-    values = _by_degree(rho, [args for _, args in terms])
-    return _one_value(sum((sign * val for (sign, _), val in zip(terms, values)),
-                          0.0 + 0.0j), one)
+def _term_sum(rho, pool, terms):
+    # the signed sum of rho's values at the terms, (sign, table) pairs; the
+    # terms of one degree go to rho as one table
+    values = _by_degree(rho, pool, [table for _, table in terms])
+    return sum((sign * val for (sign, _), val in zip(terms, values)), 0.0 + 0.0j)
+
+
+def _terms_at(rho, n, xs, terms_of):
+    # the signed sum of rho at the terms terms_of gives for xs, for connes_B
+    # and hochschild_b: a Cochain rho checks the parity of xs, as its own
+    # call does, and reads 0 at its other parity
+    grading = rho.grading if isinstance(rho, Cochain) else None
+    pool, index, one = _pool_at(n, xs, grading)
+    pool, *tables = _term_pool(pool, index)
+    rho = rho._values if isinstance(rho, Cochain) else rho
+    return _one_value(_term_sum(rho, pool, terms_of(n, index, *tables)), one)
 
 
 def hochschild_b(rho, n, xs):
     """(b rho)_n(x_0..x_n); needs rho at degree n-1, so n >= 1.
 
-    rho is stacked: a Cochain or its evaluator.  xs is one tuple, whose
-    value is returned (a complex, or one per coupling), or n + 1 (T, d, d)
-    stacks holding T tuples, whose T values are returned; the terms of all
-    the tuples go to rho as one stack, one call.
+    rho is a Cochain or its evaluator.  xs is one tuple, whose value is
+    returned (a complex, or one per coupling), or n + 1 (T, d, d) stacks
+    holding T tuples, whose T values are returned; stacks of different
+    shapes raise DimensionMismatch before any work.  The terms of all the
+    tuples read one pool, xs, the products x_j x_{j+1} and x_n x_0 and the
+    unit each stored once, and go to rho as one table, one call.
     """
     check_integer("degree", n, 1)
-    return _term_sum(rho, n, xs, _b_terms)
+    return _terms_at(rho, n, xs, _b_terms)
 
 
 def connes_B(rho, n, xs):
     """(B rho)_n(x_0..x_n) = sum_j (-1)^{nj} rho_{n+1}(1, x_j, .., x_{j-1}).
 
-    rho and xs as for hochschild_b: a stacked rho, on one tuple or on
-    stacks, and one call of rho for the terms of all the tuples.
+    rho and xs as for hochschild_b, and the terms read the same pool.
     """
     check_integer("degree", n, 0)
-    return _term_sum(rho, n, xs, _B_terms)
+    return _terms_at(rho, n, xs, _B_terms)
 
 
 def boundary(rho):
@@ -231,19 +298,21 @@ def boundary(rho):
 
     At degree 0 only the B part contributes (b lowers below degree 0).  The
     result carries rho's grading, so its __call__ checks the parity of
-    x_0..x_n once.  Its evaluator hands the stacks to connes_B and
-    hochschild_b with rho's evaluator, so rho's checks are not repeated: a
-    product of even elements is even.  The B terms of all tuples go to
-    rho's evaluator as one stack at degree n + 1, the b terms as one at
-    degree n - 1.  The values are the ones that connes_B and hochschild_b
-    give with rho itself on each tuple, bit for bit.
+    x_0..x_n once.  Its evaluator takes the terms of B and b to rho's
+    evaluator, so rho's checks are not repeated: a product of even
+    elements is even.  B and b read one pool, the arguments, their
+    products and the unit; the B terms of all tuples go to rho's
+    evaluator as one table at degree n + 1, the b terms as one at degree
+    n - 1.  The values are the ones that connes_B and hochschild_b give
+    with rho itself on each tuple, bit for bit.
     """
     flipped = Parity.ODD if rho.parity is Parity.EVEN else Parity.EVEN
 
-    def evaluator(n, stacks):
-        vals = connes_B(rho.evaluator, n, stacks)
+    def evaluator(n, pool, index):
+        pool, *tables = _term_pool(pool, index)
+        vals = _term_sum(rho.evaluator, pool, _B_terms(n, index, *tables))
         if n >= 1:
-            vals = vals + hochschild_b(rho.evaluator, n, stacks)
+            vals = vals + _term_sum(rho.evaluator, pool, _b_terms(n, index, *tables))
         return vals
 
     return Cochain(evaluator, flipped, name="boundary(%s)" % (rho.name or "rho"),
@@ -255,35 +324,22 @@ def _couplings(sys):
     return sys.spectrum.evals.shape[:-1]
 
 
-def _against_couplings(sys, stacks):
-    """(sys, stacks, shape) that set T tuples against every coupling of sys.
-
-    For a context of K couplings, tuple t at coupling k is slice k T + t of
-    the returned K T-slice stacks, and the returned context holds each
-    coupling T times in a row to match; shape is (K, T), the shape the
-    K T values are read back in.  A system or a one-coupling context comes
-    back with the stacks as they are and shape (T,).
-    """
-    count = len(stacks[0])
+def _chain_values(sys, pool, index, q=None):
+    # (1/Z) chain_integral(x_0, delta(x_1), .., delta(x_n); q) of the tuples
+    # of index, against every coupling of a context: (T,) or (K, T) values
+    # from one call of the block builder, n = 0 included: tau_0 is the
+    # kernel's contraction Tr(Gamma x_0 e^{-H}) / Z.  delta_r runs once on
+    # each entry that slots >= 1 read, for all K couplings at once: the
+    # (K, d, d) supercharges broadcast against an (M, 1, d, d) stack
+    entries, count, table = _split_table(index, len(pool))
     lead = _couplings(sys)
-    if not lead:
-        return sys, stacks, (count,)
-    if count > 1:
-        sys = sys.at(np.repeat(np.arange(lead[0]), count))
-    return sys, [np.tile(s, (lead[0], 1, 1)) for s in stacks], lead + (count,)
-
-
-def _chain_values(sys, n, stacks, q=None):
-    # (1/Z) chain_integral(x_0, delta(x_1), .., delta(x_n); q) of the T
-    # tuples in the (T, d, d) stacks, against every coupling of a context:
-    # (T,) or (K, T) values from one call of the block builder, n = 0
-    # included: tau_0 is the kernel's contraction Tr(Gamma x_0 e^{-H}) / Z
-    sys, stacks, shape = _against_couplings(sys, stacks)
-    # a temporary, not a name, so the stack is freed before the chain
-    derived = _superderivation_stack(
-        sys, np.array(stacks[1:], dtype=complex).reshape((n,) + stacks[0].shape))
-    vals = chain_integral(sys.spectrum, [stacks[0], *derived], sys.grading, q=q)
-    return (vals / sys.witten_index).reshape(shape)
+    heads, rest = pool[entries[:count]], pool[entries[count:]]
+    derived = _superderivation_stack(sys, rest[:, None] if lead else rest)
+    if lead:
+        heads, derived = np.broadcast_to(heads, lead + heads.shape), derived.swapaxes(0, 1)
+    vals = chain_integral(sys.spectrum, np.concatenate([heads, derived], axis=-3),
+                          sys.grading, q, table)
+    return vals / sys.witten_index
 
 
 def _chain_cochain(sys, q=None):
@@ -294,13 +350,13 @@ def _chain_cochain(sys, q=None):
     same chains with q inserted after each slot in turn (chain_integral
     with q), which is G^r for a context and q = Q.  Cochain.__call__
     checks that the arguments are even and returns 0 at the other parity,
-    so the evaluator is the bare chain integral of a stack of tuples:
+    so the evaluator is the bare chain integral of a pool of tuples:
     (K, T) values for T tuples on K couplings, from one call of the block
     builder.  A slot i >= 1 that is c times the unit reads 0 through
     delta_r(c 1) = 0; see the module docstring.
     """
     parity, name = (Parity.EVEN, "tau") if q is None else (Parity.ODD, "G_r")
-    return Cochain(lambda n, stacks: _chain_values(sys, n, stacks, q), parity,
+    return Cochain(lambda n, pool, index: _chain_values(sys, pool, index, q), parity,
                    name=name, grading=sys.grading, couplings=_couplings(sys))
 
 
@@ -367,9 +423,12 @@ def entireness_diagnostic(sys, samples=32, seed=0):
 
 def _chains_by_degree(sys, tuples):
     """chain_integral on sys.spectrum and sys.grading of tuples of stacks,
-    one call per degree: _by_degree with the chain as the evaluator."""
-    return _by_degree(lambda m, stacks: chain_integral(sys.spectrum, stacks, sys.grading),
-                      tuples)
+    one call per degree: _by_degree with the chain as the evaluator, on
+    the pool of the tuples, where a stack that recurs is one run."""
+    pool, tables = _pool_of(tuples)
+    return _by_degree(lambda m, pool, index: chain_integral(sys.spectrum, pool, sys.grading,
+                                                            index=index),
+                      pool, tables)
 
 
 def lemma34_check(sys, n=2, samples=6, seed=0):

@@ -196,7 +196,8 @@ def _superderivation_stack(sys, xs):
 
     superderivation is this function on one matrix; the matmuls broadcast
     over the stack, so slice k equals superderivation(sys, xs[k]) bit for
-    bit.
+    bit.  On a context of K couplings an (M, 1, d, d) stack gives (M, K,
+    d, d): every matrix under every coupling's delta_r.
     """
     g = sys.grading.matrix
     return sys.supercharge @ xs - (g @ xs @ g) @ sys.supercharge

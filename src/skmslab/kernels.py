@@ -22,11 +22,16 @@ both levels of a position by the same x_k, and the sign rides on the q
 edges.
 
 It takes one tuple of matrices, or K tuples of one degree as stacks, one
-(K, d, d) array per slot; a stack is one call of the builder, and each
-tuple gets the bits it would get alone.  The spectrum may be a stack
-too, evals (K, d) and vecs (K, d, d): tuple k is then taken against
-spectrum k, which is how one call serves K couplings of a perturbed
-Hamiltonian, and one tuple is taken against every spectrum of the stack.
+(K, d, d) array per slot, or T tuples as a pool, an (M, d, d) array, and
+an (n + 1, T) table of pool indices; a stack or a pool is one call of
+the builder, and each tuple gets the bits it would get alone.  Gamma and
+the eigenbasis transform run once per distinct entry, and the builder's
+insertions are gathered by the table.  The spectrum may be a stack too,
+evals (K, d) and vecs (K, d, d): stack tuple k is then taken against
+spectrum k, and one tuple against every spectrum of the stack, while
+every tuple of a pool is taken against every spectrum, with pool k for
+spectrum k when the pool is (K, M, d, d); that is how one call serves K
+couplings of a perturbed Hamiltonian.
 Every exponential is priced at s (blocks d)^3, s its substeps, whatever
 the stack size, against `chain_budget()`: SKMS_CHAIN_BUDGET, the one
 setting of the budget, or 1e8.
@@ -69,6 +74,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -349,49 +355,91 @@ def _grading_matrix(grading):
     return as_matrix(grading)
 
 
-def _eigen_insertions(spectrum, stacks, grading, what):
-    # Gamma x_0, x_1, .., x_n in the eigenbasis of H: an (n+1, K, d, d)
-    # array from n + 1 (K, d, d) stacks, transformed in one stacked pass.
-    # A NaN or an infinity is refused before the transform, which would
-    # warn on it, and before the price, which a NaN norm would pass
-    if not len(stacks):
-        raise ValueError("need at least one insertion x_0")
-    shape = np.shape(stacks[0])
-    if len(shape) != 3 or any(np.shape(s) != shape for s in stacks):
-        raise DimensionMismatch(
-            "insertions must be (K, d, d) stacks of one shape, got %s"
-            % ([np.shape(s) for s in stacks],))
-    if shape[1:] != (spectrum.dim, spectrum.dim):
-        raise DimensionMismatch(
-            "insertion dimension %d does not match spectrum dimension %d"
-            % (shape[2], spectrum.dim))
-    lead = spectrum.evals.shape[:-1]
-    if lead and shape[0] not in (1,) + lead:
-        raise DimensionMismatch(
-            "%d tuples do not match a stack of %d spectra" % (shape[0], lead[0]))
-    mats = np.array(stacks, dtype=complex)
-    if not np.isfinite(mats).all():
-        raise ValueError("%s has an insertion that is not finite" % what)
-    g = _grading_matrix(grading)
-    if g is not None:
-        mats[0] = g @ mats[0]
-    return spectrum.to_eigenbasis(mats)
-
-
 def _stacks_of_one(xs):
     return [as_matrix(x)[None] for x in xs]
 
 
 def _as_stacks(xs):
-    # (n + 1 (K, d, d) stacks, True when xs was one tuple of matrices)
+    # (n + 1 (K, d, d) stacks, True when xs was one tuple of matrices);
+    # stacks of different shapes raise DimensionMismatch naming them, before
+    # any work, since a pool of them would be indexed wrong without an error
     if len(xs) > 0 and all(np.ndim(x) == 3 for x in xs):
-        return list(xs), False
-    return _stacks_of_one(xs), True
+        stacks, one = list(xs), False
+    else:
+        stacks, one = _stacks_of_one(xs), True
+    shapes = [np.shape(s) for s in stacks]
+    if any(shape != shapes[0] for shape in shapes):
+        raise DimensionMismatch("insertions must be (K, d, d) stacks of one shape, got %s"
+                                % (shapes,))
+    return stacks, one
 
 
-def _values(vals, one, spectrum):
-    # the complex value of one tuple against one spectrum, else the array
-    return complex(vals[0]) if one and spectrum.evals.ndim == 1 else vals
+def _tuple_pool(spectrum, xs):
+    # chain_integral's tuple form as a pool, its table and whether xs was
+    # one tuple: the slots of the tuples one after the other, or with a
+    # stack of K spectra and K tuples, pool k holding the slots of tuple k
+    stacks, one = _as_stacks(xs)
+    if not stacks:
+        raise ValueError("need at least one insertion x_0")
+    count, lead = len(stacks[0]), spectrum.evals.shape[:-1]
+    if lead and count not in (1,) + lead:
+        raise DimensionMismatch(
+            "%d tuples do not match a stack of %d spectra" % (count, lead[0]))
+    if lead and count > 1:
+        return np.stack(stacks, axis=1), np.arange(len(stacks))[:, None], one
+    return (np.concatenate(stacks),
+            np.arange(len(stacks) * count).reshape(len(stacks), count), one)
+
+
+def _split_table(index, size):
+    """(entries, heads, table) of an (n + 1, T) table into a pool of size.
+
+    entries lists, each once and in pool order, the entries slot 0 reads,
+    heads of them, then the entries slots >= 1 read; table is index into
+    entries.  Marks, not a sort: one pass over the table.
+    """
+    rows = index.copy()
+    rows[1:] += size
+    marks = np.zeros(2 * size, dtype=np.intp)
+    marks[rows] = 1
+    where = marks.cumsum()
+    entries = marks.nonzero()[0]
+    heads = int(where[size - 1])
+    entries[heads:] -= size
+    return entries, heads, where[rows] - 1
+
+
+def _eigen_pool(spectrum, pool, index, grading, what):
+    # (mats, table): Gamma times the entries slot 0 reads, then the entries
+    # slots >= 1 read, in the eigenbasis of H, as a (K, M, d, d) array with
+    # K = 1 for one spectrum, each entry transformed once per spectrum; and
+    # index as a table into it.  A NaN or an infinity is refused before the
+    # transform, which would warn on it, and before the price, which a NaN
+    # norm would pass
+    pool, index = np.asarray(pool, dtype=complex), np.asarray(index)
+    lead = spectrum.evals.shape[:-1]
+    if (pool.ndim not in (3, 4) or pool.shape[-2:] != (spectrum.dim,) * 2
+            or pool.ndim == 4 and pool.shape[:1] != lead):
+        raise DimensionMismatch("insertions of shape %s do not match %s of dimension %d"
+                                % (pool.shape, "%d spectra" % lead[0] if lead else "a spectrum",
+                                   spectrum.dim))
+    if (index.ndim != 2 or not index.size or index.dtype.kind not in "iu"
+            or index.min() < 0 or index.max() >= pool.shape[-3]):
+        raise DimensionMismatch("index must be an (n + 1, T) integer table into %d "
+                                "insertions, got %s of %s" % (pool.shape[-3], index.shape,
+                                                              index.dtype))
+    if not np.isfinite(pool).all():
+        raise ValueError("%s has an insertion that is not finite" % what)
+    entries, heads, table = _split_table(index, pool.shape[-3])
+    mats = pool[..., entries, :, :]
+    g = _grading_matrix(grading)
+    if g is not None:
+        mats[..., :heads, :, :] = g @ mats[..., :heads, :, :]
+    if not lead:
+        return spectrum.to_eigenbasis(mats)[None], table
+    # entry-major, (M, 1, d, d) or (M, K, d, d), meets the (K, d, d) bases
+    mats = mats[:, None] if mats.ndim == 3 else mats.swapaxes(0, 1)
+    return spectrum.to_eigenbasis(mats).swapaxes(0, 1), table
 
 
 def _contract(y0, chain):
@@ -400,21 +448,32 @@ def _contract(y0, chain):
     return (y0 * chain.swapaxes(-1, -2)).reshape(chain.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def _chain_edges(spectrum, stacks, grading, q):
-    # (Gamma x_0 in the eigenbasis, the builder's edges, the chain's name)
-    # for chain_integral's n + 1 stacks; no edges at n = 0 without q
-    n = len(stacks) - 1
+def _chain_edges(spectrum, pool, index, grading, q):
+    # (Gamma x_0 in the eigenbasis, the builder's edges, the chain's name,
+    # the spectrum the builder reads) for the tuples of index at every
+    # spectrum: slice k T + t is tuple t at spectrum k.  No edges at n = 0
+    # without q
+    n = len(index) - 1
     what = ("chain with d=%d, n=%d" if q is None
             else "alternating chain with d=%d, m=%d") % (spectrum.dim, n)
-    mats = _eigen_insertions(spectrum, stacks, grading, what)
-    y0, ys = mats[0], mats[1:].swapaxes(0, 1)
+    mats, table = _eigen_pool(spectrum, pool, index, grading, what)
+    k, count, d = len(mats), table.shape[1], spectrum.dim
+    y0 = mats[:, table[0]].reshape(k * count, d, d)
+    rows = spectrum
+    if k > 1 and count > 1:
+        # the builder reads dim and evals: spectrum k once per tuple
+        rows = SimpleNamespace(dim=d, evals=np.repeat(spectrum.evals, count, axis=0))
+    if not n and q is None:
+        return y0, [], what, rows
+    ys = mats[:, table[1:].T].reshape(k * count, n, d, d)
     if q is None:
-        return y0, [(0, 1, ys)] if n else [], what
+        return y0, [(0, 1, ys)], what, rows
     qe = spectrum.to_eigenbasis(as_matrix(q))
     signed = np.stack([qe, -qe], axis=-3)[..., np.arange(n + 1) % 2, :, :]
-    qs = np.broadcast_to(signed, y0.shape[:1] + signed.shape[-3:])
+    qs = np.broadcast_to(signed.reshape(-1, 1, n + 1, d, d),
+                         (k, count, n + 1, d, d)).reshape(k * count, n + 1, d, d)
     # the q edges go before the run, so the column sums keep their order
-    return y0, [(0, 0, qs), (0, 1, ys)], what
+    return y0, [(0, 0, qs), (0, 1, ys)], what, rows
 
 
 def _chain_prefixes(spectrum, stacks, grading):
@@ -422,34 +481,44 @@ def _chain_prefixes(spectrum, stacks, grading):
     # n + 1 >= 2 (K, d, d) stacks, as (K, n + 1) values from one block row;
     # (m, s) are chosen from every position, so a prefix may move at
     # rounding level against its own chain_integral
-    y0, edges, what = _chain_edges(spectrum, stacks, grading, None)
-    return _contract(y0, _heat_chain_blocks(spectrum, edges, what).swapaxes(0, 1)).T
+    pool, index, _ = _tuple_pool(spectrum, stacks)
+    y0, edges, what, rows = _chain_edges(spectrum, pool, index, grading, None)
+    return _contract(y0, _heat_chain_blocks(rows, edges, what).swapaxes(0, 1)).T
 
 
-def chain_integral(spectrum, xs, grading, q=None):
-    """Ordered-simplex heat chain integral of one tuple or of a stack.
+def chain_integral(spectrum, xs, grading, q=None, index=None):
+    """Ordered-simplex heat chain integral of tuples, as a stack or a pool.
 
     Parameters
     ----------
     spectrum : Spectrum
-        Eigendecomposition of the generator H, or a stack of K of them:
-        tuple k of a K-stack is taken against spectrum k, and one tuple
-        against each of the K.
-    xs : list of matrices, or list of (K, d, d) arrays
-        Insertions x_0, ..., x_n (n >= 0) of one tuple; or n + 1 stacks,
-        stack i holding slot x_i of K tuples of degree n.
+        Eigendecomposition of the generator H, or a stack of K of them.
+    xs : list of matrices, list of (K, d, d) arrays, or a pool
+        Without index: insertions x_0, ..., x_n (n >= 0) of one tuple; or
+        n + 1 stacks, stack i holding slot x_i of K tuples of degree n.
+        Tuple k of a K-stack is taken against spectrum k of a K-stack of
+        spectra, and one tuple against each of the K.  With index: a pool,
+        an (M, d, d) array, or (K, M, d, d) with pool k for spectrum k.
     grading : GradingOperator, matrix, or None
         Gamma in the supertrace; None means plain trace.
     q : matrix or None
         An insertion placed after each slot in turn, see below.
+    index : (n + 1, T) integer array or None
+        Slot i of tuple t is the pool entry xs[..., index[i, t], :, :].
 
     Returns
     -------
-    complex, or (K,) complex array for stacks or a stacked spectrum
+    complex, or (K,) complex array for stacks or a stacked spectrum; with
+    index, (T,) values, or (K, T) for a stack of K spectra, every tuple at
+    every spectrum
         int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}) d^n s.
-        For n = 0 without q this is Tr(Gamma x_0 e^{-H}).  A stack gives
-        each tuple the bits it gets alone; the top rows of its K
-        exponentials are one call of the block builder.
+        For n = 0 without q this is Tr(Gamma x_0 e^{-H}).  The tuple form
+        is the pool of its slots with the table of one entry per slot.
+        Gamma is applied once to each entry that slot 0 reads, and each
+        entry, and q, goes to each spectrum's eigenbasis once; the block
+        builder's insertions are gathered by the table.  Each tuple gets
+        the bits it gets alone; the top rows of all the exponentials are
+        one call of the block builder.
 
     With q, the value is the alternating sum over the position of q,
 
@@ -470,15 +539,23 @@ def chain_integral(spectrum, xs, grading, q=None):
     (SKMS_CHAIN_BUDGET, default 1e8); each exponential is priced alone,
     whatever the number of tuples, and n = 0 without q is never refused.
     Raises ValueError, naming the chain, when an insertion holds a NaN or
-    an infinity, before any arithmetic on it.
+    an infinity, before any arithmetic on it; DimensionMismatch for stacks
+    of different shapes and for a pool or table that do not fit.
     """
-    stacks, one = _as_stacks(xs)
-    y0, edges, what = _chain_edges(spectrum, stacks, grading, q)
-    if not edges:
-        heads = np.diagonal(y0, axis1=1, axis2=2)
-        return _values(np.sum(heads * np.exp(-spectrum.evals), axis=1), one, spectrum)
-    chain = _heat_chain_blocks(spectrum, edges, what)[:, -1]
-    return _values(_contract(y0, chain), one, spectrum)
+    one = None
+    if index is None:
+        xs, index, one = _tuple_pool(spectrum, xs)
+    y0, edges, what, rows = _chain_edges(spectrum, xs, index, grading, q)
+    count, d = np.shape(index)[1], spectrum.dim
+    if edges:
+        vals = _contract(y0, _heat_chain_blocks(rows, edges, what)[:, -1])
+    else:
+        heads = np.diagonal(y0, axis1=1, axis2=2).reshape(-1, count, d)
+        vals = np.sum(heads * np.exp(-spectrum.evals).reshape(-1, 1, d), axis=-1)
+    vals = vals.reshape(-1, count)
+    if spectrum.evals.ndim > 1:
+        return vals if one is None else vals[:, 0]
+    return complex(vals[0, 0]) if one else vals[0]
 
 
 def heat_chain_integrand(spectrum, xs, grading):
@@ -504,7 +581,9 @@ def heat_chain_integrand(spectrum, xs, grading):
     if spectrum.evals.ndim != 1:
         raise DimensionMismatch("the pointwise integrand takes one spectrum, not a stack")
     what = "chain integrand with d=%d, n=%d" % (spectrum.dim, len(xs) - 1)
-    ys = list(_eigen_insertions(spectrum, _stacks_of_one(xs), grading, what)[:, 0])
+    pool, index, _ = _tuple_pool(spectrum, _stacks_of_one(xs))
+    mats, table = _eigen_pool(spectrum, pool, index, grading, what)
+    ys = list(mats[0, table[:, 0]])
     n = len(ys) - 1
     d = spectrum.dim
     lam = spectrum.evals

@@ -605,6 +605,7 @@ def homotopy_check(system, perturbation, n, xs, r=0.5, hs=(1e-2, 5e-3, 2.5e-3),
     (both sides vanish, e.g. Q = 0).  The raw residual at the smallest h
     is included as a documentation row.
     """
+    check_integer("degree", n, 0)
     hs = homotopy_steps(r, hs)
     # r, then the ladder r + h and r - h for every h: one context
     ctx = PerturbedContext(system, perturbation,
@@ -640,6 +641,7 @@ def endpoint_transgression_check(system, perturbation, n, xs, nodes=8, tol=1e-6)
     |tau^1 - tau^0 + integral| is held to tol.  The nodes and the ends
     r = 0 and r = 1 are one context: the boundary at the nodes and tau at
     the ends are one builder call each."""
+    check_integer("degree", n, 0)
     check_integer("nodes", nodes, 1)
     rs, weights = gauss_legendre_01(nodes)
     ctx = PerturbedContext(system, perturbation, np.concatenate([rs, [0.0, 1.0]]))

@@ -1,5 +1,7 @@
 """Tests for cochains, the bicomplex boundary, and the heat-kernel cocycle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,11 @@ from skmslab.cochain import (
 from skmslab.dynamics import GradedSystem, superderivation
 from skmslab.errors import ChainBudgetExceeded, DimensionMismatch, ParityViolation
 from skmslab.graded import GradingOperator, Parity, as_matrix
-from skmslab.perturbation import OddPerturbation, PerturbedContext, f_identities_check
+from skmslab.perturbation import (OddPerturbation, PerturbedContext, f_identities_check,
+                                  transgression_cochain)
 from skmslab.report import Measurement
+from skmslab.workbench import ModelSpec
+from skmslab.workbench.models import build_perturbed_model
 from skmslab.workbench.suites import gate
 
 
@@ -73,11 +78,12 @@ def count_classify(monkeypatch):
 def test_cochain_gating():
     calls = []
 
-    def evaluator(n, stacks):
-        # one tuple arrives as a batch of one: a (1, d, d) stack per slot
-        assert [s.shape for s in stacks] == [(1, 2, 2)] * (n + 1)
+    def evaluator(n, pool, index):
+        # one tuple arrives as a table of one column into a pool of its
+        # n + 1 (d, d) slots
+        assert index.shape == (n + 1, 1) and pool.shape == (n + 1, 2, 2)
         calls.append(n)
-        return [1.0] * len(stacks[0])
+        return [1.0] * index.shape[1]
 
     c = Cochain(evaluator, Parity.EVEN)
     x = np.diag([1.0, 2.0])
@@ -106,7 +112,7 @@ def stacked_trace(a, xs, n):
 def test_hochschild_b_hand_formula():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    rho = lambda n, xs: stacked_trace(a, xs, 0)
+    rho = lambda n, pool, index: stacked_trace(a, pool[index], 0)
     x0 = rng.standard_normal((3, 3))
     x1 = rng.standard_normal((3, 3))
     got = hochschild_b(rho, 1, [x0, x1])
@@ -121,9 +127,9 @@ def test_connes_B_hand_formula():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     seen = []
 
-    def rho(n, xs):
-        seen.append([np.asarray(x).copy() for x in xs])
-        return stacked_trace(a, xs, 1)
+    def rho(n, pool, index):
+        seen.append(pool[index])
+        return stacked_trace(a, pool[index], 1)
 
     x0 = rng.standard_normal((3, 3))
     got = connes_B(rho, 0, [x0])
@@ -134,9 +140,9 @@ def test_connes_B_hand_formula():
 
 
 def test_B_and_b_refuse_a_per_tuple_rho():
-    # a rho that takes one tuple of matrices, as B and b once took it: on
-    # the stacks of the terms its np.trace reads the wrong axes
-    rho = lambda n, xs: np.trace(xs[0])
+    # a rho that takes one tuple, as B and b once took it: it reads the
+    # first tuple of the table and gives one value for all of them
+    rho = lambda n, pool, index: np.trace(pool[index[0, 0]])
     x = np.diag([1.0, 2.0, 3.0])
     for op, n in ((connes_B, 0), (hochschild_b, 1)):
         with pytest.raises(ValueError, match="one value per tuple on the last axis"):
@@ -148,12 +154,12 @@ def test_hochschild_b_squares_to_zero():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
 
-    def rho(n, xs):
-        return stacked_trace(a, xs, n) * (0.7 ** n)
+    def rho(n, pool, index):
+        return stacked_trace(a, pool[index], n) * (0.7 ** n)
 
     xs = [rng.standard_normal((3, 3)) for _ in range(4)]
     # outer b at degree 3 asks the inner b at degree 2, which asks rho at 1
-    bb = hochschild_b(lambda n, ys: hochschild_b(rho, n, ys), 3, xs)
+    bb = hochschild_b(lambda n, pool, index: hochschild_b(rho, n, list(pool[index])), 3, xs)
     assert abs(bb) < 1e-12
 
 
@@ -342,27 +348,129 @@ def test_boundary_evaluator_on_stacks_equals_each_tuple(builder_calls):
                                                   for _ in range(4)]
         want = [dtau(n, xs) for xs in tuples]
         del builder_calls[:]
-        got = dtau.evaluator(n, [np.stack(slot) for slot in zip(*tuples)])
+        pool, (index,) = cochain_module._pool_of([[np.stack(slot) for slot in zip(*tuples)]])
+        got = dtau.evaluator(n, pool, index)
         assert list(got) == want, n
         assert len(builder_calls) == (1 if n == 1 else 2), n
 
 
+def per_term_B(n, xs):
+    # (sign, stacks at degree n + 1) of each term of (B rho)_n with every
+    # slot of every term a copy of its own, as B built its terms before
+    # they shared one pool
+    unit = np.broadcast_to(np.eye(xs[0].shape[-1], dtype=complex), xs[0].shape)
+    return [((-1) ** (n * j), [unit.copy()] + [x.copy() for x in xs[j:] + xs[:j]])
+            for j in range(n + 1)]
+
+
+def per_term_b(n, xs):
+    # (sign, stacks at degree n - 1) of each term of (b rho)_n, every slot
+    # of every term a copy of its own
+    terms = [((-1) ** j, [x.copy() for x in xs[:j]] + [xs[j] @ xs[j + 1]]
+              + [x.copy() for x in xs[j + 2:]]) for j in range(n)]
+    terms.append(((-1) ** n, [xs[n] @ xs[0]] + [x.copy() for x in xs[1:n]]))
+    return terms
+
+
+def per_term_boundary(rho, n, xs):
+    # (B + b) rho at the (T, d, d) stacks xs, rho called on each term alone
+    # and the signed values summed in order: the reference for the pool
+    total = sum((sign * rho(n + 1, args) for sign, args in per_term_B(n, xs)),
+                0.0 + 0.0j)
+    if n >= 1:
+        total = total + sum((sign * rho(n - 1, args) for sign, args in per_term_b(n, xs)),
+                            0.0 + 0.0j)
+    return total
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_one_tuple_B_and_b_make_one_builder_call(builder_calls, n):
-    # the n + 1 terms of one tuple are one stack for rho: one call of the
+    # the n + 1 terms of one tuple are one table for rho: one call of the
     # block builder, not one per term, with the bits of the signed sum of
     # the terms taken one by one, in order
     sys_ = block_system(3, 2, seed=23)
     tau = jlo_cochain(sys_)
     xs = even_tuple(sys_, np.random.default_rng(34), n + 1)
     stacks = [x[None] for x in xs]
-    for op, terms, m in ((connes_B, cochain_module._B_terms, n + 1),
-                         (hochschild_b, cochain_module._b_terms, n - 1)):
+    for op, terms, m in ((connes_B, per_term_B, n + 1),
+                         (hochschild_b, per_term_b, n - 1)):
         want = sum((sign * tau(m, [a[0] for a in args])
                     for sign, args in terms(n, stacks)), 0.0 + 0.0j)
         del builder_calls[:]
         assert op(tau, n, xs) == want
         assert builder_calls == [(n + 1, (m + 1) * sys_.dim)]
+
+
+REFERENCE_SPECS = (
+    ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+              perturbation={"seed": 11, "scale": 0.3}),
+    ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0),
+)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
+def test_boundary_on_a_pool_equals_the_per_term_evaluation(spec):
+    # boundary(tau) and boundary(G^r) on 25 tuples, against the terms
+    # evaluated one by one with a copy of every slot: bit for bit, on the
+    # system and on three couplings.  boundary(G^r) is even, so it is read
+    # at the even degrees
+    sys_, pert = build_perturbed_model(spec, 0)
+    ctx = PerturbedContext(sys_, pert, [0.0, 0.5, 1.0])
+    rng = np.random.default_rng(41)
+    for rho, degrees in ((jlo_cochain(sys_), (1, 3, 5)), (jlo_cochain(ctx), (1, 3, 5)),
+                         (transgression_cochain(ctx), (0, 2, 4))):
+        for n in degrees:
+            xs = list(sys_.random_elements(rng, 25 * (n + 1), parity=Parity.EVEN)
+                      .reshape(n + 1, 25, sys_.dim, sys_.dim))
+            got = boundary(rho)(n, xs)
+            assert got.shape == rho.couplings + (25,)
+            assert np.array_equal(got, per_term_boundary(rho, n, xs)), (rho.name, n)
+
+
+def test_boundary_differentiates_and_transforms_each_distinct_matrix_once(monkeypatch):
+    # n = 5, T = 25: B reads the 150 arguments behind one unit, b the 125
+    # x_1..x_5 and the 100 products x_j x_{j+1}, 0 < j < 5, at slots >= 1
+    # and the 75 x_0, x_0 x_1, x_5 x_0 at slot 0.  With a copy per slot of
+    # every term, delta took 1500 matrices and the eigenbasis 1800
+    counts = {"delta": 0, "eigenbasis": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            out = fn(*args)
+            counts[key] += math.prod(out.shape[:-2])
+            return out
+        return counted
+
+    sys_ = block_system(3, 2, seed=42)
+    xs = list(sys_.random_elements(np.random.default_rng(43), 150, parity=Parity.EVEN)
+              .reshape(6, 25, 5, 5))
+    dtau = boundary(jlo_cochain(sys_))
+    monkeypatch.setattr(cochain_module, "_superderivation_stack",
+                        counting("delta", cochain_module._superderivation_stack))
+    monkeypatch.setattr(kernels.Spectrum, "to_eigenbasis",
+                        counting("eigenbasis", kernels.Spectrum.to_eigenbasis))
+    dtau(5, xs)
+    assert counts == {"delta": 150 + 225, "eigenbasis": 151 + 300}
+
+
+@pytest.mark.parametrize("call", [
+    lambda tau, a, b, c: tau(2, [a, b, c]),
+    lambda tau, a, b, c: boundary(tau)(1, [a, b]),
+    lambda tau, a, b, c: connes_B(tau, 1, [a, b]),
+    lambda tau, a, b, c: hochschild_b(tau, 1, [a, b]),
+], ids=["tau", "boundary", "connes_B", "hochschild_b"])
+def test_stacks_of_different_lengths_are_refused(monkeypatch, call):
+    # 3, 2 and 3 tuples per slot ended in numpy's inhomogeneous-shape or
+    # broadcast ValueError; a pool of them would be indexed wrong silently
+    sys_ = block_system(3, 2, seed=44)
+    rng = np.random.default_rng(45)
+    a, b, c = (sys_.random_elements(rng, k, parity=Parity.EVEN) for k in (3, 2, 3))
+    tau = jlo_cochain(sys_)
+    classify = count_classify(monkeypatch)
+    with pytest.raises(DimensionMismatch, match=r"stacks of one shape, got "
+                       r"\[\(3, 5, 5\), \(2, 5, 5\)"):
+        call(tau, a, b, c)
+    assert classify == []
 
 
 def test_boundary_classifies_each_argument_once(monkeypatch):
@@ -490,7 +598,7 @@ def test_entireness_diagnostic_draws_each_sample_in_one_call(monkeypatch):
     derived = [slots[0]] + [superderivation(sys_, x) for x in slots[1:]]
     assert all(np.array_equal(a, b) for a, b in zip(seen[0], derived, strict=True))
     for n in (2, 4, 6, 8, 10, 12):
-        tau = cochain_module._chain_values(sys_, n, slots[:n + 1])
+        tau = jlo_cochain(sys_)(n, slots[:n + 1])
         want = np.sqrt(n) * np.abs(tau).max() ** (1.0 / n)
         assert got["entireness.indicator_n%d" % n] == pytest.approx(want, rel=1e-13, abs=0)
 

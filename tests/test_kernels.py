@@ -474,6 +474,33 @@ def test_chain_integral_matches_divided_difference_sum(kind, n):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("q", [None, np.diag([0.0, 1.0, 0.0])], ids=["chain", "q"])
+def test_chain_integral_pool_form_equals_the_tuple_form(q):
+    # tuples as tables into one pool, an entry read by several slots and
+    # by slot 0 too: each value has the bits of its tuple alone, against
+    # one spectrum and against a stack of two, pool k for spectrum k
+    spec, g, xs = chain_fixture()
+    rng = np.random.default_rng(np.random.SeedSequence(0x9F))
+    pool = np.array(xs + [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))])
+    index = [[0, 3, 1, 3], [1, 3, 3, 0], [2, 0, 3, 3]]
+    got = chain_integral(spec, pool, g, q, index)
+    assert got.shape == (4,)
+    for t, value in enumerate(got):
+        assert value == chain_integral(spec, [pool[i] for i in np.array(index)[:, t]], g, q=q)
+    two = Spectrum(np.array([[0.0, 0.5, 1.5], [0.2, 0.4, 2.0]]), np.array([np.eye(3)] * 2))
+    pools = np.array([pool, 2.0 * pool])
+    got = chain_integral(two, pools, g, q, index)
+    assert got.shape == (2, 4)
+    for k in range(2):
+        one = Spectrum(two.evals[k], two.vecs[k])
+        assert list(got[k]) == list(chain_integral(one, pools[k], g, q, index))
+    for bad in ([[0, 4]], [[-1]], [[0.0]], [0, 1]):
+        with pytest.raises(DimensionMismatch, match="index must be"):
+            chain_integral(spec, pool, g, q, bad)
+    with pytest.raises(DimensionMismatch, match="do not match 2 spectra"):
+        chain_integral(two, np.array([pool] * 3), g, q, index)
+
+
 def test_chain_integral_errors(monkeypatch):
     spec, g, xs = chain_fixture()
     with pytest.raises(ValueError):

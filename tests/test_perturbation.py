@@ -700,12 +700,33 @@ def test_homotopy_sign_is_fixed(monkeypatch):
 
     def negated(ctx):
         g = make(ctx)
-        return Cochain(lambda n, stacks: -g.evaluator(n, stacks), g.parity,
+        return Cochain(lambda n, pool, index: -g.evaluator(n, pool, index), g.parity,
                        grading=g.grading, couplings=g.couplings)
     monkeypatch.setattr(perturbation_module, "transgression_cochain", negated)
     by_name = rows()
     assert not by_name["transgression.derivative_order"].passed
     assert not by_name["transgression.endpoint"].passed
+
+
+@pytest.mark.parametrize("check", [homotopy_check, endpoint_transgression_check])
+@pytest.mark.parametrize("n", [2.5, -1, True])
+def test_transgression_checks_refuse_the_degree_before_any_context(monkeypatch, check, n):
+    # each built its context, one eigendecomposition per coupling, before
+    # the Cochain call refused the degree
+    sys_ = block_system(3, 2, seed=16)
+    pert = odd_perturbation(sys_, scale=0.4)
+    xs = even_tuple(sys_, np.random.default_rng(17), 3)
+    built = []
+    init = PerturbedContext.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PerturbedContext, "__init__", counted)
+    with pytest.raises(ValueError, match="^degree must be"):
+        check(sys_, pert, n, xs)
+    assert built == []
 
 
 @pytest.mark.parametrize("check", [homotopy_check, endpoint_transgression_check])

@@ -41,8 +41,8 @@ CASES = sorted({(k, decades[k]) for decades in DECADES.values()
 def test_chain_rows_are_red_at_their_decade(monkeypatch, k, eps):
     chain = cochain.chain_integral
 
-    def skewed(spectrum, xs, grading, q=None):
-        return chain(spectrum, xs, grading, q=q) * (1.0 + eps * (len(xs) - 1))
+    def skewed(spectrum, pool, grading, q=None, index=None):
+        return chain(spectrum, pool, grading, q, index) * (1.0 + eps * (len(index) - 1))
 
     monkeypatch.setattr(cochain, "chain_integral", skewed)
     rows = {r.identity_name: r for suite in SUITES for r in run_suite(SPECS[k], suite)}
