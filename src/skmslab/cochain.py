@@ -37,26 +37,28 @@ every argument is even, at every degree, in __call__, and its evaluator
 checks nothing.  The inner evaluations of rho inside boundary are not
 checked again: a product of even elements is even and so is the unit.
 
-Evaluators take a pool: a degree n, an (M, d, d) array of matrices and
-an (n + 1, T) integer table, slot i of tuple t being pool[index[i, t]],
-and return the T values (one row of them per coupling of a vector
-context).  A Cochain takes n + 1 (T, d, d) stacks in __call__, tests
-parity on whole stacks (GradingOperator.classify takes stacks), and
-hands the evaluator the pool of the stacks with its table; one tuple is
-a stack of one.  connes_B and hochschild_b take rho (a Cochain or its
-evaluator) on one tuple or on stacks.  Their terms are rotations and
-merges of the same slots, so they read one pool holding each argument,
-each product x_j x_{j+1} and x_n x_0, and one unit, once, and the terms
-are tables into it: all the terms of one degree are one table, one call
-of rho.  boundary's evaluator is their sum on a shared pool, so each
-degree costs one call of the block-exponential builder
-(kernels.chain_integral on a pool).  The chain evaluator applies delta_r
-once per coupling to each entry that slots >= 1 read, and the kernel
-takes each entry to each eigenbasis once.  One helper, _by_degree,
-batches tables by degree for all of them, and for the chains of
-lemma34_check and perturbation.f_identities_check; entireness_diagnostic
-reads every degree of its samples off one call.  A stack gives every
-tuple the bits it would get alone.
+Tuples have one layout, the pool of kernels.chain_integral: an
+(M, d, d) array of matrices and an (n + 1, T) integer table, slot i of
+tuple t being pool[index[i, t]].  Stacks are this module's: a Cochain
+takes n + 1 (T, d, d) stacks in __call__, or one tuple of matrices as a
+stack of one, tests parity on whole stacks (GradingOperator.classify
+takes stacks), and hands its evaluator, evaluator(n, pool, index), the
+pool of the stacks with its table; the evaluator returns the T values
+(one row of them per coupling of a vector context).  connes_B and
+hochschild_b take rho (a Cochain or its evaluator) on one tuple or on
+stacks.  Their terms are rotations and merges of the same slots, so
+they read one pool holding each argument, each product x_j x_{j+1} and
+x_n x_0, and one unit, once: _B_terms and _b_terms give the signs and
+one table, term j in columns j T .. (j + 1) T, and the operator is one
+call of rho on it, whose slices are summed in term order.  boundary's
+evaluator is the two on a shared pool, so each degree costs one call of
+the block-exponential builder.  The chain evaluator applies delta_r once
+per coupling to each entry that slots >= 1 read, and the kernel takes
+each entry to each eigenbasis once.  The chains of lemma34_check and
+perturbation.f_identities_check, of several degrees, go to the kernel
+one table per degree (_chains_by_degree); entireness_diagnostic reads
+every degree of its samples off one call.  A stack gives every tuple
+the bits it would get alone.
 """
 
 import math
@@ -64,10 +66,10 @@ import math
 import numpy as np
 
 from .dynamics import _draw_tuples, _superderivation_stack
-from .errors import ParityViolation, check_integer
-from .graded import Parity
-from .kernels import (SimplexQuadratureRule, _as_stacks, _chain_prefixes, _split_table,
-                      chain_integral, heat_chain_integrand, simplex_quadrature)
+from .errors import DimensionMismatch, ParityViolation, check_integer
+from .graded import Parity, as_matrix
+from .kernels import (SimplexQuadratureRule, _chain_prefixes, _split_table, chain_integral,
+                      heat_chain_integrand, simplex_quadrature)
 from .report import Measurement
 
 # the one rule of chain.slot_derivative, run at degree n + 1 of
@@ -88,6 +90,21 @@ def _require_even(grading, stacks):
         where = " in tuple %d" % k if bad.shape[1] > 1 else ""
         raise ParityViolation("argument slot %d is not even%s"
                               % (int(np.argmax(bad[:, k])), where))
+
+
+def _as_stacks(xs):
+    # (n + 1 (K, d, d) stacks, True when xs was one tuple of matrices);
+    # stacks of different shapes raise DimensionMismatch naming them, before
+    # any work, since a pool of them would be indexed wrong without an error
+    if len(xs) > 0 and all(np.ndim(x) == 3 for x in xs):
+        stacks, one = list(xs), False
+    else:
+        stacks, one = [as_matrix(x)[None] for x in xs], True
+    shapes = [np.shape(s) for s in stacks]
+    if any(shape != shapes[0] for shape in shapes):
+        raise DimensionMismatch("insertions must be (K, d, d) stacks of one shape, got %s"
+                                % (shapes,))
+    return stacks, one
 
 
 def _pool_of(tuples):
@@ -188,34 +205,6 @@ def _one_value(vals, one):
     return complex(vals[0]) if vals.ndim == 1 else vals[:, 0]
 
 
-def _by_degree(evaluator, pool, tables):
-    """evaluator's values at the tuples of tables, one call per degree.
-
-    Each table is an (m + 1, T_t) array into pool.  The tables of one
-    degree m are concatenated into one for evaluator(m, pool, table),
-    whose (T,) or (K, T) values are split back on the last axis: the
-    (T_t,) or (K, T_t) values of each table, in order, with the bits each
-    gets alone.  Values of another shape, as a per-tuple function gives,
-    raise ValueError.
-    """
-    groups = {}
-    for i, table in enumerate(tables):
-        groups.setdefault(len(table), []).append(i)
-    out = [None] * len(tables)
-    for size, members in groups.items():
-        table = np.concatenate([tables[i] for i in members], axis=1)
-        vals = np.asarray(evaluator(size - 1, pool, table))
-        if vals.shape[-1:] != table.shape[1:]:
-            raise ValueError("a cochain evaluator gives one value per tuple on the "
-                             "last axis: %d tuples, values of shape %s"
-                             % (table.shape[1], vals.shape))
-        stop = 0
-        for i in members:
-            start, stop = stop, stop + tables[i].shape[1]
-            out[i] = vals[..., start:stop]
-    return out
-
-
 def _merge(xs, j):
     return list(xs[:j]) + [xs[j] @ xs[j + 1]] + list(xs[j + 2:])
 
@@ -237,26 +226,34 @@ def _term_pool(pool, index):
 
 
 def _b_terms(n, slots, prods, unit):
-    # (sign, table at degree n - 1) of each term of (b rho)_n, from the
-    # tables of x_0..x_n and of the products x_j x_{j+1}, j < n, and x_n x_0
-    terms = [((-1) ** j, np.concatenate([slots[:j], prods[j:j + 1], slots[j + 2:]]))
-             for j in range(n)]
-    terms.append(((-1) ** n, np.concatenate([prods[n:], slots[1:n]])))
-    return terms
+    # (signs, table at degree n - 1) of the n + 1 terms of (b rho)_n, term j
+    # in columns j T .. (j + 1) T, from the (n + 1, T) tables of x_0..x_n
+    # and of the products x_j x_{j+1}, j < n, and x_n x_0
+    terms = [np.concatenate([slots[:j], prods[j:j + 1], slots[j + 2:]]) for j in range(n)]
+    terms.append(np.concatenate([prods[n:], slots[1:n]]))
+    return [(-1) ** j for j in range(n + 1)], np.concatenate(terms, axis=1)
 
 
 def _B_terms(n, slots, prods, unit):
-    # (sign, table at degree n + 1) of each term of (B rho)_n, from the
-    # tables of x_0..x_n and of the unit
-    return [((-1) ** (n * j), np.concatenate([unit, slots[j:], slots[:j]]))
-            for j in range(n + 1)]
+    # (signs, table at degree n + 1) of the n + 1 terms of (B rho)_n, term j
+    # in columns j T .. (j + 1) T, from the tables of x_0..x_n and the unit
+    return ([(-1) ** (n * j) for j in range(n + 1)],
+            np.concatenate([np.concatenate([unit, slots[j:], slots[:j]])
+                            for j in range(n + 1)], axis=1))
 
 
-def _term_sum(rho, pool, terms):
-    # the signed sum of rho's values at the terms, (sign, table) pairs; the
-    # terms of one degree go to rho as one table
-    values = _by_degree(rho, pool, [table for _, table in terms])
-    return sum((sign * val for (sign, _), val in zip(terms, values)), 0.0 + 0.0j)
+def _term_sum(rho, pool, signs, table):
+    # the signed sum of rho's values at the terms of table, term j in
+    # columns j T .. (j + 1) T: one call of rho, and the slices summed in
+    # term order from 0j, the bits of the terms taken one by one
+    vals = np.asarray(rho(len(table) - 1, pool, table))
+    if vals.shape[-1:] != table.shape[1:]:
+        raise ValueError("a cochain evaluator gives one value per tuple on the "
+                         "last axis: %d tuples, values of shape %s"
+                         % (table.shape[1], vals.shape))
+    count = table.shape[1] // len(signs)
+    return sum((sign * vals[..., j * count:(j + 1) * count] for j, sign in enumerate(signs)),
+               0.0 + 0.0j)
 
 
 def _terms_at(rho, n, xs, terms_of):
@@ -267,7 +264,7 @@ def _terms_at(rho, n, xs, terms_of):
     pool, index, one = _pool_at(n, xs, grading)
     pool, *tables = _term_pool(pool, index)
     rho = rho._values if isinstance(rho, Cochain) else rho
-    return _one_value(_term_sum(rho, pool, terms_of(n, index, *tables)), one)
+    return _one_value(_term_sum(rho, pool, *terms_of(n, index, *tables)), one)
 
 
 def hochschild_b(rho, n, xs):
@@ -310,9 +307,9 @@ def boundary(rho):
 
     def evaluator(n, pool, index):
         pool, *tables = _term_pool(pool, index)
-        vals = _term_sum(rho.evaluator, pool, _B_terms(n, index, *tables))
+        vals = _term_sum(rho.evaluator, pool, *_B_terms(n, index, *tables))
         if n >= 1:
-            vals = vals + _term_sum(rho.evaluator, pool, _b_terms(n, index, *tables))
+            vals = vals + _term_sum(rho.evaluator, pool, *_b_terms(n, index, *tables))
         return vals
 
     return Cochain(evaluator, flipped, name="boundary(%s)" % (rho.name or "rho"),
@@ -404,8 +401,9 @@ def entireness_diagnostic(sys, samples=32, seed=0):
     coeffs = (z[:, 0] + 1j * z[:, 1]).T[:, :, None, None]
     mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
     slots = mats.reshape(samples, ENTIRENESS_TOP + 1, sys.dim, sys.dim).swapaxes(0, 1)
-    chains = _chain_prefixes(sys.spectrum, [slots[0], *_superderivation_stack(sys, slots[1:])],
-                             sys.grading)
+    pool = np.concatenate([slots[0], *_superderivation_stack(sys, slots[1:])])
+    chains = _chain_prefixes(sys.spectrum, pool, sys.grading,
+                             np.arange(len(pool)).reshape(ENTIRENESS_TOP + 1, samples))
     degrees = range(2, ENTIRENESS_TOP + 1, 2)
     best = np.abs(chains[:, degrees] / sys.witten_index).max(axis=0).tolist()
     indicators = [0.0 if m == 0.0 else math.sqrt(n) * m ** (1.0 / n)
@@ -422,13 +420,24 @@ def entireness_diagnostic(sys, samples=32, seed=0):
 
 
 def _chains_by_degree(sys, tuples):
-    """chain_integral on sys.spectrum and sys.grading of tuples of stacks,
-    one call per degree: _by_degree with the chain as the evaluator, on
-    the pool of the tuples, where a stack that recurs is one run."""
+    """chain_integral on sys.spectrum and sys.grading of tuples of stacks.
+
+    Returns the (T_t,) or (K, T_t) values of each tuple of stacks, in
+    order.  The tuples read one pool, where a stack that recurs is one
+    run, and the tables of one degree go to chain_integral as one table.
+    """
     pool, tables = _pool_of(tuples)
-    return _by_degree(lambda m, pool, index: chain_integral(sys.spectrum, pool, sys.grading,
-                                                            index=index),
-                      pool, tables)
+    groups = {}
+    for i, table in enumerate(tables):
+        groups.setdefault(len(table), []).append(i)
+    out = [None] * len(tables)
+    for members in groups.values():
+        vals = chain_integral(sys.spectrum, pool, sys.grading,
+                              index=np.concatenate([tables[i] for i in members], axis=1))
+        ends = np.cumsum([tables[i].shape[1] for i in members])
+        for i, part in zip(members, np.split(vals, ends[:-1], axis=-1)):
+            out[i] = part
+    return out
 
 
 def lemma34_check(sys, n=2, samples=6, seed=0):

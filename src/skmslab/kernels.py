@@ -21,17 +21,17 @@ The first level holds its blocks signed (-1)^k, so one GEMM multiplies
 both levels of a position by the same x_k, and the sign rides on the q
 edges.
 
-It takes one tuple of matrices, or K tuples of one degree as stacks, one
-(K, d, d) array per slot, or T tuples as a pool, an (M, d, d) array, and
-an (n + 1, T) table of pool indices; a stack or a pool is one call of
-the builder, and each tuple gets the bits it would get alone.  Gamma and
-the eigenbasis transform run once per distinct entry, and the builder's
-insertions are gathered by the table.  The spectrum may be a stack too,
-evals (K, d) and vecs (K, d, d): stack tuple k is then taken against
-spectrum k, and one tuple against every spectrum of the stack, while
-every tuple of a pool is taken against every spectrum, with pool k for
-spectrum k when the pool is (K, M, d, d); that is how one call serves K
-couplings of a perturbed Hamiltonian.
+Tuples come in one layout, a pool: an (M, d, d) array of matrices and
+an (n + 1, T) table of pool indices, slot i of tuple t being pool entry
+index[i, t]; without a table the pool is the one tuple (xs[0], ..,
+xs[M-1]).  A pool is one call of the builder, and each tuple gets the
+bits it would get alone.  Gamma and the eigenbasis transform run once
+per distinct entry, and the builder's insertions are gathered by the
+table.  The spectrum may be a stack too, evals (K, d) and vecs
+(K, d, d): every tuple is then taken against every spectrum, with pool
+k for spectrum k when the pool is (K, M, d, d); that is how one call
+serves K couplings of a perturbed Hamiltonian.  Stacks of tuples are
+the cochain module's layout, which it turns into a pool.
 Every exponential is priced at s (blocks d)^3, s its substeps, whatever
 the stack size, against `chain_budget()`: SKMS_CHAIN_BUDGET, the one
 setting of the budget, or 1e8.
@@ -355,42 +355,6 @@ def _grading_matrix(grading):
     return as_matrix(grading)
 
 
-def _stacks_of_one(xs):
-    return [as_matrix(x)[None] for x in xs]
-
-
-def _as_stacks(xs):
-    # (n + 1 (K, d, d) stacks, True when xs was one tuple of matrices);
-    # stacks of different shapes raise DimensionMismatch naming them, before
-    # any work, since a pool of them would be indexed wrong without an error
-    if len(xs) > 0 and all(np.ndim(x) == 3 for x in xs):
-        stacks, one = list(xs), False
-    else:
-        stacks, one = _stacks_of_one(xs), True
-    shapes = [np.shape(s) for s in stacks]
-    if any(shape != shapes[0] for shape in shapes):
-        raise DimensionMismatch("insertions must be (K, d, d) stacks of one shape, got %s"
-                                % (shapes,))
-    return stacks, one
-
-
-def _tuple_pool(spectrum, xs):
-    # chain_integral's tuple form as a pool, its table and whether xs was
-    # one tuple: the slots of the tuples one after the other, or with a
-    # stack of K spectra and K tuples, pool k holding the slots of tuple k
-    stacks, one = _as_stacks(xs)
-    if not stacks:
-        raise ValueError("need at least one insertion x_0")
-    count, lead = len(stacks[0]), spectrum.evals.shape[:-1]
-    if lead and count not in (1,) + lead:
-        raise DimensionMismatch(
-            "%d tuples do not match a stack of %d spectra" % (count, lead[0]))
-    if lead and count > 1:
-        return np.stack(stacks, axis=1), np.arange(len(stacks))[:, None], one
-    return (np.concatenate(stacks),
-            np.arange(len(stacks) * count).reshape(len(stacks), count), one)
-
-
 def _split_table(index, size):
     """(entries, heads, table) of an (n + 1, T) table into a pool of size.
 
@@ -410,24 +374,32 @@ def _split_table(index, size):
 
 
 def _eigen_pool(spectrum, pool, index, grading, what):
-    # (mats, table): Gamma times the entries slot 0 reads, then the entries
-    # slots >= 1 read, in the eigenbasis of H, as a (K, M, d, d) array with
-    # K = 1 for one spectrum, each entry transformed once per spectrum; and
-    # index as a table into it.  A NaN or an infinity is refused before the
-    # transform, which would warn on it, and before the price, which a NaN
-    # norm would pass
-    pool, index = np.asarray(pool, dtype=complex), np.asarray(index)
+    # (mats, table, what): Gamma times the entries slot 0 reads, then the
+    # entries slots >= 1 read, in the eigenbasis of H, as a (K, M, d, d)
+    # array with K = 1 for one spectrum, each entry transformed once per
+    # spectrum; index as a table into it, None being the one tuple of the
+    # whole pool; and what formatted with d and the degree.  A NaN or an
+    # infinity is refused before the transform, which would warn on it, and
+    # before the price, which a NaN norm would pass
+    if index is None and not isinstance(pool, np.ndarray):
+        shapes = [np.shape(x) for x in pool]
+        if any(len(shape) != 2 or shape != shapes[0] for shape in shapes):
+            raise DimensionMismatch("one tuple takes (d, d) matrices of one shape, got %s; "
+                                    "stacks of tuples take a pool and a table" % (shapes,))
+    pool = np.asarray(pool, dtype=complex)
     lead = spectrum.evals.shape[:-1]
     if (pool.ndim not in (3, 4) or pool.shape[-2:] != (spectrum.dim,) * 2
             or pool.ndim == 4 and pool.shape[:1] != lead):
         raise DimensionMismatch("insertions of shape %s do not match %s of dimension %d"
                                 % (pool.shape, "%d spectra" % lead[0] if lead else "a spectrum",
                                    spectrum.dim))
+    index = np.arange(pool.shape[-3])[:, None] if index is None else np.asarray(index)
     if (index.ndim != 2 or not index.size or index.dtype.kind not in "iu"
             or index.min() < 0 or index.max() >= pool.shape[-3]):
         raise DimensionMismatch("index must be an (n + 1, T) integer table into %d "
                                 "insertions, got %s of %s" % (pool.shape[-3], index.shape,
                                                               index.dtype))
+    what = what % (spectrum.dim, len(index) - 1)
     if not np.isfinite(pool).all():
         raise ValueError("%s has an insertion that is not finite" % what)
     entries, heads, table = _split_table(index, pool.shape[-3])
@@ -436,10 +408,10 @@ def _eigen_pool(spectrum, pool, index, grading, what):
     if g is not None:
         mats[..., :heads, :, :] = g @ mats[..., :heads, :, :]
     if not lead:
-        return spectrum.to_eigenbasis(mats)[None], table
+        return spectrum.to_eigenbasis(mats)[None], table, what
     # entry-major, (M, 1, d, d) or (M, K, d, d), meets the (K, d, d) bases
     mats = mats[:, None] if mats.ndim == 3 else mats.swapaxes(0, 1)
-    return spectrum.to_eigenbasis(mats).swapaxes(0, 1), table
+    return spectrum.to_eigenbasis(mats).swapaxes(0, 1), table, what
 
 
 def _contract(y0, chain):
@@ -453,10 +425,10 @@ def _chain_edges(spectrum, pool, index, grading, q):
     # the spectrum the builder reads) for the tuples of index at every
     # spectrum: slice k T + t is tuple t at spectrum k.  No edges at n = 0
     # without q
-    n = len(index) - 1
-    what = ("chain with d=%d, n=%d" if q is None
-            else "alternating chain with d=%d, m=%d") % (spectrum.dim, n)
-    mats, table = _eigen_pool(spectrum, pool, index, grading, what)
+    mats, table, what = _eigen_pool(spectrum, pool, index, grading,
+                                    "chain with d=%d, n=%d" if q is None
+                                    else "alternating chain with d=%d, m=%d")
+    n = len(table) - 1
     k, count, d = len(mats), table.shape[1], spectrum.dim
     y0 = mats[:, table[0]].reshape(k * count, d, d)
     rows = spectrum
@@ -476,44 +448,38 @@ def _chain_edges(spectrum, pool, index, grading, q):
     return y0, [(0, 0, qs), (0, 1, ys)], what, rows
 
 
-def _chain_prefixes(spectrum, stacks, grading):
-    # chain_integral of every prefix (x_0, .., x_k) of K tuples given as
-    # n + 1 >= 2 (K, d, d) stacks, as (K, n + 1) values from one block row;
-    # (m, s) are chosen from every position, so a prefix may move at
-    # rounding level against its own chain_integral
-    pool, index, _ = _tuple_pool(spectrum, stacks)
+def _chain_prefixes(spectrum, pool, grading, index):
+    # chain_integral of every prefix (x_0, .., x_k) of the tuples of an
+    # (n + 1, T) table, n >= 1, as (T, n + 1) values from one block row, or
+    # (K T, n + 1) for K spectra; (m, s) are chosen from every position, so
+    # a prefix may move at rounding level against its own chain_integral
     y0, edges, what, rows = _chain_edges(spectrum, pool, index, grading, None)
     return _contract(y0, _heat_chain_blocks(rows, edges, what).swapaxes(0, 1)).T
 
 
 def chain_integral(spectrum, xs, grading, q=None, index=None):
-    """Ordered-simplex heat chain integral of tuples, as a stack or a pool.
+    """Ordered-simplex heat chain integral of the tuples of a pool.
 
     Parameters
     ----------
     spectrum : Spectrum
         Eigendecomposition of the generator H, or a stack of K of them.
-    xs : list of matrices, list of (K, d, d) arrays, or a pool
-        Without index: insertions x_0, ..., x_n (n >= 0) of one tuple; or
-        n + 1 stacks, stack i holding slot x_i of K tuples of degree n.
-        Tuple k of a K-stack is taken against spectrum k of a K-stack of
-        spectra, and one tuple against each of the K.  With index: a pool,
-        an (M, d, d) array, or (K, M, d, d) with pool k for spectrum k.
+    xs : (M, d, d) array or list of M matrices, or (K, M, d, d) array
+        The pool; (K, M, d, d) holds pool k for spectrum k of a K-stack.
     grading : GradingOperator, matrix, or None
         Gamma in the supertrace; None means plain trace.
     q : matrix or None
         An insertion placed after each slot in turn, see below.
     index : (n + 1, T) integer array or None
         Slot i of tuple t is the pool entry xs[..., index[i, t], :, :].
+        None is the one tuple (xs[0], .., xs[M-1]) of degree M - 1.
 
     Returns
     -------
-    complex, or (K,) complex array for stacks or a stacked spectrum; with
-    index, (T,) values, or (K, T) for a stack of K spectra, every tuple at
-    every spectrum
+    (T,) complex values, or (K, T) for a stack of K spectra, every tuple at
+    every spectrum; without index, the one tuple's complex, or (K,)
         int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}) d^n s.
-        For n = 0 without q this is Tr(Gamma x_0 e^{-H}).  The tuple form
-        is the pool of its slots with the table of one entry per slot.
+        For n = 0 without q this is Tr(Gamma x_0 e^{-H}).
         Gamma is applied once to each entry that slot 0 reads, and each
         entry, and q, goes to each spectrum's eigenbasis once; the block
         builder's insertions are gathered by the table.  Each tuple gets
@@ -539,23 +505,21 @@ def chain_integral(spectrum, xs, grading, q=None, index=None):
     (SKMS_CHAIN_BUDGET, default 1e8); each exponential is priced alone,
     whatever the number of tuples, and n = 0 without q is never refused.
     Raises ValueError, naming the chain, when an insertion holds a NaN or
-    an infinity, before any arithmetic on it; DimensionMismatch for stacks
-    of different shapes and for a pool or table that do not fit.
+    an infinity, before any arithmetic on it; DimensionMismatch for a pool
+    or table that do not fit, and for a list that is not one tuple of
+    matrices, as n + 1 stacks of tuples are.
     """
-    one = None
-    if index is None:
-        xs, index, one = _tuple_pool(spectrum, xs)
     y0, edges, what, rows = _chain_edges(spectrum, xs, index, grading, q)
-    count, d = np.shape(index)[1], spectrum.dim
     if edges:
         vals = _contract(y0, _heat_chain_blocks(rows, edges, what)[:, -1])
     else:
-        heads = np.diagonal(y0, axis1=1, axis2=2).reshape(-1, count, d)
-        vals = np.sum(heads * np.exp(-spectrum.evals).reshape(-1, 1, d), axis=-1)
-    vals = vals.reshape(-1, count)
-    if spectrum.evals.ndim > 1:
-        return vals if one is None else vals[:, 0]
-    return complex(vals[0, 0]) if one else vals[0]
+        heat = np.exp(-spectrum.evals).reshape(-1, 1, spectrum.dim)
+        heads = np.diagonal(y0, axis1=1, axis2=2).reshape(len(heat), -1, spectrum.dim)
+        vals = np.sum(heads * heat, axis=-1)
+    vals = vals.reshape(spectrum.evals.shape[:-1] + (-1,))
+    if index is not None:
+        return vals
+    return complex(vals[0]) if vals.ndim == 1 else vals[:, 0]
 
 
 def heat_chain_integrand(spectrum, xs, grading):
@@ -580,9 +544,7 @@ def heat_chain_integrand(spectrum, xs, grading):
     """
     if spectrum.evals.ndim != 1:
         raise DimensionMismatch("the pointwise integrand takes one spectrum, not a stack")
-    what = "chain integrand with d=%d, n=%d" % (spectrum.dim, len(xs) - 1)
-    pool, index, _ = _tuple_pool(spectrum, _stacks_of_one(xs))
-    mats, table = _eigen_pool(spectrum, pool, index, grading, what)
+    mats, table, _ = _eigen_pool(spectrum, xs, None, grading, "chain integrand with d=%d, n=%d")
     ys = list(mats[0, table[:, 0]])
     n = len(ys) - 1
     d = spectrum.dim

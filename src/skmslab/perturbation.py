@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import (_chain_cochain, _chains_by_degree, _couplings, boundary,
+from .cochain import (_chain_cochain, _chains_by_degree, _couplings, _merge, boundary,
                       tau_eval)
 from .dynamics import (SUPERCHARGE_TOL, GradedSystem, _draw_tuples,
                        _functional_residuals, _odd_selfadjoint, _super_gibbs,
@@ -482,10 +482,8 @@ def f_identities_check(ctx, n=3, samples=10, seed=0):
     # every chain of the five identities, in the order they are read below
     tuples = [xs, [gxs[n]] + xs[:n]]
     for k in range(1, n):
-        tuples += [commuted(k), xs[:k - 1] + [xs[k - 1] @ xs[k]] + xs[k + 1:],
-                   xs[:k] + [xs[k] @ xs[k + 1]] + xs[k + 2:]]
-    tuples += [commuted(n), xs[:n - 1] + [xs[n - 1] @ xs[n]],
-               [gxs[n] @ xs[0]] + xs[1:n]]
+        tuples += [commuted(k), _merge(xs, k - 1), _merge(xs, k)]
+    tuples += [commuted(n), _merge(xs, n - 1), [gxs[n] @ xs[0]] + xs[1:n]]
     tuples += [[unit] + xs[j:] + gxs[:j] for j in range(n + 1)]
     tuples += [gxs[:j] + [superderivation(ctx, xs[j])] + xs[j + 1:]
                for j in range(n + 1)]

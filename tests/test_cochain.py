@@ -592,7 +592,8 @@ def test_entireness_diagnostic_draws_each_sample_in_one_call(monkeypatch):
     seen = []
     prefixes = cochain_module._chain_prefixes
     monkeypatch.setattr(cochain_module, "_chain_prefixes",
-                        lambda spec, stacks, g: seen.append(stacks) or prefixes(spec, stacks, g))
+                        lambda spec, pool, g, index: (seen.append(pool[index])
+                                                      or prefixes(spec, pool, g, index)))
     got = indicators(entireness_diagnostic(sys_, samples=6, seed=3))
     slots = _entireness_slots_drawn_slot_by_slot(sys_, 6, 3)
     derived = [slots[0]] + [superderivation(sys_, x) for x in slots[1:]]

@@ -274,6 +274,16 @@ def _random_spectrum(rng, d, count=None):
     return Spectrum(evals, basis)
 
 
+def _pool_of_stacks(spectrum, stacks):
+    # K tuples given as n + 1 (K, d, d) stacks, as a pool and a table: on
+    # one spectrum the stacks one after the other with an (n + 1, K) table;
+    # on a stack of K spectra the (K, n + 1, d, d) pool, pool k holding
+    # tuple k, with the identity table
+    if spectrum.evals.ndim > 1:
+        return np.stack(stacks, axis=1), np.arange(len(stacks))[:, None]
+    return np.concatenate(stacks), np.arange(len(stacks) * len(stacks[0])).reshape(len(stacks), -1)
+
+
 @pytest.mark.parametrize("d", [3, 5, 8, 10])
 def test_taylor_step_keeps_the_bits_of_the_reference_on_every_run_layout(
         monkeypatch, d):
@@ -331,7 +341,8 @@ def test_two_level_alternating_chain_keeps_the_bits_of_the_flat_runs(
     # row, -y_k on block (k-1, k), +y_k on block (m+k, m+1+k) and q on
     # block (k, m+1+k), through the reference step; K = 3 tuples on one
     # spectrum, and on a stack of three whose spreads (2, 20, 80) take
-    # different substep counts
+    # different substep counts, as a (3, m + 1, d, d) pool, tuple k for
+    # spectrum k
     rng = np.random.default_rng(700 + 10 * d + m)
     built = []
     build = kernels._heat_chain_blocks
@@ -346,9 +357,10 @@ def test_two_level_alternating_chain_keeps_the_bits_of_the_flat_runs(
     for spectrum in (one, stiff):
         xs = list(_random_stack(rng, (m + 1, 3, d, d)) / d)
         q = _random_stack(rng, (d, d)) / d
+        pool, index = _pool_of_stacks(spectrum, xs)
         with monkeypatch.context() as patched:
             patched.setattr(kernels, "_heat_chain_blocks", recorded)
-            value = chain_integral(spectrum, xs, None, q=q)
+            value = chain_integral(spectrum, pool, None, q, index).reshape(-1)
         edges, got = built.pop()
         assert [(row, col) for row, col, _ in edges] == [(0, 0), (0, 1)]
         qs, ys = edges[0][2], edges[1][2]
@@ -369,8 +381,9 @@ def test_two_level_alternating_chain_keeps_the_bits_of_the_flat_runs(
 def test_every_prefix_of_the_block_row_is_its_own_chain(seed):
     # column k of _chain_prefixes against chain_integral on the prefix
     # (x_0, .., x_k) alone, on fuzzed d, n, K, spectral spread, insertion
-    # sizes and one or a stack of spectra: (m, s) are chosen from every
-    # position, so a prefix moves at rounding level only (4e-15 seen)
+    # sizes and one or a stack of spectra, tuple k for spectrum k: (m, s)
+    # are chosen from every position, so a prefix moves at rounding level
+    # only (4e-15 seen)
     rng = np.random.default_rng(900 + seed)
     d, n, k = int(rng.choice([2, 3, 5, 8])), int(rng.integers(1, 13)), int(rng.integers(1, 5))
     lead = (k,) if seed % 2 else ()
@@ -380,10 +393,11 @@ def test_every_prefix_of_the_block_row_is_its_own_chain(seed):
     xs = list(_random_stack(rng, (n + 1, k, d, d))
               * rng.uniform(0.05, 3.0, (n + 1, k, 1, 1)) / d)
     g = np.diag(rng.choice([-1.0, 1.0], d)).astype(complex)
-    got = kernels._chain_prefixes(spectrum, xs, g)
+    pool, index = _pool_of_stacks(spectrum, xs)
+    got = kernels._chain_prefixes(spectrum, pool, g, index)
     assert got.shape == (k, n + 1)
     for top in range(n + 1):
-        want = chain_integral(spectrum, xs[:top + 1], g)
+        want = chain_integral(spectrum, pool, g, index=index[:top + 1]).reshape(-1)
         assert np.all(np.abs(got[:, top] - want) <= 1e-13 * np.abs(want)), top
 
 
@@ -499,6 +513,22 @@ def test_chain_integral_pool_form_equals_the_tuple_form(q):
             chain_integral(spec, pool, g, q, bad)
     with pytest.raises(DimensionMismatch, match="do not match 2 spectra"):
         chain_integral(two, np.array([pool] * 3), g, q, index)
+
+
+def test_chain_integral_refuses_stacks_without_a_table():
+    # n + 1 (K, d, d) stacks, the stack form before the kernel took only a
+    # pool, are refused by their shapes, also with K = n + 1 spectra, where
+    # the stacks as one array would read as a (K, M, d, d) pool
+    spec, g, xs = chain_fixture()
+    three = Spectrum(np.array([spec.evals] * 3), np.array([spec.vecs] * 3))
+    for spectrum, k in ((spec, 2), (three, 3)):
+        stacks = [np.stack([x] * k) for x in xs]
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "one tuple takes (d, d) matrices of one shape, got [(%d, 3, 3), (%d, 3, 3), "
+                "(%d, 3, 3)]" % (k, k, k))):
+            chain_integral(spectrum, stacks, g)
+    with pytest.raises(DimensionMismatch, match=re.escape("insertions of shape (3, 2, 3, 3)")):
+        chain_integral(spec, np.array([np.stack([x] * 2) for x in xs]), g)
 
 
 def test_chain_integral_errors(monkeypatch):

@@ -547,9 +547,11 @@ def test_chain_batches_equal_single_calls_bit_for_bit(p, q, r):
         for n in (0, 1, 2, 3):
             tuples = [[rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                        for _ in range(n + 1)] for _ in range(k)]
-            stacks = [np.stack(slot) for slot in zip(*tuples)]
-            chains = chain_integral(ctx.spectrum, stacks, ctx.grading)
-            alts = chain_integral(ctx.spectrum, stacks, ctx.grading, q=qm)
+            # tuple t in pool entries t (n + 1) .. (t + 1) (n + 1)
+            pool = np.array([x for xs in tuples for x in xs])
+            index = np.arange(k * (n + 1)).reshape(k, n + 1).T
+            chains = chain_integral(ctx.spectrum, pool, ctx.grading, index=index)
+            alts = chain_integral(ctx.spectrum, pool, ctx.grading, q=qm, index=index)
             assert chains.shape == alts.shape == (k,)
             for xs, c, a in zip(tuples, chains, alts):
                 assert c == chain_integral(ctx.spectrum, xs, ctx.grading), (k, n)
