@@ -44,21 +44,22 @@ takes n + 1 (T, d, d) stacks in __call__, or one tuple of matrices as a
 stack of one, tests parity on whole stacks (GradingOperator.classify
 takes stacks), and hands its evaluator, evaluator(n, pool, index), the
 pool of the stacks with its table; the evaluator returns the T values
-(one row of them per coupling of a vector context).  connes_B and
-hochschild_b take rho (a Cochain or its evaluator) on one tuple or on
-stacks.  Their terms are rotations and merges of the same slots, so
-they read one pool holding each argument, each product x_j x_{j+1} and
-x_n x_0, and one unit, once: _B_terms and _b_terms give the signs and
-one table, term j in columns j T .. (j + 1) T, and the operator is one
-call of rho on it, whose slices are summed in term order.  boundary's
-evaluator is the two on a shared pool, so each degree costs one call of
-the block-exponential builder.  The chain evaluator applies delta_r once
-per coupling to each entry that slots >= 1 read, and the kernel takes
-each entry to each eigenbasis once.  The chains of lemma34_check and
-perturbation.f_identities_check, of several degrees, go to the kernel
-one table per degree (_chains_by_degree); entireness_diagnostic reads
-every degree of its samples off one call.  A stack gives every tuple
-the bits it would get alone.
+(one row of them per coupling of a vector context).  B, b and B + b
+are one operator over rho, a Cochain, whose terms are rotations and
+merges of the argument slots.  Each operator reads only its own terms:
+B adds one unit to the pool, b the products x_j x_{j+1} and x_n x_0,
+each formed once; _B_terms and _b_terms give the pool, the signs and
+one table, term j in columns j T .. (j + 1) T, and each is one call of
+rho's evaluator, whose slices are summed in term order.  So B, b and
+each part of boundary cost one call of the block-exponential builder.
+The chain evaluator and entireness_diagnostic build their chains in
+_tau_pool, which applies delta_r once per coupling to each entry that
+slots >= 1 read, and the kernel takes each entry to each eigenbasis
+once.  The chains of lemma34_check and perturbation.f_identities_check,
+of several degrees, go to the kernel one table per degree
+(_chains_by_degree); entireness_diagnostic reads every degree of its
+samples off one call.  A stack gives every tuple the bits it would get
+alone.
 """
 
 import math
@@ -68,8 +69,8 @@ import numpy as np
 from .dynamics import _draw_tuples, _superderivation_stack
 from .errors import DimensionMismatch, ParityViolation, check_integer
 from .graded import Parity, as_matrix
-from .kernels import (SimplexQuadratureRule, _chain_prefixes, _split_table, chain_integral,
-                      heat_chain_integrand, simplex_quadrature)
+from .kernels import (SimplexQuadratureRule, _chain_prefixes, _first_tuple, _split_table,
+                      chain_integral, heat_chain_integrand, simplex_quadrature)
 from .report import Measurement
 
 # the one rule of chain.slot_derivative, run at degree n + 1 of
@@ -127,20 +128,6 @@ def _pool_of(tuples):
     return np.concatenate(parts, dtype=complex), tables
 
 
-def _pool_at(n, xs, grading):
-    # (pool, table, whether xs was one tuple) of the n + 1 arguments xs,
-    # checked before any work: ValueError on the arity, DimensionMismatch
-    # on stacks of different shapes and, with a grading, ParityViolation
-    if len(xs) != n + 1:
-        raise ValueError("degree %d expects %d arguments, got %d"
-                         % (n, n + 1, len(xs)))
-    stacks, one = _as_stacks(xs)
-    if grading is not None:
-        _require_even(grading, stacks)
-    pool, (index,) = _pool_of([stacks])
-    return pool, index, one
-
-
 class Cochain:
     """Parity-tagged multilinear family given by a pool evaluator.
 
@@ -161,9 +148,9 @@ class Cochain:
     stack, its tuple).  At a degree n of the wrong parity every tuple
     reads 0 without evaluation; at the others the tuples go to the
     evaluator as one pool.  So the evaluator only sees supported degrees
-    and needs no checks of its own; connes_B and hochschild_b take it, or
-    the Cochain, as rho.  Parity tests run on whole stacks, once for all
-    the couplings, and each tuple gets the bits it would get alone.
+    and needs no checks of its own.  Parity tests run on whole stacks,
+    once for all the couplings, and each tuple gets the bits it would get
+    alone.
     """
 
     def __init__(self, evaluator, parity, name="", grading=None, couplings=()):
@@ -183,63 +170,49 @@ class Cochain:
 
     def __call__(self, n, xs):
         check_integer("degree", n, 0)
-        pool, index, one = _pool_at(n, xs, self.grading)
-        return _one_value(self._values(n, pool, index), one)
-
-    def _values(self, n, pool, index):
-        # the evaluator's values at a pool, 0 at a degree of the other parity
-        vals = np.zeros(self.couplings + (index.shape[1],), dtype=complex)
+        if len(xs) != n + 1:
+            raise ValueError("degree %d expects %d arguments, got %d"
+                             % (n, n + 1, len(xs)))
+        stacks, one = _as_stacks(xs)
+        if self.grading is not None:
+            _require_even(self.grading, stacks)
+        vals = np.zeros(self.couplings + (len(stacks[0]),), dtype=complex)
         if self.supports(n):
+            pool, (index,) = _pool_of([stacks])
             vals[:] = self.evaluator(n, pool, index)
-        return vals
+        return _first_tuple(vals) if one else vals
 
     def __repr__(self):
         return "Cochain(%s, parity=%s)" % (self.name or "<evaluator>", self.parity.value)
-
-
-def _one_value(vals, one):
-    # the (T,) or (K, T) values of a stack as they are; for one tuple, a
-    # stack of one, its value: a complex, or one per coupling (K,)
-    if not one:
-        return vals
-    return complex(vals[0]) if vals.ndim == 1 else vals[:, 0]
 
 
 def _merge(xs, j):
     return list(xs[:j]) + [xs[j] @ xs[j + 1]] + list(xs[j + 2:])
 
 
-def _term_pool(pool, index):
-    """The pool that the terms of B and b read, and the tables it adds.
-
-    It is pool, then x_j x_{j+1} for j < n and x_n x_0 of every tuple of
-    the (n + 1, T) table index, then the unit, each stored once.  Returns
-    it, the (n + 1, T) table of the products and the (1, T) table of the
-    unit.
-    """
-    after = np.concatenate([index[1:], index[:1]])
-    prods = (pool[index] @ pool[after]).reshape((-1,) + pool.shape[1:])
-    unit = np.eye(pool.shape[-1], dtype=complex)[None]
-    table = len(pool) + np.arange(index.size).reshape(index.shape)
-    return (np.concatenate([pool, prods, unit]), table,
-            np.full((1, index.shape[1]), len(pool) + index.size))
-
-
-def _b_terms(n, slots, prods, unit):
-    # (signs, table at degree n - 1) of the n + 1 terms of (b rho)_n, term j
-    # in columns j T .. (j + 1) T, from the (n + 1, T) tables of x_0..x_n
-    # and of the products x_j x_{j+1}, j < n, and x_n x_0
-    terms = [np.concatenate([slots[:j], prods[j:j + 1], slots[j + 2:]]) for j in range(n)]
-    terms.append(np.concatenate([prods[n:], slots[1:n]]))
-    return [(-1) ** j for j in range(n + 1)], np.concatenate(terms, axis=1)
-
-
-def _B_terms(n, slots, prods, unit):
-    # (signs, table at degree n + 1) of the n + 1 terms of (B rho)_n, term j
-    # in columns j T .. (j + 1) T, from the tables of x_0..x_n and the unit
-    return ([(-1) ** (n * j) for j in range(n + 1)],
-            np.concatenate([np.concatenate([unit, slots[j:], slots[:j]])
+def _B_terms(n, pool, index):
+    # (pool, signs, table at degree n + 1) of the n + 1 terms of (B rho)_n
+    # at the tuples of the (n + 1, T) table index, term j in columns
+    # j T .. (j + 1) T: B's terms read the arguments and the unit, which
+    # the pool gains
+    unit = np.full((1, index.shape[1]), len(pool))
+    return (np.concatenate([pool, np.eye(pool.shape[-1], dtype=complex)[None]]),
+            [(-1) ** (n * j) for j in range(n + 1)],
+            np.concatenate([np.concatenate([unit, index[j:], index[:j]])
                             for j in range(n + 1)], axis=1))
+
+
+def _b_terms(n, pool, index):
+    # (pool, signs, table at degree n - 1) of the n + 1 terms of (b rho)_n
+    # at the tuples of the (n + 1, T) table index, term j in columns
+    # j T .. (j + 1) T: b's terms read the arguments and the products
+    # x_j x_{j+1}, j < n, and x_n x_0 of every tuple, which the pool gains
+    after = np.concatenate([index[1:], index[:1]])
+    prods = len(pool) + np.arange(index.size).reshape(index.shape)
+    terms = [np.concatenate([index[:j], prods[j:j + 1], index[j + 2:]]) for j in range(n)]
+    terms.append(np.concatenate([prods[n:], index[1:n]]))
+    return (np.concatenate([pool, (pool[index] @ pool[after]).reshape((-1,) + pool.shape[1:])]),
+            [(-1) ** j for j in range(n + 1)], np.concatenate(terms, axis=1))
 
 
 def _term_sum(rho, pool, signs, table):
@@ -256,64 +229,60 @@ def _term_sum(rho, pool, signs, table):
                0.0 + 0.0j)
 
 
-def _terms_at(rho, n, xs, terms_of):
-    # the signed sum of rho at the terms terms_of gives for xs, for connes_B
-    # and hochschild_b: a Cochain rho checks the parity of xs, as its own
-    # call does, and reads 0 at its other parity
-    grading = rho.grading if isinstance(rho, Cochain) else None
-    pool, index, one = _pool_at(n, xs, grading)
-    pool, *tables = _term_pool(pool, index)
-    rho = rho._values if isinstance(rho, Cochain) else rho
-    return _one_value(_term_sum(rho, pool, *terms_of(n, index, *tables)), one)
+def _operator(rho, parts, name):
+    """The parts of (B + b) rho, _B_terms and/or _b_terms, as a Cochain.
+
+    It has rho's grading and couplings and the flipped parity.  Its
+    evaluator sums _term_sum of rho's evaluator over the parts, B before
+    b, and leaves b out at degree 0.  rho must be a Cochain (TypeError).
+    """
+    if not isinstance(rho, Cochain):
+        raise TypeError("rho must be a Cochain, got %s" % type(rho).__name__)
+    flipped = Parity.ODD if rho.parity is Parity.EVEN else Parity.EVEN
+
+    def evaluator(n, pool, index):
+        return sum(_term_sum(rho.evaluator, *part(n, pool, index))
+                   for part in parts if n or part is not _b_terms)
+
+    return Cochain(evaluator, flipped, name="%s(%s)" % (name, rho.name or "rho"),
+                   grading=rho.grading, couplings=rho.couplings)
 
 
 def hochschild_b(rho, n, xs):
     """(b rho)_n(x_0..x_n); needs rho at degree n-1, so n >= 1.
 
-    rho is a Cochain or its evaluator.  xs is one tuple, whose value is
-    returned (a complex, or one per coupling), or n + 1 (T, d, d) stacks
-    holding T tuples, whose T values are returned; stacks of different
-    shapes raise DimensionMismatch before any work.  The terms of all the
-    tuples read one pool, xs, the products x_j x_{j+1} and x_n x_0 and the
-    unit each stored once, and go to rho as one table, one call.
+    rho is a Cochain, not a bare evaluator (TypeError).  xs is one tuple,
+    whose value is returned (a complex, or one per coupling), or n + 1
+    (T, d, d) stacks holding T tuples, whose T values are returned, and
+    rho's grading checks them once; where rho reads 0 so does b, without
+    calling rho.  The terms read only xs and the products x_j x_{j+1} and
+    x_n x_0, and go to rho's evaluator as one table, in one call.
     """
     check_integer("degree", n, 1)
-    return _terms_at(rho, n, xs, _b_terms)
+    return _operator(rho, (_b_terms,), "b")(n, xs)
 
 
 def connes_B(rho, n, xs):
     """(B rho)_n(x_0..x_n) = sum_j (-1)^{nj} rho_{n+1}(1, x_j, .., x_{j-1}).
 
-    rho and xs as for hochschild_b, and the terms read the same pool.
+    rho and xs as for hochschild_b; the terms read only xs and one unit.
     """
-    check_integer("degree", n, 0)
-    return _terms_at(rho, n, xs, _B_terms)
+    return _operator(rho, (_B_terms,), "B")(n, xs)
 
 
 def boundary(rho):
     """partial rho = (B + b) rho as a Cochain of flipped parity.
 
-    At degree 0 only the B part contributes (b lowers below degree 0).  The
-    result carries rho's grading, so its __call__ checks the parity of
-    x_0..x_n once.  Its evaluator takes the terms of B and b to rho's
-    evaluator, so rho's checks are not repeated: a product of even
-    elements is even.  B and b read one pool, the arguments, their
-    products and the unit; the B terms of all tuples go to rho's
-    evaluator as one table at degree n + 1, the b terms as one at degree
-    n - 1.  The values are the ones that connes_B and hochschild_b give
-    with rho itself on each tuple, bit for bit.
+    rho is a Cochain, not a bare evaluator (TypeError).  At degree 0 only
+    the B part contributes (b lowers below degree 0).  The result carries
+    rho's grading, so its __call__ checks the parity of x_0..x_n once,
+    and its evaluator takes the terms to rho's evaluator, whose checks
+    are not repeated: a product of even elements is even.  B and b each
+    form only what their terms read and go to rho's evaluator as one
+    table each, at degree n + 1 and n - 1.  The values are the ones that
+    connes_B and hochschild_b give with rho on each tuple, bit for bit.
     """
-    flipped = Parity.ODD if rho.parity is Parity.EVEN else Parity.EVEN
-
-    def evaluator(n, pool, index):
-        pool, *tables = _term_pool(pool, index)
-        vals = _term_sum(rho.evaluator, pool, *_B_terms(n, index, *tables))
-        if n >= 1:
-            vals = vals + _term_sum(rho.evaluator, pool, *_b_terms(n, index, *tables))
-        return vals
-
-    return Cochain(evaluator, flipped, name="boundary(%s)" % (rho.name or "rho"),
-                   grading=rho.grading, couplings=rho.couplings)
+    return _operator(rho, (_B_terms, _b_terms), "boundary")
 
 
 def _couplings(sys):
@@ -321,12 +290,11 @@ def _couplings(sys):
     return sys.spectrum.evals.shape[:-1]
 
 
-def _chain_values(sys, pool, index, q=None):
-    # (1/Z) chain_integral(x_0, delta(x_1), .., delta(x_n); q) of the tuples
-    # of index, against every coupling of a context: (T,) or (K, T) values
-    # from one call of the block builder, n = 0 included: tau_0 is the
-    # kernel's contraction Tr(Gamma x_0 e^{-H}) / Z.  delta_r runs once on
-    # each entry that slots >= 1 read, for all K couplings at once: the
+def _tau_pool(sys, pool, index):
+    # (pool, table) of the chains x_0, delta_r(x_1), .., delta_r(x_n) of the
+    # tuples of the (n + 1, T) table index, against every coupling of a
+    # context: the entries slot 0 reads as they are, then delta_r of the
+    # entries slots >= 1 read, each once, for all K couplings at once: the
     # (K, d, d) supercharges broadcast against an (M, 1, d, d) stack
     entries, count, table = _split_table(index, len(pool))
     lead = _couplings(sys)
@@ -334,9 +302,16 @@ def _chain_values(sys, pool, index, q=None):
     derived = _superderivation_stack(sys, rest[:, None] if lead else rest)
     if lead:
         heads, derived = np.broadcast_to(heads, lead + heads.shape), derived.swapaxes(0, 1)
-    vals = chain_integral(sys.spectrum, np.concatenate([heads, derived], axis=-3),
-                          sys.grading, q, table)
-    return vals / sys.witten_index
+    return np.concatenate([heads, derived], axis=-3), table
+
+
+def _chain_values(sys, pool, index, q=None):
+    # (1/Z) chain_integral(x_0, delta(x_1), .., delta(x_n); q) of the tuples
+    # of index, against every coupling of a context: (T,) or (K, T) values
+    # from one call of the block builder, n = 0 included: tau_0 is the
+    # kernel's contraction Tr(Gamma x_0 e^{-H}) / Z
+    pool, table = _tau_pool(sys, pool, index)
+    return chain_integral(sys.spectrum, pool, sys.grading, q, table) / sys.witten_index
 
 
 def _chain_cochain(sys, q=None):
@@ -400,10 +375,8 @@ def entireness_diagnostic(sys, samples=32, seed=0):
                         for i in range(samples)])
     coeffs = (z[:, 0] + 1j * z[:, 1]).T[:, :, None, None]
     mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
-    slots = mats.reshape(samples, ENTIRENESS_TOP + 1, sys.dim, sys.dim).swapaxes(0, 1)
-    pool = np.concatenate([slots[0], *_superderivation_stack(sys, slots[1:])])
-    chains = _chain_prefixes(sys.spectrum, pool, sys.grading,
-                             np.arange(len(pool)).reshape(ENTIRENESS_TOP + 1, samples))
+    pool, table = _tau_pool(sys, mats, np.arange(len(mats)).reshape(samples, -1).T)
+    chains = _chain_prefixes(sys.spectrum, pool, sys.grading, table)
     degrees = range(2, ENTIRENESS_TOP + 1, 2)
     best = np.abs(chains[:, degrees] / sys.witten_index).max(axis=0).tolist()
     indicators = [0.0 if m == 0.0 else math.sqrt(n) * m ** (1.0 / n)

@@ -414,6 +414,11 @@ def _eigen_pool(spectrum, pool, index, grading, what):
     return spectrum.to_eigenbasis(mats).swapaxes(0, 1), table, what
 
 
+def _first_tuple(vals):
+    # the first tuple's value of (T,) or (K, T) values: a complex, or (K,)
+    return complex(vals[0]) if vals.ndim == 1 else vals[:, 0]
+
+
 def _contract(y0, chain):
     # Tr(y0 c) per slice of the (K, d, d) stack y0 and of chain, a (K, d, d)
     # stack, or P of them, (P, K, d, d), read as (P, K) values
@@ -517,9 +522,7 @@ def chain_integral(spectrum, xs, grading, q=None, index=None):
         heads = np.diagonal(y0, axis1=1, axis2=2).reshape(len(heat), -1, spectrum.dim)
         vals = np.sum(heads * heat, axis=-1)
     vals = vals.reshape(spectrum.evals.shape[:-1] + (-1,))
-    if index is not None:
-        return vals
-    return complex(vals[0]) if vals.ndim == 1 else vals[:, 0]
+    return vals if index is not None else _first_tuple(vals)
 
 
 def heat_chain_integrand(spectrum, xs, grading):

@@ -112,7 +112,7 @@ def stacked_trace(a, xs, n):
 def test_hochschild_b_hand_formula():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    rho = lambda n, pool, index: stacked_trace(a, pool[index], 0)
+    rho = Cochain(lambda n, pool, index: stacked_trace(a, pool[index], 0), Parity.EVEN)
     x0 = rng.standard_normal((3, 3))
     x1 = rng.standard_normal((3, 3))
     got = hochschild_b(rho, 1, [x0, x1])
@@ -132,7 +132,7 @@ def test_connes_B_hand_formula():
         return stacked_trace(a, pool[index], 1)
 
     x0 = rng.standard_normal((3, 3))
-    got = connes_B(rho, 0, [x0])
+    got = connes_B(Cochain(rho, Parity.ODD), 0, [x0])
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0][0], np.eye(3)[None])
     np.testing.assert_array_equal(seen[0][1], x0[None])
@@ -144,9 +144,42 @@ def test_B_and_b_refuse_a_per_tuple_rho():
     # first tuple of the table and gives one value for all of them
     rho = lambda n, pool, index: np.trace(pool[index[0, 0]])
     x = np.diag([1.0, 2.0, 3.0])
-    for op, n in ((connes_B, 0), (hochschild_b, 1)):
+    for op, n, parity in ((connes_B, 0, Parity.ODD), (hochschild_b, 1, Parity.EVEN)):
         with pytest.raises(ValueError, match="one value per tuple on the last axis"):
-            op(rho, n, [x] * (n + 1))
+            op(Cochain(rho, parity), n, [x] * (n + 1))
+
+
+def test_B_b_and_boundary_refuse_a_bare_evaluator():
+    # rho is a Cochain, whose parity gates the terms and whose grading
+    # checks the arguments
+    rho = lambda n, pool, index: np.zeros(index.shape[1])
+    x = np.diag([1.0, 2.0, 3.0])
+    for call in (lambda: connes_B(rho, 0, [x]), lambda: hochschild_b(rho, 1, [x, x]),
+                 lambda: boundary(rho)):
+        with pytest.raises(TypeError, match="Cochain"):
+            call()
+
+
+def test_B_and_boundary_hand_rho_only_what_their_terms_read():
+    # B's terms read the arguments and the unit, not the products
+    # x_j x_{j+1} and x_n x_0 that only b reads; boundary at degree 0,
+    # where b is left out, is one call of rho on the same pool
+    sizes = []
+
+    def evaluator(n, pool, index):
+        sizes.append(len(pool))
+        return np.zeros(index.shape[1])
+
+    odd, even = Cochain(evaluator, Parity.ODD), Cochain(evaluator, Parity.EVEN)
+    rng = np.random.default_rng(46)
+    for n, rho in ((0, odd), (1, even), (3, even), (4, odd)):
+        xs = list(rng.standard_normal((n + 1, 7, 3, 3)))
+        del sizes[:]
+        connes_B(rho, n, xs)
+        assert sizes == [7 * (n + 1) + 1], n
+    del sizes[:]
+    boundary(odd)(0, [rng.standard_normal((7, 3, 3))])
+    assert sizes == [7 + 1]
 
 
 def test_hochschild_b_squares_to_zero():
@@ -159,7 +192,9 @@ def test_hochschild_b_squares_to_zero():
 
     xs = [rng.standard_normal((3, 3)) for _ in range(4)]
     # outer b at degree 3 asks the inner b at degree 2, which asks rho at 1
-    bb = hochschild_b(lambda n, pool, index: hochschild_b(rho, n, list(pool[index])), 3, xs)
+    inner = Cochain(lambda n, pool, index: hochschild_b(Cochain(rho, Parity.ODD), n,
+                                                        list(pool[index])), Parity.EVEN)
+    bb = hochschild_b(inner, 3, xs)
     assert abs(bb) < 1e-12
 
 

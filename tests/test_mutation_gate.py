@@ -81,18 +81,18 @@ def reverse_insertions(monkeypatch, spec):
 def flip_last_b_sign(monkeypatch, spec):
     b_terms = cochain._b_terms
 
-    def flipped(n, *tables):
-        signs, table = b_terms(n, *tables)
-        return list(signs[:-1]) + [-signs[-1]], table
+    def flipped(n, pool, index):
+        pool, signs, table = b_terms(n, pool, index)
+        return pool, list(signs[:-1]) + [-signs[-1]], table
     monkeypatch.setattr(cochain, "_b_terms", flipped)
 
 
 def wrong_b_signs(monkeypatch, spec):
     big_b_terms = cochain._B_terms
 
-    def resigned(n, *tables):
-        signs, table = big_b_terms(n, *tables)
-        return [(-1) ** ((n + 1) * j) for j in range(len(signs))], table
+    def resigned(n, pool, index):
+        pool, signs, table = big_b_terms(n, pool, index)
+        return pool, [(-1) ** ((n + 1) * j) for j in range(len(signs))], table
     monkeypatch.setattr(cochain, "_B_terms", resigned)
 
 
