@@ -41,8 +41,8 @@ Tuples have one layout, the pool of kernels.chain_integral: an
 (M, d, d) array of matrices and an (n + 1, T) integer table, slot i of
 tuple t being pool[index[i, t]].  Stacks are this module's: a Cochain
 takes n + 1 (T, d, d) stacks in __call__, or one tuple of matrices as a
-stack of one, tests parity on whole stacks (GradingOperator.classify
-takes stacks), and hands its evaluator, evaluator(n, pool, index), the
+stack of one, tests parity in one GradingOperator.classify call on
+all the slots, and hands its evaluator, evaluator(n, pool, index), the
 pool of the stacks with its table; the evaluator returns the T values
 (one row of them per coupling of a vector context).  B, b and B + b
 are one operator over rho, a Cochain, whose terms are rotations and
@@ -83,9 +83,9 @@ ENTIRENESS_TOP = 12
 
 def _require_even(grading, stacks):
     # ParityViolation naming the first slot that is not even in the first
-    # of the K tuples that has one; one classify call per (K, d, d) slot
-    bad = np.array([[p is not Parity.EVEN for p in grading.classify(s)]
-                    for s in stacks])
+    # of the K tuples that has one; one classify call on every slot at once
+    bad = np.array([p is not Parity.EVEN for p in grading.classify(np.concatenate(stacks))]
+                   ).reshape(len(stacks), -1)
     if bad.any():
         k = int(np.argmax(bad.any(axis=0)))
         where = " in tuple %d" % k if bad.shape[1] > 1 else ""
@@ -148,7 +148,7 @@ class Cochain:
     stack, its tuple).  At a degree n of the wrong parity every tuple
     reads 0 without evaluation; at the others the tuples go to the
     evaluator as one pool.  So the evaluator only sees supported degrees
-    and needs no checks of its own.  Parity tests run on whole stacks,
+    and needs no checks of its own.  Parity is one test of all the slots,
     once for all the couplings, and each tuple gets the bits it would get
     alone.
     """

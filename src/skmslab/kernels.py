@@ -60,14 +60,14 @@ for order k, with c = it.
 
 Per Taylor term the builder does one GEMM per position of each run,
 (levels d x d) by (d x d), and one per position of each level edge, and
-five whole-array passes: the diagonal factors, held as one (d, d) block
+four whole-array passes: the diagonal factors, held as one (d, d) block
 per slice; the add of the products; the 1/(s j) scale, one float for
-the stack when every slice has the same s; the add into the sums; and,
-once a slice may stop, max|term| per block.  The first substep starts
-from [I, 0, .., 0], so a position is zero until a run reaches it, and
-no GEMM reads it before.  A block's running sum is read only when a
-bound on it could let a slice stop.  None of this changes a bit of the
-result.
+the stack when every slice has the same s; and the add into the sums.
+The first substep starts from [I, 0, .., 0], so a position is zero
+until a run reaches it, and no GEMM reads it before.  Sizes are read
+only where a slice can stop: none before a floor that block 0 sets,
+then the last block's, and every block's only where the last one lets
+a slice stop.  None of this changes a bit of the result.
 """
 
 import functools
@@ -203,9 +203,9 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     of that block's sum, so far blocks, orders below the near ones, keep
     their relative accuracy.  (m, s) and the stopping point are per slice
     and stopped slices are masked, so each slice gets the bits it gets
-    alone.  The block sums are read only when an upper bound on them
-    would let a live slice stop, which gives the same stopping term as
-    reading them on every term.  The first substep starts from [I, 0, ..,
+    alone.  Sizes are read only where a slice can stop (see
+    _taylor_step), on the same term as with every size read on every
+    term.  The first substep starts from [I, 0, ..,
     0] and multiplies no position that no run has reached yet, which is
     zero.  No generator is formed: the workspace is a few arrays of the
     returned shape.
@@ -267,11 +267,18 @@ def _taylor_step(total, diag, runs, s, caps, stopped, fresh):
     # a pass over a slice of the positions, which is slower and raises the
     # memory peak.  For that peak, too, the column factors are complex
     # (float ones make the in-place products buffer) and each term's
-    # products go before the next's.  max|total| is read only when an
-    # upper bound on it, the last value read plus the sizes of the terms
-    # added since, would let a live slice stop, or when a cap is reached;
-    # the slack 2^-40 on that bound covers its rounding, so every slice
-    # stops on the term the exact value gives
+    # products go before the next's.  Slice k stops on the first term j
+    # >= blocks on which every block has |t_{j-1}| + |t_j| <= 2^-53
+    # max|total|, |.| the block's max modulus, or on its cap.  Sizes are
+    # read only where that test can pass: none before the term ahead of
+    # _stop_floor's; from there the last block's |t_j| on every term, with
+    # an upper bound on its max|total| (the last value read plus the sizes
+    # added since; slack 2^-40 covers its rounding); every block's |t_j|
+    # only when a live slice has the last block's within 2^-53 of that
+    # bound, which a stop on term j + 1 needs; and every block's
+    # max|total|, for the exact test, only when a live slice passes the
+    # test on the last block.  Each read being a necessary condition,
+    # every slice stops on the term it stops on with every size read
     k, positions, d = total.shape[0], total.shape[1], total.shape[-1]
     term = total.copy()
     sums, blocks = total.reshape(k, -1, d, d), term.reshape(k, -1, d, d)
@@ -296,9 +303,12 @@ def _taylor_step(total, diag, runs, s, caps, stopped, fresh):
     floats = blocks.view(float)
     reach, cut = 1, fresh
     live = ~stopped
-    masked, cap = not live.all(), int(caps[live].min())
-    # ceiling bounds max|total| per block from the first read on
-    last = ceiling = None
+    masked = not live.all()
+    # the first term whose sizes are read
+    first = max(nblocks, int(_stop_floor(sums[:, 0], diag, s, caps)[live].min())) - 1
+    # full: every block's |t_{j-1}|, when it was read; bound: the upper
+    # bound on the last block's max|total|
+    full = bound = None
     for j in range(1, most + 1):
         if cut:
             work, reach, cut = _reached(plan, reach)
@@ -312,25 +322,49 @@ def _taylor_step(total, diag, runs, s, caps, stopped, fresh):
             np.add(sums, blocks, out=sums, where=live[:, None, None, None])
         else:
             sums += blocks
-        if j + 1 < nblocks:
+        if j < first:
             continue
-        size = np.abs(blocks).max(axis=(2, 3))
-        if last is None:
-            last = size
-            continue
-        close, last = last + size, size
-        if ceiling is not None and j < cap:
-            ceiling += size
-            maybe = (close <= 2.0 ** -53 * (1.0 + 2.0 ** -40) * ceiling).all(axis=1)
-            if not (maybe & live).any():
-                continue
-        ceiling = np.abs(sums).max(axis=(2, 3))
-        done = (close <= 2.0 ** -53 * ceiling).all(axis=1) | (j >= caps)
+        edge = np.abs(blocks[:, -1]).max(axis=(1, 2))
+        bound = np.abs(sums[:, -1]).max(axis=(1, 2)) if bound is None else bound + edge
+        limit = 2.0 ** -53 * (1.0 + 2.0 ** -40) * bound
+        near = live & (edge <= limit)
+        done, size = j >= caps, None
+        if near.any():
+            size = _block_sizes(blocks)
+            if full is not None and (near & (full[:, -1] + edge <= limit)).any():
+                ceiling = _block_sizes(sums)
+                done |= (full + size <= 2.0 ** -53 * ceiling).all(axis=1)
+                bound = ceiling[:, -1]
+        full = size
         if (done & live).any():
             live &= ~done
             if not live.any():
                 return
-            masked, cap = True, int(caps[live].min())
+            masked = True
+
+
+def _block_sizes(blocks):
+    # max modulus of each (d, d) block of a (K, blocks, d, d) array
+    return np.abs(blocks).max(axis=(2, 3))
+
+
+def _stop_floor(head, diag, s, caps):
+    # per slice, the first term on which the stop test of _taylor_step can
+    # pass, or its cap if that comes first.  Block 0 takes no edge, so its
+    # term j is head (diag/s)^j / j!, column by column: with h the column
+    # maxima of |head| and r = |diag|/s, its max|total| stays below
+    # max_l h_l e^{r_l}, and its max|term j| is at least h_l r_l^j / j! at
+    # the l of largest r, taken for every j at once.  2^-18 covers the
+    # rounding of both bounds; below h_l = 2^-900 the terms could leave the
+    # normal range, so such a column bounds nothing
+    h = np.abs(head).max(axis=1)
+    r = np.abs(diag) / s[:, None]
+    top = (np.arange(len(r)), r.argmax(axis=1))
+    low = np.where(h[top] >= 2.0 ** -900, h[top], 0.0)[:, None] * np.cumprod(
+        r[top][:, None] / np.arange(1, int(caps.max()) + 1), axis=1)
+    may = low <= 2.0 ** -53 * (1.0 + 2.0 ** -18) * (h * np.exp(r)).max(axis=1)[:, None]
+    may[top[0], caps - 1] = True
+    return may.argmax(axis=1) + 1
 
 
 def _reached(plan, reach):

@@ -9,7 +9,8 @@ result, and every gate the check returns must hold, so a change that
 breaks one of those calls fails here before the benchmark runs.  The
 file is read, not imported, so nothing is written under perfbench/.
 Each gate list is deterministic: the Monte-Carlo workload gates only its
-spot comparison at fixed points, not its 3-sigma statistic.
+spot comparison at fixed points, not its 3-sigma statistic.  The chain
+workload's inputs also bound the term sizes its block builder reads.
 """
 
 import types
@@ -37,3 +38,29 @@ def test_workload_runs_and_checks_its_first_input(name):
     check = workload.check(first, workload.run_op(first))
     assert check.gates
     assert [(res, tol) for res, tol in check.gates if not res <= tol] == []
+
+
+def test_cocycle_builder_calls_read_every_block_size_on_few_terms(monkeypatch):
+    # each block-exponential call of the cocycle_d10 inputs forms every
+    # block's max|term| or max|sum| at most 10 times: a chain there needs
+    # about 17 Taylor terms whatever its 3-7 blocks, and no slice can stop
+    # before the floor block 0 sets (20-22 reads per call when every term
+    # from the block count on was read)
+    from skmslab import kernels
+
+    reads, sizes, build = [], kernels._block_sizes, kernels._heat_chain_blocks
+
+    def counted_sizes(blocks):
+        reads[-1] += 1
+        return sizes(blocks)
+
+    def counted_build(*args, **kwargs):
+        reads.append(0)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_block_sizes", counted_sizes)
+    monkeypatch.setattr(kernels, "_heat_chain_blocks", counted_build)
+    workload = WORKLOADS["cocycle_d10"]
+    for inp in workload.setup(7):
+        workload.run_op(inp)
+    assert len(reads) == 20 and 3 <= min(reads) and max(reads) <= 10, reads

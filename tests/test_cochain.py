@@ -68,7 +68,7 @@ def count_classify(monkeypatch):
     classify = GradingOperator.classify
 
     def counted(self, x):
-        calls.append(1)
+        calls.append(np.array(x))
         return classify(self, x)
 
     monkeypatch.setattr(GradingOperator, "classify", counted)
@@ -509,15 +509,20 @@ def test_stacks_of_different_lengths_are_refused(monkeypatch, call):
 
 
 def test_boundary_classifies_each_argument_once(monkeypatch):
+    # one classify call per boundary call, on all (n + 1) T arguments,
+    # slot by slot: one tuple, and stacks of T = 3 tuples
     sys_ = block_system(3, 2, seed=25)
     dtau = boundary(jlo_cochain(sys_))
     rng = np.random.default_rng(26)
     calls = count_classify(monkeypatch)
     for n in (1, 3):
-        xs = even_tuple(sys_, rng, n + 1)
-        del calls[:]
-        dtau(n, xs)
-        assert len(calls) == n + 1
+        for xs in (even_tuple(sys_, rng, n + 1),
+                   [sys_.random_elements(rng, 3, parity=Parity.EVEN) for _ in range(n + 1)]):
+            del calls[:]
+            dtau(n, xs)
+            assert len(calls) == 1
+            assert np.array_equal(calls[0], np.concatenate([np.reshape(x, (-1,) + x.shape[-2:])
+                                                            for x in xs]))
 
 
 def test_boundary_of_tau_makes_one_exponential_call_per_degree(builder_calls):

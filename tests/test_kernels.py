@@ -332,6 +332,80 @@ def test_taylor_step_keeps_the_bits_of_the_reference_on_a_mixed_stack(
     assert np.all(got[3, 1:] == 0) and np.all(got[3, 0] == np.eye(d))
 
 
+@pytest.mark.parametrize("d", [3, 5, 10])
+@pytest.mark.parametrize("case", ["last_zero", "first_dominates", "dyson_beside_stiff"])
+def test_taylor_step_keeps_the_bits_of_the_reference_where_the_last_block_misleads(
+        monkeypatch, case, d):
+    # the step reads every block's size only once the last block's term is
+    # near 2^-53 of its sum, and none before the term on which block 0 can
+    # first stop.  A zero last insertion, in all three tuples or in two,
+    # keeps the last block at 0, so it passes on every term; a first
+    # insertion 30 times the others lets the last block settle while the
+    # near ones still move; a Dyson run at t = i (c = -1) and at t = 0.3
+    # (c = 0.3i) against a stacked spectrum, one slice stiff (spread 40),
+    # starts its later substeps from a block 0 other than I.  Terms past
+    # the stop are below the sums' rounding, so the bits alone may miss a
+    # late stop: a stop by the test reads every block's term twice and its
+    # sum once, which a stop at the cap does not
+    rng = np.random.default_rng(800 + d)
+    reads, sizes = [], kernels._block_sizes
+    monkeypatch.setattr(kernels, "_block_sizes", lambda blocks: reads.append(1) or sizes(blocks))
+    runs = []
+    if case == "dyson_beside_stiff":
+        evals = np.sort(rng.uniform(0.0, 1.0, (2, d)), axis=-1) * np.array([[2.0], [40.0]])
+        a = _random_stack(rng, (d, d))
+        a = (a + a.conj().T) / (2.0 * d)
+        for c in (-1.0, 0.3j):
+            runs.append((Spectrum(evals, np.stack([np.eye(d)] * 2)),
+                         (0, 1, np.broadcast_to(c * a, (2, 5, d, d))), c))
+    for spectrum, zeros in ((_random_spectrum(rng, d), 3), (_random_spectrum(rng, d, count=3), 2)):
+        ys = _random_stack(rng, (3, 5, d, d)) / d
+        if case == "last_zero":
+            ys[:zeros, -1] = 0.0
+        elif case == "first_dominates":
+            ys[:, 0] *= 30.0
+        else:
+            break
+        runs.append((spectrum, (0, 1, ys), -1.0))
+    for spectrum, run, scale in runs:
+        del reads[:]
+        got = _assert_builder_matches_reference(monkeypatch, spectrum, [run], scale=scale)
+        assert len(reads) >= 3
+        assert (case == "last_zero") == np.all(got[:2, -1] == 0)
+
+
+def test_stop_floor_is_at_most_the_term_before_block_0_can_stop():
+    # block 0 takes no edge, so its terms follow term_j = term_{j-1} diag /
+    # (s j) from its diagonal head; a slice can stop on term j only if
+    # block 0 passes the stop test there, which needs term j - 1 within
+    # 2^-53 of its sum.  The floor must not pass that term (or the cap),
+    # and should meet it on most slices: heat and Dyson diagonals, spreads
+    # over three decades, 1-3 substeps, caps 12-44
+    rng = np.random.default_rng(17)
+    tight = total = 0
+    for trial in range(40):
+        k, d = 5, int(rng.integers(2, 11))
+        diag = rng.uniform(-8.0, 8.0, (k, d)) * rng.choice([1.0, 0.1, 0.02], (k, 1))
+        if trial % 2:
+            diag = 1j * diag - 0.3 * diag.mean()
+        s, caps = rng.integers(1, 4, k), rng.integers(12, 45, k)
+        head = np.exp(rng.uniform(-3.0, 1.0, (k, d))).astype(complex)
+        floor = kernels._stop_floor(head[:, :, None] * np.eye(d), diag, s, caps)
+        term, sums, stop = head, head, caps.copy()
+        last = np.abs(term).max(axis=1)
+        for j in range(1, caps.max() + 1):
+            term = term * (diag / s[:, None]) / j
+            sums = sums + term
+            size = np.abs(term).max(axis=1)
+            stop = np.where((last + size <= 2.0 ** -53 * np.abs(sums).max(axis=1)) & (j < stop),
+                            j, stop)
+            last = size
+        want = np.where(stop == caps, caps, stop - 1)
+        assert np.all(floor <= want), (trial, floor, want)
+        tight, total = tight + np.sum(floor == want), total + k
+    assert tight >= 0.75 * total, (tight, total)
+
+
 @pytest.mark.parametrize("d", [3, 5, 8, 10])
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_two_level_alternating_chain_keeps_the_bits_of_the_flat_runs(
