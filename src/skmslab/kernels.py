@@ -58,8 +58,12 @@ the terms of every Dyson series of the perturbation module, at real t
 and at t = i alike, as block row 0 of one ((k+1)d)-square exponential
 for order k, with c = it.
 
-Per Taylor term the builder does one GEMM per position of each run,
-(levels d x d) by (d x d), and one per position of each level edge, and
+Per Taylor term the builder does one real GEMM per position of each
+run, (levels d x 2d) by (2d x 2d) on the float view of the term, and one
+per position of each level edge: an insertion y enters as the real block
+R(y) with (A @ y).view(float) = A.view(float) @ R(y), formed once per
+distinct matrix, the same flops and error bound as the complex product
+at a fraction of numpy's per-matrix cost.  Besides them a term makes
 four whole-array passes: the diagonal factors, held as one (d, d) block
 per slice; the add of the products; the 1/(s j) scale, one float for
 the stack when every slice has the same s; and the add into the sums.
@@ -67,7 +71,7 @@ The first substep starts from [I, 0, .., 0], so a position is zero
 until a run reaches it, and no GEMM reads it before.  Sizes are read
 only where a slice can stop: none before a floor that block 0 sets,
 then the last block's, and every block's only where the last one lets
-a slice stop.  None of this changes a bit of the result.
+a slice stop, which changes no bit of the result.
 """
 
 import functools
@@ -178,15 +182,17 @@ def _refuse_over_budget(cost, what, *args):
 def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     """Top block rows of a stack of block heat-chain exponentials.
 
-    The blocks sit at positions 0, 1, .. on one or two levels.  edges are
-    runs (row, col, y), row < col, along one diagonal of positions: y is
-    a (K, L, d, d) stack holding the insertion from position row + i to
-    position col + i, on every level, in y[:, i], in the eigenbasis of H;
-    and level edges (p, p, q), which insert q[:, i] from level 0 to level
-    1 at position p + i.  A level edge makes two levels, else there is
-    one; no two edges share a block.  Generator k has these insertions
-    and scale * diag(evals) on each diagonal block, with the evals of
-    slice k of a stacked spectrum (K, d) or the one spectrum's.  Block
+    The blocks sit at positions 0, 1, .. on one or two levels.  edges,
+    each made by _edge, are runs (row, col, blocks, sums), row < col,
+    along one diagonal of positions: the insertion y[:, i] from position
+    row + i to position col + i, on every level, in the eigenbasis of H,
+    enters as its real block R(y), blocks[:, i] of a (K, L, 2d, 2d)
+    stack, and the column sums of |y|, sums[:, i] of a (K, L, d) stack;
+    and level edges (p, p, blocks, sums), which insert q[:, i] from level
+    0 to level 1 at position p + i.  A level edge makes two levels, else
+    there is one; no two edges share a block.  Generator k has these
+    insertions and scale * diag(evals) on each diagonal block, with the
+    evals of slice k of a stacked spectrum (K, d) or the one spectrum's.  Block
     (0, j) of its exponential sums, over the edge paths from block 0 to
     block j, the ordered-simplex chains int e^{c s_1 H} y_1
     e^{c (s_2-s_1) H} ... y_i e^{c (1-s_i) H} d^i s with c = scale (Van
@@ -205,10 +211,10 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     and stopped slices are masked, so each slice gets the bits it gets
     alone.  Sizes are read only where a slice can stop (see
     _taylor_step), on the same term as with every size read on every
-    term.  The first substep starts from [I, 0, ..,
-    0] and multiplies no position that no run has reached yet, which is
-    zero.  No generator is formed: the workspace is a few arrays of the
-    returned shape.
+    term.  The first substep starts from [I, 0, .., 0] and multiplies no
+    position that no run has reached yet, which is zero.  Every product
+    is one float64 GEMM of the term's float view by R(y).  No generator
+    is formed: the workspace is a few arrays of the returned shape.
 
     Each exponential is priced at s (blocks d)^3 against chain_budget(),
     with s the most substeps of any slice, whatever K, before its first
@@ -216,21 +222,20 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     ChainBudgetExceeded message, which names s when it is above 1.
     """
     d = spectrum.dim
-    k = edges[0][2].shape[0]
-    positions = max(col + y.shape[1] for _, col, y in edges)
-    levels = 2 if any(row == col for row, col, _ in edges) else 1
+    k = edges[0][3].shape[0]
+    positions = max(col + sums.shape[1] for _, col, _, sums in edges)
+    levels = 2 if any(edge[0] == edge[1] for edge in edges) else 1
     nblocks = positions * levels
     size = nblocks * d
     diag = scale * np.broadcast_to(spectrum.evals, (k, d))
     mu = diag.mean(axis=1)
     diag = diag - mu[:, None]
     norms = np.zeros((k, positions, levels, d)) + np.abs(diag)[:, None, None]
-    for row, col, y in edges:
-        sums = np.abs(y).sum(axis=2)
+    for row, col, _, sums in edges:
         if row == col:
-            norms[:, col:col + y.shape[1], 1] += sums
+            norms[:, col:col + sums.shape[1], 1] += sums
         else:
-            norms[:, col:col + y.shape[1]] += sums[:, :, None]
+            norms[:, col:col + sums.shape[1]] += sums[:, :, None]
     # Al-Mohy & Higham: s = ceil(norm / theta_m) with m s least, the
     # smaller m on ties; a zero norm takes s = 1
     steps = np.maximum(1, np.ceil(norms.reshape(k, -1).max(axis=1)[:, None]
@@ -260,37 +265,41 @@ def _taylor_step(total, diag, runs, s, caps, stopped, fresh):
     # stopped, each up to its stopping term (see _heat_chain_blocks); total
     # is (K, positions, d, d), or (K, positions, levels, d, d) with level
     # edges.  A run multiplies every level of its source positions in one
-    # (levels d x d) (d x d) GEMM per position.  A fresh substep starts
-    # from [I, 0, .., 0]: a position is zero until a run reaches it, so a
-    # term multiplies and adds only the products of the positions reached
-    # so far.  The other passes run over every block, since numpy buffers
-    # a pass over a slice of the positions, which is slower and raises the
-    # memory peak.  For that peak, too, the column factors are complex
-    # (float ones make the in-place products buffer) and each term's
-    # products go before the next's.  Slice k stops on the first term j
-    # >= blocks on which every block has |t_{j-1}| + |t_j| <= 2^-53
-    # max|total|, |.| the block's max modulus, or on its cap.  Sizes are
-    # read only where that test can pass: none before the term ahead of
-    # _stop_floor's; from there the last block's |t_j| on every term, with
-    # an upper bound on its max|total| (the last value read plus the sizes
-    # added since; slack 2^-40 covers its rounding); every block's |t_j|
-    # only when a live slice has the last block's within 2^-53 of that
-    # bound, which a stop on term j + 1 needs; and every block's
-    # max|total|, for the exact test, only when a live slice passes the
-    # test on the last block.  Each read being a necessary condition,
-    # every slice stops on the term it stops on with every size read
+    # real (levels d x 2d) (2d x 2d) GEMM per position, the float view of
+    # the term by the run's R(y), added to the float view of its
+    # destination (see _edge).  A fresh substep starts from [I, 0, .., 0]:
+    # a position is zero until a run reaches it, so a term multiplies and
+    # adds only the products of the positions reached so far.  The other
+    # passes run over every block, since numpy buffers a pass over a slice
+    # of the positions, which is slower and raises the memory peak.  For
+    # that peak, too, the column factors are complex (float ones make the
+    # in-place products buffer) and each term's products go before the
+    # next's.  Slice k stops on the first term j >= blocks on which every
+    # block has |t_{j-1}| + |t_j| <= 2^-53 max|total|, |.| the block's max
+    # modulus, or on its cap.  Sizes are read only where that test can
+    # pass: none before _stop_floor's term, since a stop on term j + 1
+    # needs block 0's |t_j| near 2^-53 of its sum; from there the last
+    # block's |t_j| on every term, with an upper bound on its max|total|
+    # (the last value read plus the sizes added since; slack 2^-40 covers
+    # its rounding); every block's |t_j| only when a live slice has the
+    # last block's within 2^-53 of that bound, which a stop on term j + 1
+    # needs; and every block's max|total|, for the exact test, only when a
+    # live slice passes the test on the last block.  Each read being a
+    # necessary condition, every slice stops on the term it stops on with
+    # every size read
     k, positions, d = total.shape[0], total.shape[1], total.shape[-1]
     term = total.copy()
     sums, blocks = total.reshape(k, -1, d, d), term.reshape(k, -1, d, d)
     nblocks, most = blocks.shape[1], int(caps.max())
-    # the levels of a position as one (levels d, d) operand
-    tall = term.reshape(k, positions, -1, d)
-    # (row, col, source, destination, y) views of the term, formed once
-    plan = [(row, col, term[:, row:row + y.shape[1], 0],
-             term[:, col:col + y.shape[1], 1], y)
+    # the levels of a position as one (levels d, 2d) float operand
+    tall = term.reshape(k, positions, -1, d).view(float)
+    flat = term.view(float)
+    # (row, col, source, destination, R(y)), float views of the term
+    # formed once
+    plan = [(row, col, flat[:, row:row + y.shape[1], 0], flat[:, col:col + y.shape[1], 1], y)
             if row == col else
             (row, col, tall[:, row:row + y.shape[1]], tall[:, col:col + y.shape[1]], y)
-            for row, col, y in runs]
+            for row, col, y, _ in runs]
     work = [view[2:] for view in plan]
     # one (d, d) block of column factors per slice: the multiply runs over
     # d^2 contiguous elements
@@ -305,14 +314,14 @@ def _taylor_step(total, diag, runs, s, caps, stopped, fresh):
     live = ~stopped
     masked = not live.all()
     # the first term whose sizes are read
-    first = max(nblocks, int(_stop_floor(sums[:, 0], diag, s, caps)[live].min())) - 1
+    first = max(nblocks - 1, int(_stop_floor(sums[:, 0], diag, s, caps)[live].min()))
     # full: every block's |t_{j-1}|, when it was read; bound: the upper
     # bound on the last block's max|total|
     full = bound = None
     for j in range(1, most + 1):
         if cut:
             work, reach, cut = _reached(plan, reach)
-        prods = [source @ y for source, _, y in work]
+        prods = [np.matmul(source, y) for source, _, y in work]
         blocks *= columns
         for (_, dest, _), prod in zip(work, prods):
             dest += prod
@@ -349,8 +358,9 @@ def _block_sizes(blocks):
 
 
 def _stop_floor(head, diag, s, caps):
-    # per slice, the first term on which the stop test of _taylor_step can
-    # pass, or its cap if that comes first.  Block 0 takes no edge, so its
+    # per slice, the first term j whose block 0 can be within 2^-53 of its
+    # sum, which the stop test of _taylor_step needs on terms j - 1 and j,
+    # or the cap if that comes first.  Block 0 takes no edge, so its
     # term j is head (diag/s)^j / j!, column by column: with h the column
     # maxima of |head| and r = |diag|/s, its max|total| stays below
     # max_l h_l e^{r_l}, and its max|term j| is at least h_l r_l^j / j! at
@@ -368,9 +378,9 @@ def _stop_floor(head, diag, s, caps):
 
 
 def _reached(plan, reach):
-    # the (source, destination, y) views of plan cut to the source positions
-    # below reach, the only nonzero ones; the positions their products
-    # reach; and whether any view was cut
+    # the (source, destination, R(y)) views of plan cut to the source
+    # positions below reach, the only nonzero ones; the positions their
+    # products reach; and whether any view was cut
     work, ahead, cut = [], reach, False
     for row, col, source, dest, y in plan:
         count = min(y.shape[1], reach - row)
@@ -459,6 +469,23 @@ def _contract(y0, chain):
     return (y0 * chain.swapaxes(-1, -2)).reshape(chain.shape[:-2] + (-1,)).sum(axis=-1)
 
 
+def _edge(row, col, pool, index):
+    # the builder's edge (row, col, blocks, sums) for the insertions y =
+    # pool[index]: pool is a (.., d, d) stack of complex matrices, taken
+    # flat, and index a (K, count) table into it.  R(y) and the column
+    # sums of |y| are formed once per matrix, then gathered: blocks (K,
+    # count, 2d, 2d) holds R(y) = [[Re y, Im y], [-Im y, Re y]], rows (l,
+    # Re/Im) by columns (j, Re/Im), so (A @ y).view(float) is
+    # A.view(float) @ R(y), one float64 GEMM, and R(-y) = -R(y) exactly;
+    # sums is (K, count, d).  No complex stack is gathered
+    d = pool.shape[-1]
+    real = np.empty(pool.shape[:-1] + (2, d, 2))
+    real[..., 0, :, 0] = real[..., 1, :, 1] = pool.real
+    real[..., 0, :, 1], real[..., 1, :, 0] = pool.imag, -pool.imag
+    return (row, col, real.reshape(-1, 2 * d, 2 * d)[index],
+            np.abs(pool).sum(axis=-2).reshape(-1, d)[index])
+
+
 def _chain_edges(spectrum, pool, index, grading, q):
     # (Gamma x_0 in the eigenbasis, the builder's edges, the chain's name,
     # the spectrum the builder reads) for the tuples of index at every
@@ -476,15 +503,18 @@ def _chain_edges(spectrum, pool, index, grading, q):
         rows = SimpleNamespace(dim=d, evals=np.repeat(spectrum.evals, count, axis=0))
     if not n and q is None:
         return y0, [], what, rows
-    ys = mats[:, table[1:].T].reshape(k * count, n, d, d)
+    # spectrum j's pool starts at entry j M of the flat pool
+    run = _edge(0, 1, mats, (np.arange(k)[:, None, None] * mats.shape[1]
+                             + table[1:].T).reshape(k * count, n))
     if q is None:
-        return y0, [(0, 1, ys)], what, rows
+        return y0, [run], what, rows
+    # q and -q of each spectrum, at 2j and 2j + 1, alternating along the run
     qe = spectrum.to_eigenbasis(as_matrix(q))
-    signed = np.stack([qe, -qe], axis=-3)[..., np.arange(n + 1) % 2, :, :]
-    qs = np.broadcast_to(signed.reshape(-1, 1, n + 1, d, d),
-                         (k, count, n + 1, d, d)).reshape(k * count, n + 1, d, d)
+    signs = np.arange(n + 1) % 2 + 2 * np.arange(k)[:, None, None]
+    qs = _edge(0, 0, np.stack([qe, -qe], axis=-3),
+               np.broadcast_to(signs, (k, count, n + 1)).reshape(k * count, n + 1))
     # the q edges go before the run, so the column sums keep their order
-    return y0, [(0, 0, qs), (0, 1, ys)], what, rows
+    return y0, [qs, run], what, rows
 
 
 def _chain_prefixes(spectrum, pool, grading, index):

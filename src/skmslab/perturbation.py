@@ -42,8 +42,8 @@ from .dynamics import (SUPERCHARGE_TOL, GradedSystem, _draw_tuples,
 from .errors import ParityViolation, TruncationUnreachable, check_integer
 from .graded import as_matrices, as_matrix, frobenius_norms
 # chain_integral is bound here too: perfbench traces perturbation.chain_integral
-from .kernels import (Spectrum, _heat_chain_blocks, _refuse_over_budget,  # noqa: F401
-                      chain_integral, gauss_legendre_01)
+from .kernels import (Spectrum, _edge, _heat_chain_blocks,  # noqa: F401
+                      _refuse_over_budget, chain_integral, gauss_legendre_01)
 from .report import DOCUMENTED, Measurement, make_report
 
 SERIES_CAP = 40
@@ -244,7 +244,7 @@ def _gamma_terms(ctx, t, order):
         spec = ctx.system.spectrum
         c = 1j * complex(t)
         y = c * spec.to_eigenbasis(ctx.a_r)
-        run = (0, 1, np.broadcast_to(y, (1, order) + y.shape))
+        run = _edge(0, 1, y, np.zeros((1, order), dtype=int))
         what = "Dyson series with d=%d, order=%d" % (spec.dim, order)
         blocks = _heat_chain_blocks(spec, [run], what, scale=c)[0]
         memo[key] = blocks * np.exp(-c * spec.evals)

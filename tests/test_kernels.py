@@ -182,6 +182,13 @@ def test_chain_integral_zero_generator():
         assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (d, n)
 
 
+def _run(row, col, ys):
+    # the builder's edge for a (K, L, d, d) stack of insertions, each its
+    # own pool entry
+    k, count = ys.shape[:2]
+    return kernels._edge(row, col, ys, np.arange(k * count).reshape(k, count))
+
+
 def test_mixed_stack_gives_each_slice_its_bits_alone(monkeypatch):
     # slices whose Taylor degree m, substep count s and stopping term all
     # differ, a zero slice (no spread, no insertions), against a stacked
@@ -204,7 +211,7 @@ def test_mixed_stack_gives_each_slice_its_bits_alone(monkeypatch):
         return taylor_step(total, diag, runs, s, caps, stopped, fresh)
 
     monkeypatch.setattr(kernels, "_taylor_step", recorded)
-    whole = kernels._heat_chain_blocks(spec, [(0, 1, ys)], "mixed")
+    whole = kernels._heat_chain_blocks(spec, [_run(0, 1, ys)], "mixed")
     # the first substep runs every slice under several term caps; later
     # ones only the slices that need more substeps
     assert steps[0][0] == len(spreads) and len(steps[0][1]) > 2
@@ -212,7 +219,7 @@ def test_mixed_stack_gives_each_slice_its_bits_alone(monkeypatch):
     assert np.all(whole[3, 1:] == 0) and np.all(whole[3, 0] == np.eye(d))
     for k in range(len(spreads)):
         alone = kernels._heat_chain_blocks(Spectrum(evals[k], np.eye(d)),
-                                           [(0, 1, ys[k:k + 1])], "alone")
+                                           [_run(0, 1, ys[k:k + 1])], "alone")
         assert np.array_equal(alone, whole[k:k + 1]), k
 
 
@@ -221,16 +228,19 @@ def _reference_taylor_step(total, diag, runs, s, caps, stopped, fresh):
     # was cut: products copied back into the term, a complex 1/(s j), and
     # max|total| read on every term from block nblocks - 1 on; every block
     # is multiplied on every term, so whether the substep starts from
-    # [I, 0, .., 0] (fresh) is not read
+    # [I, 0, .., 0] (fresh) is not read.  Each product is the float view
+    # of the source blocks by the run's real blocks R(y), read back as
+    # complex, as the builder forms it
     nblocks, most = total.shape[1], int(caps.max())
     term = total.copy()
     columns = diag.astype(complex)[:, None, None, :]
     inverse = 1.0 / s[:, None, None, None].astype(complex)
     masked, last = stopped.any(), None
     for j in range(1, most + 1):
-        prods = [term[:, row:row + y.shape[1]] @ y for row, _, y in runs]
+        prods = [(term[:, row:row + y.shape[1]].view(float) @ y).view(complex)
+                 for row, _, y, _ in runs]
         term *= columns
-        for (_, col, y), prod in zip(runs, prods):
+        for (_, col, y, _), prod in zip(runs, prods):
             cols = slice(col, col + y.shape[1])
             prod += term[:, cols]
             term[:, cols] = prod
@@ -291,24 +301,24 @@ def test_taylor_step_keeps_the_bits_of_the_reference_on_every_run_layout(
     # a chain run: K = 3 tuples of degree 4 against one spectrum
     spec = _random_spectrum(rng, d)
     ys = _random_stack(rng, (3, 4, d, d)) / d
-    _assert_builder_matches_reference(monkeypatch, spec, [(0, 1, ys)])
+    _assert_builder_matches_reference(monkeypatch, spec, [_run(0, 1, ys)])
     # three runs on one level, the alternating chain's layout before its
-    # level axis, q broadcast along its run: on a stacked spectrum (one q
-    # per slice) and on one spectrum (one q for all)
+    # level axis, q one pool entry gathered along its run: on a stacked
+    # spectrum (one q per slice) and on one spectrum (one q for all)
     m = 2
     ys = _random_stack(rng, (3, m, d, d)) / d
     for spectrum in (_random_spectrum(rng, d, count=3), spec):
-        q = spectrum.to_eigenbasis(_random_stack(rng, (d, d)) / d)
-        qe = np.broadcast_to(q[..., None, :, :], (3, m + 1, d, d))
-        assert qe.strides[1] == 0
-        edges = [(0, m + 1, qe), (0, 1, -ys), (m + 1, m + 2, ys)]
+        q = spectrum.to_eigenbasis(_random_stack(rng, (d, d)) / d).reshape(-1, d, d)
+        qe = kernels._edge(0, m + 1, q, np.broadcast_to(np.arange(3)[:, None] % len(q),
+                                                        (3, m + 1)))
+        edges = [qe, _run(0, 1, -ys), _run(m + 1, m + 2, ys)]
         _assert_builder_matches_reference(monkeypatch, spectrum, edges)
     # the Dyson run: one matrix c a on every block of the superdiagonal,
     # with c H on the diagonal blocks, at t = 0.3 and at the imaginary t = i
     a = _random_stack(rng, (d, d))
     a = (a + a.conj().T) / (2.0 * d)
     for c in (0.3j, -1.0):
-        run = (0, 1, np.broadcast_to(c * a, (1, 6, d, d)))
+        run = kernels._edge(0, 1, c * a, np.zeros((1, 6), dtype=int))
         _assert_builder_matches_reference(monkeypatch, spec, [run], scale=c)
 
 
@@ -328,7 +338,7 @@ def test_taylor_step_keeps_the_bits_of_the_reference_on_a_mixed_stack(
     spec = Spectrum(evals, np.stack([np.eye(d)] * len(spreads)))
     ys = _random_stack(rng, (len(spreads), n, d, d))
     ys *= (np.array(norms) / np.linalg.norm(ys, 2, axis=(2, 3)).max(axis=1))[:, None, None, None]
-    got = _assert_builder_matches_reference(monkeypatch, spec, [(0, 1, ys)])
+    got = _assert_builder_matches_reference(monkeypatch, spec, [_run(0, 1, ys)])
     assert np.all(got[3, 1:] == 0) and np.all(got[3, 0] == np.eye(d))
 
 
@@ -357,7 +367,7 @@ def test_taylor_step_keeps_the_bits_of_the_reference_where_the_last_block_mislea
         a = (a + a.conj().T) / (2.0 * d)
         for c in (-1.0, 0.3j):
             runs.append((Spectrum(evals, np.stack([np.eye(d)] * 2)),
-                         (0, 1, np.broadcast_to(c * a, (2, 5, d, d))), c))
+                         kernels._edge(0, 1, c * a, np.zeros((2, 5), dtype=int)), c))
     for spectrum, zeros in ((_random_spectrum(rng, d), 3), (_random_spectrum(rng, d, count=3), 2)):
         ys = _random_stack(rng, (3, 5, d, d)) / d
         if case == "last_zero":
@@ -366,7 +376,7 @@ def test_taylor_step_keeps_the_bits_of_the_reference_where_the_last_block_mislea
             ys[:, 0] *= 30.0
         else:
             break
-        runs.append((spectrum, (0, 1, ys), -1.0))
+        runs.append((spectrum, _run(0, 1, ys), -1.0))
     for spectrum, run, scale in runs:
         del reads[:]
         got = _assert_builder_matches_reference(monkeypatch, spectrum, [run], scale=scale)
@@ -406,17 +416,120 @@ def test_stop_floor_is_at_most_the_term_before_block_0_can_stop():
     assert tight >= 0.75 * total, (tight, total)
 
 
+def _step_term():
+    # the Taylor term j of the _taylor_step frame that called the caller,
+    # directly or through _block_sizes or a comprehension; None when no
+    # _taylor_step did, or before its first term
+    frame = sys._getframe(2)
+    for _ in range(2):
+        if frame.f_code is kernels._taylor_step.__code__:
+            return frame.f_locals.get("j")
+        frame = frame.f_back
+    return None
+
+
+def test_no_size_is_read_before_the_floor_term(monkeypatch):
+    # a stop on term j needs block 0's term j - 1 within 2^-53 of its sum,
+    # which _stop_floor's term is the first that can be, so no size of a
+    # term before it is read, and the first read is on that term or on
+    # term blocks - 1: chains and alternating chains of degree 1-5 at d =
+    # 10, one substep each, whose floor (18) is past their 2-12 blocks
+    rng = np.random.default_rng(19)
+    events, floor, absolute = [], kernels._stop_floor, np.abs
+
+    def floors(*args):
+        events.append(("floor", floor(*args)))
+        return events[-1][1]
+
+    def spy(x, *args, **kwargs):
+        j = _step_term()
+        if j is not None:
+            events.append(("read", j))
+        return absolute(x, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_stop_floor", floors)
+    monkeypatch.setattr(np, "abs", spy)
+    spectrum, d, tight = _random_spectrum(rng, 10), 10, 0
+    for n in (1, 3, 5):
+        xs = _random_stack(rng, (n + 1, 4, d, d)) / d
+        for q in (None, _random_stack(rng, (d, d)) / d):
+            del events[:]
+            chain_integral(spectrum, np.concatenate(xs), None, q,
+                           np.arange(4 * (n + 1)).reshape(n + 1, 4))
+            assert [kind for kind, _ in events].count("floor") == 1
+            low = events[0][1].min()
+            reads = [j for kind, j in events if kind == "read"]
+            blocks = (n + 1) * (1 if q is None else 2)
+            assert reads and reads[0] == max(blocks - 1, low), (n, reads[0], low)
+            tight += low > blocks - 1
+    assert tight == 6
+
+
+def test_every_builder_product_is_a_float64_gemm(monkeypatch):
+    # chains, alternating chains (two levels) and a Dyson series: every
+    # product of a Taylor term is np.matmul of the term's float view by
+    # the real blocks R(y), not a complex GEMM
+    from skmslab.perturbation import PerturbedContext, dyson_gamma_one_info
+    from skmslab.workbench import ModelSpec
+    from skmslab.workbench.models import build_perturbed_model
+
+    operands, matmul = [], np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        if _step_term() is not None:
+            operands.append((a.dtype, b.dtype))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.default_rng(23)
+    spectrum = _random_spectrum(rng, 5)
+    xs = _random_stack(rng, (3, 5, 5)) / 5
+    chain_integral(spectrum, xs, None)
+    chain_integral(spectrum, xs, None, _random_stack(rng, (5, 5)) / 5)
+    sys_, pert = build_perturbed_model(
+        ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+                  perturbation={"seed": 11, "scale": 0.3}), 0)
+    dyson_gamma_one_info(PerturbedContext(sys_, pert, 0.7), 1.0, order=4)
+    assert len(operands) > 20
+    assert set(operands) == {(np.dtype(float), np.dtype(float))}
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_real_block_products_match_the_complex_product(d):
+    # A.view(float) @ R(y), read as complex, is A @ y up to rounding: each
+    # real and imaginary part is a sum of 2d real products, so the two
+    # differ by at most 2 (2d) u (|A| |y|) elementwise; R(-y) = -R(y) and
+    # R(0) = 0 exactly; the column sums of |y| are np.abs(y).sum(axis=-2)
+    rng = np.random.default_rng(900 + d)
+    for scale in (1.0, 1e-150, 1e150):
+        pool = _random_stack(rng, (4, d, d)) * scale
+        a = _random_stack(rng, (3, 4, 2 * d, d))
+        index = np.array([[0, 1, 2, 3], [3, 3, 0, 1], [2, 0, 2, 1]])
+        _, _, real, sums = kernels._edge(0, 1, pool, index)
+        assert real.shape == (3, 4, 2 * d, 2 * d) and real.dtype == np.float64
+        got = (a.view(float) @ real).view(complex)
+        ys = pool[index]
+        bound = 4 * d * 2.0 ** -53 * (np.abs(a) @ np.abs(ys))
+        assert np.all(np.abs(got.real - (a @ ys).real) <= bound)
+        assert np.all(np.abs(got.imag - (a @ ys).imag) <= bound)
+        assert np.array_equal(sums, np.abs(ys).sum(axis=-2))
+        assert np.array_equal(kernels._edge(0, 1, -pool, index)[2], -real)
+    zero = kernels._edge(0, 1, np.zeros((1, d, d), dtype=complex), np.zeros((2, 3), dtype=int))
+    assert zero[2].shape == (2, 3, 2 * d, 2 * d) and np.all(zero[2] == 0)
+    assert np.all(zero[3] == 0)
+
+
 @pytest.mark.parametrize("d", [3, 5, 8, 10])
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_two_level_alternating_chain_keeps_the_bits_of_the_flat_runs(
         monkeypatch, d, m):
     # the two-level chain of chain_integral with q, level 0 signed
     # (-1)^k, against the one-level layout it replaced: 2(m+1) blocks in a
-    # row, -y_k on block (k-1, k), +y_k on block (m+k, m+1+k) and q on
-    # block (k, m+1+k), through the reference step; K = 3 tuples on one
-    # spectrum, and on a stack of three whose spreads (2, 20, 80) take
-    # different substep counts, as a (3, m + 1, d, d) pool, tuple k for
-    # spectrum k
+    # row, -y_k on block (k-1, k) as the real block R(-y_k) = -R(y_k),
+    # +y_k on block (m+k, m+1+k) and q on block (k, m+1+k), through the
+    # reference step; K = 3 tuples on one spectrum, and on a stack of
+    # three whose spreads (2, 20, 80) take different substep counts, as a
+    # (3, m + 1, d, d) pool, tuple k for spectrum k
     rng = np.random.default_rng(700 + 10 * d + m)
     built = []
     build = kernels._heat_chain_blocks
@@ -436,10 +549,12 @@ def test_two_level_alternating_chain_keeps_the_bits_of_the_flat_runs(
             patched.setattr(kernels, "_heat_chain_blocks", recorded)
             value = chain_integral(spectrum, pool, None, q, index).reshape(-1)
         edges, got = built.pop()
-        assert [(row, col) for row, col, _ in edges] == [(0, 0), (0, 1)]
-        qs, ys = edges[0][2], edges[1][2]
-        qe = np.broadcast_to(spectrum.to_eigenbasis(q)[..., None, :, :], qs.shape)
-        flat = [(0, m + 1, qe), (0, 1, -ys), (m + 1, m + 2, ys)]
+        assert [edge[:2] for edge in edges] == [(0, 0), (0, 1)]
+        _, _, ys, sums = edges[1]
+        qe = spectrum.to_eigenbasis(q).reshape(-1, d, d)
+        qe = kernels._edge(0, m + 1, qe, np.broadcast_to(np.arange(3)[:, None] % len(qe),
+                                                         (3, m + 1)))
+        flat = [qe, (0, 1, -ys, sums), (m + 1, m + 2, ys, sums)]
         with monkeypatch.context() as patched:
             patched.setattr(kernels, "_taylor_step", _reference_taylor_step)
             want = kernels._heat_chain_blocks(spectrum, flat, "flat")

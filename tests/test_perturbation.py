@@ -321,7 +321,7 @@ def _gamma_terms_with(defect):
         a = ctx.r * ctx.delta_q if defect == "no_q_squared" else ctx.a_r
         edge = np.conj(c) if defect == "conjugate_edge" else c
         y = edge * spec.to_eigenbasis(a)
-        run = (0, 1, np.broadcast_to(y, (1, order) + y.shape))
+        run = kernels._edge(0, 1, y, np.zeros((1, order), dtype=int))
         blocks = kernels._heat_chain_blocks(spec, [run], "mutant", scale=c)[0]
         if defect == "no_phase":
             return blocks

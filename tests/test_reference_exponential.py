@@ -51,8 +51,8 @@ def _reference_row(evals, ys, scale):
 
 def _relative_errors(spectrum, ys, scale, read):
     # the relative error of each read block of the builder's top row
-    got = kernels._heat_chain_blocks(spectrum, [(0, 1, ys[None])], "reference",
-                                     scale=scale)[0]
+    run = kernels._edge(0, 1, ys, np.arange(len(ys))[None])
+    got = kernels._heat_chain_blocks(spectrum, [run], "reference", scale=scale)[0]
     want = _reference_row(spectrum.evals, ys, scale)
     return [np.max(np.abs(got[j] - want[j])) / np.max(np.abs(want[j])) for j in read]
 

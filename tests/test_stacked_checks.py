@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from skmslab.cochain import boundary, jlo_cochain, lemma34_check
+from skmslab.cochain import (boundary, connes_B, hochschild_b, jlo_cochain,
+                             lemma34_check)
 from skmslab.dynamics import (heisenberg_flow, kms_two_point, skms_eval,
                               superderivation, verify_skms_axioms)
 from skmslab.errors import ParityViolation
@@ -406,8 +407,23 @@ def test_cochain_on_a_stack_equals_single_calls(make):
     stacks = [np.stack(slot) for slot in zip(*tuples)]
     singles = [cochain(n, xs) for xs in tuples]
     values = cochain(n, stacks)
-    assert values.shape == (7,) and singles[3] == 0.0 and values[3] == 0.0
-    assert list(values) == singles
+    assert values.shape == (7,) and list(values) == singles
+    if make == "tau":
+        # delta(2.5 * 1) = 0: the chain takes an insertion of zeros
+        assert singles[3] == 0.0
+    else:
+        # every B term puts 2.5 * 1 in a slot >= 1, so B is 0 exactly; the
+        # b terms that hold it alone in a slot >= 1 are 0 too, and b is the
+        # difference of the two left, tau(x0, x1, x2 x3) - tau(x0, x1 x2,
+        # x3), equal chains with 2.5 on another insertion, which agree only
+        # to rounding: 0.2-2.4 u (|a| + |b|) with c = 0.3, 2.5, 2.7 or 3.0
+        # in place of 2.5, with complex or real products.  16 u leaves a
+        # sixfold margin, and a wrong sign or term moves b by O(|a|)
+        x0, x1, x2, x3 = tuples[3]
+        assert connes_B(tau, n, tuples[3]) == 0.0
+        a, b = tau(2, [x0, x1, x2 @ x3]), tau(2, [x0, x1 @ x2, x3])
+        assert singles[3] == hochschild_b(tau, n, tuples[3]) == a - b
+        assert abs(a - b) <= 16 * 2.0 ** -53 * (abs(a) + abs(b))
 
     tuples[5][1] = as_matrix(sys.random_element(rng, parity="odd"))
     with pytest.raises(ParityViolation, match="slot 1 is not even$"):

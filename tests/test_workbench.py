@@ -533,12 +533,37 @@ def test_report_bytes_match_across_processes(tmp_path):
 
 
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # each chain product is one small GEMM per (d, d) block, which BLAS
-    # runs on one thread whatever its thread count
+    # each chain product is one small real GEMM per block position, which
+    # BLAS runs on one thread whatever its thread count
     reports = [_all_report(tmp_path, "threads_%s" % n, OPENBLAS_NUM_THREADS=n,
                            OMP_NUM_THREADS=n) for n in ("1", "2")]
     assert json.loads(reports[0])
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("spec, command", [
+    (ModelSpec(kind="RectangularBlock", p=6, q=4, seed=3, scale=1.2), ["verify", "Cocycle"]),
+    (ModelSpec(kind="RectangularBlock", p=5, q=3, seed=4, scale=1.0), ["homotopy", "check"]),
+], ids=["cocycle_d10", "homotopy_d8"])
+def test_cli_bytes_do_not_depend_on_the_blas_thread_count_at_the_largest_blocks(
+        tmp_path, spec, command):
+    # the builder's largest real GEMMs: (2d, 2d) blocks at d = 10 under
+    # (B + b)tau, and two levels of d = 8 rows, (16, 16) by (16, 16), under
+    # the transgression checks; the perfbench models of cocycle_d10 and
+    # homotopy_d8, each command in a fresh interpreter
+    src = str(pathlib.Path(skmslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    model = write_spec(tmp_path, spec)
+    outs = []
+    for n in ("1", "2"):
+        out = tmp_path / ("threads_%s.json" % n)
+        subprocess.run([sys.executable, "-m", "skmslab.workbench.cli"] + command
+                       + ["--model", model, "--out", str(out)],
+                       env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=n,
+                                OMP_NUM_THREADS=n), check=True, timeout=600)
+        outs.append(out.read_bytes())
+    assert json.loads(outs[0])["reports"]
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
