@@ -24,14 +24,12 @@ import numpy as np
 
 from .errors import (ConditioningWarning, DimensionMismatch, ParityViolation,
                      StripViolation, ZeroWittenIndex, check_integer)
-from .graded import GradingOperator, Parity, as_matrices, as_matrix
+from .graded import GradingOperator, Parity, _require_selfadjoint, as_matrices, as_matrix
 from .kernels import Spectrum
 from .report import Measurement
 
 STRIP_TOL = 1e-12
 CONDITIONING_LIMIT = 50.0
-# relative tolerance of the selfadjoint and odd checks on a supercharge
-SUPERCHARGE_TOL = 1e-12
 WITTEN_FLOOR = 1e-8
 
 
@@ -48,16 +46,8 @@ def _super_gibbs(grading, spectrum):
 
 
 def _odd_selfadjoint(m, grading, noun):
-    """m made exactly selfadjoint and read-only, once it is odd selfadjoint.
-
-    ParityViolation names the noun when m is not selfadjoint, or not odd
-    under grading, to SUPERCHARGE_TOL relative to max(1, ||m||_F).
-    """
-    scale = max(1.0, np.linalg.norm(m))
-    if np.linalg.norm(m - m.conj().T) > SUPERCHARGE_TOL * scale:
-        raise ParityViolation("%s must be selfadjoint" % noun)
-    if np.linalg.norm(grading.conjugate(m) + m) > SUPERCHARGE_TOL * scale:
-        raise ParityViolation("%s must be odd" % noun)
+    """m made exactly selfadjoint and read-only, once found odd selfadjoint."""
+    _require_selfadjoint(m, noun, grading, sign=-1)
     m = (m + m.conj().T) / 2
     m.setflags(write=False)
     return m
@@ -66,9 +56,9 @@ def _odd_selfadjoint(m, grading, noun):
 class GradedSystem:
     """Grading, supercharge, Hamiltonian and cached spectral data.
 
-    Immutable after construction.  Raises ParityViolation if Q0 is not odd
-    selfadjoint to SUPERCHARGE_TOL and ZeroWittenIndex if
-    |Tr(Gamma e^{-H})| < WITTEN_FLOOR.
+    Immutable after construction.  Raises ParityViolation unless Q0 is odd
+    selfadjoint and H even (graded._require_selfadjoint), and
+    ZeroWittenIndex if |Tr(Gamma e^{-H})| < WITTEN_FLOOR.
     """
 
     def __init__(self, grading, supercharge):
@@ -82,9 +72,7 @@ class GradedSystem:
         h = q0 @ q0
         h.setflags(write=False)
         self.hamiltonian = h
-        if (np.linalg.norm(h @ grading.matrix - grading.matrix @ h)
-                > SUPERCHARGE_TOL * max(1.0, np.linalg.norm(h))):
-            raise ParityViolation("Hamiltonian does not commute with the grading")
+        _require_selfadjoint(h, "Hamiltonian", grading)
         evals, vecs = np.linalg.eigh(h)
         if evals.min() < -1e-12 * max(1.0, np.linalg.norm(q0)) ** 2:
             raise ValueError("Hamiltonian has a significantly negative eigenvalue")

@@ -12,9 +12,9 @@ import enum
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParityViolation
 
-# relative tolerances of the grading operator's checks and of the parity tests
+# relative tolerances of _require_selfadjoint and of the parity tests
 GRADING_TOL = 1e-12
 PARITY_TOL = 1e-10
 
@@ -48,6 +48,30 @@ def frobenius_norms(m):
     return np.sqrt((flat * flat.conj()).real.sum(axis=-1))
 
 
+def _require_selfadjoint(m, noun, grading=None, sign=1, r=None):
+    """The one test of Gamma, Q0, Q, H and a_r: ParityViolation "<noun> must
+    be <property>" unless m, or each slice of a (K, d, d) stack at the
+    couplings r (naming the first that fails), is finite, then selfadjoint
+    and, with a grading, even (sign 1) or odd (sign -1), to GRADING_TOL
+    relative to max(1, ||m||_F).  Finite comes before any arithmetic."""
+    def refuse(what, k):
+        where = " at coupling %d (r = %r)" % (k, float(r[k])) if m.ndim == 3 else ""
+        raise ParityViolation("%s must be %s%s" % (noun, what, where))
+
+    if not np.isfinite(m).all():
+        refuse("finite", np.isfinite(m).all(axis=(-2, -1)).ravel().tolist().index(False))
+    parts = [m, m - m.conj().swapaxes(-1, -2)]
+    if grading is not None:
+        gm = grading.conjugate(m)
+        parts.append(gm - m if sign == 1 else gm + m)
+    # squared norms of m, m - m* and its wrong-parity part, one pass for speed
+    sq = np.square(np.array(parts).view(float)).sum(axis=(-2, -1))
+    over = (sq[1:] > GRADING_TOL ** 2 * np.maximum(1.0, sq[0])).ravel().tolist()
+    if True in over:
+        i, count = over.index(True), len(over) // (len(parts) - 1)
+        refuse(("selfadjoint", "even" if sign == 1 else "odd")[i // count], i % count)
+
+
 def _parity_of(even, odd):
     return Parity.EVEN if even else Parity.ODD if odd else Parity.MIXED
 
@@ -55,8 +79,8 @@ def _parity_of(even, odd):
 class GradingOperator:
     """Selfadjoint unitary involution defining the grading.
 
-    Validates Gamma = Gamma*, Gamma^2 = 1 and Gamma != 1 at construction,
-    to GRADING_TOL; the stored matrix is read-only.
+    Validates Gamma = Gamma* (_require_selfadjoint), Gamma^2 = 1 and
+    Gamma != 1 at construction, to GRADING_TOL; the matrix is read-only.
     """
 
     def __init__(self, matrix):
@@ -64,8 +88,7 @@ class GradingOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("grading operator must be square, got shape %s" % (m.shape,))
         d = m.shape[0]
-        if np.linalg.norm(m - m.conj().T) > GRADING_TOL * max(1.0, np.linalg.norm(m)):
-            raise ValueError("grading operator is not selfadjoint")
+        _require_selfadjoint(m, "grading operator")
         if np.linalg.norm(m @ m - np.eye(d)) > GRADING_TOL * d:
             raise ValueError("grading operator is not an involution")
         if np.linalg.norm(m - np.eye(d)) <= GRADING_TOL * d:

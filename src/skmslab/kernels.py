@@ -517,12 +517,22 @@ def _chain_edges(spectrum, pool, index, grading, q):
     return y0, [qs, run], what, rows
 
 
+def _heat_trace(spectrum, y0):
+    # chain_integral at n = 0: Tr(y0 e^{-H}) per tuple, (K, T) for K spectra
+    heat = np.exp(-spectrum.evals).reshape(-1, 1, spectrum.dim)
+    heads = np.diagonal(y0, axis1=1, axis2=2).reshape(len(heat), -1, spectrum.dim)
+    return np.sum(heads * heat, axis=-1)
+
+
 def _chain_prefixes(spectrum, pool, grading, index):
     # chain_integral of every prefix (x_0, .., x_k) of the tuples of an
-    # (n + 1, T) table, n >= 1, as (T, n + 1) values from one block row, or
-    # (K T, n + 1) for K spectra; (m, s) are chosen from every position, so
-    # a prefix may move at rounding level against its own chain_integral
+    # (n + 1, T) table as (T, n + 1) values from one block row, or (K T,
+    # n + 1) for K spectra; (m, s) are chosen from every position, so a
+    # prefix may move at rounding level against its own chain_integral.
+    # At n = 0 the one column is chain_integral's contraction
     y0, edges, what, rows = _chain_edges(spectrum, pool, index, grading, None)
+    if not edges:
+        return _heat_trace(spectrum, y0).reshape(-1, 1)
     return _contract(y0, _heat_chain_blocks(rows, edges, what).swapaxes(0, 1)).T
 
 
@@ -582,9 +592,7 @@ def chain_integral(spectrum, xs, grading, q=None, index=None):
     if edges:
         vals = _contract(y0, _heat_chain_blocks(rows, edges, what)[:, -1])
     else:
-        heat = np.exp(-spectrum.evals).reshape(-1, 1, spectrum.dim)
-        heads = np.diagonal(y0, axis1=1, axis2=2).reshape(len(heat), -1, spectrum.dim)
-        vals = np.sum(heads * heat, axis=-1)
+        vals = _heat_trace(spectrum, y0)
     vals = vals.reshape(spectrum.evals.shape[:-1] + (-1,))
     return vals if index is not None else _first_tuple(vals)
 

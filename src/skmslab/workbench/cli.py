@@ -13,8 +13,7 @@ import sys as _sys
 
 import numpy as np
 
-from ..cochain import tau_eval
-from ..dynamics import superderivation
+from ..cochain import _tau_pool, tau_eval
 from ..errors import ChainBudgetExceeded
 from ..kernels import (GAUSS_MIN_ORDER, SimplexQuadratureRule,
                        heat_chain_integrand, simplex_quadrature)
@@ -182,9 +181,8 @@ def _cmd_verify(args):
 
 
 def _tau_by_quadrature(system, n, xs, rule):
-    # quadrature route beside the block-exponential chain, driven by --quadrature
-    mats = [xs[0]]
-    mats += [superderivation(system, x) for x in xs[1:]]
+    # --quadrature's route, on the chain's own insertions: _tau_pool of one tuple
+    mats, _ = _tau_pool(system, xs, np.arange(n + 1)[:, None])
     integrand = heat_chain_integrand(system.spectrum, mats, system.grading)
     value, err = simplex_quadrature(integrand, n, rule)
     return value / system.witten_index, abs(err / system.witten_index)
@@ -202,8 +200,7 @@ def _cmd_tau_eval(args):
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x7E)))
     out = []
     for index in range(args.tuples):
-        xs = [system.random_element(rng, parity="even")
-              for _ in range(args.degree + 1)]
+        xs = system.random_elements(rng, args.degree + 1, parity="even")
         entry = {"degree": args.degree, "tuple_index": index}
         try:
             if rule is not None:
@@ -247,8 +244,7 @@ def _cmd_homotopy_check(args):
         raise argparse.ArgumentError(None, "argument --steps: %s" % exc)
     spec, system, pert = _load_model(args.model, args.seed)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x48)))
-    xs = [system.random_element(rng, parity="even")
-          for _ in range(args.degree + 1)]
+    xs = list(system.random_elements(rng, args.degree + 1, parity="even"))
     # a chain past the budget ends the checks in one usage line; tau eval
     # reports the same refusal per entry, verify as a failing row
     with _usage_errors("argument --degree", ChainBudgetExceeded):

@@ -32,6 +32,12 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(rows):
+    """The complex matrix of rows of [re, im] pairs.
+
+    DimensionMismatch for a payload of another shape, and ValueError
+    naming the first entry that is NaN or infinite, which json.loads
+    accepts and which would end deep in numpy.
+    """
     try:
         arr = np.asarray(rows, dtype=float)
     except ValueError as exc:
@@ -40,6 +46,11 @@ def matrix_from_json(rows):
         raise DimensionMismatch(
             "matrix payload must be rows of [re, im] pairs, got shape %s"
             % (arr.shape,))
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        i, j, part = np.argwhere(bad)[0]
+        raise ValueError("matrix entry (%d, %d) must be finite, got %r in its %s part"
+                         % (i, j, float(arr[i, j, part]), ("real", "imaginary")[part]))
     return arr[..., 0] + 1j * arr[..., 1]
 
 

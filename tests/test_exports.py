@@ -6,15 +6,16 @@ import dataclasses
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import skmslab
-from skmslab import cochain, dynamics, kernels, perturbation, report
+from skmslab import cochain, dynamics, graded, kernels, perturbation, report
 from skmslab.report import make_report
-from skmslab.workbench import ModelSpec, SuiteConfig
+from skmslab.workbench import ModelSpec, SuiteConfig, suites
 from skmslab.workbench.cli import build_parser
 from skmslab.workbench.models import build_perturbed_model
 
@@ -117,3 +118,17 @@ def test_suite_knobs_are_pinned():
     row = next(line for line in readme.read_text().splitlines()
                if line.startswith("| `verify` |"))
     assert row.split("|")[2].strip() == ", ".join("`%s`" % o for o in options)
+
+
+def test_every_constant_the_readme_validators_paragraph_names_resolves():
+    # the paragraph names its tolerances as `module.NAME`; a constant that
+    # is gone, as SUPERCHARGE_TOL went into graded.GRADING_TOL, fails here
+    # rather than stay documented
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("The tolerances of the validators are module constants")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    names = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`", paragraph)
+    modules = {m.__name__.rsplit(".", 1)[1]: m
+               for m in (cochain, dynamics, graded, kernels, perturbation, suites)}
+    assert ("graded", "GRADING_TOL") in names and len(names) >= 6
+    assert [n for n in names if not hasattr(modules.get(n[0]), n[1])] == []

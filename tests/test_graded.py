@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skmslab.errors import DimensionMismatch
+import skmslab.perturbation as perturbation_module
+from skmslab.dynamics import GradedSystem
+from skmslab.errors import DimensionMismatch, ParityViolation
 from skmslab.graded import (
     GradingOperator,
     Parity,
@@ -37,6 +39,60 @@ def test_grading_validation():
         GradingOperator(np.eye(3))
     with pytest.raises(DimensionMismatch):
         GradingOperator(np.ones((2, 3)))
+
+
+_GAMMA = np.diag([1.0, 1.0, -1.0])
+_ODD = np.zeros((3, 3), dtype=complex)
+_ODD[0, 2] = _ODD[2, 0] = 1.0
+_ODD_NOT_SELFADJOINT = np.triu(_ODD)
+
+
+def _a_r_with_wrong_delta(monkeypatch):
+    # delta(x) = Q0 x + gamma(x) Q0 makes delta(Q) antiselfadjoint, so a_r
+    # fails at every coupling but r = 0
+    def wrong_delta(system, x):
+        return system.supercharge @ x + system.gamma(x) @ system.supercharge
+    monkeypatch.setattr(perturbation_module, "superderivation", wrong_delta)
+    q = np.zeros((3, 3))
+    q[1, 2] = q[2, 1] = 1.0
+    perturbation_module.PerturbedContext(GradedSystem(_GAMMA, _ODD), q, [0.0, 0.0, 0.7])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda mp: GradingOperator([[1, 1], [0, -1]]), "grading operator must be selfadjoint"),
+    (lambda mp: GradedSystem(_GAMMA, _ODD_NOT_SELFADJOINT), "supercharge must be selfadjoint"),
+    (lambda mp: GradedSystem(_GAMMA, np.diag([1.0, 2.0, 3.0])), "supercharge must be odd"),
+    (lambda mp: perturbation_module.OddPerturbation(_ODD_NOT_SELFADJOINT, GradingOperator(_GAMMA)),
+     "perturbation must be selfadjoint"),
+    (lambda mp: perturbation_module.OddPerturbation(np.eye(3), GradingOperator(_GAMMA)),
+     "perturbation must be odd"),
+    # Q0's even part, within Q0's tolerance, squares to an odd part of H
+    # beyond H's: 2b against 1e-12 for Q0, 4b against 1e-12 for H
+    (lambda mp: GradedSystem(np.diag([1.0, -1.0]), [[4e-13, 1.0], [1.0, 4e-13]]),
+     "Hamiltonian must be even"),
+    (_a_r_with_wrong_delta, r"a_r must be selfadjoint at coupling 2 \(r = 0\.7\)"),
+], ids=["grading", "supercharge_selfadjoint", "supercharge_odd", "perturbation_selfadjoint",
+        "perturbation_odd", "hamiltonian_even", "a_r_at_coupling"])
+def test_every_operator_of_a_model_is_refused_by_noun_and_property(monkeypatch, build,
+                                                                   message):
+    # the one validator, graded._require_selfadjoint, behind every caller
+    with pytest.raises(ParityViolation, match="^%s$" % message):
+        build(monkeypatch)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build, noun", [
+    (lambda m: GradingOperator(np.diag([1.0, 1.0, -1.0]) + m), "grading operator"),
+    (lambda m: GradedSystem(_GAMMA, _ODD + m + m.T), "supercharge"),
+    (lambda m: perturbation_module.OddPerturbation(_ODD + m + m.T, GradingOperator(_GAMMA)),
+     "perturbation"),
+], ids=["grading", "supercharge", "perturbation"])
+def test_an_entry_that_is_not_finite_is_refused_before_any_arithmetic(build, noun, value):
+    # a NaN passes every test of a norm, and inf - inf would warn
+    m = np.zeros((3, 3))
+    m[0, 2] = value
+    with pytest.raises(ParityViolation, match="^%s must be finite$" % noun):
+        build(m)
 
 
 def test_grading_matrix_is_readonly():

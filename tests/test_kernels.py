@@ -590,6 +590,24 @@ def test_every_prefix_of_the_block_row_is_its_own_chain(seed):
         assert np.all(np.abs(got[:, top] - want) <= 1e-13 * np.abs(want)), top
 
 
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one_spectrum", "stack"])
+def test_a_one_row_table_gives_the_prefix_of_chain_integral(lead):
+    # degree 0 has no edges: the one column is chain_integral's n = 0
+    # contraction Tr(Gamma x_0 e^{-H}), bit for bit, every tuple at every
+    # spectrum; the block row raised IndexError on it
+    rng = np.random.default_rng(77)
+    d, count = 4, 5
+    evals = np.sort(rng.uniform(0.0, 3.0, lead + (d,)), axis=-1)
+    spectrum = Spectrum(evals, np.linalg.qr(_random_stack(rng, lead + (d, d)))[0])
+    pool = _random_stack(rng, (count + 2, d, d))
+    index = rng.integers(0, count + 2, (1, count))
+    g = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    got = kernels._chain_prefixes(spectrum, pool, g, index)
+    want = chain_integral(spectrum, pool, g, index=index).reshape(-1)
+    assert got.shape == (len(want), 1) and len(want) == count * int(np.prod(lead))
+    assert np.array_equal(got[:, 0], want)
+
+
 def test_chain_integral_none_grading_is_plain_trace():
     spec, g, xs = chain_fixture()
     got = chain_integral(spec, xs, None)

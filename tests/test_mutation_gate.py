@@ -4,8 +4,9 @@ A suite that stays green with a defect injected cannot tell that defect
 from working code (DeMillo, Lipton & Sayward, "Hints on test data
 selection", 1978).  Each defect below is injected by a monkeypatch of one
 module-level name, and `run_suite(spec, "All")` must then report at least
-one gated row red on both reference specs.  The defect in the sign of delta
-makes a_r non-selfadjoint, so the run must refuse it instead.
+one gated row red on both reference specs, and the rows of PINNED_ROWS
+among them.  The defects in the sign of delta and the ungraded delta make
+a_r non-selfadjoint, so the run must refuse them instead.
 
 Red rows at the time the gate was written, RandomGraded / RectangularBlock:
 G negated 2 / 2, G x 1.5 2 / 2, Gamma dropped 11 / 11, insertion order
@@ -15,6 +16,13 @@ place of rQ 5 / 5, H in place of H_r 5 / 5, delta leaking 1e-6 x 1 / 1
 chains 2 / 2 (tau.normalization at 3.22 / 2.27 and cocycle.boundary_n1
 at 0.259 / 0.489), simplex volume lost from the prefix chains 1 / 1
 (entireness.jlo_bound at 3.58 / 105).  The gate asserts at least one.
+The six defects of the kill matrix, added later, turn red the same rows on
+both specs: Gamma dropped from phi's weight 9, a flow that is no
+automorphism 13, the flow's time sign 6, the Dyson sign 2, a_r linear in r
+10 and H not Q0^2 16, the last two among them skms_r.delta_squared_ad_h.
+Their flow defects patch heisenberg_flow where dynamics, perturbation and
+the suites bind it, and the two Hamiltonian defects rebuild the spectrum
+and the weight that H or H_r gives.
 The G defects wrap perturbation.transgression_cochain, which the
 transgression checks call; every chain of tau and G goes through
 cochain.chain_integral, so the chain defects patch that one binding, but
@@ -33,6 +41,8 @@ import skmslab.cochain as cochain
 import skmslab.dynamics as dynamics
 import skmslab.kernels as kernels
 import skmslab.perturbation as perturbation
+import skmslab.workbench.suites as suites
+from skmslab.dynamics import GradedSystem
 from skmslab.errors import ParityViolation
 from skmslab.kernels import Spectrum
 from skmslab.perturbation import PerturbedContext
@@ -150,10 +160,98 @@ def lost_simplex_volume(monkeypatch, spec):
     monkeypatch.setattr(cochain, "_chain_prefixes", unscaled)
 
 
+def phi_without_gamma(monkeypatch, spec):
+    # phi's weight e^{-H} in place of Gamma e^{-H}, Z unchanged, for the
+    # system and every context
+    gibbs = dynamics._super_gibbs
+
+    def gamma_less(grading, spectrum):
+        z, weight = gibbs(grading, spectrum)
+        return z, grading.matrix @ weight
+    for module in (dynamics, perturbation):
+        monkeypatch.setattr(module, "_super_gibbs", gamma_less)
+
+
+def _patch_flow(monkeypatch, flow):
+    # every binding of heisenberg_flow that a row reads
+    for module in (dynamics, perturbation, suites):
+        monkeypatch.setattr(module, "heisenberg_flow", flow)
+
+
+def flow_not_automorphism(monkeypatch, spec):
+    # alpha_z(x) = e^{izH} x e^{izH}, that is alpha_z(x) e^{2izH}
+    flow = dynamics.heisenberg_flow
+
+    def one_sided(sys, x, z):
+        times = z if np.ndim(z) == 0 else np.asarray(z)[:, None]
+        spectrum = sys.spectrum
+        return flow(sys, x, z) @ spectrum.from_diagonal(np.exp(2j * times * spectrum.evals))
+    _patch_flow(monkeypatch, one_sided)
+
+
+def flow_time_sign(monkeypatch, spec):
+    # alpha_{-t+is} in place of alpha_{t+is}
+    flow = dynamics.heisenberg_flow
+    _patch_flow(monkeypatch, lambda sys, x, z: flow(sys, x, -np.conj(z)))
+
+
+def dyson_sign(monkeypatch, spec):
+    # the Dyson run carries -c a_r: the odd terms of gamma^r change sign
+    edge = perturbation._edge
+    monkeypatch.setattr(perturbation, "_edge",
+                        lambda row, col, pool, index: edge(row, col, -pool, index))
+
+
+def _set_hamiltonian(obj, h):
+    # h as the Hamiltonian of a system or a context, with the spectrum and
+    # the weight it gives; returns Tr(Gamma e^{-h})
+    obj.hamiltonian = h
+    obj.spectrum = Spectrum(*np.linalg.eigh(h))
+    z, obj._weight = dynamics._super_gibbs(obj.grading, obj.spectrum)
+    return z
+
+
+def linear_a_r(monkeypatch, spec):
+    # a_r = r delta(Q), with no r^2 Q^2, and H_r = H + a_r from it
+    init = PerturbedContext.__init__
+
+    def linear(self, system, pert, r):
+        init(self, system, pert, r)
+        self.a_r = np.reshape(self.r, np.shape(self.r) + (1, 1)) * self.delta_q
+        self.witten_index_r = _set_hamiltonian(self, system.hamiltonian + self.a_r)
+    monkeypatch.setattr(PerturbedContext, "__init__", linear)
+
+
+def hamiltonian_not_square(monkeypatch, spec):
+    # H = Q0^2 + 1e-3 E, E = diag(0, 1, .., d - 1), even under the diagonal
+    # Gamma of both reference specs
+    init = GradedSystem.__init__
+
+    def shifted(self, grading, supercharge):
+        init(self, grading, supercharge)
+        self.witten_index = _set_hamiltonian(
+            self, self.hamiltonian + 1e-3 * np.diag(np.arange(self.dim)))
+    monkeypatch.setattr(GradedSystem, "__init__", shifted)
+
+
 DEFECTS = {defect.__name__: defect for defect in (
     negate_g, scale_g, drop_gamma, reverse_insertions, flip_last_b_sign,
     wrong_b_signs, full_coupling_in_supercharge, unperturbed_chain_spectrum,
-    leaky_delta, gamma_less_trace, lost_simplex_volume)}
+    leaky_delta, gamma_less_trace, lost_simplex_volume, phi_without_gamma,
+    flow_not_automorphism, flow_time_sign, dyson_sign, linear_a_r,
+    hamiltonian_not_square)}
+
+
+# the rows each defect of the kill matrix must turn red, on both specs,
+# among any others
+PINNED_ROWS = {
+    "phi_without_gamma": ["phi.normalization"],
+    "flow_not_automorphism": ["skms.alpha_invariance"],
+    "flow_time_sign": ["skms_r.error_term"],
+    "dyson_sign": ["dyson.alpha_fidelity", "dyson.gamma_fidelity"],
+    "linear_a_r": ["witten.invariance", "skms_r.delta_squared_ad_h"],
+    "hamiltonian_not_square": ["skms.delta_squared_ad_h", "skms_r.delta_squared_ad_h"],
+}
 
 
 def _red_rows(spec):
@@ -170,7 +268,9 @@ def test_all_is_green_without_a_defect(spec):
 @pytest.mark.parametrize("defect", list(DEFECTS))
 def test_defect_turns_a_row_red(monkeypatch, spec, defect):
     DEFECTS[defect](monkeypatch, spec)
-    assert _red_rows(spec), "%s leaves every gated row green" % defect
+    red = _red_rows(spec)
+    assert red, "%s leaves every gated row green" % defect
+    assert [row for row in PINNED_ROWS.get(defect, []) if row not in red] == []
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
@@ -233,5 +333,17 @@ def test_wrong_delta_sign_is_refused(monkeypatch, spec):
         return sys.supercharge @ xs + (g @ xs @ g) @ sys.supercharge
     for module in (dynamics, cochain):
         monkeypatch.setattr(module, "_superderivation_stack", plus_sign)
+    with pytest.raises(ParityViolation, match="a_r must be selfadjoint"):
+        run_suite(spec, "All")
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
+def test_ungraded_delta_is_refused(monkeypatch, spec):
+    # delta(x) = Q0 x - x Q0, the plain commutator: delta(Q) = [Q0, Q] is
+    # antiselfadjoint, so a_r is refused as well
+    def commutator(sys, xs):
+        return sys.supercharge @ xs - xs @ sys.supercharge
+    for module in (dynamics, cochain):
+        monkeypatch.setattr(module, "_superderivation_stack", commutator)
     with pytest.raises(ParityViolation, match="a_r must be selfadjoint"):
         run_suite(spec, "All")

@@ -610,6 +610,7 @@ def test_perturbed_skms_rows():
         "skms_r.kms_boundary",
         "skms_r.normalization",
         "skms_r.delta_invariance",
+        "skms_r.delta_squared_ad_h",
         "skms_r.weak_supersymmetry",
         "skms_r.error_term",
         "skms_r.error_term_at_zero",

@@ -177,7 +177,7 @@ def looped_lemma44(sys, n=2, samples=20, seed=0):
 def looped_skms_perturbed(ctx, samples=25, ts=(0.0, 0.3, 1.0), seed=0):
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x45)))
-    herm, inv_a, inv_g, bound, deriv, weak, err_t = [], [], [], [], [], [], []
+    herm, inv_a, inv_g, bound, deriv, weak, adh, err_t = [], [], [], [], [], [], [], []
     gamma_i = gamma_cocycle_oracle(ctx, 1j)
     for _ in range(samples):
         x = _draw(sys, rng)
@@ -188,6 +188,7 @@ def looped_skms_perturbed(ctx, samples=25, ts=(0.0, 0.3, 1.0), seed=0):
         deriv.append(np.abs(skms_eval(ctx, superderivation(ctx, x))))
         dd = superderivation(ctx, superderivation(ctx, y))
         comm = ctx.hamiltonian @ y - y @ ctx.hamiltonian
+        adh.append(float(np.linalg.norm(dd - comm, 2)))
         weak.append(np.abs(skms_eval(ctx, x @ dd @ w) - skms_eval(ctx, x @ comm @ w)))
         for t in ts:
             inv_a.append(np.abs(skms_eval(ctx, heisenberg_flow(ctx, x, t))
@@ -208,6 +209,7 @@ def looped_skms_perturbed(ctx, samples=25, ts=(0.0, 0.3, 1.0), seed=0):
         ("skms_r.kms_boundary", "Fxz", count, float(max(bound))),
         ("skms_r.normalization", "phi-r1", 1, unit_res),
         ("skms_r.delta_invariance", "S4", samples, float(max(deriv))),
+        ("skms_r.delta_squared_ad_h", "S5", samples, float(max(adh))),
         ("skms_r.weak_supersymmetry", "S5", samples, float(max(weak))),
         ("skms_r.error_term", "lem2", count, float(max(err_t))),
         ("skms_r.error_term_at_zero", "lem2", 1, e0_norm),

@@ -325,6 +325,7 @@ ALL_ROWS = (
     ("skms_r.kms_boundary", "Fxz", 45, 1e-10),
     ("skms_r.normalization", "phi-r1", 1, 1e-10),
     ("skms_r.delta_invariance", "S4", 15, 1e-10),
+    ("skms_r.delta_squared_ad_h", "S5", 15, 1e-10),
     ("skms_r.weak_supersymmetry", "S5", 15, 1e-10),
     ("skms_r.error_term", "lem2", 45, 1e-10),
     ("skms_r.error_term_at_zero", "lem2", 1, 0.0),
@@ -360,7 +361,7 @@ ALL_ROWS = (
     ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0)],
     ids=lambda s: s.kind)
 def test_all_suite_rows_are_pinned(spec):
-    assert len(ALL_ROWS) == 55
+    assert len(ALL_ROWS) == 56
     digest = model_digest(spec)
     # run_suite stamps every row with its seed and the spec digest; every
     # row passes at both seeds
@@ -999,6 +1000,47 @@ def test_cli_unloadable_spec_is_a_usage_error(tmp_path, capsys, argv, cause):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "cannot load model " + str(path) in err and "Traceback" not in err
+
+
+def _entries_with(i, j, part, value):
+    # the JSON pairs of a 3 x 3 zero matrix, with one part of entry (i, j) set
+    entries = matrix_to_json(np.zeros((3, 3)))
+    entries[i][j][part] = value
+    return entries
+
+
+# spec entries that are not finite, which json.loads reads from NaN and
+# Infinity, by cause: the spec's dict and the refusal.  On a 2+1 block,
+# NaN in m ended in "Eigenvalues did not converge", or with a scale in
+# "SVD did not converge"; NaN in the perturbation loaded, and verify then
+# ended in a LinAlgError traceback
+SMALL_SPEC = dict(ModelSpec(kind="RectangularBlock", p=2, q=1).to_dict())
+NONFINITE_SPECS = {
+    "NaN in m": (dict(SMALL_SPEC, m=[[[math.nan, 0.0], [1.0, 0.0]]]),
+                 "matrix entry (0, 0) must be finite, got nan in its real part"),
+    "NaN in m with a scale": (dict(SMALL_SPEC, m=[[[math.nan, 0.0], [1.0, 0.0]]], scale=1.0),
+                              "matrix entry (0, 0) must be finite, got nan in its real part"),
+    "infinity in m": (dict(SMALL_SPEC, m=[[[1.0, 0.0], [1.0, -math.inf]]]),
+                      "matrix entry (0, 1) must be finite, got -inf in its imaginary part"),
+    "NaN in the perturbation": (
+        dict(SMALL_SPEC, perturbation={"entries": _entries_with(1, 2, 1, math.nan)}),
+        "matrix entry (1, 2) must be finite, got nan in its imaginary part"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "validate"], ["verify", "Perturbation", "--model"], ["tau", "eval", "--model"],
+    ["perturb", "sweep", "--model"], ["homotopy", "check", "--model"]])
+@pytest.mark.parametrize("cause", sorted(NONFINITE_SPECS))
+def test_cli_spec_entry_that_is_not_finite_is_a_usage_error(tmp_path, capsys, argv, cause):
+    spec, refusal = NONFINITE_SPECS[cause]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot load model %s: %s" % (path, refusal) in err and "Traceback" not in err
 
 
 # a spec that loads but whose model cannot be built, by cause: its dict.
