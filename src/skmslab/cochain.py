@@ -68,7 +68,7 @@ import numpy as np
 
 from .dynamics import _draw_tuples, _superderivation_stack
 from .errors import DimensionMismatch, ParityViolation, check_integer
-from .graded import Parity, as_matrix
+from .graded import Parity, as_matrix, spectral_norms
 from .kernels import (SimplexQuadratureRule, _chain_prefixes, _first_tuple, _split_table,
                       chain_integral, heat_chain_integrand, simplex_quadrature)
 from .report import Measurement
@@ -344,8 +344,7 @@ def tau_eval(sys, n, xs):
 
 def _graph_normalize(sys, stack):
     # each slice over its graph norm ||x|| + ||delta(x)||; a zero slice stays 0
-    nrm = (np.linalg.norm(stack, 2, axis=(1, 2))
-           + np.linalg.norm(_superderivation_stack(sys, stack), 2, axis=(1, 2)))
+    nrm = spectral_norms(stack) + spectral_norms(_superderivation_stack(sys, stack))
     return stack / np.where(nrm == 0, 1.0, nrm)[:, None, None]
 
 

@@ -22,9 +22,10 @@ import warnings
 
 import numpy as np
 
-from .errors import (ConditioningWarning, DimensionMismatch, ParityViolation,
-                     StripViolation, ZeroWittenIndex, check_integer)
-from .graded import GradingOperator, Parity, _require_selfadjoint, as_matrices, as_matrix
+from .errors import (ConditioningWarning, DimensionMismatch, StripViolation,
+                     ZeroWittenIndex, check_integer)
+from .graded import (GradingOperator, Parity, _require_selfadjoint, as_matrices, as_matrix,
+                     frobenius_norms, spectral_norms)
 from .kernels import Spectrum
 from .report import Measurement
 
@@ -56,9 +57,10 @@ def _odd_selfadjoint(m, grading, noun):
 class GradedSystem:
     """Grading, supercharge, Hamiltonian and cached spectral data.
 
-    Immutable after construction.  Raises ParityViolation unless Q0 is odd
-    selfadjoint and H even (graded._require_selfadjoint), and
-    ZeroWittenIndex if |Tr(Gamma e^{-H})| < WITTEN_FLOOR.
+    Immutable after construction.  Raises DimensionMismatch unless Q0 has
+    the grading's size, ParityViolation unless Q0 is odd selfadjoint and H
+    even (graded._require_selfadjoint), and ZeroWittenIndex if
+    |Tr(Gamma e^{-H})| < WITTEN_FLOOR.
     """
 
     def __init__(self, grading, supercharge):
@@ -67,14 +69,14 @@ class GradedSystem:
         self.grading = grading
         q0 = as_matrix(supercharge)
         if q0.shape[0] != grading.dim:
-            raise ParityViolation("supercharge dimension does not match grading")
+            raise DimensionMismatch("supercharge dimension does not match grading")
         self.supercharge = q0 = _odd_selfadjoint(q0, grading, "supercharge")
         h = q0 @ q0
         h.setflags(write=False)
         self.hamiltonian = h
         _require_selfadjoint(h, "Hamiltonian", grading)
         evals, vecs = np.linalg.eigh(h)
-        if evals.min() < -1e-12 * max(1.0, np.linalg.norm(q0)) ** 2:
+        if evals.min() < -1e-12 * max(1.0, frobenius_norms(q0)) ** 2:
             raise ValueError("Hamiltonian has a significantly negative eigenvalue")
         self.spectrum = Spectrum(np.clip(evals, 0.0, None), vecs)
         self.witten_index, self._weight = _super_gibbs(grading, self.spectrum)
@@ -111,8 +113,7 @@ class GradedSystem:
             m = (m + self.grading.conjugate(m)) / 2
         elif parity is Parity.ODD:
             m = (m - self.grading.conjugate(m)) / 2
-        # the largest singular value: np.linalg.norm(m[k], 2) bit for bit
-        nrm = np.linalg.svd(m, compute_uv=False)[:, 0]
+        nrm = spectral_norms(m)
         return m / np.where(nrm > 0, nrm, 1.0)[:, None, None]
 
     def random_element(self, rng, parity=None):
@@ -164,10 +165,16 @@ def heisenberg_flow(sys, x, z):
         warnings.warn(
             "imaginary-time flow with eigenvalue spread %.3g at Im z = %.3g"
             % (spread, worst), ConditioningWarning, stacklevel=2)
-    xm = spec.to_eigenbasis(x)
-    phase = np.exp(1j * z * spec.evals)
-    return spec.from_eigenbasis((phase[..., :, None] * xm)
-                                * (1.0 / phase)[..., None, :])
+    return _conjugation(spec, x, z, spec)
+
+
+def _conjugation(left, x, z, right):
+    # e^{izA} x e^{-izB} in the eigenbases of spectra left (A) and right (B), z one
+    # time or (K, 1) times: the one conjugation, of heisenberg_flow and the oracles
+    phase = np.exp(1j * z * left.evals)
+    inverse = 1.0 / (phase if right is left else np.exp(1j * z * right.evals))
+    return left.vecs @ (phase[..., :, None] * (left._vecs_h @ x @ right.vecs)
+                        * inverse[..., None, :]) @ right._vecs_h
 
 
 def superderivation(sys, x):
@@ -234,7 +241,7 @@ def _functional_residuals(sys, x, y, w, ts):
         "hermiticity": np.abs(skms_eval(sys, x.conj().swapaxes(1, 2)) - np.conj(phi_x)),
         "gamma_invariance": np.abs(skms_eval(sys, sys.grading.conjugate(x)) - phi_x),
         "delta_invariance": np.abs(skms_eval(sys, superderivation(sys, x))),
-        "delta_squared_ad_h": np.linalg.norm(dd - comm, 2, axis=(1, 2)),
+        "delta_squared_ad_h": spectral_norms(dd - comm),
         "weak_supersymmetry": np.abs(skms_eval(sys, x @ dd @ w)
                                      - skms_eval(sys, x @ comm @ w)),
     }

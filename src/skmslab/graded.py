@@ -42,10 +42,26 @@ def as_matrices(x):
     return m
 
 
+def spectral_norms(m):
+    """The largest singular value of a matrix or of each slice of a stack:
+    np.linalg.norm(m, 2[, axis=(-2, -1)]) bit for bit."""
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
+
+
 def frobenius_norms(m):
-    """Frobenius norm over the last two axes, for the tolerance tests."""
+    """Frobenius norm over the last two axes, the norm of the tolerance tests.
+
+    Where the squares of a finite m overflow, each slice is first scaled by
+    a power of two, which keeps the bits of every norm that does not."""
     flat = m.reshape(m.shape[:-2] + (-1,))
-    return np.sqrt((flat * flat.conj()).real.sum(axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (flat * flat.conj()).real.sum(axis=-1)
+    if sq.max() < np.inf or not np.isfinite(flat).all():
+        return np.sqrt(sq)
+    # 2^e is above the largest |entry| of each slice
+    e = np.frexp(np.abs(flat).max(axis=-1))[1]
+    flat = flat * np.ldexp(1.0, -e)[..., None]
+    return np.ldexp(np.sqrt((flat * flat.conj()).real.sum(axis=-1)), e)
 
 
 def _require_selfadjoint(m, noun, grading=None, sign=1, r=None):
@@ -64,9 +80,9 @@ def _require_selfadjoint(m, noun, grading=None, sign=1, r=None):
     if grading is not None:
         gm = grading.conjugate(m)
         parts.append(gm - m if sign == 1 else gm + m)
-    # squared norms of m, m - m* and its wrong-parity part, one pass for speed
-    sq = np.square(np.array(parts).view(float)).sum(axis=(-2, -1))
-    over = (sq[1:] > GRADING_TOL ** 2 * np.maximum(1.0, sq[0])).ravel().tolist()
+    # the norms of m, m - m* and its wrong-parity part, one call
+    norms = frobenius_norms(np.array(parts))
+    over = (norms[1:] > GRADING_TOL * np.maximum(1.0, norms[0])).ravel().tolist()
     if True in over:
         i, count = over.index(True), len(over) // (len(parts) - 1)
         refuse(("selfadjoint", "even" if sign == 1 else "odd")[i // count], i % count)
@@ -89,9 +105,9 @@ class GradingOperator:
             raise DimensionMismatch("grading operator must be square, got shape %s" % (m.shape,))
         d = m.shape[0]
         _require_selfadjoint(m, "grading operator")
-        if np.linalg.norm(m @ m - np.eye(d)) > GRADING_TOL * d:
+        if frobenius_norms(m @ m - np.eye(d)) > GRADING_TOL * d:
             raise ValueError("grading operator is not an involution")
-        if np.linalg.norm(m - np.eye(d)) <= GRADING_TOL * d:
+        if frobenius_norms(m - np.eye(d)) <= GRADING_TOL * d:
             raise ValueError("grading operator equals the identity; grading is trivial")
         m.setflags(write=False)
         self.matrix = m

@@ -36,11 +36,11 @@ import numpy as np
 
 from .cochain import (_chain_cochain, _chains_by_degree, _couplings, _merge, boundary,
                       tau_eval)
-from .dynamics import (GradedSystem, _draw_tuples, _functional_residuals,
+from .dynamics import (GradedSystem, _conjugation, _draw_tuples, _functional_residuals,
                        _odd_selfadjoint, _super_gibbs, heisenberg_flow, skms_eval,
                        superderivation)
 from .errors import TruncationUnreachable, check_integer
-from .graded import _require_selfadjoint, as_matrices, as_matrix
+from .graded import _require_selfadjoint, as_matrices, as_matrix, spectral_norms
 # chain_integral is bound here too: perfbench traces perturbation.chain_integral
 from .kernels import (Spectrum, _edge, _heat_chain_blocks,  # noqa: F401
                       _refuse_over_budget, chain_integral, gauss_legendre_01)
@@ -135,7 +135,7 @@ class PerturbedContext:
     @functools.cached_property
     def a_norm(self):
         """||a_r||, (K,) for a vector context; an SVD, so taken on first read."""
-        norm = np.linalg.norm(self.a_r, 2, axis=(-2, -1))
+        norm = spectral_norms(self.a_r)
         return float(norm) if np.ndim(norm) == 0 else norm
 
     @property
@@ -179,14 +179,9 @@ def gamma_cocycle_oracle(ctx, t):
 def gamma_flow_oracle(ctx, x, t):
     """Exact gamma^r_t(x) = e^{itH_r} x e^{-itH} = gamma^r_t(1) alpha_t(x).
 
-    x may be a (K, d, d) stack, conjugated slice by slice.
+    x may be a (K, d, d) stack; dynamics._conjugation, not heisenberg_flow, conjugates it.
     """
-    t = complex(t)
-    spec_r = ctx.spectrum
-    spec = ctx.system.spectrum
-    left = spec_r.from_diagonal(np.exp(1j * t * spec_r.evals))
-    right = spec.from_diagonal(np.exp(-1j * t * spec.evals))
-    return left @ as_matrices(x) @ right
+    return _conjugation(ctx.spectrum, as_matrices(x), complex(t), ctx.system.spectrum)
 
 
 @dataclass(frozen=True)
@@ -256,7 +251,7 @@ def dyson_alpha_info(ctx, x, t, tol=1e-10, order=None):
     """
     xm = as_matrices(x)
     t = float(t)
-    norm_x = float(np.max(np.linalg.norm(xm, 2, axis=(-2, -1))))
+    norm_x = float(np.max(spectral_norms(xm)))
     info = _dyson_info(ctx, t, tol, order, norm_x)
     flow = heisenberg_flow(ctx.system, xm, t)
     if ctx.a_norm == 0.0 or t == 0.0 or info.order == 0:
@@ -349,22 +344,18 @@ def lemma43_check(ctx, samples=50, seed=0):
         g_s = gamma_cocycle_oracle(ctx, s)
         lhs = gamma_flow_oracle(ctx, x, t)
         inner = gamma_flow_oracle(ctx, x, t - s)
-        gcomp.append(np.linalg.norm(lhs - g_s @ heisenberg_flow(sys, inner, s), 2,
-                                    axis=(1, 2)))
+        gcomp.append(spectral_norms(lhs - g_s @ heisenberg_flow(sys, inner, s)))
 
         rhs2 = heisenberg_flow(sys, gamma_cocycle_oracle(ctx, -t), t)
-        gstar.append(max(
-            np.linalg.norm(g_t.conj().T - rhs2, 2),
-            np.linalg.norm(g_t @ g_t.conj().T - unit, 2),
-            np.linalg.norm(g_t.conj().T @ g_t - unit, 2)))
+        gstar.append(np.max(spectral_norms(np.array([
+            g_t.conj().T - rhs2, g_t @ g_t.conj().T - unit, g_t.conj().T @ g_t - unit]))))
 
         flow_r = heisenberg_flow(ctx, x, t)
         rhs3 = g_t @ heisenberg_flow(sys, x, t) @ g_t.conj().T
-        acomp.append(np.linalg.norm(flow_r - rhs3, 2, axis=(1, 2)))
+        acomp.append(spectral_norms(flow_r - rhs3))
 
         lhs4 = flow_r @ gamma_flow_oracle(ctx, y, t)
-        gprod.append(np.linalg.norm(lhs4 - gamma_flow_oracle(ctx, x @ y, t), 2,
-                                    axis=(1, 2)))
+        gprod.append(spectral_norms(lhs4 - gamma_flow_oracle(ctx, x @ y, t)))
     count = samples * len(ts)
     rows = [
         ("gamma_r.composition", "L43.1", np.max(gcomp)),
@@ -446,7 +437,7 @@ def skms_check_perturbed(ctx, samples=25, seed=0):
             ("error_term", "lem2")]
     return ([Measurement("skms_r." + name, anchor, *res[name]) for name, anchor in rows]
             + [Measurement("skms_r.error_term_at_zero", "lem2", 1,
-                           float(np.linalg.norm(errors[0], 2)))])
+                           float(spectral_norms(errors[0])))])
 
 
 def f_identities_check(ctx, n=3, samples=10, seed=0):
@@ -543,9 +534,8 @@ def lipschitz_check(system, perturbation, samples=100, seed=0):
     xs, ts = np.array(xs), np.array(ts)
     r1, r2 = np.array(pairs).T
     ctx, other = (PerturbedContext(system, perturbation, r) for r in (r1, r2))
-    diff = np.linalg.norm(heisenberg_flow(ctx, xs, ts) - heisenberg_flow(other, xs, ts), 2,
-                          axis=(1, 2))
-    c = float(np.linalg.norm(ctx.delta_q, 2) + np.linalg.norm(ctx.q_squared, 2))
+    diff = spectral_norms(heisenberg_flow(ctx, xs, ts) - heisenberg_flow(other, xs, ts))
+    c = float(spectral_norms(ctx.delta_q) + spectral_norms(ctx.q_squared))
     try:
         factor = 2.0 * c * math.exp(2.0 * c)
     except OverflowError:

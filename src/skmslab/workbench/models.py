@@ -18,7 +18,7 @@ import numpy as np
 
 from ..dynamics import GradedSystem
 from ..errors import DimensionMismatch, ZeroWittenIndex, check_integer
-from ..graded import GradingOperator
+from ..graded import GradingOperator, spectral_norms
 from ..perturbation import OddPerturbation
 
 MODEL_SCHEMA = "skms-model/1"
@@ -31,26 +31,28 @@ def matrix_to_json(m):
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def matrix_from_json(rows):
+def matrix_from_json(rows, field=None):
     """The complex matrix of rows of [re, im] pairs.
 
     DimensionMismatch for a payload of another shape, and ValueError
     naming the first entry that is NaN or infinite, which json.loads
-    accepts and which would end deep in numpy.
+    accepts and which would end deep in numpy.  The spec field the rows
+    come from, if given, prefixes each message.
     """
+    where = field + ": " if field else ""
     try:
         arr = np.asarray(rows, dtype=float)
     except ValueError as exc:
-        raise DimensionMismatch("malformed matrix payload: %s" % exc) from None
+        raise DimensionMismatch("%smalformed matrix payload: %s" % (where, exc)) from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise DimensionMismatch(
-            "matrix payload must be rows of [re, im] pairs, got shape %s"
-            % (arr.shape,))
+            "%smatrix payload must be rows of [re, im] pairs, got shape %s"
+            % (where, arr.shape))
     bad = ~np.isfinite(arr)
     if bad.any():
         i, j, part = np.argwhere(bad)[0]
-        raise ValueError("matrix entry (%d, %d) must be finite, got %r in its %s part"
-                         % (i, j, float(arr[i, j, part]), ("real", "imaginary")[part]))
+        raise ValueError("%smatrix entry (%d, %d) must be finite, got %r in its %s part"
+                         % (where, i, j, float(arr[i, j, part]), ("real", "imaginary")[part]))
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -170,7 +172,7 @@ def _block_supercharge(p, q, m):
 def _rescale(q0, scale):
     if scale is None:
         return q0
-    nrm = np.linalg.norm(q0, 2)
+    nrm = spectral_norms(q0)
     if nrm == 0:
         raise ZeroWittenIndex("zero supercharge cannot be rescaled")
     return q0 * (float(scale) / nrm)
@@ -184,7 +186,7 @@ def _build_perturbation(pert, grading, p, q):
     if pert is None:
         return None
     if "entries" in pert:
-        mat = matrix_from_json(pert["entries"])
+        mat = matrix_from_json(pert["entries"], "perturbation.entries")
         return OddPerturbation(mat, grading)
     if "seed" not in pert:
         raise ValueError("perturbation needs 'entries' or 'seed'")
@@ -214,7 +216,7 @@ def build_model(spec):
     if p == q:
         raise ZeroWittenIndex("square block has index zero")
     if spec.m is not None:
-        m = matrix_from_json(spec.m)
+        m = matrix_from_json(spec.m, "m")
     else:
         m = _draw_block(np.random.default_rng(spec.seed), p, q)
     system = GradedSystem(grading, _rescale(_block_supercharge(p, q, m),

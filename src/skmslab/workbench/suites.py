@@ -21,6 +21,7 @@ from ..cochain import (boundary, entireness_diagnostic, jlo_cochain,
 from ..dynamics import (_draw_tuples, heisenberg_flow, skms_eval,
                         verify_skms_axioms)
 from ..errors import ChainBudgetExceeded, TruncationUnreachable, check_integer
+from ..graded import spectral_norms
 from ..perturbation import (PerturbedContext, dyson_alpha_info,
                             dyson_gamma_one_info,
                             endpoint_transgression_check, f_identities_check,
@@ -149,7 +150,7 @@ def _dyson_fidelity(sys, pert, config):
         worst_alpha = 0.0
         for t in (0.3, 1.0):
             val, info = dyson_alpha_info(ctx, xs, t, tol=1e-10)
-            err = np.linalg.norm(val - heisenberg_flow(ctx, xs, t), 2, axis=(1, 2))
+            err = spectral_norms(val - heisenberg_flow(ctx, xs, t))
             budgeted = info.tail_bound + 1e-12
             worst_alpha = max(worst_alpha, float(np.max(err - budgeted)))
         # real t as well as t = i: a defect in the real-time series alone
@@ -158,7 +159,7 @@ def _dyson_fidelity(sys, pert, config):
         worst_gamma = 0.0
         for t in gamma_times:
             gval, ginfo = dyson_gamma_one_info(ctx, t, tol=1e-10)
-            gerr = float(np.linalg.norm(gval - gamma_cocycle_oracle(ctx, t), 2))
+            gerr = float(spectral_norms(gval - gamma_cocycle_oracle(ctx, t)))
             worst_gamma = max(worst_gamma, gerr - (ginfo.tail_bound + 1e-12))
         return [Measurement("dyson.alpha_fidelity", "dyson", 2 * len(xs),
                             max(worst_alpha, 0.0)),

@@ -62,7 +62,7 @@ def test_construction_rejections():
     odd[0, 2] = 1.0
     with pytest.raises(ParityViolation, match="selfadjoint"):
         GradedSystem(grading, odd)
-    with pytest.raises(ParityViolation, match="dimension"):
+    with pytest.raises(DimensionMismatch, match="dimension"):
         GradedSystem(grading, np.zeros((2, 2)))
     # p = q kills the index
     q0 = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -132,3 +132,35 @@ def test_every_constant_the_readme_validators_paragraph_names_resolves():
                for m in (cochain, dynamics, graded, kernels, perturbation, suites)}
     assert ("graded", "GRADING_TOL") in names and len(names) >= 6
     assert [n for n in names if not hasattr(modules.get(n[0]), n[1])] == []
+
+
+def test_each_matrix_primitive_has_one_owner():
+    # the 2-norm is graded.spectral_norms, the one SVD of the package, and
+    # the Frobenius norm graded.frobenius_norms: no other module may take a
+    # numpy norm or SVD of its own
+    src = pathlib.Path(skmslab.__file__).resolve().parent
+    spelled = collections.defaultdict(list)
+    for path in sorted(src.rglob("*.py")):
+        for call in re.findall(r"linalg\.(?:norm|svd)\b|from numpy\.linalg import",
+                               path.read_text()):
+            spelled[call].append(path.relative_to(src).as_posix())
+    assert [(call, f) for call, files in spelled.items() for f in files
+            if f != "graded.py"] == []
+    assert spelled["linalg.svd"] == ["graded.py"]
+    # the gamma^r oracles conjugate in two eigenbases, with no dense
+    # exponential and no binding of heisenberg_flow
+    assert "from_diagonal" not in pathlib.Path(perturbation.__file__).read_text()
+
+
+def test_the_gamma_r_oracles_read_no_flow_binding(monkeypatch):
+    sys_, pert = build_perturbed_model(
+        ModelSpec(kind="RectangularBlock", p=2, q=1, seed=1, scale=1.0), 0)
+    ctx = perturbation.PerturbedContext(sys_, pert, 0.5)
+    want = perturbation.gamma_flow_oracle(ctx, sys_.unit(), 0.3)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an oracle read a flow binding")
+    for module in (dynamics, perturbation, suites):
+        monkeypatch.setattr(module, "heisenberg_flow", refused)
+    monkeypatch.setattr(kernels.Spectrum, "from_diagonal", refused)
+    assert (perturbation.gamma_cocycle_oracle(ctx, 0.3) == want).all()

@@ -12,6 +12,7 @@ from skmslab.graded import (
     GradingOperator,
     Parity,
     as_matrix,
+    frobenius_norms,
     graded_commutator,
     parity_split,
     supertrace,
@@ -120,6 +121,44 @@ def test_classify_block_structure():
     assert g.classify(even + odd) is Parity.MIXED
     # zero is both even and odd; classify picks even
     assert g.classify(np.zeros((4, 4))) is Parity.EVEN
+
+
+def test_a_supercharge_whose_squares_overflow_is_refused_as_not_selfadjoint():
+    # entries 1e155 square past the largest float; the lone even entry 1e150
+    # has no mirror, so Q0 is not selfadjoint.  Unscaled, ||Q0||_F was inf,
+    # the tolerance inf, and the build died in an overflow warning
+    q0 = np.zeros((3, 3))
+    q0[0, 2] = q0[2, 0] = q0[1, 2] = q0[2, 1] = 1e155
+    q0[0, 1] = 1e150
+    with pytest.raises(ParityViolation, match="^supercharge must be selfadjoint$"):
+        GradedSystem(np.diag([1.0, 1.0, -1.0]), q0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160])
+def test_classify_holds_where_the_squares_overflow(scale):
+    # at 1e160 an unscaled norm read inf <= inf, and every element was even
+    g = block_grading(2, 1)
+    odd = np.zeros((3, 3))
+    odd[0, 2] = odd[2, 0] = scale
+    even = np.zeros((3, 3))
+    even[0, 1] = scale
+    assert g.classify(odd) is Parity.ODD
+    assert g.classify(odd + even) is Parity.MIXED
+    assert g.classify(np.array([even, odd, odd + even])) == [
+        Parity.EVEN, Parity.ODD, Parity.MIXED]
+
+
+def test_frobenius_norms_scale_by_powers_of_two_where_the_squares_overflow():
+    # each slice is scaled by its own power of two, which is exact: the
+    # slices that do not overflow keep their bits, and the one that does
+    # reads its unscaled norm times 2^600
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    big = m.copy()
+    big[1] *= 2.0 ** 600
+    want = frobenius_norms(m)
+    np.testing.assert_array_equal(frobenius_norms(big), want * [1.0, 2.0 ** 600, 1.0])
+    assert frobenius_norms(m[0]) == want[0]
 
 
 def test_parity_split_reconstructs():

@@ -6,7 +6,11 @@ selection", 1978).  Each defect below is injected by a monkeypatch of one
 module-level name, and `run_suite(spec, "All")` must then report at least
 one gated row red on both reference specs, and the rows of PINNED_ROWS
 among them.  The defects in the sign of delta and the ungraded delta make
-a_r non-selfadjoint, so the run must refuse them instead.
+a_r non-selfadjoint, so the run must refuse them instead: a guard that
+refuses inside a check (here PerturbedContext's ParityViolation) aborts
+run_suite rather than fail a row, as the two refusal tests pin.  The kill
+matrix (defect -> red gated rows, both specs) must match RED_COUNTS and
+reach every gated row but those of BY_CONSTRUCTION.
 
 Red rows at the time the gate was written, RandomGraded / RectangularBlock:
 G negated 2 / 2, G x 1.5 2 / 2, Gamma dropped 11 / 11, insertion order
@@ -259,6 +263,11 @@ def _red_rows(spec):
             if r.tolerance != DOCUMENTED and not r.passed]
 
 
+# (spec kind, defect) -> red gated rows, filled by test_defect_turns_a_row_red
+# and read by the kill matrix, so that each defect runs once per spec
+_RED_BY_DEFECT = {}
+
+
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
 def test_all_is_green_without_a_defect(spec):
     assert _red_rows(spec) == []
@@ -268,9 +277,50 @@ def test_all_is_green_without_a_defect(spec):
 @pytest.mark.parametrize("defect", list(DEFECTS))
 def test_defect_turns_a_row_red(monkeypatch, spec, defect):
     DEFECTS[defect](monkeypatch, spec)
-    red = _red_rows(spec)
+    red = _RED_BY_DEFECT[spec.kind, defect] = _red_rows(spec)
     assert red, "%s leaves every gated row green" % defect
     assert [row for row in PINNED_ROWS.get(defect, []) if row not in red] == []
+
+
+# the kill matrix, one table for both specs: the number of gated rows each
+# defect turns red.  It also pins that the gamma^r oracles read no flow
+# binding the defects patch: an oracle that took alpha_t(x) from
+# heisenberg_flow gave flow_not_automorphism 14
+RED_COUNTS = {
+    "negate_g": 2, "scale_g": 2, "drop_gamma": 11, "reverse_insertions": 12,
+    "flip_last_b_sign": 5, "wrong_b_signs": 5, "full_coupling_in_supercharge": 6,
+    "unperturbed_chain_spectrum": 5, "leaky_delta": 1, "gamma_less_trace": 2,
+    "lost_simplex_volume": 1, "phi_without_gamma": 9, "flow_not_automorphism": 13,
+    "flow_time_sign": 6, "dyson_sign": 2, "linear_a_r": 10, "hamiltonian_not_square": 16}
+
+# the gated rows of All that no defect reaches, because they hold by construction
+BY_CONSTRUCTION = [
+    # phi's weight Gamma e^{-H} is selfadjoint, and even since H is even
+    "skms.hermiticity", "skms.gamma_invariance",
+    # so is Gamma e^{-H_r} once H_r is even, which PerturbedContext requires
+    "skms_r.hermiticity", "skms_r.gamma_invariance",
+    # delta_r(c 1) = 0 exactly, so a scalar slot gives G^r and its boundary 0
+    # whatever the chains
+    "transgression.degeneracy", "transgression.unit_boundary",
+    # a bound with e^{2c} slack, c = ||delta(Q)|| + ||Q^2||
+    "alpha_r.lipschitz_in_r",
+]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
+def test_kill_matrix_reaches_every_gated_row_that_does_not_hold_by_construction(spec):
+    # reads the runs of test_defect_turns_a_row_red, and makes those it lacks
+    gated = [r.identity_name for r in run_suite(spec, "All") if r.tolerance != DOCUMENTED]
+    for defect in DEFECTS:
+        if (spec.kind, defect) not in _RED_BY_DEFECT:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                DEFECTS[defect](monkeypatch, spec)
+                _RED_BY_DEFECT[spec.kind, defect] = _red_rows(spec)
+    table = {defect: _RED_BY_DEFECT[spec.kind, defect] for defect in DEFECTS}
+    assert {defect: len(red) for defect, red in table.items()} == RED_COUNTS
+    reached = set().union(*table.values())
+    assert (len(gated), len(reached)) == (47, 40)
+    assert sorted(set(gated) - reached) == sorted(BY_CONSTRUCTION)
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)

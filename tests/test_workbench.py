@@ -1017,14 +1017,15 @@ def _entries_with(i, j, part, value):
 SMALL_SPEC = dict(ModelSpec(kind="RectangularBlock", p=2, q=1).to_dict())
 NONFINITE_SPECS = {
     "NaN in m": (dict(SMALL_SPEC, m=[[[math.nan, 0.0], [1.0, 0.0]]]),
-                 "matrix entry (0, 0) must be finite, got nan in its real part"),
+                 "m: matrix entry (0, 0) must be finite, got nan in its real part"),
     "NaN in m with a scale": (dict(SMALL_SPEC, m=[[[math.nan, 0.0], [1.0, 0.0]]], scale=1.0),
-                              "matrix entry (0, 0) must be finite, got nan in its real part"),
+                              "m: matrix entry (0, 0) must be finite, got nan in its real part"),
     "infinity in m": (dict(SMALL_SPEC, m=[[[1.0, 0.0], [1.0, -math.inf]]]),
-                      "matrix entry (0, 1) must be finite, got -inf in its imaginary part"),
+                      "m: matrix entry (0, 1) must be finite, got -inf in its imaginary part"),
     "NaN in the perturbation": (
         dict(SMALL_SPEC, perturbation={"entries": _entries_with(1, 2, 1, math.nan)}),
-        "matrix entry (1, 2) must be finite, got nan in its imaginary part"),
+        "perturbation.entries: matrix entry (1, 2) must be finite, got nan in its imaginary "
+        "part"),
 }
 
 
