@@ -59,7 +59,8 @@ class GradedSystem:
 
     Immutable after construction.  Raises DimensionMismatch unless Q0 has
     the grading's size, ParityViolation unless Q0 is odd selfadjoint and H
-    even (graded._require_selfadjoint), and ZeroWittenIndex if
+    even (graded._require_selfadjoint), ValueError naming the overflow if
+    ||Q0||_F >= 2^511, before H = Q0^2 is formed, and ZeroWittenIndex if
     |Tr(Gamma e^{-H})| < WITTEN_FLOOR.
     """
 
@@ -71,12 +72,17 @@ class GradedSystem:
         if q0.shape[0] != grading.dim:
             raise DimensionMismatch("supercharge dimension does not match grading")
         self.supercharge = q0 = _odd_selfadjoint(q0, grading, "supercharge")
+        # no entry or partial sum of Q0 Q0 exceeds ||Q0||_F^2, which 2^1022 bounds
+        norm = frobenius_norms(q0)
+        if norm >= 2.0 ** 511:
+            raise ValueError("supercharge too large: H = Q0^2 would overflow, ||Q0||_F = "
+                             "%.3g is not below 2^511" % norm)
         h = q0 @ q0
         h.setflags(write=False)
         self.hamiltonian = h
         _require_selfadjoint(h, "Hamiltonian", grading)
         evals, vecs = np.linalg.eigh(h)
-        if evals.min() < -1e-12 * max(1.0, frobenius_norms(q0)) ** 2:
+        if evals.min() < -1e-12 * max(1.0, norm) ** 2:
             raise ValueError("Hamiltonian has a significantly negative eigenvalue")
         self.spectrum = Spectrum(np.clip(evals, 0.0, None), vecs)
         self.witten_index, self._weight = _super_gibbs(grading, self.spectrum)

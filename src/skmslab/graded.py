@@ -53,10 +53,10 @@ def frobenius_norms(m):
 
     Where the squares of a finite m overflow, each slice is first scaled by
     a power of two, which keeps the bits of every norm that does not."""
-    flat = m.reshape(m.shape[:-2] + (-1,))
+    flat = m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],))
     with np.errstate(over="ignore", invalid="ignore"):
         sq = (flat * flat.conj()).real.sum(axis=-1)
-    if sq.max() < np.inf or not np.isfinite(flat).all():
+    if not np.isinf(sq).any() or not np.isfinite(flat).all():
         return np.sqrt(sq)
     # 2^e is above the largest |entry| of each slice
     e = np.frexp(np.abs(flat).max(axis=-1))[1]

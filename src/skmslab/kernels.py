@@ -58,15 +58,16 @@ the terms of every Dyson series of the perturbation module, at real t
 and at t = i alike, as block row 0 of one ((k+1)d)-square exponential
 for order k, with c = it.
 
-Per Taylor term the builder does one real GEMM per position of each
-run, (levels d x 2d) by (2d x 2d) on the float view of the term, and one
-per position of each level edge: an insertion y enters as the real block
-R(y) with (A @ y).view(float) = A.view(float) @ R(y), formed once per
-distinct matrix, the same flops and error bound as the complex product
-at a fraction of numpy's per-matrix cost.  Besides them a term makes
-four whole-array passes: the diagonal factors, held as one (d, d) block
-per slice; the add of the products; the 1/(s j) scale, one float for
-the stack when every slice has the same s; and the add into the sums.
+The builder's state is position-major, (positions, levels, K, d, d).
+Per Taylor term an edge takes one real (d x 2d) by (2d x 2d) GEMM per
+(d, d) block it reads, on the float view of the term: y enters as the
+real block R(y), (A @ y).view(float) = A.view(float) @ R(y), formed once
+per distinct matrix, the flops and error bound of the complex product at
+a fraction of numpy's per-matrix cost.  Besides them a term makes four
+passes over blocks contiguous over the K slices, per-slice factors
+broadcast: the diagonal factors, one (d, d) block per slice; the add of
+the products; the 1/(s j) scale, one float for the stack when every
+slice has the same s; and the add into the sums.
 The first substep starts from [I, 0, .., 0], so a position is zero
 until a run reaches it, and no GEMM reads it before.  Sizes are read
 only where a slice can stop: none before a floor that block 0 sets,
@@ -197,8 +198,8 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     block j, the ordered-simplex chains int e^{c s_1 H} y_1
     e^{c (s_2-s_1) H} ... y_i e^{c (1-s_i) H} d^i s with c = scale (Van
     Loan, IEEE TAC 23, 1978).  Heat chains keep scale = -1; the Dyson
-    series pass c = it.  Returns the blocks, shape (K, blocks, d, d),
-    position-major: block position * levels + level.
+    series pass c = it.  Returns the blocks, a (K, blocks, d, d) view of
+    the (positions, levels, K, d, d) state, block position * levels + level.
 
     Block row 0 is the action of the exponential on [I, 0, .., 0]
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011): with mu the mean of
@@ -214,7 +215,7 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
     term.  The first substep starts from [I, 0, .., 0] and multiplies no
     position that no run has reached yet, which is zero.  Every product
     is one float64 GEMM of the term's float view by R(y).  No generator
-    is formed: the workspace is a few arrays of the returned shape.
+    is formed: the workspace is a few arrays of the state's shape.
 
     Each exponential is priced at s (blocks d)^3 against chain_budget(),
     with s the most substeps of any slice, whatever K, before its first
@@ -247,74 +248,68 @@ def _heat_chain_blocks(spectrum, edges, what, scale=-1.0):
                         "%s needs a %dx%d block exponential of cost %s%d^3", what, size, size,
                         "" if most == 1.0 else "%.0f substeps * " % most, size)
     m, s = _TAYLOR_M[best].astype(int), s.astype(int)
-    # one level keeps the (K, blocks, d, d) layout of a plain chain
-    shape = (k, positions, levels, d, d) if levels > 1 else (k, positions, d, d)
-    top = np.zeros(shape, dtype=complex)
-    blocks = top.reshape(k, nblocks, d, d)
-    blocks[:, 0] = np.eye(d)
-    shift = np.exp(mu / s)[:, None, None, None]
+    top = np.zeros((positions, levels, k, d, d), dtype=complex)
+    top[0, 0] = np.eye(d)
+    shift = np.exp(mu / s)[:, None, None]
+    runs = [(row, col, y.swapaxes(0, 1)) for row, col, y, _ in edges]
     for step in range(int(most)):
         live = s > step
-        _taylor_step(top, diag, edges, s, m + nblocks, ~live, step == 0)
-        np.multiply(blocks, shift, out=blocks, where=live[:, None, None, None])
-    return blocks
+        _taylor_step(top, diag, runs, s, m + nblocks, ~live, step == 0)
+        np.multiply(top, shift, out=top, where=live[:, None, None])
+    return top.reshape(nblocks, k, d, d).swapaxes(0, 1)
 
 
 def _taylor_step(total, diag, runs, s, caps, stopped, fresh):
     # total += sum_{j >= 1} total (A/s)^j / j! in place for the slices not
     # stopped, each up to its stopping term (see _heat_chain_blocks); total
-    # is (K, positions, d, d), or (K, positions, levels, d, d) with level
-    # edges.  A run multiplies every level of its source positions in one
-    # real (levels d x 2d) (2d x 2d) GEMM per position, the float view of
-    # the term by the run's R(y), added to the float view of its
-    # destination (see _edge).  A fresh substep starts from [I, 0, .., 0]:
-    # a position is zero until a run reaches it, so a term multiplies and
-    # adds only the products of the positions reached so far.  The other
-    # passes run over every block, since numpy buffers a pass over a slice
-    # of the positions, which is slower and raises the memory peak.  For
-    # that peak, too, the column factors are complex (float ones make the
-    # in-place products buffer) and each term's products go before the
-    # next's.  Slice k stops on the first term j >= blocks on which every
-    # block has |t_{j-1}| + |t_j| <= 2^-53 max|total|, |.| the block's max
-    # modulus, or on its cap.  Sizes are read only where that test can
-    # pass: none before _stop_floor's term, since a stop on term j + 1
-    # needs block 0's |t_j| near 2^-53 of its sum; from there the last
-    # block's |t_j| on every term, with an upper bound on its max|total|
-    # (the last value read plus the sizes added since; slack 2^-40 covers
-    # its rounding); every block's |t_j| only when a live slice has the
-    # last block's within 2^-53 of that bound, which a stop on term j + 1
-    # needs; and every block's max|total|, for the exact test, only when a
-    # live slice passes the test on the last block.  Each read being a
-    # necessary condition, every slice stops on the term it stops on with
+    # is the (positions, levels, K, d, d) state and a run's R(y) is (count,
+    # K, 2d, 2d).  A product, one real (d x 2d) (2d x 2d) GEMM per block,
+    # takes the float view of a run's positions, every level, or of a level
+    # edge's level 0, by R(y), and is added to the float view of its
+    # destination (see _edge), contiguous over (K, d, 2d).  A fresh substep
+    # starts from [I, 0, .., 0]: a position is zero until a run reaches it,
+    # so a term multiplies and adds only the products of the positions
+    # reached so far.  The other passes run over the whole state, per-slice
+    # factors broadcast as (K, 1, 1): over the reached positions alone they
+    # are no faster.  For the memory peak, the column factors are complex
+    # (float ones make the in-place products buffer) and each term's
+    # products go before the next's.  Slice k stops on the first term j >=
+    # blocks on which every block has |t_{j-1}| + |t_j| <= 2^-53 max|total|,
+    # |.| the block's max modulus, or on its cap.  Sizes are read only where
+    # that test can pass: none before _stop_floor's term, since a stop on
+    # term j + 1 needs block 0's |t_j| near 2^-53 of its sum; from there the
+    # last block's |t_j| on every term, with an upper bound on its
+    # max|total| (the last value read plus the sizes added since; slack
+    # 2^-40 covers its rounding); every block's |t_j| only when a live slice
+    # has the last block's within 2^-53 of that bound, which a stop on term
+    # j + 1 needs; and every block's max|total|, for the exact test, only
+    # when a live slice passes the test on the last block.  Each read being
+    # a necessary condition, every slice stops on the term it stops on with
     # every size read
-    k, positions, d = total.shape[0], total.shape[1], total.shape[-1]
+    positions, levels, k, d = total.shape[:4]
     term = total.copy()
-    sums, blocks = total.reshape(k, -1, d, d), term.reshape(k, -1, d, d)
-    nblocks, most = blocks.shape[1], int(caps.max())
-    # the levels of a position as one (levels d, 2d) float operand
-    tall = term.reshape(k, positions, -1, d).view(float)
+    nblocks, most = positions * levels, int(caps.max())
     flat = term.view(float)
     # (row, col, source, destination, R(y)), float views of the term
-    # formed once
-    plan = [(row, col, flat[:, row:row + y.shape[1], 0], flat[:, col:col + y.shape[1], 1], y)
+    # formed once; a run's R(y) broadcast over the levels
+    plan = [(row, col, flat[row:row + len(y), 0], flat[col:col + len(y), 1], y)
             if row == col else
-            (row, col, tall[:, row:row + y.shape[1]], tall[:, col:col + y.shape[1]], y)
-            for row, col, y, _ in runs]
+            (row, col, flat[row:row + len(y)], flat[col:col + len(y)], y[:, None])
+            for row, col, y in runs]
     work = [view[2:] for view in plan]
     # one (d, d) block of column factors per slice: the multiply runs over
     # d^2 contiguous elements
-    columns = np.repeat(diag.astype(complex)[:, None, None, :], d, axis=2)
+    columns = np.repeat(diag.astype(complex)[:, None, :], d, axis=1)
     # 1/(s j) as (1/s) * (1/j), the bits numpy's complex (1/s) / j gives,
     # applied to the float view of the term; 1/s is one float when every
     # slice has the same s, so the scale is then a scalar multiply
     inverse = 1.0 / s
-    inverse = float(inverse[0]) if (s == s[0]).all() else inverse[:, None, None, None]
-    floats = blocks.view(float)
+    inverse = float(inverse[0]) if (s == s[0]).all() else inverse[:, None, None]
     reach, cut = 1, fresh
     live = ~stopped
     masked = not live.all()
     # the first term whose sizes are read
-    first = max(nblocks - 1, int(_stop_floor(sums[:, 0], diag, s, caps)[live].min()))
+    first = max(nblocks - 1, int(_stop_floor(total[0, 0], diag, s, caps)[live].min()))
     # full: every block's |t_{j-1}|, when it was read; bound: the upper
     # bound on the last block's max|total|
     full = bound = None
@@ -322,28 +317,28 @@ def _taylor_step(total, diag, runs, s, caps, stopped, fresh):
         if cut:
             work, reach, cut = _reached(plan, reach)
         prods = [np.matmul(source, y) for source, _, y in work]
-        blocks *= columns
+        term *= columns
         for (_, dest, _), prod in zip(work, prods):
             dest += prod
         prods = prod = None
-        floats *= inverse * (1.0 / j)
+        flat *= inverse * (1.0 / j)
         if masked:
-            np.add(sums, blocks, out=sums, where=live[:, None, None, None])
+            np.add(total, term, out=total, where=live[:, None, None])
         else:
-            sums += blocks
+            total += term
         if j < first:
             continue
-        edge = np.abs(blocks[:, -1]).max(axis=(1, 2))
-        bound = np.abs(sums[:, -1]).max(axis=(1, 2)) if bound is None else bound + edge
+        edge = np.abs(term[-1, -1]).max(axis=(1, 2))
+        bound = np.abs(total[-1, -1]).max(axis=(1, 2)) if bound is None else bound + edge
         limit = 2.0 ** -53 * (1.0 + 2.0 ** -40) * bound
         near = live & (edge <= limit)
         done, size = j >= caps, None
         if near.any():
-            size = _block_sizes(blocks)
-            if full is not None and (near & (full[:, -1] + edge <= limit)).any():
-                ceiling = _block_sizes(sums)
-                done |= (full + size <= 2.0 ** -53 * ceiling).all(axis=1)
-                bound = ceiling[:, -1]
+            size = _block_sizes(term)
+            if full is not None and (near & (full[-1] + edge <= limit)).any():
+                ceiling = _block_sizes(total)
+                done |= (full + size <= 2.0 ** -53 * ceiling).all(axis=0)
+                bound = ceiling[-1]
         full = size
         if (done & live).any():
             live &= ~done
@@ -352,9 +347,9 @@ def _taylor_step(total, diag, runs, s, caps, stopped, fresh):
             masked = True
 
 
-def _block_sizes(blocks):
-    # max modulus of each (d, d) block of a (K, blocks, d, d) array
-    return np.abs(blocks).max(axis=(2, 3))
+def _block_sizes(state):
+    # max modulus of each (d, d) block of the state, as (blocks, K)
+    return np.abs(state).max(axis=(3, 4)).reshape(-1, state.shape[2])
 
 
 def _stop_floor(head, diag, s, caps):
@@ -383,11 +378,11 @@ def _reached(plan, reach):
     # products reach; and whether any view was cut
     work, ahead, cut = [], reach, False
     for row, col, source, dest, y in plan:
-        count = min(y.shape[1], reach - row)
+        count = min(len(y), reach - row)
         if count > 0:
-            work.append((source[:, :count], dest[:, :count], y[:, :count]))
+            work.append((source[:count], dest[:count], y[:count]))
             ahead = max(ahead, col + count)
-        cut = cut or count < y.shape[1]
+        cut = cut or count < len(y)
     return work, ahead, cut
 
 

@@ -134,6 +134,29 @@ def test_a_supercharge_whose_squares_overflow_is_refused_as_not_selfadjoint():
         GradedSystem(np.diag([1.0, 1.0, -1.0]), q0)
 
 
+def test_a_supercharge_whose_square_overflows_is_refused_before_the_product():
+    # an odd selfadjoint Q0 of entries 1e160: H = Q0 Q0 would overflow, and
+    # the product warned "overflow encountered in matmul" before H was
+    # refused as not finite.  Entries 2^510 square to a finite H and build
+    q0 = np.zeros((3, 3))
+    q0[0, 2] = q0[2, 0] = 1e160
+    with pytest.raises(ValueError, match=r"^supercharge too large: H = Q0\^2 would overflow, "
+                                         r"\|\|Q0\|\|_F = 1.41e\+160 is not below 2\^511$"):
+        GradedSystem(np.diag([1.0, 1.0, -1.0]), q0)
+    q0[0, 2] = q0[2, 0] = 2.0 ** 510
+    system = GradedSystem(np.diag([1.0, 1.0, -1.0]), q0)
+    assert np.isfinite(system.hamiltonian).all() and system.witten_index == 1.0
+
+
+def test_an_empty_stack_has_no_norms_and_no_parities():
+    # zero slices: the flat reshape has no size to infer from, and there is
+    # no largest square to compare
+    empty = np.zeros((0, 2, 2))
+    assert frobenius_norms(empty).shape == (0,)
+    assert frobenius_norms(np.zeros((2, 0, 4, 4))).shape == (2, 0)
+    assert GradingOperator(np.diag([1.0, -1.0])).classify(empty) == []
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e160])
 def test_classify_holds_where_the_squares_overflow(scale):
     # at 1e160 an unscaled norm read inf <= inf, and every element was even

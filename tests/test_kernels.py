@@ -224,6 +224,19 @@ def test_mixed_stack_gives_each_slice_its_bits_alone(monkeypatch):
 
 
 def _reference_taylor_step(total, diag, runs, s, caps, stopped, fresh):
+    # the reference step on the builder's position-major state (positions,
+    # levels, K, d, d), whose runs hold R(y) as (count, K, 2d, 2d): total
+    # is copied to the (K, blocks, d, d) layout the step was written for,
+    # and R(y) taken in the (K, count, 2d, 2d) order of _edge; the step
+    # runs unchanged and its sums are written back
+    k, d = total.shape[2], total.shape[-1]
+    blocks = total.reshape(-1, k, d, d).swapaxes(0, 1).copy()
+    _reference_taylor_body(blocks, diag, [(row, col, y.swapaxes(0, 1), None)
+                                          for row, col, y in runs], s, caps, stopped, fresh)
+    total[...] = blocks.swapaxes(0, 1).reshape(total.shape)
+
+
+def _reference_taylor_body(total, diag, runs, s, caps, stopped, fresh):
     # the row action's Taylor substep as it was before the per-term work
     # was cut: products copied back into the term, a complex 1/(s j), and
     # max|total| read on every term from block nblocks - 1 on; every block
@@ -492,6 +505,42 @@ def test_every_builder_product_is_a_float64_gemm(monkeypatch):
     dyson_gamma_one_info(PerturbedContext(sys_, pert, 0.7), 1.0, order=4)
     assert len(operands) > 20
     assert set(operands) == {(np.dtype(float), np.dtype(float))}
+
+
+def test_the_builder_state_is_position_major_and_every_product_lands_contiguously(
+        monkeypatch):
+    # the state _taylor_step receives is one C-contiguous (positions,
+    # levels, K, d, d) array, on one level and on two, and every product
+    # of its plan is added into a destination contiguous over (K, d, 2d),
+    # its last three axes: a run's (count, levels, K, d, 2d), a level
+    # edge's (count, K, d, 2d), never a view strided across the slices
+    states, plans = [], []
+    step, reached = kernels._taylor_step, kernels._reached
+
+    def recorded_step(total, *args):
+        states.append((total.shape, total.flags.c_contiguous))
+        return step(total, *args)
+
+    def recorded_plan(plan, reach):
+        plans.append(plan)
+        return reached(plan, reach)
+
+    monkeypatch.setattr(kernels, "_taylor_step", recorded_step)
+    monkeypatch.setattr(kernels, "_reached", recorded_plan)
+    rng = np.random.default_rng(29)
+    d, n, count = 4, 3, 3
+    spectrum = _random_spectrum(rng, d)
+    xs = _random_stack(rng, ((n + 1) * count, d, d)) / d
+    index = np.arange((n + 1) * count).reshape(n + 1, count)
+    for q, levels in ((None, 1), (_random_stack(rng, (d, d)) / d, 2)):
+        del states[:], plans[:]
+        chain_integral(spectrum, xs, None, q, index)
+        assert states and set(states) == {((n + 1, levels, count, d, d), True)}
+        assert plans and all(len(plan) == levels for plan in plans)
+        for plan in plans:
+            for _, _, _, dest, _ in plan:
+                inner = dest[(0,) * (dest.ndim - 3)]
+                assert inner.shape == (count, d, 2 * d) and inner.flags.c_contiguous
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 10])
