@@ -41,8 +41,11 @@ scalar divided-difference oracle for diagonal insertions).
 `heat_chain_integrand` with `simplex_quadrature` integrates the trace
 pointwise (tensor Gauss-Legendre through the ordered Duffy map, or seeded
 Monte Carlo) on cache-sized blocks of points, with the point index last
-and real arithmetic: per block, one GEMM for y_n D_n y_0, one per middle
-insertion, and one that forms only the diagonal the trace reads.
+and real arithmetic.  Up to degree 2 a block is one GEMM of the trace's
+fixed ring tensor, (2d, d^2) at n = 2, on the Kronecker product D_2 (x)
+D_0 of two heat factors; from degree 3 on it is one GEMM for y_n D_n y_0,
+one per middle insertion, and one that forms only the diagonal the trace
+reads.
 A Gauss-Duffy rule depends on its order and degree alone: each is built
 once, memoized read-only, and shared by every quadrature of that shape;
 rule.price refuses one over the chain budget before it is built.
@@ -87,11 +90,14 @@ from .errors import ChainBudgetExceeded, DimensionMismatch, check_integer
 from .graded import GradingOperator, as_matrix
 
 DEFAULT_CHAIN_BUDGET = 1e8
-# bytes of the real (2d^2, B) state of heat_chain_integrand for a block of
-# B points: 1310 points at d = 5, so the state, the GEMM output it feeds
-# and the heat factors take about 1.3 MB of a 2 MiB L2 cache (2048 and
-# 5242 points measured slower at n = 3); OpenBLAS then runs each GEMM of
-# a d = 5 block on one thread
+# bytes of the real (2d^2, B) state of heat_chain_integrand's state route
+# for a block of B points: 1310 points at d = 5, so the state, the GEMM
+# output it feeds and the heat factors take about 1.3 MB of a 2 MiB L2
+# cache (2048 and 5242 points measured slower at n = 3); OpenBLAS then
+# runs each GEMM of a d = 5 block on one thread.  The ring route's
+# (d^2, B) Kronecker state at n = 2 is half that, and the same B measured
+# fastest for it too: 8.3 ms per 1e5 points at d = 5, against 9.0 at
+# twice the bytes and 10.5 at half
 _INTEGRAND_BLOCK_BYTES = 2 ** 19
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), Table 3.1
 # (m <= 30 from Higham, Functions of Matrices, SIAM 2008, Table A.3): the
@@ -599,18 +605,22 @@ def heat_chain_integrand(spectrum, xs, grading):
     (B,) complex values Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}).
     Used by the quadrature oracles that cross-check `chain_integral`.
 
-    Points are taken in blocks of B, the point index on the last axis,
-    whose real (2d^2, B) state fits _INTEGRAND_BLOCK_BYTES.  With D_k =
-    diag(e^{-gap_k lambda}), gaps and heat factors (n+1, B) and
-    (n+1, d, B), the trace is rotated to Tr(Z D_0 y_1 ... y_{n-1} D_{n-1}),
-    Z = y_n D_n y_0.  The state holds Re and Im of acc[i, j] on rows
-    (c, j, i), and starts as Z, one GEMM (2d^2, d)(d, B).  Each middle
+    Points are taken in blocks of B, the point index on the last axis, B
+    set by _INTEGRAND_BLOCK_BYTES.  With D_k = diag(e^{-gap_k lambda}),
+    heat factors (n+1, d, B), the trace is Tr(Z D_0 y_1 ... y_{n-1}
+    D_{n-1}), Z = y_n D_n y_0, and n alone picks the route.  Up to n = 2
+    the ring tensor, ring[a, b, c] = y_1[c, a] y_2[a, b] y_0[b, c] or
+    ring[a, b] = y_0[b, a] y_1[a, b] (the terms of diag Z), is formed once
+    in real (2d, d^n) form, and a block is one GEMM (2d, d^n)(d^n, B) on
+    D_n or on the Kronecker product D_2 (x) D_0: 2d^3 multiply-adds per
+    point at n = 2, against 6d^3 for Z and a closing GEMM.  From n = 3 on
+    the real (2d^2, B) state holds Re and Im of acc[i, j] on rows
+    (c, j, i) and starts as Z, one GEMM (2d^2, d)(d, B); each middle
     insertion y_k scales the rows by D_{k-1} and is one GEMM
-    (2d, 2d)(2d, dB) with [[Re y_k^T, -Im y_k^T], [Im y_k^T, Re y_k^T]].
-    The last, y_{n-1}, forms only the diagonal of acc D_{n-2} y_{n-1}, by
-    one block-sparse (2d, 2d^2) GEMM; for n = 1 only the diagonal rows of
-    Z are formed, one GEMM (2d, d)(d, B).  The trace sums the diagonal
-    times D_{n-1} along the points.
+    (2d, 2d)(2d, dB) with [[Re y_k^T, -Im y_k^T], [Im y_k^T, Re y_k^T]];
+    the last, y_{n-1}, forms only the diagonal of acc D_{n-2} y_{n-1}, by
+    one block-sparse (2d, 2d^2) GEMM (a ring tensor would cost 2d^4).
+    Either route ends by summing its (2d, B) rows times D_{n-1}.
     """
     if spectrum.evals.ndim != 1:
         raise DimensionMismatch("the pointwise integrand takes one spectrum, not a stack")
@@ -620,20 +630,23 @@ def heat_chain_integrand(spectrum, xs, grading):
     d = spectrum.dim
     lam = spectrum.evals
     block = max(1, _INTEGRAND_BLOCK_BYTES // (16 * d * d))
-    # first[c, j, i, a]: Re, Im of y_n[i, a] y_0[a, j], so Z = first h_n
-    prod = ys[0].T[:, None, :] * ys[n]
-    first = np.stack([prod.real, prod.imag]).reshape(2, d, d, d)
-    # acc[i, :] y_k on the rows (c, j), the columns (i, b)
-    steps = [np.block([[y.T.real, -y.T.imag], [y.T.imag, y.T.real]]) for y in ys[1:n]]
-    diag = np.arange(d)
-    if n == 1:
-        first = first[:, diag, diag]
-    elif n > 1:
+    if n <= 2:
+        # the ring on the rows a and the columns b or (b, c); n = 0, a
+        # constant, reads none of it
+        ring = ys[1].T[:, None, :] * ys[2][:, :, None] * ys[0] if n == 2 else ys[0].T * ys[n]
+        first = np.stack([ring.real, ring.imag]).reshape(2 * d, -1)
+        steps = []
+    else:
+        # first[c, j, i, a]: Re, Im of y_n[i, a] y_0[a, j], so Z = first h_n
+        prod = ys[0].T[:, None, :] * ys[n]
+        first = np.stack([prod.real, prod.imag]).reshape(-1, d)
+        # acc[i, :] y_k on the rows (c, j), the columns (i, b)
+        steps = [np.block([[y.T.real, -y.T.imag], [y.T.imag, y.T.real]]) for y in ys[1:n]]
         # rows (c', i) of the diagonal of acc y_{n-1}, from the rows (c, j, i)
+        diag = np.arange(d)
         close = np.zeros((2, d, 2, d, d))
         close[:, diag, :, :, diag] = steps[-1].reshape(2, d, 2, d).transpose(1, 0, 2, 3)
         steps[-1] = close.reshape(2 * d, -1)
-    first = first.reshape(-1, d)
     neg = -lam[:, None]
 
     def integrand(points):
@@ -650,7 +663,9 @@ def heat_chain_integrand(spectrum, xs, grading):
             ends = np.empty((n + 2, b))
             ends[0], ends[1:-1], ends[-1] = 0.0, chunk.T, 1.0
             heat = np.exp((ends[1:] - ends[:-1])[:, None, :] * neg)
-            acc = first @ heat[n]
+            # the columns of the first GEMM: D_2 (x) D_0 on the ring at n = 2
+            cols = (heat[2][:, None] * heat[0]).reshape(-1, b) if n == 2 else heat[n]
+            acc = first @ cols
             for k, step in enumerate(steps, 1):
                 rows = acc.reshape(2, d, -1, b)
                 rows *= heat[k - 1][:, None, :]
@@ -849,4 +864,4 @@ def simplex_quadrature(integrand, n, rule):
         stderr = math.sqrt(var / count) / nfact
     else:
         stderr = float("inf")
-    return mean / nfact, stderr
+    return complex(mean / nfact), stderr

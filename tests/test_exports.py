@@ -120,6 +120,12 @@ def test_suite_knobs_are_pinned():
     assert row.split("|")[2].strip() == ", ".join("`%s`" % o for o in options)
 
 
+def test_the_integrand_route_is_a_function_of_the_degree_alone():
+    # heat_chain_integrand picks its route, ring or state, from n: a route
+    # option, keyword or setting would edit this test
+    assert list(_parameters(kernels.heat_chain_integrand)) == ["spectrum", "xs", "grading"]
+
+
 def test_every_constant_the_readme_validators_paragraph_names_resolves():
     # the paragraph names its tolerances as `module.NAME`; a constant that
     # is gone, as SUPERCHARGE_TOL went into graded.GRADING_TOL, fails here

@@ -904,13 +904,44 @@ def test_heat_chain_integrand_matches_dense_pointwise(n):
             integrand(np.zeros((3, n + 1)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_heat_chain_integrand_matches_dense_on_the_simplex_boundary(n):
+    # s_1 = 0, s_n = 1 and tied s_k = s_{k+1} give zero gaps, so the ring
+    # route (n <= 2) and the state route (n = 3) each meet a unit heat
+    # factor, on a spectrum with a repeated eigenvalue and a zero one
+    d = 5
+    rng = np.random.default_rng(np.random.SeedSequence((n, 0xED6E)))
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+    spec = Spectrum(np.array([0.0, 0.8, 0.8, 0.8, 2.5]), basis)
+    g = basis @ np.diag([1.0, 1.0, -1.0, 1.0, -1.0]) @ basis.conj().T
+    xs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+          for _ in range(n + 1)]
+    scale = np.prod([np.linalg.norm(x, 2) for x in xs])
+    inside = np.sort(rng.random((4, n)), axis=1)
+    first, last = inside.copy(), inside.copy()
+    first[:, 0], last[:, -1] = 0.0, 1.0
+    ties = []
+    for k in range(n - 1):
+        tie = inside.copy()
+        tie[:, k + 1] = tie[:, k]
+        ties.append(tie)
+    # the n + 1 vertices of the simplex, where every gap but one is zero
+    vertices = (np.arange(n)[None, :] >= np.arange(n + 1)[::-1, None]).astype(float)
+    points = np.concatenate([first, last, *ties, vertices])
+    assert np.all(np.diff(points, axis=1) >= 0.0)
+    got = heat_chain_integrand(spec, xs, g)(points)
+    want = dense_chain_trace(spec, xs, g, points)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 _MC_SCRIPT = """
 import numpy as np
 from skmslab.kernels import (SimplexQuadratureRule, Spectrum,
                              heat_chain_integrand, simplex_quadrature)
 
 
-def integrand(seed, signs):
+def integrand(seed, signs, n):
     rng = np.random.default_rng(seed)
     d = len(signs)
     basis, _ = np.linalg.qr(rng.standard_normal((d, d))
@@ -918,20 +949,22 @@ def integrand(seed, signs):
     spec = Spectrum(np.sort(rng.random(d) * 3.0), basis)
     g = basis @ np.diag(signs) @ basis.conj().T
     xs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-          for _ in range(4)]
+          for _ in range(n + 1)]
     return heat_chain_integrand(spec, xs, g)
 
 
 rule = SimplexQuadratureRule("mc", 20000, seed=3)
 for seed, signs in ((5, [1.0] * 3 + [-1.0] * 2), (8, [1.0] * 5 + [-1.0] * 3)):
-    print(repr(simplex_quadrature(integrand(seed, signs), 3, rule)))
+    for n in (1, 2, 3):
+        print(repr(simplex_quadrature(integrand(seed, signs, n), n, rule)))
 """
 
 
 def test_monte_carlo_bytes_do_not_depend_on_the_blas_thread_count():
-    # 20000 points at n = 3: at d = 5 OpenBLAS keeps every integrand GEMM
-    # on one thread, at d = 8 it splits them across two (CPU time above
-    # wall time), so the d = 8 instance is the one that runs threaded
+    # 20000 points at n = 1, 2 (the ring route) and 3 (the state route): at
+    # d = 5 OpenBLAS keeps the state route's GEMMs on one thread, at d = 8
+    # it splits them across two (CPU time above wall time) and may split
+    # the ring's (16, 64)(64, B), so the d = 8 instances run threaded
     src = str(pathlib.Path(kernels.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [subprocess.run([sys.executable, "-c", _MC_SCRIPT],
@@ -939,7 +972,7 @@ def test_monte_carlo_bytes_do_not_depend_on_the_blas_thread_count():
                                     OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t),
                            check=True, capture_output=True, timeout=600).stdout
             for t in ("1", "2")]
-    assert outs[0].startswith(b"(")
+    assert outs[0].startswith(b"(") and outs[0].count(b"\n") == 6
     assert outs[0] == outs[1]
 
 
@@ -957,6 +990,20 @@ def test_quadrature_volume():
         const, 3, SimplexQuadratureRule("mc", 5000))
     assert val == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert stderr < 1e-12  # constant integrand has no variance
+
+
+def test_quadrature_returns_a_python_complex_on_every_path():
+    # the n = 0, Gauss and Monte-Carlo paths alike: Monte Carlo returned
+    # an np.complex128, whose repr differs under numpy 2
+    f = lambda p: np.atleast_2d(p)[:, 0] * (1.0 + 2.0j)
+    paths = [simplex_quadrature(lambda p: 3.0 + 1.0j, 0, SimplexQuadratureRule("gauss", 4)),
+             simplex_quadrature(f, 2, SimplexQuadratureRule("gauss", 6)),
+             simplex_quadrature(f, 2, SimplexQuadratureRule("mc", 1000, seed=2))]
+    for value, err in paths:
+        assert type(value) is complex and type(err) is float
+    assert repr(paths[2][0]).startswith("(")
+    # the same bits as the mean the estimate is taken from
+    assert paths[2] == _monte_carlo_by_sort(f, 2, 1000, 2)
 
 
 def test_quadrature_polynomial_exactness():
