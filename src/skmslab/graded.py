@@ -42,10 +42,57 @@ def as_matrices(x):
     return m
 
 
+# the lambda_max(m^H m) taken as they come: outside this range the Gram's
+# products may have overflowed, or lost relative accuracy under the normal
+# range, or the slice is 0, and the Gram is formed again from the slice
+# scaled by a power of two
+_GRAM_RANGE = (2.0 ** -900, 2.0 ** 1000)
+
+
 def spectral_norms(m):
     """The largest singular value of a matrix or of each slice of a stack:
-    np.linalg.norm(m, 2[, axis=(-2, -1)]) bit for bit."""
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
+    sqrt(lambda_max(m^H m)), from one stacked product and one stacked
+    eigvalsh, to O(u) relative (Golub & Van Loan, Matrix Computations,
+    4th ed., ch. 8).
+
+    A finite slice whose Gram would overflow or underflow is first scaled
+    by a power of two, which leaves every other slice's bits as they are; a
+    slice that is not finite gives NaN, with no warning.  Slice k of a
+    stack gets the bits it gets alone."""
+    stack = m.reshape((-1,) + m.shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = stack.conj().swapaxes(-1, -2) @ stack
+    try:
+        top = np.linalg.eigvalsh(gram)[:, -1]
+    except np.linalg.LinAlgError:  # a NaN in some Gram
+        top = np.full(len(stack), np.nan)
+    lo, hi = _GRAM_RANGE
+    # False on a NaN
+    if lo <= top.min(initial=lo) and top.max(initial=hi) <= hi:
+        norms = np.sqrt(top)
+    else:
+        norms = _norms_off_the_common_path(stack, gram)
+    return norms.reshape(m.shape[:-2])[()]
+
+
+def _norms_off_the_common_path(stack, gram):
+    # spectral_norms where some Gram is not finite or leaves _GRAM_RANGE:
+    # the Grams of the other slices keep their bits
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    # a Gram that overflowed reads 0 here, and is formed again
+    gram[~np.isfinite(gram).all(axis=(-2, -1))] = 0.0
+    top = np.linalg.eigvalsh(gram)[:, -1]
+    lo, hi = _GRAM_RANGE
+    redo = finite & ~((top >= lo) & (top <= hi))
+    # 2^e is above the largest |entry| of each slice redone
+    e = np.frexp(np.abs(stack[redo]).max(axis=(-2, -1)))[1]
+    part = stack[redo] * np.ldexp(1.0, -e)[:, None, None]
+    top[redo] = np.linalg.eigvalsh(part.conj().swapaxes(-1, -2) @ part)[:, -1]
+    norms = np.sqrt(np.maximum(top, 0.0))
+    with np.errstate(over="ignore"):
+        norms[redo] = np.ldexp(norms[redo], e)
+    norms[~finite] = np.nan
+    return norms
 
 
 def frobenius_norms(m):

@@ -134,7 +134,8 @@ class PerturbedContext:
 
     @functools.cached_property
     def a_norm(self):
-        """||a_r||, (K,) for a vector context; an SVD, so taken on first read."""
+        """||a_r||, (K,) for a vector context; an eigvalsh of the Gram, so
+        taken on first read."""
         norm = spectral_norms(self.a_r)
         return float(norm) if np.ndim(norm) == 0 else norm
 

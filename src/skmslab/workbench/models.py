@@ -60,7 +60,7 @@ def check_scale(field, value, positive):
     """float(value) when it is a finite real number, > 0 (positive) or >= 0.
 
     ValueError naming the field otherwise: NaN or inf would end deep in
-    numpy, in an eigensolver or SVD that does not converge, and a bool or
+    numpy, in an eigensolver that does not converge, and a bool or
     a string would load as a number ("scale": true as 1.0) that the spec
     keeps in its own form.
     """

@@ -141,18 +141,20 @@ def test_every_constant_the_readme_validators_paragraph_names_resolves():
 
 
 def test_each_matrix_primitive_has_one_owner():
-    # the 2-norm is graded.spectral_norms, the one SVD of the package, and
-    # the Frobenius norm graded.frobenius_norms: no other module may take a
-    # numpy norm or SVD of its own
+    # the 2-norm is graded.spectral_norms, the one eigvalsh of the package
+    # (the top Gram eigenvalue; the package takes no SVD), and the Frobenius
+    # norm graded.frobenius_norms: no other module may take a numpy norm or
+    # eigvalsh of its own
     src = pathlib.Path(skmslab.__file__).resolve().parent
     spelled = collections.defaultdict(list)
     for path in sorted(src.rglob("*.py")):
-        for call in re.findall(r"linalg\.(?:norm|svd)\b|from numpy\.linalg import",
+        for call in re.findall(r"linalg\.(?:norm|svd|eigvalsh)\b|from numpy\.linalg import",
                                path.read_text()):
             spelled[call].append(path.relative_to(src).as_posix())
     assert [(call, f) for call, files in spelled.items() for f in files
             if f != "graded.py"] == []
-    assert spelled["linalg.svd"] == ["graded.py"]
+    assert spelled["linalg.svd"] == []
+    assert set(spelled["linalg.eigvalsh"]) == {"graded.py"}
     # the gamma^r oracles conjugate in two eigenbases, with no dense
     # exponential and no binding of heisenberg_flow
     assert "from_diagonal" not in pathlib.Path(perturbation.__file__).read_text()

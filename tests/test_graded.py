@@ -1,5 +1,7 @@
 """Tests for the graded matrix algebra layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from skmslab.graded import (
     frobenius_norms,
     graded_commutator,
     parity_split,
+    spectral_norms,
     supertrace,
 )
 
@@ -182,6 +185,73 @@ def test_frobenius_norms_scale_by_powers_of_two_where_the_squares_overflow():
     want = frobenius_norms(m)
     np.testing.assert_array_equal(frobenius_norms(big), want * [1.0, 2.0 ** 600, 1.0])
     assert frobenius_norms(m[0]) == want[0]
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _spectral_cases(d):
+    # name -> (K, d, d) stack whose largest singular value the Gram route
+    # must read: random stacks, a rank-one slice, a top pair of singular
+    # values that agree to 1e-8, and entries near 2^510, where every Gram
+    # entry overflows unscaled, and near 2^-600, where every one underflows
+    rng = np.random.default_rng(40 + d)
+    cases = {"random%d" % k: _complex_normal(rng, (k, d, d)) for k in (1, 3, 416)}
+    cases["rank one"] = _complex_normal(rng, (1, d, 1)) @ _complex_normal(rng, (1, 1, d))
+    u, _ = np.linalg.qr(_complex_normal(rng, (d, d)))
+    v, _ = np.linalg.qr(_complex_normal(rng, (d, d)))
+    sigma = np.linspace(0.5, 0.1, d)
+    sigma[:2] = 1.0, 1.0 - 1e-8
+    cases["near tie"] = ((u * sigma) @ v)[None]
+    phase = np.exp(2j * np.pi * rng.random((3, d, d)))
+    cases["near 2^510"] = 2.0 ** 510 * (1.5 + 0.5 * rng.random((3, d, d))) * phase
+    cases["near 2^-600"] = 2.0 ** -600 * (1.0 + rng.random((3, d, d))) * phase
+    return cases
+
+
+@pytest.mark.parametrize("d", [5, 10])
+def test_spectral_norms_read_the_largest_singular_value(d):
+    # sqrt(lambda_max(m^H m)) against LAPACK's SVD, to 4 d u relative
+    for name, m in _spectral_cases(d).items():
+        want = np.linalg.svd(m, compute_uv=False)[:, 0]
+        got = spectral_norms(m)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / want) <= 4 * d * np.finfo(float).eps / 2, name
+    assert spectral_norms(np.zeros((2, d, d))).tolist() == [0.0, 0.0]
+    assert spectral_norms(np.zeros((0, d, d))).shape == (0,)
+    assert type(spectral_norms(np.eye(d))) is np.float64 and spectral_norms(np.eye(d)) == 1.0
+
+
+def test_spectral_norms_give_each_slice_its_bits_alone():
+    # stacked or one at a time, each slice reads the same bits, on the
+    # common path and on the scaled one
+    cases = _spectral_cases(5)
+    m = np.concatenate([cases["random3"], cases["near 2^510"][:1], np.zeros((1, 5, 5)),
+                        cases["near 2^-600"][:1], cases["rank one"]])
+    stacked = spectral_norms(m)
+    assert [spectral_norms(x) for x in m] == stacked.tolist()
+    np.testing.assert_array_equal(spectral_norms(m[:6].reshape(2, 3, 5, 5)),
+                                  stacked[:6].reshape(2, 3))
+
+
+def test_spectral_norms_of_a_slice_that_is_not_finite_are_nan():
+    # a NaN or an infinity in a slice reads NaN there, which make_report
+    # reports as a failing row, with no warning and no LinAlgError; the
+    # other slices keep their bits
+    rng = np.random.default_rng(9)
+    m = _complex_normal(rng, (6, 4, 4))
+    want = spectral_norms(m)
+    bad = m.copy()
+    bad[1, 0, 0] = np.nan
+    bad[2, 3, 1] = np.inf
+    bad[4, 2, 2] = complex(-np.inf, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spectral_norms(bad)
+        alone = spectral_norms(bad[2])
+    assert np.isnan(got[[1, 2, 4]]).all() and np.isnan(alone)
+    np.testing.assert_array_equal(got[[0, 3, 5]], want[[0, 3, 5]])
 
 
 def test_parity_split_reconstructs():

@@ -26,14 +26,19 @@ automorphism 13, the flow's time sign 6, the Dyson sign 2, a_r linear in r
 10 and H not Q0^2 16, the last two among them skms_r.delta_squared_ad_h.
 Their flow defects patch heisenberg_flow where dynamics, perturbation and
 the suites bind it, and the two Hamiltonian defects rebuild the spectrum
-and the weight that H or H_r gives.
+and the weight that H or H_r gives.  A 2-norm read from the low end of
+eigvalsh's ascending output, the smallest Gram eigenvalue, in the graph
+normalization of the entireness samples turns 1 / 1 red
+(entireness.jlo_bound at 4.6e6 / 1.8e9).
 The G defects wrap perturbation.transgression_cochain, which the
 transgression checks call; every chain of tau and G goes through
 cochain.chain_integral, so the chain defects patch that one binding, but
 the entireness rows, which read the prefixes of one tuple per sample
 through cochain._chain_prefixes, the binding the lost simplex volume
 patches; and every chain goes through cochain._superderivation_stack,
-which the leaking delta patches.
+which the leaking delta patches.  The entireness samples are normalized
+through cochain's binding of graded.spectral_norms, which the low-end
+2-norm patches.
 """
 
 import math
@@ -164,6 +169,16 @@ def lost_simplex_volume(monkeypatch, spec):
     monkeypatch.setattr(cochain, "_chain_prefixes", unscaled)
 
 
+def smallest_gram_eigenvalue(monkeypatch, spec):
+    # the 2-norm as the square root of eigvalsh's first, smallest, Gram
+    # eigenvalue: the smallest singular value, so the entireness samples
+    # leave the unit ball of the graph norm
+    def low_end(m):
+        gram = m.conj().swapaxes(-1, -2) @ m
+        return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., 0], 0.0))
+    monkeypatch.setattr(cochain, "spectral_norms", low_end)
+
+
 def phi_without_gamma(monkeypatch, spec):
     # phi's weight e^{-H} in place of Gamma e^{-H}, Z unchanged, for the
     # system and every context
@@ -241,14 +256,15 @@ def hamiltonian_not_square(monkeypatch, spec):
 DEFECTS = {defect.__name__: defect for defect in (
     negate_g, scale_g, drop_gamma, reverse_insertions, flip_last_b_sign,
     wrong_b_signs, full_coupling_in_supercharge, unperturbed_chain_spectrum,
-    leaky_delta, gamma_less_trace, lost_simplex_volume, phi_without_gamma,
-    flow_not_automorphism, flow_time_sign, dyson_sign, linear_a_r,
-    hamiltonian_not_square)}
+    leaky_delta, gamma_less_trace, lost_simplex_volume, smallest_gram_eigenvalue,
+    phi_without_gamma, flow_not_automorphism, flow_time_sign, dyson_sign,
+    linear_a_r, hamiltonian_not_square)}
 
 
 # the rows each defect of the kill matrix must turn red, on both specs,
 # among any others
 PINNED_ROWS = {
+    "smallest_gram_eigenvalue": ["entireness.jlo_bound"],
     "phi_without_gamma": ["phi.normalization"],
     "flow_not_automorphism": ["skms.alpha_invariance"],
     "flow_time_sign": ["skms_r.error_term"],
@@ -290,8 +306,9 @@ RED_COUNTS = {
     "negate_g": 2, "scale_g": 2, "drop_gamma": 11, "reverse_insertions": 12,
     "flip_last_b_sign": 5, "wrong_b_signs": 5, "full_coupling_in_supercharge": 6,
     "unperturbed_chain_spectrum": 5, "leaky_delta": 1, "gamma_less_trace": 2,
-    "lost_simplex_volume": 1, "phi_without_gamma": 9, "flow_not_automorphism": 13,
-    "flow_time_sign": 6, "dyson_sign": 2, "linear_a_r": 10, "hamiltonian_not_square": 16}
+    "lost_simplex_volume": 1, "smallest_gram_eigenvalue": 1, "phi_without_gamma": 9,
+    "flow_not_automorphism": 13, "flow_time_sign": 6, "dyson_sign": 2, "linear_a_r": 10,
+    "hamiltonian_not_square": 16}
 
 # the gated rows of All that no defect reaches, because they hold by construction
 BY_CONSTRUCTION = [

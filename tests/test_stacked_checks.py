@@ -16,7 +16,7 @@ from skmslab.cochain import (boundary, connes_B, hochschild_b, jlo_cochain,
 from skmslab.dynamics import (heisenberg_flow, kms_two_point, skms_eval,
                               superderivation, verify_skms_axioms)
 from skmslab.errors import ParityViolation
-from skmslab.graded import as_matrix
+from skmslab.graded import as_matrix, spectral_norms
 from skmslab.kernels import (SimplexQuadratureRule, chain_integral,
                              heat_chain_integrand, simplex_quadrature)
 from skmslab.perturbation import (PerturbedContext, error_term,
@@ -83,7 +83,7 @@ def looped_axioms(sys, samples=50, seed=0, ts=(0.0, 0.7)):
         h = sys.hamiltonian
         dd = superderivation(sys, superderivation(sys, y))
         comm = h @ y - y @ h
-        adh.append(float(np.linalg.norm(dd - comm, 2)))
+        adh.append(float(spectral_norms(dd - comm)))
         weak.append(np.abs(skms_eval(sys, x @ dd @ w) - skms_eval(sys, x @ comm @ w)))
     norm_phi = float(np.sum(np.exp(-sys.spectrum.evals)) / abs(sys.witten_index))
     unit_res = abs(skms_eval(sys, sys.unit()) - 1.0)
@@ -114,23 +114,23 @@ def looped_lemma43(ctx, samples=50, ts=(0.3, 1.0), seed=0):
             lhs = gamma_flow_oracle(ctx, x, t)
             inner = gamma_flow_oracle(ctx, x, t - s)
             rhs = gamma_cocycle_oracle(ctx, s) @ heisenberg_flow(sys, inner, s)
-            gcomp.append(np.linalg.norm(lhs - rhs, 2))
+            gcomp.append(spectral_norms(lhs - rhs))
 
             lhs2 = g_t.conj().T
             rhs2 = heisenberg_flow(sys, gamma_cocycle_oracle(ctx, -t), t)
             unit = np.eye(ctx.dim)
             gstar.append(max(
-                np.linalg.norm(lhs2 - rhs2, 2),
-                np.linalg.norm(g_t @ g_t.conj().T - unit, 2),
-                np.linalg.norm(g_t.conj().T @ g_t - unit, 2)))
+                spectral_norms(lhs2 - rhs2),
+                spectral_norms(g_t @ g_t.conj().T - unit),
+                spectral_norms(g_t.conj().T @ g_t - unit)))
 
             lhs3 = heisenberg_flow(ctx, x, t)
             rhs3 = g_t @ heisenberg_flow(sys, x, t) @ g_t.conj().T
-            acomp.append(np.linalg.norm(lhs3 - rhs3, 2))
+            acomp.append(spectral_norms(lhs3 - rhs3))
 
             lhs4 = heisenberg_flow(ctx, x, t) @ gamma_flow_oracle(ctx, y, t)
             rhs4 = gamma_flow_oracle(ctx, x @ y, t)
-            gprod.append(np.linalg.norm(lhs4 - rhs4, 2))
+            gprod.append(spectral_norms(lhs4 - rhs4))
     count = samples * len(ts)
     return _rows([
         ("gamma_r.composition", "L43.1", count, float(max(gcomp))),
@@ -188,7 +188,7 @@ def looped_skms_perturbed(ctx, samples=25, ts=(0.0, 0.3, 1.0), seed=0):
         deriv.append(np.abs(skms_eval(ctx, superderivation(ctx, x))))
         dd = superderivation(ctx, superderivation(ctx, y))
         comm = ctx.hamiltonian @ y - y @ ctx.hamiltonian
-        adh.append(float(np.linalg.norm(dd - comm, 2)))
+        adh.append(float(spectral_norms(dd - comm)))
         weak.append(np.abs(skms_eval(ctx, x @ dd @ w) - skms_eval(ctx, x @ comm @ w)))
         for t in ts:
             inv_a.append(np.abs(skms_eval(ctx, heisenberg_flow(ctx, x, t))
@@ -199,7 +199,7 @@ def looped_skms_perturbed(ctx, samples=25, ts=(0.0, 0.3, 1.0), seed=0):
                             @ as_matrix(sys.gamma(x)) @ gamma_i)
             bound.append(np.abs(lhs - rhs))
             err_t.append(np.abs(skms_eval(sys, w @ error_term(ctx, t))))
-    e0_norm = float(np.linalg.norm(error_term(ctx, 0.0), 2))
+    e0_norm = float(spectral_norms(error_term(ctx, 0.0)))
     unit_res = abs(skms_eval(ctx, np.eye(ctx.dim)) - 1.0)
     count = samples * len(ts)
     return _rows([
