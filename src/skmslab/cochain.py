@@ -42,26 +42,30 @@ Tuples have one layout, the pool of kernels.chain_integral: an
 tuple t being pool[index[i, t]].  Stacks are this module's: a Cochain
 takes n + 1 (T, d, d) stacks in __call__, or one tuple of matrices as a
 stack of one, tests parity in one GradingOperator.classify call on
-all the slots, and hands its evaluator, evaluator(n, pool, index), the
-pool of the stacks with its table; the evaluator returns the T values
-(one row of them per coupling of a vector context).  B, b and B + b
-are one operator over rho, a Cochain, whose terms are rotations and
-merges of the argument slots.  Each operator reads only its own terms:
-B adds one unit to the pool, b the products x_j x_{j+1} and x_n x_0,
-each formed once; _B_terms and _b_terms give the pool, the signs and
-one table, term j in columns j T .. (j + 1) T, and each is one call of
-rho's evaluator, whose slices are summed in term order.  So B, b and
-each part of boundary cost one call of the block-exponential builder.
-The chain evaluator and entireness_diagnostic build their chains in
-_tau_pool, which applies delta_r once per coupling to each entry that
-slots >= 1 read, and the kernel takes each entry to each eigenbasis
-once.  The chains of lemma34_check and perturbation.f_identities_check,
-of several degrees, go to the kernel one table per degree
-(_chains_by_degree); entireness_diagnostic reads every degree of its
-samples off one call.  A stack gives every tuple the bits it would get
-alone.
+all the slots, and hands its evaluator, evaluator(pool, tables), the
+pool of the stacks with a list of one table; the evaluator returns one
+value array per table, the T values of a table of T tuples (one row of
+them per coupling of a vector context), and tables may be of different
+degrees.  n + 1 empty stacks read no values, without evaluation.  B, b
+and B + b are one operator over rho, a Cochain, whose terms are
+rotations and merges of the argument slots.  Each part reads only its
+own terms: B adds one unit to the pool, b the products x_j x_{j+1} and
+x_n x_0, each formed once; _B_terms and _b_terms give the pool, the
+signs and one table, term j in columns j T .. (j + 1) T, built by index
+arithmetic.  The operator takes the tables of all its parts to one pool
+and one call of rho's evaluator, whose slices are summed in term order.
+So the boundary of tau or G^r takes delta_r once over the entries that
+slots >= 1 of B's and b's terms read (_tau_pool), and the kernel takes
+each entry to each eigenbasis once and makes one call of the
+block-exponential builder per degree, at n + 1 for B and n - 1 for b.
+entireness_diagnostic builds its chains in _tau_pool too.  The chains of
+lemma34_check and perturbation.f_identities_check, of several degrees,
+go to the kernel as one list of tables; entireness_diagnostic reads
+every degree of its samples off one call.  A stack gives every tuple
+the bits it would get alone.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -131,26 +135,27 @@ def _pool_of(tuples):
 class Cochain:
     """Parity-tagged multilinear family given by a pool evaluator.
 
-    evaluator(n, pool, index) takes a degree, an (M, d, d) pool of
-    matrices and an (n + 1, T) integer table, slot i of tuple t being
-    pool[index[i, t]], and returns the T values, or the (K, T) values of
-    a cochain with couplings=(K,), whose value at a tuple is one per
-    coupling (the cochains of a K-coupling context).  Calling c(n, xs)
-    takes n + 1 (T, d, d) stacks, slot by slot, and returns the values
-    with shape couplings + (T,), or one tuple of matrices (a stack of one)
-    and returns its value: a complex, or a (K,) array; the stacks become
-    one pool, each stack one run of it, and the table of those runs.  It
-    checks the arity and the shapes (DimensionMismatch names them when
-    the stacks differ); every degree n >= 0 of the cochain's parity is
-    supported, and a degree that is not an integer >= 0 raises
-    ValueError.  With a grading, every argument must be even, at any
-    degree: ParityViolation names the first slot that is not (and, in a
-    stack, its tuple).  At a degree n of the wrong parity every tuple
-    reads 0 without evaluation; at the others the tuples go to the
-    evaluator as one pool.  So the evaluator only sees supported degrees
-    and needs no checks of its own.  Parity is one test of all the slots,
-    once for all the couplings, and each tuple gets the bits it would get
-    alone.
+    evaluator(pool, tables) takes an (M, d, d) pool of matrices and a list
+    of (n + 1, T) integer tables, of any degrees, slot i of tuple t of a
+    table being pool[index[i, t]], and returns one value array per table:
+    its T values, or the (K, T) values of a cochain with couplings=(K,),
+    whose value at a tuple is one per coupling (the cochains of a
+    K-coupling context).  Calling c(n, xs) takes n + 1 (T, d, d) stacks,
+    slot by slot, and returns the values with shape couplings + (T,), or
+    one tuple of matrices (a stack of one) and returns its value: a
+    complex, or a (K,) array; the stacks become one pool, each stack one
+    run of it, and a list of one table of those runs.  It checks the
+    arity and the shapes (DimensionMismatch names them when the stacks
+    differ); every degree n >= 0 of the cochain's parity is supported,
+    and a degree that is not an integer >= 0 raises ValueError.  With a
+    grading, every argument must be even, at any degree: ParityViolation
+    names the first slot that is not (and, in a stack, its tuple).  At a
+    degree n of the wrong parity, and on empty stacks, every tuple reads
+    0 without evaluation; at the others the tuples go to the evaluator as
+    one pool.  So the evaluator only sees supported degrees and at least
+    one tuple per table, and needs no checks of its own.  Parity is one
+    test of all the slots, once for all the couplings, and each tuple
+    gets the bits it would get alone.
     """
 
     def __init__(self, evaluator, parity, name="", grading=None, couplings=()):
@@ -177,9 +182,9 @@ class Cochain:
         if self.grading is not None:
             _require_even(self.grading, stacks)
         vals = np.zeros(self.couplings + (len(stacks[0]),), dtype=complex)
-        if self.supports(n):
-            pool, (index,) = _pool_of([stacks])
-            vals[:] = self.evaluator(n, pool, index)
+        if self.supports(n) and len(stacks[0]):
+            pool, tables = _pool_of([stacks])
+            vals[:] = self.evaluator(pool, tables)[0]
         return _first_tuple(vals) if one else vals
 
     def __repr__(self):
@@ -190,16 +195,36 @@ def _merge(xs, j):
     return list(xs[:j]) + [xs[j] @ xs[j + 1]] + list(xs[j + 2:])
 
 
+@functools.lru_cache(maxsize=None)
+def _rotations(n):
+    # row i - 1 of B's term j at degree n reads argument slot i - 1 + j mod
+    # n + 1: rotations[i - 1, j]
+    rotations = (np.arange(n + 1)[:, None] + np.arange(n + 1)) % (n + 1)
+    rotations.setflags(write=False)
+    return rotations
+
+
+@functools.lru_cache(maxsize=None)
+def _merges(n):
+    # row i of b's term j at degree n >= 1 reads row merges[i, j] of the
+    # arguments over the products, 2 (n + 1) rows, product j being x_j
+    # x_{j+1}, or x_n x_0 at j = n
+    i, j = np.arange(n)[:, None], np.arange(n + 1)
+    merges = np.where(i == j, n + 1 + j, np.where(i < j, i, i + 1))
+    merges[0, n] = 2 * n + 1
+    merges.setflags(write=False)
+    return merges
+
+
 def _B_terms(n, pool, index):
     # (pool, signs, table at degree n + 1) of the n + 1 terms of (B rho)_n
     # at the tuples of the (n + 1, T) table index, term j in columns
     # j T .. (j + 1) T: B's terms read the arguments and the unit, which
-    # the pool gains
-    unit = np.full((1, index.shape[1]), len(pool))
+    # the pool gains at its end
+    unit = np.full((1, index.size), len(pool))
     return (np.concatenate([pool, np.eye(pool.shape[-1], dtype=complex)[None]]),
             [(-1) ** (n * j) for j in range(n + 1)],
-            np.concatenate([np.concatenate([unit, index[j:], index[:j]])
-                            for j in range(n + 1)], axis=1))
+            np.concatenate([unit, index[_rotations(n)].reshape(n + 1, -1)]))
 
 
 def _b_terms(n, pool, index):
@@ -207,42 +232,64 @@ def _b_terms(n, pool, index):
     # at the tuples of the (n + 1, T) table index, term j in columns
     # j T .. (j + 1) T: b's terms read the arguments and the products
     # x_j x_{j+1}, j < n, and x_n x_0 of every tuple, which the pool gains
-    after = np.concatenate([index[1:], index[:1]])
-    prods = len(pool) + np.arange(index.size).reshape(index.shape)
-    terms = [np.concatenate([index[:j], prods[j:j + 1], index[j + 2:]]) for j in range(n)]
-    terms.append(np.concatenate([prods[n:], index[1:n]]))
+    # at its end
+    after = index[_rotations(n)[1]]
+    rows = np.concatenate([index, len(pool) + np.arange(index.size).reshape(index.shape)])
     return (np.concatenate([pool, (pool[index] @ pool[after]).reshape((-1,) + pool.shape[1:])]),
-            [(-1) ** j for j in range(n + 1)], np.concatenate(terms, axis=1))
+            [(-1) ** j for j in range(n + 1)], rows[_merges(n)].reshape(n, -1))
 
 
-def _term_sum(rho, pool, signs, table):
-    # the signed sum of rho's values at the terms of table, term j in
-    # columns j T .. (j + 1) T: one call of rho, and the slices summed in
-    # term order from 0j, the bits of the terms taken one by one
-    vals = np.asarray(rho(len(table) - 1, pool, table))
-    if vals.shape[-1:] != table.shape[1:]:
-        raise ValueError("a cochain evaluator gives one value per tuple on the "
-                         "last axis: %d tuples, values of shape %s"
-                         % (table.shape[1], vals.shape))
-    count = table.shape[1] // len(signs)
-    return sum((sign * vals[..., j * count:(j + 1) * count] for j, sign in enumerate(signs)),
-               0.0 + 0.0j)
+def _term_sums(rho, pool, terms):
+    # the signed sum of rho's values at the terms of each (signs, table),
+    # term j in columns j T .. (j + 1) T: one call of rho for every table,
+    # and each table's slices summed in term order from 0j, the bits of the
+    # terms taken one by one.  A sign is +1 or -1, and a - v is a + (-v)
+    # bit for bit
+    tables = [table for _, table in terms]
+    values = rho(pool, tables)
+    if len(values) != len(tables):
+        raise ValueError("a cochain evaluator gives one value array per table: "
+                         "%d tables, %d arrays" % (len(tables), len(values)))
+    sums = []
+    for (signs, table), vals in zip(terms, values):
+        vals = np.asarray(vals)
+        if vals.shape[-1:] != table.shape[1:]:
+            raise ValueError("a cochain evaluator gives one value per tuple on the "
+                             "last axis: %d tuples, values of shape %s"
+                             % (table.shape[1], vals.shape))
+        count = table.shape[1] // len(signs)
+        total = 0.0 + 0.0j
+        for j, sign in enumerate(signs):
+            part = vals[..., j * count:(j + 1) * count]
+            total = total + part if sign > 0 else total - part
+        sums.append(total)
+    return sums
 
 
 def _operator(rho, parts, name):
     """The parts of (B + b) rho, _B_terms and/or _b_terms, as a Cochain.
 
     It has rho's grading and couplings and the flipped parity.  Its
-    evaluator sums _term_sum of rho's evaluator over the parts, B before
-    b, and leaves b out at degree 0.  rho must be a Cochain (TypeError).
+    evaluator takes every part of every table, B before b and b left out
+    at degree 0, to one pool, each part adding to it what its terms read,
+    and to one call of rho's evaluator; a table's value is the sum of its
+    parts' _term_sums.  rho must be a Cochain (TypeError).
     """
     if not isinstance(rho, Cochain):
         raise TypeError("rho must be a Cochain, got %s" % type(rho).__name__)
     flipped = Parity.ODD if rho.parity is Parity.EVEN else Parity.EVEN
 
-    def evaluator(n, pool, index):
-        return sum(_term_sum(rho.evaluator, *part(n, pool, index))
-                   for part in parts if n or part is not _b_terms)
+    def evaluator(pool, tables):
+        counts, terms = [], []
+        for index in tables:
+            n = len(index) - 1
+            chosen = [part for part in parts if n or part is not _b_terms]
+            counts.append(len(chosen))
+            for part in chosen:
+                pool, signs, table = part(n, pool, index)
+                terms.append((signs, table))
+        sums = iter(_term_sums(rho.evaluator, pool, terms))
+        return [sum(next(sums) for _ in range(count)) for count in counts]
 
     return Cochain(evaluator, flipped, name="%s(%s)" % (name, rho.name or "rho"),
                    grading=rho.grading, couplings=rho.couplings)
@@ -278,9 +325,10 @@ def boundary(rho):
     rho's grading, so its __call__ checks the parity of x_0..x_n once,
     and its evaluator takes the terms to rho's evaluator, whose checks
     are not repeated: a product of even elements is even.  B and b each
-    form only what their terms read and go to rho's evaluator as one
-    table each, at degree n + 1 and n - 1.  The values are the ones that
-    connes_B and hochschild_b give with rho on each tuple, bit for bit.
+    form only what their terms read, in one pool, and go to one call of
+    rho's evaluator as one table each, at degree n + 1 and n - 1.  The
+    values are the ones that connes_B and hochschild_b give with rho on
+    each tuple, bit for bit.
     """
     return _operator(rho, (_B_terms, _b_terms), "boundary")
 
@@ -290,28 +338,30 @@ def _couplings(sys):
     return sys.spectrum.evals.shape[:-1]
 
 
-def _tau_pool(sys, pool, index):
-    # (pool, table) of the chains x_0, delta_r(x_1), .., delta_r(x_n) of the
-    # tuples of the (n + 1, T) table index, against every coupling of a
-    # context: the entries slot 0 reads as they are, then delta_r of the
-    # entries slots >= 1 read, each once, for all K couplings at once: the
-    # (K, d, d) supercharges broadcast against an (M, 1, d, d) stack
-    entries, count, table = _split_table(index, len(pool))
+def _tau_pool(sys, pool, tables):
+    # (pool, tables) of the chains x_0, delta_r(x_1), .., delta_r(x_n) of
+    # the tuples of the (n + 1, T) tables, against every coupling of a
+    # context: the entries slot 0 of any table reads as they are, then
+    # delta_r of the entries slots >= 1 read, each once over all the
+    # tables, for all K couplings at once: the (K, d, d) supercharges
+    # broadcast against an (M, 1, d, d) stack
+    entries, count, tables = _split_table(tables, len(pool))
     lead = _couplings(sys)
     heads, rest = pool[entries[:count]], pool[entries[count:]]
     derived = _superderivation_stack(sys, rest[:, None] if lead else rest)
     if lead:
         heads, derived = np.broadcast_to(heads, lead + heads.shape), derived.swapaxes(0, 1)
-    return np.concatenate([heads, derived], axis=-3), table
+    return np.concatenate([heads, derived], axis=-3), tables
 
 
-def _chain_values(sys, pool, index, q=None):
+def _chain_values(sys, pool, tables, q=None):
     # (1/Z) chain_integral(x_0, delta(x_1), .., delta(x_n); q) of the tuples
-    # of index, against every coupling of a context: (T,) or (K, T) values
-    # from one call of the block builder, n = 0 included: tau_0 is the
-    # kernel's contraction Tr(Gamma x_0 e^{-H}) / Z
-    pool, table = _tau_pool(sys, pool, index)
-    return chain_integral(sys.spectrum, pool, sys.grading, q, table) / sys.witten_index
+    # of each table, against every coupling of a context: (T,) or (K, T)
+    # values per table from one call of the block builder per degree, n = 0
+    # included: tau_0 is the kernel's contraction Tr(Gamma x_0 e^{-H}) / Z
+    pool, tables = _tau_pool(sys, pool, tables)
+    return [vals / sys.witten_index
+            for vals in chain_integral(sys.spectrum, pool, sys.grading, q, tables)]
 
 
 def _chain_cochain(sys, q=None):
@@ -328,7 +378,7 @@ def _chain_cochain(sys, q=None):
     delta_r(c 1) = 0; see the module docstring.
     """
     parity, name = (Parity.EVEN, "tau") if q is None else (Parity.ODD, "G_r")
-    return Cochain(lambda n, pool, index: _chain_values(sys, pool, index, q), parity,
+    return Cochain(lambda pool, tables: _chain_values(sys, pool, tables, q), parity,
                    name=name, grading=sys.grading, couplings=_couplings(sys))
 
 
@@ -374,7 +424,7 @@ def entireness_diagnostic(sys, samples=32, seed=0):
                         for i in range(samples)])
     coeffs = (z[:, 0] + 1j * z[:, 1]).T[:, :, None, None]
     mats = _graph_normalize(sys, sum(c * g for c, g in zip(coeffs, generators)))
-    pool, table = _tau_pool(sys, mats, np.arange(len(mats)).reshape(samples, -1).T)
+    pool, (table,) = _tau_pool(sys, mats, [np.arange(len(mats)).reshape(samples, -1).T])
     chains = _chain_prefixes(sys.spectrum, pool, sys.grading, table)
     degrees = range(2, ENTIRENESS_TOP + 1, 2)
     best = np.abs(chains[:, degrees] / sys.witten_index).max(axis=0).tolist()
@@ -389,27 +439,6 @@ def entireness_diagnostic(sys, samples=32, seed=0):
              for n, ind in zip(degrees, indicators)]
             + [Measurement("entireness.monotone", "norm", count, rise),
                Measurement("entireness.jlo_bound", "norm", count, max(0.0, ratio - 1.0))])
-
-
-def _chains_by_degree(sys, tuples):
-    """chain_integral on sys.spectrum and sys.grading of tuples of stacks.
-
-    Returns the (T_t,) or (K, T_t) values of each tuple of stacks, in
-    order.  The tuples read one pool, where a stack that recurs is one
-    run, and the tables of one degree go to chain_integral as one table.
-    """
-    pool, tables = _pool_of(tuples)
-    groups = {}
-    for i, table in enumerate(tables):
-        groups.setdefault(len(table), []).append(i)
-    out = [None] * len(tables)
-    for members in groups.values():
-        vals = chain_integral(sys.spectrum, pool, sys.grading,
-                              index=np.concatenate([tables[i] for i in members], axis=1))
-        ends = np.cumsum([tables[i].shape[1] for i in members])
-        for i, part in zip(members, np.split(vals, ends[:-1], axis=-1)):
-            out[i] = part
-    return out
 
 
 def lemma34_check(sys, n=2, samples=6, seed=0):
@@ -432,8 +461,8 @@ def lemma34_check(sys, n=2, samples=6, seed=0):
     draws = _draw_tuples(sys, rng, samples, 2 * n + 3)
     xs, ys = draws[:n + 1], draws[n + 1:]
     twisted = [sys.gamma(xs[n])] + xs[:n]
-    chains = _chains_by_degree(sys, [xs, twisted]
-                               + [_merge(ys, j) for j in range(n + 1)])
+    pool, tables = _pool_of([xs, twisted] + [_merge(ys, j) for j in range(n + 1)])
+    chains = chain_integral(sys.spectrum, pool, sys.grading, index=tables)
     rot = np.abs(chains[0] / z - chains[1] / z)
 
     h = sys.hamiltonian

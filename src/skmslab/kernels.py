@@ -24,13 +24,14 @@ edges.
 Tuples come in one layout, a pool: an (M, d, d) array of matrices and
 an (n + 1, T) table of pool indices, slot i of tuple t being pool entry
 index[i, t]; without a table the pool is the one tuple (xs[0], ..,
-xs[M-1]).  A pool is one call of the builder, and each tuple gets the
-bits it would get alone.  Gamma and the eigenbasis transform run once
-per distinct entry, and the builder's insertions are gathered by the
-table.  The spectrum may be a stack too, evals (K, d) and vecs
-(K, d, d): every tuple is then taken against every spectrum, with pool
-k for spectrum k when the pool is (K, M, d, d); that is how one call
-serves K couplings of a perturbed Hamiltonian.  Stacks of tuples are
+xs[M-1]).  A list of tables, of any degrees, reads one pool: each
+degree is one call of the builder, and each tuple gets the bits it
+would get alone.  Gamma, the eigenbasis transform and the real blocks
+run once per distinct entry over all the tables, and the builder's
+insertions are gathered by the tables.  The spectrum may be a stack
+too, evals (K, d) and vecs (K, d, d): every tuple is then taken against
+every spectrum, with pool k for spectrum k when the pool is (K, M, d,
+d); that is how one call serves K couplings of a perturbed Hamiltonian.  Stacks of tuples are
 the cochain module's layout, which it turns into a pool.
 Every exponential is priced at s (blocks d)^3, s its substeps, whatever
 the stack size, against `chain_budget()`: SKMS_CHAIN_BUDGET, the one
@@ -400,33 +401,38 @@ def _grading_matrix(grading):
     return as_matrix(grading)
 
 
-def _split_table(index, size):
-    """(entries, heads, table) of an (n + 1, T) table into a pool of size.
+def _split_table(tables, size):
+    """(entries, heads, tables) of (n + 1, T) tables into a pool of size.
 
-    entries lists, each once and in pool order, the entries slot 0 reads,
-    heads of them, then the entries slots >= 1 read; table is index into
-    entries.  Marks, not a sort: one pass over the table.
+    entries lists, each once and in pool order, the entries slot 0 of any
+    table reads, heads of them, then the entries slots >= 1 read; each
+    table comes back as an index into entries.  Marks, not a sort: one
+    pass over each table.
     """
-    rows = index.copy()
-    rows[1:] += size
     marks = np.zeros(2 * size, dtype=np.intp)
-    marks[rows] = 1
+    rows = []
+    for index in tables:
+        row = index.copy()
+        row[1:] += size
+        marks[row] = 1
+        rows.append(row)
     where = marks.cumsum()
     entries = marks.nonzero()[0]
     heads = int(where[size - 1])
     entries[heads:] -= size
-    return entries, heads, where[rows] - 1
+    return entries, heads, [where[row] - 1 for row in rows]
 
 
-def _eigen_pool(spectrum, pool, index, grading, what):
-    # (mats, table, what): Gamma times the entries slot 0 reads, then the
-    # entries slots >= 1 read, in the eigenbasis of H, as a (K, M, d, d)
-    # array with K = 1 for one spectrum, each entry transformed once per
-    # spectrum; index as a table into it, None being the one tuple of the
-    # whole pool; and what formatted with d and the degree.  A NaN or an
+def _eigen_pool(spectrum, pool, tables, grading, what):
+    # (mats, heads, tables): Gamma times the entries slot 0 of any table
+    # reads, heads of them, then the entries slots >= 1 read, in the
+    # eigenbasis of H, as a (K, M, d, d) array with K = 1 for one spectrum,
+    # each entry transformed once per spectrum; and the tables as indices
+    # into it, [None] being the one tuple of the whole pool.  A NaN or an
     # infinity is refused before the transform, which would warn on it, and
-    # before the price, which a NaN norm would pass
-    if index is None and not isinstance(pool, np.ndarray):
+    # before the price, which a NaN norm would pass; what, formatted with d
+    # and the degree of the first table that reads one, names the chain
+    if tables[0] is None and not isinstance(pool, np.ndarray):
         shapes = [np.shape(x) for x in pool]
         if any(len(shape) != 2 or shape != shapes[0] for shape in shapes):
             raise DimensionMismatch("one tuple takes (d, d) matrices of one shape, got %s; "
@@ -438,25 +444,30 @@ def _eigen_pool(spectrum, pool, index, grading, what):
         raise DimensionMismatch("insertions of shape %s do not match %s of dimension %d"
                                 % (pool.shape, "%d spectra" % lead[0] if lead else "a spectrum",
                                    spectrum.dim))
-    index = np.arange(pool.shape[-3])[:, None] if index is None else np.asarray(index)
-    if (index.ndim != 2 or not index.size or index.dtype.kind not in "iu"
-            or index.min() < 0 or index.max() >= pool.shape[-3]):
-        raise DimensionMismatch("index must be an (n + 1, T) integer table into %d "
-                                "insertions, got %s of %s" % (pool.shape[-3], index.shape,
-                                                              index.dtype))
-    what = what % (spectrum.dim, len(index) - 1)
+    size = pool.shape[-3]
+    if tables[0] is None:
+        tables = [np.arange(size)[:, None]]
+    tables = [np.asarray(index) for index in tables]
+    for index in tables:
+        if (index.ndim != 2 or not index.size or index.dtype.kind not in "iu"
+                or index.min() < 0 or index.max() >= size):
+            raise DimensionMismatch("index must be an (n + 1, T) integer table into %d "
+                                    "insertions, got %s of %s" % (size, index.shape,
+                                                                  index.dtype))
     if not np.isfinite(pool).all():
-        raise ValueError("%s has an insertion that is not finite" % what)
-    entries, heads, table = _split_table(index, pool.shape[-3])
+        bad = ~np.isfinite(pool).reshape(-1, size, spectrum.dim ** 2).all(axis=(0, 2))
+        n = next((len(index) - 1 for index in tables if bad[index].any()), len(tables[0]) - 1)
+        raise ValueError("%s has an insertion that is not finite" % (what % (spectrum.dim, n)))
+    entries, heads, tables = _split_table(tables, size)
     mats = pool[..., entries, :, :]
     g = _grading_matrix(grading)
     if g is not None:
         mats[..., :heads, :, :] = g @ mats[..., :heads, :, :]
     if not lead:
-        return spectrum.to_eigenbasis(mats)[None], table, what
+        return spectrum.to_eigenbasis(mats)[None], heads, tables
     # entry-major, (M, 1, d, d) or (M, K, d, d), meets the (K, d, d) bases
     mats = mats[:, None] if mats.ndim == 3 else mats.swapaxes(0, 1)
-    return spectrum.to_eigenbasis(mats).swapaxes(0, 1), table, what
+    return spectrum.to_eigenbasis(mats).swapaxes(0, 1), heads, tables
 
 
 def _first_tuple(vals):
@@ -470,52 +481,79 @@ def _contract(y0, chain):
     return (y0 * chain.swapaxes(-1, -2)).reshape(chain.shape[:-2] + (-1,)).sum(axis=-1)
 
 
+def _real_blocks(pool):
+    # (R(y), the column sums of |y|) of each matrix y of a (.., d, d) stack
+    # of complex matrices, taken flat: (N, 2d, 2d) and (N, d).  R(y) =
+    # [[Re y, Im y], [-Im y, Re y]], rows (l, Re/Im) by columns (j, Re/Im),
+    # so (A @ y).view(float) is A.view(float) @ R(y), one float64 GEMM, and
+    # R(-y) = -R(y) exactly
+    d = pool.shape[-1]
+    real = np.empty(pool.shape[:-1] + (2, d, 2))
+    real[..., 0, :, 0] = real[..., 1, :, 1] = pool.real
+    real[..., 0, :, 1], real[..., 1, :, 0] = pool.imag, -pool.imag
+    return real.reshape(-1, 2 * d, 2 * d), np.abs(pool).sum(axis=-2).reshape(-1, d)
+
+
 def _edge(row, col, pool, index):
     # the builder's edge (row, col, blocks, sums) for the insertions y =
     # pool[index]: pool is a (.., d, d) stack of complex matrices, taken
     # flat, and index a (K, count) table into it.  R(y) and the column
     # sums of |y| are formed once per matrix, then gathered: blocks (K,
-    # count, 2d, 2d) holds R(y) = [[Re y, Im y], [-Im y, Re y]], rows (l,
-    # Re/Im) by columns (j, Re/Im), so (A @ y).view(float) is
-    # A.view(float) @ R(y), one float64 GEMM, and R(-y) = -R(y) exactly;
-    # sums is (K, count, d).  No complex stack is gathered
-    d = pool.shape[-1]
-    real = np.empty(pool.shape[:-1] + (2, d, 2))
-    real[..., 0, :, 0] = real[..., 1, :, 1] = pool.real
-    real[..., 0, :, 1], real[..., 1, :, 0] = pool.imag, -pool.imag
-    return (row, col, real.reshape(-1, 2 * d, 2 * d)[index],
-            np.abs(pool).sum(axis=-2).reshape(-1, d)[index])
+    # count, 2d, 2d), sums (K, count, d).  No complex stack is gathered
+    real, sums = _real_blocks(pool)
+    return row, col, real[index], sums[index]
 
 
-def _chain_edges(spectrum, pool, index, grading, q):
-    # (Gamma x_0 in the eigenbasis, the builder's edges, the chain's name,
-    # the spectrum the builder reads) for the tuples of index at every
-    # spectrum: slice k T + t is tuple t at spectrum k.  No edges at n = 0
-    # without q
-    mats, table, what = _eigen_pool(spectrum, pool, index, grading,
-                                    "chain with d=%d, n=%d" if q is None
-                                    else "alternating chain with d=%d, m=%d")
-    n = len(table) - 1
-    k, count, d = len(mats), table.shape[1], spectrum.dim
-    y0 = mats[:, table[0]].reshape(k * count, d, d)
-    rows = spectrum
-    if k > 1 and count > 1:
-        # the builder reads dim and evals: spectrum k once per tuple
-        rows = SimpleNamespace(dim=d, evals=np.repeat(spectrum.evals, count, axis=0))
-    if not n and q is None:
-        return y0, [], what, rows
-    # spectrum j's pool starts at entry j M of the flat pool
-    run = _edge(0, 1, mats, (np.arange(k)[:, None, None] * mats.shape[1]
-                             + table[1:].T).reshape(k * count, n))
-    if q is None:
-        return y0, [run], what, rows
-    # q and -q of each spectrum, at 2j and 2j + 1, alternating along the run
-    qe = spectrum.to_eigenbasis(as_matrix(q))
-    signs = np.arange(n + 1) % 2 + 2 * np.arange(k)[:, None, None]
-    qs = _edge(0, 0, np.stack([qe, -qe], axis=-3),
-               np.broadcast_to(signs, (k, count, n + 1)).reshape(k * count, n + 1))
-    # the q edges go before the run, so the column sums keep their order
-    return y0, [qs, run], what, rows
+def _chain_edges(spectrum, pool, tables, grading, q):
+    # one builder call per distinct degree of the tables, in the order the
+    # degrees first appear: (the (i, start, stop) of each table i of the
+    # degree in the call's columns, Gamma x_0 in the eigenbasis, the
+    # builder's edges, the chain's name, the spectrum the builder reads).
+    # The tables of a degree are one table, one after the other; slice
+    # k T + t of a call is its tuple t at spectrum k.  One eigen pool and
+    # one realification serve every call; no edges at n = 0 without q
+    what = "chain with d=%d, n=%d" if q is None else "alternating chain with d=%d, m=%d"
+    mats, first, tables = _eigen_pool(spectrum, pool, tables, grading, what)
+    k, size, d = len(mats), mats.shape[1] - first, spectrum.dim
+    degrees = {}
+    for i, table in enumerate(tables):
+        degrees.setdefault(len(table), []).append(i)
+    # the entries slots >= 1 read are read only through their real blocks,
+    # and only by edges; the complex pool goes before the builder runs, for
+    # the memory peak
+    heads = mats[:, :first].copy()
+    if q is not None or max(degrees) > 1:
+        blocks, sums = _real_blocks(mats[:, first:])
+    del mats
+    # spectrum j's entries start at block j size of the flat blocks
+    starts = np.arange(k)[:, None, None] * size - first
+    if q is not None:
+        # q and -q of each spectrum, at 2j and 2j + 1, alternating along the run
+        qe = spectrum.to_eigenbasis(as_matrix(q))
+        qblocks, qsums = _real_blocks(np.stack([qe, -qe], axis=-3))
+    for members in degrees.values():
+        table = (tables[members[0]] if len(members) == 1
+                 else np.concatenate([tables[i] for i in members], axis=1))
+        n, count = len(table) - 1, table.shape[1]
+        spans, stop = [], 0
+        for i in members:
+            spans.append((i, stop, stop + tables[i].shape[1]))
+            stop += tables[i].shape[1]
+        y0 = heads[:, table[0]].reshape(k * count, d, d)
+        rows = spectrum
+        if k > 1 and count > 1:
+            # the builder reads dim and evals: spectrum k once per tuple
+            rows = SimpleNamespace(dim=d, evals=np.repeat(spectrum.evals, count, axis=0))
+        edges = []
+        if n or q is not None:
+            run = (starts + table[1:].T).reshape(k * count, n)
+            edges.append((0, 1, blocks[run], sums[run]))
+        if q is not None:
+            signs = np.arange(n + 1) % 2 + 2 * np.arange(k)[:, None, None]
+            signs = np.broadcast_to(signs, (k, count, n + 1)).reshape(k * count, n + 1)
+            # the q edges go before the run, so the column sums keep their order
+            edges.insert(0, (0, 0, qblocks[signs], qsums[signs]))
+        yield spans, y0, edges, what % (d, n), rows
 
 
 def _heat_trace(spectrum, y0):
@@ -531,7 +569,7 @@ def _chain_prefixes(spectrum, pool, grading, index):
     # n + 1) for K spectra; (m, s) are chosen from every position, so a
     # prefix may move at rounding level against its own chain_integral.
     # At n = 0 the one column is chain_integral's contraction
-    y0, edges, what, rows = _chain_edges(spectrum, pool, index, grading, None)
+    ((_, y0, edges, what, rows),) = _chain_edges(spectrum, pool, [index], grading, None)
     if not edges:
         return _heat_trace(spectrum, y0).reshape(-1, 1)
     return _contract(y0, _heat_chain_blocks(rows, edges, what).swapaxes(0, 1)).T
@@ -550,21 +588,26 @@ def chain_integral(spectrum, xs, grading, q=None, index=None):
         Gamma in the supertrace; None means plain trace.
     q : matrix or None
         An insertion placed after each slot in turn, see below.
-    index : (n + 1, T) integer array or None
+    index : (n + 1, T) integer array, list of them, or None
         Slot i of tuple t is the pool entry xs[..., index[i, t], :, :].
-        None is the one tuple (xs[0], .., xs[M-1]) of degree M - 1.
+        A list holds tables of any degrees into the one pool, a single
+        table being a list of one.  None is the one tuple (xs[0], ..,
+        xs[M-1]) of degree M - 1.
 
     Returns
     -------
     (T,) complex values, or (K, T) for a stack of K spectra, every tuple at
-    every spectrum; without index, the one tuple's complex, or (K,)
+    every spectrum; a list of them, one per table, for a list of tables;
+    without index, the one tuple's complex, or (K,)
         int_{Delta_n} Tr(Gamma x_0 e^{-s_1 H} x_1 ... x_n e^{-(1-s_n) H}) d^n s.
         For n = 0 without q this is Tr(Gamma x_0 e^{-H}).
-        Gamma is applied once to each entry that slot 0 reads, and each
-        entry, and q, goes to each spectrum's eigenbasis once; the block
-        builder's insertions are gathered by the table.  Each tuple gets
-        the bits it gets alone; the top rows of all the exponentials are
-        one call of the block builder.
+        All the tables share one eigen pool: Gamma is applied once to each
+        entry that slot 0 of any table reads, and each entry, and q, goes
+        to each spectrum's eigenbasis once and to its real blocks once;
+        the block builder's insertions are gathered by the tables.  The
+        tables of one degree are one call of the block builder, one after
+        the other in its columns, so there is one call per distinct
+        degree, and each tuple gets the bits it gets alone.
 
     With q, the value is the alternating sum over the position of q,
 
@@ -586,16 +629,25 @@ def chain_integral(spectrum, xs, grading, q=None, index=None):
     whatever the number of tuples, and n = 0 without q is never refused.
     Raises ValueError, naming the chain, when an insertion holds a NaN or
     an infinity, before any arithmetic on it; DimensionMismatch for a pool
-    or table that do not fit, and for a list that is not one tuple of
-    matrices, as n + 1 stacks of tuples are.
+    or table that do not fit, an empty table among them, and for a list
+    that is not one tuple of matrices, as n + 1 stacks of tuples are.
     """
-    y0, edges, what, rows = _chain_edges(spectrum, xs, index, grading, q)
-    if edges:
-        vals = _contract(y0, _heat_chain_blocks(rows, edges, what)[:, -1])
-    else:
-        vals = _heat_trace(spectrum, y0)
-    vals = vals.reshape(spectrum.evals.shape[:-1] + (-1,))
-    return vals if index is not None else _first_tuple(vals)
+    many = isinstance(index, list) and bool(index) and all(np.ndim(t) == 2 for t in index)
+    out = [None] * (len(index) if many else 1)
+    for spans, y0, edges, what, rows in _chain_edges(spectrum, xs, index if many else [index],
+                                                     grading, q):
+        if edges:
+            vals = _contract(y0, _heat_chain_blocks(rows, edges, what)[:, -1])
+        else:
+            vals = _heat_trace(spectrum, y0)
+        vals = vals.reshape(spectrum.evals.shape[:-1] + (-1,))
+        for i, start, stop in spans:
+            out[i] = vals[..., start:stop]
+        # for the memory peak, this degree's edges go before the next's
+        y0 = edges = None
+    if many:
+        return out
+    return out[0] if index is not None else _first_tuple(out[0])
 
 
 def heat_chain_integrand(spectrum, xs, grading):
@@ -624,7 +676,8 @@ def heat_chain_integrand(spectrum, xs, grading):
     """
     if spectrum.evals.ndim != 1:
         raise DimensionMismatch("the pointwise integrand takes one spectrum, not a stack")
-    mats, table, _ = _eigen_pool(spectrum, xs, None, grading, "chain integrand with d=%d, n=%d")
+    mats, _, (table,) = _eigen_pool(spectrum, xs, [None], grading,
+                                    "chain integrand with d=%d, n=%d")
     ys = list(mats[0, table[:, 0]])
     n = len(ys) - 1
     d = spectrum.dim

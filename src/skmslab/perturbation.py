@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import (_chain_cochain, _chains_by_degree, _couplings, _merge, boundary,
-                      tau_eval)
+from . import cochain
+from .cochain import _chain_cochain, _couplings, _merge, _pool_of, boundary, tau_eval
 from .dynamics import (GradedSystem, _conjugation, _draw_tuples, _functional_residuals,
                        _odd_selfadjoint, _super_gibbs, heisenberg_flow, skms_eval,
                        superderivation)
@@ -470,7 +470,10 @@ def f_identities_check(ctx, n=3, samples=10, seed=0):
     tuples += [[unit] + xs[j:] + gxs[:j] for j in range(n + 1)]
     tuples += [gxs[:j] + [superderivation(ctx, xs[j])] + xs[j + 1:]
                for j in range(n + 1)]
-    values = iter([v / ctx.witten_index for v in _chains_by_degree(ctx, tuples)])
+    # through cochain's binding of chain_integral, as every chain of tau
+    pool, tables = _pool_of(tuples)
+    values = iter([v / ctx.witten_index for v in
+                   cochain.chain_integral(ctx.spectrum, pool, ctx.grading, index=tables)])
 
     plain = next(values)
     rot = np.abs(plain - next(values))
@@ -549,14 +552,18 @@ def lipschitz_check(system, perturbation, samples=100, seed=0):
 def homotopy_steps(r, hs):
     """The steps hs, largest first, checked for central differences at r.
 
-    Each step must be positive, there must be at least two (the order is
-    read off a pair of them), and r +/- h must stay in [0, 1]; ValueError
+    Each step must be positive and occur once (the order divides by the log
+    of each ratio of steps), there must be at least two (the order is read
+    off a pair of them), and r +/- h must stay in [0, 1]; ValueError
     otherwise.
     """
     for h in hs:
         if not h > 0.0:
             raise ValueError("step h = %r must be positive" % (h,))
     hs = tuple(sorted(hs, reverse=True))
+    for big, small in zip(hs, hs[1:]):
+        if big == small:
+            raise ValueError("step h = %r is repeated" % (big,))
     if len(hs) < 2:
         raise ValueError("the convergence order needs at least two steps, got %d"
                          % len(hs))

@@ -182,7 +182,7 @@ def _cmd_verify(args):
 
 def _tau_by_quadrature(system, n, xs, rule):
     # --quadrature's route, on the chain's own insertions: _tau_pool of one tuple
-    mats, _ = _tau_pool(system, xs, np.arange(n + 1)[:, None])
+    mats, _ = _tau_pool(system, xs, [np.arange(n + 1)[:, None]])
     integrand = heat_chain_integrand(system.spectrum, mats, system.grading)
     value, err = simplex_quadrature(integrand, n, rule)
     return value / system.witten_index, abs(err / system.witten_index)

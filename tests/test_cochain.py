@@ -78,12 +78,14 @@ def count_classify(monkeypatch):
 def test_cochain_gating():
     calls = []
 
-    def evaluator(n, pool, index):
-        # one tuple arrives as a table of one column into a pool of its
-        # n + 1 (d, d) slots
+    def evaluator(pool, tables):
+        # one tuple arrives as a list of one table, of one column, into a
+        # pool of its n + 1 (d, d) slots
+        (index,) = tables
+        n = len(index) - 1
         assert index.shape == (n + 1, 1) and pool.shape == (n + 1, 2, 2)
         calls.append(n)
-        return [1.0] * index.shape[1]
+        return [[1.0] * index.shape[1]]
 
     c = Cochain(evaluator, Parity.EVEN)
     x = np.diag([1.0, 2.0])
@@ -112,7 +114,8 @@ def stacked_trace(a, xs, n):
 def test_hochschild_b_hand_formula():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    rho = Cochain(lambda n, pool, index: stacked_trace(a, pool[index], 0), Parity.EVEN)
+    rho = Cochain(lambda pool, tables: [stacked_trace(a, pool[t], 0) for t in tables],
+                  Parity.EVEN)
     x0 = rng.standard_normal((3, 3))
     x1 = rng.standard_normal((3, 3))
     got = hochschild_b(rho, 1, [x0, x1])
@@ -127,9 +130,9 @@ def test_connes_B_hand_formula():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     seen = []
 
-    def rho(n, pool, index):
-        seen.append(pool[index])
-        return stacked_trace(a, pool[index], 1)
+    def rho(pool, tables):
+        seen.extend(pool[t] for t in tables)
+        return [stacked_trace(a, pool[t], 1) for t in tables]
 
     x0 = rng.standard_normal((3, 3))
     got = connes_B(Cochain(rho, Parity.ODD), 0, [x0])
@@ -142,7 +145,7 @@ def test_connes_B_hand_formula():
 def test_B_and_b_refuse_a_per_tuple_rho():
     # a rho that takes one tuple, as B and b once took it: it reads the
     # first tuple of the table and gives one value for all of them
-    rho = lambda n, pool, index: np.trace(pool[index[0, 0]])
+    rho = lambda pool, tables: [np.trace(pool[t[0, 0]]) for t in tables]
     x = np.diag([1.0, 2.0, 3.0])
     for op, n, parity in ((connes_B, 0, Parity.ODD), (hochschild_b, 1, Parity.EVEN)):
         with pytest.raises(ValueError, match="one value per tuple on the last axis"):
@@ -152,7 +155,7 @@ def test_B_and_b_refuse_a_per_tuple_rho():
 def test_B_b_and_boundary_refuse_a_bare_evaluator():
     # rho is a Cochain, whose parity gates the terms and whose grading
     # checks the arguments
-    rho = lambda n, pool, index: np.zeros(index.shape[1])
+    rho = lambda pool, tables: [np.zeros(t.shape[1]) for t in tables]
     x = np.diag([1.0, 2.0, 3.0])
     for call in (lambda: connes_B(rho, 0, [x]), lambda: hochschild_b(rho, 1, [x, x]),
                  lambda: boundary(rho)):
@@ -166,9 +169,9 @@ def test_B_and_boundary_hand_rho_only_what_their_terms_read():
     # where b is left out, is one call of rho on the same pool
     sizes = []
 
-    def evaluator(n, pool, index):
+    def evaluator(pool, tables):
         sizes.append(len(pool))
-        return np.zeros(index.shape[1])
+        return [np.zeros(t.shape[1]) for t in tables]
 
     odd, even = Cochain(evaluator, Parity.ODD), Cochain(evaluator, Parity.EVEN)
     rng = np.random.default_rng(46)
@@ -187,13 +190,14 @@ def test_hochschild_b_squares_to_zero():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
 
-    def rho(n, pool, index):
-        return stacked_trace(a, pool[index], n) * (0.7 ** n)
+    def rho(pool, tables):
+        return [stacked_trace(a, pool[t], len(t) - 1) * (0.7 ** (len(t) - 1)) for t in tables]
 
     xs = [rng.standard_normal((3, 3)) for _ in range(4)]
     # outer b at degree 3 asks the inner b at degree 2, which asks rho at 1
-    inner = Cochain(lambda n, pool, index: hochschild_b(Cochain(rho, Parity.ODD), n,
-                                                        list(pool[index])), Parity.EVEN)
+    inner = Cochain(lambda pool, tables: [hochschild_b(Cochain(rho, Parity.ODD), len(t) - 1,
+                                                       list(pool[t])) for t in tables],
+                    Parity.EVEN)
     bb = hochschild_b(inner, 3, xs)
     assert abs(bb) < 1e-12
 
@@ -383,8 +387,8 @@ def test_boundary_evaluator_on_stacks_equals_each_tuple(builder_calls):
                                                   for _ in range(4)]
         want = [dtau(n, xs) for xs in tuples]
         del builder_calls[:]
-        pool, (index,) = cochain_module._pool_of([[np.stack(slot) for slot in zip(*tuples)]])
-        got = dtau.evaluator(n, pool, index)
+        pool, tables = cochain_module._pool_of([[np.stack(slot) for slot in zip(*tuples)]])
+        (got,) = dtau.evaluator(pool, tables)
         assert list(got) == want, n
         assert len(builder_calls) == (1 if n == 1 else 2), n
 
@@ -463,10 +467,14 @@ def test_boundary_on_a_pool_equals_the_per_term_evaluation(spec):
 
 
 def test_boundary_differentiates_and_transforms_each_distinct_matrix_once(monkeypatch):
-    # n = 5, T = 25: B reads the 150 arguments behind one unit, b the 125
-    # x_1..x_5 and the 100 products x_j x_{j+1}, 0 < j < 5, at slots >= 1
-    # and the 75 x_0, x_0 x_1, x_5 x_0 at slot 0.  With a copy per slot of
-    # every term, delta took 1500 matrices and the eigenbasis 1800
+    # n = 5, T = 25: B and b share one pool.  Slots >= 1 read the 150
+    # arguments (B) and the 100 products x_j x_{j+1}, 0 < j < 5 (b), and
+    # slot 0 the unit (B) and the 75 x_0, x_0 x_1, x_5 x_0 (b): delta takes
+    # 250 matrices and the eigenbasis 76 + 250.  With a pool per operator
+    # delta took 150 + 225 and the eigenbasis 151 + 300; with a copy per
+    # slot of every term, 1500 and 1800.  boundary(G^r) at n = 4 on three
+    # couplings: 125 arguments and 75 products at slots >= 1, the unit and
+    # 75 matrices at slot 0, and Q, each once per coupling
     counts = {"delta": 0, "eigenbasis": 0}
 
     def counting(key, fn):
@@ -477,15 +485,44 @@ def test_boundary_differentiates_and_transforms_each_distinct_matrix_once(monkey
         return counted
 
     sys_ = block_system(3, 2, seed=42)
-    xs = list(sys_.random_elements(np.random.default_rng(43), 150, parity=Parity.EVEN)
-              .reshape(6, 25, 5, 5))
-    dtau = boundary(jlo_cochain(sys_))
+    rng = np.random.default_rng(43)
+    xs = list(sys_.random_elements(rng, 150, parity=Parity.EVEN).reshape(6, 25, 5, 5))
+    q = as_matrix(sys_.random_element(rng, parity="odd"))
+    ctx = PerturbedContext(sys_, 0.4 * (q + q.conj().T) / 2, [0.0, 0.5, 1.0])
+    dtau, dg = boundary(jlo_cochain(sys_)), boundary(transgression_cochain(ctx))
     monkeypatch.setattr(cochain_module, "_superderivation_stack",
                         counting("delta", cochain_module._superderivation_stack))
     monkeypatch.setattr(kernels.Spectrum, "to_eigenbasis",
                         counting("eigenbasis", kernels.Spectrum.to_eigenbasis))
     dtau(5, xs)
-    assert counts == {"delta": 150 + 225, "eigenbasis": 151 + 300}
+    assert counts == {"delta": 250, "eigenbasis": 326}
+    counts.update(delta=0, eigenbasis=0)
+    dg(4, xs[:5])
+    assert counts == {"delta": 3 * 200, "eigenbasis": 3 * (76 + 200 + 1)}
+
+
+def test_empty_stacks_read_no_values_without_evaluation():
+    # n + 1 empty stacks ended in an IndexError from the table split (tau,
+    # G^r) or a DimensionMismatch from the kernel (B, b, boundary): they
+    # read couplings + (0,) values, and no chain is built
+    sys_ = block_system(3, 2, seed=42)
+    q = as_matrix(sys_.random_element(np.random.default_rng(47), parity="odd"))
+    pert = 0.4 * (q + q.conj().T) / 2
+    ctx = PerturbedContext(sys_, pert, [0.0, 0.5, 1.0])
+    # G^r needs a context: a one-coupling one beside the system
+    for plain, perturbed, lead in ((sys_, PerturbedContext(sys_, pert, 0.5), ()),
+                                   (ctx, ctx, (3,))):
+        tau, g = jlo_cochain(plain), transgression_cochain(perturbed)
+        for n, call in ((2, tau), (1, g), (3, boundary(g)), (3, boundary(tau)),
+                        (0, boundary(tau)), (2, lambda n, xs: connes_B(g, n, xs)),
+                        (1, lambda n, xs: hochschild_b(tau, n, xs))):
+            vals = call(n, [np.zeros((0, 5, 5), dtype=complex)] * (n + 1))
+            assert vals.shape == lead + (0,) and vals.dtype == complex, (n, call)
+    empty = np.zeros((1, 0), dtype=int)
+    for index in (empty, [np.zeros((1, 1), dtype=int), empty]):
+        with pytest.raises(DimensionMismatch, match="integer table"):
+            kernels.chain_integral(sys_.spectrum, np.zeros((1, 5, 5)), sys_.grading,
+                                   index=index)
 
 
 @pytest.mark.parametrize("call", [

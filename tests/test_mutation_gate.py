@@ -72,7 +72,7 @@ def _scaled_transgression(monkeypatch, factor):
 
     def scaled(ctx):
         g = make(ctx)
-        return cochain.Cochain(lambda n, pool, index: factor * g.evaluator(n, pool, index),
+        return cochain.Cochain(lambda pool, tables: [factor * v for v in g.evaluator(pool, tables)],
                                g.parity, grading=g.grading, couplings=g.couplings)
     monkeypatch.setattr(perturbation, "transgression_cochain", scaled)
 
@@ -93,7 +93,8 @@ def reverse_insertions(monkeypatch, spec):
     chain = kernels.chain_integral
 
     def reversed_chain(spectrum, pool, grading, q=None, index=None):
-        return chain(spectrum, pool, grading, q, np.concatenate([index[:1], index[:0:-1]]))
+        return chain(spectrum, pool, grading, q,
+                     [np.concatenate([table[:1], table[:0:-1]]) for table in index])
     monkeypatch.setattr(cochain, "chain_integral", reversed_chain)
 
 
@@ -154,8 +155,8 @@ def gamma_less_trace(monkeypatch, spec):
     chain = kernels.chain_integral
 
     def traced(spectrum, pool, grading, q=None, index=None):
-        one_slot = len(index) == 1 and q is None
-        return chain(spectrum, pool, None if one_slot else grading, q, index)
+        return [chain(spectrum, pool, None if len(table) == 1 and q is None else grading, q,
+                      [table])[0] for table in index]
     monkeypatch.setattr(cochain, "chain_integral", traced)
 
 

@@ -704,7 +704,7 @@ def test_homotopy_sign_is_fixed(monkeypatch):
 
     def negated(ctx):
         g = make(ctx)
-        return Cochain(lambda n, pool, index: -g.evaluator(n, pool, index), g.parity,
+        return Cochain(lambda pool, tables: [-v for v in g.evaluator(pool, tables)], g.parity,
                        grading=g.grading, couplings=g.couplings)
     monkeypatch.setattr(perturbation_module, "transgression_cochain", negated)
     by_name = rows()
@@ -792,6 +792,16 @@ def test_homotopy_refuses_a_step_that_is_not_positive(hs):
     xs = even_tuple(sys_, np.random.default_rng(21), 3)
     bad = min(hs)
     with pytest.raises(ValueError, match="step h = %r must be positive" % bad):
+        homotopy_check(sys_, pert, 2, xs, hs=hs)
+
+
+@pytest.mark.parametrize("hs", [(1e-2, 1e-2), (1e-2, 5e-3, 1e-2)])
+def test_homotopy_refuses_a_repeated_step(hs):
+    # a repeated step made the order divide by log(1) = 0: ZeroDivisionError
+    sys_ = block_system(3, 2, seed=20)
+    pert = odd_perturbation(sys_)
+    xs = even_tuple(sys_, np.random.default_rng(21), 3)
+    with pytest.raises(ValueError, match="step h = 0.01 is repeated"):
         homotopy_check(sys_, pert, 2, xs, hs=hs)
 
 

@@ -912,6 +912,7 @@ def test_cli_perturb_sweep_grid_below_two_is_a_usage_error(tmp_path, capsys, gri
     (["homotopy", "check", "--r", "nan"], "--r"),
     (["homotopy", "check", "--steps", "0.9,0.1"], "--steps"),
     (["homotopy", "check", "--steps", "1e-3"], "--steps"),
+    (["homotopy", "check", "--steps", "1e-2,1e-2"], "--steps"),
 ])
 def test_cli_bad_degree_tuples_or_steps_is_a_usage_error(tmp_path, capsys,
                                                           argv, option):
@@ -920,7 +921,8 @@ def test_cli_bad_degree_tuples_or_steps_is_a_usage_error(tmp_path, capsys,
     # division by zero and a non-number in a ValueError traceback; an r
     # outside [0, 1], or a step that takes r +/- h out of it, in a ValueError
     # traceback, and r = nan in a LinAlgError from eigh; a single step
-    # always read derivative_order red (exit 1), as no order can be measured
+    # always read derivative_order red (exit 1), as no order can be measured;
+    # a repeated step ended in a ZeroDivisionError traceback
     model = write_spec(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--model", model])
