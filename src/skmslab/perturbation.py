@@ -66,7 +66,7 @@ class PerturbedContext:
     Tr(Gamma e^{-H_r}).  Tail bounds for the Dyson series are driven by
     the constant 2*||a_r||.
 
-    A 1-d r of K couplings gives one context for all of them: supercharge,
+    A 1-d r of K >= 1 couplings gives one context for all of them: supercharge,
     a_r, hamiltonian and the weight are (K, d, d) stacks, the spectrum is a
     stack (evals (K, d), vecs (K, d, d), from one eigh call), and
     witten_index_r and a_norm are (K,).  The dynamics functions then pair
@@ -75,7 +75,8 @@ class PerturbedContext:
     tuples.  at(index) selects couplings without a new eigendecomposition.
     A scalar r keeps the (d, d) attributes.  The finite, selfadjoint and
     even guards on a_r run per coupling, and ParityViolation names the
-    first coupling that fails.
+    first coupling that fails.  The Dyson series, error_term, lemma43_check,
+    skms_check_perturbed and f_identities_check refuse a vector context.
     """
 
     _PER_COUPLING = ("r", "supercharge", "a_r", "hamiltonian", "a_norm",
@@ -91,12 +92,13 @@ class PerturbedContext:
         self.perturbation = perturbation
         if np.ndim(r) == 0:
             self.r = rr = float(r)
-        elif np.ndim(r) == 1:
+        elif np.ndim(r) == 1 and len(r):
             self.r = np.array(r, dtype=float)
             self.r.setflags(write=False)
             rr = self.r[:, None, None]
         else:
-            raise ValueError("r must be a number or a 1-d sequence of couplings")
+            raise ValueError("r must be a number or a 1-d sequence of at least one "
+                             "coupling, got %r" % (r,))
         if not np.all(np.isfinite(self.r)):
             # NaN would pass every range test and fail inside eigh
             raise ValueError("coupling r must be finite, got %r" % (r,))
@@ -197,15 +199,19 @@ class DysonInfo:
     tail_bound: float
 
 
+def _require_one_coupling(ctx, what):
+    # what reads one coupling, so a vector context's stacks are refused
+    if _couplings(ctx):
+        raise ValueError(what + " takes a one-coupling context; select one with ctx.at(k)")
+
+
 def _dyson_info(ctx, t, tol, order, norm_x=1.0):
     # the order given, or the least whose tail meets tol, and its tail bound,
     # of either series to time t >= 0.  A NaN t would pass tail_bound's loop
     # test as a zero tail, and an infinite one price a NaN block exponential
     if not math.isfinite(t):
         raise ValueError("t must be finite, got %r" % (t,))
-    if _couplings(ctx):
-        raise ValueError("a Dyson series takes a one-coupling context; "
-                         "select one with ctx.at(k)")
+    _require_one_coupling(ctx, "a Dyson series")
     if order is None:
         order = ctx.choose_order(t, tol, norm_x)
     elif order < 0:
@@ -291,6 +297,7 @@ def error_term(ctx, t):
     Vanishes identically in this realization; e(0) = 0 holds exactly
     because gamma^r_0(1) is the exact identity.
     """
+    _require_one_coupling(ctx, "error_term")
     g = gamma_cocycle_oracle(ctx, t)
     q = ctx.perturbation.matrix
     return (superderivation(ctx.system, g)
@@ -333,6 +340,7 @@ def lemma43_check(ctx, samples=50, seed=0):
     t, t/2 and -t is computed once per t.  The adjoint and unitarity row
     depends on t alone, so its value at t stands for every sample.
     """
+    _require_one_coupling(ctx, "lemma43_check")
     sys = ctx.system
     ts = (0.3, 1.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x43)))
@@ -410,12 +418,14 @@ def skms_check_perturbed(ctx, samples=25, seed=0):
 
     All flows use the exact oracles so residuals reflect the algebra, not
     series truncation.  dynamics._functional_residuals gives the axioms
-    shared with verify_skms_axioms, delta_r^2 = ad(H_r) among them (S5,
-    skms_r.delta_squared_ad_h); this check adds the KMS boundary
-    through gamma^r_i, the error-term identity phi(z e(t)) = 0 and the
-    exact vanishing of e(0).  The samples are drawn as one stack and
-    evaluated as stacks; e(t) is computed once per t.
+    shared with verify_skms_axioms, delta_r^2 = ad(H_r) among them; this
+    check adds the KMS boundary through gamma^r_i, the error-term identity
+    phi(z e(t)) = 0 and the exact vanishing of e(0).  The samples are one
+    stack, and e(t) is computed once per t.  S0 and the Gamma invariance
+    hold for every x, as for phi (verify_skms_axioms): Gamma e^{-H_r} is
+    selfadjoint and even, since PerturbedContext requires a_r even.
     """
+    _require_one_coupling(ctx, "skms_check_perturbed")
     sys = ctx.system
     ts = (0.0, 0.3, 1.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x45)))
@@ -431,8 +441,7 @@ def skms_check_perturbed(ctx, samples=25, seed=0):
         err_t.append(np.abs(skms_eval(sys, w @ e)))
     res["kms_boundary"] = (samples * len(ts), float(np.max(bound)))
     res["error_term"] = (samples * len(ts), float(np.max(err_t)))
-    rows = [("hermiticity", "S0"), ("alpha_invariance", "S1"),
-            ("gamma_invariance", "S1"), ("kms_boundary", "Fxz"),
+    rows = [("alpha_invariance", "S1"), ("kms_boundary", "Fxz"),
             ("normalization", "phi-r1"), ("delta_invariance", "S4"),
             ("delta_squared_ad_h", "S5"), ("weak_supersymmetry", "S5"),
             ("error_term", "lem2")]
@@ -450,6 +459,7 @@ def f_identities_check(ctx, n=3, samples=10, seed=0):
     to one call of the block builder.  n must be an integer >= 1
     (ValueError): the last-slot identity contracts x_{n-1} x_n."""
     check_integer("n", n, 1)
+    _require_one_coupling(ctx, "f_identities_check")
     sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x46)))
     xs = _draw_tuples(sys, rng, samples, n + 1)

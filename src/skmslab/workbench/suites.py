@@ -3,9 +3,11 @@
 Each suite builds a deterministic list of check closures, run one after
 another; rows come back in declaration order, and a chain-budget overflow
 or an unreachable Dyson truncation in one check degrades to a failing row
-with residual DOCUMENTED instead of aborting the run.  The checks return
-measurements: _run_one gates each into a row (see gate) and stamps it
-with the seed, the spec digest and, on request, the wall time.
+with residual DOCUMENTED instead of aborting the run; any other refusal
+aborts it with no report.  The checks return measurements: _run_one gates
+each into a row (see gate) and stamps it with the seed, the spec digest
+and, on request, the wall time.  A known defect turns each gated row of
+All red (tests/test_mutation_gate.py).
 """
 
 import dataclasses
@@ -26,9 +28,8 @@ from ..perturbation import (PerturbedContext, dyson_alpha_info,
                             dyson_gamma_one_info,
                             endpoint_transgression_check, f_identities_check,
                             gamma_cocycle_oracle, homotopy_check,
-                            lemma43_check, lemma44_check, lipschitz_check,
-                            skms_check_perturbed, transgression_cochain,
-                            witten_invariance_check)
+                            lemma43_check, lemma44_check,
+                            skms_check_perturbed, witten_invariance_check)
 from ..report import DOCUMENTED, Measurement, make_report
 from .models import build_perturbed_model, check_scale, model_digest
 
@@ -49,7 +50,7 @@ FIXED_TOLERANCE = {
     "entireness.monotone": DOCUMENTED,
     "transgression.derivative": DOCUMENTED,
     "skms_r.error_term_at_zero": 0.0,
-    "alpha_r.lipschitz_in_r": 0.0,
+    "alpha_r.lipschitz_in_r": 0.0,  # emitted by skms perturb sweep alone
 }
 
 
@@ -170,23 +171,19 @@ def _dyson_fidelity(sys, pert, config):
 
 def _perturbation_checks(sys, pert, config):
     ctx = PerturbedContext(sys, pert, 0.5)
-    checks = [
+    return [
         ("gamma_r.composition", "L43.1", config.tol_exact,
          lambda: lemma43_check(ctx, samples=20, seed=config.seed)),
         ("flow.cyclic_conjugation", "analcont", config.tol_exact,
          lambda: lemma44_check(sys, n=2, samples=15, seed=config.seed)),
-        ("skms_r.hermiticity", "S0", config.tol_exact,
+        ("skms_r.alpha_invariance", "S1", config.tol_exact,
          lambda: skms_check_perturbed(ctx, samples=15, seed=config.seed)),
         ("F.rotation", "F1", config.tol_exact,
          lambda: f_identities_check(ctx, n=min(3, config.max_degree),
                                     samples=10, seed=config.seed)),
-    ]
-    return checks + _dyson_fidelity(sys, pert, config) + [
+    ] + _dyson_fidelity(sys, pert, config) + [
         ("witten.invariance", "phi-r1", config.tol_exact,
-         lambda: witten_invariance_check(sys, pert, grid=11)),
-        ("alpha_r.lipschitz_in_r", "lipschitz", 0.0,
-         lambda: lipschitz_check(sys, pert, samples=50, seed=config.seed)),
-    ]
+         lambda: witten_invariance_check(sys, pert, grid=11))]
 
 
 def _measured(rows):
@@ -201,22 +198,12 @@ def _measured(rows):
 def _homotopy_checks(sys, pert, config):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x48)))
     xs = list(sys.random_elements(rng, 3, parity="even"))
-    checks = [
+    return [
         ("transgression.derivative_order", "main", 0.0,
          lambda: _measured(homotopy_check(sys, pert, 2, xs, r=0.5))),
         ("transgression.endpoint", "main", TOL_FD,
          lambda: _measured(endpoint_transgression_check(sys, pert, 2, xs))),
     ]
-
-    def degeneracy():
-        g = transgression_cochain(PerturbedContext(sys, pert, 0.5))
-        unit = np.eye(sys.dim, dtype=complex)
-        res = abs(g(1, [xs[0], -1.5 * unit]))
-        unit_res = abs(boundary(g)(0, [unit]))
-        return [Measurement("transgression.degeneracy", "main", 1, res),
-                Measurement("transgression.unit_boundary", "phi-r1", 1, unit_res)]
-    checks.append(("transgression.degeneracy", "main", 0.0, degeneracy))
-    return checks
 
 
 def _entireness_checks(sys, config):
@@ -244,8 +231,9 @@ def _suite_checks(spec, suite, config):
 
 
 def _run_one(entry, config, digest):
-    # the check's measurements gated at the entry's tolerance, stamped
-    # with the seed, the digest and the opt-in wall time
+    """The check's measurements gated at the entry's tolerance and stamped;
+    only ChainBudgetExceeded and TruncationUnreachable become a failing
+    row, and any other exception propagates."""
     name, anchor, tol, fn = entry
     start = time.perf_counter()
     try:
@@ -261,7 +249,10 @@ def _run_one(entry, config, digest):
 
 
 def run_suite(spec, suite, config=None):
-    """Run one named suite against a ModelSpec; returns report rows."""
+    """Run one named suite against a ModelSpec; returns report rows.
+
+    Only ChainBudgetExceeded and TruncationUnreachable in a check become
+    a failing row; any other refusal aborts the run with no report."""
     config = config or SuiteConfig()
     digest = model_digest(spec)
     return [row for entry in _suite_checks(spec, suite, config)

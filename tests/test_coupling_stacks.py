@@ -14,7 +14,7 @@ import pytest
 import skmslab.perturbation as perturbation_module
 from skmslab.dynamics import heisenberg_flow, skms_eval, superderivation
 from skmslab.errors import ParityViolation
-from skmslab.graded import as_matrix
+from skmslab.graded import GRADING_TOL, as_matrix, frobenius_norms
 from skmslab.cochain import boundary, jlo_cochain, tau_eval
 from skmslab.kernels import chain_integral
 from skmslab.perturbation import (OddPerturbation, PerturbedContext,
@@ -137,8 +137,23 @@ def test_scalar_coupling_keeps_matrix_attributes():
     xs = list(sys.random_elements(np.random.default_rng(9), 3, parity="even"))
     assert isinstance(tau_r_eval(ctx, 2, xs), complex)
     assert isinstance(transgression_cochain(ctx)(1, xs[:2]), complex)
-    with pytest.raises(ValueError, match="1-d sequence"):
-        PerturbedContext(sys, pert, [[0.1, 0.2]])
+    # an empty r used to build, and tau_eval on it failed in a reshape
+    for bad in ([[0.1, 0.2]], [], np.empty(0)):
+        with pytest.raises(ValueError, match="r must be a number or a 1-d sequence"):
+            PerturbedContext(sys, pert, bad)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: s.kind)
+def test_phi_weight_is_selfadjoint_and_commutes_with_gamma(spec):
+    # why phi and phi^r are hermitian and Gamma-invariant on every element,
+    # which All does not sample: the weight Gamma e^{-H_r}, of the system and
+    # of every coupling of a context, to GRADING_TOL relative
+    sys, pert = build_perturbed_model(spec, 0)
+    g = sys.grading.matrix
+    for weight in (sys._weight, PerturbedContext(sys, pert, (0.0, 0.5, 1.0))._weight):
+        scale = GRADING_TOL * np.maximum(1.0, frobenius_norms(weight))
+        assert np.all(frobenius_norms(weight - weight.conj().swapaxes(-1, -2)) <= scale)
+        assert np.all(frobenius_norms(g @ weight - weight @ g) <= scale)
 
 
 def test_at_selects_couplings_without_a_new_context():

@@ -188,9 +188,7 @@ def test_axioms_checker_passes_and_reports():
     reports = gate(measured, 1e-10)
     names = [r.identity_name for r in reports]
     assert names == [
-        "skms.hermiticity",
         "skms.alpha_invariance",
-        "skms.gamma_invariance",
         "skms.kms_boundary",
         "skms.normalization",
         "skms.delta_invariance",

@@ -414,6 +414,8 @@ def test_tau_r_parity_and_degeneracy():
     xs = even_tuple(ctx.system, rng, 3)
     assert tau_r_eval(ctx, 1, xs[:2]) == 0.0
     assert tau_r_eval(ctx, 2, [xs[0], 2.5 * np.eye(5), xs[2]]) == 0.0
+    # (B + b)G^r at the unit is an exact 0
+    assert boundary(transgression_cochain(ctx))(0, [np.eye(5)]) == 0.0
     with pytest.raises(ParityViolation):
         tau_r_eval(ctx, 2, [as_matrix(ctx.system.random_element(rng))] + xs[1:])
 
@@ -604,9 +606,7 @@ def test_perturbed_skms_rows():
     rows = gate(skms_check_perturbed(ctx, samples=8, seed=3), 1e-9)
     names = [r.identity_name for r in rows]
     assert names == [
-        "skms_r.hermiticity",
         "skms_r.alpha_invariance",
-        "skms_r.gamma_invariance",
         "skms_r.kms_boundary",
         "skms_r.normalization",
         "skms_r.delta_invariance",
@@ -619,6 +619,27 @@ def test_perturbed_skms_rows():
         assert r.passed, (r.identity_name, r.max_residual)
     at_zero = rows[-1]
     assert at_zero.max_residual == 0.0 and at_zero.tolerance == 0.0
+
+
+@pytest.mark.parametrize("check, couplings", [
+    # K = 2 with 2 samples and K = d = 5 with 5 samples broadcast against the
+    # stacks and returned rows: F.heat_commutator_inner read 2.4e-4 (4.5e-17
+    # at one coupling) and gamma_r.adjoint_unitarity 2.3
+    (lambda ctx: f_identities_check(ctx, samples=2), [0.3, 0.4]),
+    (lambda ctx: lemma43_check(ctx, samples=5), [0.1, 0.2, 0.3, 0.4, 0.5]),
+    # these ended in a numpy broadcast ValueError
+    (lambda ctx: lemma43_check(ctx, samples=2), [0.1, 0.2, 0.3, 0.4, 0.5]),
+    (lambda ctx: skms_check_perturbed(ctx, samples=2), [0.3, 0.4]),
+    (lambda ctx: error_term(ctx, 0.3), [0.3, 0.4]),
+], ids=["f_identities", "lemma43_k_eq_d", "lemma43", "skms_perturbed", "error_term"])
+def test_one_coupling_checks_refuse_a_vector_context(check, couplings):
+    spec = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0)
+    sys_, pert = build_perturbed_model(spec, 0)
+    ctx = PerturbedContext(sys_, pert, couplings)
+    with pytest.raises(ValueError, match=r"takes a one-coupling context; "
+                                         r"select one with ctx\.at\(k\)"):
+        check(ctx)
+    assert check(ctx.at(1)) is not None
 
 
 def test_f_identity_rows():
