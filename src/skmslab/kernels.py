@@ -41,12 +41,15 @@ An independent route cross-checks it (the tests hold a second one, the
 scalar divided-difference oracle for diagonal insertions).
 `heat_chain_integrand` with `simplex_quadrature` integrates the trace
 pointwise (tensor Gauss-Legendre through the ordered Duffy map, or seeded
-Monte Carlo) on cache-sized blocks of points, with the point index last
-and real arithmetic.  Up to degree 2 a block is one GEMM of the trace's
-fixed ring tensor, (2d, d^2) at n = 2, on the Kronecker product D_2 (x)
-D_0 of two heat factors; from degree 3 on it is one GEMM for y_n D_n y_0,
-one per middle insertion, and one that forms only the diagonal the trace
-reads.
+Monte Carlo) on blocks of points, with the point index last and real
+arithmetic.  Each route's block is as many points as fit the bytes it
+holds per point in _INTEGRAND_BLOCK_BYTES, and a block's heat factors
+are one outer product of -lambda with its gaps, exponentiated in place.
+Up to degree 2 a block is one GEMM of the trace's fixed ring tensor,
+(2d, d^2) at n = 2, on the Kronecker product D_2 (x) D_0 of two heat
+factors; from degree 3 on it is one GEMM for y_n D_n y_0, one per middle
+insertion, and d small (2, 2d)(2d, B) products that form only the
+diagonal the trace reads.
 A Gauss-Duffy rule depends on its order and degree alone: each is built
 once, memoized read-only, and shared by every quadrature of that shape;
 rule.price refuses one over the chain budget before it is built.
@@ -91,14 +94,15 @@ from .errors import ChainBudgetExceeded, DimensionMismatch, check_integer
 from .graded import GradingOperator, as_matrix
 
 DEFAULT_CHAIN_BUDGET = 1e8
-# bytes of the real (2d^2, B) state of heat_chain_integrand's state route
-# for a block of B points: 1310 points at d = 5, so the state, the GEMM
-# output it feeds and the heat factors take about 1.3 MB of a 2 MiB L2
-# cache (2048 and 5242 points measured slower at n = 3); OpenBLAS then
-# runs each GEMM of a d = 5 block on one thread.  The ring route's
-# (d^2, B) Kronecker state at n = 2 is half that, and the same B measured
-# fastest for it too: 8.3 ms per 1e5 points at d = 5, against 9.0 at
-# twice the bytes and 10.5 at half
+# bytes per block that heat_chain_integrand gives the largest array of
+# its route, read by _integrand_block: at d = 5 that is 6553 points at
+# n = 1, 2621 at n = 2 and 1310 from n = 3 on, with the heat factors and
+# the GEMM outputs within a 2 MiB L2 cache.  Per 1e5 points, 1 BLAS
+# thread, medians of 9 with 2^17..2^21 interleaved, two runs: at d = 5,
+# 2^19 read 3.2 and 4.6 ms at n = 1 (2^20: 4.0, 6.3) and 14.7 and 15.2
+# at n = 3 (2^18: 17.4, 17.5); at n = 2, 9.0 and 7.3 against 7.7 and 7.3
+# at 2^18, within the host's noise.  At d = 8 it was no slower at n = 1
+# and 2; at n = 3, 2^18 read 43.5 and 45.4 against 47.6 and 49.5
 _INTEGRAND_BLOCK_BYTES = 2 ** 19
 # theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011), Table 3.1
 # (m <= 30 from Higham, Functions of Matrices, SIAM 2008, Table A.3): the
@@ -650,6 +654,15 @@ def chain_integral(spectrum, xs, grading, q=None, index=None):
     return out[0] if index is not None else _first_tuple(out[0])
 
 
+def _integrand_block(n, d):
+    # points per block of heat_chain_integrand (n = 0 takes none): the bytes
+    # of the largest array its route holds per point, the real (2d, B)
+    # product at n = 1, the (d^2, B) Kronecker columns at n = 2 and the
+    # real (2d^2, B) state from n = 3 on
+    per_point = 16 * d if n == 1 else 8 * d * d if n == 2 else 16 * d * d
+    return max(1, _INTEGRAND_BLOCK_BYTES // per_point)
+
+
 def heat_chain_integrand(spectrum, xs, grading):
     """Vectorized integrand for the chain trace at given simplex points.
 
@@ -658,8 +671,10 @@ def heat_chain_integrand(spectrum, xs, grading):
     Used by the quadrature oracles that cross-check `chain_integral`.
 
     Points are taken in blocks of B, the point index on the last axis, B
-    set by _INTEGRAND_BLOCK_BYTES.  With D_k = diag(e^{-gap_k lambda}),
-    heat factors (n+1, d, B), the trace is Tr(Z D_0 y_1 ... y_{n-1}
+    read from _integrand_block(n, d).  With D_k = diag(e^{-gap_k lambda}),
+    the heat factors of a block are one (d, n+1, B) array, the outer
+    product of -lambda with the gaps exponentiated in place in a buffer
+    the call allocates once.  The trace is Tr(Z D_0 y_1 ... y_{n-1}
     D_{n-1}), Z = y_n D_n y_0, and n alone picks the route.  Up to n = 2
     the ring tensor, ring[a, b, c] = y_1[c, a] y_2[a, b] y_0[b, c] or
     ring[a, b] = y_0[b, a] y_1[a, b] (the terms of diag Z), is formed once
@@ -670,9 +685,11 @@ def heat_chain_integrand(spectrum, xs, grading):
     (c, j, i) and starts as Z, one GEMM (2d^2, d)(d, B); each middle
     insertion y_k scales the rows by D_{k-1} and is one GEMM
     (2d, 2d)(2d, dB) with [[Re y_k^T, -Im y_k^T], [Im y_k^T, Re y_k^T]];
-    the last, y_{n-1}, forms only the diagonal of acc D_{n-2} y_{n-1}, by
-    one block-sparse (2d, 2d^2) GEMM (a ring tensor would cost 2d^4).
-    Either route ends by summing its (2d, B) rows times D_{n-1}.
+    the last, y_{n-1}, forms only the diagonal of acc D_{n-2} y_{n-1}:
+    for each i, the rows (c', i) of that real form times the rows (c, j)
+    of column i, read at stride dB, d products (2, 2d)(2d, B) in all
+    (a ring tensor would cost 2d^4).  Either route ends by summing its
+    (2d, B) rows times D_{n-1} into the float view of the result.
     """
     if spectrum.evals.ndim != 1:
         raise DimensionMismatch("the pointwise integrand takes one spectrum, not a stack")
@@ -682,7 +699,7 @@ def heat_chain_integrand(spectrum, xs, grading):
     n = len(ys) - 1
     d = spectrum.dim
     lam = spectrum.evals
-    block = max(1, _INTEGRAND_BLOCK_BYTES // (16 * d * d))
+    block = _integrand_block(n, d)
     if n <= 2:
         # the ring on the rows a and the columns b or (b, c); n = 0, a
         # constant, reads none of it
@@ -695,12 +712,10 @@ def heat_chain_integrand(spectrum, xs, grading):
         first = np.stack([prod.real, prod.imag]).reshape(-1, d)
         # acc[i, :] y_k on the rows (c, j), the columns (i, b)
         steps = [np.block([[y.T.real, -y.T.imag], [y.T.imag, y.T.real]]) for y in ys[1:n]]
-        # rows (c', i) of the diagonal of acc y_{n-1}, from the rows (c, j, i)
-        diag = np.arange(d)
-        close = np.zeros((2, d, 2, d, d))
-        close[:, diag, :, :, diag] = steps[-1].reshape(2, d, 2, d).transpose(1, 0, 2, 3)
-        steps[-1] = close.reshape(2 * d, -1)
-    neg = -lam[:, None]
+        # close[i]: the rows (c', i) of the last step, which take the
+        # diagonal (i, i) of acc y_{n-1} from the rows (c, j) of column i
+        close = np.ascontiguousarray(steps.pop().reshape(2, d, 2 * d).transpose(1, 0, 2))
+    neg = -lam
 
     def integrand(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -708,23 +723,40 @@ def heat_chain_integrand(spectrum, xs, grading):
             raise ValueError("expected points of dimension %d" % n)
         if n == 0:
             return np.full(len(pts), np.sum(np.diag(ys[0]) * np.exp(-lam)))
-        out = np.empty((2, pts.shape[0]))
-        for lo in range(0, pts.shape[0], block):
+        count = pts.shape[0]
+        out = np.empty(count, dtype=complex)
+        # Re and Im of the values, the two rows of out's float view
+        parts = out.view(float).reshape(count, 2).T
+        work = np.empty(d * (n + 1) * min(block, count))
+        for lo in range(0, count, block):
             chunk = pts[lo:lo + block]
             b = chunk.shape[0]
             # 0, s_1, .., s_n, 1 on rows: the gaps are the row differences
             ends = np.empty((n + 2, b))
             ends[0], ends[1:-1], ends[-1] = 0.0, chunk.T, 1.0
-            heat = np.exp((ends[1:] - ends[:-1])[:, None, :] * neg)
+            # heat[:, k] holds D_k, exponentiated in place
+            heat = work[:d * (n + 1) * b].reshape(d, n + 1, b)
+            np.multiply.outer(neg, ends[1:] - ends[:-1], out=heat)
+            np.exp(heat, out=heat)
             # the columns of the first GEMM: D_2 (x) D_0 on the ring at n = 2
-            cols = (heat[2][:, None] * heat[0]).reshape(-1, b) if n == 2 else heat[n]
+            cols = (heat[:, 2, None] * heat[:, 0]).reshape(-1, b) if n == 2 else heat[:, n]
             acc = first @ cols
             for k, step in enumerate(steps, 1):
-                rows = acc.reshape(2, d, -1, b)
-                rows *= heat[k - 1][:, None, :]
-                acc = step @ acc.reshape(step.shape[1], -1)
-            np.sum(acc.reshape(2, d, b) * heat[n - 1], axis=1, out=out[:, lo:lo + b])
-        return out[0] + 1j * out[1]
+                rows = acc.reshape(2, d, d, b)
+                rows *= heat[:, k - 1, None]
+                acc = step @ acc.reshape(2 * d, -1)
+            if n >= 3:
+                rows = acc.reshape(2, d, d, b)
+                rows *= heat[:, n - 2, None]
+                # d products (2, 2d)(2d, B), the rows (c, j) of column i
+                # read at stride dB, into the rows (c', i)
+                acc = np.empty((2, d, b))
+                np.matmul(close, rows.reshape(2 * d, d, b).transpose(1, 0, 2),
+                          out=acc.transpose(1, 0, 2))
+            last = acc.reshape(2, d, b)
+            last *= heat[:, n - 1]
+            np.sum(last, axis=1, out=parts[:, lo:lo + b])
+        return out
 
     return integrand
 
@@ -867,7 +899,13 @@ def _sorted_rows(u):
 
 
 def _eval_integrand(integrand, pts):
-    return np.asarray(integrand(pts), dtype=complex).reshape(-1)
+    # one value per point: a scalar from a batch would be summed once and
+    # divided by every draw, and a short array would not meet the weights
+    vals = np.asarray(integrand(pts), dtype=complex).reshape(-1)
+    if vals.shape[0] != pts.shape[0]:
+        raise ValueError("the integrand returned %d values for %d points"
+                         % (vals.shape[0], pts.shape[0]))
+    return vals
 
 
 def simplex_quadrature(integrand, n, rule):
@@ -878,6 +916,8 @@ def simplex_quadrature(integrand, n, rule):
     standard error of the mean.  A rule that rule.price refuses at degree
     n raises its ValueError or ChainBudgetExceeded before any point is
     built; so does a degree that is not an integer >= 0 (ValueError).
+    The integrand must return one value per point of each (B, n) batch
+    (at n = 0, one point); any other count raises ValueError naming both.
     """
     check_integer("degree", n, 0)
     if n == 0:

@@ -7,7 +7,8 @@ integrand, and the two transgression checks.  Each workload here draws
 its inputs at seed 7, runs its op on the first input and checks the
 result, and every gate the check returns must hold, so a change that
 breaks one of those calls fails here before the benchmark runs.  The
-file is read, not imported, so nothing is written under perfbench/.
+Monte-Carlo workload also runs its inputs 0-2, one per integrand route.
+The file is read, not imported, so nothing is written under perfbench/.
 Each gate list is deterministic: the Monte-Carlo workload gates only its
 spot comparison at fixed points, not its 3-sigma statistic.  The chain
 workload's inputs also bound the term sizes its block builder reads.
@@ -38,6 +39,19 @@ def test_workload_runs_and_checks_its_first_input(name):
     check = workload.check(first, workload.run_op(first))
     assert check.gates
     assert [(res, tol) for res, tol in check.gates if not res <= tol] == []
+
+
+def test_monte_carlo_workload_checks_every_integrand_route():
+    # mc_oracle's inputs 0-2 are degrees 1, 2 and 3: the ring route with
+    # one and two heat factors and the state route, each held to the
+    # workload's own spot gate
+    workload = WORKLOADS["mc_oracle"]
+    inputs = workload.setup(7)[:3]
+    assert [inp[3] for inp in inputs] == [1, 2, 3]
+    for inp in inputs:
+        check = workload.check(inp, workload.run_op(inp))
+        assert check.gates
+        assert [(res, tol) for res, tol in check.gates if not res <= tol] == []
 
 
 def test_cocycle_builder_calls_read_every_block_size_on_few_terms(monkeypatch):

@@ -885,8 +885,8 @@ def test_heat_chain_integrand_matches_dense_pointwise(n):
               for _ in range(n + 1)]
         scale = np.prod([np.linalg.norm(x, 2) for x in xs])
         integrand = heat_chain_integrand(spec, xs, g)
-        # one full internal block plus a remainder, then a single 1-d point
-        block = kernels._INTEGRAND_BLOCK_BYTES // (16 * d * d)
+        # one full block of the route plus a remainder, then a single 1-d point
+        block = kernels._integrand_block(n, d)
         points = np.sort(rng.random((block + 37, n)), axis=1)
         got = integrand(points)
         assert got.shape == (points.shape[0],)
@@ -900,6 +900,13 @@ def test_heat_chain_integrand_matches_dense_pointwise(n):
         single = integrand(points[-1])
         assert single.shape == (1,)
         assert abs(single[0] - want[-1]) <= 1e-12 * scale, (d, graded)
+        # blocks of 1 and 2 points: BLAS takes other kernels there, so on
+        # either route the values may round apart from a full block's; they
+        # are held to the dense trace, not to the bits of got
+        for few in (1, 2):
+            small = integrand(points[:few])
+            assert small.shape == (few,)
+            assert np.max(np.abs(small - want[:few])) <= 1e-12 * scale, (d, graded, few)
         with pytest.raises(ValueError, match="dimension %d" % n):
             integrand(np.zeros((3, n + 1)))
 
@@ -1043,6 +1050,21 @@ def test_quadrature_degree_zero_and_guards():
         SimplexQuadratureRule("mc", 10, seed=-1)
     rule = SimplexQuadratureRule("mc", np.int64(10), seed=np.uint32(3))
     assert rule.order_or_samples == 10 and rule.seed == 3
+
+
+@pytest.mark.parametrize("rule", [SimplexQuadratureRule("gauss", 4),
+                                  SimplexQuadratureRule("mc", 1000)])
+def test_quadrature_refuses_an_integrand_without_one_value_per_point(rule):
+    # a scalar at n = 2 read 0.0005 for 0.5 under mc:1000 (one value over
+    # the 1000 draws) and ended in a bare numpy shape error under Gauss,
+    # whose first pass takes 4^2 points
+    points = 16 if rule.kind == "gauss" else 1000
+    for bad, count in ((lambda p: 1.0, 1), (lambda p: np.ones(len(p) - 1), points - 1)):
+        with pytest.raises(ValueError, match="^the integrand returned %d values for %d points$"
+                           % (count, points)):
+            simplex_quadrature(bad, 2, rule)
+    # n = 0 evaluates its single point, so a scalar is one value
+    assert simplex_quadrature(lambda p: 2.0, 0, rule) == (2.0, 0.0)
 
 
 def test_gauss_rule_is_priced_before_it_is_built(monkeypatch):
