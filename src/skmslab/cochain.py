@@ -338,6 +338,12 @@ def _couplings(sys):
     return sys.spectrum.evals.shape[:-1]
 
 
+def _require_one_coupling(sys, what):
+    # what reads one coupling, so a vector context's stacks are refused
+    if _couplings(sys):
+        raise ValueError(what + " takes a one-coupling context; select one with ctx.at(k)")
+
+
 def _tau_pool(sys, pool, tables):
     # (pool, tables) of the chains x_0, delta_r(x_1), .., delta_r(x_n) of
     # the tuples of the (n + 1, T) tables, against every coupling of a
@@ -413,11 +419,13 @@ def entireness_diagnostic(sys, samples=32, seed=0):
       exactly 0 for every draw: by Hoelder and the simplex volume 1/n!,
       |tau_n| <= Tr(e^{-H}) / (|Z| n!) at unit graph norm (Jaffe,
       Lesniewski & Osterwalder, CMP 118, 1988).
-    samples must be an integer >= 1, checked before any draw (ValueError).
+    samples must be an integer >= 1, checked before any draw, and a vector
+    context is refused (ValueError).
     """
     check_integer("samples", samples, 1)
+    _require_one_coupling(sys, "entireness_diagnostic")
     gen_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E)))
-    generators = sys.random_elements(gen_rng, 4, parity=Parity.EVEN)
+    generators = sys.grading.random_elements(gen_rng, 4, parity=Parity.EVEN)
     # sample by sample, slot by slot, the real then the imaginary parts
     z = np.concatenate([np.random.default_rng(np.random.SeedSequence((seed, i)))
                         .standard_normal((ENTIRENESS_TOP + 1, 2, len(generators)))
@@ -453,14 +461,16 @@ def lemma34_check(sys, n=2, samples=6, seed=0):
     the block-exponential chain kernel, so this doubles as a cross-oracle
     test.  The samples are drawn as one stack, and every chain, all of
     degree n, goes to one call of the block builder.  Returns a
-    Measurement per identity; n must be an integer >= 1 (ValueError).
+    Measurement per identity; n must be an integer >= 1, and a vector
+    context is refused (ValueError).
     """
     check_integer("n", n, 1)
+    _require_one_coupling(sys, "lemma34_check")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x34)))
     z = sys.witten_index
     draws = _draw_tuples(sys, rng, samples, 2 * n + 3)
     xs, ys = draws[:n + 1], draws[n + 1:]
-    twisted = [sys.gamma(xs[n])] + xs[:n]
+    twisted = [sys.grading.conjugate(xs[n])] + xs[:n]
     pool, tables = _pool_of([xs, twisted] + [_merge(ys, j) for j in range(n + 1)])
     chains = chain_integral(sys.spectrum, pool, sys.grading, index=tables)
     rot = np.abs(chains[0] / z - chains[1] / z)

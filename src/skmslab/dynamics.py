@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (ConditioningWarning, DimensionMismatch, StripViolation,
                      ZeroWittenIndex, check_integer)
-from .graded import (GradingOperator, Parity, _require_selfadjoint, as_matrices, as_matrix,
+from .graded import (GradingOperator, _require_selfadjoint, as_matrices, as_matrix,
                      frobenius_norms, spectral_norms)
 from .kernels import Spectrum
 from .report import Measurement
@@ -101,43 +101,18 @@ class GradedSystem:
     def gamma(self, x):
         return self.grading.conjugate(x)
 
-    def random_elements(self, rng, count, parity=None):
-        """(count, d, d) stack of seeded Gaussian elements from one draw.
-
-        The draw is one rng.standard_normal((count, 2, d, d)), the real and
-        imaginary parts of each element in turn, so slice k is bit for bit
-        the k-th of count sequential random_element calls.  The parity
-        projection and the normalization to 2-norm 1 (a zero slice stays
-        0) act on the whole stack.
-        """
-        d = self.dim
-        draw = rng.standard_normal((count, 2, d, d))
-        m = draw[:, 0] + 1j * draw[:, 1]
-        if parity is not None:
-            parity = Parity(parity)
-        if parity is Parity.EVEN:
-            m = (m + self.grading.conjugate(m)) / 2
-        elif parity is Parity.ODD:
-            m = (m - self.grading.conjugate(m)) / 2
-        nrm = spectral_norms(m)
-        return m / np.where(nrm > 0, nrm, 1.0)[:, None, None]
-
     def random_element(self, rng, parity=None):
-        """Seeded Gaussian (d, d) complex ndarray of 2-norm 1, optionally
-        of one parity.
-
-        Slice 0 of a random_elements stack of one.
-        """
-        return self.random_elements(rng, 1, parity)[0]
+        """One seeded (d, d) element: slice 0 of the grading's draw of one."""
+        return self.grading.random_elements(rng, 1, parity)[0]
 
 
 def _draw_tuples(sys, rng, count, size, parity=None):
     # size stacks of count elements each, slot by slot: count tuples of
-    # size elements, drawn in turn by one random_elements call.  count is
-    # the samples of the check that draws, an integer >= 1 (ValueError)
+    # size elements, drawn in turn by one draw of the grading of sys.  count
+    # is the samples of the check that draws, an integer >= 1 (ValueError)
     check_integer("samples", count, 1)
     d = sys.dim
-    return list(sys.random_elements(rng, count * size, parity).reshape(
+    return list(sys.grading.random_elements(rng, count * size, parity).reshape(
         count, size, d, d).swapaxes(0, 1))
 
 
@@ -231,59 +206,48 @@ def kms_two_point(sys, x, y, z):
     return skms_eval(sys, as_matrices(x) @ heisenberg_flow(sys, y, z))
 
 
-def _functional_residuals(sys, x, y, w, ts):
-    """(samples, max residual) by identity, for the axioms phi^r shares with phi.
-
-    sys is a GradedSystem or a one-coupling PerturbedContext; x, y, w are
-    (K, d, d) stacks and ts the flow times.  verify_skms_axioms and
-    perturbation.skms_check_perturbed add their own KMS-boundary forms.
-    """
-    k = len(x)
-    phi_x = skms_eval(sys, x)
-    alpha = [np.abs(skms_eval(sys, heisenberg_flow(sys, x, t)) - phi_x) for t in ts]
-    dd = superderivation(sys, superderivation(sys, y))
-    comm = sys.hamiltonian @ y - y @ sys.hamiltonian
-    per_sample = {
-        "delta_invariance": np.abs(skms_eval(sys, superderivation(sys, x))),
-        "delta_squared_ad_h": spectral_norms(dd - comm),
-        "weak_supersymmetry": np.abs(skms_eval(sys, x @ dd @ w)
-                                     - skms_eval(sys, x @ comm @ w)),
-    }
-    out = {name: (k, float(np.max(res))) for name, res in per_sample.items()}
-    out["alpha_invariance"] = (k * len(ts), float(np.max(alpha)))
-    out["normalization"] = (1, abs(skms_eval(sys, np.eye(sys.dim)) - 1.0))
-    return out
-
-
 def verify_skms_axioms(sys, samples=50, seed=0):
-    """Check the functional axioms on seeded random elements, at t = 0 and 0.7.
+    """The axioms of phi, and of phi^r on a context, at t = 0 and 0.7.
 
-    The samples are drawn as one stack and every identity is evaluated on
-    the whole stack by stacked matmuls and traces.
-
-    Returns one Measurement per identity: flow invariance, the KMS
-    boundary relation, normalization, derivation invariance, and weak
-    supersymmetry in both forms (_functional_residuals gives all but the
-    KMS boundary).  A final measurement is the finite functional norm
-    Tr(e^{-H})/|Z| (a bound that has no finite-dimensional obstruction,
-    which the workbench documents rather than tests).  S0, phi(x*) =
-    conj(phi(x)), and phi(gamma(x)) = phi(x) hold for every x, so they are
-    not sampled: phi(x) = Tr(Kx)/Z, and K = Gamma e^{-H} is selfadjoint and
-    even whenever H is, which GradedSystem requires.
+    One check for the system and any number of couplings (r = 0 is the
+    system): the samples are one stack from one draw, and on K couplings
+    sample i is read at coupling i mod K through one sys.at, so each row
+    is the max over the couplings; samples must be at least K.  Rows:
+    flow invariance, the KMS boundary (kms_two_point), normalization at
+    each coupling, derivation invariance, delta^2 = ad H, weak
+    supersymmetry, and the finite norm Tr(e^{-H})/|Z|, documented, not
+    tested.  S0, phi(x*) = conj(phi(x)) and phi(gamma(x)) = phi(x) hold
+    for every x, so they are not sampled: phi(x) = Tr(Kx)/Z, and
+    K = Gamma e^{-H} is selfadjoint and even whenever H is, which
+    GradedSystem requires of H and PerturbedContext of H_r.
     """
     ts = (0.0, 0.7)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51)))
     x, y, w = _draw_tuples(sys, rng, samples, 3)
-    res = _functional_residuals(sys, x, y, w, ts)
-    gx = sys.gamma(x)
-    bound = [np.abs(kms_two_point(sys, x, y, t + 1j)
-                    - skms_eval(sys, heisenberg_flow(sys, y, t) @ gx))
-             for t in ts]
-    res["kms_boundary"] = (samples * len(ts), float(np.max(bound)))
-    rows = [("alpha_invariance", "S1"), ("kms_boundary", "S2"),
-            ("normalization", "S3"), ("delta_invariance", "S4"),
-            ("delta_squared_ad_h", "S5"), ("weak_supersymmetry", "S5")]
+    unit = np.abs(skms_eval(sys, np.eye(sys.dim)) - 1.0)
     # the functional norm is finite, at most d / WITTEN_FLOOR
-    norm_phi = float(np.sum(np.exp(-sys.spectrum.evals)) / abs(sys.witten_index))
-    return ([Measurement("skms." + name, anchor, *res[name]) for name, anchor in rows]
-            + [Measurement("skms.functional_norm", "norm", 1, norm_phi)])
+    heat = np.sum(np.exp(-sys.spectrum.evals), axis=-1)
+    couplings = np.size(heat)
+    check_integer("samples", samples, couplings)
+    if np.ndim(heat):
+        sys = sys.at(np.arange(samples) % couplings)
+    phi_x = skms_eval(sys, x)
+    gx = sys.grading.conjugate(x)
+    dd = superderivation(sys, superderivation(sys, y))
+    comm = sys.hamiltonian @ y - y @ sys.hamiltonian
+    residuals = [
+        ("alpha_invariance", "S1",
+         [np.abs(skms_eval(sys, heisenberg_flow(sys, x, t)) - phi_x) for t in ts]),
+        ("kms_boundary", "S2",
+         [np.abs(kms_two_point(sys, x, y, t + 1j)
+                 - skms_eval(sys, heisenberg_flow(sys, y, t) @ gx)) for t in ts]),
+        ("normalization", "S3", unit),
+        ("delta_invariance", "S4", np.abs(skms_eval(sys, superderivation(sys, x)))),
+        ("delta_squared_ad_h", "S5", spectral_norms(dd - comm)),
+        ("weak_supersymmetry", "S5",
+         np.abs(skms_eval(sys, x @ dd @ w) - skms_eval(sys, x @ comm @ w))),
+    ]
+    return ([Measurement("skms." + name, anchor, np.size(res), float(np.max(res)))
+             for name, anchor, res in residuals]
+            + [Measurement("skms.functional_norm", "norm", couplings,
+                           float(np.max(heat)) / abs(sys.witten_index))])

@@ -172,6 +172,25 @@ class GradingOperator:
         """gamma(x) = Gamma x Gamma, on a matrix or on each slice of a stack."""
         return self.matrix @ self._elements(x) @ self.matrix
 
+    def random_elements(self, rng, count, parity=None):
+        """(count, d, d) stack of seeded Gaussian elements, the package's one draw.
+
+        One rng.standard_normal((count, 2, d, d)), real and imaginary parts
+        in turn, so slice k is bit for bit the k-th of count draws of one;
+        the parity projection and the 2-norm 1 (a zero slice stays 0) act
+        on the whole stack."""
+        d = self.dim
+        draw = rng.standard_normal((count, 2, d, d))
+        m = draw[:, 0] + 1j * draw[:, 1]
+        if parity is not None:
+            parity = Parity(parity)
+        if parity is Parity.EVEN:
+            m = (m + self.conjugate(m)) / 2
+        elif parity is Parity.ODD:
+            m = (m - self.conjugate(m)) / 2
+        nrm = spectral_norms(m)
+        return m / np.where(nrm > 0, nrm, 1.0)[:, None, None]
+
     def classify(self, x):
         """Parity of x; for a (K, d, d) stack, the list of slice parities.
 

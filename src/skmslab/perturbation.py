@@ -26,6 +26,9 @@ couplings (the Gauss-Legendre nodes of the endpoint check, the +/- h
 ladder, the Witten grid, the Lipschitz pairs) evaluate the grid as one
 stack: tau^r, G^r and their boundaries give one value per coupling, and
 each degree is one call of the block-exponential builder.
+
+dynamics.verify_skms_axioms checks the axioms phi^r shares with phi, at
+any couplings; skms_check_perturbed the perturbation's own identities.
 """
 
 import functools
@@ -35,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cochain
-from .cochain import _chain_cochain, _couplings, _merge, _pool_of, boundary, tau_eval
-from .dynamics import (GradedSystem, _conjugation, _draw_tuples, _functional_residuals,
-                       _odd_selfadjoint, _super_gibbs, heisenberg_flow, skms_eval,
-                       superderivation)
+from .cochain import (_chain_cochain, _merge, _pool_of, _require_one_coupling, boundary,
+                      tau_eval)
+from .dynamics import (GradedSystem, _conjugation, _draw_tuples, _odd_selfadjoint,
+                       _super_gibbs, heisenberg_flow, skms_eval, superderivation)
 from .errors import TruncationUnreachable, check_integer
 from .graded import _require_selfadjoint, as_matrices, as_matrix, spectral_norms
 # chain_integral is bound here too: perfbench traces perturbation.chain_integral
@@ -76,7 +79,8 @@ class PerturbedContext:
     A scalar r keeps the (d, d) attributes.  The finite, selfadjoint and
     even guards on a_r run per coupling, and ParityViolation names the
     first coupling that fails.  The Dyson series, error_term, lemma43_check,
-    skms_check_perturbed and f_identities_check refuse a vector context.
+    skms_check_perturbed, f_identities_check, cochain.lemma34_check and
+    cochain.entireness_diagnostic refuse a vector context.
     """
 
     _PER_COUPLING = ("r", "supercharge", "a_r", "hamiltonian", "a_norm",
@@ -197,12 +201,6 @@ class DysonInfo:
 
     order: int
     tail_bound: float
-
-
-def _require_one_coupling(ctx, what):
-    # what reads one coupling, so a vector context's stacks are refused
-    if _couplings(ctx):
-        raise ValueError(what + " takes a one-coupling context; select one with ctx.at(k)")
 
 
 def _dyson_info(ctx, t, tol, order, norm_x=1.0):
@@ -344,7 +342,7 @@ def lemma43_check(ctx, samples=50, seed=0):
     sys = ctx.system
     ts = (0.3, 1.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x43)))
-    x, y = _draw_tuples(sys, rng, samples, 2)
+    x, y = _draw_tuples(ctx, rng, samples, 2)
     unit = np.eye(ctx.dim)
     gcomp, gstar, acomp, gprod = [], [], [], []
     for t in ts:
@@ -388,7 +386,7 @@ def lemma44_check(sys, n=2, samples=20, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x44)))
     draws, times = [], []
     for _ in range(samples):
-        draws.append(sys.random_elements(rng, n + 1))
+        draws.append(sys.grading.random_elements(rng, n + 1))
         ims = np.sort(rng.random(n))
         res = rng.uniform(-1.0, 1.0, n)
         times.append([complex(a, b) for a, b in zip(res, ims)])
@@ -414,40 +412,32 @@ def lemma44_check(sys, n=2, samples=20, seed=0):
 
 
 def skms_check_perturbed(ctx, samples=25, seed=0):
-    """Functional axioms for phi^r against (alpha^r, delta_r, H_r), t = 0, 0.3, 1.
+    """The perturbation's own identities for phi^r, at t = 0, 0.3 and 1.
 
-    All flows use the exact oracles so residuals reflect the algebra, not
-    series truncation.  dynamics._functional_residuals gives the axioms
-    shared with verify_skms_axioms, delta_r^2 = ad(H_r) among them; this
-    check adds the KMS boundary through gamma^r_i, the error-term identity
-    phi(z e(t)) = 0 and the exact vanishing of e(0).  The samples are one
-    stack, and e(t) is computed once per t.  S0 and the Gamma invariance
-    hold for every x, as for phi (verify_skms_axioms): Gamma e^{-H_r} is
-    selfadjoint and even, since PerturbedContext requires a_r even.
+    The KMS boundary through gamma^r_i (phi(. gamma^r_i(1)) = phi^r), the
+    error-term identity phi(w e(t)) = 0 and the exact vanishing of e(0);
+    the axioms phi^r shares with phi are verify_skms_axioms's.  Flows use
+    the exact oracles, so residuals reflect the algebra, not series
+    truncation.  The samples are one stack; e(t) is computed once per t.
     """
     _require_one_coupling(ctx, "skms_check_perturbed")
     sys = ctx.system
     ts = (0.0, 0.3, 1.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x45)))
-    x, y, w = _draw_tuples(sys, rng, samples, 3)
-    res = _functional_residuals(ctx, x, y, w, ts)
+    x, y, w = _draw_tuples(ctx, rng, samples, 3)
     gamma_i = gamma_cocycle_oracle(ctx, 1j)
     errors = [error_term(ctx, t) for t in ts]  # e(0) first
     bound, err_t = [], []
     for t, e in zip(ts, errors):
         lhs = skms_eval(sys, x @ heisenberg_flow(ctx, y, t + 1j) @ gamma_i)
-        rhs = skms_eval(sys, heisenberg_flow(ctx, y, t) @ sys.gamma(x) @ gamma_i)
+        rhs = skms_eval(sys, heisenberg_flow(ctx, y, t) @ ctx.grading.conjugate(x) @ gamma_i)
         bound.append(np.abs(lhs - rhs))
         err_t.append(np.abs(skms_eval(sys, w @ e)))
-    res["kms_boundary"] = (samples * len(ts), float(np.max(bound)))
-    res["error_term"] = (samples * len(ts), float(np.max(err_t)))
-    rows = [("alpha_invariance", "S1"), ("kms_boundary", "Fxz"),
-            ("normalization", "phi-r1"), ("delta_invariance", "S4"),
-            ("delta_squared_ad_h", "S5"), ("weak_supersymmetry", "S5"),
-            ("error_term", "lem2")]
-    return ([Measurement("skms_r." + name, anchor, *res[name]) for name, anchor in rows]
-            + [Measurement("skms_r.error_term_at_zero", "lem2", 1,
-                           float(spectral_norms(errors[0])))])
+    count = samples * len(ts)
+    return [Measurement("skms_r.kms_boundary", "Fxz", count, float(np.max(bound))),
+            Measurement("skms_r.error_term", "lem2", count, float(np.max(err_t))),
+            Measurement("skms_r.error_term_at_zero", "lem2", 1,
+                        float(spectral_norms(errors[0])))]
 
 
 def f_identities_check(ctx, n=3, samples=10, seed=0):
@@ -460,10 +450,9 @@ def f_identities_check(ctx, n=3, samples=10, seed=0):
     (ValueError): the last-slot identity contracts x_{n-1} x_n."""
     check_integer("n", n, 1)
     _require_one_coupling(ctx, "f_identities_check")
-    sys = ctx.system
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x46)))
-    xs = _draw_tuples(sys, rng, samples, n + 1)
-    gxs = [sys.gamma(x) for x in xs]
+    xs = _draw_tuples(ctx, rng, samples, n + 1)
+    gxs = [ctx.grading.conjugate(x) for x in xs]
     h = ctx.hamiltonian
     unit = np.broadcast_to(np.eye(ctx.dim, dtype=complex), xs[0].shape)
 
@@ -542,7 +531,7 @@ def lipschitz_check(system, perturbation, samples=100, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x47)))
     xs, ts, pairs = [], [], []
     for _ in range(samples):
-        xs.append(system.random_elements(rng, 1)[0])
+        xs.append(system.grading.random_elements(rng, 1)[0])
         ts.append(rng.uniform(-1.0, 1.0))
         pairs.append(rng.random(2))
     xs, ts = np.array(xs), np.array(ts)

@@ -14,6 +14,7 @@ import sys as _sys
 import numpy as np
 
 from ..cochain import _tau_pool, tau_eval
+from ..dynamics import verify_skms_axioms
 from ..errors import ChainBudgetExceeded
 from ..kernels import (GAUSS_MIN_ORDER, SimplexQuadratureRule,
                        heat_chain_integrand, simplex_quadrature)
@@ -200,7 +201,7 @@ def _cmd_tau_eval(args):
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x7E)))
     out = []
     for index in range(args.tuples):
-        xs = system.random_elements(rng, args.degree + 1, parity="even")
+        xs = system.grading.random_elements(rng, args.degree + 1, parity="even")
         entry = {"degree": args.degree, "tuple_index": index}
         try:
             if rule is not None:
@@ -228,7 +229,9 @@ def _cmd_perturb_sweep(args):
     couplings = (0.0, 0.5, 1.0)
     contexts = PerturbedContext(system, pert, couplings)
     for k, r_value in enumerate(couplings):
-        measured = skms_check_perturbed(contexts.at(k), samples=10, seed=args.seed)
+        ctx = contexts.at(k)
+        measured = (verify_skms_axioms(ctx, samples=10, seed=args.seed)
+                    + skms_check_perturbed(ctx, samples=10, seed=args.seed))
         for row in gate(measured, tol):
             reports.append(dataclasses.replace(
                 row, identity_name="%s@r=%s" % (row.identity_name, r_value)))
@@ -244,7 +247,7 @@ def _cmd_homotopy_check(args):
         raise argparse.ArgumentError(None, "argument --steps: %s" % exc)
     spec, system, pert = _load_model(args.model, args.seed)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x48)))
-    xs = list(system.random_elements(rng, args.degree + 1, parity="even"))
+    xs = list(system.grading.random_elements(rng, args.degree + 1, parity="even"))
     # a chain past the budget ends the checks in one usage line; tau eval
     # reports the same refusal per entry, verify as a failing row
     with _usage_errors("argument --degree", ChainBudgetExceeded):

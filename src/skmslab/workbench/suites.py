@@ -8,6 +8,10 @@ aborts it with no report.  The checks return measurements: _run_one gates
 each into a row (see gate) and stamps it with the seed, the spec digest
 and, on request, the wall time.  A known defect turns each gated row of
 All red (tests/test_mutation_gate.py).
+
+Each spec has one PerturbedContext, at r = (0, 1/2, 0.7), whose
+couplings the checks select with ctx.at(k); the Witten grid and the
+transgression checks build contexts of their own couplings.
 """
 
 import dataclasses
@@ -93,9 +97,10 @@ def gate(measurements, tol):
         m.identity_name.rstrip(string.digits), tol)) for m in measurements]
 
 
-def _axioms_checks(sys, config):
+def _axioms_checks(ctx, config):
+    # phi and phi^r at r = 0 and 1/2, one draw: sample i at coupling i mod 2
     def run():
-        return verify_skms_axioms(sys, samples=50, seed=config.seed)
+        return verify_skms_axioms(ctx.at([0, 1]), samples=50, seed=config.seed)
     return [("skms.axioms", "S0", config.tol_exact, run)]
 
 
@@ -112,7 +117,7 @@ def _cocycle_checks(sys, config):
 
     def degeneracy():
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x0D)))
-        xs = list(sys.random_elements(rng, 3, parity="even"))
+        xs = list(sys.grading.random_elements(rng, 3, parity="even"))
         worst = 0.0
         for slot in (1, 2):
             args = list(xs)
@@ -140,10 +145,9 @@ def _lemma34_checks(sys, config):
     return [("chain.rotation", "rotation", TOL_QUAD, run)]
 
 
-def _dyson_fidelity(sys, pert, config):
-    ctx = PerturbedContext(sys, pert, 0.7)
+def _dyson_fidelity(ctx, config):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5D)))
-    xs = sys.random_elements(rng, 3)
+    xs = ctx.grading.random_elements(rng, 3)
 
     def run():
         # one series per (t, order), kept on ctx, serves the three
@@ -169,21 +173,21 @@ def _dyson_fidelity(sys, pert, config):
     return [("dyson.alpha_fidelity", "dyson", 0.0, run)]
 
 
-def _perturbation_checks(sys, pert, config):
-    ctx = PerturbedContext(sys, pert, 0.5)
+def _perturbation_checks(sys, ctx, config):
+    half = ctx.at(1)
     return [
         ("gamma_r.composition", "L43.1", config.tol_exact,
-         lambda: lemma43_check(ctx, samples=20, seed=config.seed)),
+         lambda: lemma43_check(half, samples=20, seed=config.seed)),
         ("flow.cyclic_conjugation", "analcont", config.tol_exact,
          lambda: lemma44_check(sys, n=2, samples=15, seed=config.seed)),
-        ("skms_r.alpha_invariance", "S1", config.tol_exact,
-         lambda: skms_check_perturbed(ctx, samples=15, seed=config.seed)),
+        ("skms_r.kms_boundary", "Fxz", config.tol_exact,
+         lambda: skms_check_perturbed(half, samples=15, seed=config.seed)),
         ("F.rotation", "F1", config.tol_exact,
-         lambda: f_identities_check(ctx, n=min(3, config.max_degree),
+         lambda: f_identities_check(half, n=min(3, config.max_degree),
                                     samples=10, seed=config.seed)),
-    ] + _dyson_fidelity(sys, pert, config) + [
+    ] + _dyson_fidelity(ctx.at(2), config) + [
         ("witten.invariance", "phi-r1", config.tol_exact,
-         lambda: witten_invariance_check(sys, pert, grid=11))]
+         lambda: witten_invariance_check(sys, ctx.perturbation, grid=11))]
 
 
 def _measured(rows):
@@ -197,7 +201,7 @@ def _measured(rows):
 
 def _homotopy_checks(sys, pert, config):
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x48)))
-    xs = list(sys.random_elements(rng, 3, parity="even"))
+    xs = list(sys.grading.random_elements(rng, 3, parity="even"))
     return [
         ("transgression.derivative_order", "main", 0.0,
          lambda: _measured(homotopy_check(sys, pert, 2, xs, r=0.5))),
@@ -213,12 +217,16 @@ def _entireness_checks(sys, config):
 
 def _suite_checks(spec, suite, config):
     sys, pert = build_perturbed_model(spec, config.seed)
+    # the one context of the checks that select a coupling, one eigh call:
+    # r = 0 and 1/2 for the functional's axioms, 1/2 for Lemma 4.3, the
+    # error term and F, 0.7 for the Dyson rows
+    ctx = PerturbedContext(sys, pert, (0.0, 0.5, 0.7))
     # in the order of the All suite
     bundles = {
-        "axioms": lambda: _axioms_checks(sys, config),
+        "axioms": lambda: _axioms_checks(ctx, config),
         "cocycle": lambda: _cocycle_checks(sys, config),
         "lemma34": lambda: _lemma34_checks(sys, config),
-        "perturbation": lambda: _perturbation_checks(sys, pert, config),
+        "perturbation": lambda: _perturbation_checks(sys, ctx, config),
         "homotopy": lambda: _homotopy_checks(sys, pert, config),
         "entireness": lambda: _entireness_checks(sys, config),
     }

@@ -228,7 +228,9 @@ def test_criterion_09_perturbed_functional_axioms():
     sys_ = block_system(3, 2, seed=1, scale=1.0)
     pert = odd_perturbation(sys_, scale=0.4)
     ctx = PerturbedContext(sys_, pert, 0.6)
-    rows = gate(skms_check_perturbed(ctx, samples=25, seed=0), 1e-9)
+    # the axioms phi^r shares with phi, then the perturbation's own rows
+    rows = gate(verify_skms_axioms(ctx, samples=25, seed=0)
+                + skms_check_perturbed(ctx, samples=25, seed=0), 1e-9)
     by_name = {r.identity_name: r for r in rows}
     worst = max_checked_residual(rows)
     at_zero = by_name["skms_r.error_term_at_zero"].max_residual

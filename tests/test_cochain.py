@@ -459,7 +459,7 @@ def test_boundary_on_a_pool_equals_the_per_term_evaluation(spec):
     for rho, degrees in ((jlo_cochain(sys_), (1, 3, 5)), (jlo_cochain(ctx), (1, 3, 5)),
                          (transgression_cochain(ctx), (0, 2, 4))):
         for n in degrees:
-            xs = list(sys_.random_elements(rng, 25 * (n + 1), parity=Parity.EVEN)
+            xs = list(sys_.grading.random_elements(rng, 25 * (n + 1), parity=Parity.EVEN)
                       .reshape(n + 1, 25, sys_.dim, sys_.dim))
             got = boundary(rho)(n, xs)
             assert got.shape == rho.couplings + (25,)
@@ -486,7 +486,7 @@ def test_boundary_differentiates_and_transforms_each_distinct_matrix_once(monkey
 
     sys_ = block_system(3, 2, seed=42)
     rng = np.random.default_rng(43)
-    xs = list(sys_.random_elements(rng, 150, parity=Parity.EVEN).reshape(6, 25, 5, 5))
+    xs = list(sys_.grading.random_elements(rng, 150, parity=Parity.EVEN).reshape(6, 25, 5, 5))
     q = as_matrix(sys_.random_element(rng, parity="odd"))
     ctx = PerturbedContext(sys_, 0.4 * (q + q.conj().T) / 2, [0.0, 0.5, 1.0])
     dtau, dg = boundary(jlo_cochain(sys_)), boundary(transgression_cochain(ctx))
@@ -536,7 +536,7 @@ def test_stacks_of_different_lengths_are_refused(monkeypatch, call):
     # broadcast ValueError; a pool of them would be indexed wrong silently
     sys_ = block_system(3, 2, seed=44)
     rng = np.random.default_rng(45)
-    a, b, c = (sys_.random_elements(rng, k, parity=Parity.EVEN) for k in (3, 2, 3))
+    a, b, c = (sys_.grading.random_elements(rng, k, parity=Parity.EVEN) for k in (3, 2, 3))
     tau = jlo_cochain(sys_)
     classify = count_classify(monkeypatch)
     with pytest.raises(DimensionMismatch, match=r"stacks of one shape, got "
@@ -554,7 +554,8 @@ def test_boundary_classifies_each_argument_once(monkeypatch):
     calls = count_classify(monkeypatch)
     for n in (1, 3):
         for xs in (even_tuple(sys_, rng, n + 1),
-                   [sys_.random_elements(rng, 3, parity=Parity.EVEN) for _ in range(n + 1)]):
+                   [sys_.grading.random_elements(rng, 3, parity=Parity.EVEN)
+                    for _ in range(n + 1)]):
             del calls[:]
             dtau(n, xs)
             assert len(calls) == 1

@@ -45,7 +45,7 @@ def assert_slices_match(stacked, singles, what):
 
 def _tuples(sys, rng, count, size):
     # size (count, d, d) stacks: count even tuples of size elements
-    return list(sys.random_elements(rng, count * size, parity="even").reshape(
+    return list(sys.grading.random_elements(rng, count * size, parity="even").reshape(
         count, size, sys.dim, sys.dim).swapaxes(0, 1))
 
 
@@ -62,7 +62,7 @@ def test_vector_context_matches_one_context_per_coupling(spec):
                         "witten_index_r")
 
     rng = np.random.default_rng(np.random.SeedSequence((7, len(spec.kind))))
-    x = sys.random_elements(rng, k)
+    x = sys.grading.random_elements(rng, k)
     for name, fn in (("heisenberg_flow", lambda c, y: heisenberg_flow(c, y, 0.7)),
                      ("skms_eval", skms_eval), ("superderivation", superderivation)):
         assert_slices_match(fn(ctx, x), [fn(c, y) for c, y in zip(singles, x)], name)
@@ -121,7 +121,7 @@ def test_the_other_parity_gives_one_zero_per_tuple_and_coupling():
                 values.append(tau_r_eval(on, n, stacks))
         for got in values:
             assert got.shape == shape and got.dtype == complex and not got.any()
-    odd = sys.random_elements(rng, 1, parity="odd")
+    odd = sys.grading.random_elements(rng, 1, parity="odd")
     with pytest.raises(ParityViolation, match="slot 1 is not even"):
         tau_eval(sys, 1, [stacks[0][:1], odd])
 
@@ -134,7 +134,7 @@ def test_scalar_coupling_keeps_matrix_attributes():
     assert ctx.spectrum.evals.shape == (d,) and ctx.spectrum.vecs.shape == (d, d)
     assert ctx._weight.shape == (d, d)
     assert all(isinstance(v, float) for v in (ctx.r, ctx.a_norm, ctx.witten_index_r))
-    xs = list(sys.random_elements(np.random.default_rng(9), 3, parity="even"))
+    xs = list(sys.grading.random_elements(np.random.default_rng(9), 3, parity="even"))
     assert isinstance(tau_r_eval(ctx, 2, xs), complex)
     assert isinstance(transgression_cochain(ctx)(1, xs[:2]), complex)
     # an empty r used to build, and tau_eval on it failed in a reshape
@@ -214,7 +214,7 @@ def _homotopy_model():
     m = (m + m.conj().T) / 2
     m *= 0.4 / np.linalg.norm(m, 2)
     pert = OddPerturbation(m, sys.grading)
-    xs = list(sys.random_elements(rng, 3, parity="even"))
+    xs = list(sys.grading.random_elements(rng, 3, parity="even"))
     return sys, pert, xs
 
 

@@ -172,3 +172,23 @@ def test_the_gamma_r_oracles_read_no_flow_binding(monkeypatch):
         monkeypatch.setattr(module, "heisenberg_flow", refused)
     monkeypatch.setattr(kernels.Spectrum, "from_diagonal", refused)
     assert (perturbation.gamma_cocycle_oracle(ctx, 0.3) == want).all()
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+              perturbation={"seed": 11, "scale": 0.3}),
+    ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0)],
+    ids=lambda s: s.kind)
+def test_all_reports_each_identity_of_the_functional_once(spec):
+    # verify_skms_axioms reads phi and phi^r alike, so a skms_r row names
+    # only what the perturbation alone has; five shared identities were
+    # once reported under both prefixes.  The two KMS rows are two
+    # identities: skms.kms_boundary is the direct form (S2), and
+    # skms_r.kms_boundary the boundary through the gamma^r_i twist (Fxz)
+    rows = suites.run_suite(spec, "All")
+    names = [r.identity_name for r in rows]
+    assert len(names) == len(set(names))
+    anchors = {r.identity_name: r.paper_anchor for r in rows}
+    assert (anchors["skms.kms_boundary"], anchors["skms_r.kms_boundary"]) == ("S2", "Fxz")
+    shared = {n.split(".", 1)[1] for n in names if n.startswith("skms.")} - {"kms_boundary"}
+    assert [n for n in names if n.startswith("skms_r.") and n.split(".", 1)[1] in shared] == []

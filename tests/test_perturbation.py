@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from skmslab.dynamics import GradedSystem, heisenberg_flow, skms_eval, superderivation
+from skmslab.dynamics import (GradedSystem, heisenberg_flow, skms_eval, superderivation,
+                              verify_skms_axioms)
 from skmslab.errors import ChainBudgetExceeded, ParityViolation, TruncationUnreachable
 from skmslab.graded import GradingOperator, as_matrix, graded_commutator
 import skmslab.kernels as kernels
@@ -36,8 +37,8 @@ from skmslab.workbench import ModelSpec, build_model
 from skmslab.workbench.models import build_perturbed_model
 from skmslab.workbench.suites import gate
 from skmslab.workbench import ModelSpec, run_suite
-from skmslab.cochain import (Cochain, boundary, connes_B, hochschild_b,
-                             jlo_cochain, tau_eval)
+from skmslab.cochain import (Cochain, boundary, connes_B, entireness_diagnostic,
+                             hochschild_b, jlo_cochain, lemma34_check, tau_eval)
 
 
 def block_system(p, q, seed=0, scale=1.0):
@@ -602,16 +603,13 @@ def test_lemma44_rows():
 
 
 def test_perturbed_skms_rows():
+    # the perturbation's own identities; the axioms phi^r shares with phi
+    # are verify_skms_axioms's on the same context
     ctx = make_ctx(r=0.5, pert_scale=0.3)
     rows = gate(skms_check_perturbed(ctx, samples=8, seed=3), 1e-9)
     names = [r.identity_name for r in rows]
     assert names == [
-        "skms_r.alpha_invariance",
         "skms_r.kms_boundary",
-        "skms_r.normalization",
-        "skms_r.delta_invariance",
-        "skms_r.delta_squared_ad_h",
-        "skms_r.weak_supersymmetry",
         "skms_r.error_term",
         "skms_r.error_term_at_zero",
     ]
@@ -619,6 +617,8 @@ def test_perturbed_skms_rows():
         assert r.passed, (r.identity_name, r.max_residual)
     at_zero = rows[-1]
     assert at_zero.max_residual == 0.0 and at_zero.tolerance == 0.0
+    shared = gate(verify_skms_axioms(ctx, samples=8, seed=3), 1e-9)
+    assert [r.identity_name for r in shared if not r.passed] == []
 
 
 @pytest.mark.parametrize("check, couplings", [
@@ -631,7 +631,12 @@ def test_perturbed_skms_rows():
     (lambda ctx: lemma43_check(ctx, samples=2), [0.1, 0.2, 0.3, 0.4, 0.5]),
     (lambda ctx: skms_check_perturbed(ctx, samples=2), [0.3, 0.4]),
     (lambda ctx: error_term(ctx, 0.3), [0.3, 0.4]),
-], ids=["f_identities", "lemma43_k_eq_d", "lemma43", "skms_perturbed", "error_term"])
+    # entireness would sum every coupling's Tr e^{-H_r} into one bound, and
+    # the graph normalization broadcast (M, d, d) against (K, d, d)
+    (lambda ctx: entireness_diagnostic(ctx, samples=2), [0.3, 0.4]),
+    (lambda ctx: lemma34_check(ctx, samples=2), [0.3, 0.4]),
+], ids=["f_identities", "lemma43_k_eq_d", "lemma43", "skms_perturbed", "error_term",
+        "entireness", "lemma34"])
 def test_one_coupling_checks_refuse_a_vector_context(check, couplings):
     spec = ModelSpec(kind="RectangularBlock", p=3, q=2, seed=1, scale=1.0)
     sys_, pert = build_perturbed_model(spec, 0)
@@ -640,6 +645,24 @@ def test_one_coupling_checks_refuse_a_vector_context(check, couplings):
                                          r"select one with ctx\.at\(k\)"):
         check(ctx)
     assert check(ctx.at(1)) is not None
+
+
+@pytest.mark.parametrize("check", [
+    lambda ctx: verify_skms_axioms(ctx, samples=6, seed=1),
+    lambda ctx: lemma34_check(ctx, n=2, samples=2, seed=1),
+    lambda ctx: entireness_diagnostic(ctx, samples=4, seed=1),
+], ids=["axioms", "lemma34", "entireness"])
+@pytest.mark.parametrize("couplings", [0.5, None], ids=["scalar", "at"])
+def test_checks_that_draw_run_on_a_one_coupling_context(check, couplings):
+    # they drew through GradedSystem.random_elements, which a context lacks,
+    # and ended in an AttributeError; the draw is the grading's
+    spec = ModelSpec(kind="RandomGraded", p=3, q=2, seed=1, scale=0.6,
+                     perturbation={"seed": 11, "scale": 0.3})
+    sys_, pert = build_perturbed_model(spec, 0)
+    ctx = (PerturbedContext(sys_, pert, couplings) if couplings is not None
+           else PerturbedContext(sys_, pert, [0.0, 0.5]).at(1))
+    rows = gate(check(ctx), 1e-8)
+    assert rows and [r.identity_name for r in rows if not r.passed] == []
 
 
 def test_f_identity_rows():
@@ -835,7 +858,7 @@ def _endpoint_models():
     for spec in specs:
         sys_, pert = build_perturbed_model(spec, 0)
         rng = np.random.default_rng(np.random.SeedSequence((0, 0x48)))
-        yield sys_, pert, list(sys_.random_elements(rng, 3, parity="even"))
+        yield sys_, pert, list(sys_.grading.random_elements(rng, 3, parity="even"))
     sys_ = build_model(ModelSpec(kind="RectangularBlock", p=5, q=3, seed=4,
                                  scale=1.0))[0]
     rng = np.random.default_rng(np.random.SeedSequence((4, 0x48)))

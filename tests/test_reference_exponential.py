@@ -75,7 +75,7 @@ def test_graph_normalized_chain_of_degree_10():
     # one; dense Pade scaling and squaring loses it (relative error 5e-9)
     sys = build_model(SMALL_SPEC)[0]
     rng = np.random.default_rng(5)
-    xs = _graph_normalize(sys, sys.random_elements(rng, 10, parity="even"))
+    xs = _graph_normalize(sys, sys.grading.random_elements(rng, 10, parity="even"))
     errors = _relative_errors(sys.spectrum, _chain_insertions(sys, xs), -1.0, [10])
     assert max(errors) < GATE, errors
 
